@@ -1,21 +1,19 @@
 // Incremental-session bench: what a JoclSession ingestion batch costs
 // versus rebuilding everything with JoclRuntime::Infer, across batch
-// sizes, plus the K-batch replay equivalence check (with removals) and
-// the warm-start variant. Emits BENCH_incremental.json (path:
-// JOCL_BENCH_OUT, default ./BENCH_incremental.json) for CI tracking;
-// tools/check_bench_trend.sh diffs it against the committed baseline.
+// sizes, plus the K-batch replay equivalence check (with removals).
+// Emits BENCH_incremental.json (path: JOCL_BENCH_OUT, default
+// ./BENCH_incremental.json) for CI tracking; tools/check_bench_trend.sh
+// diffs it against the committed baseline.
 //
-// Acceptance bars:
-//   * ISSUE 3 (kept): a longtail 1%-sized batch must be >= 5x faster
-//     than a full rebuild, and every K-batch replay must be
-//     byte-identical to the one-shot result.
-//   * ISSUE 10: the longtail 1% batch must be >= 3x faster end-to-end
-//     than the legacy front-end (scratch BuildProblem + PartitionProblem
-//     per batch, the PR 3 path) on the same batch; the head-component
-//     worst case must reach >= 2.5x vs a full rebuild under the residual
-//     schedule (byte-identical to the residual one-shot); and at scale
-//     >= 1 the longtail front-end (problem build + partition) must stay
-//     <= 25% of the batch wall — the bench hard-fails otherwise.
+// Acceptance bars (the bench hard-fails when one is missed):
+//   * a longtail 1%-sized batch must be >= 5x faster than a full
+//     rebuild, and every K-batch replay must be byte-identical to the
+//     one-shot result;
+//   * the head-component worst case must reach >= 2.5x vs a full
+//     rebuild under the residual schedule (byte-identical to the
+//     residual one-shot);
+//   * at scale >= 1 the longtail front-end (problem build + partition)
+//     must stay <= 25% of the batch wall.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -34,36 +32,27 @@ struct BatchRun {
   double fraction = 0.0;
   size_t batch_triples = 0;
   double incremental_seconds = 0.0;
-  double legacy_seconds = 0.0;  // same batch, incremental_frontend=false
-  double speedup = 0.0;         // vs full rebuild
-  double speedup_vs_legacy = 0.0;
+  double speedup = 0.0;  // vs full rebuild
   SessionStats stats;
 };
 
 struct ReplayRun {
   size_t k = 0;
-  bool warm = false;
   bool with_removal = false;
   double total_seconds = 0.0;
   double max_batch_seconds = 0.0;
-  bool identical = false;      // byte-identical decode + marginals
-  bool decode_match = false;   // decode fields only (warm-start check)
+  bool identical = false;  // byte-identical decode + marginals
 };
 
-bool SameDecode(const JoclResult& a, const JoclResult& b) {
+bool SameBytes(const JoclResult& a, const JoclResult& b) {
   return a.np_cluster == b.np_cluster && a.rp_cluster == b.rp_cluster &&
          a.np_link == b.np_link && a.rp_link == b.rp_link &&
-         a.triples == b.triples;
-}
-
-bool SameBytes(const JoclResult& a, const JoclResult& b) {
-  return SameDecode(a, b) &&
+         a.triples == b.triples &&
          a.diagnostics.marginals == b.diagnostics.marginals;
 }
 
 /// Problem build + partition — the stages the O(Δ) front-end shrinks.
-/// (Signal-cache upkeep is reported separately; it was already
-/// incremental before this front-end existed.)
+/// (Signal-cache upkeep is reported separately.)
 double FrontendSeconds(const SessionStats& stats) {
   return stats.problem_seconds + stats.partition_seconds;
 }
@@ -74,14 +63,11 @@ double FrontendSeconds(const SessionStats& stats) {
 /// re-add-everything), so the equivalence check also covers the removal
 /// repair path. Timings cover every operation including the removal.
 ReplayRun Replay(const Dataset& ds, const SignalBundle& sig,
-                 const std::vector<size_t>& stream, size_t k, bool warm,
+                 const std::vector<size_t>& stream, size_t k,
                  bool with_removal, const JoclResult& oneshot) {
-  SessionOptions session_options;
-  session_options.warm_start = warm;
-  JoclSession session(&ds, &sig, {}, session_options);
+  JoclSession session(&ds, &sig);
   ReplayRun run;
   run.k = k;
-  run.warm = warm;
   run.with_removal = with_removal;
   auto step = [&](bool remove, const std::vector<size_t>& batch) {
     Stopwatch watch;
@@ -108,10 +94,7 @@ ReplayRun Replay(const Dataset& ds, const SignalBundle& sig,
     if (!step(true, first_batch)) return run;
     if (!step(false, first_batch)) return run;
   }
-  run.decode_match = SameDecode(session.result(), oneshot);
-  run.identical = run.decode_match &&
-                  session.result().diagnostics.marginals ==
-                      oneshot.diagnostics.marginals;
+  run.identical = SameBytes(session.result(), oneshot);
   return run;
 }
 
@@ -125,7 +108,6 @@ double MeasureBatch(const Dataset& ds, const SignalBundle& sig,
                     const std::vector<size_t>& stream,
                     const std::vector<size_t>& batch,
                     const JoclOptions& jocl_options,
-                    const SessionOptions& session_options,
                     const JoclResult& oneshot, int reps, SessionStats* stats,
                     int* failures) {
   std::vector<size_t> prefill;
@@ -140,7 +122,7 @@ double MeasureBatch(const Dataset& ds, const SignalBundle& sig,
   }
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    JoclSession session(&ds, &sig, jocl_options, session_options);
+    JoclSession session(&ds, &sig, jocl_options);
     session.AddTriples(prefill);
     SessionStats rep_stats;
     Stopwatch watch;
@@ -238,37 +220,24 @@ int Run() {
   };
 
   std::vector<BatchRun> batch_runs;
-  TablePrinter table({"Batch", "Triples", "Incremental (s)", "Legacy (s)",
-                      "Dirty shards", "vs full", "vs legacy"});
-  SessionOptions incremental_options;  // defaults: incremental front-end on
-  SessionOptions legacy_options;
-  legacy_options.incremental_frontend = false;  // the PR 3 path
+  TablePrinter table(
+      {"Batch", "Triples", "Incremental (s)", "Dirty shards", "vs full"});
   auto measure = [&](const char* kind, double fraction, int reps,
                      const std::vector<size_t>& batch) {
     BatchRun run;
     run.kind = kind;
     run.fraction = fraction;
     run.batch_triples = batch.size();
-    run.incremental_seconds =
-        MeasureBatch(ds, sig, stream, batch, {}, incremental_options,
-                     oneshot, reps, &run.stats, &failures);
-    SessionStats legacy_stats;
-    run.legacy_seconds =
-        MeasureBatch(ds, sig, stream, batch, {}, legacy_options, oneshot,
-                     reps, &legacy_stats, &failures);
+    run.incremental_seconds = MeasureBatch(ds, sig, stream, batch, {}, oneshot,
+                                           reps, &run.stats, &failures);
     run.speedup = run.incremental_seconds > 0.0
                       ? full_seconds / run.incremental_seconds
                       : 0.0;
-    run.speedup_vs_legacy = run.incremental_seconds > 0.0
-                                ? run.legacy_seconds / run.incremental_seconds
-                                : 0.0;
     table.AddRow({kind, std::to_string(run.batch_triples),
                   TablePrinter::Num(run.incremental_seconds, 3),
-                  TablePrinter::Num(run.legacy_seconds, 3),
                   std::to_string(run.stats.dirty_shards) + "/" +
                       std::to_string(run.stats.shards),
-                  TablePrinter::Num(run.speedup, 1) + "x",
-                  TablePrinter::Num(run.speedup_vs_legacy, 1) + "x"});
+                  TablePrinter::Num(run.speedup, 1) + "x"});
     batch_runs.push_back(run);
   };
   // The longtail batch runs in single-digit milliseconds, where scheduler
@@ -306,8 +275,7 @@ int Run() {
   SessionStats head_residual_stats;
   double head_residual_seconds = MeasureBatch(
       ds, sig, stream, take_tail(head_pool, one_pct), residual_options,
-      incremental_options, oneshot_residual, /*reps=*/2,
-      &head_residual_stats, &failures);
+      oneshot_residual, /*reps=*/2, &head_residual_stats, &failures);
   double head_residual_speedup = head_residual_seconds > 0.0
                                      ? full_residual_seconds /
                                            head_residual_seconds
@@ -319,14 +287,11 @@ int Run() {
 
   // ---- acceptance gates ---------------------------------------------------
   bool gate_5x = longtail.speedup >= 5.0;
-  bool gate_legacy_3x = longtail.speedup_vs_legacy >= 3.0;
   bool gate_head_residual = head_residual_speedup >= 2.5;
   bool gate_frontend_share = frontend_share <= 0.25;
   bool enforce_frontend_share = env.scale >= 1.0;
   std::printf("acceptance (longtail 1%% >= 5x vs full): %s\n",
               gate_5x ? "PASS" : "FAIL");
-  std::printf("acceptance (longtail 1%% >= 3x vs legacy front-end): %s\n",
-              gate_legacy_3x ? "PASS" : "FAIL");
   std::printf("acceptance (head 1%% residual >= 2.5x vs full): %s\n",
               gate_head_residual ? "PASS" : "FAIL");
   std::printf("acceptance (longtail front-end <= 25%% of batch wall): %s%s\n",
@@ -334,7 +299,6 @@ int Run() {
               enforce_frontend_share ? "" : " (recorded only; scale < 1)");
   std::printf("\n");
   if (!gate_5x) ++failures;
-  if (!gate_legacy_3x) ++failures;
   if (!gate_head_residual) ++failures;
   if (enforce_frontend_share && !gate_frontend_share) ++failures;
 
@@ -344,23 +308,14 @@ int Run() {
   // remove-everything / re-add-everything stress).
   std::vector<ReplayRun> replays;
   for (size_t k : {1u, 4u, 16u}) {
-    ReplayRun cold = Replay(ds, sig, stream, k, /*warm=*/false,
-                            /*with_removal=*/true, oneshot);
+    ReplayRun cold = Replay(ds, sig, stream, k, /*with_removal=*/true,
+                            oneshot);
     std::printf("replay K=%-2zu cold+removal: total %.3fs (max batch %.3fs), "
                 "byte-identical: %s\n",
                 k, cold.total_seconds, cold.max_batch_seconds,
                 cold.identical ? "yes" : "NO (bug!)");
     if (!cold.identical) ++failures;
     replays.push_back(cold);
-  }
-  for (size_t k : {4u, 16u}) {
-    ReplayRun warm = Replay(ds, sig, stream, k, /*warm=*/true,
-                            /*with_removal=*/false, oneshot);
-    std::printf("replay K=%-2zu warm: total %.3fs (max batch %.3fs), "
-                "decode match: %s\n",
-                k, warm.total_seconds, warm.max_batch_seconds,
-                warm.decode_match ? "yes" : "no");
-    replays.push_back(warm);
   }
 
   // ---- JSON artifact ------------------------------------------------------
@@ -386,8 +341,7 @@ int Run() {
                  "    {\"kind\": \"%s\", "
                  "\"fraction\": %.3f, \"batch_triples\": %zu, "
                  "\"incremental_seconds\": %.4f, "
-                 "\"legacy_frontend_seconds\": %.4f, "
-                 "\"speedup_vs_full\": %.2f, \"speedup_vs_legacy\": %.2f, "
+                 "\"speedup_vs_full\": %.2f, "
                  "\"dirty_shards\": %zu, \"clean_shards\": %zu, "
                  "\"total_shards\": %zu, \"merged_shards\": %zu, "
                  "\"problem_seconds\": %.4f, \"cache_seconds\": %.4f, "
@@ -396,8 +350,7 @@ int Run() {
                  "\"decode_seconds\": %.4f, \"frontend_seconds\": %.4f, "
                  "\"cache_new_phrases\": %zu}%s\n",
                  run.kind, run.fraction, run.batch_triples,
-                 run.incremental_seconds, run.legacy_seconds, run.speedup,
-                 run.speedup_vs_legacy, run.stats.dirty_shards,
+                 run.incremental_seconds, run.speedup, run.stats.dirty_shards,
                  run.stats.clean_shards, run.stats.shards,
                  run.stats.merged_shards, run.stats.problem_seconds,
                  run.stats.cache_seconds, run.stats.partition_seconds,
@@ -414,14 +367,12 @@ int Run() {
   for (size_t i = 0; i < replays.size(); ++i) {
     const ReplayRun& run = replays[i];
     std::fprintf(out,
-                 "    {\"k\": %zu, \"warm_start\": %s, "
-                 "\"with_removal\": %s, "
+                 "    {\"k\": %zu, \"with_removal\": %s, "
                  "\"total_seconds\": %.4f, \"max_batch_seconds\": %.4f, "
-                 "\"byte_identical\": %s, \"decode_match\": %s}%s\n",
-                 run.k, run.warm ? "true" : "false",
-                 run.with_removal ? "true" : "false", run.total_seconds,
-                 run.max_batch_seconds, run.identical ? "true" : "false",
-                 run.decode_match ? "true" : "false",
+                 "\"byte_identical\": %s}%s\n",
+                 run.k, run.with_removal ? "true" : "false",
+                 run.total_seconds, run.max_batch_seconds,
+                 run.identical ? "true" : "false",
                  i + 1 < replays.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -429,15 +380,11 @@ int Run() {
   // committed baseline and warns on >20% regressions.
   std::fprintf(out, "  \"longtail_speedup_vs_full\": %.2f,\n",
                longtail.speedup);
-  std::fprintf(out, "  \"longtail_speedup_vs_legacy\": %.2f,\n",
-               longtail.speedup_vs_legacy);
   std::fprintf(out, "  \"head_residual_speedup_vs_full\": %.2f,\n",
                head_residual_speedup);
   std::fprintf(out, "  \"longtail_frontend_share\": %.4f,\n", frontend_share);
   std::fprintf(out, "  \"acceptance_1pct_speedup_ge_5x\": %s,\n",
                gate_5x ? "true" : "false");
-  std::fprintf(out, "  \"acceptance_longtail_vs_legacy_ge_3x\": %s,\n",
-               gate_legacy_3x ? "true" : "false");
   std::fprintf(out, "  \"acceptance_head_residual_ge_2_5x\": %s,\n",
                gate_head_residual ? "true" : "false");
   std::fprintf(out, "  \"acceptance_frontend_share_le_25pct\": %s\n",

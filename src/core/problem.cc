@@ -34,7 +34,7 @@ std::vector<SurfacePair> BlockPairs(
     const std::vector<std::string>& surfaces, const IdfTable& idf,
     const std::vector<std::vector<std::string>>& trusted_buckets,
     const std::vector<std::vector<std::string>>& candidate_buckets,
-    const EmbeddingTable* embeddings, const ProblemOptions& options) {
+    const ProblemOptions& options) {
   std::unordered_map<std::string, std::vector<size_t>> buckets;
   for (size_t i = 0; i < surfaces.size(); ++i) {
     const auto& stop = StopWords();
@@ -67,39 +67,6 @@ std::vector<SurfacePair> BlockPairs(
       }
     }
   }
-  // Embedding-neighbor blocking: brute-force cosine over phrase vectors.
-  if (options.side_info_blocking && options.emb_blocking_threshold > 0.0 &&
-      embeddings != nullptr && embeddings->dim() > 0) {
-    std::vector<std::vector<float>> vectors(surfaces.size());
-    std::vector<bool> valid(surfaces.size(), false);
-    for (size_t i = 0; i < surfaces.size(); ++i) {
-      vectors[i] = embeddings->PhraseVector(surfaces[i]);
-      for (float x : vectors[i]) {
-        if (x != 0.0f) {
-          valid[i] = true;
-          break;
-        }
-      }
-    }
-    size_t emitted = 0;
-    for (size_t i = 0; i < surfaces.size() && emitted < options.max_emb_pairs;
-         ++i) {
-      if (!valid[i]) continue;
-      for (size_t j = i + 1; j < surfaces.size(); ++j) {
-        if (!valid[j]) continue;
-        uint64_t key = (static_cast<uint64_t>(i) << 32) | j;
-        if (added.count(key) > 0) continue;
-        if (EmbeddingTable::Cosine(vectors[i], vectors[j]) >=
-            options.emb_blocking_threshold) {
-          added.insert(key);
-          pairs.push_back(
-              SurfacePair{i, j, idf.Similarity(surfaces[i], surfaces[j])});
-          if (++emitted >= options.max_emb_pairs) break;
-        }
-      }
-    }
-  }
-
   // Side-information buckets: admit every in-bucket pair (capped).
   std::unordered_map<std::string, size_t> surface_index;
   for (size_t i = 0; i < surfaces.size(); ++i) {
@@ -158,7 +125,7 @@ std::vector<SurfacePair> BlockPairs(
 
 JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
                          const std::vector<size_t>& triple_subset,
-                         const ProblemOptions& options, ProblemCache* cache) {
+                         const ProblemOptions& options) {
   JoclProblem problem;
   problem.triples = triple_subset;
   std::sort(problem.triples.begin(), problem.triples.end());
@@ -183,53 +150,21 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
   BuildSurfaces(objects, &problem.object_surfaces, &problem.object_of,
                 &problem.object_rep);
 
-  // Candidate generation is a pure function of (surface, max_candidates)
-  // against the fixed CKB, so the optional cross-build memo returns the
-  // exact vectors an unmemoized build would compute.
   const CuratedKb& ckb = dataset.ckb;
-  auto entity_candidates = [&](const std::string& surface) {
-    if (cache == nullptr) {
-      return ckb.EntityCandidates(surface, options.max_candidates);
-    }
-    auto it = cache->entity_candidates.find(surface);
-    if (it == cache->entity_candidates.end()) {
-      ++cache->misses;
-      it = cache->entity_candidates
-               .emplace(surface,
-                        ckb.EntityCandidates(surface, options.max_candidates))
-               .first;
-    } else {
-      ++cache->hits;
-    }
-    return it->second;
-  };
-  auto relation_candidates = [&](const std::string& surface) {
-    if (cache == nullptr) {
-      return ckb.RelationCandidates(surface, options.max_candidates);
-    }
-    auto it = cache->relation_candidates.find(surface);
-    if (it == cache->relation_candidates.end()) {
-      ++cache->misses;
-      it = cache->relation_candidates
-               .emplace(surface, ckb.RelationCandidates(
-                                     surface, options.max_candidates))
-               .first;
-    } else {
-      ++cache->hits;
-    }
-    return it->second;
-  };
   problem.subject_candidates.reserve(problem.subject_surfaces.size());
   for (const auto& surface : problem.subject_surfaces) {
-    problem.subject_candidates.push_back(entity_candidates(surface));
+    problem.subject_candidates.push_back(
+        ckb.EntityCandidates(surface, options.max_candidates));
   }
   problem.object_candidates.reserve(problem.object_surfaces.size());
   for (const auto& surface : problem.object_surfaces) {
-    problem.object_candidates.push_back(entity_candidates(surface));
+    problem.object_candidates.push_back(
+        ckb.EntityCandidates(surface, options.max_candidates));
   }
   problem.predicate_candidates.reserve(problem.predicate_surfaces.size());
   for (const auto& surface : problem.predicate_surfaces) {
-    problem.predicate_candidates.push_back(relation_candidates(surface));
+    problem.predicate_candidates.push_back(
+        ckb.RelationCandidates(surface, options.max_candidates));
   }
 
   // Side-information blocking buckets. PPDB buckets carry independent
@@ -287,13 +222,13 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
 
   problem.subject_pairs = BlockPairs(
       problem.subject_surfaces, signals.np_idf, subject_ppdb_buckets,
-      subject_cand_buckets, &signals.embeddings, options);
+      subject_cand_buckets, options);
   problem.predicate_pairs = BlockPairs(
       problem.predicate_surfaces, signals.rp_idf, predicate_ppdb_buckets,
-      predicate_cand_buckets, &signals.embeddings, options);
+      predicate_cand_buckets, options);
   problem.object_pairs = BlockPairs(
       problem.object_surfaces, signals.np_idf, object_ppdb_buckets,
-      object_cand_buckets, &signals.embeddings, options);
+      object_cand_buckets, options);
 
   JOCL_LOG(kDebug) << "problem: " << problem.triples.size() << " triples, "
                    << problem.subject_surfaces.size() << "/"

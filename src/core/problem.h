@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/signals.h"
@@ -39,14 +38,6 @@ struct ProblemOptions {
   bool side_info_blocking = true;
   /// How many top candidates participate in candidate-overlap blocking.
   size_t blocking_candidates = 2;
-  /// Embedding-neighbor blocking: surface pairs whose phrase-embedding
-  /// cosine reaches this are also admitted (0 disables; the default).
-  /// Disabled because averaged word vectors are anisotropic: pairs
-  /// selected by high cosine then carry that same high value as their
-  /// `f_emb` feature, a selection bias that inflates false merges.
-  double emb_blocking_threshold = 0.0;
-  /// Hard cap on embedding-blocked pairs per role.
-  size_t max_emb_pairs = 20000;
   /// Candidate entities/relations per mention (linking variable states are
   /// this many plus NIL).
   size_t max_candidates = 5;
@@ -102,35 +93,11 @@ struct JoclProblem {
   size_t rp_mention_count() const { return triples.size(); }
 };
 
-/// \brief Cross-build memo of the pure per-surface lookups inside
-/// BuildProblem (candidate generation against the fixed CKB). Memoized
-/// builds return exactly the same problem as unmemoized ones — the memo
-/// only skips recomputing `EntityCandidates` / `RelationCandidates` for
-/// surfaces seen in an earlier build. `JoclSession` keeps one across
-/// ingestion batches, which is most of what makes a streaming problem
-/// rebuild cheap. Valid only while the dataset's CKB and the
-/// `max_candidates` option stay fixed (both are per-session constants).
-struct ProblemCache {
-  std::unordered_map<std::string, std::vector<EntityCandidate>>
-      entity_candidates;
-  std::unordered_map<std::string, std::vector<RelationCandidate>>
-      relation_candidates;
-  /// Lifetime lookup counters, maintained by BuildProblem: a lookup that
-  /// found a memoized surface counts as a hit, one that had to run
-  /// candidate generation as a miss. `SessionStats` reports per-batch
-  /// deltas so incremental-ingestion regressions show up in logs.
-  size_t hits = 0;
-  size_t misses = 0;
-};
-
 /// \brief Builds the problem for the given triple subset (ascending order
-/// not required; it is sorted internally). \p cache, when non-null,
-/// memoizes per-surface candidate generation across builds (see
-/// ProblemCache).
+/// not required; it is sorted internally).
 JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
                          const std::vector<size_t>& triple_subset,
-                         const ProblemOptions& options = {},
-                         ProblemCache* cache = nullptr);
+                         const ProblemOptions& options = {});
 
 }  // namespace jocl
 

@@ -39,22 +39,10 @@ std::vector<std::pair<std::string, uint32_t>> GroupTokens(
 
 ProblemBuilder::ProblemBuilder(const Dataset* dataset,
                                const SignalBundle* signals,
-                               const ProblemOptions& options,
-                               ProblemCache* cache)
-    : dataset_(dataset),
-      signals_(signals),
-      options_(options),
-      cache_(cache) {
+                               const ProblemOptions& options)
+    : dataset_(dataset), signals_(signals), options_(options) {
   sid_of_triple_.resize(dataset_->okb.size());
   triple_interned_.resize(dataset_->okb.size(), 0);
-}
-
-bool ProblemBuilder::Supports(const ProblemOptions& options) {
-  // Embedding-neighbor blocking admits pairs under a global emission cap
-  // (max_emb_pairs) scanned in surface-index order — admission is not a
-  // per-pair property, so the incremental bookkeeping cannot model it.
-  return !(options.side_info_blocking &&
-           options.emb_blocking_threshold > 0.0);
 }
 
 uint32_t ProblemBuilder::InternNp(const std::string& phrase) {
@@ -64,13 +52,6 @@ uint32_t ProblemBuilder::InternNp(const std::string& phrase) {
   np_meta_.emplace_back();
   NpMeta& meta = np_meta_.back();
   meta.surface = phrase;
-  if (cache_ != nullptr) {
-    auto cached = cache_->entity_candidates.find(phrase);
-    if (cached != cache_->entity_candidates.end()) {
-      meta.candidates = cached->second;
-      meta.in_problem_cache = true;
-    }
-  }
   np_index_.emplace(phrase, sid);
   for (size_t role : {kSubject, kObject}) {
     roles_[role].mentions.emplace_back();
@@ -88,13 +69,6 @@ uint32_t ProblemBuilder::InternRp(const std::string& phrase) {
   rp_meta_.emplace_back();
   RpMeta& meta = rp_meta_.back();
   meta.surface = phrase;
-  if (cache_ != nullptr) {
-    auto cached = cache_->relation_candidates.find(phrase);
-    if (cached != cache_->relation_candidates.end()) {
-      meta.candidates = cached->second;
-      meta.in_problem_cache = true;
-    }
-  }
   rp_index_.emplace(phrase, sid);
   roles_[kPredicate].mentions.emplace_back();
   roles_[kPredicate].rank_of.push_back(0);
@@ -113,9 +87,7 @@ void ProblemBuilder::EnsureTripleInterned(size_t t) {
 
 void ProblemBuilder::PrepareNewSurfaces(size_t threads) {
   // Fan the per-surface pure work (tokenize, PPDB lookup, candidate
-  // generation) out on the pool into disjoint meta slots; everything
-  // order-sensitive (cache-map fills, blocking-id extraction) happens on
-  // the calling thread afterwards, in discovery order.
+  // generation, blocking ids) out on the pool into disjoint meta slots.
   const size_t n_np = new_np_sids_.size();
   const size_t total = n_np + new_rp_sids_.size();
   if (total == 0) return;
@@ -130,9 +102,13 @@ void ProblemBuilder::PrepareNewSurfaces(size_t threads) {
           if (want_ppdb) {
             meta.ppdb_rep = signals_->ppdb->Representative(meta.surface);
           }
-          if (!meta.in_problem_cache) {
-            meta.candidates = dataset_->ckb.EntityCandidates(
-                meta.surface, options_.max_candidates);
+          meta.candidates = dataset_->ckb.EntityCandidates(
+              meta.surface, options_.max_candidates);
+          const size_t top = std::min(options_.blocking_candidates,
+                                      meta.candidates.size());
+          meta.blocking_ids.reserve(top);
+          for (size_t c = 0; c < top; ++c) {
+            meta.blocking_ids.push_back(meta.candidates[c].id);
           }
         } else {
           RpMeta& meta = rp_meta_[new_rp_sids_[i - n_np]];
@@ -140,30 +116,10 @@ void ProblemBuilder::PrepareNewSurfaces(size_t threads) {
           if (want_ppdb) {
             meta.ppdb_rep = signals_->ppdb->Representative(meta.surface);
           }
-          if (!meta.in_problem_cache) {
-            meta.candidates = dataset_->ckb.RelationCandidates(
-                meta.surface, options_.max_candidates);
-          }
+          meta.candidates = dataset_->ckb.RelationCandidates(
+              meta.surface, options_.max_candidates);
         }
       });
-  for (uint32_t sid : new_np_sids_) {
-    NpMeta& meta = np_meta_[sid];
-    size_t top = std::min(options_.blocking_candidates,
-                          meta.candidates.size());
-    meta.blocking_ids.reserve(top);
-    for (size_t c = 0; c < top; ++c) {
-      meta.blocking_ids.push_back(meta.candidates[c].id);
-    }
-    if (cache_ != nullptr && !meta.in_problem_cache) {
-      cache_->entity_candidates.emplace(meta.surface, meta.candidates);
-    }
-  }
-  for (uint32_t sid : new_rp_sids_) {
-    RpMeta& meta = rp_meta_[sid];
-    if (cache_ != nullptr && !meta.in_problem_cache) {
-      cache_->relation_candidates.emplace(meta.surface, meta.candidates);
-    }
-  }
 }
 
 void ProblemBuilder::BumpRef(RoleState& state, uint32_t a, uint32_t b,
@@ -519,49 +475,33 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
            &problem->predicate_of, &problem->predicate_rep,
            &problem->predicate_pairs, delta, &predicate_rank);
 
-  // ---- candidates + ProblemCache counter mirror ---------------------------
-  // Scratch consult order is subject surfaces, then object, then
-  // predicate (entity memo shared between the NP roles). Counters are
-  // bumped here, on the calling thread, per consulted surface — the
-  // parallel prefill above cannot double-count a miss.
+  // ---- candidates + lookup counters ---------------------------------------
+  // Consult order is subject surfaces, then object, then predicate; an NP
+  // surface consulted in both roles misses at most once.
+  candidate_hits_ = 0;
+  candidate_misses_ = 0;
+  auto count = [&](bool* consulted) {
+    if (*consulted) {
+      ++candidate_hits_;
+    } else {
+      ++candidate_misses_;
+      *consulted = true;
+    }
+  };
   problem->subject_candidates.reserve(subject_rank.size());
   for (uint32_t sid : subject_rank) {
-    NpMeta& meta = np_meta_[sid];
-    if (cache_ != nullptr) {
-      if (meta.in_problem_cache) {
-        ++cache_->hits;
-      } else {
-        ++cache_->misses;
-        meta.in_problem_cache = true;
-      }
-    }
-    problem->subject_candidates.push_back(meta.candidates);
+    count(&np_meta_[sid].consulted);
+    problem->subject_candidates.push_back(np_meta_[sid].candidates);
   }
   problem->object_candidates.reserve(object_rank.size());
   for (uint32_t sid : object_rank) {
-    NpMeta& meta = np_meta_[sid];
-    if (cache_ != nullptr) {
-      if (meta.in_problem_cache) {
-        ++cache_->hits;
-      } else {
-        ++cache_->misses;
-        meta.in_problem_cache = true;
-      }
-    }
-    problem->object_candidates.push_back(meta.candidates);
+    count(&np_meta_[sid].consulted);
+    problem->object_candidates.push_back(np_meta_[sid].candidates);
   }
   problem->predicate_candidates.reserve(predicate_rank.size());
   for (uint32_t sid : predicate_rank) {
-    RpMeta& meta = rp_meta_[sid];
-    if (cache_ != nullptr) {
-      if (meta.in_problem_cache) {
-        ++cache_->hits;
-      } else {
-        ++cache_->misses;
-        meta.in_problem_cache = true;
-      }
-    }
-    problem->predicate_candidates.push_back(meta.candidates);
+    count(&rp_meta_[sid].consulted);
+    problem->predicate_candidates.push_back(rp_meta_[sid].candidates);
   }
 }
 

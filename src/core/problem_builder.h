@@ -23,7 +23,7 @@ namespace jocl {
 ///
 /// **Byte-identity contract.** For any batch sequence reaching an active
 /// set A, `Apply` emits a `JoclProblem` byte-identical to
-/// `BuildProblem(dataset, signals, A, options, cache)` (property-tested
+/// `BuildProblem(dataset, signals, A, options)` (property-tested
 /// in tests/session_test.cc). The invariants that make this hold:
 ///
 ///  * Surfaces, reps and candidate lists are pure functions of A
@@ -44,23 +44,16 @@ namespace jocl {
 ///
 /// The builder also emits the batch's `FrontEndDelta` (stable surface
 /// ids + admitted-pair transitions) for the `IncrementalPartitioner`,
-/// and mirrors `ProblemCache` hit/miss counters exactly as the memoized
-/// scratch build would count them — on the calling thread only, so the
-/// parallel candidate prefill cannot double-count (misses are counted
-/// per consulted surface, not per fill).
+/// and counts candidate lookups: every emission consults each active
+/// surface once per role, and a consultation is a miss the first time
+/// the builder ever consults that surface and a hit every later time.
+/// Counting happens on the calling thread only, so the parallel
+/// candidate prefill cannot double-count.
 class ProblemBuilder {
  public:
-  /// \p dataset and \p signals must outlive the builder. \p cache (may be
-  /// null) is the session's persistent candidate memo: the builder fills
-  /// it for new surfaces and mirrors its hit/miss counters.
+  /// \p dataset and \p signals must outlive the builder.
   ProblemBuilder(const Dataset* dataset, const SignalBundle* signals,
-                 const ProblemOptions& options, ProblemCache* cache);
-
-  /// False when \p options selects a blocking stage the incremental path
-  /// does not model (embedding-neighbor blocking, whose admission depends
-  /// on a global emission cap) — callers fall back to scratch
-  /// `BuildProblem`.
-  static bool Supports(const ProblemOptions& options);
+                 const ProblemOptions& options);
 
   /// Applies one batch. \p added / \p removed are disjoint sorted dataset
   /// triple ids; \p active is the post-update active set (sorted). Emits
@@ -101,6 +94,10 @@ class ProblemBuilder {
     return roles_[role].mentions[sid];
   }
 
+  /// Candidate lookups of the last Apply (see the class comment).
+  size_t candidate_hits() const { return candidate_hits_; }
+  size_t candidate_misses() const { return candidate_misses_; }
+
  private:
   static constexpr size_t kSubject = 0;
   static constexpr size_t kPredicate = 1;
@@ -114,14 +111,14 @@ class ProblemBuilder {
     std::optional<std::string> ppdb_rep;
     std::vector<EntityCandidate> candidates;
     std::vector<int64_t> blocking_ids;  ///< top-k candidate entity ids
-    bool in_problem_cache = false;      ///< consulted-counter mirror state
+    bool consulted = false;             ///< counted as a miss already
   };
   struct RpMeta {
     std::string surface;
     std::vector<std::pair<std::string, uint32_t>> tokens;
     std::optional<std::string> ppdb_rep;
     std::vector<RelationCandidate> candidates;
-    bool in_problem_cache = false;
+    bool consulted = false;
   };
 
   /// One blocking bucket: active members with occurrence counts (token
@@ -199,7 +196,6 @@ class ProblemBuilder {
   const Dataset* dataset_;
   const SignalBundle* signals_;
   ProblemOptions options_;
-  ProblemCache* cache_;
 
   std::unordered_map<std::string, uint32_t> np_index_;
   std::unordered_map<std::string, uint32_t> rp_index_;
@@ -214,6 +210,8 @@ class ProblemBuilder {
 
   std::vector<uint32_t> new_np_sids_;
   std::vector<uint32_t> new_rp_sids_;
+  size_t candidate_hits_ = 0;
+  size_t candidate_misses_ = 0;
 };
 
 }  // namespace jocl

@@ -71,7 +71,6 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
                                const JoclOptions& options,
                                const std::vector<double>& weights,
                                size_t engine_threads,
-                               const ShardWarmStart* warm,
                                ShardRunTimings* timings) {
   Stopwatch watch;
   // Stage spans land on the caller's current track (the pool worker's
@@ -86,27 +85,6 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
   span.emplace("compile");
   std::unique_ptr<InferenceEngine> engine = CreateInferenceEngine(
       options.inference_backend, &jgraph.graph, &weights, lbp_options);
-  if (warm != nullptr) {
-    // Map the local-order priors onto variable ids, skipping empty hints.
-    auto seed = [&](const std::vector<VariableId>& vars,
-                    const std::vector<std::vector<double>>& priors) {
-      std::vector<VariableId> ids;
-      std::vector<std::vector<double>> values;
-      const size_t n = std::min(vars.size(), priors.size());
-      for (size_t i = 0; i < n; ++i) {
-        if (priors[i].empty()) continue;
-        ids.push_back(vars[i]);
-        values.push_back(priors[i]);
-      }
-      if (!ids.empty()) engine->WarmStart(ids, values);
-    };
-    seed(jgraph.x_vars, warm->x_prior);
-    seed(jgraph.y_vars, warm->y_prior);
-    seed(jgraph.z_vars, warm->z_prior);
-    seed(jgraph.es_vars, warm->es_prior);
-    seed(jgraph.rp_vars, warm->rp_prior);
-    seed(jgraph.eo_vars, warm->eo_prior);
-  }
   span.reset();
   if (timings != nullptr) timings->graph_seconds = watch.ElapsedSeconds();
 
@@ -338,7 +316,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
     const ProblemShard& shard = plan.shards[s];
     outcomes[s] =
         RunShardInference(shard.problem, cache, dataset.ckb, options_,
-                          weights, engine_threads, nullptr, &timings[s]);
+                          weights, engine_threads, &timings[s]);
     // Shards partition the pair and triple spaces, so every scatter write
     // hits a slot no other shard touches.
     ScatterShardBeliefs(shard, outcomes[s], options_.builder, &beliefs);

@@ -65,16 +65,6 @@ struct ShardBeliefs {
   size_t factors = 0;
 };
 
-/// \brief Warm-start hints for one shard run, in local indexing: prior
-/// marginals aligned with the local problem's pairs / triples. Empty
-/// inner vectors mean "no hint for this variable". Only consulted when
-/// non-null; see InferenceEngine::WarmStart for the approximate-restart
-/// semantics.
-struct ShardWarmStart {
-  std::vector<std::vector<double>> x_prior, y_prior, z_prior;
-  std::vector<std::vector<double>> es_prior, rp_prior, eo_prior;
-};
-
 /// \brief Per-shard stage split of RunShardInference.
 struct ShardRunTimings {
   double graph_seconds = 0.0;  ///< BuildJoclGraph + engine construction
@@ -91,7 +81,6 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
                                const JoclOptions& options,
                                const std::vector<double>& weights,
                                size_t engine_threads,
-                               const ShardWarmStart* warm = nullptr,
                                ShardRunTimings* timings = nullptr);
 
 /// \brief Sizes the global belief arrays for \p problem according to the

@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -77,163 +76,6 @@ void MirrorSessionStats(const SessionStats& stats, uint64_t generation) {
   gen->Set(static_cast<int64_t>(generation));
 }
 
-/// Structural equality of two local problems — the session's reuse guard.
-/// Cached beliefs are a pure function of the local problem + weights, so
-/// equality here makes reuse byte-exact; a fingerprint could not give
-/// that guarantee. Surface *strings* are compared (not global ids), which
-/// also covers reorderings caused by removals changing first-appearance
-/// order.
-bool ProblemsEqual(const JoclProblem& a, const JoclProblem& b) {
-  auto pairs_equal = [](const std::vector<SurfacePair>& x,
-                        const std::vector<SurfacePair>& y) {
-    if (x.size() != y.size()) return false;
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (x[i].a != y[i].a || x[i].b != y[i].b || x[i].idf != y[i].idf ||
-          x[i].candidate_blocked != y[i].candidate_blocked) {
-        return false;
-      }
-    }
-    return true;
-  };
-  auto entity_candidates_equal =
-      [](const std::vector<std::vector<EntityCandidate>>& x,
-         const std::vector<std::vector<EntityCandidate>>& y) {
-        if (x.size() != y.size()) return false;
-        for (size_t i = 0; i < x.size(); ++i) {
-          if (x[i].size() != y[i].size()) return false;
-          for (size_t c = 0; c < x[i].size(); ++c) {
-            if (x[i][c].id != y[i][c].id ||
-                x[i][c].popularity != y[i][c].popularity) {
-              return false;
-            }
-          }
-        }
-        return true;
-      };
-  auto relation_candidates_equal =
-      [](const std::vector<std::vector<RelationCandidate>>& x,
-         const std::vector<std::vector<RelationCandidate>>& y) {
-        if (x.size() != y.size()) return false;
-        for (size_t i = 0; i < x.size(); ++i) {
-          if (x[i].size() != y[i].size()) return false;
-          for (size_t c = 0; c < x[i].size(); ++c) {
-            if (x[i][c].id != y[i][c].id || x[i][c].score != y[i][c].score) {
-              return false;
-            }
-          }
-        }
-        return true;
-      };
-  return a.triples == b.triples &&
-         a.subject_surfaces == b.subject_surfaces &&
-         a.predicate_surfaces == b.predicate_surfaces &&
-         a.object_surfaces == b.object_surfaces &&
-         a.subject_of == b.subject_of && a.predicate_of == b.predicate_of &&
-         a.object_of == b.object_of && a.subject_rep == b.subject_rep &&
-         a.predicate_rep == b.predicate_rep && a.object_rep == b.object_rep &&
-         pairs_equal(a.subject_pairs, b.subject_pairs) &&
-         pairs_equal(a.predicate_pairs, b.predicate_pairs) &&
-         pairs_equal(a.object_pairs, b.object_pairs) &&
-         entity_candidates_equal(a.subject_candidates, b.subject_candidates) &&
-         entity_candidates_equal(a.object_candidates, b.object_candidates) &&
-         relation_candidates_equal(a.predicate_candidates,
-                                   b.predicate_candidates);
-}
-
-/// Previous beliefs addressed by identity that survives repartitioning:
-/// pairs by their surface strings, linking variables by dataset triple id.
-struct WarmIndex {
-  std::unordered_map<std::string, const std::vector<double>*> x, y, z;
-  std::unordered_map<size_t, const std::vector<double>*> es, rp, eo;
-
-  static std::string PairKey(const std::string& a, const std::string& b) {
-    std::string key;
-    key.reserve(a.size() + b.size() + 1);
-    key.append(a);
-    key.push_back('\x1f');
-    key.append(b);
-    return key;
-  }
-
-  /// Indexes the previous global problem's beliefs (no copies; the index
-  /// only lives within one Refresh, before the previous state is
-  /// replaced).
-  static WarmIndex Build(const JoclProblem& problem,
-                         const JoclBeliefs& beliefs) {
-    WarmIndex index;
-    auto index_pairs =
-        [](const std::vector<SurfacePair>& pairs,
-           const std::vector<std::string>& surfaces,
-           const std::vector<std::vector<double>>& marg,
-           std::unordered_map<std::string, const std::vector<double>*>* out) {
-          if (marg.size() != pairs.size()) return;  // family ablated
-          for (size_t p = 0; p < pairs.size(); ++p) {
-            (*out)[PairKey(surfaces[pairs[p].a], surfaces[pairs[p].b])] =
-                &marg[p];
-          }
-        };
-    index_pairs(problem.subject_pairs, problem.subject_surfaces,
-                beliefs.x_marg, &index.x);
-    index_pairs(problem.predicate_pairs, problem.predicate_surfaces,
-                beliefs.y_marg, &index.y);
-    index_pairs(problem.object_pairs, problem.object_surfaces,
-                beliefs.z_marg, &index.z);
-    auto index_links =
-        [](const std::vector<size_t>& triples,
-           const std::vector<std::vector<double>>& marg,
-           std::unordered_map<size_t, const std::vector<double>*>* out) {
-          if (marg.size() != triples.size()) return;
-          for (size_t t = 0; t < triples.size(); ++t) {
-            (*out)[triples[t]] = &marg[t];
-          }
-        };
-    index_links(problem.triples, beliefs.es_marg, &index.es);
-    index_links(problem.triples, beliefs.rp_marg, &index.rp);
-    index_links(problem.triples, beliefs.eo_marg, &index.eo);
-    return index;
-  }
-
-  /// Assembles one dirty shard's warm hints in local indexing.
-  ShardWarmStart HintsFor(const JoclProblem& local, size_t* hinted) const {
-    ShardWarmStart warm;
-    auto hint_pairs =
-        [&](const std::vector<SurfacePair>& pairs,
-            const std::vector<std::string>& surfaces,
-            const std::unordered_map<std::string,
-                                     const std::vector<double>*>& index,
-            std::vector<std::vector<double>>* out) {
-          out->resize(pairs.size());
-          for (size_t p = 0; p < pairs.size(); ++p) {
-            auto it = index.find(
-                PairKey(surfaces[pairs[p].a], surfaces[pairs[p].b]));
-            if (it == index.end()) continue;
-            (*out)[p] = *it->second;
-            ++*hinted;
-          }
-        };
-    hint_pairs(local.subject_pairs, local.subject_surfaces, x, &warm.x_prior);
-    hint_pairs(local.predicate_pairs, local.predicate_surfaces, y,
-               &warm.y_prior);
-    hint_pairs(local.object_pairs, local.object_surfaces, z, &warm.z_prior);
-    auto hint_links =
-        [&](const std::unordered_map<size_t, const std::vector<double>*>&
-                index,
-            std::vector<std::vector<double>>* out) {
-          out->resize(local.triples.size());
-          for (size_t t = 0; t < local.triples.size(); ++t) {
-            auto it = index.find(local.triples[t]);
-            if (it == index.end()) continue;
-            (*out)[t] = *it->second;
-            ++*hinted;
-          }
-        };
-    hint_links(es, &warm.es_prior);
-    hint_links(rp, &warm.rp_prior);
-    hint_links(eo, &warm.eo_prior);
-    return warm;
-  }
-};
-
 }  // namespace
 
 JoclSession::JoclSession(const Dataset* dataset, const SignalBundle* signals,
@@ -243,7 +85,9 @@ JoclSession::JoclSession(const Dataset* dataset, const SignalBundle* signals,
       signals_(signals),
       options_(std::move(options)),
       session_(session),
-      weights_(std::move(weights)) {
+      weights_(std::move(weights)),
+      builder_(dataset, signals, options_.problem),
+      partitioner_(dataset->okb.size()) {
   if (weights_.empty()) weights_ = Jocl::DefaultWeights();
 }
 
@@ -332,8 +176,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   ScopedSpan batch_span("ingest_batch");
   std::optional<ScopedSpan> span;
 
-  const bool incremental = session_.incremental_frontend &&
-                           ProblemBuilder::Supports(options_.problem);
   const size_t frontend_threads =
       session_.frontend_threads == 0
           ? std::max<size_t>(1, std::thread::hardware_concurrency())
@@ -344,55 +186,42 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   const bool reuse_frontend = added.empty() && removed.empty() &&
                               generation_ > 0 && problem_.triples == active_;
 
-  // ---- global problem build (O(Δ) incremental, memoized scratch, or
-  // reused verbatim) --------------------------------------------------------
+  // ---- global problem build (O(Δ) incremental, or reused verbatim) -------
   span.emplace("build_problem");
-  const size_t cache_hits_before = problem_cache_.hits;
-  const size_t cache_misses_before = problem_cache_.misses;
   JoclProblem problem;
   FrontEndDelta fdelta;
   if (reuse_frontend) {
     problem = std::move(problem_);
     local_stats.frontend_reused = true;
-  } else if (incremental) {
-    if (builder_ == nullptr) {
-      builder_ = std::make_unique<ProblemBuilder>(
-          dataset_, signals_, options_.problem, &problem_cache_);
-    }
-    builder_->Apply(added, removed, active_, frontend_threads, &problem,
-                    &fdelta);
   } else {
-    problem = BuildProblem(*dataset_, *signals_, active_, options_.problem,
-                           &problem_cache_);
+    builder_.Apply(added, removed, active_, frontend_threads, &problem,
+                   &fdelta);
+    local_stats.problem_cache_hits = builder_.candidate_hits();
+    local_stats.problem_cache_misses = builder_.candidate_misses();
   }
-  local_stats.problem_cache_hits = problem_cache_.hits - cache_hits_before;
-  local_stats.problem_cache_misses =
-      problem_cache_.misses - cache_misses_before;
   span.reset();
   local_stats.problem_seconds = watch.ElapsedSeconds();
 
   // ---- append-only signal-cache ingestion ---------------------------------
+  // Delta registration: only surfaces first interned this batch (and their
+  // candidates' CKB names) can introduce new phrases — previously seen
+  // surfaces already registered theirs (Add is idempotent and the cache
+  // never evicts). Intern order differs from a RegisterProblem walk, but
+  // phrase ids are only ever compared for equality, so query answers are
+  // identical. A reused problem interns nothing.
   watch.Reset();
   span.emplace("signal_cache");
   const size_t phrases_before = cache_.size();
-  if (reuse_frontend) {
-    // Problem unchanged: every phrase is already registered and finalized.
-  } else if (incremental) {
-    // Delta registration: only surfaces first interned this batch (and
-    // their candidates' CKB names) can introduce new phrases — previously
-    // seen surfaces already registered theirs (Add is idempotent and the
-    // cache never evicts). Intern order differs from a scratch
-    // RegisterProblem walk, but phrase ids are only ever compared for
-    // equality, so query answers are identical.
-    for (uint32_t sid : builder_->new_np_sids()) {
-      cache_.Add(builder_->np_surface(sid));
-      for (const EntityCandidate& candidate : builder_->np_candidates(sid)) {
+  if (!reuse_frontend) {
+    for (uint32_t sid : builder_.new_np_sids()) {
+      cache_.Add(builder_.np_surface(sid));
+      for (const EntityCandidate& candidate : builder_.np_candidates(sid)) {
         cache_.Add(dataset_->ckb.entity(candidate.id).name);
       }
     }
-    for (uint32_t sid : builder_->new_rp_sids()) {
-      cache_.Add(builder_->rp_surface(sid));
-      for (const RelationCandidate& candidate : builder_->rp_candidates(sid)) {
+    for (uint32_t sid : builder_.new_rp_sids()) {
+      cache_.Add(builder_.rp_surface(sid));
+      for (const RelationCandidate& candidate : builder_.rp_candidates(sid)) {
         cache_.Add(dataset_->ckb.relation(candidate.id).name);
         for (const std::string& alias :
              dataset_->ckb.RelationAliases(candidate.id)) {
@@ -401,9 +230,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
       }
     }
     cache_.Finalize(*signals_);
-  } else {
-    cache_.RegisterProblem(problem, dataset_->ckb);
-    cache_.Finalize(*signals_);
   }
   local_stats.cache_new_phrases = cache_.size() - phrases_before;
   span.reset();
@@ -411,33 +237,25 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
 
   // ---- partition + delta classification -----------------------------------
   // One shard per connected component: dirtiness is per-component, and
-  // packing would only coarsen reuse. The incremental path labels
-  // components with the persistent union-find (O(Δ·α)); scratch and
-  // reused-problem batches derive them from the problem's pairs. Plans
-  // are lazy on the incremental path — dirty shards materialize their
-  // local problem bodies below, clean shards never do.
+  // packing would only coarsen reuse. The persistent union-find labels
+  // components in O(Δ·α). It tracks the untruncated admitted pairs, so a
+  // batch that truncated the pair lists — and a reused problem, which may
+  // have been truncated — derives them from the problem's own pairs. The
+  // plan is lazy: dirty shards materialize their local problem bodies
+  // below, clean shards never do.
   watch.Reset();
   span.emplace("partition");
   const std::vector<size_t>& changed = !added.empty() ? added : removed;
   std::vector<size_t> comp_of_triple;
   std::vector<size_t> comp_weight;
-  if (incremental && !reuse_frontend) {
-    if (partitioner_ == nullptr) {
-      partitioner_ =
-          std::make_unique<IncrementalPartitioner>(dataset_->okb.size());
-    }
-    partitioner_->Apply(fdelta);
-    if (fdelta.overflow) {
-      ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
-    } else {
-      partitioner_->Components(active_, &comp_of_triple, &comp_weight);
-    }
-  } else {
+  if (!reuse_frontend) partitioner_.Apply(fdelta);
+  if (reuse_frontend || fdelta.overflow) {
     ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
+  } else {
+    partitioner_.Components(active_, &comp_of_triple, &comp_weight);
   }
-  const bool lazy_plan = incremental || reuse_frontend;
   ShardPlan plan = MaterializeShardPlan(problem, comp_of_triple, comp_weight,
-                                        /*max_shards=*/0, lazy_plan);
+                                        /*max_shards=*/0, /*lazy=*/true);
   ShardDelta delta =
       ClassifyShardDelta(plan, previous_components_, changed);
   span.reset();
@@ -455,22 +273,22 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // is structurally identical — the byte-exactness guard.
   watch.Reset();
 
-  // Provably-clean skip: on a non-truncating incremental batch the
-  // front-end delta announces every emission change (surface rep moves,
-  // pair admissions/removals, candidate-blocked flips), and relative
-  // surface ranks only move when a rep does. So a shard whose triple
-  // membership is unchanged (kClean) and whose triples host no mention of
-  // any event surface is byte-identical to its cached body by
-  // construction — the structural compare would walk its strings for
-  // nothing. Everything else still pays the full guard.
+  // Provably-clean skip: on a non-truncating batch the front-end delta
+  // announces every emission change (surface rep moves, pair
+  // admissions/removals, candidate-blocked flips), and relative surface
+  // ranks only move when a rep does. So a shard whose triple membership
+  // is unchanged (kClean) and whose triples host no mention of any event
+  // surface is byte-identical to its cached body by construction — the
+  // structural compare would walk its strings for nothing. Everything
+  // else still pays the full guard.
   std::vector<uint8_t> event_touched;
-  const bool can_skip_clean = incremental && !reuse_frontend &&
-                              !fdelta.overflow && !prev_overflow_ &&
+  const bool can_skip_clean = !reuse_frontend && !fdelta.overflow &&
+                              !prev_overflow_ &&
                               plan.shards.size() == plan.component_count;
   if (can_skip_clean) {
     event_touched.assign(plan.shards.size(), 0);
     auto touch_sid = [&](size_t role, uint32_t sid) {
-      for (size_t t : builder_->mentions(role, sid)) {
+      for (size_t t : builder_.mentions(role, sid)) {
         auto it = std::lower_bound(problem.triples.begin(),
                                    problem.triples.end(), t);
         if (it != problem.triples.end() && *it == t) {
@@ -492,14 +310,12 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
       }
     }
   }
-  if (incremental && !reuse_frontend) prev_overflow_ = fdelta.overflow;
+  if (!reuse_frontend) prev_overflow_ = fdelta.overflow;
 
   // Recycle the previous batch's arrays: SizeJoclBeliefs resizes in
   // place, so the scatters below assign into existing inner-vector
-  // capacity instead of reallocating every marginal. Warm start still
-  // needs the old arrays for its hint index, so it forgoes the recycle.
-  JoclBeliefs beliefs;
-  if (!session_.warm_start) beliefs = std::move(beliefs_);
+  // capacity instead of reallocating every marginal.
+  JoclBeliefs beliefs = std::move(beliefs_);
   SizeJoclBeliefs(problem, options_.builder, &beliefs);
   std::vector<SolvedComponent*> reused(plan.shards.size(), nullptr);
   std::vector<size_t> dirty;
@@ -510,12 +326,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                                 !event_touched[s];
     // Lazy shards have no local problem body yet: compare the cached body
     // against the projection the shard *would* materialize instead.
-    bool match =
-        it != store_.end() &&
-        (provably_clean ||
-         (lazy_plan
-              ? ShardMatchesCached(problem, plan.shards[s], it->second.problem)
-              : ProblemsEqual(it->second.problem, plan.shards[s].problem)));
+    bool match = it != store_.end() &&
+                 (provably_clean || ShardMatchesCached(problem, plan.shards[s],
+                                                       it->second.problem));
     if (match) {
       reused[s] = &it->second;
       it->second.last_used = generation_;
@@ -526,10 +339,10 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   local_stats.dirty_shards = dirty.size();
   local_stats.clean_shards = plan.shards.size() - dirty.size();
 
-  // Lazy plans materialize only the dirty shards' local problems (the
-  // per-component assembly fan-out); clean shards are scattered through
-  // their index maps alone.
-  if (lazy_plan && !dirty.empty()) {
+  // Materialize only the dirty shards' local problems (the per-component
+  // assembly fan-out); clean shards are scattered through their index
+  // maps alone.
+  if (!dirty.empty()) {
     RunOnPool(
         dirty.size(),
         std::min(frontend_threads, std::max<size_t>(1, dirty.size())),
@@ -542,19 +355,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // them toward the partition stage, and start the shard clock here.
   local_stats.partition_seconds += watch.ElapsedSeconds();
   watch.Reset();
-
-  // Warm-start index over the previous batch's beliefs (approximate mode
-  // only; see SessionOptions::warm_start).
-  WarmIndex warm_index;
-  std::vector<ShardWarmStart> warm(dirty.size());
-  if (session_.warm_start) {
-    warm_index = WarmIndex::Build(problem_, beliefs_);
-    size_t hinted = 0;
-    for (size_t d = 0; d < dirty.size(); ++d) {
-      warm[d] = warm_index.HintsFor(plan.shards[dirty[d]].problem, &hinted);
-    }
-    local_stats.warm_hints = hinted;
-  }
 
   // ---- dirty shards on a worker pool, heaviest first ----------------------
   std::vector<ShardBeliefs> outcomes(dirty.size());
@@ -575,10 +375,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     TraceTrackScope track("shard/", dirty[d]);
     ScopedSpan span("shard_run");
     const ProblemShard& shard = plan.shards[dirty[d]];
-    outcomes[d] = RunShardInference(
-        shard.problem, cache_, dataset_->ckb, options_, weights_,
-        engine_threads, session_.warm_start ? &warm[d] : nullptr,
-        &timings[d]);
+    outcomes[d] =
+        RunShardInference(shard.problem, cache_, dataset_->ckb, options_,
+                          weights_, engine_threads, &timings[d]);
     ScatterShardBeliefs(shard, outcomes[d], options_.builder, &beliefs);
   };
   RunOnPool(

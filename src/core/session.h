@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/problem_builder.h"
@@ -18,26 +17,11 @@ struct SessionOptions {
   /// Worker threads running dirty shards: 1 = sequential, 0 = one per
   /// hardware thread. Purely an execution choice.
   size_t num_threads = 0;
-  /// Warm-start dirty shards' LBP from the previous batch's beliefs.
-  /// **Approximate**: a warm-started run approaches the same fixed point
-  /// within the LBP tolerance but is not bit-identical to a cold run, so
-  /// the cold-restart equivalence guarantee only holds with this off
-  /// (the default). Reuse of *clean* shards — where the speedup comes
-  /// from — is exact either way.
-  bool warm_start = false;
   /// A cached component unused for this many consecutive batches is
   /// evicted. Retention matters: a removal that splits a shard often
   /// restores components solved *before* the merge, and retaining them
   /// makes the split free.
   size_t stale_retention = 8;
-  /// Run the O(Δ) front-end: the persistent `ProblemBuilder` +
-  /// `IncrementalPartitioner` pair instead of a from-scratch
-  /// `BuildProblem` + `PartitionProblem` per batch. Byte-identical output
-  /// (property-tested); off reproduces the legacy rebuild path exactly —
-  /// the baseline `bench_incremental` gates speedups against. Ignored
-  /// (scratch path) when the problem options select a blocking stage the
-  /// incremental builder does not model (`ProblemBuilder::Supports`).
-  bool incremental_frontend = true;
   /// Worker threads for the front-end's parallel stages (candidate
   /// generation, similarity evaluation, dirty-shard materialization):
   /// 1 = sequential, 0 = one per hardware thread. Results are
@@ -47,7 +31,7 @@ struct SessionOptions {
 
 /// \brief Per-batch report of one AddTriples / RemoveTriples call.
 struct SessionStats {
-  double problem_seconds = 0.0;    ///< global problem rebuild (memoized)
+  double problem_seconds = 0.0;    ///< O(Δ) global problem update
   double cache_seconds = 0.0;      ///< append-only signal-cache ingestion
   double partition_seconds = 0.0;  ///< union-find sharding + delta classify
   double shard_seconds = 0.0;      ///< dirty-shard inference, wall
@@ -64,9 +48,10 @@ struct SessionStats {
   size_t cache_new_phrases = 0;    ///< phrases newly ingested by the cache
   size_t variables = 0;            ///< across dirty-shard graphs only
   size_t factors = 0;
-  size_t warm_hints = 0;           ///< variables seeded from old beliefs
-  /// Memoized candidate-generation lookups this batch (ProblemCache):
-  /// a healthy incremental batch is hit-dominated — misses only for
+  /// Candidate lookups this batch: every active surface is consulted once
+  /// per role, a hit when the session generated its candidates in an
+  /// earlier consultation and a miss when it had to generate them now. A
+  /// healthy incremental batch is hit-dominated — misses only for
   /// genuinely new surfaces. A miss-heavy steady state is an
   /// incremental-ingestion regression (jocl_stream reports these per
   /// batch for CI visibility).
@@ -88,26 +73,26 @@ struct SessionStats {
 /// traffic; open KBs grow by ingestion batches).
 ///
 /// A session holds the active triple set, an append-only `SignalCache`,
-/// a memoized problem builder, and the solved beliefs of every connected
-/// component it has inferred. `AddTriples` / `RemoveTriples` update the
-/// active set, rebuild the (cheap, memoized) global problem, partition
-/// it, and re-run inference **only over dirty shards** — components whose
-/// triple set or local problem changed. Clean components are served from
-/// the store; a batch that merges two components dirties just the merged
-/// shard, and a removal that splits one restores its pre-merge components
-/// from the store when they are still cached.
+/// a persistent `ProblemBuilder` + `IncrementalPartitioner` pair, and the
+/// solved beliefs of every connected component it has inferred.
+/// `AddTriples` / `RemoveTriples` update the active set, patch the global
+/// problem and its partition by the batch's delta, and re-run inference
+/// **only over dirty shards** — components whose triple set or local
+/// problem changed. Clean components are served from the store; a batch
+/// that merges two components dirties just the merged shard, and a
+/// removal that splits one restores its pre-merge components from the
+/// store when they are still cached.
 ///
 /// **Cold-restart equivalence.** The global problem is a deterministic
 /// function of the active triple set (blocking statistics and candidate
 /// generation are dataset-global, not subset-dependent), per-component
 /// beliefs are a pure function of the local problem + weights, and the
-/// decode runs globally. Hence, with `warm_start` off, a session that
-/// reached an active set through *any* sequence of batches produces a
-/// result byte-identical to one-shot `JoclRuntime::Infer` over that set
-/// (asserted for K ∈ {1, 4, 16} ingestion batches in
-/// `tests/session_test.cc`). Reuse is guarded by structural equality of
-/// the cached local problem, never by a fingerprint, so the guarantee
-/// survives global blocking-cap effects.
+/// decode runs globally. Hence a session that reached an active set
+/// through *any* sequence of batches produces a result byte-identical to
+/// one-shot `JoclRuntime::Infer` over that set (asserted for
+/// K ∈ {1, 4, 16} ingestion batches in `tests/session_test.cc`). Reuse is
+/// guarded by structural equality of the cached local problem, never by a
+/// fingerprint, so the guarantee survives global blocking-cap effects.
 ///
 /// The decode stage stays global: cluster labels are globally dense, so
 /// any "partial" decode would re-densify everything anyway, and decode is
@@ -143,9 +128,9 @@ class JoclSession {
   /// callback — the learn → infer → serve loop's last hop, letting a
   /// retrain reach a live `jocl_serve` store without restarting the
   /// session. Identical weights are a no-op (result and generation
-  /// unchanged). With `warm_start` off, the refreshed state is
-  /// byte-identical to a cold session built with \p weights from the
-  /// start (tested in tests/learner_runtime_test.cc).
+  /// unchanged). The refreshed state is byte-identical to a cold session
+  /// built with \p weights from the start (tested in
+  /// tests/learner_runtime_test.cc).
   Status UpdateWeights(std::vector<double> weights,
                        SessionStats* stats = nullptr);
 
@@ -204,12 +189,10 @@ class JoclSession {
 
   std::vector<size_t> active_;  ///< sorted, deduplicated
   SignalCache cache_;           ///< append-only, spans all batches
-  ProblemCache problem_cache_;  ///< memoized candidate generation
 
-  /// The O(Δ) front-end pair (lazily constructed on the first batch;
-  /// null when `incremental_frontend` is off or unsupported).
-  std::unique_ptr<ProblemBuilder> builder_;
-  std::unique_ptr<IncrementalPartitioner> partitioner_;
+  /// The O(Δ) front-end pair, fed the batch deltas.
+  ProblemBuilder builder_;
+  IncrementalPartitioner partitioner_;
   /// Whether the previous non-reuse batch truncated the pair lists. A
   /// truncating batch stores shard bodies cut by a *global* similarity
   /// rank, so the provably-clean skip must stand down until one full

@@ -733,16 +733,6 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
   return stats;
 }
 
-void FlatLbpEngine::WarmStart(
-    const std::vector<VariableId>& variables,
-    const std::vector<std::vector<double>>& priors) {
-  const size_t n = std::min(variables.size(), priors.size());
-  warm_.reserve(warm_.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    warm_.emplace_back(variables[i], priors[i]);
-  }
-}
-
 LbpResult FlatLbpEngine::Run() {
   const CompiledGraph& c = *compiled_;
   compiled_->ComputeLogPotentials(*weights_, &log_potential_);
@@ -750,24 +740,6 @@ LbpResult FlatLbpEngine::Run() {
   msg_v2f_.assign(c.total_edge_lane_states(), 0.0);
   belief_.assign(c.total_var_lane_states(), 0.0);
   marginal_.assign(c.total_var_lane_states(), 0.0);
-
-  // Warm start: spread each prior's log-belief evenly over the variable's
-  // incoming edges so the first variable refresh sums back to log(prior).
-  // Probabilities are floored to keep -inf (hard zeros) out of messages.
-  for (const auto& [v, prior] : warm_) {
-    if (v >= c.variable_count() || prior.size() != c.cardinality[v]) continue;
-    const size_t deg = c.attach_offset[v + 1] - c.attach_offset[v];
-    if (deg == 0) continue;
-    const size_t card = c.cardinality[v];
-    for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
-      double* message = msg_f2v_.data() + c.edge_lane_offset[c.attach_edge[k]];
-      for (size_t x = 0; x < card; ++x) {
-        message[x] = std::log(std::max(prior[x], 1e-12)) /
-                     static_cast<double>(deg);
-      }
-      NormalizeLog(message, card);
-    }
-  }
 
   const size_t nc = c.component_count;
   std::vector<ComponentStats> stats(nc);

@@ -76,14 +76,6 @@ class FlatLbpEngine : public InferenceEngine {
 
   LbpResult Run() override;
 
-  /// Seeds each hinted variable's factor->variable messages with
-  /// `log(prior) / degree` at the start of Run(), so the first
-  /// variable->factor refresh reproduces the prior belief instead of the
-  /// uniform one. See InferenceEngine::WarmStart for the (approximate)
-  /// semantics.
-  void WarmStart(const std::vector<VariableId>& variables,
-                 const std::vector<std::vector<double>>& priors) override;
-
   const std::vector<double>& Marginal(VariableId id) const override {
     return marginals_[id];
   }
@@ -190,9 +182,6 @@ class FlatLbpEngine : public InferenceEngine {
 
   // Materialized per-variable marginals (LbpResult-compatible shape).
   std::vector<std::vector<double>> marginals_;
-
-  // Warm-start hints, applied after Run()'s message reset.
-  std::vector<std::pair<VariableId, std::vector<double>>> warm_;
 };
 
 /// \brief Compatibility wrapper: component-parallel LBP over \p graph.

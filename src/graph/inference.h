@@ -153,21 +153,6 @@ class InferenceEngine {
   /// Executes inference; query methods below are valid afterwards.
   virtual LbpResult Run() = 0;
 
-  /// Optional warm start: prior marginals for a subset of variables,
-  /// supplied before Run(). Backends may seed their initial messages from
-  /// the priors so convergence needs fewer sweeps (the streaming session
-  /// feeds a dirty shard its previous beliefs this way); the default
-  /// implementation ignores the hint. A warm-started run approaches the
-  /// same fixed point within tolerance but is NOT bit-identical to a
-  /// cold run — callers needing exact restart semantics must not warm
-  /// start. Entries whose cardinality does not match the variable are
-  /// ignored.
-  virtual void WarmStart(const std::vector<VariableId>& variables,
-                         const std::vector<std::vector<double>>& priors) {
-    (void)variables;
-    (void)priors;
-  }
-
   /// Marginal of one variable (valid after Run()).
   virtual const std::vector<double>& Marginal(VariableId id) const = 0;
 

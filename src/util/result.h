@@ -59,14 +59,22 @@ class Result {
   std::optional<T> value_;
 };
 
+#define JOCL_CONCAT_IMPL(a, b) a##b
+/// Pastes after expanding both arguments (so `__LINE__` becomes a number).
+#define JOCL_CONCAT(a, b) JOCL_CONCAT_IMPL(a, b)
+
 /// \brief Assigns the value of a Result expression to `lhs`, or returns its
-/// error status from the enclosing function.
-#define JOCL_ASSIGN_OR_RETURN(lhs, rexpr)        \
-  auto _result_##__LINE__ = (rexpr);             \
-  if (!_result_##__LINE__.ok()) {                \
-    return _result_##__LINE__.status();          \
-  }                                              \
-  lhs = _result_##__LINE__.MoveValueOrDie()
+/// error status from the enclosing function. Usable more than once per
+/// scope: the temporary is named after the line.
+#define JOCL_ASSIGN_OR_RETURN(lhs, rexpr) \
+  JOCL_ASSIGN_OR_RETURN_IMPL(JOCL_CONCAT(_result_, __LINE__), lhs, rexpr)
+
+#define JOCL_ASSIGN_OR_RETURN_IMPL(result, lhs, rexpr) \
+  auto result = (rexpr);                               \
+  if (!result.ok()) {                                  \
+    return result.status();                            \
+  }                                                    \
+  lhs = result.MoveValueOrDie()
 
 }  // namespace jocl
 

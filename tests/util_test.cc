@@ -67,6 +67,31 @@ TEST(ResultTest, MoveValueOut) {
   EXPECT_EQ(v, "payload");
 }
 
+Result<int> Halve(int x) {
+  if (x % 2 != 0) return Status::InvalidArgument("odd: " + std::to_string(x));
+  return x / 2;
+}
+
+// Two JOCL_ASSIGN_OR_RETURN uses in one scope must declare distinct
+// temporaries.
+Result<int> Quarter(int x) {
+  JOCL_ASSIGN_OR_RETURN(int half, Halve(x));
+  JOCL_ASSIGN_OR_RETURN(int quarter, Halve(half));
+  return quarter;
+}
+
+TEST(ResultTest, AssignOrReturnTwiceInOneScope) {
+  Result<int> ok = Quarter(12);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.ValueOrDie(), 3);
+  Result<int> first_fails = Quarter(3);
+  ASSERT_FALSE(first_fails.ok());
+  EXPECT_EQ(first_fails.status(), Status::InvalidArgument("odd: 3"));
+  Result<int> second_fails = Quarter(6);
+  ASSERT_FALSE(second_fails.ok());
+  EXPECT_EQ(second_fails.status(), Status::InvalidArgument("odd: 3"));
+}
+
 // ---------- Rng ------------------------------------------------------------
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -8,7 +8,6 @@
 #
 # Gated metrics (top-level keys of BENCH_incremental.json):
 #   longtail_speedup_vs_full        higher is better
-#   longtail_speedup_vs_legacy      higher is better
 #   head_residual_speedup_vs_full   higher is better
 #   longtail_frontend_share         lower is better
 #
@@ -69,7 +68,6 @@ check() {
 }
 
 check longtail_speedup_vs_full higher
-check longtail_speedup_vs_legacy higher
 check head_residual_speedup_vs_full higher
 check longtail_frontend_share lower
 

@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
                 decode_changes);
 
     // Hot-swap ≡ cold restart with the same weights (the session's
-    // equivalence guarantee; warm start is off by default).
+    // equivalence guarantee).
     JoclSession cold(&ds, &sig, options, {}, learned.weights);
     status = cold.AddTriples(ds.test_triples);
     if (!status.ok()) return Fail(status);

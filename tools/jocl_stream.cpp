@@ -4,14 +4,14 @@
 // Replays a generated benchmark as N ingestion batches through a
 // long-lived session, reporting per-batch latency and how much of the
 // partition each batch actually dirtied, then verifies the final state
-// against a one-shot JoclRuntime::Infer (byte-identical with warm start
-// off — the session's cold-restart equivalence guarantee) and
-// demonstrates removal by retiring the first batch again.
+// against a one-shot JoclRuntime::Infer (byte-identical — the session's
+// cold-restart equivalence guarantee) and demonstrates removal by
+// retiring the first batch again, verified the same way. Exits 1 when
+// either check fails.
 //
 // Usage:
 //   jocl_stream [scale] [--batches N] [--threads N] [--frontend-threads N]
-//               [--legacy-frontend] [--warm] [--no-remove]
-//               [--snapshot-out=PATH] [--trace-out=PATH]
+//               [--no-remove] [--snapshot-out=PATH] [--trace-out=PATH]
 //
 //   scale         workload scale (default 0.5; 1.0 ≈ 3K triples)
 //   --batches N   number of ingestion batches (default 8)
@@ -19,11 +19,6 @@
 //   --frontend-threads N
 //                 front-end worker threads (candidate generation,
 //                 similarity, shard materialization; 0 = hardware)
-//   --legacy-frontend
-//                 disable the O(Δ) incremental front-end (scratch
-//                 BuildProblem + PartitionProblem per batch)
-//   --warm        warm-start dirty shards from previous beliefs
-//                 (approximate: skips the byte-identity check)
 //   --no-remove   skip the removal demonstration
 //   --snapshot-out=PATH
 //                 persist a CanonStore snapshot after every batch (the
@@ -54,10 +49,12 @@ using namespace jocl;
 
 namespace {
 
-bool SameDecode(const JoclResult& a, const JoclResult& b) {
+/// Decode fields and marginals equal bit for bit.
+bool SameBytes(const JoclResult& a, const JoclResult& b) {
   return a.np_cluster == b.np_cluster && a.rp_cluster == b.rp_cluster &&
          a.np_link == b.np_link && a.rp_link == b.rp_link &&
-         a.triples == b.triples;
+         a.triples == b.triples &&
+         a.diagnostics.marginals == b.diagnostics.marginals;
 }
 
 void PrintBatch(size_t index, const char* verb, size_t batch_size,
@@ -123,10 +120,6 @@ int main(int argc, char** argv) {
                i + 1 < argc) {
       session_options.frontend_threads =
           static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--legacy-frontend") == 0) {
-      session_options.incremental_frontend = false;
-    } else if (std::strcmp(argv[i], "--warm") == 0) {
-      session_options.warm_start = true;
     } else if (std::strcmp(argv[i], "--no-remove") == 0) {
       do_remove = false;
     } else if (std::strncmp(argv[i], "--snapshot-out=", 15) == 0) {
@@ -152,10 +145,8 @@ int main(int argc, char** argv) {
   std::printf("building signals (IDF, word2vec, AMIE, KBP)...\n");
   SignalBundle sig = BuildSignals(ds).MoveValueOrDie();
   const std::vector<size_t>& stream = ds.test_triples;
-  std::printf("replaying %zu test triples as %zu ingestion batches"
-              "%s...\n\n",
-              stream.size(), batches,
-              session_options.warm_start ? " (warm start)" : "");
+  std::printf("replaying %zu test triples as %zu ingestion batches...\n\n",
+              stream.size(), batches);
 
   JoclSession session(&ds, &sig, {}, session_options);
   double total_seconds = 0.0;
@@ -188,17 +179,10 @@ int main(int argc, char** argv) {
   double full_seconds = full_watch.ElapsedSeconds();
   std::printf("\nreplay total %.3fs; one-shot full inference %.3fs\n",
               total_seconds, full_seconds);
-  if (session_options.warm_start) {
-    std::printf("decode match vs one-shot (warm start, approximate): %s\n",
-                SameDecode(session.result(), oneshot) ? "yes" : "no");
-  } else {
-    bool identical = SameDecode(session.result(), oneshot) &&
-                     session.result().diagnostics.marginals ==
-                         oneshot.diagnostics.marginals;
-    std::printf("byte-identical to one-shot: %s\n",
-                identical ? "yes" : "NO (bug!)");
-    if (!identical) return 1;
-  }
+  bool identical = SameBytes(session.result(), oneshot);
+  std::printf("byte-identical to one-shot: %s\n",
+              identical ? "yes" : "NO (bug!)");
+  if (!identical) return 1;
 
   // ---- evaluation over the streamed result -------------------------------
   std::vector<size_t> gold_np;
@@ -229,16 +213,12 @@ int main(int argc, char** argv) {
     }
     PrintBatch(0, "removed", first_batch.size(), seconds, stats,
                EmitSnapshot(session, ds, snapshot_out));
-    if (!session_options.warm_start) {
-      JoclResult remaining =
-          runtime.Infer(ds, sig, session.active_triples()).MoveValueOrDie();
-      std::printf("byte-identical after removal: %s\n",
-                  SameDecode(session.result(), remaining) &&
-                          session.result().diagnostics.marginals ==
-                              remaining.diagnostics.marginals
-                      ? "yes"
-                      : "NO (bug!)");
-    }
+    JoclResult remaining =
+        runtime.Infer(ds, sig, session.active_triples()).MoveValueOrDie();
+    bool identical_after = SameBytes(session.result(), remaining);
+    std::printf("byte-identical after removal: %s\n",
+                identical_after ? "yes" : "NO (bug!)");
+    if (!identical_after) return 1;
   }
   if (!trace_out.empty()) {
     trace.reset();  // no span may still be open when we dump
