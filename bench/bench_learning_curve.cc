@@ -66,7 +66,7 @@ int Run() {
     std::vector<std::pair<VariableId, size_t>> labels =
         BuildGoldLabels(ds, problem, jgraph, options.builder);
     LearnerOptions learner_options = options.learner;
-    learner_options.backend = InferenceBackend::kLbp;  // forces one thread
+    learner_options.lbp.num_threads = 1;
     learner_options.lbp.factor_schedule = jgraph.schedule;
     FactorGraphLearner learner(learner_options);
     LearnerResult result =

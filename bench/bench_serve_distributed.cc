@@ -3,10 +3,9 @@
 // correctness gate), sweeps aggregate keep-alive QPS over 1 / 2 / 4
 // shard backends with a shard-aware client (each request hashed to its
 // owner, the router hop elided — the scaling ceiling), measures the
-// same load through a fronting CanonRouter (the extra hop's cost), and
-// sizes delta snapshots against full ones (bytes + serialize/apply
-// time). Emits BENCH_serve_distributed.json (path: JOCL_BENCH_OUT,
-// default ./BENCH_serve_distributed.json) for CI tracking.
+// same load through a fronting CanonRouter (the extra hop's cost).
+// Emits BENCH_serve_distributed.json (path: JOCL_BENCH_OUT, default
+// ./BENCH_serve_distributed.json) for CI tracking.
 //
 // Acceptance (ISSUE 8): every response byte-checked against the
 // monolith (hard fail), and on machines with >= 4 cores the 2-shard
@@ -24,7 +23,6 @@
 
 #include "bench/bench_common.h"
 #include "core/runtime.h"
-#include "core/session.h"
 #include "serve/canon_store.h"
 #include "serve/http_client.h"
 #include "serve/json.h"
@@ -320,55 +318,6 @@ int Run() {
   router.Stop();
   for (auto& backend : backends) backend->Stop();
 
-  // ---- delta snapshots vs full --------------------------------------------
-  // A realistic increment: two successive generations out of ONE
-  // ingestion session, the way jocl_serve republishes — interning is
-  // append-only there, so consecutive stores share long byte prefixes
-  // per chunk, which is exactly what the delta format rides. (Two
-  // independent builds share almost nothing: their interners diverge
-  // at the first differing surface.)
-  JoclSession session(&ds, &pack->signals());
-  std::vector<CanonStore> session_generations;
-  session.SetPublishCallback([&](const JoclSession& s) {
-    session_generations.push_back(BuildCanonStore(
-        s.problem(), s.result(), ds.ckb, s.generation()));
-  });
-  std::vector<size_t> first_half(
-      eval.begin(), eval.begin() + static_cast<long>(eval.size() / 2));
-  std::vector<size_t> second_half(
-      eval.begin() + static_cast<long>(eval.size() / 2), eval.end());
-  Status ingest = session.AddTriples(first_half);
-  if (ingest.ok()) ingest = session.AddTriples(second_half);
-  if (!ingest.ok() || session_generations.size() != 2) {
-    std::printf("ERROR: delta-phase ingestion failed: %s\n",
-                ingest.ToString().c_str());
-    return 1;
-  }
-  const CanonStore& base_store = session_generations[0];
-  const CanonStore& target_store = session_generations[1];
-  Stopwatch delta_serialize_watch;
-  const std::string delta = SerializeDeltaSnapshot(base_store, target_store);
-  const double delta_serialize_seconds =
-      delta_serialize_watch.ElapsedSeconds();
-  Stopwatch delta_apply_watch;
-  Result<CanonStore> replayed = ApplyDeltaSnapshot(base_store, delta);
-  const double delta_apply_seconds = delta_apply_watch.ElapsedSeconds();
-  const std::string target_bytes = SerializeSnapshot(target_store);
-  bool delta_identical =
-      replayed.ok() &&
-      SerializeSnapshot(replayed.ValueOrDie()) == target_bytes;
-  const double delta_ratio =
-      target_bytes.empty()
-          ? 0.0
-          : static_cast<double>(delta.size()) /
-                static_cast<double>(target_bytes.size());
-  std::printf("delta snapshot: %zu bytes vs %zu full (%.1f%%), serialize "
-              "%.4fs, apply+validate %.4fs, replay byte-identical: %s\n",
-              delta.size(), target_bytes.size(), delta_ratio * 100.0,
-              delta_serialize_seconds, delta_apply_seconds,
-              delta_identical ? "yes" : "NO (bug!)");
-  if (!delta_identical) ++failures;
-
   // ---- JSON artifact ------------------------------------------------------
   const char* out_path = std::getenv("JOCL_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_serve_distributed.json";
@@ -397,14 +346,6 @@ int Run() {
                "\"router_overhead\": %.3f, \"gated\": %s},\n",
                qps_1, qps_2, qps_4, speedup_2, speedup_4, router_overhead,
                gate_scaling ? "true" : "false");
-  std::fprintf(out,
-               "  \"delta_snapshot\": {\"delta_bytes\": %zu, "
-               "\"full_bytes\": %zu, \"ratio\": %.4f, "
-               "\"serialize_seconds\": %.5f, \"apply_seconds\": %.5f, "
-               "\"replay_identical\": %s},\n",
-               delta.size(), target_bytes.size(), delta_ratio,
-               delta_serialize_seconds, delta_apply_seconds,
-               delta_identical ? "true" : "false");
   std::fprintf(out, "  \"failures\": %d\n}\n", failures);
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path);

@@ -20,11 +20,10 @@ struct JoclOptions {
   LearnerOptions learner;
   /// Inference-time LBP (paper: converges within 20 sweeps).
   LbpOptions inference;
-  /// Inference backend for the joint pass. The default component-parallel
-  /// LBP produces marginals identical to sequential LBP (components are
-  /// independent sub-problems), so this is purely an execution choice;
-  /// kExact exists for tiny diagnostic problems.
-  InferenceBackend inference_backend = InferenceBackend::kParallelLbp;
+  /// Inference backend for the joint pass: LBP, component-parallel per
+  /// `inference.num_threads` (marginals are identical for every thread
+  /// count); kExact exists for tiny diagnostic problems.
+  InferenceBackend inference_backend = InferenceBackend::kLbp;
   /// Learning-graph size cap: the validation split is subsampled to at most
   /// this many triples (deterministically) to bound training cost.
   size_t max_learning_triples = 300;
@@ -47,7 +46,6 @@ struct JoclOptions {
     learner.iterations = 15;
     learner.l2 = 0.08;             // stay close to the uniform prior
     learner.lbp.max_iterations = 8;
-    learner.backend = InferenceBackend::kParallelLbp;
     learner.lbp.num_threads = 0;   // component-parallel, auto-sized
     inference.max_iterations = 20;
     inference.num_threads = 0;

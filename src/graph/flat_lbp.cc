@@ -897,20 +897,4 @@ std::vector<size_t> FlatLbpEngine::Decode() const {
   return states;
 }
 
-ParallelLbpResult RunParallelLbp(const FactorGraph& graph,
-                                 const std::vector<double>& weights,
-                                 const LbpOptions& options,
-                                 size_t num_threads) {
-  LbpOptions engine_options = options;
-  engine_options.num_threads = num_threads;  // 0 = auto-size to hardware
-  FlatLbpEngine engine(&graph, &weights, std::move(engine_options));
-  LbpResult run = engine.Run();
-  ParallelLbpResult result;
-  result.marginals = std::move(run.marginals);
-  result.components = engine.component_count();
-  result.converged = run.converged;
-  result.iterations = run.iterations;
-  return result;
-}
-
 }  // namespace jocl

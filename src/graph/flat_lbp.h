@@ -184,18 +184,6 @@ class FlatLbpEngine : public InferenceEngine {
   std::vector<std::vector<double>> marginals_;
 };
 
-/// \brief Compatibility wrapper: component-parallel LBP over \p graph.
-///
-/// Runs a FlatLbpEngine with `num_threads` workers (0 upgrades to one
-/// worker per hardware thread) and repackages the result. Marginals are
-/// identical for every thread count. Unlike the old standalone
-/// implementation this copies no subgraphs — components are arena slices —
-/// and honors \p options.factor_schedule, restricted per component.
-ParallelLbpResult RunParallelLbp(const FactorGraph& graph,
-                                 const std::vector<double>& weights,
-                                 const LbpOptions& options = {},
-                                 size_t num_threads = 4);
-
 }  // namespace jocl
 
 #endif  // JOCL_GRAPH_FLAT_LBP_H_

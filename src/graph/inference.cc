@@ -7,25 +7,13 @@
 
 namespace jocl {
 
-namespace {
-
-LbpOptions WithBackendThreads(InferenceBackend backend, LbpOptions options) {
-  // kLbp pins sequential execution; kParallelLbp honors num_threads as
-  // given (LbpOptions documents 1 = sequential, 0 = auto-size).
-  if (backend == InferenceBackend::kLbp) options.num_threads = 1;
-  return options;
-}
-
-}  // namespace
-
 std::unique_ptr<InferenceEngine> CreateInferenceEngine(
     InferenceBackend backend, const FactorGraph* graph,
     const std::vector<double>* weights, LbpOptions options) {
   if (backend == InferenceBackend::kExact) {
     return std::make_unique<ExactEngine>(graph, weights, std::move(options));
   }
-  return std::make_unique<FlatLbpEngine>(
-      graph, weights, WithBackendThreads(backend, std::move(options)));
+  return std::make_unique<FlatLbpEngine>(graph, weights, std::move(options));
 }
 
 std::unique_ptr<InferenceEngine> CreateInferenceEngine(
@@ -35,8 +23,8 @@ std::unique_ptr<InferenceEngine> CreateInferenceEngine(
     return std::make_unique<ExactEngine>(compiled->source, weights,
                                          std::move(options));
   }
-  return std::make_unique<FlatLbpEngine>(
-      compiled, weights, WithBackendThreads(backend, std::move(options)));
+  return std::make_unique<FlatLbpEngine>(compiled, weights,
+                                         std::move(options));
 }
 
 }  // namespace jocl

@@ -112,19 +112,6 @@ struct LbpResult {
   size_t sweeps_skipped = 0;
 };
 
-/// \brief Marginals of a component-partitioned LBP run (compatibility
-/// shape; produced by RunParallelLbp in graph/flat_lbp.h).
-struct ParallelLbpResult {
-  /// Per-variable marginals, aligned with the input graph's variable ids.
-  std::vector<std::vector<double>> marginals;
-  /// Number of connected components found.
-  size_t components = 0;
-  /// True iff every component converged within the iteration budget.
-  bool converged = false;
-  /// Max sweeps used by any component.
-  size_t iterations = 0;
-};
-
 /// \brief Common interface of the inference backends.
 ///
 /// One engine instance binds a factor graph and a weight vector; Run()
@@ -181,13 +168,10 @@ class InferenceEngine {
 
 /// \brief Which InferenceEngine implementation to instantiate.
 enum class InferenceBackend {
-  /// FlatLbpEngine, sequential execution (num_threads forced to 1).
+  /// FlatLbpEngine. LbpOptions::num_threads picks sequential (1, the
+  /// default) or component-parallel execution; marginals are identical
+  /// either way.
   kLbp,
-  /// FlatLbpEngine, component-parallel execution. num_threads is honored
-  /// as documented on LbpOptions (1 = sequential, 0 = auto-size) —
-  /// callers wanting parallelism set it alongside this backend, as
-  /// JoclOptions does.
-  kParallelLbp,
   /// ExactEngine — joint enumeration, tiny graphs only.
   kExact,
 };

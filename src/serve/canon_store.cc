@@ -170,6 +170,14 @@ Status ValidateSection(const CanonStore& store, const CanonSection& s) {
   for (size_t i = 0; i < order.size(); ++i) {
     if (order[i] != i) return Invalid("surface order is not a permutation");
   }
+  // FindSurface binary-searches this index: an unsorted one would load
+  // fine and then miss surfaces the store holds.
+  for (size_t i = 1; i < ns; ++i) {
+    if (store.Text(s.surface_text[s.surface_order[i - 1]]) >
+        store.Text(s.surface_text[s.surface_order[i]])) {
+      return Invalid("surface order is not sorted by surface text");
+    }
+  }
   JOCL_RETURN_NOT_OK(CheckOffsets(s.surface_cluster_offset, ns,
                                   s.surface_clusters.size(),
                                   "surface->cluster offsets"));

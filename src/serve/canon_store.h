@@ -193,8 +193,9 @@ CanonStore BuildCanonStore(const JoclProblem& problem,
                            uint64_t generation = 0);
 
 /// \brief Structural invariants of a store (offset monotonicity, id
-/// ranges, permutation of the sorted index). `LoadSnapshot` runs this so
-/// a corrupted-but-checksummed file can never index out of bounds.
+/// ranges, a surface index that is a permutation sorted by text).
+/// `LoadSnapshot` runs this so a corrupted-but-checksummed file can never
+/// index out of bounds or miss a surface it holds.
 Status ValidateCanonStore(const CanonStore& store);
 
 }  // namespace jocl

@@ -166,11 +166,7 @@ Status EventHttpServer::Start() {
   }
   port_ = options_.port;
   auto fail = [&](Status status) {
-    for (auto& et : event_threads_) {
-      if (et->listen_fd >= 0) ::close(et->listen_fd);
-      if (et->wake_fd >= 0) ::close(et->wake_fd);
-      if (et->epoll_fd >= 0) ::close(et->epoll_fd);
-    }
+    for (auto& et : event_threads_) CloseFds(et.get());
     event_threads_.clear();
     port_ = 0;
     return status;
@@ -226,11 +222,24 @@ void EventHttpServer::Stop() {
     // polls `running_` on its timeout tick.
     (void)!::write(et->wake_fd, &one, sizeof(one));
   }
+  // The loops only exit; their fds close here, after join(), so the wake
+  // writes above can never land on a descriptor number the kernel has
+  // already handed to someone else.
   for (auto& et : event_threads_) {
     if (et->thread.joinable()) et->thread.join();
+    CloseFds(et.get());
   }
   event_threads_.clear();
   port_ = 0;
+}
+
+void EventHttpServer::CloseFds(EventThread* et) {
+  for (auto& [fd, conn] : et->conns) ::close(fd);
+  et->conns.clear();
+  for (int* fd : {&et->listen_fd, &et->wake_fd, &et->epoll_fd}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 ServeCounters EventHttpServer::counters() const {
@@ -298,12 +307,6 @@ void EventHttpServer::EventLoop(EventThread* et) {
       last_sweep = now;
     }
   }
-  for (auto& [fd, conn] : et->conns) ::close(fd);
-  et->conns.clear();
-  ::close(et->listen_fd);
-  ::close(et->wake_fd);
-  ::close(et->epoll_fd);
-  et->listen_fd = et->wake_fd = et->epoll_fd = -1;
 }
 
 void EventHttpServer::AcceptReady(EventThread* et) {

@@ -198,6 +198,10 @@ class EventHttpServer {
   };
 
   Status OpenListener(int* out_fd);
+  /// Closes a thread's connections and its listen, wake and epoll fds.
+  /// Only called while the thread is not running (before start or after
+  /// join).
+  static void CloseFds(EventThread* et);
   void EventLoop(EventThread* et);
   void AcceptReady(EventThread* et);
   void Readable(EventThread* et, int fd, Conn* conn);

@@ -1,6 +1,5 @@
 #include "serve/snapshot_io.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -38,64 +37,42 @@ void PutVecData(std::string* out, const std::vector<int64_t>& v) {
   for (int64_t x : v) PutU64(out, static_cast<uint64_t>(x));
 }
 
-/// The payload as a list of chunks: per store array a u64-count chunk
-/// and a data chunk, plus one scalar tail. Concatenated they ARE the
-/// snapshot payload; the delta format patches at chunk granularity, so
-/// the list length and order are part of the format (bump
-/// kSnapshotVersion when touching this). Counts are split from data so
-/// an append-only generation step deltas to just the appended bytes —
-/// with the count inline, the changed length at the chunk head would
-/// kill the common-prefix match for the whole array.
-std::vector<std::string> SerializePayloadChunks(const CanonStore& store) {
-  std::vector<std::string> chunks;
-  chunks.reserve(53);
-  auto next = [&chunks]() -> std::string* {
-    chunks.emplace_back();
-    return &chunks.back();
+/// Appends the snapshot payload to \p out: the store's arrays in fixed
+/// order, each as a u64 element count followed by its elements, then the
+/// scalar tail. The order is the format (bump kSnapshotVersion when
+/// touching it).
+void AppendPayload(const CanonStore& store, std::string* out) {
+  auto put = [out](const auto& v) {
+    PutU64(out, v.size());
+    PutVecData(out, v);
   };
-  auto put_split = [&](const auto& v) {
-    PutU64(next(), v.size());
-    PutVecData(next(), v);
-  };
-  put_split(store.text_pool);
-  put_split(store.text_offset);
+  put(store.text_pool);
+  put(store.text_offset);
   for (const CanonSection* s : {&store.np, &store.rp}) {
-    put_split(s->surface_text);
-    put_split(s->surface_order);
-    put_split(s->surface_mentions);
-    put_split(s->surface_cluster_offset);
-    put_split(s->surface_clusters);
-    put_split(s->cluster_member_offset);
-    put_split(s->cluster_members);
-    put_split(s->cluster_link);
-    put_split(s->cluster_link_name);
-    put_split(s->cluster_link_votes);
-    put_split(s->surface_global);
-    put_split(s->cluster_global);
+    put(s->surface_text);
+    put(s->surface_order);
+    put(s->surface_mentions);
+    put(s->surface_cluster_offset);
+    put(s->surface_clusters);
+    put(s->cluster_member_offset);
+    put(s->cluster_members);
+    put(s->cluster_link);
+    put(s->cluster_link_name);
+    put(s->cluster_link_votes);
+    put(s->surface_global);
+    put(s->cluster_global);
   }
-  std::string* scalars = next();
-  PutU64(scalars, store.triple_count);
-  PutU64(scalars, store.generation);
-  PutU32(scalars, store.shard_index);
-  PutU32(scalars, store.shard_count);
-  return chunks;
+  PutU64(out, store.triple_count);
+  PutU64(out, store.generation);
+  PutU32(out, store.shard_index);
+  PutU32(out, store.shard_count);
 }
 
-std::string ConcatChunks(const std::vector<std::string>& chunks) {
-  size_t total = 0;
-  for (const std::string& c : chunks) total += c.size();
-  std::string out;
-  out.reserve(total);
-  for (const std::string& c : chunks) out.append(c);
-  return out;
-}
-
-std::string MakeHeader(const char magic[8], uint32_t version,
-                       std::string_view payload) {
+std::string MakeHeader(std::string_view payload) {
   std::string out;
   out.reserve(kSnapshotHeaderBytes);
-  out.append(magic, 8);
-  PutU32(&out, version);
+  out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
+  PutU32(&out, kSnapshotVersion);
   PutU32(&out, 0);  // reserved
   PutU64(&out, payload.size());
   PutU64(&out, Fnv1a64(payload.data(), payload.size()));
@@ -109,13 +86,6 @@ class ByteReader {
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
   size_t remaining() const { return bytes_.size() - pos_; }
-
-  Status ReadU8(uint8_t* out) {
-    if (remaining() < 1) return Truncated();
-    *out = static_cast<uint8_t>(bytes_[pos_]);
-    pos_ += 1;
-    return Status::OK();
-  }
 
   Status ReadU32(uint32_t* out) {
     if (remaining() < 4) return Truncated();
@@ -138,13 +108,6 @@ class ByteReader {
               << (8 * i);
     }
     pos_ += 8;
-    return Status::OK();
-  }
-
-  Status ReadBytes(uint64_t count, std::string_view* out) {
-    if (count > remaining()) return Truncated();
-    *out = bytes_.substr(pos_, count);
-    pos_ += count;
     return Status::OK();
   }
 
@@ -241,36 +204,6 @@ Result<CanonStore> DeserializePayload(std::string_view payload) {
   return store;
 }
 
-Status WriteFile(const std::string& bytes, const std::string& path,
-                 const char* what, size_t* bytes_written) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError(std::string("cannot open ") + what +
-                           " for writing: " + path);
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out.good()) {
-    return Status::IOError(std::string(what) + " write failed: " + path);
-  }
-  if (bytes_written != nullptr) *bytes_written = bytes.size();
-  return Status::OK();
-}
-
-Result<std::string> ReadFile(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError(std::string("cannot open ") + what +
-                           " for reading: " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IOError(std::string(what) + " read failed: " + path);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size) {
@@ -284,9 +217,12 @@ uint64_t Fnv1a64(const void* data, size_t size) {
 }
 
 std::string SerializeSnapshot(const CanonStore& store) {
-  const std::string payload = ConcatChunks(SerializePayloadChunks(store));
-  std::string out = MakeHeader(kSnapshotMagic, kSnapshotVersion, payload);
-  out.append(payload);
+  // The payload is written in place behind a header-sized gap, which is
+  // filled once the payload's size and checksum are known.
+  std::string out(kSnapshotHeaderBytes, '\0');
+  AppendPayload(store, &out);
+  out.replace(0, kSnapshotHeaderBytes,
+              MakeHeader(std::string_view(out).substr(kSnapshotHeaderBytes)));
   return out;
 }
 
@@ -298,11 +234,6 @@ Result<CanonStore> DeserializeSnapshot(std::string_view bytes) {
   }
   if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
       0) {
-    if (std::memcmp(bytes.data(), kDeltaMagic, sizeof(kDeltaMagic)) == 0) {
-      return Status::InvalidArgument(
-          "bad snapshot magic: this is a delta snapshot, apply it with "
-          "ApplyDeltaSnapshot against its base");
-    }
     return Status::InvalidArgument(
         "bad snapshot magic: not a JOCL snapshot file");
   }
@@ -337,195 +268,31 @@ Result<CanonStore> DeserializeSnapshot(std::string_view bytes) {
 
 Status SaveSnapshot(const CanonStore& store, const std::string& path,
                     size_t* bytes_written) {
-  return WriteFile(SerializeSnapshot(store), path, "snapshot",
-                   bytes_written);
+  const std::string bytes = SerializeSnapshot(store);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open snapshot for writing: " + path);
+  }
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out.good()) {
+    return Status::IOError("snapshot write failed: " + path);
+  }
+  if (bytes_written != nullptr) *bytes_written = bytes.size();
+  return Status::OK();
 }
 
 Result<CanonStore> LoadSnapshot(const std::string& path) {
-  Result<std::string> bytes = ReadFile(path, "snapshot");
-  JOCL_RETURN_NOT_OK(bytes.status());
-  return DeserializeSnapshot(bytes.ValueOrDie());
-}
-
-std::string SerializeDeltaSnapshot(const CanonStore& base,
-                                   const CanonStore& target) {
-  const std::vector<std::string> base_chunks = SerializePayloadChunks(base);
-  const std::vector<std::string> target_chunks =
-      SerializePayloadChunks(target);
-  const std::string base_payload = ConcatChunks(base_chunks);
-  const std::string target_payload = ConcatChunks(target_chunks);
-
-  std::string payload;
-  PutU64(&payload, base.generation);
-  PutU64(&payload, target.generation);
-  PutU64(&payload, Fnv1a64(base_payload.data(), base_payload.size()));
-  PutU64(&payload, Fnv1a64(target_payload.data(), target_payload.size()));
-  PutU64(&payload, target_payload.size());
-  PutU64(&payload, base_chunks.size());
-  for (size_t i = 0; i < base_chunks.size(); ++i) {
-    const std::string& from = base_chunks[i];
-    const std::string& to = target_chunks[i];
-    if (from == to) {
-      payload.push_back(0);  // op: unchanged
-      continue;
-    }
-    // Patch: keep the longest common prefix and suffix of the chunk,
-    // carry only the differing middle.
-    size_t prefix = 0;
-    const size_t limit = std::min(from.size(), to.size());
-    while (prefix < limit && from[prefix] == to[prefix]) ++prefix;
-    size_t suffix = 0;
-    while (suffix < limit - prefix &&
-           from[from.size() - 1 - suffix] == to[to.size() - 1 - suffix]) {
-      ++suffix;
-    }
-    payload.push_back(1);  // op: patch
-    PutU64(&payload, prefix);
-    PutU64(&payload, suffix);
-    PutU64(&payload, to.size() - prefix - suffix);
-    payload.append(to, prefix, to.size() - prefix - suffix);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    return Status::IOError("cannot open snapshot for reading: " + path);
   }
-
-  std::string out = MakeHeader(kDeltaMagic, kDeltaVersion, payload);
-  out.append(payload);
-  return out;
-}
-
-Result<CanonStore> ApplyDeltaSnapshot(const CanonStore& base,
-                                      std::string_view delta_bytes) {
-  if (delta_bytes.size() < kSnapshotHeaderBytes) {
-    return Status::IOError("truncated delta snapshot: " +
-                           std::to_string(delta_bytes.size()) +
-                           " bytes is smaller than the 32-byte header");
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  if (in.bad()) {
+    return Status::IOError("snapshot read failed: " + path);
   }
-  if (std::memcmp(delta_bytes.data(), kDeltaMagic, sizeof(kDeltaMagic)) !=
-      0) {
-    if (std::memcmp(delta_bytes.data(), kSnapshotMagic,
-                    sizeof(kSnapshotMagic)) == 0) {
-      return Status::InvalidArgument(
-          "bad delta magic: this is a full snapshot, load it with "
-          "DeserializeSnapshot instead");
-    }
-    return Status::InvalidArgument(
-        "bad delta magic: not a JOCL delta snapshot file");
-  }
-  ByteReader header(delta_bytes.substr(sizeof(kDeltaMagic)));
-  uint32_t version = 0;
-  uint32_t reserved = 0;
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
-  JOCL_RETURN_NOT_OK(header.ReadU32(&version));
-  JOCL_RETURN_NOT_OK(header.ReadU32(&reserved));
-  JOCL_RETURN_NOT_OK(header.ReadU64(&payload_size));
-  JOCL_RETURN_NOT_OK(header.ReadU64(&checksum));
-  if (version != kDeltaVersion) {
-    return Status::FailedPrecondition(
-        "unsupported delta version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kDeltaVersion) + ")");
-  }
-  std::string_view payload = delta_bytes.substr(kSnapshotHeaderBytes);
-  if (payload.size() != payload_size) {
-    return Status::IOError(
-        "truncated delta snapshot: header promises " +
-        std::to_string(payload_size) + " payload bytes, file carries " +
-        std::to_string(payload.size()));
-  }
-  if (Fnv1a64(payload.data(), payload.size()) != checksum) {
-    return Status::IOError("delta checksum mismatch: payload corrupted");
-  }
-
-  ByteReader reader(payload);
-  uint64_t base_generation = 0;
-  uint64_t target_generation = 0;
-  uint64_t base_checksum = 0;
-  uint64_t target_checksum = 0;
-  uint64_t target_size = 0;
-  uint64_t chunk_count = 0;
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&base_generation));
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&target_generation));
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&base_checksum));
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&target_checksum));
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&target_size));
-  JOCL_RETURN_NOT_OK(reader.ReadU64(&chunk_count));
-  if (base_generation != base.generation) {
-    return Status::FailedPrecondition(
-        "delta expects base generation " + std::to_string(base_generation) +
-        ", applied against generation " + std::to_string(base.generation));
-  }
-  const std::vector<std::string> base_chunks = SerializePayloadChunks(base);
-  const std::string base_payload = ConcatChunks(base_chunks);
-  if (Fnv1a64(base_payload.data(), base_payload.size()) != base_checksum) {
-    return Status::FailedPrecondition(
-        "delta does not match this base store (base payload checksum "
-        "mismatch)");
-  }
-  if (chunk_count != base_chunks.size()) {
-    return Status::IOError("delta carries " + std::to_string(chunk_count) +
-                           " chunks, this build expects " +
-                           std::to_string(base_chunks.size()));
-  }
-
-  std::string rebuilt;
-  rebuilt.reserve(target_size);
-  for (const std::string& from : base_chunks) {
-    uint8_t op = 0;
-    JOCL_RETURN_NOT_OK(reader.ReadU8(&op));
-    if (op == 0) {
-      rebuilt.append(from);
-      continue;
-    }
-    if (op != 1) {
-      return Status::IOError("bad delta chunk op " + std::to_string(op));
-    }
-    uint64_t prefix = 0;
-    uint64_t suffix = 0;
-    uint64_t insert_len = 0;
-    JOCL_RETURN_NOT_OK(reader.ReadU64(&prefix));
-    JOCL_RETURN_NOT_OK(reader.ReadU64(&suffix));
-    JOCL_RETURN_NOT_OK(reader.ReadU64(&insert_len));
-    if (prefix > from.size() || suffix > from.size() - prefix) {
-      return Status::IOError("delta splice overflows its base chunk");
-    }
-    std::string_view insert;
-    JOCL_RETURN_NOT_OK(reader.ReadBytes(insert_len, &insert));
-    rebuilt.append(from, 0, prefix);
-    rebuilt.append(insert);
-    rebuilt.append(from, from.size() - suffix, suffix);
-  }
-  if (reader.remaining() != 0) {
-    return Status::IOError("delta carries " +
-                           std::to_string(reader.remaining()) +
-                           " trailing bytes after the last chunk");
-  }
-  if (rebuilt.size() != target_size) {
-    return Status::IOError(
-        "delta rebuilt " + std::to_string(rebuilt.size()) +
-        " payload bytes, header promised " + std::to_string(target_size));
-  }
-  if (Fnv1a64(rebuilt.data(), rebuilt.size()) != target_checksum) {
-    return Status::IOError(
-        "delta rebuilt a corrupted payload: target checksum mismatch");
-  }
-  Result<CanonStore> store = DeserializePayload(rebuilt);
-  JOCL_RETURN_NOT_OK(store.status());
-  if (store.ValueOrDie().generation != target_generation) {
-    return Status::IOError(
-        "delta target generation disagrees with the rebuilt payload");
-  }
-  return store;
-}
-
-Status SaveDeltaSnapshot(const CanonStore& base, const CanonStore& target,
-                         const std::string& path, size_t* bytes_written) {
-  return WriteFile(SerializeDeltaSnapshot(base, target), path,
-                   "delta snapshot", bytes_written);
-}
-
-Result<CanonStore> LoadAndApplyDeltaSnapshot(const CanonStore& base,
-                                             const std::string& path) {
-  Result<std::string> bytes = ReadFile(path, "delta snapshot");
-  JOCL_RETURN_NOT_OK(bytes.status());
-  return ApplyDeltaSnapshot(base, bytes.ValueOrDie());
+  return DeserializeSnapshot(bytes);
 }
 
 }  // namespace jocl

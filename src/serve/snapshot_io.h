@@ -34,56 +34,14 @@ namespace jocl {
 /// checksum before touching the payload, and runs `ValidateCanonStore`
 /// afterwards — a truncated, bit-flipped or future-version file yields a
 /// descriptive error `Status`, never undefined behavior.
+///
+/// A full snapshot is also the recovery unit: a restarted shard loads its
+/// latest snapshot and checks its `generation` against the router's before
+/// rejoining (docs/serving.md).
 inline constexpr char kSnapshotMagic[8] = {'J', 'O', 'C', 'L',
                                            'S', 'N', 'A', 'P'};
 inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr size_t kSnapshotHeaderBytes = 32;
-
-/// \brief The delta snapshot: one generation expressed as a patch
-/// against the previous one — the replication unit between publisher
-/// and shard backends (recovery = base snapshot + delta replay).
-///
-/// Same 32-byte header shape as a full snapshot with its own magic and
-/// version, so the two file kinds can never be confused:
-///
-/// ```
-/// offset  bytes  field
-///      0      8  magic "JOCLDELT"
-///      8      4  delta format version (little-endian u32; currently 1)
-///     12      4  reserved (0)
-///     16      8  payload size in bytes (u64)
-///     24      8  FNV-1a 64 checksum of the payload bytes (u64)
-/// ```
-///
-/// The payload pins both endpoints, then patches the base payload
-/// chunk-by-chunk (each store array contributes a u64-count chunk and a
-/// data chunk, so append-only growth deltas to just the appended bytes;
-/// the chunk list and order are fixed by the snapshot version):
-///
-/// ```
-/// u64 base_generation        generation the delta applies to
-/// u64 target_generation      generation the delta produces
-/// u64 base_payload_checksum  FNV-1a of the base snapshot payload
-/// u64 target_payload_checksum  FNV-1a of the rebuilt payload
-/// u64 target_payload_size    size of the rebuilt payload
-/// u64 chunk_count            chunks that follow (fixed per version)
-/// per chunk:
-///   u8 op                    0 = base chunk unchanged, copy verbatim
-///                            1 = patch: u64 keep_prefix, u64
-///                                keep_suffix, u64 insert_len, then
-///                                insert_len replacement bytes
-/// ```
-///
-/// `ApplyDeltaSnapshot` re-serializes the in-hand base store, verifies
-/// the base generation and checksum, splices the patches, verifies the
-/// rebuilt payload's size and checksum, and loads it through the same
-/// hardened path as a full snapshot. Every defect — truncation, bit
-/// flips, wrong base generation, wrong base store, a full snapshot
-/// passed as a delta, a future version — is a descriptive `Status`,
-/// never undefined behavior (tests/serve_test.cc).
-inline constexpr char kDeltaMagic[8] = {'J', 'O', 'C', 'L',
-                                        'D', 'E', 'L', 'T'};
-inline constexpr uint32_t kDeltaVersion = 1;
 
 /// FNV-1a 64-bit hash (the snapshot checksum).
 uint64_t Fnv1a64(const void* data, size_t size);
@@ -102,25 +60,6 @@ Status SaveSnapshot(const CanonStore& store, const std::string& path,
 
 /// Reads and validates a snapshot file.
 Result<CanonStore> LoadSnapshot(const std::string& path);
-
-/// Serializes the patch that rewrites \p base's snapshot into
-/// \p target's. Typically far smaller than a full snapshot when the
-/// generations share most of their text pool and clusters.
-std::string SerializeDeltaSnapshot(const CanonStore& base,
-                                   const CanonStore& target);
-
-/// Replays a delta against \p base, returning the target store.
-Result<CanonStore> ApplyDeltaSnapshot(const CanonStore& base,
-                                      std::string_view delta_bytes);
-
-/// Writes `SerializeDeltaSnapshot(base, target)` to \p path.
-Status SaveDeltaSnapshot(const CanonStore& base, const CanonStore& target,
-                         const std::string& path,
-                         size_t* bytes_written = nullptr);
-
-/// Reads a delta file and replays it against \p base.
-Result<CanonStore> LoadAndApplyDeltaSnapshot(const CanonStore& base,
-                                             const std::string& path);
 
 }  // namespace jocl
 

@@ -232,7 +232,7 @@ TEST(EngineEquivalenceTest, ParallelMarginalsBitIdenticalWithClampsAndStages) {
   FlatLbpEngine seq_engine(&g, &w, sequential);
   LbpResult seq = seq_engine.Run();
 
-  for (size_t threads : {2u, 4u, 16u}) {
+  for (size_t threads : {2u, 4u, 8u, 16u}) {
     LbpOptions parallel = options;
     parallel.num_threads = threads;
     FlatLbpEngine par_engine(&g, &w, parallel);
@@ -240,16 +240,12 @@ TEST(EngineEquivalenceTest, ParallelMarginalsBitIdenticalWithClampsAndStages) {
     // Exact equality, not tolerance: identical schedules over disjoint
     // arena slices must produce identical bits.
     EXPECT_EQ(par.marginals, seq.marginals) << threads << " threads";
+    EXPECT_EQ(par_engine.component_count(), seq_engine.component_count());
     EXPECT_EQ(par.iterations, seq.iterations);
     EXPECT_EQ(par.converged, seq.converged);
     EXPECT_EQ(par.residual_history, seq.residual_history);
     EXPECT_EQ(par_engine.Decode(), seq_engine.Decode());
   }
-
-  // The compatibility wrapper goes through the same engine.
-  ParallelLbpResult wrapped = RunParallelLbp(g, w, options, 8);
-  EXPECT_EQ(wrapped.marginals, seq.marginals);
-  EXPECT_EQ(wrapped.components, seq_engine.component_count());
 
   // Clamped variables keep delta marginals in every mode.
   EXPECT_DOUBLE_EQ(seq.marginals[vars[1]][1], 1.0);
@@ -283,8 +279,8 @@ TEST(EngineEquivalenceTest, ExpectedFeaturesBitIdenticalAcrossThreadCounts) {
 // ---------- LBP vs exact through the common interface ------------------------
 
 TEST(EngineInterfaceTest, LbpBackendsMatchExactOnTree) {
-  // Small tree with a clamp: every backend of the factory must agree
-  // (LBP is exact on trees).
+  // Small tree with a clamp: the factory's LBP engine, sequential or
+  // component-parallel, must agree with exact (LBP is exact on trees).
   FactorGraph g;
   g.set_weight_count(1);
   VariableId a = g.AddVariable(2);
@@ -301,9 +297,11 @@ TEST(EngineInterfaceTest, LbpBackendsMatchExactOnTree) {
   LbpResult exact_result = exact->Run();
   EXPECT_TRUE(exact_result.converged);
 
-  for (InferenceBackend backend :
-       {InferenceBackend::kLbp, InferenceBackend::kParallelLbp}) {
-    auto engine = CreateInferenceEngine(backend, &g, &w);
+  for (size_t threads : {1u, 4u}) {
+    LbpOptions options;
+    options.num_threads = threads;
+    auto engine =
+        CreateInferenceEngine(InferenceBackend::kLbp, &g, &w, options);
     LbpResult result = engine->Run();
     ASSERT_EQ(result.marginals.size(), exact_result.marginals.size());
     for (VariableId v = 0; v < g.variable_count(); ++v) {
@@ -362,9 +360,9 @@ TEST(EngineInterfaceTest, ExactEngineDecodeIsMap) {
   EXPECT_EQ(engine->Decode(), ExactMap(g, w));
 }
 
-// ---------- component partition + RunParallelLbp wrapper ---------------------
-// (folded from the retired parallel_lbp_test.cc: disjoint-chain component
-// detection and the compatibility wrapper's equality guarantees.)
+// ---------- component partition + component-parallel LBP --------------------
+// (disjoint-chain component detection and the engine's equality guarantees
+// across thread counts.)
 
 // Builds a graph of `k` disjoint chains of length `len`.
 FactorGraph MakeChains(size_t k, size_t len, Rng* rng,
@@ -413,7 +411,7 @@ TEST(FactorGraphComponentsTest, IsolatedVariableIsOwnComponent) {
   EXPECT_EQ(components[1], components[2]);
 }
 
-TEST(ParallelLbpWrapperTest, MatchesSequentialEngineOnDisjointChains) {
+TEST(ComponentParallelLbpTest, MatchesSequentialEngineOnDisjointChains) {
   Rng rng(17);
   std::vector<VariableId> vars;
   FactorGraph g = MakeChains(6, 5, &rng, &vars);
@@ -424,43 +422,54 @@ TEST(ParallelLbpWrapperTest, MatchesSequentialEngineOnDisjointChains) {
   FlatLbpEngine sequential(&g, &w, options);
   LbpResult reference = sequential.Run();
 
-  ParallelLbpResult parallel = RunParallelLbp(g, w, options, 4);
-  EXPECT_EQ(parallel.components, 6u);
-  EXPECT_TRUE(parallel.converged);
-  ASSERT_EQ(parallel.marginals.size(), reference.marginals.size());
+  options.num_threads = 4;
+  FlatLbpEngine parallel(&g, &w, options);
+  LbpResult result = parallel.Run();
+  EXPECT_EQ(parallel.component_count(), 6u);
+  EXPECT_TRUE(result.converged);
+  ASSERT_EQ(result.marginals.size(), reference.marginals.size());
   // Equality is exact: per-component schedules, arithmetic and arena
   // slices are identical in both modes.
-  EXPECT_EQ(parallel.marginals, reference.marginals);
+  EXPECT_EQ(result.marginals, reference.marginals);
 }
 
-TEST(ParallelLbpWrapperTest, SameMarginalsForAnyThreadCount) {
+TEST(ComponentParallelLbpTest, SameMarginalsForAnyThreadCount) {
   Rng rng(31);
   std::vector<VariableId> vars;
   FactorGraph g = MakeChains(8, 4, &rng, &vars);
   std::vector<double> w = {0.9};
-  ParallelLbpResult reference = RunParallelLbp(g, w, {}, 1);
+  FlatLbpEngine sequential(&g, &w);
+  LbpResult reference = sequential.Run();
   for (size_t threads : {2u, 3u, 8u, 16u}) {
-    ParallelLbpResult other = RunParallelLbp(g, w, {}, threads);
-    EXPECT_EQ(reference.marginals, other.marginals)
+    LbpOptions options;
+    options.num_threads = threads;
+    FlatLbpEngine parallel(&g, &w, options);
+    EXPECT_EQ(reference.marginals, parallel.Run().marginals)
         << threads << " threads";
   }
 }
 
-TEST(ParallelLbpWrapperTest, HonorsClamps) {
+TEST(ComponentParallelLbpTest, HonorsClamps) {
   Rng rng(23);
   std::vector<VariableId> vars;
   FactorGraph g = MakeChains(2, 3, &rng, &vars);
   ASSERT_TRUE(g.Clamp(vars[0], 1).ok());
   std::vector<double> w = {1.0};
-  ParallelLbpResult parallel = RunParallelLbp(g, w, {}, 2);
-  EXPECT_NEAR(parallel.marginals[vars[0]][1], 1.0, 1e-12);
+  LbpOptions options;
+  options.num_threads = 2;
+  FlatLbpEngine parallel(&g, &w, options);
+  LbpResult result = parallel.Run();
+  EXPECT_NEAR(result.marginals[vars[0]][1], 1.0, 1e-12);
 }
 
-TEST(ParallelLbpWrapperTest, EmptyGraph) {
+TEST(ComponentParallelLbpTest, EmptyGraph) {
   FactorGraph g;
   std::vector<double> w = {1.0};
-  ParallelLbpResult result = RunParallelLbp(g, w, {}, 4);
-  EXPECT_EQ(result.components, 0u);
+  LbpOptions options;
+  options.num_threads = 4;
+  FlatLbpEngine engine(&g, &w, options);
+  LbpResult result = engine.Run();
+  EXPECT_EQ(engine.component_count(), 0u);
   EXPECT_TRUE(result.converged);
 }
 

@@ -136,7 +136,7 @@ TEST_F(LearnerRuntimeTest, OneStepMatchesMonolithicLearner) {
       BuildGoldLabels(*dataset_, problem, jgraph, options.builder);
   LearnerOptions learner_options = options.learner;
   learner_options.lbp.factor_schedule = jgraph.schedule;
-  learner_options.backend = InferenceBackend::kLbp;
+  learner_options.lbp.num_threads = 1;
   FactorGraphLearner monolithic(learner_options);
   LearnerResult monolithic_result =
       monolithic.Learn(&jgraph.graph, labels, Jocl::DefaultWeights());

@@ -2,8 +2,8 @@
 // fan-out byte-identity against the monolith, generation consistency
 // under concurrent republish across every shard, and the
 // fault-injection acceptance — a shard killed mid-traffic recovers from
-// its base snapshot plus delta replay, rejoins the router on a fresh
-// port, and no client ever observes a mixed-generation response.
+// its latest snapshot after a generation check, rejoins the router on a
+// fresh port, and no client ever observes a mixed-generation response.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -404,7 +404,7 @@ TEST_F(ShardFixture, RoutedReadersNeverObserveMixedGenerations) {
 
 // ---------- fault injection: kill, recover, rejoin ---------------------------
 
-TEST_F(ShardFixture, KilledShardRecoversFromBaseSnapshotPlusDeltaReplay) {
+TEST_F(ShardFixture, KilledShardRecoversFromLatestSnapshot) {
   constexpr uint32_t kShards = 2;
   constexpr uint32_t kVictim = 1;
   std::vector<std::vector<CanonStore>> sharded;
@@ -412,19 +412,14 @@ TEST_F(ShardFixture, KilledShardRecoversFromBaseSnapshotPlusDeltaReplay) {
     sharded.push_back(BuildShardedCanonStores(gen, kShards).MoveValueOrDie());
   }
 
-  // The victim's durable state: a base snapshot of its first generation
-  // plus one delta per subsequent generation — the recovery chain.
-  const std::string dir = ::testing::TempDir();
-  const std::string base_path = dir + "/jocl_shard1.base.snap";
-  const std::string delta1_path = dir + "/jocl_shard1.g2.delta";
-  const std::string delta2_path = dir + "/jocl_shard1.g3.delta";
-  ASSERT_TRUE(SaveSnapshot(sharded[0][kVictim], base_path).ok());
-  ASSERT_TRUE(SaveDeltaSnapshot(sharded[0][kVictim], sharded[1][kVictim],
-                                delta1_path)
-                  .ok());
-  ASSERT_TRUE(SaveDeltaSnapshot(sharded[1][kVictim], sharded[2][kVictim],
-                                delta2_path)
-                  .ok());
+  // The victim's durable state: one full snapshot per published
+  // generation, as `jocl_serve --snapshot-out` saves after every batch.
+  std::vector<std::string> snapshot_paths;
+  for (size_t g = 0; g < sharded.size(); ++g) {
+    snapshot_paths.push_back(::testing::TempDir() + "/jocl_shard1.g" +
+                             std::to_string(g + 1) + ".snap");
+    ASSERT_TRUE(SaveSnapshot(sharded[g][kVictim], snapshot_paths.back()).ok());
+  }
 
   // Serve the latest generation on both shards, fronted by the router.
   const CanonStore& m = monolith();
@@ -495,8 +490,14 @@ TEST_F(ShardFixture, KilledShardRecoversFromBaseSnapshotPlusDeltaReplay) {
     }
   });
 
-  // Warm traffic, then kill the victim mid-stream.
+  // Warm traffic, then kill the victim mid-stream. The router has seen
+  // the victim serve the latest generation before it dies.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  Result<HttpResponse> before = HttpGet(router.port(), victim_target);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before.ValueOrDie().status, 200);
+  ASSERT_EQ(router.shard_generation(kVictim),
+            static_cast<int64_t>(m.generation));
   servers[kVictim]->Stop();
 
   // The router degrades exactly to the victim's key range: survivor
@@ -513,21 +514,26 @@ TEST_F(ShardFixture, KilledShardRecoversFromBaseSnapshotPlusDeltaReplay) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // Recovery: base snapshot, then the delta chain, one generation at a
-  // time — the result must be byte-identical to the store the victim
-  // was serving when it died.
-  Result<CanonStore> base = LoadSnapshot(base_path);
-  ASSERT_TRUE(base.ok()) << base.status();
-  Result<CanonStore> mid =
-      LoadAndApplyDeltaSnapshot(base.ValueOrDie(), delta1_path);
-  ASSERT_TRUE(mid.ok()) << mid.status();
-  Result<CanonStore> recovered =
-      LoadAndApplyDeltaSnapshot(mid.ValueOrDie(), delta2_path);
+  // Recovery: the latest snapshot, accepted only if it is at least as
+  // new as the generation the router last saw from the victim — so a
+  // rejoin can never roll readers back. It must be byte-identical to the
+  // store the victim was serving when it died.
+  auto fresh_enough = [&](const CanonStore& store) {
+    return static_cast<int64_t>(store.generation) >=
+           router.shard_generation(kVictim);
+  };
+  Result<CanonStore> recovered = LoadSnapshot(snapshot_paths.back());
   ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_TRUE(fresh_enough(recovered.ValueOrDie()))
+      << "snapshot generation " << recovered.ValueOrDie().generation
+      << " is older than the router's " << router.shard_generation(kVictim);
   EXPECT_EQ(SerializeSnapshot(recovered.ValueOrDie()),
             SerializeSnapshot(sharded[2][kVictim]));
-  // Replaying the chain out of order must fail loudly, not corrupt.
-  EXPECT_FALSE(LoadAndApplyDeltaSnapshot(base.ValueOrDie(), delta2_path).ok());
+  // A stale snapshot loads cleanly but fails the generation check.
+  Result<CanonStore> stale = LoadSnapshot(snapshot_paths.front());
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  EXPECT_FALSE(fresh_enough(stale.ValueOrDie()))
+      << "generation " << stale.ValueOrDie().generation;
 
   // Rejoin: a new process on a new ephemeral port, pointed at by the
   // router. In-flight readers reconnect on their next request to it.
@@ -561,9 +567,7 @@ TEST_F(ShardFixture, KilledShardRecoversFromBaseSnapshotPlusDeltaReplay) {
             static_cast<int64_t>(m.generation));
   router.Stop();
   revived.Stop();
-  std::remove(base_path.c_str());
-  std::remove(delta1_path.c_str());
-  std::remove(delta2_path.c_str());
+  for (const std::string& path : snapshot_paths) std::remove(path.c_str());
 }
 
 }  // namespace

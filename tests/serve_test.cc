@@ -11,11 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "serve/json.h"
 #include "serve/response_cache.h"
 #include "serve/server.h"
+#include "serve/shard_store.h"
 #include "serve/snapshot_io.h"
 
 // ---------- heap-allocation probe (zero-alloc acceptance) --------------------
@@ -271,124 +274,200 @@ TEST(SnapshotIoTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(LoadSnapshot("/nonexistent/dir/store.snap").ok());
 }
 
-// ---------- delta snapshots --------------------------------------------------
+TEST_F(ServeWorld, SnapshotV2BytesArePinned) {
+  // A hand-written problem and result (no LBP, no floating point), so the
+  // store — and therefore its snapshot bytes — is the same on every
+  // compiler and -march. The constants were recorded from the version-2
+  // writer; any change to the on-disk layout must bump kSnapshotVersion.
+  const CuratedKb& ckb = dataset_->ckb;
+  JoclProblem problem;
+  problem.triples = {0, 1, 2};
+  problem.subject_surfaces = {"University of Maryland", "UMD",
+                              "University of Virginia"};
+  problem.predicate_surfaces = {"locate in", "be a member of",
+                                "be an early member of"};
+  problem.object_surfaces = {"Maryland", "Universitas 21", "U21"};
+  problem.subject_of = {0, 1, 2};
+  problem.predicate_of = {0, 1, 2};
+  problem.object_of = {0, 1, 2};
+  const int64_t umd = ckb.FindEntityByName("university of maryland");
+  const int64_t maryland = ckb.FindEntityByName("maryland");
+  const int64_t u21 = ckb.FindEntityByName("universitas 21");
+  const int64_t uva = ckb.FindEntityByName("university of virginia");
+  JoclResult result;
+  result.triples = problem.triples;
+  result.np_cluster = {0, 1, 0, 2, 3, 2};
+  result.np_link = {umd, maryland, umd, u21, uva, u21};
+  result.rp_cluster = {0, 1, 1};
+  result.rp_link = {ckb.FindRelationByName("location.contained_by"),
+                    ckb.FindRelationByName("organizations_founded"),
+                    kNilId};
 
-TEST_F(ServeWorld, DeltaSnapshotRoundTripIsByteIdentical) {
-  // Two structurally different generations out of a live session: the
-  // second batch grows the text pool, every array, and the generation.
-  JoclSession session(dataset_, signals_);
-  std::vector<CanonStore> generations;
-  session.SetPublishCallback([&](const JoclSession& s) {
-    generations.push_back(BuildCanonStore(s.problem(), s.result(),
-                                          dataset_->ckb, s.generation()));
-  });
-  ASSERT_TRUE(session.AddTriples({0}).ok());
-  ASSERT_TRUE(session.AddTriples({1, 2}).ok());
-  ASSERT_EQ(generations.size(), 2u);
-  const CanonStore& base = generations[0];
-  const CanonStore& target = generations[1];
+  const CanonStore monolith =
+      BuildCanonStore(problem, result, ckb, /*generation=*/7);
+  Result<std::vector<CanonStore>> shards =
+      BuildShardedCanonStores(monolith, 2);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  ASSERT_EQ(shards.ValueOrDie().size(), 2u);
 
-  const std::string delta = SerializeDeltaSnapshot(base, target);
-  Result<CanonStore> applied = ApplyDeltaSnapshot(base, delta);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_EQ(SerializeSnapshot(applied.ValueOrDie()),
-            SerializeSnapshot(target));
-
-  // A self-delta degenerates to one "unchanged" op per chunk — far
-  // smaller than any full snapshot.
-  const std::string identity = SerializeDeltaSnapshot(target, target);
-  EXPECT_LT(identity.size(), 200u);
-  Result<CanonStore> same = ApplyDeltaSnapshot(target, identity);
-  ASSERT_TRUE(same.ok()) << same.status();
-  EXPECT_EQ(SerializeSnapshot(same.ValueOrDie()), SerializeSnapshot(target));
-
-  // File round trip.
-  const std::string path = ::testing::TempDir() + "/jocl_serve_test.delta";
-  size_t written = 0;
-  ASSERT_TRUE(SaveDeltaSnapshot(base, target, path, &written).ok());
-  EXPECT_GT(written, 0u);
-  Result<CanonStore> from_file = LoadAndApplyDeltaSnapshot(base, path);
-  ASSERT_TRUE(from_file.ok()) << from_file.status();
-  EXPECT_EQ(SerializeSnapshot(from_file.ValueOrDie()),
-            SerializeSnapshot(target));
-  std::remove(path.c_str());
+  const std::string bytes[] = {SerializeSnapshot(monolith),
+                               SerializeSnapshot(shards.ValueOrDie()[0]),
+                               SerializeSnapshot(shards.ValueOrDie()[1])};
+  const uint64_t pinned[] = {0x31f735b2b4bbd76dull, 0xba8fbdfb3178728bull,
+                             0x455b05a700d9803bull};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(bytes[i].compare(0, 8, "JOCLSNAP"), 0);
+    EXPECT_EQ(static_cast<uint8_t>(bytes[i][8]), kSnapshotVersion);
+    EXPECT_EQ(Fnv1a64(bytes[i].data(), bytes[i].size()), pinned[i])
+        << "snapshot " << i << " (" << bytes[i].size() << " bytes)";
+    Result<CanonStore> loaded = DeserializeSnapshot(bytes[i]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(SerializeSnapshot(loaded.ValueOrDie()), bytes[i]);
+  }
 }
 
-TEST_F(ServeWorld, DeltaRejectsTruncationAndBitFlips) {
-  CanonStore target =
-      BuildCanonStore(*problem_, *result_, dataset_->ckb, /*generation=*/8);
-  const std::string delta = SerializeDeltaSnapshot(*store_, target);
-  ASSERT_GT(delta.size(), 64u);
+// ---------- seeded mutation of the snapshot parser ---------------------------
+//
+// The corruption tests above all stop at the checksum. These mutants carry
+// a header resealed to their new payload size and checksum, so every one
+// reaches DeserializePayload and ValidateCanonStore. Each must either fail
+// with a descriptive Status or load a store that is safe to serve.
 
-  // Header truncation.
-  Result<CanonStore> header =
-      ApplyDeltaSnapshot(*store_, std::string_view(delta).substr(0, 12));
-  ASSERT_FALSE(header.ok());
-  EXPECT_NE(header.status().message().find("32-byte header"),
-            std::string::npos)
-      << header.status();
-  // Mid-payload truncation: the header's promised size no longer holds.
-  Result<CanonStore> cut = ApplyDeltaSnapshot(
-      *store_, std::string_view(delta).substr(0, delta.size() - 5));
-  ASSERT_FALSE(cut.ok());
-  EXPECT_EQ(cut.status().code(), StatusCode::kIOError);
-  EXPECT_NE(cut.status().message().find("truncated"), std::string::npos)
-      << cut.status();
-  // One flipped payload byte trips the delta's own checksum.
-  std::string corrupt = delta;
-  corrupt[kSnapshotHeaderBytes + corrupt.size() / 4] ^= 0x20;
-  Result<CanonStore> flipped = ApplyDeltaSnapshot(*store_, corrupt);
-  ASSERT_FALSE(flipped.ok());
-  EXPECT_NE(flipped.status().message().find("checksum"), std::string::npos)
-      << flipped.status();
+/// \p payload behind \p snapshot's header, with the header's payload size
+/// and checksum rewritten to match.
+std::string Reseal(const std::string& snapshot, const std::string& payload) {
+  std::string out = snapshot.substr(0, kSnapshotHeaderBytes);
+  const uint64_t fields[] = {payload.size(),
+                             Fnv1a64(payload.data(), payload.size())};
+  for (size_t f = 0; f < 2; ++f) {
+    for (size_t b = 0; b < 8; ++b) {
+      out[16 + 8 * f + b] = static_cast<char>((fields[f] >> (8 * b)) & 0xff);
+    }
+  }
+  return out + payload;
 }
 
-TEST_F(ServeWorld, DeltaRejectsWrongBaseAndForeignFormats) {
-  CanonStore target =
-      BuildCanonStore(*problem_, *result_, dataset_->ckb, /*generation=*/8);
-  const std::string delta = SerializeDeltaSnapshot(*store_, target);
+/// Loads \p snapshot; on success, touches every accessor and renders every
+/// endpoint the server would, so asan/ubsan see any out-of-range index the
+/// validator let through. Returns the load status.
+Status LoadAndServe(const std::string& snapshot) {
+  Result<CanonStore> loaded = DeserializeSnapshot(snapshot);
+  if (!loaded.ok()) {
+    EXPECT_FALSE(loaded.status().message().empty());
+    return loaded.status();
+  }
+  const CanonStore& store = loaded.ValueOrDie();
+  const std::string again = SerializeSnapshot(store);
+  Result<CanonStore> reloaded = DeserializeSnapshot(again);
+  EXPECT_TRUE(reloaded.ok()) << reloaded.status();
+  if (reloaded.ok()) {
+    EXPECT_EQ(SerializeSnapshot(reloaded.ValueOrDie()), again);
+  }
+  const ServeCounters no_counters;
+  for (CanonKind kind : {CanonKind::kNp, CanonKind::kRp}) {
+    const char* kind_name = kind == CanonKind::kNp ? "np" : "rp";
+    const CanonSection& section = store.section(kind);
+    for (size_t s = 0; s < section.surface_count(); ++s) {
+      const std::string text(store.SurfaceText(kind, s));
+      const int64_t found = store.FindSurface(kind, text);
+      EXPECT_GE(found, 0) << "surface " << s << " not in the sorted index";
+      if (found >= 0) {
+        EXPECT_EQ(store.SurfaceText(kind, found), text);
+      }
+      for (const char* path : {"/lookup", "/link"}) {
+        int status = 0;
+        HandleCanonRequest(&store, "GET",
+                           std::string(path) + "?kind=" + kind_name +
+                               "&surface=" + UrlEncode(text),
+                           no_counters, &status);
+      }
+    }
+    for (size_t c = 0; c < section.cluster_count(); ++c) {
+      int status = 0;
+      HandleCanonRequest(&store, "GET",
+                         std::string("/cluster?kind=") + kind_name + "&id=" +
+                             std::to_string(store.GlobalClusterId(kind, c)),
+                         no_counters, &status);
+    }
+  }
+  return Status::OK();
+}
 
-  // Wrong base generation.
-  CanonStore other =
-      BuildCanonStore(*problem_, *result_, dataset_->ckb, /*generation=*/9);
-  Result<CanonStore> wrong_gen = ApplyDeltaSnapshot(other, delta);
-  ASSERT_FALSE(wrong_gen.ok());
-  EXPECT_EQ(wrong_gen.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(wrong_gen.status().message().find("base generation 7"),
-            std::string::npos)
-      << wrong_gen.status();
+TEST_F(ServeWorld, LoadRejectsUnsortedSurfaceIndex) {
+  // Regression for the mutants the seeded test below first found: a
+  // spliced index entry or text-pool byte that keeps every id in range
+  // but leaves the binary-search index unsorted, so lookups of surfaces
+  // the store holds 404. Both now fail validation.
+  ASSERT_GE(store_->np.surface_count(), 2u);
+  CanonStore swapped = *store_;
+  std::swap(swapped.np.surface_order[0], swapped.np.surface_order[1]);
+  Result<CanonStore> loaded = DeserializeSnapshot(SerializeSnapshot(swapped));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not sorted"), std::string::npos)
+      << loaded.status();
 
-  // Same generation, different bytes: the base checksum catches it.
-  CanonStore tweaked = *store_;
-  tweaked.triple_count += 1;
-  Result<CanonStore> wrong_base = ApplyDeltaSnapshot(tweaked, delta);
-  ASSERT_FALSE(wrong_base.ok());
-  EXPECT_EQ(wrong_base.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(wrong_base.status().message().find("does not match this base"),
-            std::string::npos)
-      << wrong_base.status();
+  CanonStore renamed = *store_;
+  const uint32_t first = renamed.np.surface_text[renamed.np.surface_order[0]];
+  renamed.text_pool[renamed.text_offset[first]] = '~';  // sorts last
+  loaded = DeserializeSnapshot(SerializeSnapshot(renamed));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not sorted"), std::string::npos)
+      << loaded.status();
+}
 
-  // Future delta version.
-  std::string future = delta;
-  future[8] = 99;  // version field (little-endian u32 at offset 8)
-  Result<CanonStore> version = ApplyDeltaSnapshot(*store_, future);
-  ASSERT_FALSE(version.ok());
-  EXPECT_EQ(version.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(version.status().message().find("version 99"), std::string::npos)
-      << version.status();
+TEST_F(ServeWorld, SeededPayloadMutantsFailCleanlyOrServeSafely) {
+  const std::string snapshot = SerializeSnapshot(*store_);
+  const std::string payload = snapshot.substr(kSnapshotHeaderBytes);
+  ASSERT_TRUE(LoadAndServe(Reseal(snapshot, payload)).ok());
 
-  // Cross-format hints: a full snapshot is not a delta and vice versa.
-  Result<CanonStore> full_as_delta =
-      ApplyDeltaSnapshot(*store_, SerializeSnapshot(*store_));
-  ASSERT_FALSE(full_as_delta.ok());
-  EXPECT_NE(full_as_delta.status().message().find("full snapshot"),
-            std::string::npos)
-      << full_as_delta.status();
-  Result<CanonStore> delta_as_full = DeserializeSnapshot(delta);
-  ASSERT_FALSE(delta_as_full.ok());
-  EXPECT_NE(delta_as_full.status().message().find("delta snapshot"),
-            std::string::npos)
-      << delta_as_full.status();
+  std::mt19937_64 rng(20211);
+  auto pick = [&rng](size_t bound) {
+    return static_cast<size_t>(rng() % std::max<size_t>(bound, 1));
+  };
+  constexpr size_t kPerKind = 300;
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (size_t kind = 0; kind < 4; ++kind) {
+    for (size_t m = 0; m < kPerKind; ++m) {
+      std::string mutant = payload;
+      switch (kind) {
+        case 0:  // truncate
+          mutant.resize(pick(mutant.size()));
+          break;
+        case 1: {  // flip 1-4 bits
+          const size_t flips = 1 + pick(4);
+          for (size_t f = 0; f < flips; ++f) {
+            mutant[pick(mutant.size())] ^=
+                static_cast<char>(1u << pick(8));
+          }
+          break;
+        }
+        case 2: {  // splice: overwrite a range with bytes from elsewhere
+          const size_t len = 1 + pick(16);
+          const size_t from = pick(mutant.size() - len);
+          const size_t to = pick(mutant.size() - len);
+          mutant.replace(to, len, payload, from, len);
+          break;
+        }
+        default: {  // duplicate a range in place
+          const size_t len = 1 + pick(16);
+          const size_t at = pick(mutant.size() - len);
+          mutant.insert(at, payload, at, len);
+          break;
+        }
+      }
+      SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                   std::to_string(m));
+      if (LoadAndServe(Reseal(snapshot, mutant)).ok()) {
+        ++loaded;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  // Most mutants must be caught; a few (a flipped mention count, a
+  // different link id) are still well-formed stores.
+  EXPECT_GT(rejected, loaded);
 }
 
 // ---------- JSON helpers -----------------------------------------------------

@@ -21,6 +21,7 @@
 //                                sweep count)
 //   --kernel vectorized|scalar   message-update kernel (byte-identical;
 //                                scalar is the reference baseline)
+// An unknown value for either prints usage and exits 2.
 //
 // Tracing (demo and weights modes):
 //   --trace-out PATH   dump the pipeline's spans as Chrome trace-event
@@ -88,10 +89,11 @@ int ParseRuntimeFlags(int argc, char** argv, RuntimeOptions* runtime) {
 }
 
 // Strips --schedule/--kernel (either "--flag VALUE" or "--flag=VALUE")
-// from argv, returning the remaining positional count. Unknown values
-// warn and leave the option at its default.
+// from argv, returning the remaining positional count, or -1 after
+// naming every unknown value.
 int ParseKernelFlags(int argc, char** argv, LbpOptions* lbp) {
   int kept = 0;
+  bool unknown = false;
   for (int i = 0; i < argc; ++i) {
     auto value_of = [&](const char* flag, const char** out) {
       size_t len = std::strlen(flag);
@@ -117,6 +119,7 @@ int ParseKernelFlags(int argc, char** argv, LbpOptions* lbp) {
         continue;
       }
       std::fprintf(stderr, "unknown --schedule value: %s\n", value);
+      unknown = true;
       continue;
     } else if (value_of("--kernel", &value)) {
       if (std::strcmp(value, "scalar") == 0) {
@@ -128,11 +131,12 @@ int ParseKernelFlags(int argc, char** argv, LbpOptions* lbp) {
         continue;
       }
       std::fprintf(stderr, "unknown --kernel value: %s\n", value);
+      unknown = true;
       continue;
     }
     argv[kept++] = argv[i];
   }
-  return kept;
+  return unknown ? -1 : kept;
 }
 
 // Strips --trace-out (either "--trace-out PATH" or "--trace-out=PATH")
@@ -195,6 +199,7 @@ int RunDemo(int argc, char** argv) {
   argc = ParseRuntimeFlags(argc, argv, &runtime_options);
   JoclOptions jocl_options;
   argc = ParseKernelFlags(argc, argv, &jocl_options.inference);
+  if (argc < 0) return Usage();
   std::string trace_path;
   argc = ParseTraceFlag(argc, argv, &trace_path);
   TraceRecorder recorder;
