@@ -51,6 +51,49 @@ double CandidateAgreement(const std::vector<EntityCandidate>& a,
   return best;
 }
 
+// F5 row of one (predicate surface, candidate relation), computed from
+// scratch over the relation's canonical name and every alias.
+template <typename SignalProvider>
+RelationRow DirectRelationRow(const SignalProvider& signals,
+                              const CuratedKb& ckb, const std::string& surface,
+                              RelationId rid) {
+  const std::vector<std::string>& aliases = ckb.RelationAliases(rid);
+  return ComputeRelationRow(
+      signals, surface, 1 + aliases.size(),
+      [&](size_t k) -> std::string_view {
+        return k == 0 ? ckb.relation(rid).name : aliases[k - 1];
+      });
+}
+
+// Fills \p rows with the F5 row of each candidate of \p surface: computed
+// per call for the uncached provider, read from the memo for the cache
+// (pairs it never registered fall back to the computation).
+void RelationRows(const SignalBundle& signals, const CuratedKb& ckb,
+                  const std::string& surface,
+                  const std::vector<RelationCandidate>& candidates,
+                  std::vector<RelationRow>* rows) {
+  rows->clear();
+  for (const auto& candidate : candidates) {
+    rows->push_back(DirectRelationRow(signals, ckb, surface, candidate.id));
+  }
+}
+
+void RelationRows(const SignalCache& signals, const CuratedKb& ckb,
+                  const std::string& surface,
+                  const std::vector<RelationCandidate>& candidates,
+                  std::vector<RelationRow>* rows) {
+  rows->clear();
+  const size_t id = signals.IdOf(surface);
+  for (const auto& candidate : candidates) {
+    const RelationRow* row = id == SignalCache::kUnknown
+                                 ? nullptr
+                                 : signals.FindRelationRow(id, candidate.id);
+    rows->push_back(row != nullptr ? *row
+                                   : DirectRelationRow(signals, ckb, surface,
+                                                       candidate.id));
+  }
+}
+
 // The builder body is shared between the uncached (SignalBundle) and
 // cached (SignalCache) providers; both expose the same Emb/Ppdb/Amie/Kbp
 // query shape.
@@ -209,6 +252,7 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
           return table;
         };
 
+    std::vector<RelationRow> rows;
     auto relation_factor_table =
         [&](const std::string& surface,
             const std::vector<RelationCandidate>& candidates) {
@@ -221,25 +265,12 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
           if (mask.rel_ld) add(0, 1, options.relation_nil_score);
           if (mask.rel_emb) add(0, 2, options.relation_nil_score);
           if (mask.rel_ppdb) add(0, 3, options.relation_nil_score);
+          RelationRows(signals, ckb, surface, candidates, &rows);
           for (size_t c = 0; c < candidates.size(); ++c) {
-            RelationId rid = candidates[c].id;
-            const std::string& name = ckb.relation(rid).name;
-            // Best match over the canonical name and every alias.
-            double best_ngram = SignalBundle::Ngram(surface, name);
-            double best_ld = SignalBundle::Ld(surface, name);
-            double best_emb = signals.Emb(surface, name);
-            double best_ppdb = signals.Ppdb(surface, name);
-            for (const auto& alias : ckb.RelationAliases(rid)) {
-              best_ngram =
-                  std::max(best_ngram, SignalBundle::Ngram(surface, alias));
-              best_ld = std::max(best_ld, SignalBundle::Ld(surface, alias));
-              best_emb = std::max(best_emb, signals.Emb(surface, alias));
-              best_ppdb = std::max(best_ppdb, signals.Ppdb(surface, alias));
-            }
-            if (mask.rel_ngram) add(c + 1, 0, best_ngram);
-            if (mask.rel_ld) add(c + 1, 1, best_ld);
-            if (mask.rel_emb) add(c + 1, 2, best_emb);
-            if (mask.rel_ppdb) add(c + 1, 3, best_ppdb);
+            if (mask.rel_ngram) add(c + 1, 0, rows[c].ngram);
+            if (mask.rel_ld) add(c + 1, 1, rows[c].ld);
+            if (mask.rel_emb) add(c + 1, 2, rows[c].emb);
+            if (mask.rel_ppdb) add(c + 1, 3, rows[c].ppdb);
           }
           return table;
         };

@@ -18,7 +18,10 @@ struct JoclOptions {
   /// Weight learning (paper §3.4): gradient ascent at lr 0.05 with
   /// LBP-approximated expectations.
   LearnerOptions learner;
-  /// Inference-time LBP (paper: converges within 20 sweeps).
+  /// Inference-time LBP (paper: converges within 20 sweeps). Runs the
+  /// certified residual schedule, which meets the tolerance on the head
+  /// component where 20 staged sweeps stop short; learning keeps the exact
+  /// staged sweeps (`learner.lbp`).
   LbpOptions inference;
   /// Inference backend for the joint pass: LBP, component-parallel per
   /// `inference.num_threads` (marginals are identical for every thread
@@ -48,6 +51,7 @@ struct JoclOptions {
     learner.lbp.max_iterations = 8;
     learner.lbp.num_threads = 0;   // component-parallel, auto-sized
     inference.max_iterations = 20;
+    inference.schedule = LbpSchedule::kResidual;
     inference.num_threads = 0;
   }
 
@@ -84,8 +88,8 @@ struct JoclResult {
 
 /// \brief The JOCL pipeline (paper §3): build the joint factor graph over
 /// an OKB + CKB, learn shared weights on the labeled validation split, run
-/// staged LBP, decode marginals, and resolve canonicalization/linking
-/// conflicts.
+/// LBP (residual schedule), decode marginals, and resolve
+/// canonicalization/linking conflicts.
 ///
 /// Infer() is a thin wrapper over the sharded `JoclRuntime`
 /// (core/runtime.h): the problem is partitioned into independent

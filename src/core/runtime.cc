@@ -17,10 +17,11 @@
 namespace jocl {
 namespace {
 
-/// Mirrors a finished run's stats onto the process-wide registry — the
-/// single source `/metrics` and the tools read. The handles are
-/// function-local statics: first call registers, later calls re-use.
-void MirrorRuntimeStats(const RuntimeStats& stats) {
+/// Mirrors a finished run's stats and its convergence certificate onto the
+/// process-wide registry — the single source `/metrics` and the tools
+/// read. The handles are function-local statics: first call registers,
+/// later calls re-use.
+void MirrorRuntimeStats(const RuntimeStats& stats, double certificate) {
   MetricsRegistry& global = MetricsRegistry::Global();
   static Counter* runs =
       global.AddCounter("jocl_infer_runs_total", "", "Full inference runs");
@@ -33,6 +34,12 @@ void MirrorRuntimeStats(const RuntimeStats& stats) {
   static Counter* skipped =
       global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
                         "Converged sweeps the kernel skipped");
+  static Counter* unconverged = global.AddCounter(
+      "jocl_lbp_unconverged_components_total", "",
+      "LBP components that spent their budget above the tolerance");
+  static Gauge* certificate_gauge =
+      global.AddGauge("jocl_lbp_certificate", "",
+                      "Max pending LBP residual of the latest result");
   static Counter* variables = global.AddCounter(
       "jocl_graph_variables_total", "", "Variables across built graphs");
   static Counter* factors = global.AddCounter(
@@ -41,6 +48,8 @@ void MirrorRuntimeStats(const RuntimeStats& stats) {
   updates->Add(stats.message_updates);
   pops->Add(stats.residual_pops);
   skipped->Add(stats.sweeps_skipped);
+  unconverged->Add(stats.unconverged_components);
+  certificate_gauge->SetDouble(certificate);
   variables->Add(stats.variables);
   factors->Add(stats.factors);
 }
@@ -50,6 +59,7 @@ void MirrorRuntimeStats(const RuntimeStats& stats) {
 void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged) {
   merged->iterations = std::max(merged->iterations, shard.iterations);
   merged->converged = merged->converged && shard.converged;
+  merged->unconverged_components += shard.unconverged_components;
   merged->final_residual =
       std::max(merged->final_residual, shard.final_residual);
   if (shard.residual_history.size() > merged->residual_history.size()) {
@@ -352,6 +362,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
   local_stats.message_updates = diagnostics.message_updates;
   local_stats.residual_pops = diagnostics.residual_pops;
   local_stats.sweeps_skipped = diagnostics.sweeps_skipped;
+  local_stats.unconverged_components = diagnostics.unconverged_components;
   JoclResult result = AssembleJoclResult(problem, beliefs, options_,
                                          std::move(weights),
                                          std::move(diagnostics),
@@ -362,7 +373,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
   JOCL_LOG(kDebug) << "runtime: " << plan.shards.size() << " shards over "
                    << n_threads << " threads, " << local_stats.variables
                    << " variables, " << local_stats.factors << " factors";
-  MirrorRuntimeStats(local_stats);
+  MirrorRuntimeStats(local_stats, result.diagnostics.final_residual);
   if (stats != nullptr) *stats = local_stats;
   return result;
 }

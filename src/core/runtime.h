@@ -45,6 +45,7 @@ struct RuntimeStats {
   size_t message_updates = 0;  ///< factor message updates executed
   size_t residual_pops = 0;    ///< residual-queue pops (kResidual only)
   size_t sweeps_skipped = 0;   ///< sweeps' worth of updates not spent
+  size_t unconverged_components = 0;  ///< components stopped on the budget
 };
 
 /// \brief One shard's inference outputs in *local* indexing — the unit of
@@ -97,7 +98,7 @@ void ScatterShardBeliefs(const ProblemShard& shard, const ShardBeliefs& local,
                          JoclBeliefs* beliefs);
 
 /// \brief Folds one shard's convergence diagnostics into \p merged.
-/// max/AND/elementwise-max are associative and commutative, so any fold
+/// max/AND/sum/elementwise-max are associative and commutative, so any fold
 /// order reproduces the monolithic engine's own aggregation bit for bit.
 void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged);
 

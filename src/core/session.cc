@@ -17,8 +17,10 @@ namespace {
 
 /// Mirrors a finished batch's stats onto the process-wide registry (the
 /// LBP families are shared with the runtime — same (name, labels) pair,
-/// same handle).
-void MirrorSessionStats(const SessionStats& stats, uint64_t generation) {
+/// same handle). \p certificate is the max pending residual over every
+/// component of the batch's result, cached ones included.
+void MirrorSessionStats(const SessionStats& stats, uint64_t generation,
+                        double certificate) {
   MetricsRegistry& global = MetricsRegistry::Global();
   static Counter* batches = global.AddCounter(
       "jocl_session_batches_total", "", "Session refreshes (ingest batches)");
@@ -43,6 +45,12 @@ void MirrorSessionStats(const SessionStats& stats, uint64_t generation) {
   static Counter* skipped =
       global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
                         "Converged sweeps the kernel skipped");
+  static Counter* unconverged = global.AddCounter(
+      "jocl_lbp_unconverged_components_total", "",
+      "LBP components that spent their budget above the tolerance");
+  static Gauge* certificate_gauge =
+      global.AddGauge("jocl_lbp_certificate", "",
+                      "Max pending LBP residual of the latest result");
   static Gauge* gen = global.AddGauge("jocl_session_generation", "",
                                       "Generation of the latest batch");
   static Histogram* stage_problem = global.AddHistogram(
@@ -66,6 +74,8 @@ void MirrorSessionStats(const SessionStats& stats, uint64_t generation) {
   updates->Add(stats.message_updates);
   pops->Add(stats.residual_pops);
   skipped->Add(stats.sweeps_skipped);
+  unconverged->Add(stats.unconverged_components);
+  certificate_gauge->SetDouble(certificate);
   auto record_seconds = [](Histogram* histogram, double seconds) {
     histogram->Record(static_cast<uint64_t>(seconds * 1e9));
   };
@@ -204,11 +214,12 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
 
   // ---- append-only signal-cache ingestion ---------------------------------
   // Delta registration: only surfaces first interned this batch (and their
-  // candidates' CKB names) can introduce new phrases — previously seen
-  // surfaces already registered theirs (Add is idempotent and the cache
-  // never evicts). Intern order differs from a RegisterProblem walk, but
-  // phrase ids are only ever compared for equality, so query answers are
-  // identical. A reused problem interns nothing.
+  // candidates' CKB names and F5 relation rows) can introduce new memo
+  // entries — previously seen surfaces already registered theirs (Add is
+  // idempotent and the cache never evicts). Intern order differs from a
+  // RegisterProblem walk, but phrase ids are only ever compared for
+  // equality, so query answers are identical. A reused problem interns
+  // nothing.
   watch.Reset();
   span.emplace("signal_cache");
   const size_t phrases_before = cache_.size();
@@ -222,11 +233,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     for (uint32_t sid : builder_.new_rp_sids()) {
       cache_.Add(builder_.rp_surface(sid));
       for (const RelationCandidate& candidate : builder_.rp_candidates(sid)) {
-        cache_.Add(dataset_->ckb.relation(candidate.id).name);
-        for (const std::string& alias :
-             dataset_->ckb.RelationAliases(candidate.id)) {
-          cache_.Add(alias);
-        }
+        cache_.AddRelationCandidate(builder_.rp_surface(sid), candidate.id,
+                                    dataset_->ckb);
       }
     }
     cache_.Finalize(*signals_);
@@ -410,6 +418,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
         local_stats.message_updates += outcomes[d].diagnostics.message_updates;
         local_stats.residual_pops += outcomes[d].diagnostics.residual_pops;
         local_stats.sweeps_skipped += outcomes[d].diagnostics.sweeps_skipped;
+        local_stats.unconverged_components +=
+            outcomes[d].diagnostics.unconverged_components;
         local_stats.graph_seconds += timings[d].graph_seconds;
         local_stats.infer_seconds += timings[d].infer_seconds;
         ++d;
@@ -460,7 +470,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                    << " dirty shards (" << delta.merged << " merged, "
                    << delta.split << " split), "
                    << local_stats.cache_new_phrases << " new phrases";
-  MirrorSessionStats(local_stats, generation_);
+  MirrorSessionStats(local_stats, generation_,
+                     result_.diagnostics.final_residual);
   if (stats != nullptr) *stats = local_stats;
   if (publish_callback_) {
     ScopedSpan publish_span("publish");

@@ -66,6 +66,9 @@ struct SessionStats {
   size_t message_updates = 0;  ///< factor message updates executed
   size_t residual_pops = 0;    ///< residual-queue pops (kResidual only)
   size_t sweeps_skipped = 0;   ///< sweeps' worth of updates not spent
+  /// Re-inferred components that spent their LBP budget without meeting
+  /// the tolerance — the per-batch convergence failure signal.
+  size_t unconverged_components = 0;
 };
 
 /// \brief Long-lived incremental runtime over one dataset: the streaming

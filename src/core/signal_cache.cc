@@ -56,6 +56,7 @@ void SignalCache::Finalize(const SignalBundle& signals,
     amie_equivalent_.clear();
     amie_norm_ids_.clear();
     kbp_class_.clear();
+    rows_finalized_ = 0;
   }
   bundle_ = &signals;
   families_ = families;
@@ -137,6 +138,18 @@ void SignalCache::Finalize(const SignalBundle& signals,
     }
   }
 
+  // F5 relation rows for the pairs registered since the last call. Every
+  // phrase they touch is registered, so the string queries resolve to the
+  // memos above — the answers the graph builder's direct path gets.
+  for (size_t r = rows_finalized_; r < relation_rows_.size(); ++r) {
+    const auto& [surface, relation] = relation_row_pairs_[r];
+    const std::vector<size_t>& names = relation_phrases_.at(relation);
+    relation_rows_[r] = ComputeRelationRow(
+        *this, phrases_[surface], names.size(),
+        [&](size_t k) -> std::string_view { return phrases_[names[k]]; });
+  }
+  rows_finalized_ = relation_rows_.size();
+
   finalized_ = n;
   JOCL_LOG(kDebug) << "signal cache: " << n << " phrases (" << (n - from)
                    << " new), emb dim " << dim_
@@ -209,15 +222,31 @@ void SignalCache::RegisterProblem(const JoclProblem& problem,
       }
     }
   }
-  // Relation names and aliases (F5 takes the best match over all of them).
-  for (const auto& list : problem.predicate_candidates) {
-    for (const auto& candidate : list) {
-      Add(ckb.relation(candidate.id).name);
-      for (const auto& alias : ckb.RelationAliases(candidate.id)) {
-        Add(alias);
-      }
+  // (predicate surface, candidate relation) pairs: F5 rows.
+  for (size_t p = 0; p < problem.predicate_candidates.size(); ++p) {
+    for (const auto& candidate : problem.predicate_candidates[p]) {
+      AddRelationCandidate(problem.predicate_surfaces[p], candidate.id, ckb);
     }
   }
+}
+
+void SignalCache::AddRelationCandidate(std::string_view surface,
+                                       RelationId relation,
+                                       const CuratedKb& ckb) {
+  const size_t surface_id = Add(surface);
+  auto names = relation_phrases_.find(relation);
+  if (names == relation_phrases_.end()) {
+    std::vector<size_t> ids = {Add(ckb.relation(relation).name)};
+    for (const auto& alias : ckb.RelationAliases(relation)) {
+      ids.push_back(Add(alias));
+    }
+    relation_phrases_.emplace(relation, std::move(ids));
+  }
+  auto [row, inserted] = relation_row_index_.emplace(
+      RelationKey(surface_id, relation), relation_rows_.size());
+  if (!inserted) return;
+  relation_row_pairs_.emplace_back(surface_id, relation);
+  relation_rows_.emplace_back();
 }
 
 SignalCache SignalCache::ForProblem(const JoclProblem& problem,

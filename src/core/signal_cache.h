@@ -1,6 +1,7 @@
 #ifndef JOCL_CORE_SIGNAL_CACHE_H_
 #define JOCL_CORE_SIGNAL_CACHE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -8,6 +9,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/problem.h"
@@ -15,6 +17,40 @@
 #include "kb/curated_kb.h"
 
 namespace jocl {
+
+/// \brief F5's relation-linking row for one (predicate surface, candidate
+/// relation) pair (paper §3.2): the best `Ngram`, `Ld`, `Emb` and `Ppdb`
+/// match of the surface against the relation's canonical name and every
+/// alias.
+struct RelationRow {
+  double ngram = 0.0;
+  double ld = 0.0;
+  double emb = 0.0;
+  double ppdb = 0.0;
+};
+
+/// Computes a RelationRow from scratch over the relation's names
+/// `name_at(0)` (the canonical name) .. `name_at(count - 1)` (its aliases),
+/// maximizing in that order. `SignalCache::Finalize` memoizes rows through
+/// this same function, so a memoized row is bit-identical to one the
+/// graph builder computes directly.
+template <typename SignalProvider, typename NameAt>
+RelationRow ComputeRelationRow(const SignalProvider& signals,
+                               std::string_view surface, size_t count,
+                               NameAt&& name_at) {
+  const std::string_view first = name_at(0);
+  RelationRow row{SignalBundle::Ngram(surface, first),
+                  SignalBundle::Ld(surface, first),
+                  signals.Emb(surface, first), signals.Ppdb(surface, first)};
+  for (size_t k = 1; k < count; ++k) {
+    const std::string_view name = name_at(k);
+    row.ngram = std::max(row.ngram, SignalBundle::Ngram(surface, name));
+    row.ld = std::max(row.ld, SignalBundle::Ld(surface, name));
+    row.emb = std::max(row.emb, signals.Emb(surface, name));
+    row.ppdb = std::max(row.ppdb, signals.Ppdb(surface, name));
+  }
+  return row;
+}
 
 /// \brief Which memo families a cache build materializes. Queries against
 /// a family that was not built fall back to the (uncached) bundle, so
@@ -46,6 +82,10 @@ struct SignalCacheFamilies {
 ///    per phrase; the pair query hits the miner's rule set directly with
 ///    pre-normalized forms.
 ///  * **KBP** classifications are memoized; `Kbp` is an id compare.
+///  * **Relation rows** — F5's best match over a relation's name and
+///    aliases — are computed once per registered (predicate surface,
+///    candidate relation) pair, so graph builds read them instead of
+///    re-running `Ngram`/`Ld` per triple and per batch.
 ///
 /// Queries fall back to the bundle for phrases that were never registered,
 /// so the cache is a drop-in provider wherever a `SignalBundle` is used.
@@ -83,14 +123,20 @@ class SignalCache {
   /// by Finalize() before any signal query.
   size_t Add(std::string_view phrase);
 
+  /// Registers a predicate surface with one of its candidate relations:
+  /// the surface, the relation's name and its aliases become phrases, and
+  /// the next Finalize() computes the pair's RelationRow. Idempotent.
+  void AddRelationCandidate(std::string_view surface, RelationId relation,
+                            const CuratedKb& ckb);
+
   /// Registers everything a graph build over \p problem will query: every
-  /// distinct surface of all three roles plus every candidate entity name,
-  /// relation name and relation alias. Idempotent — `JoclSession` calls it
-  /// per ingestion batch on a long-lived cache.
+  /// distinct surface of all three roles, every candidate entity name, and
+  /// every (predicate surface, candidate relation) pair. Idempotent.
   void RegisterProblem(const JoclProblem& problem, const CuratedKb& ckb);
 
-  /// Computes the selected per-phrase memos. **Append-only**: repeated
-  /// calls only process phrases registered since the previous Finalize —
+  /// Computes the selected per-phrase memos and the pending relation rows.
+  /// **Append-only**: repeated calls only process phrases and relation
+  /// pairs registered since the previous Finalize —
   /// existing arenas and interned ids are extended, never rebuilt — so a
   /// streaming session pays per batch only for its new surfaces. Query
   /// answers are identical to a fresh build over the same phrase set
@@ -111,6 +157,18 @@ class SignalCache {
 
   size_t size() const { return phrases_.size(); }
   const SignalBundle& bundle() const { return *bundle_; }
+
+  /// The memoized row of (predicate surface id \p surface, \p relation),
+  /// or nullptr when the pair was not registered before the last
+  /// Finalize(). A pure read: shard builds may call it concurrently.
+  const RelationRow* FindRelationRow(size_t surface,
+                                     RelationId relation) const {
+    auto it = relation_row_index_.find(RelationKey(surface, relation));
+    if (it == relation_row_index_.end() || it->second >= rows_finalized_) {
+      return nullptr;
+    }
+    return &relation_rows_[it->second];
+  }
 
   // --- id-based pair signals (both ids must be valid) ---------------------
   // Queries against a family that was not built fall back to the bundle.
@@ -170,6 +228,10 @@ class SignalCache {
     if (dot < 0.0) return 0.0;
     return dot > 1.0 ? 1.0 : dot;
   }
+  static uint64_t RelationKey(size_t surface, RelationId relation) {
+    return (static_cast<uint64_t>(surface) << 32) |
+           static_cast<uint32_t>(relation);
+  }
   static uint64_t PairKey(int32_t a, int32_t b) {
     uint32_t lo = static_cast<uint32_t>(a < b ? a : b);
     uint32_t hi = static_cast<uint32_t>(a < b ? b : a);
@@ -217,6 +279,16 @@ class SignalCache {
 
   // KBP classification per phrase (kNilId = abstain).
   std::vector<RelationId> kbp_class_;
+
+  // F5 relation rows: the phrase ids of each candidate relation's name
+  // then aliases (the builder's max order), one row per registered
+  // (surface, relation) pair, and that pair per row. Rows below
+  // rows_finalized_ are computed; the rest await the next Finalize().
+  std::unordered_map<RelationId, std::vector<size_t>> relation_phrases_;
+  std::unordered_map<uint64_t, size_t> relation_row_index_;
+  std::vector<std::pair<size_t, RelationId>> relation_row_pairs_;
+  std::vector<RelationRow> relation_rows_;
+  size_t rows_finalized_ = 0;
 };
 
 }  // namespace jocl

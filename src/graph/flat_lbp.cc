@@ -785,6 +785,7 @@ LbpResult FlatLbpEngine::Run() {
   for (const ComponentStats& s : stats) {
     result.iterations = std::max(result.iterations, s.iterations);
     result.converged = result.converged && s.converged;
+    result.unconverged_components += s.converged ? 0 : 1;
     result.final_residual = std::max(result.final_residual, s.final_residual);
     result.message_updates += s.message_updates;
     result.residual_pops += s.residual_pops;

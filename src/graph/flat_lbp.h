@@ -50,7 +50,7 @@ namespace jocl {
 /// Per component, LbpOptions::schedule selects between the exact staged
 /// sweep (factor->variable updates group by group with variable->factor
 /// messages refreshed between groups — the paper's §3.4 procedure) and
-/// the opt-in residual-priority schedule (kResidual): a bucketed priority
+/// the residual-priority schedule (kResidual): a bucketed priority
 /// queue keyed by how much each factor's inputs moved since its last
 /// update, highest residual first, with an update budget of
 /// `max_iterations * component factor count`. Residual runs report their

@@ -20,11 +20,13 @@ enum class LbpMode { kSumProduct, kMaxProduct };
 
 /// \brief Message-update scheduling policy.
 enum class LbpSchedule {
-  /// Exact mode (default): staged full sweeps — every factor updated each
-  /// sweep, group by group. Deterministic fixed-point iteration; the
-  /// byte-identity contract across threads/shards holds here.
+  /// Exact mode (the LbpOptions default and the learner's): staged full
+  /// sweeps — every factor updated each sweep, group by group.
+  /// Deterministic fixed-point iteration; the byte-identity contract
+  /// across threads/shards holds here.
   kStaged,
-  /// Opt-in approximate mode (residual belief propagation, Elidan et al.):
+  /// Approximate mode (residual belief propagation, Elidan et al.; the
+  /// JoclOptions inference default):
   /// a bucketed priority queue orders factors by message residual and the
   /// highest-residual factor is updated first, stopping when every
   /// residual falls below tolerance or the update budget (max_iterations
@@ -75,8 +77,9 @@ struct LbpOptions {
   /// independent sub-problems over disjoint arena slices, so marginals
   /// are bit-for-bit identical for every thread count.
   size_t num_threads = 1;
-  /// Update scheduling: exact staged sweeps (default) or the opt-in
-  /// approximate residual-priority schedule. See LbpSchedule.
+  /// Update scheduling: exact staged sweeps (default) or the approximate
+  /// residual-priority schedule (JoclOptions' inference default). See
+  /// LbpSchedule.
   LbpSchedule schedule = LbpSchedule::kStaged;
   /// Message-update kernel. kVectorized is byte-identical to
   /// kScalarReference; the reference exists as the identity oracle.
@@ -91,6 +94,10 @@ struct LbpResult {
   size_t iterations = 0;
   /// True when every component met the tolerance before max_iterations.
   bool converged = false;
+  /// Connected components that stopped on the budget without meeting the
+  /// tolerance (0 exactly when `converged`). Summed across components and
+  /// shards.
+  size_t unconverged_components = 0;
   /// Max message residual across components after their final sweep. For
   /// LbpSchedule::kResidual this is the convergence certificate: an upper
   /// bound on how much any factor's next message update could still move,

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 namespace jocl {
@@ -31,6 +32,16 @@ void AppendInt(std::string* out, int64_t value) {
   char buf[32];
   auto res = std::to_chars(buf, buf + sizeof(buf), value);
   out->append(buf, res.ptr - buf);
+}
+
+/// Integral gauge values (ports, generations, -1 sentinels) as integers;
+/// fractional ones as shortest-round-trip doubles.
+void AppendGauge(std::string* out, double value) {
+  if (value == std::trunc(value) && std::fabs(value) < 9007199254740992.0) {
+    AppendInt(out, static_cast<int64_t>(value));
+  } else {
+    AppendDouble(out, value);
+  }
 }
 
 /// `name` or `name{labels}` with an optional suffix spliced onto the
@@ -191,7 +202,7 @@ std::string MetricsRegistry::RenderPrometheus() const {
           break;
         case Kind::kGauge:
           AppendSample(&out, entry->name, "", entry->labels, "");
-          AppendInt(&out, entry->gauge->Value());
+          AppendGauge(&out, entry->gauge->DoubleValue());
           out.push_back('\n');
           break;
         case Kind::kHistogram:

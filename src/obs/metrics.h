@@ -55,11 +55,17 @@ class Counter {
 /// writer — a publisher or the router's forward path — not accumulated).
 class Gauge {
  public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(int64_t value) { SetDouble(static_cast<double>(value)); }
+  /// Fractional readings (an LBP convergence certificate); integral values
+  /// render as integers either way.
+  void SetDouble(double value) {
+    value_.store(value, std::memory_order_relaxed);
+  }
+  int64_t Value() const { return static_cast<int64_t>(DoubleValue()); }
+  double DoubleValue() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  std::atomic<int64_t> value_{0};
+  std::atomic<double> value_{0.0};
 };
 
 /// \brief Fixed-bucket log-scale latency histogram over nanoseconds.

@@ -4,10 +4,18 @@
 // cell by cell.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/graph_builder.h"
 #include "core/problem.h"
+#include "core/shard.h"
+#include "core/signal_cache.h"
 #include "core/signals.h"
 #include "data/dataset.h"
+#include "data/generator.h"
+#include "graph/compiled_graph.h"
+#include "serve/snapshot_io.h"
 
 namespace jocl {
 namespace {
@@ -232,6 +240,41 @@ TEST_F(GraphBuilderFixture, ScheduleGroupsFollowPaperOrder) {
   for (FactorId f : jg.schedule.back()) {
     EXPECT_EQ(jg.graph.factor(f).scope.size(), 3u);
   }
+}
+
+// The compiled feature pools of a generated problem's shards, built over
+// the runtime's SignalCache, are pinned by hash: any change to a feature
+// value (a reordered max, a different similarity call, a memo that is not
+// bit-identical to the direct computation) moves it. The constant was
+// recorded before the F5 relation rows were memoized in SignalCache.
+TEST(GraphBuilderPinTest, CompiledFeaturePoolsArePinned) {
+  Dataset ds = GenerateReVerb45K(/*scale=*/0.15, /*seed=*/11).MoveValueOrDie();
+  SignalOptions signal_options;
+  signal_options.embedding_epochs = 2;
+  SignalBundle signals = BuildSignals(ds, signal_options).MoveValueOrDie();
+  JoclProblem problem = BuildProblem(ds, signals, ds.test_triples);
+  SignalCache cache = SignalCache::ForProblem(problem, signals, ds.ckb);
+  ShardPlan plan = PartitionProblem(problem, /*max_shards=*/0);
+  ASSERT_GT(plan.shards.size(), 1u);
+
+  std::string bytes;
+  auto append = [&bytes](const void* data, size_t size) {
+    bytes.append(static_cast<const char*>(data), size);
+  };
+  for (const ProblemShard& shard : plan.shards) {
+    JoclGraph jgraph = BuildJoclGraph(shard.problem, cache, ds.ckb);
+    CompiledGraph compiled = CompiledGraph::Compile(jgraph.graph);
+    // Field by field: FeatureEntry has padding bytes.
+    for (const FeatureEntry& entry : compiled.entry_pool) {
+      const uint64_t weight = entry.weight;
+      append(&weight, sizeof(weight));
+      append(&entry.value, sizeof(entry.value));
+    }
+    append(compiled.uniform_pool.data(),
+           compiled.uniform_pool.size() * sizeof(double));
+  }
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x8a951cb3086cb7d1ull)
+      << plan.shards.size() << " shards, " << bytes.size() << " bytes";
 }
 
 }  // namespace

@@ -143,6 +143,15 @@ TEST_F(IntegrationTest, LbpConvergesWithinPaperBudget) {
   EXPECT_LE(result_->diagnostics.iterations, 20u);
 }
 
+TEST_F(IntegrationTest, DefaultInferenceConverges) {
+  // The default schedule meets the tolerance on every component, head
+  // included, instead of stopping on the sweep budget.
+  EXPECT_TRUE(result_->diagnostics.converged);
+  EXPECT_EQ(result_->diagnostics.unconverged_components, 0u);
+  EXPECT_LT(result_->diagnostics.final_residual,
+            JoclOptions().inference.tolerance);
+}
+
 TEST_F(IntegrationTest, RpCanonicalizationIsUseful) {
   std::vector<size_t> gold;
   for (size_t t : dataset_->test_triples) {

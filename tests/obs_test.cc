@@ -127,6 +127,24 @@ TEST(MetricsRegistryTest, RendersGoldenExposition) {
             "t_generation -1\n");
 }
 
+TEST(MetricsRegistryTest, GaugesRenderFractionsAndIntegers) {
+  MetricsRegistry registry;
+  Gauge* certificate =
+      registry.AddGauge("t_certificate", "", "Max pending residual");
+  Gauge* port = registry.AddGauge("t_port", "", "Port");
+  certificate->SetDouble(9.99e-05);
+  port->Set(100000000);
+  EXPECT_EQ(certificate->DoubleValue(), 9.99e-05);
+  EXPECT_EQ(port->Value(), 100000000);
+  EXPECT_EQ(registry.RenderPrometheus(),
+            "# HELP t_certificate Max pending residual\n"
+            "# TYPE t_certificate gauge\n"
+            "t_certificate 9.99e-05\n"
+            "# HELP t_port Port\n"
+            "# TYPE t_port gauge\n"
+            "t_port 100000000\n");
+}
+
 TEST(MetricsRegistryTest, RendersHistogramAsCumulativeSeries) {
   MetricsRegistry registry;
   Histogram* histogram = registry.AddHistogram(

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/runtime.h"
 #include "core/shard.h"
@@ -153,6 +155,100 @@ TEST_F(RuntimeTest, SignalCacheMatchesBundleSemantics) {
   }
 }
 
+/// F5's row computed the way the graph builder computes it without a
+/// memo: the best match over the relation's name and every alias.
+RelationRow DirectRelationRow(const SignalCache& cache, const CuratedKb& ckb,
+                              const std::string& surface, RelationId rid) {
+  const std::string& name = ckb.relation(rid).name;
+  RelationRow row{SignalCache::Ngram(surface, name),
+                  SignalCache::Ld(surface, name), cache.Emb(surface, name),
+                  cache.Ppdb(surface, name)};
+  for (const std::string& alias : ckb.RelationAliases(rid)) {
+    row.ngram = std::max(row.ngram, SignalCache::Ngram(surface, alias));
+    row.ld = std::max(row.ld, SignalCache::Ld(surface, alias));
+    row.emb = std::max(row.emb, cache.Emb(surface, alias));
+    row.ppdb = std::max(row.ppdb, cache.Ppdb(surface, alias));
+  }
+  return row;
+}
+
+/// Bitwise row equality (EXPECT_EQ on doubles would accept -0.0 == 0.0).
+::testing::AssertionResult SameRowBits(const RelationRow& a,
+                                       const RelationRow& b) {
+  if (std::memcmp(&a, &b, sizeof(RelationRow)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "{" << a.ngram << ", " << a.ld << ", " << a.emb << ", " << a.ppdb
+         << "} vs {" << b.ngram << ", " << b.ld << ", " << b.emb << ", "
+         << b.ppdb << "}";
+}
+
+TEST_F(RuntimeTest, RelationRowMemoMatchesDirectComputation) {
+  JoclProblem problem = Problem();
+  const CuratedKb& ckb = dataset_->ckb;
+  SignalCache cache = SignalCache::ForProblem(problem, *signals_, ckb);
+  size_t rows = 0;
+  size_t with_aliases = 0;
+  for (size_t p = 0; p < problem.predicate_surfaces.size(); ++p) {
+    const std::string& surface = problem.predicate_surfaces[p];
+    for (const RelationCandidate& candidate :
+         problem.predicate_candidates[p]) {
+      const RelationRow* row =
+          cache.FindRelationRow(cache.IdOf(surface), candidate.id);
+      ASSERT_NE(row, nullptr) << surface;
+      EXPECT_TRUE(SameRowBits(
+          *row, DirectRelationRow(cache, ckb, surface, candidate.id)))
+          << surface << " / " << ckb.relation(candidate.id).name;
+      ++rows;
+      if (!ckb.RelationAliases(candidate.id).empty()) ++with_aliases;
+    }
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_GT(with_aliases, 0u);
+
+  // Phrases alone register no pair, and a lookup never fills one.
+  SignalCache phrases_only =
+      SignalCache::ForPhrases(problem.predicate_surfaces, *signals_);
+  for (size_t p = 0; p < problem.predicate_surfaces.size(); ++p) {
+    for (const RelationCandidate& candidate :
+         problem.predicate_candidates[p]) {
+      EXPECT_EQ(phrases_only.FindRelationRow(p, candidate.id), nullptr);
+    }
+  }
+}
+
+TEST_F(RuntimeTest, AppendOnlyRelationRowsMatchAFreshCache) {
+  // A long-lived cache fed batch by batch — RegisterProblem + Finalize per
+  // growing prefix, as a session does — ends with the same rows as one
+  // fresh ForProblem over the final problem.
+  const CuratedKb& ckb = dataset_->ckb;
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  SignalCache incremental;
+  JoclProblem problem;
+  for (size_t b = 1; b <= 4; ++b) {
+    std::vector<size_t> prefix(stream.begin(),
+                               stream.begin() + b * stream.size() / 4);
+    problem = BuildProblem(*dataset_, *signals_, prefix);
+    incremental.RegisterProblem(problem, ckb);
+    incremental.Finalize(*signals_);
+  }
+  SignalCache fresh = SignalCache::ForProblem(problem, *signals_, ckb);
+  for (size_t p = 0; p < problem.predicate_surfaces.size(); ++p) {
+    const std::string& surface = problem.predicate_surfaces[p];
+    for (const RelationCandidate& candidate :
+         problem.predicate_candidates[p]) {
+      const RelationRow* a =
+          incremental.FindRelationRow(incremental.IdOf(surface), candidate.id);
+      const RelationRow* b =
+          fresh.FindRelationRow(fresh.IdOf(surface), candidate.id);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
+      EXPECT_TRUE(SameRowBits(*a, *b)) << surface;
+    }
+  }
+}
+
 TEST_F(RuntimeTest, SignalCacheFallsBackForUnknownPhrases) {
   SignalCache cache = SignalCache::ForPhrases({"alpha beta"}, *signals_);
   EXPECT_EQ(cache.IdOf("never registered"), SignalCache::kUnknown);
@@ -164,100 +260,117 @@ TEST_F(RuntimeTest, SignalCacheFallsBackForUnknownPhrases) {
 
 // ---------- the acceptance bar: byte-identical results -----------------------
 
+// The byte-identity cases run under both LBP schedules: kResidual is the
+// inference default, kStaged the exact procedure the learner runs.
 TEST_F(RuntimeTest, ShardedRuntimeIsByteIdenticalToMonolithic) {
-  JoclOptions options;
-  RuntimeOptions monolithic;
-  monolithic.max_shards = 1;
-  monolithic.num_threads = 1;
-  JoclRuntime reference(options, monolithic);
-  JoclResult expected =
-      reference.Infer(*dataset_, *signals_, dataset_->test_triples)
-          .MoveValueOrDie();
-
-  struct Config {
-    size_t shards;
-    size_t threads;
-  };
-  // {1, 4} drives the leftover-parallelism path: one shard, so the four
-  // requested threads move inside the engine (component-parallel LBP).
-  for (Config config :
-       {Config{0, 1}, Config{0, 4}, Config{3, 2}, Config{1, 4}}) {
-    RuntimeOptions runtime_options;
-    runtime_options.max_shards = config.shards;
-    runtime_options.num_threads = config.threads;
-    JoclRuntime runtime(options, runtime_options);
-    RuntimeStats stats;
-    JoclResult result =
-        runtime
-            .Infer(*dataset_, *signals_, dataset_->test_triples, {}, &stats)
+  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+    SCOPED_TRACE(schedule == LbpSchedule::kStaged ? "staged" : "residual");
+    JoclOptions options;
+    options.inference.schedule = schedule;
+    RuntimeOptions monolithic;
+    monolithic.max_shards = 1;
+    monolithic.num_threads = 1;
+    JoclRuntime reference(options, monolithic);
+    JoclResult expected =
+        reference.Infer(*dataset_, *signals_, dataset_->test_triples)
             .MoveValueOrDie();
-    if (config.shards == 0) EXPECT_GT(stats.shards, 1u);
 
-    // Exact equality, not tolerance: shard graphs are the monolithic
-    // graph's connected components and decode runs globally, so no bit
-    // may differ.
-    EXPECT_EQ(result.np_cluster, expected.np_cluster)
-        << config.shards << " shards, " << config.threads << " threads";
-    EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
-    EXPECT_EQ(result.np_link, expected.np_link);
-    EXPECT_EQ(result.rp_link, expected.rp_link);
-    EXPECT_EQ(result.triples, expected.triples);
-    EXPECT_EQ(result.weights, expected.weights);
-    EXPECT_EQ(result.diagnostics.iterations, expected.diagnostics.iterations);
-    EXPECT_EQ(result.diagnostics.converged, expected.diagnostics.converged);
-    EXPECT_EQ(result.diagnostics.final_residual,
-              expected.diagnostics.final_residual);
-    EXPECT_EQ(result.diagnostics.residual_history,
-              expected.diagnostics.residual_history);
-    EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
+    struct Config {
+      size_t shards;
+      size_t threads;
+    };
+    // {1, 4} drives the leftover-parallelism path: one shard, so the four
+    // requested threads move inside the engine (component-parallel LBP).
+    for (Config config :
+         {Config{0, 1}, Config{0, 4}, Config{3, 2}, Config{1, 4}}) {
+      RuntimeOptions runtime_options;
+      runtime_options.max_shards = config.shards;
+      runtime_options.num_threads = config.threads;
+      JoclRuntime runtime(options, runtime_options);
+      RuntimeStats stats;
+      JoclResult result =
+          runtime
+              .Infer(*dataset_, *signals_, dataset_->test_triples, {}, &stats)
+              .MoveValueOrDie();
+      if (config.shards == 0) {
+        EXPECT_GT(stats.shards, 1u);
+      }
+
+      // Exact equality, not tolerance: shard graphs are the monolithic
+      // graph's connected components and decode runs globally, so no bit
+      // may differ.
+      EXPECT_EQ(result.np_cluster, expected.np_cluster)
+          << config.shards << " shards, " << config.threads << " threads";
+      EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
+      EXPECT_EQ(result.np_link, expected.np_link);
+      EXPECT_EQ(result.rp_link, expected.rp_link);
+      EXPECT_EQ(result.triples, expected.triples);
+      EXPECT_EQ(result.weights, expected.weights);
+      EXPECT_EQ(result.diagnostics.iterations, expected.diagnostics.iterations);
+      EXPECT_EQ(result.diagnostics.converged, expected.diagnostics.converged);
+      EXPECT_EQ(result.diagnostics.unconverged_components,
+                expected.diagnostics.unconverged_components);
+      EXPECT_EQ(result.diagnostics.final_residual,
+                expected.diagnostics.final_residual);
+      EXPECT_EQ(result.diagnostics.residual_history,
+                expected.diagnostics.residual_history);
+      EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
+    }
   }
 }
 
 TEST_F(RuntimeTest, InferWrapperMatchesRuntime) {
-  JoclOptions options;
-  options.runtime_threads = 2;
-  options.runtime_shards = 0;
-  Jocl jocl(options);
-  JoclResult via_wrapper =
-      jocl.Infer(*dataset_, *signals_, dataset_->test_triples)
-          .MoveValueOrDie();
-  RuntimeOptions runtime_options;
-  runtime_options.num_threads = 2;
-  JoclRuntime runtime(options, runtime_options);
-  JoclResult direct =
-      runtime.Infer(*dataset_, *signals_, dataset_->test_triples)
-          .MoveValueOrDie();
-  EXPECT_EQ(via_wrapper.np_cluster, direct.np_cluster);
-  EXPECT_EQ(via_wrapper.np_link, direct.np_link);
-  EXPECT_EQ(via_wrapper.rp_cluster, direct.rp_cluster);
-  EXPECT_EQ(via_wrapper.rp_link, direct.rp_link);
-  EXPECT_EQ(via_wrapper.diagnostics.marginals, direct.diagnostics.marginals);
+  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+    SCOPED_TRACE(schedule == LbpSchedule::kStaged ? "staged" : "residual");
+    JoclOptions options;
+    options.inference.schedule = schedule;
+    options.runtime_threads = 2;
+    options.runtime_shards = 0;
+    Jocl jocl(options);
+    JoclResult via_wrapper =
+        jocl.Infer(*dataset_, *signals_, dataset_->test_triples)
+            .MoveValueOrDie();
+    RuntimeOptions runtime_options;
+    runtime_options.num_threads = 2;
+    JoclRuntime runtime(options, runtime_options);
+    JoclResult direct =
+        runtime.Infer(*dataset_, *signals_, dataset_->test_triples)
+            .MoveValueOrDie();
+    EXPECT_EQ(via_wrapper.np_cluster, direct.np_cluster);
+    EXPECT_EQ(via_wrapper.np_link, direct.np_link);
+    EXPECT_EQ(via_wrapper.rp_cluster, direct.rp_cluster);
+    EXPECT_EQ(via_wrapper.rp_link, direct.rp_link);
+    EXPECT_EQ(via_wrapper.diagnostics.marginals, direct.diagnostics.marginals);
+  }
 }
 
 TEST_F(RuntimeTest, AblationsAreShardInvariantToo) {
   // The JOCLlink fallback decode and the canonicalization-only path also
   // go through the sharded runtime; they must be execution-invariant.
-  for (const JoclOptions& options :
-       {JoclOptions::CanonicalizationOnly(), JoclOptions::LinkingOnly()}) {
-    RuntimeOptions monolithic;
-    monolithic.max_shards = 1;
-    monolithic.num_threads = 1;
-    JoclResult expected =
-        JoclRuntime(options, monolithic)
-            .Infer(*dataset_, *signals_, dataset_->test_triples)
-            .MoveValueOrDie();
-    RuntimeOptions sharded;
-    sharded.max_shards = 0;
-    sharded.num_threads = 4;
-    JoclResult result =
-        JoclRuntime(options, sharded)
-            .Infer(*dataset_, *signals_, dataset_->test_triples)
-            .MoveValueOrDie();
-    EXPECT_EQ(result.np_cluster, expected.np_cluster);
-    EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
-    EXPECT_EQ(result.np_link, expected.np_link);
-    EXPECT_EQ(result.rp_link, expected.rp_link);
-    EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
+  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+    for (JoclOptions options :
+         {JoclOptions::CanonicalizationOnly(), JoclOptions::LinkingOnly()}) {
+      options.inference.schedule = schedule;
+      RuntimeOptions monolithic;
+      monolithic.max_shards = 1;
+      monolithic.num_threads = 1;
+      JoclResult expected =
+          JoclRuntime(options, monolithic)
+              .Infer(*dataset_, *signals_, dataset_->test_triples)
+              .MoveValueOrDie();
+      RuntimeOptions sharded;
+      sharded.max_shards = 0;
+      sharded.num_threads = 4;
+      JoclResult result =
+          JoclRuntime(options, sharded)
+              .Infer(*dataset_, *signals_, dataset_->test_triples)
+              .MoveValueOrDie();
+      EXPECT_EQ(result.np_cluster, expected.np_cluster);
+      EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
+      EXPECT_EQ(result.np_link, expected.np_link);
+      EXPECT_EQ(result.rp_link, expected.rp_link);
+      EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
+    }
   }
 }
 

@@ -16,9 +16,38 @@
 #include "core/session.h"
 #include "core/shard.h"
 #include "data/generator.h"
+#include "obs/metrics.h"
 
 namespace jocl {
 namespace {
+
+void ExpectByteIdentical(const JoclResult& a, const JoclResult& b) {
+  EXPECT_EQ(a.np_cluster, b.np_cluster);
+  EXPECT_EQ(a.rp_cluster, b.rp_cluster);
+  EXPECT_EQ(a.np_link, b.np_link);
+  EXPECT_EQ(a.rp_link, b.rp_link);
+  EXPECT_EQ(a.triples, b.triples);
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.diagnostics.iterations, b.diagnostics.iterations);
+  EXPECT_EQ(a.diagnostics.converged, b.diagnostics.converged);
+  EXPECT_EQ(a.diagnostics.unconverged_components,
+            b.diagnostics.unconverged_components);
+  EXPECT_EQ(a.diagnostics.final_residual, b.diagnostics.final_residual);
+  EXPECT_EQ(a.diagnostics.residual_history, b.diagnostics.residual_history);
+  EXPECT_EQ(a.diagnostics.marginals, b.diagnostics.marginals);
+}
+
+/// The byte-identity cases run under both LBP schedules: kResidual is the
+/// inference default, kStaged the exact procedure the learner runs.
+JoclOptions WithSchedule(LbpSchedule schedule) {
+  JoclOptions options;
+  options.inference.schedule = schedule;
+  return options;
+}
+
+const char* ScheduleName(LbpSchedule schedule) {
+  return schedule == LbpSchedule::kStaged ? "staged" : "residual";
+}
 
 // ---------- handcrafted delta-partition world --------------------------------
 //
@@ -48,24 +77,11 @@ class SessionDeltaTest : public ::testing::Test {
     delete dataset_;
   }
 
-  static JoclResult OneShot(const std::vector<size_t>& triples) {
-    return JoclRuntime()
+  static JoclResult OneShot(const std::vector<size_t>& triples,
+                            const JoclOptions& options = {}) {
+    return JoclRuntime(options)
         .Infer(*dataset_, *signals_, triples)
         .MoveValueOrDie();
-  }
-
-  static void ExpectByteIdentical(const JoclResult& a, const JoclResult& b) {
-    EXPECT_EQ(a.np_cluster, b.np_cluster);
-    EXPECT_EQ(a.rp_cluster, b.rp_cluster);
-    EXPECT_EQ(a.np_link, b.np_link);
-    EXPECT_EQ(a.rp_link, b.rp_link);
-    EXPECT_EQ(a.triples, b.triples);
-    EXPECT_EQ(a.weights, b.weights);
-    EXPECT_EQ(a.diagnostics.iterations, b.diagnostics.iterations);
-    EXPECT_EQ(a.diagnostics.converged, b.diagnostics.converged);
-    EXPECT_EQ(a.diagnostics.final_residual, b.diagnostics.final_residual);
-    EXPECT_EQ(a.diagnostics.residual_history, b.diagnostics.residual_history);
-    EXPECT_EQ(a.diagnostics.marginals, b.diagnostics.marginals);
   }
 
   static Dataset* dataset_;
@@ -274,10 +290,10 @@ TEST_F(SessionDeltaTest, OutOfRangeIndexIsRejected) {
 // Each step mutates the session (adds, then removals) and asserts the
 // session's problem is byte-identical to a from-scratch BuildProblem over
 // the active set, and its result byte-identical to one-shot inference —
-// for a sequential and a parallel front-end alike. The sequences target
-// the delta front-end's hard cases: a merge immediately undone, the
-// active set emptied and rebuilt, and the same surfaces entering and
-// leaving across consecutive batches.
+// for a sequential and a parallel front-end alike, under both schedules.
+// The sequences target the delta front-end's hard cases: a merge
+// immediately undone, the active set emptied and rebuilt, and the same
+// surfaces entering and leaving across consecutive batches.
 struct ChurnStep {
   std::vector<size_t> add;
   std::vector<size_t> remove;
@@ -286,36 +302,45 @@ struct ChurnStep {
 class SessionAdversarialTest : public SessionDeltaTest {
  protected:
   void RunSequence(const std::vector<ChurnStep>& steps) {
-    for (size_t threads : {1u, 4u}) {
-      SessionOptions session_options;
-      session_options.frontend_threads = threads;
-      JoclSession session(dataset_, signals_, {}, session_options);
-      std::vector<size_t> active;
-      for (size_t i = 0; i < steps.size(); ++i) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " step=" + std::to_string(i));
-        if (!steps[i].add.empty()) {
-          ASSERT_TRUE(session.AddTriples(steps[i].add).ok());
-          for (size_t t : steps[i].add) {
-            if (std::find(active.begin(), active.end(), t) == active.end())
-              active.push_back(t);
-          }
-        }
-        if (!steps[i].remove.empty()) {
-          ASSERT_TRUE(session.RemoveTriples(steps[i].remove).ok());
-          for (size_t t : steps[i].remove) {
-            active.erase(std::remove(active.begin(), active.end(), t),
-                         active.end());
-          }
-        }
-        std::sort(active.begin(), active.end());
-        ASSERT_EQ(session.active_triples(), active);
-        if (active.empty()) continue;  // nothing to compare against
-        JoclProblem scratch = BuildProblem(*dataset_, *signals_, active,
-                                           JoclOptions().problem);
-        ASSERT_TRUE(ProblemsIdentical(session.problem(), scratch));
-        ExpectByteIdentical(session.result(), OneShot(active));
+    for (LbpSchedule schedule :
+         {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+      for (size_t threads : {1u, 4u}) {
+        RunSequence(steps, WithSchedule(schedule), threads);
       }
+    }
+  }
+
+  void RunSequence(const std::vector<ChurnStep>& steps,
+                   const JoclOptions& options, size_t threads) {
+    SessionOptions session_options;
+    session_options.frontend_threads = threads;
+    JoclSession session(dataset_, signals_, options, session_options);
+    std::vector<size_t> active;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      SCOPED_TRACE(std::string(ScheduleName(options.inference.schedule)) +
+                   " threads=" + std::to_string(threads) +
+                   " step=" + std::to_string(i));
+      if (!steps[i].add.empty()) {
+        ASSERT_TRUE(session.AddTriples(steps[i].add).ok());
+        for (size_t t : steps[i].add) {
+          if (std::find(active.begin(), active.end(), t) == active.end())
+            active.push_back(t);
+        }
+      }
+      if (!steps[i].remove.empty()) {
+        ASSERT_TRUE(session.RemoveTriples(steps[i].remove).ok());
+        for (size_t t : steps[i].remove) {
+          active.erase(std::remove(active.begin(), active.end(), t),
+                       active.end());
+        }
+      }
+      std::sort(active.begin(), active.end());
+      ASSERT_EQ(session.active_triples(), active);
+      if (active.empty()) continue;  // nothing to compare against
+      JoclProblem scratch =
+          BuildProblem(*dataset_, *signals_, active, options.problem);
+      ASSERT_TRUE(ProblemsIdentical(session.problem(), scratch));
+      ExpectByteIdentical(session.result(), OneShot(active, options));
     }
   }
 };
@@ -359,91 +384,122 @@ class SessionEquivalenceTest : public ::testing::Test {
     signal_options.embedding_epochs = 2;
     signals_ = new SignalBundle(
         BuildSignals(*dataset_, signal_options).MoveValueOrDie());
-    oneshot_ = new JoclResult(
-        JoclRuntime()
-            .Infer(*dataset_, *signals_, dataset_->test_triples)
-            .MoveValueOrDie());
+    for (LbpSchedule schedule :
+         {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+      oneshot_[static_cast<size_t>(schedule)] = new JoclResult(
+          JoclRuntime(WithSchedule(schedule))
+              .Infer(*dataset_, *signals_, dataset_->test_triples)
+              .MoveValueOrDie());
+    }
   }
   static void TearDownTestSuite() {
-    delete oneshot_;
+    for (JoclResult* result : oneshot_) delete result;
     delete signals_;
     delete dataset_;
   }
 
   static Dataset* dataset_;
   static SignalBundle* signals_;
-  static JoclResult* oneshot_;
+  /// One-shot results over the test split, indexed by LbpSchedule.
+  static JoclResult* oneshot_[2];
 };
 
 Dataset* SessionEquivalenceTest::dataset_ = nullptr;
 SignalBundle* SessionEquivalenceTest::signals_ = nullptr;
-JoclResult* SessionEquivalenceTest::oneshot_ = nullptr;
+JoclResult* SessionEquivalenceTest::oneshot_[2] = {nullptr, nullptr};
 
 TEST_F(SessionEquivalenceTest, ColdRestartEquivalenceAcrossBatchCounts) {
   const std::vector<size_t>& stream = dataset_->test_triples;
-  for (size_t k : {1u, 4u, 16u}) {
-    JoclSession session(dataset_, signals_);
-    for (size_t b = 0; b < k; ++b) {
-      size_t begin = b * stream.size() / k;
-      size_t end = (b + 1) * stream.size() / k;
-      ASSERT_TRUE(session
-                      .AddTriples(std::vector<size_t>(stream.begin() + begin,
-                                                      stream.begin() + end))
-                      .ok());
+  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+    SCOPED_TRACE(ScheduleName(schedule));
+    const JoclResult& oneshot = *oneshot_[static_cast<size_t>(schedule)];
+    for (size_t k : {1u, 4u, 16u}) {
+      JoclSession session(dataset_, signals_, WithSchedule(schedule));
+      for (size_t b = 0; b < k; ++b) {
+        size_t begin = b * stream.size() / k;
+        size_t end = (b + 1) * stream.size() / k;
+        ASSERT_TRUE(session
+                        .AddTriples(std::vector<size_t>(
+                            stream.begin() + begin, stream.begin() + end))
+                        .ok());
+      }
+      // Exact equality, not tolerance: the problem rebuild is
+      // deterministic in the active set, per-component beliefs are pure
+      // functions of the local problem, and the decode is global — no bit
+      // may differ.
+      SCOPED_TRACE("K=" + std::to_string(k));
+      ExpectByteIdentical(session.result(), oneshot);
     }
-    // Exact equality, not tolerance: the problem rebuild is deterministic
-    // in the active set, per-component beliefs are pure functions of the
-    // local problem, and the decode is global — no bit may differ.
-    const JoclResult& result = session.result();
-    EXPECT_EQ(result.np_cluster, oneshot_->np_cluster) << "K=" << k;
-    EXPECT_EQ(result.rp_cluster, oneshot_->rp_cluster) << "K=" << k;
-    EXPECT_EQ(result.np_link, oneshot_->np_link) << "K=" << k;
-    EXPECT_EQ(result.rp_link, oneshot_->rp_link) << "K=" << k;
-    EXPECT_EQ(result.triples, oneshot_->triples) << "K=" << k;
-    EXPECT_EQ(result.weights, oneshot_->weights) << "K=" << k;
-    EXPECT_EQ(result.diagnostics.iterations, oneshot_->diagnostics.iterations);
-    EXPECT_EQ(result.diagnostics.converged, oneshot_->diagnostics.converged);
-    EXPECT_EQ(result.diagnostics.final_residual,
-              oneshot_->diagnostics.final_residual);
-    EXPECT_EQ(result.diagnostics.residual_history,
-              oneshot_->diagnostics.residual_history);
-    EXPECT_EQ(result.diagnostics.marginals, oneshot_->diagnostics.marginals)
-        << "K=" << k;
   }
 }
 
 TEST_F(SessionEquivalenceTest, RemovalReachesTheSameStateAsNeverIngesting) {
   const std::vector<size_t>& stream = dataset_->test_triples;
-  // Ingest everything in 4 batches, then retire the second quarter; the
-  // session must land exactly where a one-shot run over the remaining
-  // triples lands.
-  JoclSession session(dataset_, signals_);
-  for (size_t b = 0; b < 4; ++b) {
-    size_t begin = b * stream.size() / 4;
-    size_t end = (b + 1) * stream.size() / 4;
-    ASSERT_TRUE(session
-                    .AddTriples(std::vector<size_t>(stream.begin() + begin,
-                                                    stream.begin() + end))
-                    .ok());
-  }
-  std::vector<size_t> removed(stream.begin() + stream.size() / 4,
-                              stream.begin() + stream.size() / 2);
-  SessionStats stats;
-  ASSERT_TRUE(session.RemoveTriples(removed, &stats).ok());
-  EXPECT_EQ(stats.removed, removed.size());
+  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+    SCOPED_TRACE(ScheduleName(schedule));
+    // Ingest everything in 4 batches, then retire the second quarter; the
+    // session must land exactly where a one-shot run over the remaining
+    // triples lands.
+    JoclSession session(dataset_, signals_, WithSchedule(schedule));
+    for (size_t b = 0; b < 4; ++b) {
+      size_t begin = b * stream.size() / 4;
+      size_t end = (b + 1) * stream.size() / 4;
+      ASSERT_TRUE(session
+                      .AddTriples(std::vector<size_t>(stream.begin() + begin,
+                                                      stream.begin() + end))
+                      .ok());
+    }
+    std::vector<size_t> removed(stream.begin() + stream.size() / 4,
+                                stream.begin() + stream.size() / 2);
+    SessionStats stats;
+    ASSERT_TRUE(session.RemoveTriples(removed, &stats).ok());
+    EXPECT_EQ(stats.removed, removed.size());
 
-  std::vector<size_t> remaining;
-  for (size_t t : stream) {
-    if (t < removed.front() || t > removed.back()) remaining.push_back(t);
+    std::vector<size_t> remaining;
+    for (size_t t : stream) {
+      if (t < removed.front() || t > removed.back()) remaining.push_back(t);
+    }
+    JoclResult expected = JoclRuntime(WithSchedule(schedule))
+                              .Infer(*dataset_, *signals_, remaining)
+                              .MoveValueOrDie();
+    ExpectByteIdentical(session.result(), expected);
   }
-  JoclResult expected =
-      JoclRuntime().Infer(*dataset_, *signals_, remaining).MoveValueOrDie();
-  EXPECT_EQ(session.result().np_cluster, expected.np_cluster);
-  EXPECT_EQ(session.result().np_link, expected.np_link);
-  EXPECT_EQ(session.result().rp_cluster, expected.rp_cluster);
-  EXPECT_EQ(session.result().rp_link, expected.rp_link);
-  EXPECT_EQ(session.result().diagnostics.marginals,
-            expected.diagnostics.marginals);
+}
+
+TEST_F(SessionEquivalenceTest, UnconvergedComponentsAreAPerBatchSignal) {
+  // One staged sweep leaves components above the tolerance: the batch
+  // reports them and bumps the shared counter. The residual default
+  // converges every component and leaves the counter alone. The
+  // certificate gauge tracks the latest result either way.
+  MetricsRegistry& global = MetricsRegistry::Global();
+  Counter* unconverged = global.AddCounter(
+      "jocl_lbp_unconverged_components_total", "", "");
+  Gauge* certificate = global.AddGauge("jocl_lbp_certificate", "", "");
+  const std::vector<size_t>& stream = dataset_->test_triples;
+
+  JoclOptions one_sweep = WithSchedule(LbpSchedule::kStaged);
+  one_sweep.inference.max_iterations = 1;
+  JoclSession starved(dataset_, signals_, one_sweep);
+  SessionStats stats;
+  uint64_t before = unconverged->Value();
+  ASSERT_TRUE(starved.AddTriples(stream, &stats).ok());
+  EXPECT_GT(stats.unconverged_components, 0u);
+  EXPECT_EQ(unconverged->Value() - before, stats.unconverged_components);
+  EXPECT_EQ(starved.result().diagnostics.unconverged_components,
+            stats.unconverged_components);
+  EXPECT_FALSE(starved.result().diagnostics.converged);
+  EXPECT_EQ(certificate->DoubleValue(),
+            starved.result().diagnostics.final_residual);
+
+  JoclSession session(dataset_, signals_);
+  before = unconverged->Value();
+  ASSERT_TRUE(session.AddTriples(stream, &stats).ok());
+  EXPECT_EQ(stats.unconverged_components, 0u);
+  EXPECT_EQ(unconverged->Value(), before);
+  EXPECT_TRUE(session.result().diagnostics.converged);
+  EXPECT_EQ(certificate->DoubleValue(),
+            session.result().diagnostics.final_residual);
+  EXPECT_LT(certificate->DoubleValue(), JoclOptions().inference.tolerance);
 }
 
 TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {

@@ -15,10 +15,10 @@
 // setting (see core/runtime.h).
 //
 // Kernel flags (demo mode):
-//   --schedule staged|residual   LBP message schedule (default staged;
-//                                residual is approximate — it stops on a
-//                                convergence certificate, not a fixed
-//                                sweep count)
+//   --schedule staged|residual   LBP message schedule (default residual:
+//                                it stops on a convergence certificate,
+//                                not a fixed sweep count; staged runs the
+//                                paper's exact full sweeps)
 //   --kernel vectorized|scalar   message-update kernel (byte-identical;
 //                                scalar is the reference baseline)
 // An unknown value for either prints usage and exits 2.
@@ -56,7 +56,7 @@ int Usage() {
                "usage:\n"
                "  jocl_run generate <reverb|nytimes> <scale> <out.tsv>\n"
                "  jocl_run demo [scale] [--threads N] [--shards N]\n"
-               "               [--schedule staged|residual]"
+               "               [--schedule residual|staged]"
                " [--kernel vectorized|scalar]"
                " [--trace-out PATH]\n"
                "  jocl_run weights <out.tsv> [scale] [--trace-out PATH]\n");

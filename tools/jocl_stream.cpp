@@ -67,7 +67,8 @@ void PrintBatch(size_t index, const char* verb, size_t batch_size,
       index, verb, batch_size, seconds, stats.dirty_shards, stats.shards,
       stats.merged_shards, stats.split_components, stats.cache_new_phrases,
       stats.problem_cache_hits, stats.problem_cache_misses);
-  std::printf("  %zu msg updates", stats.message_updates);
+  std::printf("  %zu msg updates, %zu unconverged", stats.message_updates,
+              stats.unconverged_components);
   if (snapshot_bytes > 0) {
     std::printf("  snapshot %zu bytes", snapshot_bytes);
   }
