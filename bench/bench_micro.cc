@@ -1,11 +1,14 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
-// string similarities, IDF scoring, HAC, SGNS training, LBP sweeps and
-// factor-graph construction.
+// string similarities, CKB candidate generation, IDF scoring, HAC, SGNS
+// training, LBP sweeps and factor-graph construction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "cluster/hac.h"
+#include "data/dataset.h"
 #include "data/generator.h"
 #include "embedding/word2vec.h"
 #include "graph/flat_lbp.h"
@@ -66,6 +69,42 @@ void BM_NgramSimilarity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NgramSimilarity);
+
+// Candidate generation over the generated CKB (the ReVerb45K-like corpus
+// at scale 0.35, seed 7): one call per iteration, cycling through every
+// distinct predicate (or noun) phrase of the OKB with the problem
+// builder's default cap of 5 candidates.
+const Dataset& CandidateCorpus() {
+  static const Dataset* const kDataset =
+      new Dataset(GenerateReVerb45K(0.35, 7).MoveValueOrDie());
+  return *kDataset;
+}
+
+void BM_RelationCandidates(benchmark::State& state) {
+  const Dataset& ds = CandidateCorpus();
+  const std::vector<std::string> phrases = ds.okb.DistinctRelationPhrases();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ds.ckb.RelationCandidates(phrases[i % phrases.size()], 5));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RelationCandidates);
+
+void BM_EntityCandidates(benchmark::State& state) {
+  const Dataset& ds = CandidateCorpus();
+  const std::vector<std::string> phrases = ds.okb.DistinctNounPhrases();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ds.ckb.EntityCandidates(phrases[i % phrases.size()], 5));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EntityCandidates);
 
 void BM_IdfSimilarity(benchmark::State& state) {
   auto phrases = MakePhrases(256);

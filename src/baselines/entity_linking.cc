@@ -4,6 +4,7 @@
 
 #include "baselines/np_common.h"
 #include "core/signal_cache.h"
+#include "text/similarity.h"
 
 namespace jocl {
 namespace {
@@ -140,10 +141,10 @@ std::vector<int64_t> FalconLink(const Dataset& dataset,
       surface_link[s] = exact;
       continue;
     }
+    SimilarityQuery query(surface);
     double best = min_similarity;
     for (const auto& candidate : cache.candidates[s]) {
-      double sim = SignalBundle::Ngram(
-          surface, dataset.ckb.entity(candidate.id).name);
+      double sim = query.Ngram(dataset.ckb.entity(candidate.id).name);
       if (sim > best) {
         best = sim;
         surface_link[s] = candidate.id;

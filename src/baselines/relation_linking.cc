@@ -4,6 +4,7 @@
 
 #include "baselines/np_common.h"
 #include "text/morph_normalizer.h"
+#include "text/similarity.h"
 #include "text/tokenizer.h"
 
 namespace jocl {
@@ -117,14 +118,14 @@ std::vector<int64_t> RematchRelationLink(const Dataset& dataset,
   for (size_t s = 0; s < view.surfaces.size(); ++s) {
     const std::string& surface = view.surfaces[s];
     auto candidates = dataset.ckb.RelationCandidates(surface, kRelationFanout);
+    SimilarityQuery query(surface);
     double best = min_similarity;
     for (const auto& candidate : candidates) {
       const std::string& name = dataset.ckb.relation(candidate.id).name;
-      double score = 0.5 * SignalBundle::Ngram(surface, name) +
-                     0.5 * SignalBundle::Ld(surface, name);
+      double score = 0.5 * query.Ngram(name) + 0.5 * query.Levenshtein(name);
       for (const auto& alias : dataset.ckb.RelationAliases(candidate.id)) {
-        score = std::max(score, 0.5 * SignalBundle::Ngram(surface, alias) +
-                                    0.5 * SignalBundle::Ld(surface, alias));
+        score = std::max(score, 0.5 * query.Ngram(alias) +
+                                    0.5 * query.Levenshtein(alias));
       }
       if (score > best) {
         best = score;

@@ -15,6 +15,7 @@
 #include "core/problem.h"
 #include "core/signals.h"
 #include "kb/curated_kb.h"
+#include "text/similarity.h"
 
 namespace jocl {
 
@@ -31,21 +32,22 @@ struct RelationRow {
 
 /// Computes a RelationRow from scratch over the relation's names
 /// `name_at(0)` (the canonical name) .. `name_at(count - 1)` (its aliases),
-/// maximizing in that order. `SignalCache::Finalize` memoizes rows through
-/// this same function, so a memoized row is bit-identical to one the
-/// graph builder computes directly.
+/// maximizing in that order. The surface's `SimilarityQuery` is built once
+/// per row. `SignalCache::Finalize` memoizes rows through this same
+/// function, so a memoized row is bit-identical to one the graph builder
+/// computes directly.
 template <typename SignalProvider, typename NameAt>
 RelationRow ComputeRelationRow(const SignalProvider& signals,
                                std::string_view surface, size_t count,
                                NameAt&& name_at) {
+  SimilarityQuery query(surface);
   const std::string_view first = name_at(0);
-  RelationRow row{SignalBundle::Ngram(surface, first),
-                  SignalBundle::Ld(surface, first),
+  RelationRow row{query.Ngram(first), query.Levenshtein(first),
                   signals.Emb(surface, first), signals.Ppdb(surface, first)};
   for (size_t k = 1; k < count; ++k) {
     const std::string_view name = name_at(k);
-    row.ngram = std::max(row.ngram, SignalBundle::Ngram(surface, name));
-    row.ld = std::max(row.ld, SignalBundle::Ld(surface, name));
+    row.ngram = std::max(row.ngram, query.Ngram(name));
+    row.ld = std::max(row.ld, query.Levenshtein(name));
     row.emb = std::max(row.emb, signals.Emb(surface, name));
     row.ppdb = std::max(row.ppdb, signals.Ppdb(surface, name));
   }
@@ -212,12 +214,6 @@ class SignalCache {
   double Ppdb(std::string_view a, std::string_view b) const;
   double Amie(std::string_view a, std::string_view b) const;
   double Kbp(std::string_view a, std::string_view b) const;
-  static double Ngram(std::string_view a, std::string_view b) {
-    return SignalBundle::Ngram(a, b);
-  }
-  static double Ld(std::string_view a, std::string_view b) {
-    return SignalBundle::Ld(a, b);
-  }
 
  private:
   static double Dot(const float* a, const float* b, size_t dim) {

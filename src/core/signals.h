@@ -96,13 +96,9 @@ class SignalBundle {
     if (rb == kNilId) return 0.5;
     return ra == rb ? 1.0 : 0.0;
   }
-  /// `Ngram` / `LD` string similarities (relation linking, §3.2.4).
-  static double Ngram(std::string_view a, std::string_view b) {
-    return NgramSimilarity(a, b);
-  }
-  static double Ld(std::string_view a, std::string_view b) {
-    return LevenshteinSimilarity(a, b);
-  }
+  // The `Ngram` / `LD` string similarities of relation linking (§3.2.4)
+  // need no side information: `SimilarityQuery` (text/similarity.h)
+  // computes them.
 };
 
 /// \brief Builds the full bundle for a data set: fits IDF tables, trains

@@ -1,7 +1,8 @@
 #include "data/dataset_io.h"
 
-#include <fstream>
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <unordered_set>
 
 #include "util/string_util.h"
@@ -38,28 +39,33 @@ Result<Dataset> LoadTriplesTsv(const std::string& path) {
   dataset.name = path;
   std::string line;
   size_t line_number = 0;
+  auto row_error = [&](const std::string& what) {
+    return Status::IOError(path + ":" + std::to_string(line_number) + ": " +
+                           what);
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
     std::vector<std::string> cells = Split(line, '\t');
     if (cells.size() != 10) {
-      return Status::IOError("malformed TSV at line " +
-                             std::to_string(line_number) + ": expected 10 "
-                             "columns, got " + std::to_string(cells.size()));
+      return row_error("expected 10 columns, got " +
+                       std::to_string(cells.size()));
+    }
+    int64_t labels[6] = {};
+    for (size_t c = 0; c < 6; ++c) {
+      if (!ParseInt64(cells[3 + c], &labels[c])) {
+        return row_error("column " + std::to_string(4 + c) +
+                         " is not an int64 gold label");
+      }
     }
     Status st = dataset.okb.AddTriple(cells[0], cells[1], cells[2]);
-    if (!st.ok()) return st;
-    try {
-      dataset.gold_subject_entity.push_back(std::stoll(cells[3]));
-      dataset.gold_relation.push_back(std::stoll(cells[4]));
-      dataset.gold_object_entity.push_back(std::stoll(cells[5]));
-      dataset.gold_np_group.push_back(std::stoll(cells[6]));
-      dataset.gold_np_group.push_back(std::stoll(cells[7]));
-      dataset.gold_rp_group.push_back(std::stoll(cells[8]));
-    } catch (const std::exception&) {
-      return Status::IOError("non-numeric gold label at line " +
-                             std::to_string(line_number));
-    }
+    if (!st.ok()) return row_error(st.message());
+    dataset.gold_subject_entity.push_back(labels[0]);
+    dataset.gold_relation.push_back(labels[1]);
+    dataset.gold_object_entity.push_back(labels[2]);
+    dataset.gold_np_group.push_back(labels[3]);
+    dataset.gold_np_group.push_back(labels[4]);
+    dataset.gold_rp_group.push_back(labels[5]);
     size_t triple_index = dataset.okb.size() - 1;
     if (cells[9] == "validation") {
       dataset.validation_triples.push_back(triple_index);

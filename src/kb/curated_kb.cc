@@ -1,8 +1,10 @@
 #include "kb/curated_kb.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -24,6 +26,7 @@ EntityId CuratedKb::AddEntity(std::string_view name) {
   if (it != entity_by_name_.end()) return it->second;
   EntityId id = static_cast<EntityId>(entities_.size());
   entities_.push_back(Entity{id, canonical});
+  entity_profiles_.Add(canonical);
   entity_by_name_.emplace(canonical, id);
   for (const auto& token : ContentTokens(canonical)) {
     token_index_[token].push_back(id);
@@ -37,6 +40,8 @@ RelationId CuratedKb::AddRelation(std::string_view name) {
   if (it != relation_by_name_.end()) return it->second;
   RelationId id = static_cast<RelationId>(relations_.size());
   relations_.push_back(Relation{id, canonical});
+  relation_aliases_.emplace_back();
+  relation_profile_slots_.push_back({relation_profiles_.Add(canonical)});
   relation_by_name_.emplace(canonical, id);
   return id;
 }
@@ -45,7 +50,10 @@ Status CuratedKb::AddRelationAlias(RelationId id, std::string_view alias) {
   if (id < 0 || static_cast<size_t>(id) >= relations_.size()) {
     return Status::InvalidArgument("relation id out of range");
   }
-  relation_aliases_[id].push_back(ToLower(Trim(alias)));
+  const size_t r = static_cast<size_t>(id);
+  relation_aliases_[r].push_back(ToLower(Trim(alias)));
+  relation_profile_slots_[r].push_back(
+      relation_profiles_.Add(relation_aliases_[r].back()));
   return Status::OK();
 }
 
@@ -74,6 +82,11 @@ Status CuratedKb::AddAnchor(std::string_view surface, EntityId entity,
   }
   if (count <= 0) return Status::InvalidArgument("anchor count must be > 0");
   std::string key = ToLower(Trim(surface));
+  auto total = anchor_totals_.find(key);
+  if (total != anchor_totals_.end() &&
+      count > std::numeric_limits<int64_t>::max() - total->second) {
+    return Status::InvalidArgument("anchor count overflows int64");
+  }
   anchors_[key][entity] += count;
   anchor_totals_[key] += count;
   return Status::OK();
@@ -103,8 +116,10 @@ const std::vector<std::string>& CuratedKb::RelationAliases(
     RelationId id) const {
   static const std::vector<std::string>* const kEmpty =
       new std::vector<std::string>();
-  auto it = relation_aliases_.find(id);
-  return it == relation_aliases_.end() ? *kEmpty : it->second;
+  if (id < 0 || static_cast<size_t>(id) >= relation_aliases_.size()) {
+    return *kEmpty;
+  }
+  return relation_aliases_[static_cast<size_t>(id)];
 }
 
 bool CuratedKb::HasFact(EntityId subject, RelationId relation,
@@ -186,10 +201,11 @@ std::vector<EntityCandidate> CuratedKb::LabelCandidates(
     if (it == token_index_.end()) continue;
     pool.insert(it->second.begin(), it->second.end());
   }
+  const SimilarityQuery query(key);
   std::vector<EntityCandidate> candidates;
   candidates.reserve(pool.size());
   for (EntityId id : pool) {
-    double sim = NgramSimilarity(key, entities_[static_cast<size_t>(id)].name);
+    double sim = query.Ngram(entity_profiles_[static_cast<size_t>(id)]);
     if (sim > 0.0) candidates.push_back(EntityCandidate{id, sim});
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -230,10 +246,11 @@ std::vector<EntityCandidate> CuratedKb::EntityCandidates(
         if (seen.count(id) == 0) pool.insert(id);
       }
     }
+    const SimilarityQuery query(key);
     std::vector<EntityCandidate> fuzzy;
     fuzzy.reserve(pool.size());
     for (EntityId id : pool) {
-      double sim = NgramSimilarity(key, entities_[static_cast<size_t>(id)].name);
+      double sim = query.Ngram(entity_profiles_[static_cast<size_t>(id)]);
       if (sim > 0.0) fuzzy.push_back(EntityCandidate{id, sim * kFuzzyCeiling});
     }
     std::sort(fuzzy.begin(), fuzzy.end(),
@@ -263,17 +280,18 @@ std::vector<EntityCandidate> CuratedKb::EntityCandidates(
 std::vector<RelationCandidate> CuratedKb::RelationCandidates(
     std::string_view phrase, size_t max_candidates) const {
   std::string key = ToLower(Trim(phrase));
+  SimilarityQuery query(key);
   std::vector<RelationCandidate> candidates;
   candidates.reserve(relations_.size());
   for (const auto& rel : relations_) {
-    double best = std::max(NgramSimilarity(key, rel.name),
-                           LevenshteinSimilarity(key, rel.name));
-    auto alias_it = relation_aliases_.find(rel.id);
-    if (alias_it != relation_aliases_.end()) {
-      for (const auto& alias : alias_it->second) {
-        best = std::max({best, NgramSimilarity(key, alias),
-                         LevenshteinSimilarity(key, alias)});
-      }
+    const size_t r = static_cast<size_t>(rel.id);
+    const std::vector<size_t>& slots = relation_profile_slots_[r];
+    const std::vector<std::string>& aliases = relation_aliases_[r];
+    double best = std::max(query.Ngram(relation_profiles_[slots[0]]),
+                           query.Levenshtein(rel.name));
+    for (size_t k = 0; k < aliases.size(); ++k) {
+      best = std::max({best, query.Ngram(relation_profiles_[slots[k + 1]]),
+                       query.Levenshtein(aliases[k])});
     }
     if (best > 0.0) candidates.push_back(RelationCandidate{rel.id, best});
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "kb/types.h"
+#include "text/similarity.h"
 #include "util/result.h"
 
 namespace jocl {
@@ -34,7 +35,10 @@ struct RelationCandidate {
 /// linking signals need: an anchor table mirroring Wikipedia anchor links
 /// (surface form -> entity with counts, ambiguity included) powering
 /// `f_pop`, a token inverted index for fuzzy candidate generation, and a
-/// fact-inclusion set powering the `U4` factor.
+/// fact-inclusion set powering the `U4` factor. Every entity name, relation
+/// name and relation alias gets its trigram profile when it is added, so
+/// candidate generation builds one `SimilarityQuery` per phrase and scores
+/// each name against a stored profile.
 ///
 /// Writes (AddEntity/AddRelation/AddFact/AddAnchor) are expected to be done
 /// before reads; the class is not thread-safe for mixed read/write.
@@ -58,7 +62,8 @@ class CuratedKb {
   Status AddFact(EntityId subject, RelationId relation, EntityId object);
 
   /// Records \p count anchor-link occurrences of \p surface pointing at
-  /// \p entity (the Wikipedia-anchor statistics of §3.2.3).
+  /// \p entity (the Wikipedia-anchor statistics of §3.2.3). Rejects a
+  /// non-positive count and one that would overflow the surface's total.
   Status AddAnchor(std::string_view surface, EntityId entity, int64_t count);
 
   // --- lookup -------------------------------------------------------------
@@ -156,7 +161,14 @@ class CuratedKb {
   std::unordered_set<FactKey, FactKeyHash> fact_set_;
   std::unordered_map<std::string, EntityId> entity_by_name_;
   std::unordered_map<std::string, RelationId> relation_by_name_;
-  std::unordered_map<RelationId, std::vector<std::string>> relation_aliases_;
+  // Indexed by relation id.
+  std::vector<std::vector<std::string>> relation_aliases_;
+  // Trigram profiles: entity names by entity id; relation names and
+  // aliases by the slots in relation_profile_slots_[id] (the canonical
+  // name first, then each alias in order).
+  NgramProfilePool entity_profiles_;
+  NgramProfilePool relation_profiles_;
+  std::vector<std::vector<size_t>> relation_profile_slots_;
   // surface (lower-cased) -> entity -> count
   std::unordered_map<std::string, std::unordered_map<EntityId, int64_t>>
       anchors_;

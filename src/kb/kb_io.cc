@@ -1,7 +1,11 @@
 #include "kb/kb_io.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -10,6 +14,45 @@ namespace {
 
 Status WriteFailed(const std::string& path) {
   return Status::IOError("write failed: " + path);
+}
+
+// One non-empty row of a TSV file, with errors that name the file and the
+// row.
+struct Row {
+  const std::string& path;
+  size_t line_number;
+  std::vector<std::string> cells;
+
+  Status Error(const std::string& what) const {
+    return Status::IOError(path + ":" + std::to_string(line_number) + ": " +
+                           what);
+  }
+  // Parses cells[column] whole as an int64.
+  Status Int64(size_t column, int64_t* out) const {
+    if (ParseInt64(cells[column], out)) return Status::OK();
+    return Error("column " + std::to_string(column + 1) +
+                 " is not an int64");
+  }
+  // Locates a rejected KB write at this row.
+  Status Check(const Status& status) const {
+    return status.ok() ? status : Error(status.message());
+  }
+};
+
+// Calls on_row for every non-empty row of the file, stopping at the first
+// error.
+template <typename OnRow>
+Status ForEachRow(const std::string& path, OnRow&& on_row) {
+  std::ifstream in(path);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
+  std::string line;
+  size_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (line.empty()) continue;
+    JOCL_RETURN_NOT_OK(on_row(Row{path, line_number, Split(line, '\t')}));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -60,82 +103,56 @@ Result<CuratedKb> LoadCuratedKb(const std::string& prefix) {
   CuratedKb kb;
   std::unordered_map<int64_t, EntityId> entity_map;
   std::unordered_map<int64_t, RelationId> relation_map;
-  {
-    std::ifstream in(prefix + ".entities.tsv");
-    if (!in.is_open()) {
-      return Status::IOError("cannot open " + prefix + ".entities.tsv");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::vector<std::string> cells = Split(line, '\t');
-      if (cells.size() != 2) {
-        return Status::IOError("malformed entity row: " + line);
-      }
-      entity_map[std::stoll(cells[0])] = kb.AddEntity(cells[1]);
-    }
-  }
-  {
-    std::ifstream in(prefix + ".relations.tsv");
-    if (!in.is_open()) {
-      return Status::IOError("cannot open " + prefix + ".relations.tsv");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::vector<std::string> cells = Split(line, '\t');
-      if (cells.size() < 2) {
-        return Status::IOError("malformed relation row: " + line);
-      }
-      RelationId id = kb.AddRelation(cells[1]);
-      relation_map[std::stoll(cells[0])] = id;
-      for (size_t c = 2; c < cells.size(); ++c) {
-        JOCL_RETURN_NOT_OK(kb.AddRelationAlias(id, cells[c]));
-      }
-    }
-  }
-  {
-    std::ifstream in(prefix + ".facts.tsv");
-    if (!in.is_open()) {
-      return Status::IOError("cannot open " + prefix + ".facts.tsv");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::vector<std::string> cells = Split(line, '\t');
-      if (cells.size() != 3) {
-        return Status::IOError("malformed fact row: " + line);
-      }
-      auto s = entity_map.find(std::stoll(cells[0]));
-      auto r = relation_map.find(std::stoll(cells[1]));
-      auto o = entity_map.find(std::stoll(cells[2]));
-      if (s == entity_map.end() || r == relation_map.end() ||
-          o == entity_map.end()) {
-        return Status::IOError("fact references unknown id: " + line);
-      }
-      JOCL_RETURN_NOT_OK(kb.AddFact(s->second, r->second, o->second));
-    }
-  }
-  {
-    std::ifstream in(prefix + ".anchors.tsv");
-    if (!in.is_open()) {
-      return Status::IOError("cannot open " + prefix + ".anchors.tsv");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::vector<std::string> cells = Split(line, '\t');
-      if (cells.size() != 3) {
-        return Status::IOError("malformed anchor row: " + line);
-      }
-      auto e = entity_map.find(std::stoll(cells[1]));
-      if (e == entity_map.end()) {
-        return Status::IOError("anchor references unknown entity: " + line);
-      }
-      JOCL_RETURN_NOT_OK(
-          kb.AddAnchor(cells[0], e->second, std::stoll(cells[2])));
-    }
-  }
+  JOCL_RETURN_NOT_OK(ForEachRow(
+      prefix + ".entities.tsv", [&](const Row& row) -> Status {
+        if (row.cells.size() != 2) return row.Error("expected 2 columns");
+        int64_t id = 0;
+        JOCL_RETURN_NOT_OK(row.Int64(0, &id));
+        entity_map[id] = kb.AddEntity(row.cells[1]);
+        return Status::OK();
+      }));
+  JOCL_RETURN_NOT_OK(ForEachRow(
+      prefix + ".relations.tsv", [&](const Row& row) -> Status {
+        if (row.cells.size() < 2) return row.Error("expected >= 2 columns");
+        int64_t id = 0;
+        JOCL_RETURN_NOT_OK(row.Int64(0, &id));
+        RelationId relation = kb.AddRelation(row.cells[1]);
+        relation_map[id] = relation;
+        for (size_t c = 2; c < row.cells.size(); ++c) {
+          JOCL_RETURN_NOT_OK(
+              row.Check(kb.AddRelationAlias(relation, row.cells[c])));
+        }
+        return Status::OK();
+      }));
+  JOCL_RETURN_NOT_OK(ForEachRow(
+      prefix + ".facts.tsv", [&](const Row& row) -> Status {
+        if (row.cells.size() != 3) return row.Error("expected 3 columns");
+        int64_t ids[3] = {};
+        for (size_t c = 0; c < 3; ++c) {
+          JOCL_RETURN_NOT_OK(row.Int64(c, &ids[c]));
+        }
+        auto s = entity_map.find(ids[0]);
+        auto r = relation_map.find(ids[1]);
+        auto o = entity_map.find(ids[2]);
+        if (s == entity_map.end() || r == relation_map.end() ||
+            o == entity_map.end()) {
+          return row.Error("fact references an unknown id");
+        }
+        return row.Check(kb.AddFact(s->second, r->second, o->second));
+      }));
+  JOCL_RETURN_NOT_OK(ForEachRow(
+      prefix + ".anchors.tsv", [&](const Row& row) -> Status {
+        if (row.cells.size() != 3) return row.Error("expected 3 columns");
+        int64_t entity = 0;
+        int64_t count = 0;
+        JOCL_RETURN_NOT_OK(row.Int64(1, &entity));
+        JOCL_RETURN_NOT_OK(row.Int64(2, &count));
+        auto e = entity_map.find(entity);
+        if (e == entity_map.end()) {
+          return row.Error("anchor references an unknown entity");
+        }
+        return row.Check(kb.AddAnchor(row.cells[0], e->second, count));
+      }));
   return kb;
 }
 

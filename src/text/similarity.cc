@@ -1,37 +1,157 @@
 #include "text/similarity.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "text/tokenizer.h"
 
 namespace jocl {
 
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
+namespace {
+
+// The length tag of a full trigram, in the top byte of its packed form.
+constexpr uint32_t kTrigramTag = 3u << 24;
+
+}  // namespace
+
+void AppendNgramProfile(std::string_view text, std::vector<uint32_t>* out) {
+  const size_t start = out->size();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(text.data());
+  if (text.size() < 3) {
+    // A short string is its own single gram, tagged with its length.
+    if (text.empty()) return;
+    uint32_t gram = static_cast<uint32_t>(text.size()) << 24;
+    for (size_t i = 0; i < text.size(); ++i) {
+      gram |= static_cast<uint32_t>(bytes[i]) << (8 * (text.size() - 1 - i));
+    }
+    out->push_back(gram);
+    return;
+  }
+  uint32_t window = (static_cast<uint32_t>(bytes[0]) << 8) | bytes[1];
+  for (size_t i = 2; i < text.size(); ++i) {
+    window = ((window << 8) | bytes[i]) & 0xFFFFFFu;
+    out->push_back(kTrigramTag | window);
+  }
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(start), out->end());
+  out->erase(std::unique(out->begin() + static_cast<std::ptrdiff_t>(start),
+                         out->end()),
+             out->end());
+}
+
+double NgramJaccard(NgramProfileView a, NgramProfileView b) {
+  if (a.size == 0 && b.size == 0) return 1.0;
+  if (a.size == 0 || b.size == 0) return 0.0;
+  size_t i = 0;
+  size_t j = 0;
+  size_t intersection = 0;
+  while (i < a.size && j < b.size) {
+    const uint32_t x = a.grams[i];
+    const uint32_t y = b.grams[j];
+    intersection += x == y;
+    i += x <= y;
+    j += y <= x;
+  }
+  const size_t unions = a.size + b.size - intersection;
+  return static_cast<double>(intersection) / static_cast<double>(unions);
+}
+
+size_t NgramProfilePool::Add(std::string_view text) {
+  AppendNgramProfile(text, &grams_);
+  offsets_.push_back(grams_.size());
+  return offsets_.size() - 2;
+}
+
+SimilarityQuery::SimilarityQuery(std::string_view text) : text_(text) {
+  AppendNgramProfile(text_, &grams_);
+  if (text_.size() <= kMaxPattern) {
+    for (size_t i = 0; i < text_.size(); ++i) {
+      match_[static_cast<unsigned char>(text_[i])] |= uint64_t{1} << i;
+    }
+  }
+}
+
+double SimilarityQuery::Ngram(NgramProfileView other) const {
+  return NgramJaccard(profile(), other);
+}
+
+double SimilarityQuery::Ngram(std::string_view other) {
+  other_grams_.clear();
+  AppendNgramProfile(other, &other_grams_);
+  return Ngram(NgramProfileView{other_grams_.data(), other_grams_.size()});
+}
+
+size_t SimilarityQuery::Distance(std::string_view other) {
+  const size_t m = text_.size();
+  if (m > kMaxPattern) return DynamicProgrammingDistance(other);
+  if (m == 0) return other.size();
+  // Hyyrö's bit-vector form of Myers' algorithm ("A bit-vector algorithm
+  // for computing Levenshtein and Damerau edit distances", 2003): one
+  // column of the DP matrix per byte of `other`, held as vertical +1/-1
+  // delta masks; `distance` tracks the bottom cell D[m][j] exactly.
+  uint64_t vp = ~uint64_t{0};
+  uint64_t vn = 0;
+  const uint64_t last = uint64_t{1} << (m - 1);
+  size_t distance = m;
+  for (const char ch : other) {
+    const uint64_t eq = match_[static_cast<unsigned char>(ch)];
+    const uint64_t d0 = (((eq & vp) + vp) ^ vp) | eq | vn;
+    uint64_t hp = vn | ~(d0 | vp);
+    uint64_t hn = d0 & vp;
+    distance += (hp & last) != 0;
+    distance -= (hn & last) != 0;
+    // Row 0 is D[0][j] = j, so every column starts with a +1 step.
+    hp = (hp << 1) | 1;
+    hn <<= 1;
+    vp = hn | ~(d0 | hp);
+    vn = hp & d0;
+  }
+  return distance;
+}
+
+size_t SimilarityQuery::DynamicProgrammingDistance(std::string_view other) {
+  std::string_view a = text_;
+  std::string_view b = other;
   if (a.size() > b.size()) std::swap(a, b);
   const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return m;
-  std::vector<size_t> prev(n + 1);
-  std::vector<size_t> curr(n + 1);
-  for (size_t i = 0; i <= n; ++i) prev[i] = i;
-  for (size_t j = 1; j <= m; ++j) {
-    curr[0] = j;
+  if (n == 0) return b.size();
+  row_.resize(n + 1);
+  for (size_t i = 0; i <= n; ++i) row_[i] = i;
+  for (size_t j = 1; j <= b.size(); ++j) {
+    size_t diagonal = row_[0];
+    row_[0] = j;
     for (size_t i = 1; i <= n; ++i) {
-      size_t substitution = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      curr[i] = std::min({prev[i] + 1, curr[i - 1] + 1, substitution});
+      const size_t above = row_[i];
+      row_[i] = std::min({above + 1, row_[i - 1] + 1,
+                          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
     }
-    std::swap(prev, curr);
   }
-  return prev[n];
+  return row_[n];
+}
+
+double SimilarityQuery::Levenshtein(std::string_view other) {
+  const size_t longest = std::max(text_.size(), other.size());
+  if (longest == 0) return 1.0;
+  return 1.0 - static_cast<double>(Distance(other)) /
+                   static_cast<double>(longest);
+}
+
+// The pairwise forms build a query over the shorter string, so the
+// bit-parallel kernel applies whenever either side fits in 64 bytes.
+size_t LevenshteinDistance(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  return SimilarityQuery(a).Distance(b);
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(longest);
+  if (a.size() > b.size()) std::swap(a, b);
+  return SimilarityQuery(a).Levenshtein(b);
+}
+
+double NgramSimilarity(std::string_view a, std::string_view b) {
+  return SimilarityQuery(a).Ngram(b);
 }
 
 double JaroSimilarity(std::string_view a, std::string_view b) {
@@ -93,24 +213,6 @@ double JaccardSimilarity(const std::unordered_set<std::string>& a,
   }
   size_t unions = a.size() + b.size() - intersection;
   return static_cast<double>(intersection) / static_cast<double>(unions);
-}
-
-std::unordered_set<std::string> CharacterNgrams(std::string_view text,
-                                                size_t n) {
-  std::unordered_set<std::string> grams;
-  if (n == 0) return grams;
-  if (text.size() < n) {
-    if (!text.empty()) grams.emplace(text);
-    return grams;
-  }
-  for (size_t i = 0; i + n <= text.size(); ++i) {
-    grams.emplace(text.substr(i, n));
-  }
-  return grams;
-}
-
-double NgramSimilarity(std::string_view a, std::string_view b, size_t n) {
-  return JaccardSimilarity(CharacterNgrams(a, n), CharacterNgrams(b, n));
 }
 
 void IdfTable::AddPhrases(const std::vector<std::string>& phrases) {

@@ -11,6 +11,83 @@
 
 namespace jocl {
 
+/// \brief Read-only view of a string's trigram profile: its distinct
+/// character trigrams, sorted ascending, each packed exactly into a
+/// `uint32_t` — a length tag in the top byte and the gram's bytes below
+/// it. A non-empty string shorter than 3 bytes is one gram stored whole
+/// under its own length tag (1 or 2), so grams of different lengths never
+/// collide; the empty string has no grams.
+struct NgramProfileView {
+  const uint32_t* grams = nullptr;
+  size_t size = 0;
+};
+
+/// \brief Appends the trigram profile of \p text to \p out (the appended
+/// grams are sorted and distinct).
+void AppendNgramProfile(std::string_view text, std::vector<uint32_t>* out);
+
+/// \brief Jaccard similarity of two trigram profiles by a sorted merge.
+/// Two empty profiles have similarity 1, one empty profile 0 — the
+/// conventions of `JaccardSimilarity` over the same gram sets, with the
+/// same intersection and union counts, so the value is bit-identical.
+double NgramJaccard(NgramProfileView a, NgramProfileView b);
+
+/// \brief Append-only flat store of trigram profiles addressed by slot, so
+/// a whole vocabulary's profiles share two allocations.
+class NgramProfilePool {
+ public:
+  /// Stores the profile of \p text; returns its slot (0, 1, 2, ...).
+  size_t Add(std::string_view text);
+
+  NgramProfileView operator[](size_t slot) const {
+    return {grams_.data() + offsets_[slot],
+            offsets_[slot + 1] - offsets_[slot]};
+  }
+
+ private:
+  std::vector<uint32_t> grams_;
+  std::vector<size_t> offsets_{0};
+};
+
+/// \brief One string prepared for repeated comparison against many others:
+/// its trigram profile and, when it is at most 64 bytes, its Myers/Hyyrö
+/// bit-parallel Levenshtein pattern. Built once per query string (a
+/// candidate-generation call, an F5 relation row), it scores each other
+/// string without allocating after warm-up. The paper's `Ngram` and `LD`
+/// relation-linking signals (§3.2.4) are computed only here.
+///
+/// The query keeps a view of \p text, which must outlive it. The scoring
+/// methods reuse internal buffers, so a query is not shared across threads.
+class SimilarityQuery {
+ public:
+  explicit SimilarityQuery(std::string_view text);
+
+  NgramProfileView profile() const { return {grams_.data(), grams_.size()}; }
+
+  /// Jaccard similarity of the trigram sets against a precomputed profile.
+  double Ngram(NgramProfileView other) const;
+  /// Jaccard similarity of the trigram sets against \p other.
+  double Ngram(std::string_view other);
+
+  /// Exact Levenshtein edit distance (unit costs) to \p other: bit-parallel
+  /// for a pattern of at most 64 bytes, a one-row DP beyond that.
+  size_t Distance(std::string_view other);
+  /// `1 - Distance / max(|text|, |other|)`; two empty strings score 1.
+  double Levenshtein(std::string_view other);
+
+ private:
+  static constexpr size_t kMaxPattern = 64;
+
+  size_t DynamicProgrammingDistance(std::string_view other);
+
+  std::string_view text_;
+  std::vector<uint32_t> grams_;
+  std::vector<uint32_t> other_grams_;
+  std::vector<size_t> row_;
+  // Bit i of match_[c] is set iff text_[i] == c (patterns of <= 64 bytes).
+  uint64_t match_[256] = {};
+};
+
 /// \brief Levenshtein edit distance between two strings (unit costs).
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
@@ -32,15 +109,9 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 double JaccardSimilarity(const std::unordered_set<std::string>& a,
                          const std::unordered_set<std::string>& b);
 
-/// \brief Character n-gram set of a string (n >= 1). Strings shorter than n
-/// contribute themselves as a single gram.
-std::unordered_set<std::string> CharacterNgrams(std::string_view text,
-                                                size_t n);
-
-/// \brief Jaccard similarity between the character n-gram sets of the two
-/// strings. The paper's "Ngram" relation-linking signal (§3.2.4);
-/// default n = 3.
-double NgramSimilarity(std::string_view a, std::string_view b, size_t n = 3);
+/// \brief Jaccard similarity between the character trigram sets of the two
+/// strings. The paper's "Ngram" relation-linking signal (§3.2.4).
+double NgramSimilarity(std::string_view a, std::string_view b);
 
 /// \brief Corpus-level word-frequency table backing IDF token overlap.
 ///

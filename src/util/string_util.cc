@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstddef>
 
 namespace jocl {
@@ -90,6 +91,16 @@ std::string ReplaceAll(std::string_view input, std::string_view from,
     out.append(to);
     pos = hit + from.size();
   }
+}
+
+bool ParseInt64(std::string_view cell, int64_t* out) {
+  const char* begin = cell.data();
+  const char* end = begin + cell.size();
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace jocl

@@ -1,6 +1,7 @@
 #ifndef JOCL_UTIL_STRING_UTIL_H_
 #define JOCL_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,12 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// \brief Replaces every occurrence of \p from with \p to.
 std::string ReplaceAll(std::string_view input, std::string_view from,
                        std::string_view to);
+
+/// \brief Parses the whole of \p cell as a base-10 int64 (an optional
+/// leading '-', then digits; no whitespace, no '+', nothing after the
+/// digits). Returns false on an empty, non-numeric, partially numeric or
+/// out-of-range cell and leaves \p out unchanged; never throws.
+bool ParseInt64(std::string_view cell, int64_t* out);
 
 }  // namespace jocl
 

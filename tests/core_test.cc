@@ -9,6 +9,7 @@
 #include "core/problem.h"
 #include "core/signals.h"
 #include "data/generator.h"
+#include "text/similarity.h"
 
 namespace jocl {
 namespace {
@@ -96,8 +97,8 @@ TEST_F(CoreTest, SignalRangesValid) {
         signals_->Ppdb(t0.subject, t1.subject),
         signals_->Amie(t0.predicate, t1.predicate),
         signals_->Kbp(t0.predicate, t1.predicate),
-        SignalBundle::Ngram(t0.predicate, t1.predicate),
-        SignalBundle::Ld(t0.predicate, t1.predicate)}) {
+        NgramSimilarity(t0.predicate, t1.predicate),
+        LevenshteinSimilarity(t0.predicate, t1.predicate)}) {
     EXPECT_GE(sim, 0.0);
     EXPECT_LE(sim, 1.0);
   }

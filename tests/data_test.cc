@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "data/dataset_io.h"
 #include "data/generator.h"
 #include "data/lexicon.h"
+#include "seeded_mutants.h"
 
 namespace jocl {
 namespace {
@@ -328,6 +333,84 @@ TEST(DatasetIoTest, LoadRejectsMalformedFile) {
 
 TEST(DatasetIoTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadTriplesTsv("/nonexistent/path/file.tsv").ok());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(DatasetIoTest, MalformedGoldLabelsReturnALocatedStatus) {
+  const std::string path = ::testing::TempDir() + "/jocl_labels.tsv";
+  const std::string good = "s\tp\to\t0\t1\t2\t3\t4\t5\ttest\n";
+  WriteFile(path, good);
+  ASSERT_TRUE(LoadTriplesTsv(path).ok());
+  const std::pair<std::string, std::string> cases[] = {
+      {"s\tp\to\t1x\t1\t2\t3\t4\t5\ttest\n", ":1: column 4"},
+      {"s\tp\to\t0\t1\t2\t3\t4\t\ttest\n", ":1: column 9"},
+      {good + "s\tp\to\t0\t99999999999999999999\t2\t3\t4\t5\ttest\n",
+       ":2: column 5"},
+      {"\n" + good + "s\tp\to\t0\t1\t2\t+3\t4\t5\ttest\n", ":3: column 7"},
+      {"s\tp\to\t0\t1\t2\n", ":1: expected 10 columns"},
+      {"s\t\to\t0\t1\t2\t3\t4\t5\ttest\n", ":1: "},
+  };
+  for (const auto& [body, where] : cases) {
+    WriteFile(path, body);
+    auto loaded = LoadTriplesTsv(path);
+    ASSERT_FALSE(loaded.ok()) << body;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find(path + where), std::string::npos)
+        << loaded.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetIoTest, SeededMutantsLoadOrFailWithALocatedStatus) {
+  auto result = GenerateDataset(SmallOptions(), "t");
+  ASSERT_TRUE(result.ok());
+  const std::string path = ::testing::TempDir() + "/jocl_mutant.tsv";
+  ASSERT_TRUE(SaveTriplesTsv(result.ValueOrDie(), path).ok());
+  std::string original;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    original = bytes.str();
+  }
+  ASSERT_FALSE(original.empty());
+
+  std::mt19937_64 rng(20211);
+  constexpr size_t kPerKind = 150;
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (size_t kind = 0; kind < kMutationKinds; ++kind) {
+    for (size_t m = 0; m < kPerKind; ++m) {
+      SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                   std::to_string(m));
+      WriteFile(path, Mutate(original, kind, &rng));
+      auto mutant = LoadTriplesTsv(path);
+      if (!mutant.ok()) {
+        ++rejected;
+        EXPECT_NE(mutant.status().message().find(path + ":"),
+                  std::string::npos)
+            << mutant.status();
+        continue;
+      }
+      ++loaded;
+      // A mutant that loads is a consistent data set.
+      const Dataset& ds = mutant.ValueOrDie();
+      const size_t n = ds.okb.size();
+      EXPECT_EQ(ds.gold_subject_entity.size(), n);
+      EXPECT_EQ(ds.gold_relation.size(), n);
+      EXPECT_EQ(ds.gold_object_entity.size(), n);
+      EXPECT_EQ(ds.gold_np_group.size(), 2 * n);
+      EXPECT_EQ(ds.gold_rp_group.size(), n);
+      EXPECT_EQ(ds.validation_triples.size() + ds.test_triples.size(), n);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
 
+#include "data/dataset.h"
+#include "data/generator.h"
 #include "kb/curated_kb.h"
 #include "kb/kb_io.h"
 #include "kb/open_kb.h"
+#include "seeded_mutants.h"
+#include "serve/snapshot_io.h"
 
 namespace jocl {
 namespace {
@@ -130,6 +140,50 @@ TEST(CuratedKbTest, RelationAliasValidation) {
   EXPECT_TRUE(kb.RelationAliases(999).empty());
 }
 
+// Every candidate list of a generated corpus, pinned by hash: the ids and
+// score bits of each predicate surface's RelationCandidates and each NP
+// surface's EntityCandidates and LabelCandidates, at the problem's default
+// cap and at a cap wide enough to expose the whole scored tail. Any change
+// to a similarity value or a ranking tie moves it. The constant was
+// recorded before candidate scoring moved onto precomputed trigram profiles
+// and bit-parallel Levenshtein.
+TEST(CuratedKbPinTest, CandidateListsArePinned) {
+  Dataset ds = GenerateReVerb45K(/*scale=*/0.35, /*seed=*/7).MoveValueOrDie();
+  const std::vector<std::string> predicates = ds.okb.DistinctRelationPhrases();
+  const std::vector<std::string> nps = ds.okb.DistinctNounPhrases();
+  ASSERT_GT(predicates.size(), 100u);
+  ASSERT_GT(nps.size(), 100u);
+
+  std::string bytes;
+  auto append = [&bytes](int64_t id, double score) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &score, sizeof(bits));
+    bytes.append(reinterpret_cast<const char*>(&id), sizeof(id));
+    bytes.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+  };
+  size_t entries = 0;
+  for (size_t cap : {size_t{5}, size_t{64}}) {
+    for (const std::string& surface : predicates) {
+      auto candidates = ds.ckb.RelationCandidates(surface, cap);
+      append(-1, static_cast<double>(candidates.size()));
+      for (const auto& c : candidates) append(c.id, c.score);
+      entries += candidates.size();
+    }
+    for (const std::string& surface : nps) {
+      auto candidates = ds.ckb.EntityCandidates(surface, cap);
+      append(-2, static_cast<double>(candidates.size()));
+      for (const auto& c : candidates) append(c.id, c.popularity);
+      auto labels = ds.ckb.LabelCandidates(surface, cap);
+      append(-3, static_cast<double>(labels.size()));
+      for (const auto& c : labels) append(c.id, c.popularity);
+      entries += candidates.size() + labels.size();
+    }
+  }
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x2d4add1434b3d932ull)
+      << predicates.size() << " predicate surfaces, " << nps.size()
+      << " NP surfaces, " << entries << " candidates";
+}
+
 // ---------- KB serialization -----------------------------------------------------
 
 TEST(KbIoTest, RoundTripPreservesEverything) {
@@ -182,6 +236,128 @@ TEST(KbIoTest, AnchorRowsDeterministicAndComplete) {
 
 TEST(KbIoTest, LoadMissingFilesFails) {
   EXPECT_FALSE(LoadCuratedKb("/nonexistent/prefix").ok());
+}
+
+constexpr const char* kKbSuffixes[] = {".entities.tsv", ".relations.tsv",
+                                       ".facts.tsv", ".anchors.tsv"};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// Loads a KB from the four given file bodies.
+Result<CuratedKb> LoadKbFrom(const std::string& prefix,
+                             const std::string (&files)[4]) {
+  for (size_t f = 0; f < 4; ++f) WriteFile(prefix + kKbSuffixes[f], files[f]);
+  return LoadCuratedKb(prefix);
+}
+
+void RemoveKbFiles(const std::string& prefix) {
+  for (const char* suffix : kKbSuffixes) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(KbIoTest, MalformedNumbersReturnALocatedStatus) {
+  const std::string prefix = ::testing::TempDir() + "/jocl_kb_numbers";
+  const std::string good[4] = {"0\tfoo\n1\tbar\n", "0\trel\talias\n",
+                               "0\t0\t1\n", "foo\t0\t3\n"};
+  ASSERT_TRUE(LoadKbFrom(prefix, good).ok());
+  struct Case {
+    size_t file;
+    std::string body;
+    std::string where;  // expected "<file>:<row>"
+  };
+  const Case cases[] = {
+      {0, "x1\tfoo\n", ".entities.tsv:1"},
+      {0, "0\tfoo\n99999999999999999999\tbar\n", ".entities.tsv:2"},
+      {0, " 0\tfoo\n", ".entities.tsv:1"},
+      {1, "\n0x\trel\n", ".relations.tsv:2"},
+      {1, "-\trel\n", ".relations.tsv:1"},
+      {2, "0\t0\t1abc\n", ".facts.tsv:1"},
+      {2, "0\t\t1\n", ".facts.tsv:1"},
+      {3, "foo\t0\t12abc\n", ".anchors.tsv:1"},
+      {3, "foo\t0\t-92233720368547758080\n", ".anchors.tsv:1"},
+      // Counts that overflow the surface's int64 total.
+      {3, "foo\t0\t9223372036854775807\nfoo\t1\t1\n", ".anchors.tsv:2"},
+  };
+  for (const Case& c : cases) {
+    std::string files[4] = {good[0], good[1], good[2], good[3]};
+    files[c.file] = c.body;
+    auto loaded = LoadKbFrom(prefix, files);
+    ASSERT_FALSE(loaded.ok()) << c.body;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find(prefix + c.where),
+              std::string::npos)
+        << loaded.status();
+  }
+  RemoveKbFiles(prefix);
+}
+
+TEST(KbIoTest, SeededMutantsLoadOrFailWithALocatedStatus) {
+  GeneratorOptions options;
+  options.num_entities = 60;
+  options.num_relations = 10;
+  options.num_triples = 300;
+  Dataset ds = GenerateDataset(options, "t").MoveValueOrDie();
+  const std::string prefix = ::testing::TempDir() + "/jocl_kb_mutant";
+  ASSERT_TRUE(SaveCuratedKb(ds.ckb, prefix).ok());
+  std::string originals[4];
+  for (size_t f = 0; f < 4; ++f) {
+    originals[f] = ReadFile(prefix + kKbSuffixes[f]);
+    ASSERT_FALSE(originals[f].empty()) << kKbSuffixes[f];
+  }
+  const std::vector<std::string> probes = ds.okb.DistinctRelationPhrases();
+
+  std::mt19937_64 rng(20211);
+  constexpr size_t kPerKind = 120;
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (size_t kind = 0; kind < kMutationKinds; ++kind) {
+    for (size_t m = 0; m < kPerKind; ++m) {
+      const size_t file = m % 4;
+      std::string files[4] = {originals[0], originals[1], originals[2],
+                              originals[3]};
+      files[file] = Mutate(originals[file], kind, &rng);
+      SCOPED_TRACE(std::string(kKbSuffixes[file]) + " mutation kind " +
+                   std::to_string(kind) + " #" + std::to_string(m));
+      auto result = LoadKbFrom(prefix, files);
+      if (!result.ok()) {
+        ++rejected;
+        // The message names the file and row at fault.
+        const std::string& message = result.status().message();
+        EXPECT_NE(message.find(prefix + "."), std::string::npos) << message;
+        EXPECT_NE(message.find(".tsv:"), std::string::npos) << message;
+        continue;
+      }
+      ++loaded;
+      // A mutant that loads is a well-formed KB: candidate generation over
+      // its (possibly mangled) names stays in range.
+      const CuratedKb& kb = result.ValueOrDie();
+      for (size_t p = 0; p < probes.size(); p += 7) {
+        for (const auto& c : kb.RelationCandidates(probes[p], 5)) {
+          EXPECT_LT(static_cast<size_t>(c.id), kb.relation_count());
+        }
+      }
+      for (size_t e = 0; e < kb.entity_count(); e += 5) {
+        for (const auto& c : kb.EntityCandidates(
+                 kb.entity(static_cast<EntityId>(e)).name, 5)) {
+          EXPECT_LT(static_cast<size_t>(c.id), kb.entity_count());
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
+  RemoveKbFiles(prefix);
 }
 
 // ---------- OpenKb ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/shard.h"
 #include "core/signal_cache.h"
 #include "data/generator.h"
+#include "text/similarity.h"
 
 namespace jocl {
 namespace {
@@ -160,12 +161,12 @@ TEST_F(RuntimeTest, SignalCacheMatchesBundleSemantics) {
 RelationRow DirectRelationRow(const SignalCache& cache, const CuratedKb& ckb,
                               const std::string& surface, RelationId rid) {
   const std::string& name = ckb.relation(rid).name;
-  RelationRow row{SignalCache::Ngram(surface, name),
-                  SignalCache::Ld(surface, name), cache.Emb(surface, name),
-                  cache.Ppdb(surface, name)};
+  RelationRow row{NgramSimilarity(surface, name),
+                  LevenshteinSimilarity(surface, name),
+                  cache.Emb(surface, name), cache.Ppdb(surface, name)};
   for (const std::string& alias : ckb.RelationAliases(rid)) {
-    row.ngram = std::max(row.ngram, SignalCache::Ngram(surface, alias));
-    row.ld = std::max(row.ld, SignalCache::Ld(surface, alias));
+    row.ngram = std::max(row.ngram, NgramSimilarity(surface, alias));
+    row.ld = std::max(row.ld, LevenshteinSimilarity(surface, alias));
     row.emb = std::max(row.emb, cache.Emb(surface, alias));
     row.ppdb = std::max(row.ppdb, cache.Ppdb(surface, alias));
   }
