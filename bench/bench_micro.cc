@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
-// string similarities, CKB candidate generation, IDF scoring, HAC, SGNS
-// training, LBP sweeps and factor-graph construction.
+// string similarities, CKB candidate generation, one-shot problem
+// construction, IDF scoring, HAC, SGNS training, LBP sweeps and
+// factor-graph construction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -8,6 +9,8 @@
 #include <vector>
 
 #include "cluster/hac.h"
+#include "core/problem.h"
+#include "core/signals.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "embedding/word2vec.h"
@@ -105,6 +108,21 @@ void BM_EntityCandidates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EntityCandidates);
+
+// One-shot problem construction (BuildProblem: one ProblemBuilder batch)
+// over the test split of the same corpus with default signals and
+// options — surface dedup, candidate generation and pair blocking, the
+// front end of JoclRuntime::Infer and of the learner's labeled problem.
+void BM_BuildProblem(benchmark::State& state) {
+  const Dataset& ds = CandidateCorpus();
+  static const SignalBundle* const kSignals =
+      new SignalBundle(BuildSignals(ds).MoveValueOrDie());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildProblem(ds, *kSignals, ds.test_triples));
+  }
+  state.SetItemsProcessed(state.iterations() * ds.test_triples.size());
+}
+BENCHMARK(BM_BuildProblem)->Unit(benchmark::kMillisecond);
 
 void BM_IdfSimilarity(benchmark::State& state) {
   auto phrases = MakePhrases(256);

@@ -40,7 +40,8 @@ struct GraphBuilderOptions {
   /// its f_idf never argues *against* a merge; our side-info-blocked pairs
   /// (acronyms, nicknames) would otherwise be vetoed by the one signal
   /// that is structurally blind to them. Safe only because predicate
-  /// blocking excludes self-confirming buckets (see BuildProblem).
+  /// blocking excludes self-confirming buckets (see
+  /// ProblemBuilder::ActivateSurface).
   double idf_neutral_below = 0.5;
 
   /// Heuristic factor scores (paper §3.1.5, §3.2.5, §3.3).

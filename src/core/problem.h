@@ -94,7 +94,11 @@ struct JoclProblem {
 };
 
 /// \brief Builds the problem for the given triple subset (ascending order
-/// not required; it is sorted internally).
+/// not required; it is sorted and deduplicated internally). Every id must
+/// be < `dataset.okb.size()` (`JoclRuntime::Infer` and
+/// `ShardedLearner::Learn` return InvalidArgument otherwise). Runs one
+/// `ProblemBuilder` batch (core/problem_builder.h), so it emits exactly
+/// what a session emits for the same active set.
 JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
                          const std::vector<size_t>& triple_subset,
                          const ProblemOptions& options = {});

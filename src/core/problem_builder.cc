@@ -15,9 +15,10 @@ uint64_t PackPair(uint32_t lo, uint32_t hi) {
 }
 
 /// Non-stop tokens of a phrase with multiplicity, first-occurrence order.
-/// Scratch blocking pushes the surface into a token's bucket once per
-/// *occurrence* (Tokenize keeps duplicates), and the bucket-size cap
-/// counts those occurrences — so multiplicity is part of the contract.
+/// The reference blocking (tests/scratch_problem.h) pushes the surface
+/// into a token's bucket once per *occurrence* (Tokenize keeps
+/// duplicates), and the bucket-size cap counts those occurrences — so
+/// multiplicity is part of the contract.
 std::vector<std::pair<std::string, uint32_t>> GroupTokens(
     const std::string& phrase) {
   std::vector<std::pair<std::string, uint32_t>> grouped;
@@ -220,7 +221,10 @@ void ProblemBuilder::ActivateSurface(size_t role, uint32_t sid) {
     for (const auto& [token, count] : meta.tokens) {
       AddToBucket(state, state.token_buckets[token], sid, count, kTokenRefs);
     }
-    // No candidate-overlap blocking for predicates (see BuildProblem).
+    // No candidate-overlap blocking for predicates: with few CKB relations
+    // the top candidates collide constantly, flooding the graph with
+    // unrelated RP pairs whose own features then confirm the block
+    // (selection bias). PPDB buckets cover the synonym-verb case.
     if (options_.side_info_blocking && meta.ppdb_rep.has_value()) {
       AddToBucket(state, state.ppdb_buckets[*meta.ppdb_rep], sid, 1,
                   kPpdbRefs);
@@ -272,7 +276,7 @@ void ProblemBuilder::EmitRole(size_t role, const std::vector<size_t>& active,
                               std::vector<uint32_t>* by_rank) {
   RoleState& state = roles_[role];
 
-  // ---- first-appearance ranks over the active set (== BuildSurfaces) ----
+  // ---- first-appearance ranks over the active set -----------------------
   ++state.epoch;
   by_rank->clear();
   of->clear();
@@ -503,6 +507,19 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
     count(&rp_meta_[sid].consulted);
     problem->predicate_candidates.push_back(rp_meta_[sid].candidates);
   }
+}
+
+JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
+                         const std::vector<size_t>& triple_subset,
+                         const ProblemOptions& options) {
+  std::vector<size_t> subset = triple_subset;
+  std::sort(subset.begin(), subset.end());
+  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+  JoclProblem problem;
+  FrontEndDelta delta;
+  ProblemBuilder(&dataset, &signals, options)
+      .Apply(subset, {}, subset, /*threads=*/1, &problem, &delta);
+  return problem;
 }
 
 }  // namespace jocl

@@ -15,16 +15,20 @@
 
 namespace jocl {
 
-/// \brief Incremental counterpart of `BuildProblem`: maintains the
-/// mention, blocking-bucket and pair-variable state of the active triple
-/// set across ingestion batches, so each batch pays for its *delta* plus
-/// a cheap O(active) emission of the output arrays — no re-tokenization,
-/// no re-similarity, no candidate generation for surfaces it has seen.
+/// \brief The problem front end: maintains the mention, blocking-bucket
+/// and pair-variable state of the active triple set across ingestion
+/// batches, so each batch pays for its *delta* plus a cheap O(active)
+/// emission of the output arrays — no re-tokenization, no re-similarity,
+/// no candidate generation for surfaces it has seen. Sessions keep one
+/// builder for their lifetime; `BuildProblem` runs one batch on a fresh
+/// builder.
 ///
 /// **Byte-identity contract.** For any batch sequence reaching an active
-/// set A, `Apply` emits a `JoclProblem` byte-identical to
-/// `BuildProblem(dataset, signals, A, options)` (property-tested
-/// in tests/session_test.cc). The invariants that make this hold:
+/// set A, `Apply` emits a `JoclProblem` byte-identical to the from-scratch
+/// reference `BuildScratchProblem(dataset, signals, A, options)` in
+/// tests/scratch_problem.h, which dedups surfaces and blocks pairs in one
+/// stateless pass (property-tested in tests/session_test.cc and
+/// tests/core_test.cc). The invariants that make this hold:
 ///
 ///  * Surfaces, reps and candidate lists are pure functions of A
 ///    (first-appearance order over ascending triple ids).
@@ -35,10 +39,10 @@ namespace jocl {
 ///    membership transitions (including cap crossings), so "admitted" is
 ///    a pure function of the final active set.
 ///  * `IdfTable::Similarity` iterates unordered sets, so its value can
-///    differ bitwise under argument swap; scratch always calls it with
-///    the lower-ranked surface first, and ranks change across batches.
-///    The builder memoizes *both* orientations per pair and emits the
-///    one matching the current batch's rank order.
+///    differ bitwise under argument swap; the reference always calls it
+///    with the lower-ranked surface first, and ranks change across
+///    batches. The builder memoizes *both* orientations per pair and
+///    emits the one matching the current batch's rank order.
 ///  * The final (idf desc, a, b) sort + cap + (a, b) re-sort are total
 ///    orders over unique keys, so emission order is irrelevant.
 ///
@@ -56,11 +60,12 @@ class ProblemBuilder {
                  const ProblemOptions& options);
 
   /// Applies one batch. \p added / \p removed are disjoint sorted dataset
-  /// triple ids; \p active is the post-update active set (sorted). Emits
-  /// the full problem over \p active into \p problem and the batch's
-  /// stable-id delta into \p delta (both cleared first). \p threads > 1
-  /// fans candidate generation and similarity evaluation out on the
-  /// worker pool; the result is byte-identical for any thread count.
+  /// triple ids, each < dataset.okb.size(); \p active is the post-update
+  /// active set (sorted). Emits the full problem over \p active into
+  /// \p problem and the batch's stable-id delta into \p delta (both
+  /// cleared first). \p threads > 1 fans candidate generation and
+  /// similarity evaluation out on the worker pool; the result is
+  /// byte-identical for any thread count.
   void Apply(const std::vector<size_t>& added,
              const std::vector<size_t>& removed,
              const std::vector<size_t>& active, size_t threads,
@@ -122,8 +127,8 @@ class ProblemBuilder {
   };
 
   /// One blocking bucket: active members with occurrence counts (token
-  /// buckets count token multiplicity inside a phrase, like scratch's
-  /// per-occurrence membership; PPDB/candidate buckets are 0/1).
+  /// buckets count token multiplicity inside a phrase, like the
+  /// reference's per-occurrence membership; PPDB/candidate buckets are 0/1).
   struct Bucket {
     std::unordered_map<uint32_t, uint32_t> occ;
     size_t size = 0;  ///< sum of occurrence counts (the cap is on this)

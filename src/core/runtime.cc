@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "core/decode.h"
@@ -268,6 +269,12 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
   if (weights.size() != WeightLayout::kCount) {
     return Status::InvalidArgument("weights must have WeightLayout::kCount "
                                    "entries");
+  }
+  for (size_t t : triple_subset) {
+    if (t >= dataset.okb.size()) {
+      return Status::InvalidArgument("triple index " + std::to_string(t) +
+                                     " out of range for the dataset");
+    }
   }
   RuntimeStats local_stats;
   Stopwatch watch;

@@ -133,8 +133,8 @@ class JoclRuntime {
   explicit JoclRuntime(JoclOptions options = {}, RuntimeOptions runtime = {});
 
   /// Joint inference over the given triples with the given weights (empty
-  /// = Jocl::DefaultWeights()). \p stats, when non-null, receives stage
-  /// timings.
+  /// = Jocl::DefaultWeights()). A triple id >= dataset.okb.size() is
+  /// InvalidArgument. \p stats, when non-null, receives stage timings.
   Result<JoclResult> Infer(const Dataset& dataset,
                            const SignalBundle& signals,
                            const std::vector<size_t>& triple_subset,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <unordered_set>
 
 #include "core/feature_config.h"
@@ -9,6 +10,7 @@
 #include "core/problem.h"
 #include "core/signals.h"
 #include "data/generator.h"
+#include "scratch_problem.h"
 #include "text/similarity.h"
 
 namespace jocl {
@@ -244,6 +246,65 @@ TEST_F(CoreTest, CandidatesBounded) {
   }
   for (const auto& c : problem.predicate_candidates) {
     EXPECT_LE(c.size(), 3u);
+  }
+}
+
+TEST_F(CoreTest, BuildProblemMatchesScratchOracle) {
+  // BuildProblem runs one ProblemBuilder batch; the stateless reference in
+  // scratch_problem.h pins it beyond the default options, including pair
+  // caps small enough to truncate every role.
+  std::vector<size_t> all(dataset_->okb.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<size_t>& test = dataset_->test_triples;
+  ASSERT_GT(test.size(), 20u);
+  std::vector<size_t> shuffled(test.rbegin(), test.rend());
+  shuffled.insert(shuffled.end(), test.begin(), test.begin() + 20);
+  const std::vector<std::pair<std::string, std::vector<size_t>>> subsets = {
+      {"all", all},
+      {"test", test},
+      {"unsorted test with duplicates", shuffled}};
+
+  struct Variant {
+    std::string name;
+    ProblemOptions options;
+  };
+  std::vector<Variant> variants;
+  for (double threshold : {0.4, 0.5, 0.8}) {
+    Variant v{"pair_threshold=" + std::to_string(threshold), {}};
+    v.options.pair_threshold = threshold;
+    variants.push_back(v);
+  }
+  {
+    Variant v{"side_info_blocking=false", {}};
+    v.options.side_info_blocking = false;
+    variants.push_back(v);
+  }
+  {
+    Variant v{"max_candidates=blocking_candidates=3", {}};
+    v.options.max_candidates = 3;
+    v.options.blocking_candidates = 3;
+    variants.push_back(v);
+  }
+  {
+    Variant v{"max_block_size=4", {}};
+    v.options.max_block_size = 4;
+    variants.push_back(v);
+  }
+  for (size_t cap : {1u, 10u, 50u, 200u}) {
+    Variant v{"max_pairs_per_role=" + std::to_string(cap), {}};
+    v.options.max_pairs_per_role = cap;
+    variants.push_back(v);
+  }
+
+  for (const auto& [subset_name, subset] : subsets) {
+    for (const Variant& variant : variants) {
+      SCOPED_TRACE(subset_name + ", " + variant.name);
+      JoclProblem built =
+          BuildProblem(*dataset_, *signals_, subset, variant.options);
+      JoclProblem reference =
+          BuildScratchProblem(*dataset_, *signals_, subset, variant.options);
+      EXPECT_TRUE(ProblemsIdentical(built, reference));
+    }
   }
 }
 

@@ -1,11 +1,15 @@
 // Robustness and determinism of the end-to-end pipeline on degenerate and
-// adversarial inputs: empty subsets, single triples, missing CKBs, and
-// repeated runs.
+// adversarial inputs: empty subsets, single triples, out-of-range triple
+// ids, missing CKBs, and repeated runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/jocl.h"
+#include "core/runtime.h"
 #include "core/signals.h"
 #include "data/generator.h"
 
@@ -68,6 +72,23 @@ TEST_F(JoclRobustnessTest, DuplicateTriplesInSubsetAreDeduplicated) {
   auto result = jocl.Infer(*dataset_, *signals_, {3, 3, 1, 1, 2});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.ValueOrDie().triples, (std::vector<size_t>{1, 2, 3}));
+}
+
+TEST_F(JoclRobustnessTest, OutOfRangeTripleIsRejected) {
+  // An id past the OKB must come back as a Status before any stage
+  // indexes the OKB or the problem builder's per-triple arrays with it.
+  for (size_t bad : {dataset_->okb.size(), SIZE_MAX}) {
+    SCOPED_TRACE(bad);
+    const std::vector<size_t> subset = {0, bad, 1};
+    auto via_jocl = Jocl().Infer(*dataset_, *signals_, subset);
+    ASSERT_FALSE(via_jocl.ok());
+    EXPECT_EQ(via_jocl.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(via_jocl.status().message().find("out of range"),
+              std::string::npos);
+    auto via_runtime = JoclRuntime().Infer(*dataset_, *signals_, subset);
+    ASSERT_FALSE(via_runtime.ok());
+    EXPECT_EQ(via_runtime.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(JoclRobustnessTest, ResultTriplesSortedAscending) {

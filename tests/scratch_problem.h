@@ -1,20 +1,32 @@
-#include "core/problem.h"
+// From-scratch reference implementation of problem construction, for tests
+// that check `BuildProblem` / `ProblemBuilder` byte for byte: one pass of
+// surface deduplication, candidate generation and blocking (IDF token
+// buckets plus the side-information buckets) over a triple subset, with
+// no state carried between calls. Also holds `ProblemsIdentical`, the
+// field-by-field comparison of two problems.
+#ifndef JOCL_TESTS_SCRATCH_PROBLEM_H_
+#define JOCL_TESTS_SCRATCH_PROBLEM_H_
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "core/problem.h"
 #include "text/tokenizer.h"
-#include "util/logging.h"
 
 namespace jocl {
-namespace {
+namespace scratch {
 
 // Deduplicates one role's phrases into surfaces + per-triple indices.
-void BuildSurfaces(const std::vector<std::string>& phrases,
-                   std::vector<std::string>* surfaces,
-                   std::vector<size_t>* of_triple,
-                   std::vector<size_t>* representative) {
+inline void BuildSurfaces(const std::vector<std::string>& phrases,
+                          std::vector<std::string>* surfaces,
+                          std::vector<size_t>* of_triple,
+                          std::vector<size_t>* representative) {
   std::unordered_map<std::string, size_t> index;
   of_triple->reserve(phrases.size());
   for (size_t t = 0; t < phrases.size(); ++t) {
@@ -30,7 +42,7 @@ void BuildSurfaces(const std::vector<std::string>& phrases,
 // Token-blocked pair generation with the IDF threshold, plus optional
 // side-information blocking buckets (shared top candidate, shared PPDB
 // cluster) whose pairs are admitted regardless of IDF similarity.
-std::vector<SurfacePair> BlockPairs(
+inline std::vector<SurfacePair> BlockPairs(
     const std::vector<std::string>& surfaces, const IdfTable& idf,
     const std::vector<std::vector<std::string>>& trusted_buckets,
     const std::vector<std::vector<std::string>>& candidate_buckets,
@@ -121,11 +133,15 @@ std::vector<SurfacePair> BlockPairs(
   return pairs;
 }
 
-}  // namespace
+}  // namespace scratch
 
-JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
-                         const std::vector<size_t>& triple_subset,
-                         const ProblemOptions& options) {
+/// The reference problem over \p triple_subset (any order, duplicates
+/// allowed; every id must be < dataset.okb.size()). `BuildProblem` and
+/// every `ProblemBuilder::Apply` must emit exactly this problem.
+inline JoclProblem BuildScratchProblem(const Dataset& dataset,
+                                       const SignalBundle& signals,
+                                       const std::vector<size_t>& triple_subset,
+                                       const ProblemOptions& options = {}) {
   JoclProblem problem;
   problem.triples = triple_subset;
   std::sort(problem.triples.begin(), problem.triples.end());
@@ -143,12 +159,12 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
     predicates.push_back(triple.predicate);
     objects.push_back(triple.object);
   }
-  BuildSurfaces(subjects, &problem.subject_surfaces, &problem.subject_of,
-                &problem.subject_rep);
-  BuildSurfaces(predicates, &problem.predicate_surfaces,
-                &problem.predicate_of, &problem.predicate_rep);
-  BuildSurfaces(objects, &problem.object_surfaces, &problem.object_of,
-                &problem.object_rep);
+  scratch::BuildSurfaces(subjects, &problem.subject_surfaces,
+                         &problem.subject_of, &problem.subject_rep);
+  scratch::BuildSurfaces(predicates, &problem.predicate_surfaces,
+                         &problem.predicate_of, &problem.predicate_rep);
+  scratch::BuildSurfaces(objects, &problem.object_surfaces,
+                         &problem.object_of, &problem.object_rep);
 
   const CuratedKb& ckb = dataset.ckb;
   problem.subject_candidates.reserve(problem.subject_surfaces.size());
@@ -177,7 +193,8 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
   std::vector<std::vector<std::string>> object_cand_buckets;
   std::vector<std::vector<std::string>> predicate_cand_buckets;
   if (options.side_info_blocking) {
-    // (a) shared top candidate entity / relation;
+    // (a) shared top candidate entity (NP roles only; see
+    // ProblemBuilder::ActivateSurface);
     auto candidate_buckets =
         [&](const std::vector<std::string>& surfaces, const auto& candidates,
             std::vector<std::vector<std::string>>* out) {
@@ -197,10 +214,6 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
                       &subject_cand_buckets);
     candidate_buckets(problem.object_surfaces, problem.object_candidates,
                       &object_cand_buckets);
-    // No candidate-overlap blocking for predicates: with few CKB relations
-    // the top candidates collide constantly, flooding the graph with
-    // unrelated RP pairs whose own features then confirm the block
-    // (selection bias). PPDB buckets below cover the synonym-verb case.
     // (b) shared PPDB cluster representative.
     if (signals.ppdb != nullptr) {
       auto ppdb_buckets = [&](const std::vector<std::string>& surfaces,
@@ -220,24 +233,81 @@ JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,
     }
   }
 
-  problem.subject_pairs = BlockPairs(
+  problem.subject_pairs = scratch::BlockPairs(
       problem.subject_surfaces, signals.np_idf, subject_ppdb_buckets,
       subject_cand_buckets, options);
-  problem.predicate_pairs = BlockPairs(
+  problem.predicate_pairs = scratch::BlockPairs(
       problem.predicate_surfaces, signals.rp_idf, predicate_ppdb_buckets,
       predicate_cand_buckets, options);
-  problem.object_pairs = BlockPairs(
+  problem.object_pairs = scratch::BlockPairs(
       problem.object_surfaces, signals.np_idf, object_ppdb_buckets,
       object_cand_buckets, options);
-
-  JOCL_LOG(kDebug) << "problem: " << problem.triples.size() << " triples, "
-                   << problem.subject_surfaces.size() << "/"
-                   << problem.predicate_surfaces.size() << "/"
-                   << problem.object_surfaces.size() << " surfaces, "
-                   << problem.subject_pairs.size() << "/"
-                   << problem.predicate_pairs.size() << "/"
-                   << problem.object_pairs.size() << " pairs";
   return problem;
 }
 
+/// Field-by-field byte comparison of two problems (similarities compared
+/// with ==, not a tolerance).
+inline ::testing::AssertionResult ProblemsIdentical(const JoclProblem& a,
+                                                    const JoclProblem& b) {
+  if (a.triples != b.triples)
+    return ::testing::AssertionFailure() << "triples differ";
+  if (a.subject_surfaces != b.subject_surfaces ||
+      a.predicate_surfaces != b.predicate_surfaces ||
+      a.object_surfaces != b.object_surfaces)
+    return ::testing::AssertionFailure() << "surface lists differ";
+  if (a.subject_of != b.subject_of || a.predicate_of != b.predicate_of ||
+      a.object_of != b.object_of)
+    return ::testing::AssertionFailure() << "per-triple surface maps differ";
+  if (a.subject_rep != b.subject_rep || a.predicate_rep != b.predicate_rep ||
+      a.object_rep != b.object_rep)
+    return ::testing::AssertionFailure() << "representatives differ";
+  const auto pairs_equal = [](const std::vector<SurfacePair>& x,
+                              const std::vector<SurfacePair>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].a != y[i].a || x[i].b != y[i].b || x[i].idf != y[i].idf ||
+          x[i].candidate_blocked != y[i].candidate_blocked)
+        return false;
+    }
+    return true;
+  };
+  if (!pairs_equal(a.subject_pairs, b.subject_pairs) ||
+      !pairs_equal(a.predicate_pairs, b.predicate_pairs) ||
+      !pairs_equal(a.object_pairs, b.object_pairs))
+    return ::testing::AssertionFailure() << "pair lists differ";
+  const auto np_cands_equal =
+      [](const std::vector<std::vector<EntityCandidate>>& x,
+         const std::vector<std::vector<EntityCandidate>>& y) {
+        if (x.size() != y.size()) return false;
+        for (size_t i = 0; i < x.size(); ++i) {
+          if (x[i].size() != y[i].size()) return false;
+          for (size_t j = 0; j < x[i].size(); ++j) {
+            if (x[i][j].id != y[i][j].id ||
+                x[i][j].popularity != y[i][j].popularity)
+              return false;
+          }
+        }
+        return true;
+      };
+  if (!np_cands_equal(a.subject_candidates, b.subject_candidates) ||
+      !np_cands_equal(a.object_candidates, b.object_candidates))
+    return ::testing::AssertionFailure() << "entity candidate lists differ";
+  if (a.predicate_candidates.size() != b.predicate_candidates.size())
+    return ::testing::AssertionFailure() << "relation candidate lists differ";
+  for (size_t i = 0; i < a.predicate_candidates.size(); ++i) {
+    const auto& x = a.predicate_candidates[i];
+    const auto& y = b.predicate_candidates[i];
+    if (x.size() != y.size())
+      return ::testing::AssertionFailure() << "relation candidate lists differ";
+    for (size_t j = 0; j < x.size(); ++j) {
+      if (x[j].id != y[j].id || x[j].score != y[j].score)
+        return ::testing::AssertionFailure()
+               << "relation candidate lists differ";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace jocl
+
+#endif  // JOCL_TESTS_SCRATCH_PROBLEM_H_

@@ -17,6 +17,7 @@
 #include "core/shard.h"
 #include "data/generator.h"
 #include "obs/metrics.h"
+#include "scratch_problem.h"
 
 namespace jocl {
 namespace {
@@ -198,68 +199,7 @@ TEST_F(SessionDeltaTest, OutOfRangeIndexIsRejected) {
   EXPECT_EQ(session.active_triples(), (std::vector<size_t>{0}));
 }
 
-// ---------- O(Δ) front-end: byte-identity helpers ----------------------------
-
-::testing::AssertionResult ProblemsIdentical(const JoclProblem& a,
-                                             const JoclProblem& b) {
-  if (a.triples != b.triples)
-    return ::testing::AssertionFailure() << "triples differ";
-  if (a.subject_surfaces != b.subject_surfaces ||
-      a.predicate_surfaces != b.predicate_surfaces ||
-      a.object_surfaces != b.object_surfaces)
-    return ::testing::AssertionFailure() << "surface lists differ";
-  if (a.subject_of != b.subject_of || a.predicate_of != b.predicate_of ||
-      a.object_of != b.object_of)
-    return ::testing::AssertionFailure() << "per-triple surface maps differ";
-  if (a.subject_rep != b.subject_rep || a.predicate_rep != b.predicate_rep ||
-      a.object_rep != b.object_rep)
-    return ::testing::AssertionFailure() << "representatives differ";
-  const auto pairs_equal = [](const std::vector<SurfacePair>& x,
-                              const std::vector<SurfacePair>& y) {
-    if (x.size() != y.size()) return false;
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (x[i].a != y[i].a || x[i].b != y[i].b || x[i].idf != y[i].idf ||
-          x[i].candidate_blocked != y[i].candidate_blocked)
-        return false;
-    }
-    return true;
-  };
-  if (!pairs_equal(a.subject_pairs, b.subject_pairs) ||
-      !pairs_equal(a.predicate_pairs, b.predicate_pairs) ||
-      !pairs_equal(a.object_pairs, b.object_pairs))
-    return ::testing::AssertionFailure() << "pair lists differ";
-  const auto np_cands_equal =
-      [](const std::vector<std::vector<EntityCandidate>>& x,
-         const std::vector<std::vector<EntityCandidate>>& y) {
-        if (x.size() != y.size()) return false;
-        for (size_t i = 0; i < x.size(); ++i) {
-          if (x[i].size() != y[i].size()) return false;
-          for (size_t j = 0; j < x[i].size(); ++j) {
-            if (x[i][j].id != y[i][j].id ||
-                x[i][j].popularity != y[i][j].popularity)
-              return false;
-          }
-        }
-        return true;
-      };
-  if (!np_cands_equal(a.subject_candidates, b.subject_candidates) ||
-      !np_cands_equal(a.object_candidates, b.object_candidates))
-    return ::testing::AssertionFailure() << "entity candidate lists differ";
-  if (a.predicate_candidates.size() != b.predicate_candidates.size())
-    return ::testing::AssertionFailure() << "relation candidate lists differ";
-  for (size_t i = 0; i < a.predicate_candidates.size(); ++i) {
-    const auto& x = a.predicate_candidates[i];
-    const auto& y = b.predicate_candidates[i];
-    if (x.size() != y.size())
-      return ::testing::AssertionFailure() << "relation candidate lists differ";
-    for (size_t j = 0; j < x.size(); ++j) {
-      if (x[j].id != y[j].id || x[j].score != y[j].score)
-        return ::testing::AssertionFailure()
-               << "relation candidate lists differ";
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
+// ---------- O(Δ) front-end: byte-identity helper -----------------------------
 
 ::testing::AssertionResult PlansIdentical(const ShardPlan& a,
                                           const ShardPlan& b) {
@@ -288,9 +228,10 @@ TEST_F(SessionDeltaTest, OutOfRangeIndexIsRejected) {
 // ---------- adversarial sequences × front-end threads ------------------------
 //
 // Each step mutates the session (adds, then removals) and asserts the
-// session's problem is byte-identical to a from-scratch BuildProblem over
+// session's problem is byte-identical to the from-scratch reference over
 // the active set, and its result byte-identical to one-shot inference —
-// for a sequential and a parallel front-end alike, under both schedules.
+// for a sequential and a parallel front-end alike, under both schedules,
+// with and without a pair cap that truncates.
 // The sequences target the delta front-end's hard cases: a merge
 // immediately undone, the active set emptied and rebuilt, and the same
 // surfaces entering and leaving across consecutive batches.
@@ -305,7 +246,14 @@ class SessionAdversarialTest : public SessionDeltaTest {
     for (LbpSchedule schedule :
          {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
       for (size_t threads : {1u, 4u}) {
-        RunSequence(steps, WithSchedule(schedule), threads);
+        // This world never reaches the default pair cap. A cap of one pair
+        // per role truncates whenever two subject pairs are active, so the
+        // sequences move in and out of the session's overflow path.
+        for (size_t cap : {ProblemOptions().max_pairs_per_role, size_t{1}}) {
+          JoclOptions options = WithSchedule(schedule);
+          options.problem.max_pairs_per_role = cap;
+          RunSequence(steps, options, threads);
+        }
       }
     }
   }
@@ -318,7 +266,8 @@ class SessionAdversarialTest : public SessionDeltaTest {
     std::vector<size_t> active;
     for (size_t i = 0; i < steps.size(); ++i) {
       SCOPED_TRACE(std::string(ScheduleName(options.inference.schedule)) +
-                   " threads=" + std::to_string(threads) +
+                   " threads=" + std::to_string(threads) + " cap=" +
+                   std::to_string(options.problem.max_pairs_per_role) +
                    " step=" + std::to_string(i));
       if (!steps[i].add.empty()) {
         ASSERT_TRUE(session.AddTriples(steps[i].add).ok());
@@ -338,7 +287,7 @@ class SessionAdversarialTest : public SessionDeltaTest {
       ASSERT_EQ(session.active_triples(), active);
       if (active.empty()) continue;  // nothing to compare against
       JoclProblem scratch =
-          BuildProblem(*dataset_, *signals_, active, options.problem);
+          BuildScratchProblem(*dataset_, *signals_, active, options.problem);
       ASSERT_TRUE(ProblemsIdentical(session.problem(), scratch));
       ExpectByteIdentical(session.result(), OneShot(active, options));
     }
@@ -506,78 +455,97 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
   // Property test of the O(Δ) front-end pair against the from-scratch
   // reference on a generated world: over a seeded random add/remove walk,
   // after every batch the memoized ProblemBuilder must emit the same
-  // problem as BuildProblem, the persistent union-find must label the
-  // same components, and the materialized plan must be byte-identical to
-  // PartitionProblem — for a sequential and a parallel front-end alike.
+  // problem as BuildScratchProblem, the persistent union-find must label
+  // the same components, and the materialized plan must be byte-identical
+  // to PartitionProblem — for a sequential and a parallel front-end alike.
+  // The walk admits at most ~160 pairs per role, far below the default
+  // cap. A cap of 10 truncates every batch; a cap of 150 truncates only
+  // the batches where the object role peaks, so the walk crosses it in
+  // both directions and the union-find must stay exact through overflow.
   const std::vector<size_t>& stream = dataset_->test_triples;
-  const ProblemOptions options = JoclOptions().problem;
-  for (size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ProblemBuilder builder(dataset_, signals_, options);
-    IncrementalPartitioner partitioner(dataset_->okb.size());
-    std::vector<uint8_t> in_active(dataset_->okb.size(), 0);
-    std::vector<size_t> active;
-    std::mt19937 rng(17);
-    for (size_t step = 0; step < 10; ++step) {
-      SCOPED_TRACE("step=" + std::to_string(step));
-      // Toggle a random slice of the stream: first steps are add-heavy,
-      // later ones mix removals of long-active triples back in.
-      std::vector<size_t> added;
-      std::vector<size_t> removed;
-      std::vector<uint8_t> touched(dataset_->okb.size(), 0);
-      const size_t slice = 1 + rng() % (stream.size() / 3);
-      for (size_t i = 0; i < slice; ++i) {
-        const size_t t = stream[rng() % stream.size()];
-        if (touched[t]) continue;  // added/removed must stay disjoint
-        touched[t] = 1;
-        if (!in_active[t]) {
-          in_active[t] = 1;
-          added.push_back(t);
-        } else if (step >= 3) {
-          in_active[t] = 0;
-          removed.push_back(t);
+  for (size_t cap : {ProblemOptions().max_pairs_per_role, size_t{10},
+                     size_t{150}}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("cap=" + std::to_string(cap) +
+                   " threads=" + std::to_string(threads));
+      ProblemOptions options = JoclOptions().problem;
+      options.max_pairs_per_role = cap;
+      ProblemBuilder builder(dataset_, signals_, options);
+      IncrementalPartitioner partitioner(dataset_->okb.size());
+      std::vector<uint8_t> in_active(dataset_->okb.size(), 0);
+      std::vector<size_t> active;
+      std::mt19937 rng(17);
+      size_t compared_steps = 0;
+      size_t overflow_steps = 0;
+      for (size_t step = 0; step < 10; ++step) {
+        SCOPED_TRACE("step=" + std::to_string(step));
+        // Toggle a random slice of the stream: first steps are add-heavy,
+        // later ones mix removals of long-active triples back in.
+        std::vector<size_t> added;
+        std::vector<size_t> removed;
+        std::vector<uint8_t> touched(dataset_->okb.size(), 0);
+        const size_t slice = 1 + rng() % (stream.size() / 3);
+        for (size_t i = 0; i < slice; ++i) {
+          const size_t t = stream[rng() % stream.size()];
+          if (touched[t]) continue;  // added/removed must stay disjoint
+          touched[t] = 1;
+          if (!in_active[t]) {
+            in_active[t] = 1;
+            added.push_back(t);
+          } else if (step >= 3) {
+            in_active[t] = 0;
+            removed.push_back(t);
+          }
         }
-      }
-      std::sort(added.begin(), added.end());
-      added.erase(std::unique(added.begin(), added.end()), added.end());
-      std::sort(removed.begin(), removed.end());
-      removed.erase(std::unique(removed.begin(), removed.end()),
-                    removed.end());
-      active.clear();
-      for (size_t t = 0; t < in_active.size(); ++t) {
-        if (in_active[t]) active.push_back(t);
-      }
-      if (active.empty()) continue;
+        std::sort(added.begin(), added.end());
+        added.erase(std::unique(added.begin(), added.end()), added.end());
+        std::sort(removed.begin(), removed.end());
+        removed.erase(std::unique(removed.begin(), removed.end()),
+                      removed.end());
+        active.clear();
+        for (size_t t = 0; t < in_active.size(); ++t) {
+          if (in_active[t]) active.push_back(t);
+        }
+        if (active.empty()) continue;
 
-      JoclProblem problem;
-      FrontEndDelta delta;
-      builder.Apply(added, removed, active, threads, &problem, &delta);
-      JoclProblem scratch = BuildProblem(*dataset_, *signals_, active, options);
-      ASSERT_TRUE(ProblemsIdentical(problem, scratch));
+        JoclProblem problem;
+        FrontEndDelta delta;
+        builder.Apply(added, removed, active, threads, &problem, &delta);
+        JoclProblem scratch =
+            BuildScratchProblem(*dataset_, *signals_, active, options);
+        ASSERT_TRUE(ProblemsIdentical(problem, scratch));
 
-      partitioner.Apply(delta);
-      std::vector<size_t> comp_of_triple;
-      std::vector<size_t> comp_weight;
-      size_t components;
-      if (delta.overflow) {
-        components =
-            ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
-      } else {
-        components =
-            partitioner.Components(active, &comp_of_triple, &comp_weight);
+        ++compared_steps;
+        if (delta.overflow) ++overflow_steps;
+        partitioner.Apply(delta);
+        std::vector<size_t> comp_of_triple;
+        std::vector<size_t> comp_weight;
+        size_t components;
+        if (delta.overflow) {
+          components =
+              ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
+        } else {
+          components =
+              partitioner.Components(active, &comp_of_triple, &comp_weight);
+        }
+        std::vector<size_t> scratch_comp_of;
+        std::vector<size_t> scratch_weight;
+        ASSERT_EQ(components,
+                  ComputeProblemComponents(scratch, &scratch_comp_of,
+                                           &scratch_weight));
+        ASSERT_EQ(comp_of_triple, scratch_comp_of);
+        ASSERT_EQ(comp_weight, scratch_weight);
+
+        ShardPlan incremental = MaterializeShardPlan(
+            problem, comp_of_triple, comp_weight, /*max_shards=*/0,
+            /*lazy=*/false);
+        ASSERT_TRUE(
+            PlansIdentical(incremental, PartitionProblem(scratch, 0)));
       }
-      std::vector<size_t> scratch_comp_of;
-      std::vector<size_t> scratch_weight;
-      ASSERT_EQ(components, ComputeProblemComponents(scratch, &scratch_comp_of,
-                                                     &scratch_weight));
-      ASSERT_EQ(comp_of_triple, scratch_comp_of);
-      ASSERT_EQ(comp_weight, scratch_weight);
-
-      ShardPlan incremental = MaterializeShardPlan(
-          problem, comp_of_triple, comp_weight, /*max_shards=*/0,
-          /*lazy=*/false);
-      ASSERT_TRUE(
-          PlansIdentical(incremental, PartitionProblem(scratch, 0)));
+      if (cap == 150) {
+        EXPECT_GT(overflow_steps, 0u);
+        EXPECT_LT(overflow_steps, compared_steps);
+      }
     }
   }
 }
