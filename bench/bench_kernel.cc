@@ -27,7 +27,7 @@
 #include "bench/bench_common.h"
 #include "core/graph_builder.h"
 #include "core/problem.h"
-#include "graph/compiled_graph.h"
+#include "graph/factor_graph.h"
 #include "graph/flat_lbp.h"
 #include "util/rng.h"
 
@@ -56,7 +56,7 @@ FactorGraph MakeHeadHeavyGraph(Rng* rng, size_t head_vars) {
   for (size_t i = 0; i < head_vars; ++i) {
     head.push_back(g.AddVariable(2 + i % 7));
   }
-  auto card = [&](VariableId v) { return g.variable(v).cardinality; };
+  auto card = [&](VariableId v) { return g.cardinality(v); };
   for (size_t i = 1; i < head.size(); ++i) {
     g.AddFactor({head[i - 1], head[i]},
                 random_table(card(head[i - 1]) * card(head[i]),
@@ -96,14 +96,14 @@ struct KernelRun {
   bool byte_identical = false;
 };
 
-// Times one (kernel) configuration over a precompiled graph: best of
-// \p reps full Run() calls, result of the last.
-double TimeKernel(const CompiledGraph& compiled,
+// Times one (kernel) configuration over a built graph: best of \p reps
+// full Run() calls (engine setup untimed), result of the last.
+double TimeKernel(const FactorGraph& graph,
                   const std::vector<double>& weights, LbpOptions options,
                   int reps, LbpResult* result) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    FlatLbpEngine engine(&compiled, &weights, options);
+    FlatLbpEngine engine(&graph, &weights, options);
     Stopwatch watch;
     *result = engine.Run();
     double seconds = watch.ElapsedSeconds();
@@ -112,19 +112,19 @@ double TimeKernel(const CompiledGraph& compiled,
   return best;
 }
 
-KernelRun CompareKernels(const char* world, const CompiledGraph& compiled,
+KernelRun CompareKernels(const char* world, const FactorGraph& graph,
                          const std::vector<double>& weights,
                          LbpOptions options, int reps) {
   KernelRun run;
   run.world = world;
-  run.variables = compiled.variable_count();
-  run.factors = compiled.factor_count();
+  run.variables = graph.variable_count();
+  run.factors = graph.factor_count();
   LbpResult scalar, vectorized;
   options.kernel = LbpKernel::kScalarReference;
-  run.scalar_seconds = TimeKernel(compiled, weights, options, reps, &scalar);
+  run.scalar_seconds = TimeKernel(graph, weights, options, reps, &scalar);
   options.kernel = LbpKernel::kVectorized;
   run.vectorized_seconds =
-      TimeKernel(compiled, weights, options, reps, &vectorized);
+      TimeKernel(graph, weights, options, reps, &vectorized);
   run.speedup = run.vectorized_seconds > 0.0
                     ? run.scalar_seconds / run.vectorized_seconds
                     : 0.0;
@@ -149,7 +149,6 @@ int Run() {
   if (head_vars < 120) head_vars = 120;
   Rng rng(env.seed);
   FactorGraph head_graph = MakeHeadHeavyGraph(&rng, head_vars);
-  CompiledGraph head_compiled = CompiledGraph::Compile(head_graph);
   LbpOptions head_options;
   head_options.max_iterations = 30;
 
@@ -163,13 +162,13 @@ int Run() {
                   TablePrinter::Num(run.speedup, 2) + "x",
                   run.byte_identical ? "yes" : "NO (bug!)"});
   };
-  KernelRun head_run = CompareKernels("head sum-product", head_compiled,
+  KernelRun head_run = CompareKernels("head sum-product", head_graph,
                                       unit_weights, head_options, reps);
   add_row(head_run);
   LbpOptions head_max_options = head_options;
   head_max_options.mode = LbpMode::kMaxProduct;
   KernelRun head_max_run = CompareKernels(
-      "head max-product", head_compiled, unit_weights, head_max_options,
+      "head max-product", head_graph, unit_weights, head_max_options,
       reps);
   add_row(head_max_run);
 
@@ -179,11 +178,10 @@ int Run() {
                                      pack->eval_triples());
   JoclGraph jgraph = BuildJoclGraph(problem, pack->signals(),
                                     pack->dataset().ckb);
-  CompiledGraph joint_compiled = CompiledGraph::Compile(jgraph.graph);
   std::vector<double> joint_weights = Jocl::DefaultWeights();
   LbpOptions joint_options;
   joint_options.factor_schedule = jgraph.schedule;
-  KernelRun joint_run = CompareKernels("joint graph", joint_compiled,
+  KernelRun joint_run = CompareKernels("joint graph", jgraph.graph,
                                        joint_weights, joint_options, reps);
   add_row(joint_run);
   std::printf("%s\n", table.Render().c_str());

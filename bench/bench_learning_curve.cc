@@ -53,8 +53,8 @@ int Run() {
               labeled.size(), options.learner.iterations);
 
   // ---- sequential baseline: monolithic graph, sequential LBP --------------
-  // This is the pre-refactor learning path: one global compiled graph and
-  // every expectation pass on a single thread.
+  // This is the pre-refactor learning path: one global graph, one engine,
+  // and every expectation pass on a single thread.
   double sequential_seconds = 0.0;
   std::vector<double> sequential_weights;
   {

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // string similarities, CKB candidate generation, one-shot problem
-// construction, IDF scoring, HAC, SGNS training, LBP sweeps and
-// factor-graph construction.
+// construction, IDF scoring, HAC, SGNS training, LBP sweeps and joint
+// graph construction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,7 +9,11 @@
 #include <vector>
 
 #include "cluster/hac.h"
+#include "core/graph_builder.h"
+#include "core/jocl.h"
 #include "core/problem.h"
+#include "core/shard.h"
+#include "core/signal_cache.h"
 #include "core/signals.h"
 #include "data/dataset.h"
 #include "data/generator.h"
@@ -113,16 +117,48 @@ BENCHMARK(BM_EntityCandidates);
 // over the test split of the same corpus with default signals and
 // options — surface dedup, candidate generation and pair blocking, the
 // front end of JoclRuntime::Infer and of the learner's labeled problem.
+const SignalBundle& CandidateSignals() {
+  static const SignalBundle* const kSignals =
+      new SignalBundle(BuildSignals(CandidateCorpus()).MoveValueOrDie());
+  return *kSignals;
+}
+
 void BM_BuildProblem(benchmark::State& state) {
   const Dataset& ds = CandidateCorpus();
-  static const SignalBundle* const kSignals =
-      new SignalBundle(BuildSignals(ds).MoveValueOrDie());
+  const SignalBundle& signals = CandidateSignals();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildProblem(ds, *kSignals, ds.test_triples));
+    benchmark::DoNotOptimize(BuildProblem(ds, signals, ds.test_triples));
   }
   state.SetItemsProcessed(state.iterations() * ds.test_triples.size());
 }
 BENCHMARK(BM_BuildProblem)->Unit(benchmark::kMillisecond);
+
+void BM_BuildJoclGraph(benchmark::State& state) {
+  // Graph build + inference-engine setup of the largest shard of the test
+  // split: everything the runtime does to a shard before LBP runs.
+  const Dataset& ds = CandidateCorpus();
+  const SignalBundle& signals = CandidateSignals();
+  const JoclProblem problem = BuildProblem(ds, signals, ds.test_triples);
+  const SignalCache cache = SignalCache::ForProblem(problem, signals, ds.ckb);
+  ShardPlan plan = PartitionProblem(problem, /*max_shards=*/0);
+  const ProblemShard& shard = *std::max_element(
+      plan.shards.begin(), plan.shards.end(),
+      [](const ProblemShard& a, const ProblemShard& b) {
+        return a.problem.triples.size() < b.problem.triples.size();
+      });
+  const JoclOptions options;
+  const std::vector<double> weights = Jocl::DefaultWeights();
+  for (auto _ : state) {
+    JoclGraph jgraph =
+        BuildJoclGraph(shard.problem, cache, ds.ckb, options.builder);
+    LbpOptions lbp = options.inference;
+    lbp.factor_schedule = jgraph.schedule;
+    benchmark::DoNotOptimize(CreateInferenceEngine(
+        options.inference_backend, &jgraph.graph, &weights, lbp));
+  }
+  state.SetItemsProcessed(state.iterations() * shard.problem.triples.size());
+}
+BENCHMARK(BM_BuildJoclGraph)->Unit(benchmark::kMillisecond);
 
 void BM_IdfSimilarity(benchmark::State& state) {
   auto phrases = MakePhrases(256);
@@ -220,36 +256,26 @@ void BM_LbpSweep(benchmark::State& state) {
   std::vector<double> weights = {1.0};
   for (auto _ : state) {
     LbpOptions options;
-    options.max_iterations = 1;  // a single sweep (includes graph compile)
+    options.max_iterations = 1;  // a single sweep (includes engine setup)
     FlatLbpEngine engine(&g, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }
 BENCHMARK(BM_LbpSweep)->Arg(10)->Arg(20)->Arg(40);
 
-void BM_GraphCompile(benchmark::State& state) {
-  // Cost of freezing the builder graph into the CSR form.
+void BM_LbpSweepBoundEngine(benchmark::State& state) {
+  // The pure sweep cost of one engine run many times (the learner's
+  // steady state: bind once, run every pass).
   FactorGraph g = MakeGrid(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CompiledGraph::Compile(g));
-  }
-}
-BENCHMARK(BM_GraphCompile)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_LbpSweepPrecompiled(benchmark::State& state) {
-  // The pure sweep cost over a shared compiled graph (the learner's
-  // steady state: compile once, run many).
-  FactorGraph g = MakeGrid(static_cast<size_t>(state.range(0)));
-  CompiledGraph compiled = CompiledGraph::Compile(g);
   std::vector<double> weights = {1.0};
+  LbpOptions options;
+  options.max_iterations = 1;
+  FlatLbpEngine engine(&g, &weights, options);
   for (auto _ : state) {
-    LbpOptions options;
-    options.max_iterations = 1;
-    FlatLbpEngine engine(&compiled, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }
-BENCHMARK(BM_LbpSweepPrecompiled)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_LbpSweepBoundEngine)->Arg(10)->Arg(20)->Arg(40);
 
 // The head-component worst case in miniature: a backbone chain with
 // skewed hub cross-links, unary evidence and ternary ties, cards 2..8
@@ -267,7 +293,7 @@ FactorGraph MakeHeadHeavy(size_t head_vars) {
   for (size_t i = 0; i < head_vars; ++i) {
     head.push_back(g.AddVariable(2 + i % 7));
   }
-  auto card = [&](VariableId v) { return g.variable(v).cardinality; };
+  auto card = [&](VariableId v) { return g.cardinality(v); };
   for (size_t i = 1; i < head.size(); ++i) {
     (void)g.AddFactor({head[i - 1], head[i]},
                       random_table(card(head[i - 1]) * card(head[i])));
@@ -295,14 +321,13 @@ void BM_LbpKernelHeadHeavy(benchmark::State& state) {
   // reference. Both produce byte-identical marginals; the ratio of these
   // two rows is the kernel speedup bench_kernel guards.
   FactorGraph g = MakeHeadHeavy(static_cast<size_t>(state.range(0)));
-  CompiledGraph compiled = CompiledGraph::Compile(g);
   std::vector<double> weights = {1.0};
   for (auto _ : state) {
     LbpOptions options;
     options.max_iterations = 5;
     options.kernel = state.range(1) == 0 ? LbpKernel::kVectorized
                                          : LbpKernel::kScalarReference;
-    FlatLbpEngine engine(&compiled, &weights, options);
+    FlatLbpEngine engine(&g, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }
@@ -317,14 +342,13 @@ void BM_LbpScheduleHeadHeavy(benchmark::State& state) {
   // queue. Residual runs to its convergence certificate within the same
   // sweep budget.
   FactorGraph g = MakeHeadHeavy(static_cast<size_t>(state.range(0)));
-  CompiledGraph compiled = CompiledGraph::Compile(g);
   std::vector<double> weights = {1.0};
   for (auto _ : state) {
     LbpOptions options;
     options.max_iterations = 30;
     options.schedule = state.range(1) == 0 ? LbpSchedule::kStaged
                                            : LbpSchedule::kResidual;
-    FlatLbpEngine engine(&compiled, &weights, options);
+    FlatLbpEngine engine(&g, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }
@@ -352,13 +376,12 @@ void BM_LbpComponentParallel(benchmark::State& state) {
       prev = v;
     }
   }
-  CompiledGraph compiled = CompiledGraph::Compile(g);
   std::vector<double> weights = {1.0};
   for (auto _ : state) {
     LbpOptions options;
     options.max_iterations = 10;
     options.num_threads = static_cast<size_t>(state.range(0));
-    FlatLbpEngine engine(&compiled, &weights, options);
+    FlatLbpEngine engine(&g, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }

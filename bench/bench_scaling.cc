@@ -132,7 +132,7 @@ void Run() {
     runs.push_back(run);
   }
   std::printf("%s(results are byte-identical across all rows; the shard\n"
-              " stage is the parallel build+compile+infer portion)\n",
+              " stage is the parallel build+infer portion)\n",
               scale_table.Render().c_str());
 
   // ---- JSON artifact ------------------------------------------------------

@@ -156,10 +156,8 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
                   CandidateAgreement((*candidates)[pair.a],
                                      (*candidates)[pair.b]));
             }
-            FactorId f = graph
-                             .AddFactor({v}, PairFeatureTable(feats),
-                                        is_predicate ? "F2" : "F1/F3")
-                             .ValueOrDie();
+            FactorId f =
+                graph.AddFactor({v}, PairFeatureTable(feats)).ValueOrDie();
             group_f_canon.push_back(f);
           }
         };
@@ -178,7 +176,7 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
   if (options.enable_canonicalization && options.enable_transitive) {
     auto build_triangles = [&](const std::vector<SurfacePair>& pairs,
                                const std::vector<VariableId>& vars,
-                               WeightId beta, const char* name) {
+                               WeightId beta) {
       // Adjacency with pair indices for triangle lookup.
       std::unordered_map<uint64_t, size_t> index;
       std::unordered_map<size_t, std::vector<size_t>> adjacency;
@@ -210,19 +208,16 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
           FactorId f =
               graph
                   .AddFactor({vars[p], vars[jk->second], vars[ik->second]},
-                             FeatureTable::Uniform(beta, values), name)
+                             FeatureTable::Uniform(beta, values))
                   .ValueOrDie();
           group_u_trans.push_back(f);
           if (++emitted >= options.max_transitive_per_role) break;
         }
       }
     };
-    build_triangles(problem.subject_pairs, out.x_vars, WeightLayout::kBeta1,
-                    "U1");
-    build_triangles(problem.predicate_pairs, out.y_vars, WeightLayout::kBeta2,
-                    "U2");
-    build_triangles(problem.object_pairs, out.z_vars, WeightLayout::kBeta3,
-                    "U3");
+    build_triangles(problem.subject_pairs, out.x_vars, WeightLayout::kBeta1);
+    build_triangles(problem.predicate_pairs, out.y_vars, WeightLayout::kBeta2);
+    build_triangles(problem.object_pairs, out.z_vars, WeightLayout::kBeta3);
   }
 
   // --- linking variables + F4/F5/F6 ------------------------------------------
@@ -295,24 +290,21 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
               .AddFactor({es},
                          entity_factor_table(problem.subject_surfaces[s_surf],
                                              problem.subject_candidates[s_surf],
-                                             WeightLayout::kAlpha4),
-                         "F4")
+                                             WeightLayout::kAlpha4))
               .ValueOrDie());
       group_f_link.push_back(
           graph
               .AddFactor({rp},
                          relation_factor_table(
                              problem.predicate_surfaces[p_surf],
-                             problem.predicate_candidates[p_surf]),
-                         "F5")
+                             problem.predicate_candidates[p_surf]))
               .ValueOrDie());
       group_f_link.push_back(
           graph
               .AddFactor({eo},
                          entity_factor_table(problem.object_surfaces[o_surf],
                                              problem.object_candidates[o_surf],
-                                             WeightLayout::kAlpha6),
-                         "F6")
+                                             WeightLayout::kAlpha6))
               .ValueOrDie());
 
       // U4 fact inclusion over (es, rp, eo).
@@ -338,8 +330,7 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
             graph
                 .AddFactor({es, rp, eo},
                            FeatureTable::Uniform(WeightLayout::kBeta4,
-                                                 std::move(values)),
-                           "U4")
+                                                 std::move(values)))
                 .ValueOrDie());
       }
     }
@@ -356,7 +347,7 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
             const std::vector<size_t>& representative,
             const std::vector<VariableId>& link_vars,
             const std::vector<std::vector<Candidate>>& candidates,
-            WeightId beta, const char* name) {
+            WeightId beta) {
           for (size_t p = 0; p < pairs.size(); ++p) {
             // Candidate-blocked pairs exist *because* they share a
             // candidate; their consistency factors are skipped or
@@ -404,21 +395,19 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
             group_u_cons.push_back(
                 graph
                     .AddFactor({link_a, link_b, pair_vars[p]},
-                               FeatureTable::Uniform(beta, std::move(values)),
-                               name)
+                               FeatureTable::Uniform(beta, std::move(values)))
                     .ValueOrDie());
           }
         };
     build_consistency(problem.subject_pairs, out.x_vars, problem.subject_rep,
                       out.es_vars, problem.subject_candidates,
-                      WeightLayout::kBeta5, "U5");
+                      WeightLayout::kBeta5);
     build_consistency(problem.predicate_pairs, out.y_vars,
                       problem.predicate_rep, out.rp_vars,
-                      problem.predicate_candidates, WeightLayout::kBeta6,
-                      "U6");
+                      problem.predicate_candidates, WeightLayout::kBeta6);
     build_consistency(problem.object_pairs, out.z_vars, problem.object_rep,
                       out.eo_vars, problem.object_candidates,
-                      WeightLayout::kBeta7, "U7");
+                      WeightLayout::kBeta7);
   }
 
   // --- schedule (paper §3.4 working procedure) ---------------------------------

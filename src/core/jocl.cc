@@ -52,7 +52,7 @@ Result<std::vector<double>> Jocl::LearnWeights(
   }
 
   // The sharded learner partitions the labeled problem, builds one
-  // compiled graph per component through the SignalCache path, and runs
+  // graph per component through the SignalCache path, and runs
   // the clamped/free passes component-parallel — the learning-side twin of
   // the Infer runtime below (same thread/shard knobs, same determinism).
   LearnRuntimeOptions learn_runtime;

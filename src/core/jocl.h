@@ -93,7 +93,7 @@ struct JoclResult {
 ///
 /// Infer() is a thin wrapper over the sharded `JoclRuntime`
 /// (core/runtime.h): the problem is partitioned into independent
-/// sub-problems that run build→compile→infer→decode on a worker pool over
+/// sub-problems that run build→infer→decode on a worker pool over
 /// a precomputed `SignalCache`, then merge into globally stable labels.
 class Jocl {
  public:

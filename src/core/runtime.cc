@@ -93,6 +93,8 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
   LbpOptions lbp_options = options.inference;
   lbp_options.factor_schedule = jgraph.schedule;
   lbp_options.num_threads = engine_threads;
+  // The "compile" span times engine construction: attachment lists,
+  // components, schedule and arenas over the flat graph.
   span.emplace("compile");
   std::unique_ptr<InferenceEngine> engine = CreateInferenceEngine(
       options.inference_backend, &jgraph.graph, &weights, lbp_options);
@@ -302,7 +304,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
   local_stats.shards = plan.shards.size();
   local_stats.components = plan.component_count;
 
-  // ---- per-shard build→compile→infer→extract on a worker pool -------------
+  // ---- per-shard build→infer→extract on a worker pool ---------------------
   watch.Reset();
   JoclBeliefs beliefs;
   SizeJoclBeliefs(problem, options_.builder, &beliefs);

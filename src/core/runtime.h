@@ -28,8 +28,8 @@ struct RuntimeStats {
   double problem_seconds = 0.0;    ///< BuildProblem (global)
   double cache_seconds = 0.0;      ///< SignalCache build (global)
   double partition_seconds = 0.0;  ///< union-find sharding
-  double shard_seconds = 0.0;      ///< build→compile→infer→extract, wall
-  /// Graph building + compilation summed across shards. Accumulated over
+  double shard_seconds = 0.0;      ///< build→engine→infer→extract, wall
+  /// Graph building + engine setup summed across shards. Accumulated over
   /// all workers, so with several threads this exceeds the wall-clock
   /// share of shard_seconds it represents.
   double graph_seconds = 0.0;
@@ -72,7 +72,7 @@ struct ShardRunTimings {
   double infer_seconds = 0.0;  ///< engine Run + belief extraction
 };
 
-/// \brief Builds, compiles and infers one shard-local problem, returning
+/// \brief Builds the graph of one shard-local problem and infers it, returning
 /// its beliefs in local indexing. Pure function of (local problem, cache
 /// answers, options, weights) — which is what makes session-side belief
 /// reuse byte-exact. \p engine_threads is the component-parallel
@@ -118,7 +118,7 @@ JoclResult AssembleJoclResult(const JoclProblem& problem,
 
 /// \brief The sharded end-to-end runtime (ROADMAP "production-scale"
 /// path): builds the problem and the signal cache once, partitions into
-/// independent shards, runs build→compile→infer→decode per shard on a
+/// independent shards, runs build→infer→decode per shard on a
 /// worker pool, and merges per-shard beliefs into globally stable cluster
 /// labels and links.
 ///

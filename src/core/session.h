@@ -35,7 +35,7 @@ struct SessionStats {
   double cache_seconds = 0.0;      ///< append-only signal-cache ingestion
   double partition_seconds = 0.0;  ///< union-find sharding + delta classify
   double shard_seconds = 0.0;      ///< dirty-shard inference, wall
-  double graph_seconds = 0.0;      ///< dirty graph build+compile, summed
+  double graph_seconds = 0.0;      ///< dirty graph build+engine, summed
   double infer_seconds = 0.0;      ///< dirty engine run+extract, summed
   double decode_seconds = 0.0;     ///< global decode + conflict resolution
   size_t added = 0;                ///< triples actually added

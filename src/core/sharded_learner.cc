@@ -10,7 +10,6 @@
 #include "core/graph_builder.h"
 #include "core/shard.h"
 #include "core/signal_cache.h"
-#include "graph/compiled_graph.h"
 #include "graph/inference.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,12 +32,11 @@ size_t GoldState(const std::vector<Candidate>& candidates, int64_t gold) {
 }
 
 /// One connected component's learning state, alive for the whole run:
-/// graph + compiled form + engine are built once, the expectation vectors
-/// are refilled every iteration.
+/// graph + engine are built once (the engine binds the graph it clamps),
+/// the expectation vectors are refilled every iteration.
 struct ComponentState {
   JoclProblem problem;
   JoclGraph jgraph;
-  CompiledGraph compiled;
   std::unique_ptr<InferenceEngine> engine;
   std::vector<std::pair<VariableId, size_t>> labels;
   std::vector<double> clamped_expect;
@@ -235,7 +233,7 @@ Result<LearnerResult> ShardedLearner::Learn(
           ? std::max<size_t>(1, std::thread::hardware_concurrency())
           : runtime_.num_threads;
 
-  // ---- per-component setup: build + compile once, label ------------------
+  // ---- per-component setup: build + bind an engine once, label -----------
   // `result.weights` is the one weight vector every engine binds; it is
   // only written between iterations, after all workers joined.
   watch.Reset();
@@ -250,13 +248,12 @@ Result<LearnerResult> ShardedLearner::Learn(
         state->problem = std::move(plan.shards[c].problem);
         state->jgraph = BuildJoclGraph(state->problem, cache, dataset.ckb,
                                        options_.builder);
-        state->compiled = CompiledGraph::Compile(state->jgraph.graph);
         LbpOptions lbp_options = options_.learner.lbp;
         lbp_options.factor_schedule = state->jgraph.schedule;
         lbp_options.num_threads = 1;  // parallelism lives across components
-        state->engine =
-            CreateInferenceEngine(options_.learner.backend, &state->compiled,
-                                  &result.weights, lbp_options);
+        state->engine = CreateInferenceEngine(options_.learner.backend,
+                                              &state->jgraph.graph,
+                                              &result.weights, lbp_options);
         state->labels = BuildGoldLabels(dataset, state->problem,
                                         state->jgraph, options_.builder);
         state->clamped_expect.resize(w, 0.0);

@@ -29,7 +29,7 @@ struct LearnerRunStats {
   double problem_seconds = 0.0;    ///< BuildProblem (global)
   double cache_seconds = 0.0;      ///< SignalCache build (global)
   double partition_seconds = 0.0;  ///< union-find sharding + bin packing
-  double setup_seconds = 0.0;      ///< per-component graph build + compile
+  double setup_seconds = 0.0;      ///< per-component graph build + engine
                                    ///< + labeling, wall
   double learn_seconds = 0.0;      ///< gradient-ascent loop, wall
   size_t components = 0;           ///< independent sub-problems
@@ -57,7 +57,7 @@ std::vector<std::pair<VariableId, size_t>> BuildGoldLabels(
 /// terms, every factor is internal to exactly one component
 /// (`PartitionProblem`), and clamping a component's labels only
 /// conditions that component's distribution. So the learner partitions
-/// the labeled problem once, builds and compiles one graph per component
+/// the labeled problem once, builds one graph and engine per component
 /// through the `SignalCache` path, and runs the clamped and free passes
 /// component-parallel on a worker pool — each component accumulating its
 /// own feature-expectation vectors.

@@ -5,8 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "graph/compiled_graph.h"
-
 namespace jocl {
 
 namespace {
@@ -14,11 +12,9 @@ namespace {
 // Row-major assignment index of factor f under the global `states`.
 size_t AssignmentOf(const FactorGraph& graph, FactorId f,
                     const std::vector<size_t>& states) {
-  const auto& scope = graph.factor(f).scope;
   size_t assignment = 0;
-  for (size_t slot = 0; slot < scope.size(); ++slot) {
-    assignment = assignment * graph.variable(scope[slot]).cardinality +
-                 states[scope[slot]];
+  for (size_t e = graph.scope_offset(f); e < graph.scope_offset(f + 1); ++e) {
+    assignment += states[graph.scope_var(e)] * graph.slot_stride(e);
   }
   return assignment;
 }
@@ -31,7 +27,7 @@ std::vector<size_t> ExactMap(const FactorGraph& graph,
   std::vector<size_t> states(nv, 0);
   for (VariableId v = 0; v < nv; ++v) {
     if (graph.IsClamped(v)) {
-      states[v] = static_cast<size_t>(graph.variable(v).clamped_state);
+      states[v] = static_cast<size_t>(graph.clamped_state(v));
     }
   }
   std::vector<size_t> free_vars;
@@ -43,8 +39,8 @@ std::vector<size_t> ExactMap(const FactorGraph& graph,
   for (;;) {
     double log_score = 0.0;
     for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      log_score += graph.factor(f).features.LogPotential(
-          AssignmentOf(graph, f, states), weights);
+      log_score +=
+          graph.LogPotential(f, AssignmentOf(graph, f, states), weights);
     }
     if (log_score > best_score) {
       best_score = log_score;
@@ -53,7 +49,7 @@ std::vector<size_t> ExactMap(const FactorGraph& graph,
     size_t k = 0;
     for (; k < free_vars.size(); ++k) {
       VariableId v = free_vars[k];
-      if (++states[v] < graph.variable(v).cardinality) break;
+      if (++states[v] < graph.cardinality(v)) break;
       states[v] = 0;
     }
     if (k == free_vars.size()) break;
@@ -67,7 +63,7 @@ ExactResult ExactInference(const FactorGraph& graph,
   const size_t nv = graph.variable_count();
   result.marginals.resize(nv);
   for (VariableId v = 0; v < nv; ++v) {
-    result.marginals[v].assign(graph.variable(v).cardinality, 0.0);
+    result.marginals[v].assign(graph.cardinality(v), 0.0);
   }
   result.expected_features.assign(graph.weight_count(), 0.0);
 
@@ -75,7 +71,7 @@ ExactResult ExactInference(const FactorGraph& graph,
   std::vector<size_t> states(nv, 0);
   for (VariableId v = 0; v < nv; ++v) {
     if (graph.IsClamped(v)) {
-      states[v] = static_cast<size_t>(graph.variable(v).clamped_state);
+      states[v] = static_cast<size_t>(graph.clamped_state(v));
     }
   }
   std::vector<double> log_scores;
@@ -89,8 +85,8 @@ ExactResult ExactInference(const FactorGraph& graph,
   for (;;) {
     double log_score = 0.0;
     for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      log_score += graph.factor(f).features.LogPotential(
-          AssignmentOf(graph, f, states), weights);
+      log_score +=
+          graph.LogPotential(f, AssignmentOf(graph, f, states), weights);
     }
     log_scores.push_back(log_score);
     all_states.push_back(states);
@@ -99,7 +95,7 @@ ExactResult ExactInference(const FactorGraph& graph,
     size_t k = 0;
     for (; k < free_vars.size(); ++k) {
       VariableId v = free_vars[k];
-      if (++states[v] < graph.variable(v).cardinality) break;
+      if (++states[v] < graph.cardinality(v)) break;
       states[v] = 0;
     }
     if (k == free_vars.size()) break;
@@ -112,8 +108,8 @@ ExactResult ExactInference(const FactorGraph& graph,
       result.marginals[v][all_states[i][v]] += p;
     }
     for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      graph.factor(f).features.ForEachFeature(
-          AssignmentOf(graph, f, all_states[i]),
+      graph.ForEachFeature(
+          f, AssignmentOf(graph, f, all_states[i]),
           [&](WeightId weight, double value) {
             result.expected_features[weight] += p * value;
           });
@@ -133,7 +129,7 @@ Status ExactEngine::Validate() const {
   if (weights_ == nullptr) {
     return Status::InvalidArgument("no weight vector bound");
   }
-  JOCL_RETURN_NOT_OK(CompiledGraph::ValidateSource(*graph_));
+  JOCL_RETURN_NOT_OK(graph_->Validate());
   if (weights_->size() < graph_->weight_count()) {
     return Status::FailedPrecondition(
         "weight vector holds " + std::to_string(weights_->size()) +
@@ -165,7 +161,7 @@ std::vector<double> ExactEngine::FactorBelief(FactorId id) const {
   std::vector<size_t> free_vars;
   for (VariableId v = 0; v < nv; ++v) {
     if (graph.IsClamped(v)) {
-      states[v] = static_cast<size_t>(graph.variable(v).clamped_state);
+      states[v] = static_cast<size_t>(graph.clamped_state(v));
     } else {
       free_vars.push_back(v);
     }
@@ -173,8 +169,8 @@ std::vector<double> ExactEngine::FactorBelief(FactorId id) const {
   for (;;) {
     double log_score = 0.0;
     for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      log_score += graph.factor(f).features.LogPotential(
-          AssignmentOf(graph, f, states), *weights_);
+      log_score +=
+          graph.LogPotential(f, AssignmentOf(graph, f, states), *weights_);
     }
     double& cell = log_belief[AssignmentOf(graph, id, states)];
     if (cell == -std::numeric_limits<double>::infinity()) {
@@ -187,7 +183,7 @@ std::vector<double> ExactEngine::FactorBelief(FactorId id) const {
     size_t k = 0;
     for (; k < free_vars.size(); ++k) {
       VariableId v = free_vars[k];
-      if (++states[v] < graph.variable(v).cardinality) break;
+      if (++states[v] < graph.cardinality(v)) break;
       states[v] = 0;
     }
     if (k == free_vars.size()) break;

@@ -70,20 +70,8 @@ double LogSumExp(const std::vector<double>& values) {
 FlatLbpEngine::FlatLbpEngine(const FactorGraph* graph,
                              const std::vector<double>* weights,
                              LbpOptions options)
-    : compiled_(nullptr),
-      owned_(CompiledGraph::Compile(*graph)),
-      weights_(weights),
-      options_(std::move(options)) {
-  compiled_ = &owned_;
-  BuildSchedule();
-  InitArenas();
-}
-
-FlatLbpEngine::FlatLbpEngine(const CompiledGraph* compiled,
-                             const std::vector<double>* weights,
-                             LbpOptions options)
-    : compiled_(compiled), weights_(weights), options_(std::move(options)) {
-  BuildSchedule();
+    : graph_(graph), weights_(weights), options_(std::move(options)) {
+  BuildSchedule(BuildTopology());
   InitArenas();
 }
 
@@ -91,14 +79,63 @@ Status FlatLbpEngine::Validate() const {
   if (weights_ == nullptr) {
     return Status::InvalidArgument("no weight vector bound");
   }
-  JOCL_RETURN_NOT_OK(CompiledGraph::ValidateSource(*compiled_->source));
-  if (weights_->size() < compiled_->source->weight_count()) {
+  JOCL_RETURN_NOT_OK(graph_->Validate());
+  if (weights_->size() < graph_->weight_count()) {
     return Status::FailedPrecondition(
         "weight vector holds " + std::to_string(weights_->size()) +
         " weights, graph references " +
-        std::to_string(compiled_->source->weight_count()));
+        std::to_string(graph_->weight_count()));
   }
   return Status::OK();
+}
+
+std::vector<uint32_t> FlatLbpEngine::AttachedEdges(VariableId v) const {
+  return {attach_edge_.begin() + attach_offset_[v],
+          attach_edge_.begin() + attach_offset_[v + 1]};
+}
+
+std::vector<uint32_t> FlatLbpEngine::ComponentVariables(size_t k) const {
+  return {comp_vars_.begin() + comp_var_offset_[k],
+          comp_vars_.begin() + comp_var_offset_[k + 1]};
+}
+
+std::vector<uint32_t> FlatLbpEngine::ComponentFactors(size_t k) const {
+  return {sched_factor_.begin() + sched_offset_[k],
+          sched_factor_.begin() + sched_offset_[k + 1]};
+}
+
+std::vector<size_t> FlatLbpEngine::BuildTopology() {
+  const FactorGraph& g = *graph_;
+  const size_t nv = g.variable_count();
+  const size_t ne = g.edge_count();
+
+  // Attachments: counting sort of edges by variable.
+  attach_offset_.assign(nv + 1, 0);
+  for (size_t e = 0; e < ne; ++e) ++attach_offset_[g.scope_var(e) + 1];
+  for (size_t v = 0; v < nv; ++v) attach_offset_[v + 1] += attach_offset_[v];
+  attach_edge_.resize(ne);
+  std::vector<size_t> cursor(attach_offset_.begin(), attach_offset_.end() - 1);
+  for (size_t e = 0; e < ne; ++e) {
+    attach_edge_[cursor[g.scope_var(e)]++] = static_cast<uint32_t>(e);
+  }
+
+  // Connected components and their variable lists (CSR by component).
+  std::vector<size_t> component_of_var = FactorGraphComponents(g);
+  component_count_ = 0;
+  for (size_t label : component_of_var) {
+    component_count_ = std::max(component_count_, label + 1);
+  }
+  comp_var_offset_.assign(component_count_ + 1, 0);
+  for (size_t label : component_of_var) ++comp_var_offset_[label + 1];
+  for (size_t k = 0; k < component_count_; ++k) {
+    comp_var_offset_[k + 1] += comp_var_offset_[k];
+  }
+  comp_vars_.resize(nv);
+  cursor.assign(comp_var_offset_.begin(), comp_var_offset_.end() - 1);
+  for (VariableId v = 0; v < nv; ++v) {
+    comp_vars_[cursor[component_of_var[v]]++] = static_cast<uint32_t>(v);
+  }
+  return component_of_var;
 }
 
 void FlatLbpEngine::InitArenas() {
@@ -106,21 +143,22 @@ void FlatLbpEngine::InitArenas() {
   // even before Run(), matching the old engine's constructor-allocated
   // storage; Run()'s assign() calls reuse this capacity. Message and
   // belief arenas are lane-padded (tails never read).
-  const CompiledGraph& c = *compiled_;
-  log_potential_.assign(c.total_assignments(), 0.0);
-  msg_f2v_.assign(c.total_edge_lane_states(), 0.0);
-  msg_v2f_.assign(c.total_edge_lane_states(), 0.0);
-  belief_.assign(c.total_var_lane_states(), 0.0);
-  marginal_.assign(c.total_var_lane_states(), 0.0);
-  marginals_.resize(c.variable_count());
-  for (VariableId v = 0; v < c.variable_count(); ++v) {
-    marginals_[v].assign(c.cardinality[v], 0.0);
+  const FactorGraph& g = *graph_;
+  log_potential_.assign(g.total_assignments(), 0.0);
+  msg_f2v_.assign(g.total_edge_lane_states(), 0.0);
+  msg_v2f_.assign(g.total_edge_lane_states(), 0.0);
+  belief_.assign(g.total_var_lane_states(), 0.0);
+  marginal_.assign(g.total_var_lane_states(), 0.0);
+  marginals_.resize(g.variable_count());
+  for (VariableId v = 0; v < g.variable_count(); ++v) {
+    marginals_[v].assign(g.cardinality(v), 0.0);
   }
 }
 
-void FlatLbpEngine::BuildSchedule() {
-  const CompiledGraph& c = *compiled_;
-  const size_t nf = c.factor_count();
+void FlatLbpEngine::BuildSchedule(
+    const std::vector<size_t>& component_of_var) {
+  const FactorGraph& g = *graph_;
+  const size_t nf = g.factor_count();
   const size_t groups = options_.factor_schedule.size();
 
   // Emit (factor, group) in schedule order — caller groups first, then the
@@ -130,24 +168,24 @@ void FlatLbpEngine::BuildSchedule() {
   std::vector<uint32_t> order_factor;
   std::vector<uint32_t> order_group;
   std::vector<uint8_t> scheduled(nf, 0);
-  for (size_t g = 0; g < groups; ++g) {
-    for (FactorId f : options_.factor_schedule[g]) {
-      if (f >= nf || c.scope_offset[f] == c.scope_offset[f + 1]) continue;
+  for (size_t group = 0; group < groups; ++group) {
+    for (FactorId f : options_.factor_schedule[group]) {
+      if (f >= nf || g.arity(f) == 0) continue;
       order_factor.push_back(static_cast<uint32_t>(f));
-      order_group.push_back(static_cast<uint32_t>(g));
+      order_group.push_back(static_cast<uint32_t>(group));
       scheduled[f] = 1;
     }
   }
   for (FactorId f = 0; f < nf; ++f) {
-    if (scheduled[f] || c.scope_offset[f] == c.scope_offset[f + 1]) continue;
+    if (scheduled[f] || g.arity(f) == 0) continue;
     order_factor.push_back(static_cast<uint32_t>(f));
     order_group.push_back(static_cast<uint32_t>(groups));
   }
 
-  const size_t nc = c.component_count;
+  const size_t nc = component_count_;
   sched_offset_.assign(nc + 1, 0);
   auto component_of_factor = [&](uint32_t f) {
-    return c.component_of_var[c.scope_var[c.scope_offset[f]]];
+    return component_of_var[g.scope_var(g.scope_offset(f))];
   };
   for (uint32_t f : order_factor) ++sched_offset_[component_of_factor(f) + 1];
   for (size_t k = 0; k < nc; ++k) sched_offset_[k + 1] += sched_offset_[k];
@@ -162,18 +200,17 @@ void FlatLbpEngine::BuildSchedule() {
 }
 
 void FlatLbpEngine::RefreshVariable(uint32_t v) {
-  const CompiledGraph& c = *compiled_;
-  const FactorGraph& g = *c.source;
-  const size_t card = c.cardinality[v];
-  double* sums = AssumeLaneAligned(belief_.data() + c.var_lane_offset[v]);
+  const FactorGraph& g = *graph_;
+  const size_t card = g.cardinality(v);
+  double* sums = AssumeLaneAligned(belief_.data() + g.var_lane_offset(v));
   if (g.IsClamped(v)) {
-    const size_t observed = static_cast<size_t>(g.variable(v).clamped_state);
+    const size_t observed = static_cast<size_t>(g.clamped_state(v));
     for (size_t x = 0; x < card; ++x) {
       sums[x] = (x == observed) ? 0.0 : kNegInf;
     }
-    for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
+    for (size_t k = attach_offset_[v]; k < attach_offset_[v + 1]; ++k) {
       double* outgoing = AssumeLaneAligned(
-          msg_v2f_.data() + c.edge_lane_offset[c.attach_edge[k]]);
+          msg_v2f_.data() + g.edge_lane_offset(attach_edge_[k]));
       for (size_t x = 0; x < card; ++x) {
         outgoing[x] = (x == observed) ? 0.0 : kNegInf;
       }
@@ -183,17 +220,17 @@ void FlatLbpEngine::RefreshVariable(uint32_t v) {
   // belief_sums[v][x] = sum over attached edges of msg_f2v. Each += pass
   // is an independent-lane loop over the padded span — vectorizable.
   std::fill(sums, sums + card, 0.0);
-  for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
+  for (size_t k = attach_offset_[v]; k < attach_offset_[v + 1]; ++k) {
     const double* incoming = AssumeLaneAligned(
-        msg_f2v_.data() + c.edge_lane_offset[c.attach_edge[k]]);
+        msg_f2v_.data() + g.edge_lane_offset(attach_edge_[k]));
     for (size_t x = 0; x < card; ++x) sums[x] += incoming[x];
   }
   NormalizeLog(sums, card);
   // Variable -> factor messages: cavity sums (subtract own incoming),
   // with the normalize max fused into the subtraction pass (one pass
   // fewer than subtract + NormalizeLog; same operations, same order).
-  for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
-    const size_t base = c.edge_lane_offset[c.attach_edge[k]];
+  for (size_t k = attach_offset_[v]; k < attach_offset_[v + 1]; ++k) {
+    const size_t base = g.edge_lane_offset(attach_edge_[k]);
     double* outgoing = AssumeLaneAligned(msg_v2f_.data() + base);
     const double* incoming = AssumeLaneAligned(msg_f2v_.data() + base);
     double mx = kNegInf;
@@ -208,10 +245,9 @@ void FlatLbpEngine::RefreshVariable(uint32_t v) {
 }
 
 void FlatLbpEngine::RefreshComponentVariables(size_t component) {
-  const CompiledGraph& c = *compiled_;
-  for (size_t i = c.comp_var_offset[component];
-       i < c.comp_var_offset[component + 1]; ++i) {
-    RefreshVariable(c.comp_vars[i]);
+  for (size_t i = comp_var_offset_[component];
+       i < comp_var_offset_[component + 1]; ++i) {
+    RefreshVariable(comp_vars_[i]);
   }
 }
 
@@ -229,22 +265,21 @@ void FlatLbpEngine::BumpFactorPriority(uint32_t f, double delta,
 }
 
 void FlatLbpEngine::RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const FactorGraph& g = *c.source;
+  const FactorGraph& g = *graph_;
   if (g.IsClamped(v)) return;  // delta messages never change after init
-  const size_t card = c.cardinality[v];
-  double* sums = AssumeLaneAligned(belief_.data() + c.var_lane_offset[v]);
+  const size_t card = g.cardinality(v);
+  double* sums = AssumeLaneAligned(belief_.data() + g.var_lane_offset(v));
   std::fill(sums, sums + card, 0.0);
-  for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
+  for (size_t k = attach_offset_[v]; k < attach_offset_[v + 1]; ++k) {
     const double* incoming = AssumeLaneAligned(
-        msg_f2v_.data() + c.edge_lane_offset[c.attach_edge[k]]);
+        msg_f2v_.data() + g.edge_lane_offset(attach_edge_[k]));
     for (size_t x = 0; x < card; ++x) sums[x] += incoming[x];
   }
   NormalizeLog(sums, card);
   double* lane = scratch->lane.data();
-  for (size_t k = c.attach_offset[v]; k < c.attach_offset[v + 1]; ++k) {
-    const uint32_t e = c.attach_edge[k];
-    const size_t base = c.edge_lane_offset[e];
+  for (size_t k = attach_offset_[v]; k < attach_offset_[v + 1]; ++k) {
+    const uint32_t e = attach_edge_[k];
+    const size_t base = g.edge_lane_offset(e);
     double* outgoing = AssumeLaneAligned(msg_v2f_.data() + base);
     const double* incoming = AssumeLaneAligned(msg_f2v_.data() + base);
     double mx = kNegInf;
@@ -263,7 +298,7 @@ void FlatLbpEngine::RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch) {
       if (!std::isnan(diff)) delta = std::max(delta, diff);
       outgoing[x] = value;
     }
-    BumpFactorPriority(c.edge_factor[e], delta, scratch);
+    BumpFactorPriority(g.edge_factor(e), delta, scratch);
   }
 }
 
@@ -283,17 +318,16 @@ void FlatLbpEngine::RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch) {
 
 template <bool kMaxProduct>
 void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const FactorGraph& g = *c.source;
-  const size_t edge_begin = c.scope_offset[f];
-  const size_t edge_end = c.scope_offset[f + 1];
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t edge_end = g.scope_offset(f + 1);
   const size_t arity = edge_end - edge_begin;
-  const double* log_potential = log_potential_.data() + c.assignment_offset[f];
+  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
 
   // Fresh outgoing accumulators for all slots, contiguous per factor:
   // slot's states live at edge_lane_offset[e] - lane_base.
-  const size_t lane_base = c.edge_lane_offset[edge_begin];
-  const size_t factor_lanes = c.edge_lane_offset[edge_end] - lane_base;
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
+  const size_t factor_lanes = g.edge_lane_offset(edge_end) - lane_base;
   double* fresh = scratch->fresh.data();
   std::fill(fresh, fresh + factor_lanes, kNegInf);
   size_t* states = scratch->states.data();
@@ -315,12 +349,12 @@ void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
   size_t reduced = 1;
   for (size_t slot = 0; slot < arity; ++slot) {
     const size_t e = edge_begin + slot;
-    const uint32_t v = c.scope_var[e];
-    cards[slot] = c.cardinality[v];
-    strides[slot] = c.slot_stride[e];
-    lanes[slot] = c.edge_lane_offset[e];
+    const uint32_t v = g.scope_var(e);
+    cards[slot] = g.cardinality(v);
+    strides[slot] = g.slot_stride(e);
+    lanes[slot] = g.edge_lane_offset(e);
     if (g.IsClamped(v)) {
-      const size_t observed = static_cast<size_t>(g.variable(v).clamped_state);
+      const size_t observed = static_cast<size_t>(g.clamped_state(v));
       states[slot] = observed;
       a += observed * strides[slot];
       pinned[slot] = 1;
@@ -372,12 +406,12 @@ void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
 
 template <bool kMaxProduct>
 void FlatLbpEngine::UpdateFactorUnary(FactorId f, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const size_t e0 = c.scope_offset[f];
-  const size_t card = c.cardinality[c.scope_var[e0]];
-  const double* log_potential = log_potential_.data() + c.assignment_offset[f];
+  const FactorGraph& g = *graph_;
+  const size_t e0 = g.scope_offset(f);
+  const size_t card = g.cardinality(g.scope_var(e0));
+  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
   const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e0]);
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   double* fresh = scratch->fresh.data();
   // Each cell is touched exactly once: the first LseStep / max on a fresh
   // -inf cell yields the cavity itself, so no fill pass is needed.
@@ -394,20 +428,20 @@ void FlatLbpEngine::UpdateFactorUnary(FactorId f, Scratch* scratch) {
 
 template <bool kMaxProduct>
 void FlatLbpEngine::UpdateFactorBinary(FactorId f, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const size_t e0 = c.scope_offset[f];
+  const FactorGraph& g = *graph_;
+  const size_t e0 = g.scope_offset(f);
   const size_t e1 = e0 + 1;
-  const size_t c0 = c.cardinality[c.scope_var[e0]];
-  const size_t c1 = c.cardinality[c.scope_var[e1]];
-  const double* log_potential = log_potential_.data() + c.assignment_offset[f];
+  const size_t c0 = g.cardinality(g.scope_var(e0));
+  const size_t c1 = g.cardinality(g.scope_var(e1));
+  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
   const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e0]);
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   const double* m1 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e1]);
-  const size_t lane_base = c.edge_lane_offset[e0];
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e1));
+  const size_t lane_base = g.edge_lane_offset(e0);
   double* fresh0 = scratch->fresh.data();
-  double* fresh1 = fresh0 + (c.edge_lane_offset[e1] - lane_base);
-  const size_t factor_lanes = c.edge_lane_offset[e1 + 1] - lane_base;
+  double* fresh1 = fresh0 + (g.edge_lane_offset(e1) - lane_base);
+  const size_t factor_lanes = g.edge_lane_offset(e1 + 1) - lane_base;
   std::fill(fresh0, fresh0 + factor_lanes, kNegInf);
 
   const double* lp_row = log_potential;
@@ -435,25 +469,25 @@ void FlatLbpEngine::UpdateFactorBinary(FactorId f, Scratch* scratch) {
 
 template <bool kMaxProduct>
 void FlatLbpEngine::UpdateFactorTernary(FactorId f, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const size_t e0 = c.scope_offset[f];
+  const FactorGraph& g = *graph_;
+  const size_t e0 = g.scope_offset(f);
   const size_t e1 = e0 + 1;
   const size_t e2 = e0 + 2;
-  const size_t c0 = c.cardinality[c.scope_var[e0]];
-  const size_t c1 = c.cardinality[c.scope_var[e1]];
-  const size_t c2 = c.cardinality[c.scope_var[e2]];
-  const double* log_potential = log_potential_.data() + c.assignment_offset[f];
+  const size_t c0 = g.cardinality(g.scope_var(e0));
+  const size_t c1 = g.cardinality(g.scope_var(e1));
+  const size_t c2 = g.cardinality(g.scope_var(e2));
+  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
   const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e0]);
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   const double* m1 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e1]);
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e1));
   const double* m2 =
-      AssumeLaneAligned(msg_v2f_.data() + c.edge_lane_offset[e2]);
-  const size_t lane_base = c.edge_lane_offset[e0];
+      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e2));
+  const size_t lane_base = g.edge_lane_offset(e0);
   double* fresh0 = scratch->fresh.data();
-  double* fresh1 = fresh0 + (c.edge_lane_offset[e1] - lane_base);
-  double* fresh2 = fresh0 + (c.edge_lane_offset[e2] - lane_base);
-  const size_t factor_lanes = c.edge_lane_offset[e2 + 1] - lane_base;
+  double* fresh1 = fresh0 + (g.edge_lane_offset(e1) - lane_base);
+  double* fresh2 = fresh0 + (g.edge_lane_offset(e2) - lane_base);
+  const size_t factor_lanes = g.edge_lane_offset(e2 + 1) - lane_base;
   std::fill(fresh0, fresh0 + factor_lanes, kNegInf);
 
   for (size_t s0 = 0; s0 < c0; ++s0) {
@@ -488,15 +522,15 @@ void FlatLbpEngine::UpdateFactorTernary(FactorId f, Scratch* scratch) {
 
 void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
                                        Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
-  const size_t edge_begin = c.scope_offset[f];
-  const size_t edge_end = c.scope_offset[f + 1];
-  const size_t lane_base = c.edge_lane_offset[edge_begin];
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t edge_end = g.scope_offset(f + 1);
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
   const double damping = options_.damping;
   double* fresh = scratch->fresh.data();
   for (size_t e = edge_begin; e < edge_end; ++e) {
-    const size_t card = c.cardinality[c.scope_var[e]];
-    double* fr = fresh + (c.edge_lane_offset[e] - lane_base);
+    const size_t card = g.cardinality(g.scope_var(e));
+    double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
     // Normalize max pass (a pure lane reduction), then a single fused
     // subtract + damp + residual pass — one pass fewer than the old
     // NormalizeLog-then-damp epilogue, with identical operations:
@@ -505,7 +539,7 @@ void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
     double mx = kNegInf;
     for (size_t x = 0; x < card; ++x) mx = std::max(mx, fr[x]);
     const double shift = (mx == kNegInf) ? 0.0 : mx;
-    double* old = AssumeLaneAligned(msg_f2v_.data() + c.edge_lane_offset[e]);
+    double* old = AssumeLaneAligned(msg_f2v_.data() + g.edge_lane_offset(e));
     for (size_t x = 0; x < card; ++x) {
       double updated = fr[x] - shift;
       if (damping > 0.0 && old[x] != kNegInf && updated != kNegInf) {
@@ -520,7 +554,7 @@ void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
 
 void FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
                                          Scratch* scratch) {
-  const size_t arity = compiled_->scope_offset[f + 1] - compiled_->scope_offset[f];
+  const size_t arity = graph_->arity(f);
   const bool max_product = options_.mode == LbpMode::kMaxProduct;
   if (options_.kernel == LbpKernel::kScalarReference || arity > 3) {
     if (max_product) {
@@ -551,14 +585,14 @@ void FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
 }
 
 void FlatLbpEngine::MaterializeComponentMarginals(size_t component) {
-  const CompiledGraph& c = *compiled_;
-  for (size_t i = c.comp_var_offset[component];
-       i < c.comp_var_offset[component + 1]; ++i) {
-    const uint32_t v = c.comp_vars[i];
-    const size_t card = c.cardinality[v];
+  const FactorGraph& g = *graph_;
+  for (size_t i = comp_var_offset_[component];
+       i < comp_var_offset_[component + 1]; ++i) {
+    const uint32_t v = comp_vars_[i];
+    const size_t card = g.cardinality(v);
     const double* log_belief =
-        AssumeLaneAligned(belief_.data() + c.var_lane_offset[v]);
-    double* out = AssumeLaneAligned(marginal_.data() + c.var_lane_offset[v]);
+        AssumeLaneAligned(belief_.data() + g.var_lane_offset(v));
+    double* out = AssumeLaneAligned(marginal_.data() + g.var_lane_offset(v));
     double mx = kNegInf;
     for (size_t x = 0; x < card; ++x) mx = std::max(mx, log_belief[x]);
     if (mx == kNegInf) {
@@ -617,7 +651,7 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponent(size_t component,
 
 FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
     size_t component, Scratch* scratch) {
-  const CompiledGraph& c = *compiled_;
+  const FactorGraph& g = *graph_;
   ComponentStats stats;
   RefreshComponentVariables(component);
   const size_t begin = sched_offset_[component];
@@ -631,10 +665,10 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 
   // Lazily size the factor-indexed queue state, then reset only this
   // component's slots (workers reuse one Scratch across components).
-  if (scratch->priority.size() < c.factor_count()) {
-    scratch->priority.assign(c.factor_count(), 0.0);
-    scratch->bucket_of.assign(c.factor_count(), -1);
-    scratch->stamp.assign(c.factor_count(), 0);
+  if (scratch->priority.size() < g.factor_count()) {
+    scratch->priority.assign(g.factor_count(), 0.0);
+    scratch->bucket_of.assign(g.factor_count(), -1);
+    scratch->stamp.assign(g.factor_count(), 0);
   }
   if (scratch->buckets.size() < static_cast<size_t>(kResidualBuckets)) {
     scratch->buckets.resize(kResidualBuckets);
@@ -696,13 +730,13 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
     ++stats.message_updates;
     // Propagate: refresh the scope variables now (asynchronous BP) and
     // raise the priority of every factor whose inputs moved.
-    const size_t edge_begin = c.scope_offset[f];
-    const size_t edge_end = c.scope_offset[f + 1];
+    const size_t edge_begin = g.scope_offset(f);
+    const size_t edge_end = g.scope_offset(f + 1);
     for (size_t e = edge_begin; e < edge_end; ++e) {
-      const uint32_t v = c.scope_var[e];
+      const uint32_t v = g.scope_var(e);
       bool seen = false;  // scopes may repeat a variable; refresh once
       for (size_t p = edge_begin; p < e; ++p) {
-        if (c.scope_var[p] == v) {
+        if (g.scope_var(p) == v) {
           seen = true;
           break;
         }
@@ -734,28 +768,28 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 }
 
 LbpResult FlatLbpEngine::Run() {
-  const CompiledGraph& c = *compiled_;
-  compiled_->ComputeLogPotentials(*weights_, &log_potential_);
-  msg_f2v_.assign(c.total_edge_lane_states(), 0.0);
-  msg_v2f_.assign(c.total_edge_lane_states(), 0.0);
-  belief_.assign(c.total_var_lane_states(), 0.0);
-  marginal_.assign(c.total_var_lane_states(), 0.0);
+  const FactorGraph& g = *graph_;
+  g.ComputeLogPotentials(*weights_, &log_potential_);
+  msg_f2v_.assign(g.total_edge_lane_states(), 0.0);
+  msg_v2f_.assign(g.total_edge_lane_states(), 0.0);
+  belief_.assign(g.total_var_lane_states(), 0.0);
+  marginal_.assign(g.total_var_lane_states(), 0.0);
 
-  const size_t nc = c.component_count;
+  const size_t nc = component_count_;
   std::vector<ComponentStats> stats(nc);
   const size_t threads =
       std::min(std::max<size_t>(1, ResolveThreads(options_.num_threads)), nc);
   auto make_scratch = [&]() {
     Scratch scratch;
-    scratch.fresh.resize(c.max_factor_lane_states);
-    scratch.states.resize(c.max_arity);
-    scratch.pinned.resize(c.max_arity);
-    scratch.cards.resize(c.max_arity);
-    scratch.strides.resize(c.max_arity);
-    scratch.lanes.resize(c.max_arity);
+    scratch.fresh.resize(g.max_factor_lane_states());
+    scratch.states.resize(g.max_arity());
+    scratch.pinned.resize(g.max_arity());
+    scratch.cards.resize(g.max_arity());
+    scratch.strides.resize(g.max_arity());
+    scratch.lanes.resize(g.max_arity());
     size_t max_card = 0;
-    for (VariableId v = 0; v < c.variable_count(); ++v) {
-      max_card = std::max<size_t>(max_card, c.cardinality[v]);
+    for (VariableId v = 0; v < g.variable_count(); ++v) {
+      max_card = std::max<size_t>(max_card, g.cardinality(v));
     }
     scratch.lane.resize(RoundUpTo(max_card, kLaneDoubles));
     return scratch;
@@ -800,33 +834,33 @@ LbpResult FlatLbpEngine::Run() {
   }
 
   // Materialize nested marginals from the flat arena.
-  marginals_.resize(c.variable_count());
-  for (VariableId v = 0; v < c.variable_count(); ++v) {
-    const double* begin = marginal_.data() + c.var_lane_offset[v];
-    marginals_[v].assign(begin, begin + c.cardinality[v]);
+  marginals_.resize(g.variable_count());
+  for (VariableId v = 0; v < g.variable_count(); ++v) {
+    const double* begin = marginal_.data() + g.var_lane_offset(v);
+    marginals_[v].assign(begin, begin + g.cardinality(v));
   }
   result.marginals = marginals_;
   return result;
 }
 
 std::vector<double> FlatLbpEngine::FactorBelief(FactorId f) const {
-  const CompiledGraph& c = *compiled_;
-  const size_t edge_begin = c.scope_offset[f];
-  const size_t arity = c.scope_offset[f + 1] - edge_begin;
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t arity = g.scope_offset(f + 1) - edge_begin;
   const size_t assignments =
-      c.assignment_offset[f + 1] - c.assignment_offset[f];
-  const double* log_potential = log_potential_.data() + c.assignment_offset[f];
+      g.assignment_offset(f + 1) - g.assignment_offset(f);
+  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
 
   std::vector<double> log_belief(assignments);
   std::vector<size_t> states(arity, 0);
   for (size_t a = 0; a < assignments; ++a) {
     double total = log_potential[a];
     for (size_t slot = 0; slot < arity; ++slot) {
-      total += msg_v2f_[c.edge_lane_offset[edge_begin + slot] + states[slot]];
+      total += msg_v2f_[g.edge_lane_offset(edge_begin + slot) + states[slot]];
     }
     log_belief[a] = total;
     for (size_t slot = arity; slot-- > 0;) {
-      if (++states[slot] < c.cardinality[c.scope_var[edge_begin + slot]]) {
+      if (++states[slot] < g.cardinality(g.scope_var(edge_begin + slot))) {
         break;
       }
       states[slot] = 0;
@@ -846,13 +880,13 @@ std::vector<double> FlatLbpEngine::FactorBelief(FactorId f) const {
 
 void FlatLbpEngine::AccumulateExpectedFeatures(
     std::vector<double>* expectations) const {
-  const CompiledGraph& c = *compiled_;
-  assert(expectations->size() == c.source->weight_count());
-  for (FactorId f = 0; f < c.factor_count(); ++f) {
+  const FactorGraph& g = *graph_;
+  assert(expectations->size() == g.weight_count());
+  for (FactorId f = 0; f < g.factor_count(); ++f) {
     const std::vector<double> belief = FactorBelief(f);
     for (size_t a = 0; a < belief.size(); ++a) {
       if (belief[a] <= 0.0) continue;
-      c.ForEachFeature(f, a, [&](WeightId weight, double value) {
+      g.ForEachFeature(f, a, [&](WeightId weight, double value) {
         (*expectations)[weight] += belief[a] * value;
       });
     }
@@ -860,23 +894,23 @@ void FlatLbpEngine::AccumulateExpectedFeatures(
 }
 
 double FlatLbpEngine::LogPartitionEstimate() const {
-  const CompiledGraph& c = *compiled_;
+  const FactorGraph& g = *graph_;
   double log_z = 0.0;
-  for (FactorId f = 0; f < c.factor_count(); ++f) {
+  for (FactorId f = 0; f < g.factor_count(); ++f) {
     const std::vector<double> belief = FactorBelief(f);
     const double* log_potential =
-        log_potential_.data() + c.assignment_offset[f];
+        log_potential_.data() + g.assignment_offset(f);
     for (size_t a = 0; a < belief.size(); ++a) {
       if (belief[a] <= 0.0) continue;
       log_z += belief[a] * (log_potential[a] - std::log(belief[a]));
     }
   }
-  for (VariableId v = 0; v < c.variable_count(); ++v) {
+  for (VariableId v = 0; v < g.variable_count(); ++v) {
     const double degree =
-        static_cast<double>(c.attach_offset[v + 1] - c.attach_offset[v]);
-    const double* m = marginal_.data() + c.var_lane_offset[v];
+        static_cast<double>(attach_offset_[v + 1] - attach_offset_[v]);
+    const double* m = marginal_.data() + g.var_lane_offset(v);
     double negative_entropy = 0.0;
-    for (size_t x = 0; x < c.cardinality[v]; ++x) {
+    for (size_t x = 0; x < g.cardinality(v); ++x) {
       if (m[x] > 0.0) negative_entropy += m[x] * std::log(m[x]);
     }
     log_z += (degree - 1.0) * negative_entropy;
@@ -885,12 +919,12 @@ double FlatLbpEngine::LogPartitionEstimate() const {
 }
 
 std::vector<size_t> FlatLbpEngine::Decode() const {
-  const CompiledGraph& c = *compiled_;
-  std::vector<size_t> states(c.variable_count(), 0);
-  for (VariableId v = 0; v < c.variable_count(); ++v) {
-    const double* m = marginal_.data() + c.var_lane_offset[v];
+  const FactorGraph& g = *graph_;
+  std::vector<size_t> states(g.variable_count(), 0);
+  for (VariableId v = 0; v < g.variable_count(); ++v) {
+    const double* m = marginal_.data() + g.var_lane_offset(v);
     size_t best = 0;
-    for (size_t x = 1; x < c.cardinality[v]; ++x) {
+    for (size_t x = 1; x < g.cardinality(v); ++x) {
       if (m[x] > m[best]) best = x;
     }
     states[v] = best;

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/compiled_graph.h"
+#include "graph/factor_graph.h"
 #include "graph/inference.h"
 #include "util/aligned.h"
 
@@ -14,8 +14,8 @@ namespace jocl {
 
 /// \brief Log-space Loopy Belief Propagation over flat, aligned arenas.
 ///
-/// All state lives in contiguous arrays indexed by the CompiledGraph's
-/// precomputed offsets: factor->variable and variable->factor messages in
+/// All state lives in contiguous arrays indexed by the FactorGraph's flat
+/// offsets: factor->variable and variable->factor messages in
 /// per-edge *lane* arenas (each lane padded to a vector boundary — see
 /// util/aligned.h), belief sums and marginals in per-variable lane arenas,
 /// and a per-assignment log-potential table computed once per Run (weights
@@ -58,16 +58,12 @@ namespace jocl {
 /// residual at stop, sweeps_skipped = unspent budget in sweeps).
 class FlatLbpEngine : public InferenceEngine {
  public:
-  /// Compiles \p graph internally. \p graph and \p weights must outlive
-  /// the engine.
+  /// Binds \p graph and derives its attachment lists, connected
+  /// components and schedule. \p graph and \p weights must outlive the
+  /// engine; clamps are read at Run() time, but any AddVariable/AddFactor
+  /// on \p graph needs a new engine.
   FlatLbpEngine(const FactorGraph* graph, const std::vector<double>* weights,
                 LbpOptions options = {});
-
-  /// Runs over an existing compiled form (no recompilation — the learner
-  /// uses this to share one CompiledGraph across all its passes).
-  /// \p compiled and \p weights must outlive the engine.
-  FlatLbpEngine(const CompiledGraph* compiled,
-                const std::vector<double>* weights, LbpOptions options = {});
 
   FlatLbpEngine(const FlatLbpEngine&) = delete;
   FlatLbpEngine& operator=(const FlatLbpEngine&) = delete;
@@ -95,7 +91,14 @@ class FlatLbpEngine : public InferenceEngine {
   std::vector<size_t> Decode() const override;
 
   /// Number of connected components (independent LBP sub-problems).
-  size_t component_count() const { return compiled_->component_count; }
+  size_t component_count() const { return component_count_; }
+
+  /// Edges touching variable \p v, ascending (the attachment CSR).
+  std::vector<uint32_t> AttachedEdges(VariableId v) const;
+  /// Variables of component \p k, ascending.
+  std::vector<uint32_t> ComponentVariables(size_t k) const;
+  /// Factors of component \p k with a non-empty scope, in schedule order.
+  std::vector<uint32_t> ComponentFactors(size_t k) const;
 
  private:
   /// Per-component convergence record, merged into the LbpResult.
@@ -128,7 +131,10 @@ class FlatLbpEngine : public InferenceEngine {
     std::vector<size_t> bucket_head;  // consumed prefix per bucket
   };
 
-  void BuildSchedule();
+  /// Derives the attachment CSR and the component lists; returns each
+  /// variable's component label for BuildSchedule.
+  std::vector<size_t> BuildTopology();
+  void BuildSchedule(const std::vector<size_t>& component_of_var);
   void InitArenas();
   ComponentStats RunComponent(size_t component, Scratch* scratch);
   ComponentStats RunComponentResidual(size_t component, Scratch* scratch);
@@ -158,10 +164,20 @@ class FlatLbpEngine : public InferenceEngine {
 
   void MaterializeComponentMarginals(size_t component);
 
-  const CompiledGraph* compiled_;
-  CompiledGraph owned_;  // backing storage for the compiling constructor
+  const FactorGraph* graph_;
   const std::vector<double>* weights_;
   LbpOptions options_;
+
+  // Derived topology: edges touching variable v are
+  // attach_edge_[attach_offset_[v] .. attach_offset_[v+1]); variables of
+  // component k are comp_vars_[comp_var_offset_[k] .. comp_var_offset_[k+1]).
+  // Messages never cross components, so each runs independently over
+  // disjoint arena slices.
+  std::vector<size_t> attach_offset_;     // [nv + 1]
+  std::vector<uint32_t> attach_edge_;     // [ne], grouped by variable
+  size_t component_count_ = 0;
+  std::vector<size_t> comp_var_offset_;   // [nc + 1]
+  std::vector<uint32_t> comp_vars_;       // [nv], grouped by component
 
   // Schedule flattened per component: factors of component c occupy
   // sched_factor_[sched_offset_[c] .. sched_offset_[c+1]), ordered by
@@ -170,8 +186,8 @@ class FlatLbpEngine : public InferenceEngine {
   std::vector<uint32_t> sched_group_;
   std::vector<size_t> sched_offset_;
 
-  // Flat arenas (log space). Message and belief arenas use the compiled
-  // graph's *lane* offsets — per-edge / per-variable spans padded to
+  // Flat arenas (log space). Message and belief arenas use the graph's
+  // *lane* offsets — per-edge / per-variable spans padded to
   // kLaneAlignment — so arena bases and every lane are vector-aligned.
   // The padding tails are initialized but never read.
   std::vector<double> log_potential_;    // [total_assignments]

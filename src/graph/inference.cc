@@ -16,15 +16,4 @@ std::unique_ptr<InferenceEngine> CreateInferenceEngine(
   return std::make_unique<FlatLbpEngine>(graph, weights, std::move(options));
 }
 
-std::unique_ptr<InferenceEngine> CreateInferenceEngine(
-    InferenceBackend backend, const CompiledGraph* compiled,
-    const std::vector<double>* weights, LbpOptions options) {
-  if (backend == InferenceBackend::kExact) {
-    return std::make_unique<ExactEngine>(compiled->source, weights,
-                                         std::move(options));
-  }
-  return std::make_unique<FlatLbpEngine>(compiled, weights,
-                                         std::move(options));
-}
-
 }  // namespace jocl

@@ -11,8 +11,6 @@
 
 namespace jocl {
 
-struct CompiledGraph;
-
 /// \brief Message semiring: sum-product computes marginals (the paper's
 /// inference, §3.4–3.5); max-product computes max-marginals for MAP
 /// decoding.
@@ -184,17 +182,10 @@ enum class InferenceBackend {
 };
 
 /// Instantiates an engine over \p graph. \p graph and \p weights must
-/// outlive the engine. LBP backends compile the graph internally; prefer
-/// the CompiledGraph overload when running many times on one structure.
+/// outlive the engine. The engine reads clamps at Run() time, so one
+/// engine serves every clamped and free pass over an unchanged structure.
 std::unique_ptr<InferenceEngine> CreateInferenceEngine(
     InferenceBackend backend, const FactorGraph* graph,
-    const std::vector<double>* weights, LbpOptions options = {});
-
-/// Engine over a pre-compiled graph (LBP backends reuse it as-is; the
-/// exact backend runs on its source). \p compiled and \p weights must
-/// outlive the engine.
-std::unique_ptr<InferenceEngine> CreateInferenceEngine(
-    InferenceBackend backend, const CompiledGraph* compiled,
     const std::vector<double>* weights, LbpOptions options = {});
 
 /// \brief Numerically stable log(sum(exp(values))).

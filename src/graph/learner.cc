@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 
-#include "graph/compiled_graph.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -48,14 +47,13 @@ LearnerResult FactorGraphLearner::Learn(
   std::vector<double> free_expect(w);
   std::vector<double> gradient_base(w);
 
-  // Freeze the graph structure once and bind one engine to it for every
-  // pass below: the compiled CSR form, the engine's schedule and its
-  // arena capacity are all shared across the 2 * iterations runs. Clamps
-  // and weights are read live at Run() time, so the clamp/unclamp cycling
-  // and the weight updates need no reconstruction.
-  const CompiledGraph compiled = CompiledGraph::Compile(*graph);
+  // Bind one engine to the graph for every pass below: the engine's
+  // topology, schedule and arena capacity are shared across the
+  // 2 * iterations runs. Clamps and weights are read live at Run() time,
+  // so the clamp/unclamp cycling and the weight updates need no
+  // reconstruction.
   std::unique_ptr<InferenceEngine> engine = CreateInferenceEngine(
-      options_.backend, &compiled, &result.weights, options_.lbp);
+      options_.backend, graph, &result.weights, options_.lbp);
 
   Stopwatch watch;
   for (size_t iter = 0; iter < options_.iterations; ++iter) {

@@ -24,9 +24,9 @@ struct LearnerOptions {
   double gradient_tolerance = 1e-4;
   /// Inference settings shared by the clamped and free passes.
   LbpOptions lbp;
-  /// Which engine approximates the expectations. The graph is compiled
-  /// once per Learn() call and shared by every pass — clamping labels is
-  /// not a structural change.
+  /// Which engine approximates the expectations. One engine is bound per
+  /// Learn() call and shared by every pass — clamping labels is not a
+  /// structural change.
   InferenceBackend backend = InferenceBackend::kLbp;
 };
 

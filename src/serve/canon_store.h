@@ -32,7 +32,7 @@ enum class CanonKind : uint32_t { kNp = 0, kRp = 1 };
 
 /// \brief One phrase space of a CanonStore (NP or RP): interned surfaces
 /// with a sorted lookup index, cluster membership in CSR layout (the
-/// `CompiledGraph` idiom), and one canonical link per cluster.
+/// `FactorGraph` idiom), and one canonical link per cluster.
 ///
 /// All ids are section-local and dense: surfaces `[0, surface_count)` in
 /// first-appearance order, clusters `[0, cluster_count)` in

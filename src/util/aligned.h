@@ -14,7 +14,7 @@ inline constexpr size_t kArenaAlignment = 64;
 /// \brief Alignment of an individual message lane within an arena (bytes).
 ///
 /// 32 bytes = one AVX2 vector = four doubles. Per-edge and per-variable
-/// lanes are padded to a multiple of this (CompiledGraph lane offsets), so
+/// lanes are padded to a multiple of this (FactorGraph lane offsets), so
 /// every lane starts on a vector boundary the auto-vectorizer can use
 /// without peeling. The quantum is deliberately smaller than a cache line:
 /// most JOCL edges are binary, and padding each to 64 bytes would

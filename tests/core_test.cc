@@ -323,10 +323,10 @@ TEST_F(CoreTest, GraphStructureMatchesProblem) {
   // Every pair variable is binary; every linking variable has
   // candidates + 1 states.
   for (VariableId v : jg.x_vars) {
-    EXPECT_EQ(jg.graph.variable(v).cardinality, 2u);
+    EXPECT_EQ(jg.graph.cardinality(v), 2u);
   }
   for (size_t t = 0; t < problem.triples.size(); ++t) {
-    EXPECT_EQ(jg.graph.variable(jg.es_vars[t]).cardinality,
+    EXPECT_EQ(jg.graph.cardinality(jg.es_vars[t]),
               problem.subject_candidates[problem.subject_of[t]].size() + 1);
   }
   EXPECT_EQ(jg.graph.weight_count(), WeightLayout::kCount);
@@ -378,10 +378,10 @@ TEST_F(CoreTest, FeatureMaskShrinksFactorFeatures) {
   std::vector<double> w_all(WeightLayout::kCount, 1.0);
   std::vector<double> w_idf(WeightLayout::kCount, 0.0);
   w_idf[WeightLayout::kAlpha1] = 1.0;
-  const FactorNode& factor = jg.graph.factor(0);  // first F1 factor
+  const FactorId factor = 0;  // first F1 factor
   for (size_t a = 0; a < 2; ++a) {
-    double all_but_idf = factor.features.LogPotential(a, w_all) -
-                         factor.features.LogPotential(a, w_idf);
+    double all_but_idf = jg.graph.LogPotential(factor, a, w_all) -
+                         jg.graph.LogPotential(factor, a, w_idf);
     EXPECT_NEAR(all_but_idf, 0.0, 1e-12);
   }
 }

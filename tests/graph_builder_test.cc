@@ -4,21 +4,38 @@
 // cell by cell.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
 #include "core/graph_builder.h"
 #include "core/problem.h"
+#include "core/runtime.h"
 #include "core/shard.h"
 #include "core/signal_cache.h"
+#include "core/sharded_learner.h"
 #include "core/signals.h"
 #include "data/dataset.h"
 #include "data/generator.h"
-#include "graph/compiled_graph.h"
 #include "serve/snapshot_io.h"
 
 namespace jocl {
 namespace {
+
+// The first factor whose scope is exactly \p scope, in slot order, or
+// factor_count() when there is none.
+FactorId FindFactor(const FactorGraph& g,
+                    const std::vector<VariableId>& scope) {
+  for (FactorId f = 0; f < g.factor_count(); ++f) {
+    if (g.arity(f) != scope.size()) continue;
+    bool same = true;
+    for (size_t slot = 0; slot < scope.size(); ++slot) {
+      same = same && g.scope_var(g.scope_offset(f) + slot) == scope[slot];
+    }
+    if (same) return f;
+  }
+  return g.factor_count();
+}
 
 // A tiny world: two entities, one relation, two triples whose subjects
 // are aliases ("acme corp", "acme") and whose objects are both "bolt".
@@ -69,11 +86,12 @@ TEST_F(GraphBuilderFixture, SubjectPairExistsWithPpdbBlocking) {
 TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
   JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
   ASSERT_EQ(jg.x_vars.size(), 1u);
-  // The F1 factor is the first factor attached to x_0.
-  const auto& attachments = jg.graph.AttachedFactors(jg.x_vars[0]);
-  ASSERT_FALSE(attachments.empty());
-  const FactorNode& f1 = jg.graph.factor(attachments[0].first);
-  ASSERT_EQ(f1.scope.size(), 1u);
+  // The F1 factor is the first factor attached to x_0, and unary.
+  const FactorId f1 = FindFactor(jg.graph, {jg.x_vars[0]});
+  ASSERT_LT(f1, jg.graph.factor_count());
+  auto log_potential = [&](size_t a, const std::vector<double>& w) {
+    return jg.graph.LogPotential(f1, a, w);
+  };
 
   // Isolate each feature by zeroing all other weights.
   const std::string& a = problem_.subject_surfaces[0];
@@ -87,47 +105,38 @@ TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
   GraphBuilderOptions defaults;
   double expected_idf = idf >= defaults.idf_neutral_below ? idf : 0.5;
   w[WeightLayout::kAlpha1 + 0] = 1.0;  // f_idf
-  EXPECT_NEAR(f1.features.LogPotential(1, w), expected_idf, 1e-12);
-  EXPECT_NEAR(f1.features.LogPotential(0, w), 1.0 - expected_idf, 1e-12);
+  EXPECT_NEAR(log_potential(1, w), expected_idf, 1e-12);
+  EXPECT_NEAR(log_potential(0, w), 1.0 - expected_idf, 1e-12);
   w[WeightLayout::kAlpha1 + 0] = 0.0;
 
   w[WeightLayout::kAlpha1 + 1] = 1.0;  // f_emb
-  EXPECT_NEAR(f1.features.LogPotential(1, w), emb, 1e-12);
-  EXPECT_NEAR(f1.features.LogPotential(0, w), 1.0 - emb, 1e-12);
+  EXPECT_NEAR(log_potential(1, w), emb, 1e-12);
+  EXPECT_NEAR(log_potential(0, w), 1.0 - emb, 1e-12);
   w[WeightLayout::kAlpha1 + 1] = 0.0;
 
   w[WeightLayout::kAlpha1 + 2] = 1.0;  // f_PPDB (same cluster -> 1)
-  EXPECT_NEAR(f1.features.LogPotential(1, w), ppdb, 1e-12);
+  EXPECT_NEAR(log_potential(1, w), ppdb, 1e-12);
   EXPECT_DOUBLE_EQ(ppdb, 1.0);
 }
 
 TEST_F(GraphBuilderFixture, U4RewardsKnownFacts) {
   JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
-  // Find the U4 factor of triple 0 (named "U4").
-  const FactorNode* u4 = nullptr;
-  for (FactorId f = 0; f < jg.graph.factor_count(); ++f) {
-    if (jg.graph.factor(f).name == "U4") {
-      u4 = &jg.graph.factor(f);
-      break;
-    }
-  }
-  ASSERT_NE(u4, nullptr);
-  ASSERT_EQ(u4->scope.size(), 3u);
+  // The U4 factor of triple 0 spans its three linking variables.
+  const FactorId u4 =
+      FindFactor(jg.graph, {jg.es_vars[0], jg.rp_vars[0], jg.eo_vars[0]});
+  ASSERT_LT(u4, jg.graph.factor_count());
 
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta4] = 1.0;
   // NIL states (assignment 0) must carry the low score.
   GraphBuilderOptions defaults;
-  EXPECT_NEAR(u4->features.LogPotential(0, w), defaults.fact_low, 1e-12);
+  EXPECT_NEAR(jg.graph.LogPotential(u4, 0, w), defaults.fact_low, 1e-12);
   // Some assignment must carry the high score (the known fact
   // <acme, owner_company, bolt>), and none may be outside {low, high}.
   bool found_high = false;
-  size_t assignments = 1;
-  for (VariableId v : u4->scope) {
-    assignments *= jg.graph.variable(v).cardinality;
-  }
+  const size_t assignments = jg.graph.AssignmentCount(u4);
   for (size_t a = 0; a < assignments; ++a) {
-    double value = u4->features.LogPotential(a, w);
+    double value = jg.graph.LogPotential(u4, a, w);
     EXPECT_TRUE(std::abs(value - defaults.fact_low) < 1e-12 ||
                 std::abs(value - defaults.fact_high) < 1e-12);
     if (std::abs(value - defaults.fact_high) < 1e-12) found_high = true;
@@ -137,34 +146,30 @@ TEST_F(GraphBuilderFixture, U4RewardsKnownFacts) {
 
 TEST_F(GraphBuilderFixture, U5ConsistencyValues) {
   JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
-  const FactorNode* u5 = nullptr;
-  for (FactorId f = 0; f < jg.graph.factor_count(); ++f) {
-    if (jg.graph.factor(f).name == "U5") {
-      u5 = &jg.graph.factor(f);
-      break;
-    }
-  }
-  ASSERT_NE(u5, nullptr);
-  ASSERT_EQ(u5->scope.size(), 3u);  // (es_i, es_j, x)
+  // The U5 factor of subject pair 0 spans (es_i, es_j, x) over the
+  // pair's representative mentions.
+  ASSERT_EQ(jg.x_vars.size(), 1u);
+  const SurfacePair& pair = problem_.subject_pairs[0];
+  const FactorId u5 = FindFactor(
+      jg.graph, {jg.es_vars[problem_.subject_rep[pair.a]],
+                 jg.es_vars[problem_.subject_rep[pair.b]], jg.x_vars[0]});
+  ASSERT_LT(u5, jg.graph.factor_count());
 
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta5] = 1.0;
   GraphBuilderOptions defaults;
   // Assignment 0 = (NIL, NIL, x=0): two NILs are neutral evidence.
-  EXPECT_NEAR(u5->features.LogPotential(0, w), defaults.consistency_neutral,
+  EXPECT_NEAR(jg.graph.LogPotential(u5, 0, w), defaults.consistency_neutral,
               1e-12);
   // Assignment 1 = (NIL, NIL, x=1): still neutral.
-  EXPECT_NEAR(u5->features.LogPotential(1, w), defaults.consistency_neutral,
+  EXPECT_NEAR(jg.graph.LogPotential(u5, 1, w), defaults.consistency_neutral,
               1e-12);
   // Every cell is one of {low, neutral, high}.
-  size_t assignments = 1;
-  for (VariableId v : u5->scope) {
-    assignments *= jg.graph.variable(v).cardinality;
-  }
+  const size_t assignments = jg.graph.AssignmentCount(u5);
   bool found_high = false;
   bool found_low = false;
   for (size_t a = 0; a < assignments; ++a) {
-    double value = u5->features.LogPotential(a, w);
+    double value = jg.graph.LogPotential(u5, a, w);
     bool ok = std::abs(value - defaults.consistency_low) < 1e-12 ||
               std::abs(value - defaults.consistency_neutral) < 1e-12 ||
               std::abs(value - defaults.consistency_high) < 1e-12;
@@ -193,14 +198,18 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
     GTEST_SKIP() << "triangle did not form under blocking";
   }
   JoclGraph jg = BuildJoclGraph(problem, signals, ds.ckb);
-  const FactorNode* u1 = nullptr;
-  for (FactorId f = 0; f < jg.graph.factor_count(); ++f) {
-    if (jg.graph.factor(f).name == "U1") {
-      u1 = &jg.graph.factor(f);
-      break;
-    }
+  // The first U1 factor is the first factor of the transitive schedule
+  // group (canonicalization factors, then triangles): a ternary factor
+  // over three subject pair variables.
+  ASSERT_GE(jg.schedule.size(), 2u);
+  const FactorId u1 = jg.schedule[1].front();
+  ASSERT_EQ(jg.graph.arity(u1), 3u);
+  for (size_t e = jg.graph.scope_offset(u1); e < jg.graph.scope_offset(u1 + 1);
+       ++e) {
+    EXPECT_NE(std::find(jg.x_vars.begin(), jg.x_vars.end(),
+                        jg.graph.scope_var(e)),
+              jg.x_vars.end());
   }
-  ASSERT_NE(u1, nullptr);
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta1] = 1.0;
   GraphBuilderOptions defaults;
@@ -212,7 +221,7 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
     double expected = ones == 3   ? defaults.transitive_high
                       : ones == 2 ? defaults.transitive_low
                                   : defaults.transitive_mid;
-    EXPECT_NEAR(u1->features.LogPotential(a, w), expected, 1e-12)
+    EXPECT_NEAR(jg.graph.LogPotential(u1, a, w), expected, 1e-12)
         << "assignment " << a;
   }
 }
@@ -220,9 +229,9 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
 TEST_F(GraphBuilderFixture, LinkingVariableStatesMatchCandidatesPlusNil) {
   JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
   for (size_t t = 0; t < problem_.triples.size(); ++t) {
-    EXPECT_EQ(jg.graph.variable(jg.es_vars[t]).cardinality,
+    EXPECT_EQ(jg.graph.cardinality(jg.es_vars[t]),
               problem_.subject_candidates[problem_.subject_of[t]].size() + 1);
-    EXPECT_EQ(jg.graph.variable(jg.rp_vars[t]).cardinality,
+    EXPECT_EQ(jg.graph.cardinality(jg.rp_vars[t]),
               problem_.predicate_candidates[problem_.predicate_of[t]].size() +
                   1);
   }
@@ -234,26 +243,46 @@ TEST_F(GraphBuilderFixture, ScheduleGroupsFollowPaperOrder) {
   ASSERT_GE(jg.schedule.size(), 3u);
   // First group holds canonicalization factors (unary on pair vars).
   for (FactorId f : jg.schedule.front()) {
-    EXPECT_EQ(jg.graph.factor(f).scope.size(), 1u);
+    EXPECT_EQ(jg.graph.arity(f), 1u);
   }
   // Last group holds the ternary consistency factors.
   for (FactorId f : jg.schedule.back()) {
-    EXPECT_EQ(jg.graph.factor(f).scope.size(), 3u);
+    EXPECT_EQ(jg.graph.arity(f), 3u);
   }
 }
 
-// The compiled feature pools of a generated problem's shards, built over
+// The scale-0.15 seed-11 world shared by the pin tests below.
+class GraphBuilderPinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dataset_ = new Dataset(
+        GenerateReVerb45K(/*scale=*/0.15, /*seed=*/11).MoveValueOrDie());
+    SignalOptions signal_options;
+    signal_options.embedding_epochs = 2;
+    signals_ = new SignalBundle(
+        BuildSignals(*dataset_, signal_options).MoveValueOrDie());
+  }
+  static void TearDownTestSuite() {
+    delete signals_;
+    delete dataset_;
+  }
+
+  static Dataset* dataset_;
+  static SignalBundle* signals_;
+};
+
+Dataset* GraphBuilderPinTest::dataset_ = nullptr;
+SignalBundle* GraphBuilderPinTest::signals_ = nullptr;
+
+// The flat feature pools of a generated problem's shard graphs, built over
 // the runtime's SignalCache, are pinned by hash: any change to a feature
 // value (a reordered max, a different similarity call, a memo that is not
 // bit-identical to the direct computation) moves it. The constant was
 // recorded before the F5 relation rows were memoized in SignalCache.
-TEST(GraphBuilderPinTest, CompiledFeaturePoolsArePinned) {
-  Dataset ds = GenerateReVerb45K(/*scale=*/0.15, /*seed=*/11).MoveValueOrDie();
-  SignalOptions signal_options;
-  signal_options.embedding_epochs = 2;
-  SignalBundle signals = BuildSignals(ds, signal_options).MoveValueOrDie();
-  JoclProblem problem = BuildProblem(ds, signals, ds.test_triples);
-  SignalCache cache = SignalCache::ForProblem(problem, signals, ds.ckb);
+TEST_F(GraphBuilderPinTest, CompiledFeaturePoolsArePinned) {
+  const Dataset& ds = *dataset_;
+  JoclProblem problem = BuildProblem(ds, *signals_, ds.test_triples);
+  SignalCache cache = SignalCache::ForProblem(problem, *signals_, ds.ckb);
   ShardPlan plan = PartitionProblem(problem, /*max_shards=*/0);
   ASSERT_GT(plan.shards.size(), 1u);
 
@@ -263,18 +292,50 @@ TEST(GraphBuilderPinTest, CompiledFeaturePoolsArePinned) {
   };
   for (const ProblemShard& shard : plan.shards) {
     JoclGraph jgraph = BuildJoclGraph(shard.problem, cache, ds.ckb);
-    CompiledGraph compiled = CompiledGraph::Compile(jgraph.graph);
+    const FactorGraph& graph = jgraph.graph;
     // Field by field: FeatureEntry has padding bytes.
-    for (const FeatureEntry& entry : compiled.entry_pool) {
+    for (const FeatureEntry& entry : graph.entry_pool()) {
       const uint64_t weight = entry.weight;
       append(&weight, sizeof(weight));
       append(&entry.value, sizeof(entry.value));
     }
-    append(compiled.uniform_pool.data(),
-           compiled.uniform_pool.size() * sizeof(double));
+    append(graph.uniform_pool().data(),
+           graph.uniform_pool().size() * sizeof(double));
   }
   EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x8a951cb3086cb7d1ull)
       << plan.shards.size() << " shards, " << bytes.size() << " bytes";
+}
+
+// One-shot inference on the same world is pinned by the hash of its
+// marginal bytes and its exact update count: a change to the graph layout,
+// the clamp reads or the message math moves one of them.
+TEST_F(GraphBuilderPinTest, InferMarginalsArePinned) {
+  JoclRuntime runtime;
+  JoclResult result =
+      runtime.Infer(*dataset_, *signals_, dataset_->test_triples)
+          .MoveValueOrDie();
+  std::string bytes;
+  for (const std::vector<double>& marginal : result.diagnostics.marginals) {
+    bytes.append(reinterpret_cast<const char*>(marginal.data()),
+                 marginal.size() * sizeof(double));
+  }
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x57bb5f3f98c61216ull)
+      << bytes.size() << " bytes";
+  EXPECT_EQ(result.diagnostics.message_updates, 5975u);
+}
+
+// Sharded learning on the same world is pinned by its weight bytes. The
+// clamped pass is the only consumer of clamps in the one-shot paths, so
+// this covers the kernels' clamp reads.
+TEST_F(GraphBuilderPinTest, LearnedWeightsArePinned) {
+  ShardedLearner learner;
+  LearnerResult learned =
+      learner.Learn(*dataset_, *signals_, dataset_->validation_triples)
+          .MoveValueOrDie();
+  ASSERT_FALSE(learned.weights.empty());
+  EXPECT_EQ(Fnv1a64(learned.weights.data(),
+                    learned.weights.size() * sizeof(double)),
+            0x6accdca70ab14112ull);
 }
 
 }  // namespace

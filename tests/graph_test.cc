@@ -29,8 +29,9 @@ TEST(FactorGraphTest, AddVariablesAndFactors) {
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(g.factor_count(), 1u);
   EXPECT_EQ(g.AssignmentCount(f.ValueOrDie()), 6u);
-  EXPECT_EQ(g.AttachedFactors(a).size(), 1u);
-  EXPECT_EQ(g.AttachedFactors(b).size(), 1u);
+  EXPECT_EQ(g.arity(f.ValueOrDie()), 2u);
+  EXPECT_EQ(g.scope_var(g.scope_offset(f.ValueOrDie())), a);
+  EXPECT_EQ(g.scope_var(g.scope_offset(f.ValueOrDie()) + 1), b);
 }
 
 TEST(FactorGraphTest, RejectsBadScopesAndTables) {
@@ -38,6 +39,23 @@ TEST(FactorGraphTest, RejectsBadScopesAndTables) {
   VariableId a = g.AddVariable(2);
   EXPECT_FALSE(g.AddFactor({99}, FixedTable({0.0, 0.0})).ok());
   EXPECT_FALSE(g.AddFactor({a}, FixedTable({0.0, 0.0, 0.0})).ok());
+  // A rejected factor leaves the graph unchanged.
+  EXPECT_EQ(g.factor_count(), 0u);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.total_assignments(), 0u);
+}
+
+TEST(FactorGraphTest, RejectsScopesWhoseAssignmentCountOverflows) {
+  // 2^64 assignments wrap to 0 in size_t; an unchecked product would let a
+  // FeatureTable(0) through and corrupt the assignment offsets.
+  FactorGraph g;
+  std::vector<VariableId> scope;
+  for (size_t i = 0; i < 64; ++i) scope.push_back(g.AddVariable(2));
+  Result<FactorId> result = g.AddFactor(scope, FeatureTable(0));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.factor_count(), 0u);
+  EXPECT_TRUE(g.Validate().ok());
 }
 
 TEST(FactorGraphTest, ClampValidation) {

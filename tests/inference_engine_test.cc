@@ -1,4 +1,4 @@
-// Tests of the unified inference layer: the CompiledGraph CSR form, the
+// Tests of the unified inference layer: the FactorGraph CSR form, the
 // InferenceEngine backends, and the sequential/parallel equivalence the
 // engine design guarantees (components are independent sub-problems over
 // disjoint arena slices, so thread count must not change a single bit).
@@ -6,11 +6,12 @@
 
 #include <cmath>
 
-#include "graph/compiled_graph.h"
+#include "graph/factor_graph.h"
 #include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/inference.h"
 #include "graph/learner.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace jocl {
@@ -41,8 +42,8 @@ FactorGraph MakeFragmentedGraph(Rng* rng, std::vector<VariableId>* vars,
       vars->push_back(v);
       factors->push_back(
           g.AddFactor({prev, v},
-                      pair_table(g.variable(prev).cardinality,
-                                 g.variable(v).cardinality))
+                      pair_table(g.cardinality(prev),
+                                 g.cardinality(v)))
               .ValueOrDie());
       prev = v;
     }
@@ -70,9 +71,9 @@ FactorGraph MakeFragmentedGraph(Rng* rng, std::vector<VariableId>* vars,
   return g;
 }
 
-// ---------- CompiledGraph ----------------------------------------------------
+// ---------- the flat FactorGraph layout --------------------------------------
 
-TEST(CompiledGraphTest, CsrLayoutMatchesSource) {
+TEST(FlatGraphTest, CsrLayoutMatchesScopes) {
   FactorGraph g;
   g.set_weight_count(2);
   VariableId a = g.AddVariable(2);
@@ -82,42 +83,51 @@ TEST(CompiledGraphTest, CsrLayoutMatchesSource) {
                     .ValueOrDie();
   FactorId f1 = g.AddFactor({b, c}, FixedTable(std::vector<double>(6, 0.0)))
                     .ValueOrDie();
-  CompiledGraph compiled = CompiledGraph::Compile(g);
 
-  EXPECT_EQ(compiled.variable_count(), 3u);
-  EXPECT_EQ(compiled.factor_count(), 2u);
-  EXPECT_EQ(compiled.edge_count(), 4u);
-  EXPECT_EQ(compiled.total_var_states(), 7u);
-  EXPECT_EQ(compiled.total_assignments(), 12u);
+  EXPECT_EQ(g.variable_count(), 3u);
+  EXPECT_EQ(g.factor_count(), 2u);
+  EXPECT_EQ(g.edge_count(), 4u);
+  EXPECT_EQ(g.total_assignments(), 12u);
+  EXPECT_EQ(g.assignment_offset(f1), 6u);
 
   // Scope CSR: f0 -> edges {a, b}, f1 -> edges {b, c}.
-  EXPECT_EQ(compiled.scope_offset[f0], 0u);
-  EXPECT_EQ(compiled.scope_offset[f1], 2u);
-  EXPECT_EQ(compiled.scope_var[0], a);
-  EXPECT_EQ(compiled.scope_var[1], b);
-  EXPECT_EQ(compiled.scope_var[2], b);
-  EXPECT_EQ(compiled.scope_var[3], c);
+  EXPECT_EQ(g.scope_offset(f0), 0u);
+  EXPECT_EQ(g.scope_offset(f1), 2u);
+  EXPECT_EQ(g.scope_var(0), a);
+  EXPECT_EQ(g.scope_var(1), b);
+  EXPECT_EQ(g.scope_var(2), b);
+  EXPECT_EQ(g.scope_var(3), c);
+  EXPECT_EQ(g.edge_factor(1), f0);
+  EXPECT_EQ(g.edge_factor(2), f1);
 
   // Row-major strides, last slot fastest: f0 over (2,3) -> strides (3,1).
-  EXPECT_EQ(compiled.slot_stride[0], 3u);
-  EXPECT_EQ(compiled.slot_stride[1], 1u);
+  EXPECT_EQ(g.slot_stride(0), 3u);
+  EXPECT_EQ(g.slot_stride(1), 1u);
   // f1 over (3,2) -> strides (2,1).
-  EXPECT_EQ(compiled.slot_stride[2], 2u);
-  EXPECT_EQ(compiled.slot_stride[3], 1u);
+  EXPECT_EQ(g.slot_stride(2), 2u);
+  EXPECT_EQ(g.slot_stride(3), 1u);
 
-  // Attachment CSR inverts the scopes: b touches edges 1 and 2.
-  EXPECT_EQ(compiled.attach_offset[b + 1] - compiled.attach_offset[b], 2u);
-  EXPECT_EQ(compiled.attach_edge[compiled.attach_offset[b]], 1u);
-  EXPECT_EQ(compiled.attach_edge[compiled.attach_offset[b] + 1], 2u);
+  // Lanes are padded to kLaneDoubles per edge and per variable.
+  EXPECT_EQ(g.edge_lane_offset(1), kLaneDoubles);
+  EXPECT_EQ(g.total_edge_lane_states(), 4 * kLaneDoubles);
+  EXPECT_EQ(g.var_lane_offset(c), 2 * kLaneDoubles);
+  EXPECT_EQ(g.total_var_lane_states(), 3 * kLaneDoubles);
+  EXPECT_EQ(g.max_arity(), 2u);
+  EXPECT_EQ(g.max_factor_lane_states(), 2 * kLaneDoubles);
+
+  // The engine's attachment CSR inverts the scopes: b touches edges 1, 2.
+  const std::vector<double> weights = {0.0, 0.0};
+  FlatLbpEngine engine(&g, &weights);
+  EXPECT_EQ(engine.AttachedEdges(b), (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(engine.AttachedEdges(a), (std::vector<uint32_t>{0}));
 
   // One connected component covering everything.
-  EXPECT_EQ(compiled.component_count, 1u);
-  EXPECT_EQ(compiled.comp_vars.size(), 3u);
-  EXPECT_EQ(compiled.comp_factors.size(), 2u);
+  EXPECT_EQ(engine.component_count(), 1u);
+  EXPECT_EQ(engine.ComponentVariables(0).size(), 3u);
+  EXPECT_EQ(engine.ComponentFactors(0).size(), 2u);
 }
 
-TEST(CompiledGraphTest, FlatFeaturePoolsPreserveLogPotentials) {
-  Rng rng(11);
+TEST(FlatGraphTest, FlatFeaturePoolsPreserveLogPotentials) {
   FactorGraph g;
   g.set_weight_count(3);
   VariableId a = g.AddVariable(2);
@@ -128,59 +138,63 @@ TEST(CompiledGraphTest, FlatFeaturePoolsPreserveLogPotentials) {
   sparse.Add(0, 2, -0.5);
   sparse.Add(3, 1, 2.0);
   sparse.Add(5, 2, 0.25);
+  const FeatureTable sparse_copy = sparse;
   ASSERT_TRUE(g.AddFactor({a, b}, std::move(sparse)).ok());
   // ...and a uniform one.
-  ASSERT_TRUE(g.AddFactor({b}, FeatureTable::Uniform(1, {0.1, 0.2, 0.3}))
-                  .ok());
-  CompiledGraph compiled = CompiledGraph::Compile(g);
+  const FeatureTable uniform = FeatureTable::Uniform(1, {0.1, 0.2, 0.3});
+  ASSERT_TRUE(g.AddFactor({b}, uniform).ok());
 
   const std::vector<double> weights = {0.7, -1.1, 0.4};
+  const FeatureTable* tables[] = {&sparse_copy, &uniform};
   for (FactorId f = 0; f < g.factor_count(); ++f) {
     for (size_t x = 0; x < g.AssignmentCount(f); ++x) {
-      EXPECT_DOUBLE_EQ(compiled.LogPotential(f, x, weights),
-                       g.factor(f).features.LogPotential(x, weights))
+      EXPECT_DOUBLE_EQ(g.LogPotential(f, x, weights),
+                       tables[f]->LogPotential(x, weights))
           << "factor " << f << " assignment " << x;
     }
   }
   // The bulk table agrees with the per-assignment accessor.
   std::vector<double> table;
-  compiled.ComputeLogPotentials(weights, &table);
-  ASSERT_EQ(table.size(), compiled.total_assignments());
+  g.ComputeLogPotentials(weights, &table);
+  ASSERT_EQ(table.size(), g.total_assignments());
   for (FactorId f = 0; f < g.factor_count(); ++f) {
     for (size_t x = 0; x < g.AssignmentCount(f); ++x) {
-      EXPECT_DOUBLE_EQ(table[compiled.assignment_offset[f] + x],
-                       compiled.LogPotential(f, x, weights));
+      EXPECT_DOUBLE_EQ(table[g.assignment_offset(f) + x],
+                       g.LogPotential(f, x, weights));
     }
   }
   // Uniform tables stay compact: one pool value per assignment, no entries.
-  EXPECT_EQ(compiled.uniform_pool.size(), 3u);
-  EXPECT_EQ(compiled.entry_pool.size(), 4u);
+  EXPECT_EQ(g.uniform_pool().size(), 3u);
+  EXPECT_EQ(g.entry_pool().size(), 4u);
 }
 
-TEST(CompiledGraphTest, ComponentsPartitionVariablesAndFactors) {
+TEST(FlatGraphTest, ComponentsPartitionVariablesAndFactors) {
   Rng rng(13);
   std::vector<VariableId> vars;
   std::vector<FactorId> factors;
   FactorGraph g = MakeFragmentedGraph(&rng, &vars, &factors);
-  CompiledGraph compiled = CompiledGraph::Compile(g);
+  const std::vector<double> weights = {1.0};
+  FlatLbpEngine engine(&g, &weights);
+  const std::vector<size_t> labels = FactorGraphComponents(g);
   // 3 chains + square + ternary island + isolated variable = 6 components.
-  EXPECT_EQ(compiled.component_count, 6u);
-  EXPECT_EQ(compiled.comp_vars.size(), g.variable_count());
-  EXPECT_EQ(compiled.comp_factors.size(), g.factor_count());
-  // Component CSR agrees with the per-variable labels.
-  for (size_t k = 0; k < compiled.component_count; ++k) {
-    for (size_t i = compiled.comp_var_offset[k];
-         i < compiled.comp_var_offset[k + 1]; ++i) {
-      EXPECT_EQ(compiled.component_of_var[compiled.comp_vars[i]], k);
+  ASSERT_EQ(engine.component_count(), 6u);
+  size_t variables = 0;
+  size_t scheduled = 0;
+  // Component lists agree with the per-variable labels.
+  for (size_t k = 0; k < engine.component_count(); ++k) {
+    for (uint32_t v : engine.ComponentVariables(k)) {
+      EXPECT_EQ(labels[v], k);
+      ++variables;
     }
-    for (size_t i = compiled.comp_factor_offset[k];
-         i < compiled.comp_factor_offset[k + 1]; ++i) {
-      const auto& scope = g.factor(compiled.comp_factors[i]).scope;
-      for (VariableId v : scope) {
-        EXPECT_EQ(compiled.component_of_var[v], k);
+    for (uint32_t f : engine.ComponentFactors(k)) {
+      for (size_t e = g.scope_offset(f); e < g.scope_offset(f + 1); ++e) {
+        EXPECT_EQ(labels[g.scope_var(e)], k);
       }
+      ++scheduled;
     }
   }
+  EXPECT_EQ(variables, g.variable_count());
+  EXPECT_EQ(scheduled, g.factor_count());
 }
 
 // ---------- FeatureTable::Add guard ------------------------------------------

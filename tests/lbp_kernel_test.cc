@@ -3,7 +3,7 @@
 // residual-priority schedule must report an honest convergence certificate
 // and decode-match the exact schedule in fewer updates, and the new
 // Status/Result precondition paths must reject malformed inputs instead of
-// compiling undefined behavior.
+// running into undefined behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,7 @@
 
 #include "core/runtime.h"
 #include "data/generator.h"
-#include "graph/compiled_graph.h"
+#include "graph/factor_graph.h"
 #include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/inference.h"
@@ -39,8 +39,8 @@ FactorGraph MakeFragmentedGraph(Rng* rng) {
     VariableId prev = g.AddVariable(2 + chain % 2);
     for (size_t i = 1; i < 4; ++i) {
       VariableId v = g.AddVariable(2 + (chain + i) % 3);
-      g.AddFactor({prev, v}, pair_table(g.variable(prev).cardinality,
-                                        g.variable(v).cardinality))
+      g.AddFactor({prev, v}, pair_table(g.cardinality(prev),
+                                        g.cardinality(v)))
           .ValueOrDie();
       prev = v;
     }
@@ -76,7 +76,7 @@ FactorGraph MakeHeadHeavyGraph(Rng* rng, size_t head_vars) {
   for (size_t i = 0; i < head_vars; ++i) {
     head.push_back(g.AddVariable(2 + i % 7));  // cards 2..8
   }
-  auto card = [&](VariableId v) { return g.variable(v).cardinality; };
+  auto card = [&](VariableId v) { return g.cardinality(v); };
   // Backbone chain keeps the component connected.
   for (size_t i = 1; i < head.size(); ++i) {
     g.AddFactor({head[i - 1], head[i]},
@@ -163,7 +163,7 @@ TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
   FactorGraph graph = MakeHeadHeavyGraph(&rng, 40);
   // Clamp a spread of variables (the learner's conditioned pass).
   for (VariableId v = 0; v < graph.variable_count(); v += 7) {
-    ASSERT_TRUE(graph.Clamp(v, v % graph.variable(v).cardinality).ok());
+    ASSERT_TRUE(graph.Clamp(v, v % graph.cardinality(v)).ok());
   }
   const std::vector<double> weights = {1.0};
   LbpOptions reference;
@@ -254,7 +254,7 @@ TEST(ResidualScheduleTest, CertificateWithinToleranceAndDecodeMatches) {
     // ...in no more updates than the staged sweeps spent.
     EXPECT_LE(approx.message_updates, exact.message_updates);
     for (size_t v = 0; v < graph.variable_count(); ++v) {
-      for (size_t x = 0; x < graph.variable(v).cardinality; ++x) {
+      for (size_t x = 0; x < graph.cardinality(v); ++x) {
         EXPECT_NEAR(approx.marginals[v][x], exact.marginals[v][x], 5e-3);
       }
     }
@@ -278,7 +278,7 @@ TEST(ResidualScheduleTest, HonorsClampsAndBudget) {
   // The budget caps updates at max_iterations sweeps' worth.
   size_t scheduled_factors = 0;
   for (FactorId f = 0; f < graph.factor_count(); ++f) {
-    if (!graph.factor(f).scope.empty()) ++scheduled_factors;
+    if (graph.arity(f) != 0) ++scheduled_factors;
   }
   EXPECT_LE(result.message_updates,
             residual.max_iterations * scheduled_factors);
@@ -304,17 +304,17 @@ TEST(ResidualScheduleTest, DeterministicAcrossThreadCounts) {
 
 // ---------- Status/Result precondition paths --------------------------------
 
-TEST(GraphValidationTest, CompileCheckedRejectsMalformedGraphs) {
-  // Weight reference beyond weight_count (weights are late-bound, so the
-  // builder cannot catch this; CompileChecked must).
+TEST(GraphValidationTest, ValidateRejectsMalformedGraphs) {
+  // Weight reference beyond weight_count (weights are late-bound, so
+  // AddFactor cannot catch this; Validate must).
   {
     FactorGraph g;
     g.set_weight_count(1);
     VariableId a = g.AddVariable(2);
     g.AddFactor({a}, FeatureTable::Uniform(5, {0.0, 1.0})).ValueOrDie();
-    Result<CompiledGraph> result = CompiledGraph::CompileChecked(g);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    Status status = g.Validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   }
   // Same for sparse feature entries.
   {
@@ -325,13 +325,19 @@ TEST(GraphValidationTest, CompileCheckedRejectsMalformedGraphs) {
     sparse.Add(0, 0, 1.0);
     sparse.Add(1, 7, -1.0);  // weight 7 out of range
     g.AddFactor({a}, std::move(sparse)).ValueOrDie();
-    EXPECT_FALSE(CompiledGraph::CompileChecked(g).ok());
+    EXPECT_FALSE(g.Validate().ok());
+  }
+  // A zero-cardinality variable.
+  {
+    FactorGraph g;
+    g.AddVariable(0);
+    EXPECT_EQ(g.Validate().code(), StatusCode::kInvalidArgument);
   }
   // A well-formed graph passes.
   {
     Rng rng(43);
     FactorGraph g = MakeFragmentedGraph(&rng);
-    EXPECT_TRUE(CompiledGraph::CompileChecked(g).ok());
+    EXPECT_TRUE(g.Validate().ok());
   }
 }
 

@@ -24,9 +24,12 @@
 //                     verify they reload byte-identically
 //   --session-apply   run the learn → infer → serve hot-swap demo
 //
-// Both --threads and --shards are pure execution knobs: the learned
-// weights are byte-identical for every setting (core/sharded_learner.h).
+// --threads, --shards and --iterations take non-negative integers;
+// anything else prints usage and exits 2. Both --threads and --shards are
+// pure execution knobs: the learned weights are byte-identical for every
+// setting (core/sharded_learner.h).
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +43,7 @@
 #include "eval/clustering_metrics.h"
 #include "eval/linking_metrics.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 using namespace jocl;
 
@@ -72,6 +76,29 @@ EvalScore Evaluate(const Dataset& ds, const JoclResult& result,
   return score;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage:\n"
+               "  jocl_learn [scale] [--threads N] [--shards N]"
+               " [--iterations N]\n"
+               "             [--lr X] [--l2 X] [--holdout F]"
+               " [--weights-out PATH]\n"
+               "             [--session-apply]\n");
+  return 2;
+}
+
+// Parses a --threads/--shards/--iterations value: a non-negative integer,
+// or false after naming the malformed value.
+bool ParseCount(const char* flag, const char* text, size_t* out) {
+  int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < 0) {
+    std::fprintf(stderr, "invalid %s value: %s\n", flag, text);
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -99,11 +126,13 @@ int main(int argc, char** argv) {
       return nullptr;
     };
     if (const char* v = value_of("--threads")) {
-      runtime.num_threads = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--threads", v, &runtime.num_threads)) return Usage();
     } else if (const char* v = value_of("--shards")) {
-      runtime.max_shards = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--shards", v, &runtime.max_shards)) return Usage();
     } else if (const char* v = value_of("--iterations")) {
-      options.learner.iterations = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--iterations", v, &options.learner.iterations)) {
+        return Usage();
+      }
     } else if (const char* v = value_of("--lr")) {
       options.learner.learning_rate = std::atof(v);
     } else if (const char* v = value_of("--l2")) {

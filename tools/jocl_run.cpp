@@ -11,6 +11,7 @@
 // Runtime flags (accepted anywhere after the mode):
 //   --threads N   shard-level worker threads (0 = hardware, default)
 //   --shards N    shard count (0 = one per independent sub-problem)
+// N must be a non-negative integer; anything else prints usage and exits 2.
 // Both are pure execution knobs: the result is byte-identical for every
 // setting (see core/runtime.h).
 //
@@ -32,6 +33,7 @@
 // would load their own triples with LoadTriplesTsv and construct a
 // CuratedKb from their KB dump; the synthetic path exists so the binary
 // is usable out of the box.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +48,7 @@
 #include "eval/clustering_metrics.h"
 #include "eval/linking_metrics.h"
 #include "obs/trace.h"
+#include "util/string_util.h"
 
 using namespace jocl;
 
@@ -63,29 +66,44 @@ int Usage() {
   return 2;
 }
 
+// Parses a --threads/--shards value: a non-negative integer, or false
+// after naming the malformed value.
+bool ParseCount(const char* flag, const char* text, size_t* out) {
+  int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < 0) {
+    std::fprintf(stderr, "invalid %s value: %s\n", flag, text);
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 // Strips --threads/--shards (either "--flag N" or "--flag=N") from argv,
-// returning the remaining positional count.
+// returning the remaining positional count, or -1 after naming every
+// malformed value.
 int ParseRuntimeFlags(int argc, char** argv, RuntimeOptions* runtime) {
   int kept = 0;
+  bool malformed = false;
   for (int i = 0; i < argc; ++i) {
     auto value_of = [&](const char* flag, size_t* out) {
       size_t len = std::strlen(flag);
       if (std::strncmp(argv[i], flag, len) != 0) return false;
+      const char* text = nullptr;
       if (argv[i][len] == '=') {
-        *out = static_cast<size_t>(std::atoll(argv[i] + len + 1));
-        return true;
+        text = argv[i] + len + 1;
+      } else if (argv[i][len] == '\0' && i + 1 < argc) {
+        text = argv[++i];
+      } else {
+        return false;
       }
-      if (argv[i][len] == '\0' && i + 1 < argc) {
-        *out = static_cast<size_t>(std::atoll(argv[++i]));
-        return true;
-      }
-      return false;
+      if (!ParseCount(flag, text, out)) malformed = true;
+      return true;
     };
     if (value_of("--threads", &runtime->num_threads)) continue;
     if (value_of("--shards", &runtime->max_shards)) continue;
     argv[kept++] = argv[i];
   }
-  return kept;
+  return malformed ? -1 : kept;
 }
 
 // Strips --schedule/--kernel (either "--flag VALUE" or "--flag=VALUE")
@@ -197,6 +215,7 @@ int RunGenerate(int argc, char** argv) {
 int RunDemo(int argc, char** argv) {
   RuntimeOptions runtime_options;
   argc = ParseRuntimeFlags(argc, argv, &runtime_options);
+  if (argc < 0) return Usage();
   JoclOptions jocl_options;
   argc = ParseKernelFlags(argc, argv, &jocl_options.inference);
   if (argc < 0) return Usage();
