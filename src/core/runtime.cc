@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "core/decode.h"
 #include "core/graph_builder.h"
@@ -12,45 +11,24 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/worker_pool.h"
 
 namespace jocl {
 namespace {
 
-/// Mirrors a finished run's stats and its convergence certificate onto the
-/// process-wide registry — the single source `/metrics` and the tools
-/// read. The handles are function-local statics: first call registers,
-/// later calls re-use.
-void MirrorRuntimeStats(const RuntimeStats& stats, double certificate) {
+/// Mirrors a finished run's runtime-only families onto the process-wide
+/// registry; the shared LBP families go through MirrorLbpStats. The
+/// handles are function-local statics: first call registers, later calls
+/// re-use.
+void MirrorRuntimeStats(const RuntimeStats& stats) {
   MetricsRegistry& global = MetricsRegistry::Global();
   static Counter* runs =
       global.AddCounter("jocl_infer_runs_total", "", "Full inference runs");
-  static Counter* updates =
-      global.AddCounter("jocl_lbp_message_updates_total", "",
-                        "LBP message updates across all engines");
-  static Counter* pops =
-      global.AddCounter("jocl_lbp_residual_pops_total", "",
-                        "Residual-schedule priority pops");
-  static Counter* skipped =
-      global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
-                        "Converged sweeps the kernel skipped");
-  static Counter* unconverged = global.AddCounter(
-      "jocl_lbp_unconverged_components_total", "",
-      "LBP components that spent their budget above the tolerance");
-  static Gauge* certificate_gauge =
-      global.AddGauge("jocl_lbp_certificate", "",
-                      "Max pending LBP residual of the latest result");
   static Counter* variables = global.AddCounter(
       "jocl_graph_variables_total", "", "Variables across built graphs");
   static Counter* factors = global.AddCounter(
       "jocl_graph_factors_total", "", "Factors across built graphs");
   runs->Add();
-  updates->Add(stats.message_updates);
-  pops->Add(stats.residual_pops);
-  skipped->Add(stats.sweeps_skipped);
-  unconverged->Add(stats.unconverged_components);
-  certificate_gauge->SetDouble(certificate);
   variables->Add(stats.variables);
   factors->Add(stats.factors);
 }
@@ -77,33 +55,69 @@ void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged) {
   merged->sweeps_skipped += shard.sweeps_skipped;
 }
 
+void FoldShardRun(const ShardBeliefs& shard, LbpResult* merged,
+                  PipelineStats* stats) {
+  MergeShardDiagnostics(shard.diagnostics, merged);
+  stats->variables += shard.variables;
+  stats->factors += shard.factors;
+  stats->graph_seconds += shard.graph_seconds;
+  stats->infer_seconds += shard.infer_seconds;
+  stats->message_updates += shard.diagnostics.message_updates;
+  stats->residual_pops += shard.diagnostics.residual_pops;
+  stats->sweeps_skipped += shard.diagnostics.sweeps_skipped;
+  stats->unconverged_components += shard.diagnostics.unconverged_components;
+}
+
+size_t EngineThreadsPerShard(size_t threads, size_t shards) {
+  if (shards == 0 || shards >= threads) return 1;
+  return (threads + shards - 1) / shards;
+}
+
+void MirrorLbpStats(const PipelineStats& stats, double certificate) {
+  MetricsRegistry& global = MetricsRegistry::Global();
+  static Counter* updates =
+      global.AddCounter("jocl_lbp_message_updates_total", "",
+                        "LBP message updates across all engines");
+  static Counter* pops =
+      global.AddCounter("jocl_lbp_residual_pops_total", "",
+                        "Residual-schedule priority pops");
+  static Counter* skipped =
+      global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
+                        "Converged sweeps the kernel skipped");
+  static Counter* unconverged = global.AddCounter(
+      "jocl_lbp_unconverged_components_total", "",
+      "LBP components that spent their budget above the tolerance");
+  static Gauge* certificate_gauge =
+      global.AddGauge("jocl_lbp_certificate", "",
+                      "Max pending LBP residual of the latest result");
+  updates->Add(stats.message_updates);
+  pops->Add(stats.residual_pops);
+  skipped->Add(stats.sweeps_skipped);
+  unconverged->Add(stats.unconverged_components);
+  certificate_gauge->SetDouble(certificate);
+}
+
 ShardBeliefs RunShardInference(const JoclProblem& local,
                                const SignalCache& cache, const CuratedKb& ckb,
                                const JoclOptions& options,
                                const std::vector<double>& weights,
-                               size_t engine_threads,
-                               ShardRunTimings* timings) {
-  Stopwatch watch;
+                               size_t engine_threads) {
+  ShardBeliefs out;
   // Stage spans land on the caller's current track (the pool worker's
-  // "shard/<s>" scope); one atomic load each when tracing is off.
+  // "shard/<s>" scope) and are the shard's only stage clock.
   std::optional<ScopedSpan> span;
-  span.emplace("build_graph");
+  span.emplace("build_graph", &out.graph_seconds);
   JoclGraph jgraph = BuildJoclGraph(local, cache, ckb, options.builder);
-  span.reset();
   LbpOptions lbp_options = options.inference;
   lbp_options.factor_schedule = jgraph.schedule;
   lbp_options.num_threads = engine_threads;
   // The "compile" span times engine construction: attachment lists,
   // components, schedule and arenas over the flat graph.
-  span.emplace("compile");
+  span.emplace("compile", &out.graph_seconds);
   std::unique_ptr<InferenceEngine> engine = CreateInferenceEngine(
       options.inference_backend, &jgraph.graph, &weights, lbp_options);
-  span.reset();
-  if (timings != nullptr) timings->graph_seconds = watch.ElapsedSeconds();
 
-  watch.Reset();
-  span.emplace("infer");
-  ShardBeliefs out;
+  span.emplace("infer", &out.infer_seconds);
   out.diagnostics = engine->Run();
   out.diagnostics.marginals.clear();
   out.variables = jgraph.graph.variable_count();
@@ -142,7 +156,6 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
     extract_links(jgraph.eo_vars, &out.eo_marg, &out.eo_state);
   }
   span.reset();
-  if (timings != nullptr) timings->infer_seconds = watch.ElapsedSeconds();
   return out;
 }
 
@@ -279,53 +292,29 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
     }
   }
   RuntimeStats local_stats;
-  Stopwatch watch;
   ScopedSpan infer_span("runtime_infer");
   std::optional<ScopedSpan> span;
 
   // ---- global stages: problem, signal cache, partition --------------------
-  span.emplace("build_problem");
+  span.emplace("build_problem", &local_stats.problem_seconds);
   JoclProblem problem =
       BuildProblem(dataset, signals, triple_subset, options_.problem);
-  span.reset();
-  local_stats.problem_seconds = watch.ElapsedSeconds();
-
-  watch.Reset();
-  span.emplace("signal_cache");
+  span.emplace("signal_cache", &local_stats.cache_seconds);
   SignalCache cache = SignalCache::ForProblem(problem, signals, dataset.ckb);
-  span.reset();
-  local_stats.cache_seconds = watch.ElapsedSeconds();
-
-  watch.Reset();
-  span.emplace("partition");
+  span.emplace("partition", &local_stats.partition_seconds);
   ShardPlan plan = PartitionProblem(problem, runtime_.max_shards);
   span.reset();
-  local_stats.partition_seconds = watch.ElapsedSeconds();
   local_stats.shards = plan.shards.size();
   local_stats.components = plan.component_count;
 
   // ---- per-shard build→infer→extract on a worker pool ---------------------
-  watch.Reset();
+  span.emplace("run_shards", &local_stats.shard_seconds);
   JoclBeliefs beliefs;
   SizeJoclBeliefs(problem, options_.builder, &beliefs);
   std::vector<ShardBeliefs> outcomes(plan.shards.size());
-  std::vector<ShardRunTimings> timings(plan.shards.size());
-
-  // Worker/engine thread split: with fewer shards than requested threads
-  // (the extreme: max_shards = 1), the leftover parallelism moves inside
-  // the engine, whose component-parallel execution is bit-identical to
-  // sequential — the output guarantee is unaffected either way.
-  size_t requested_threads =
-      runtime_.num_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : runtime_.num_threads;
-  size_t n_threads =
-      std::min(requested_threads, std::max<size_t>(1, plan.shards.size()));
-  size_t engine_threads = 1;
-  if (!plan.shards.empty() && plan.shards.size() < requested_threads) {
-    engine_threads =
-        (requested_threads + plan.shards.size() - 1) / plan.shards.size();
-  }
+  const size_t threads = ResolveThreadCount(runtime_.num_threads);
+  const size_t engine_threads =
+      EngineThreadsPerShard(threads, plan.shards.size());
 
   auto run_shard = [&](size_t s) {
     // Logical track "shard/<s>": the plan index, not the worker thread,
@@ -333,56 +322,47 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
     TraceTrackScope track("shard/", s);
     ScopedSpan span("shard_run");
     const ProblemShard& shard = plan.shards[s];
-    outcomes[s] =
+    ShardBeliefs local =
         RunShardInference(shard.problem, cache, dataset.ckb, options_,
-                          weights, engine_threads, &timings[s]);
+                          weights, engine_threads);
     // Shards partition the pair and triple spaces, so every scatter write
     // hits a slot no other shard touches.
-    ScatterShardBeliefs(shard, outcomes[s], options_.builder, &beliefs);
-    // Only diagnostics/variables/factors are read after the scatter;
-    // dropping the local belief copies keeps peak marginal memory at one
-    // global set (the session, which does need them, keeps its own).
-    ShardBeliefs trimmed;
-    trimmed.diagnostics = std::move(outcomes[s].diagnostics);
-    trimmed.variables = outcomes[s].variables;
-    trimmed.factors = outcomes[s].factors;
-    outcomes[s] = std::move(trimmed);
+    ScatterShardBeliefs(shard, local, options_.builder, &beliefs);
+    // Only the fold's inputs are read after the scatter; dropping the
+    // local belief copies keeps peak marginal memory at one global set
+    // (the session, which does need them, keeps its own).
+    ShardBeliefs& folded = outcomes[s];
+    folded.diagnostics = std::move(local.diagnostics);
+    folded.variables = local.variables;
+    folded.factors = local.factors;
+    folded.graph_seconds = local.graph_seconds;
+    folded.infer_seconds = local.infer_seconds;
   };
 
   // Heaviest shards first so stragglers start early; execution order does
   // not affect the output (disjoint writes, order-independent merge).
   RunOnPool(
-      plan.shards.size(), n_threads,
+      plan.shards.size(), threads,
       [&](size_t s) { return plan.shards[s].triple_map.size(); }, run_shard);
-  local_stats.shard_seconds = watch.ElapsedSeconds();
 
   // ---- merge + global decode ----------------------------------------------
-  watch.Reset();
-  span.emplace("decode");
+  span.emplace("decode", &local_stats.decode_seconds);
   LbpResult diagnostics;
   diagnostics.converged = true;
-  for (size_t s = 0; s < outcomes.size(); ++s) {
-    MergeShardDiagnostics(outcomes[s].diagnostics, &diagnostics);
-    local_stats.variables += outcomes[s].variables;
-    local_stats.factors += outcomes[s].factors;
-    local_stats.graph_seconds += timings[s].graph_seconds;
-    local_stats.infer_seconds += timings[s].infer_seconds;
+  for (const ShardBeliefs& outcome : outcomes) {
+    FoldShardRun(outcome, &diagnostics, &local_stats);
   }
-  local_stats.message_updates = diagnostics.message_updates;
-  local_stats.residual_pops = diagnostics.residual_pops;
-  local_stats.sweeps_skipped = diagnostics.sweeps_skipped;
-  local_stats.unconverged_components = diagnostics.unconverged_components;
   JoclResult result = AssembleJoclResult(problem, beliefs, options_,
                                          std::move(weights),
                                          std::move(diagnostics),
-                                         requested_threads);
+                                         threads);
   span.reset();
-  local_stats.decode_seconds = watch.ElapsedSeconds();
 
   JOCL_LOG(kDebug) << "runtime: " << plan.shards.size() << " shards over "
-                   << n_threads << " threads, " << local_stats.variables
+                   << threads << " threads, " << local_stats.variables
                    << " variables, " << local_stats.factors << " factors";
-  MirrorRuntimeStats(local_stats, result.diagnostics.final_residual);
+  MirrorRuntimeStats(local_stats);
+  MirrorLbpStats(local_stats, result.diagnostics.final_residual);
   if (stats != nullptr) *stats = local_stats;
   return result;
 }

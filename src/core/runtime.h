@@ -22,30 +22,40 @@ struct RuntimeOptions {
   size_t max_shards = 0;
 };
 
-/// \brief Stage timings + shape facts of one runtime execution (consumed
-/// by bench_scaling and the CLI).
-struct RuntimeStats {
-  double problem_seconds = 0.0;    ///< BuildProblem (global)
-  double cache_seconds = 0.0;      ///< SignalCache build (global)
-  double partition_seconds = 0.0;  ///< union-find sharding
-  double shard_seconds = 0.0;      ///< build→engine→infer→extract, wall
-  /// Graph building + engine setup summed across shards. Accumulated over
-  /// all workers, so with several threads this exceeds the wall-clock
-  /// share of shard_seconds it represents.
+/// \brief Stage seconds, shape facts and kernel counters shared by one
+/// runtime execution and one session batch. Every `*_seconds` field is
+/// written only by the closing `ScopedSpan` of the stage it names (the
+/// span of the same name in a `--trace-out` dump), so a stat and its
+/// spans never disagree.
+struct PipelineStats {
+  double problem_seconds = 0.0;    ///< problem build ("build_problem")
+  double cache_seconds = 0.0;      ///< SignalCache build ("signal_cache")
+  double partition_seconds = 0.0;  ///< sharding ("partition")
+  double shard_seconds = 0.0;      ///< shard build→infer→scatter, wall
+                                   ///< ("run_shards")
+  /// Graph building + engine setup summed across inferred shards
+  /// ("build_graph" + "compile"). Accumulated over all workers, so with
+  /// several threads this exceeds the wall-clock share of shard_seconds
+  /// it represents.
   double graph_seconds = 0.0;
-  /// Engine Run + belief extraction summed across shards (same
-  /// accumulated-over-workers caveat).
+  /// Engine Run + belief extraction summed across inferred shards
+  /// ("infer"; same accumulated-over-workers caveat).
   double infer_seconds = 0.0;
-  double decode_seconds = 0.0;     ///< global decode + conflict resolution
-  size_t shards = 0;
-  size_t components = 0;
-  size_t variables = 0;  ///< across all shard graphs
+  double decode_seconds = 0.0;  ///< global decode + conflict resolution
+  size_t shards = 0;            ///< shards in the partition
+  size_t variables = 0;         ///< across inferred shard graphs
   size_t factors = 0;
-  // ---- LBP kernel counters, summed across shards -----------------------
+  // ---- LBP kernel counters, summed across inferred shards ---------------
   size_t message_updates = 0;  ///< factor message updates executed
   size_t residual_pops = 0;    ///< residual-queue pops (kResidual only)
   size_t sweeps_skipped = 0;   ///< sweeps' worth of updates not spent
   size_t unconverged_components = 0;  ///< components stopped on the budget
+};
+
+/// \brief One `JoclRuntime::Infer` run (consumed by bench_scaling and
+/// the CLI).
+struct RuntimeStats : PipelineStats {
+  size_t components = 0;  ///< independent sub-problems
 };
 
 /// \brief One shard's inference outputs in *local* indexing — the unit of
@@ -64,12 +74,8 @@ struct ShardBeliefs {
   LbpResult diagnostics;
   size_t variables = 0;
   size_t factors = 0;
-};
-
-/// \brief Per-shard stage split of RunShardInference.
-struct ShardRunTimings {
-  double graph_seconds = 0.0;  ///< BuildJoclGraph + engine construction
-  double infer_seconds = 0.0;  ///< engine Run + belief extraction
+  double graph_seconds = 0.0;  ///< "build_graph" + "compile" spans
+  double infer_seconds = 0.0;  ///< "infer" span
 };
 
 /// \brief Builds the graph of one shard-local problem and infers it, returning
@@ -81,8 +87,7 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
                                const SignalCache& cache, const CuratedKb& ckb,
                                const JoclOptions& options,
                                const std::vector<double>& weights,
-                               size_t engine_threads,
-                               ShardRunTimings* timings = nullptr);
+                               size_t engine_threads);
 
 /// \brief Sizes the global belief arrays for \p problem according to the
 /// enabled factor families.
@@ -101,6 +106,23 @@ void ScatterShardBeliefs(const ProblemShard& shard, const ShardBeliefs& local,
 /// max/AND/sum/elementwise-max are associative and commutative, so any fold
 /// order reproduces the monolithic engine's own aggregation bit for bit.
 void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged);
+
+/// \brief Folds a shard inferred this run into \p merged and adds its
+/// shape, kernel counters and graph/infer seconds to \p stats.
+void FoldShardRun(const ShardBeliefs& shard, LbpResult* merged,
+                  PipelineStats* stats);
+
+/// \brief Engine threads per shard when \p shards shards run on \p threads
+/// pool workers: with fewer shards than threads (the extreme: one shard)
+/// the leftover parallelism moves inside each engine, whose
+/// component-parallel execution is bit-identical to sequential.
+size_t EngineThreadsPerShard(size_t threads, size_t shards);
+
+/// \brief Records a finished run's LBP kernel counters and convergence
+/// certificate (\p certificate: max pending residual of the result) on
+/// the process-wide registry — the `jocl_lbp_*` families the runtime and
+/// the session share.
+void MirrorLbpStats(const PipelineStats& stats, double certificate);
 
 /// \brief Assembles the final JoclResult from merged global beliefs:
 /// canonical marginal order (subject/predicate/object pairs, then

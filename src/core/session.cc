@@ -3,24 +3,20 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/worker_pool.h"
 
 namespace jocl {
 namespace {
 
-/// Mirrors a finished batch's stats onto the process-wide registry (the
-/// LBP families are shared with the runtime — same (name, labels) pair,
-/// same handle). \p certificate is the max pending residual over every
-/// component of the batch's result, cached ones included.
-void MirrorSessionStats(const SessionStats& stats, uint64_t generation,
-                        double certificate) {
+/// Mirrors a finished batch's session-only families onto the
+/// process-wide registry; the LBP families it shares with the runtime go
+/// through MirrorLbpStats.
+void MirrorSessionStats(const SessionStats& stats, uint64_t generation) {
   MetricsRegistry& global = MetricsRegistry::Global();
   static Counter* batches = global.AddCounter(
       "jocl_session_batches_total", "", "Session refreshes (ingest batches)");
@@ -36,21 +32,6 @@ void MirrorSessionStats(const SessionStats& stats, uint64_t generation,
   static Counter* new_phrases =
       global.AddCounter("jocl_signal_cache_new_phrases_total", "",
                         "Phrases first seen by the signal cache");
-  static Counter* updates =
-      global.AddCounter("jocl_lbp_message_updates_total", "",
-                        "LBP message updates across all engines");
-  static Counter* pops =
-      global.AddCounter("jocl_lbp_residual_pops_total", "",
-                        "Residual-schedule priority pops");
-  static Counter* skipped =
-      global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
-                        "Converged sweeps the kernel skipped");
-  static Counter* unconverged = global.AddCounter(
-      "jocl_lbp_unconverged_components_total", "",
-      "LBP components that spent their budget above the tolerance");
-  static Gauge* certificate_gauge =
-      global.AddGauge("jocl_lbp_certificate", "",
-                      "Max pending LBP residual of the latest result");
   static Gauge* gen = global.AddGauge("jocl_session_generation", "",
                                       "Generation of the latest batch");
   static Histogram* stage_problem = global.AddHistogram(
@@ -71,11 +52,6 @@ void MirrorSessionStats(const SessionStats& stats, uint64_t generation,
   cache_hits->Add(stats.problem_cache_hits);
   cache_misses->Add(stats.problem_cache_misses);
   new_phrases->Add(stats.cache_new_phrases);
-  updates->Add(stats.message_updates);
-  pops->Add(stats.residual_pops);
-  skipped->Add(stats.sweeps_skipped);
-  unconverged->Add(stats.unconverged_components);
-  certificate_gauge->SetDouble(certificate);
   auto record_seconds = [](Histogram* histogram, double seconds) {
     histogram->Record(static_cast<uint64_t>(seconds * 1e9));
   };
@@ -182,14 +158,10 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   SessionStats local_stats;
   local_stats.added = stats != nullptr ? stats->added : 0;
   local_stats.removed = stats != nullptr ? stats->removed : 0;
-  Stopwatch watch;
   ScopedSpan batch_span("ingest_batch");
   std::optional<ScopedSpan> span;
 
-  const size_t frontend_threads =
-      session_.frontend_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : session_.frontend_threads;
+  const size_t frontend_threads = ResolveThreadCount(session_.frontend_threads);
   // Weights-only refresh over an unchanged active set (UpdateWeights):
   // the persisted problem and its partition are still exact — skip the
   // whole front-end and go straight to (all-dirty) inference.
@@ -197,7 +169,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                               generation_ > 0 && problem_.triples == active_;
 
   // ---- global problem build (O(Δ) incremental, or reused verbatim) -------
-  span.emplace("build_problem");
+  span.emplace("build_problem", &local_stats.problem_seconds);
   JoclProblem problem;
   FrontEndDelta fdelta;
   if (reuse_frontend) {
@@ -209,8 +181,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     local_stats.problem_cache_hits = builder_.candidate_hits();
     local_stats.problem_cache_misses = builder_.candidate_misses();
   }
-  span.reset();
-  local_stats.problem_seconds = watch.ElapsedSeconds();
 
   // ---- append-only signal-cache ingestion ---------------------------------
   // Delta registration: only surfaces first interned this batch (and their
@@ -220,8 +190,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // RegisterProblem walk, but phrase ids are only ever compared for
   // equality, so query answers are identical. A reused problem interns
   // nothing.
-  watch.Reset();
-  span.emplace("signal_cache");
+  span.emplace("signal_cache", &local_stats.cache_seconds);
   const size_t phrases_before = cache_.size();
   if (!reuse_frontend) {
     for (uint32_t sid : builder_.new_np_sids()) {
@@ -240,8 +209,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     cache_.Finalize(*signals_);
   }
   local_stats.cache_new_phrases = cache_.size() - phrases_before;
-  span.reset();
-  local_stats.cache_seconds = watch.ElapsedSeconds();
 
   // ---- partition + delta classification -----------------------------------
   // One shard per connected component: dirtiness is per-component, and
@@ -250,9 +217,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // batch that truncated the pair lists — and a reused problem, which may
   // have been truncated — derives them from the problem's own pairs. The
   // plan is lazy: dirty shards materialize their local problem bodies
-  // below, clean shards never do.
-  watch.Reset();
-  span.emplace("partition");
+  // below, clean shards never do. The reuse guard and that
+  // materialization are front-end work too: the span covers them.
+  span.emplace("partition", &local_stats.partition_seconds);
   const std::vector<size_t>& changed = !added.empty() ? added : removed;
   std::vector<size_t> comp_of_triple;
   std::vector<size_t> comp_weight;
@@ -266,8 +233,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                                         /*max_shards=*/0, /*lazy=*/true);
   ShardDelta delta =
       ClassifyShardDelta(plan, previous_components_, changed);
-  span.reset();
-  local_stats.partition_seconds = watch.ElapsedSeconds();
   local_stats.shards = plan.shards.size();
   local_stats.merged_shards = delta.merged;
   local_stats.split_components = delta.split;
@@ -279,7 +244,6 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // set matches *any* cached component (e.g. one restored by a removal
   // that undid an earlier merge) is reusable, provided its local problem
   // is structurally identical — the byte-exactness guard.
-  watch.Reset();
 
   // Provably-clean skip: on a non-truncating batch the front-end delta
   // announces every emission change (surface rep moves, pair
@@ -352,31 +316,18 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // maps alone.
   if (!dirty.empty()) {
     RunOnPool(
-        dirty.size(),
-        std::min(frontend_threads, std::max<size_t>(1, dirty.size())),
+        dirty.size(), frontend_threads,
         [&](size_t d) { return plan.shards[dirty[d]].triple_map.size(); },
         [&](size_t d) {
           MaterializeShardProblem(problem, &plan.shards[dirty[d]]);
         });
   }
-  // Reuse-guard checks + dirty materialization are front-end work: count
-  // them toward the partition stage, and start the shard clock here.
-  local_stats.partition_seconds += watch.ElapsedSeconds();
-  watch.Reset();
 
   // ---- dirty shards on a worker pool, heaviest first ----------------------
+  span.emplace("run_shards", &local_stats.shard_seconds);
   std::vector<ShardBeliefs> outcomes(dirty.size());
-  std::vector<ShardRunTimings> timings(dirty.size());
-  size_t requested_threads =
-      session_.num_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : session_.num_threads;
-  size_t n_threads =
-      std::min(requested_threads, std::max<size_t>(1, dirty.size()));
-  size_t engine_threads = 1;
-  if (!dirty.empty() && dirty.size() < requested_threads) {
-    engine_threads = (requested_threads + dirty.size() - 1) / dirty.size();
-  }
+  const size_t threads = ResolveThreadCount(session_.num_threads);
+  const size_t engine_threads = EngineThreadsPerShard(threads, dirty.size());
   auto run_dirty = [&](size_t d) {
     // Track by the *plan* shard index: a deterministic key across thread
     // counts and batch replays (the pool's worker id is neither).
@@ -385,11 +336,11 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     const ProblemShard& shard = plan.shards[dirty[d]];
     outcomes[d] =
         RunShardInference(shard.problem, cache_, dataset_->ckb, options_,
-                          weights_, engine_threads, &timings[d]);
+                          weights_, engine_threads);
     ScatterShardBeliefs(shard, outcomes[d], options_.builder, &beliefs);
   };
   RunOnPool(
-      dirty.size(), n_threads,
+      dirty.size(), threads,
       [&](size_t d) { return plan.shards[dirty[d]].triple_map.size(); },
       run_dirty);
   // Clean shards: scatter the cached beliefs.
@@ -399,11 +350,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                           options_.builder, &beliefs);
     }
   }
-  local_stats.shard_seconds = watch.ElapsedSeconds();
 
   // ---- merge + global decode ----------------------------------------------
-  watch.Reset();
-  span.emplace("decode");
+  span.emplace("decode", &local_stats.decode_seconds);
   LbpResult diagnostics;
   diagnostics.converged = true;
   {
@@ -412,17 +361,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
       if (reused[s] != nullptr) {
         MergeShardDiagnostics(reused[s]->beliefs.diagnostics, &diagnostics);
       } else {
-        MergeShardDiagnostics(outcomes[d].diagnostics, &diagnostics);
-        local_stats.variables += outcomes[d].variables;
-        local_stats.factors += outcomes[d].factors;
-        local_stats.message_updates += outcomes[d].diagnostics.message_updates;
-        local_stats.residual_pops += outcomes[d].diagnostics.residual_pops;
-        local_stats.sweeps_skipped += outcomes[d].diagnostics.sweeps_skipped;
-        local_stats.unconverged_components +=
-            outcomes[d].diagnostics.unconverged_components;
-        local_stats.graph_seconds += timings[d].graph_seconds;
-        local_stats.infer_seconds += timings[d].infer_seconds;
-        ++d;
+        FoldShardRun(outcomes[d++], &diagnostics, &local_stats);
       }
     }
   }
@@ -430,9 +369,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // rebuild assigns in place (see AssembleJoclResult).
   diagnostics.marginals = std::move(result_.diagnostics.marginals);
   result_ = AssembleJoclResult(problem, beliefs, options_, weights_,
-                               std::move(diagnostics), requested_threads);
+                               std::move(diagnostics), threads);
   span.reset();
-  local_stats.decode_seconds = watch.ElapsedSeconds();
 
   // ---- persist state + store upkeep ---------------------------------------
   // Partition snapshot for the next batch's delta classification: clean
@@ -470,8 +408,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                    << " dirty shards (" << delta.merged << " merged, "
                    << delta.split << " split), "
                    << local_stats.cache_new_phrases << " new phrases";
-  MirrorSessionStats(local_stats, generation_,
-                     result_.diagnostics.final_residual);
+  MirrorSessionStats(local_stats, generation_);
+  MirrorLbpStats(local_stats, result_.diagnostics.final_residual);
   if (stats != nullptr) *stats = local_stats;
   if (publish_callback_) {
     ScopedSpan publish_span("publish");

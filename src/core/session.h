@@ -29,25 +29,20 @@ struct SessionOptions {
   size_t frontend_threads = 0;
 };
 
-/// \brief Per-batch report of one AddTriples / RemoveTriples call.
-struct SessionStats {
-  double problem_seconds = 0.0;    ///< O(Δ) global problem update
-  double cache_seconds = 0.0;      ///< append-only signal-cache ingestion
-  double partition_seconds = 0.0;  ///< union-find sharding + delta classify
-  double shard_seconds = 0.0;      ///< dirty-shard inference, wall
-  double graph_seconds = 0.0;      ///< dirty graph build+engine, summed
-  double infer_seconds = 0.0;      ///< dirty engine run+extract, summed
-  double decode_seconds = 0.0;     ///< global decode + conflict resolution
+/// \brief Per-batch report of one AddTriples / RemoveTriples /
+/// UpdateWeights call. The PipelineStats stages read as in the runtime,
+/// except that `partition_seconds` also covers delta classification, the
+/// reuse guard and dirty-shard materialization, and the shape and kernel
+/// fields cover *dirty* shards only (clean shards spend no kernel work —
+/// their beliefs come from the store).
+struct SessionStats : PipelineStats {
   size_t added = 0;                ///< triples actually added
   size_t removed = 0;              ///< triples actually removed
-  size_t shards = 0;               ///< components in the new partition
   size_t dirty_shards = 0;         ///< shards re-inferred this batch
   size_t clean_shards = 0;         ///< shards served from cached beliefs
   size_t merged_shards = 0;        ///< shards built from >= 2 old components
   size_t split_components = 0;     ///< old components split by the batch
   size_t cache_new_phrases = 0;    ///< phrases newly ingested by the cache
-  size_t variables = 0;            ///< across dirty-shard graphs only
-  size_t factors = 0;
   /// Candidate lookups this batch: every active surface is consulted once
   /// per role, a hit when the session generated its candidates in an
   /// earlier consultation and a miss when it had to generate them now. A
@@ -61,14 +56,6 @@ struct SessionStats {
   /// active set was unchanged (UpdateWeights re-inference): the persisted
   /// problem and partition were reused verbatim.
   bool frontend_reused = false;
-  // ---- LBP kernel counters, summed over *dirty* shards only (clean
-  // shards spend no kernel work — their beliefs come from the store) ----
-  size_t message_updates = 0;  ///< factor message updates executed
-  size_t residual_pops = 0;    ///< residual-queue pops (kResidual only)
-  size_t sweeps_skipped = 0;   ///< sweeps' worth of updates not spent
-  /// Re-inferred components that spent their LBP budget without meeting
-  /// the tolerance — the per-batch convergence failure signal.
-  size_t unconverged_components = 0;
 };
 
 /// \brief Long-lived incremental runtime over one dataset: the streaming

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "core/graph_builder.h"
 #include "core/shard.h"
@@ -14,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/worker_pool.h"
 
 namespace jocl {
@@ -190,23 +188,21 @@ Result<LearnerResult> ShardedLearner::Learn(
   }
 
   LearnerRunStats local_stats;
-  Stopwatch watch;
   ScopedSpan learn_span("learn");
+  std::optional<ScopedSpan> span;
 
   // ---- global stages: problem, signal cache, partition --------------------
+  span.emplace("build_problem", &local_stats.problem_seconds);
   JoclProblem problem =
       BuildProblem(dataset, signals, labeled_triples, options_.problem);
-  local_stats.problem_seconds = watch.ElapsedSeconds();
-
-  watch.Reset();
+  span.emplace("signal_cache", &local_stats.cache_seconds);
   SignalCache cache = SignalCache::ForProblem(problem, signals, dataset.ckb);
-  local_stats.cache_seconds = watch.ElapsedSeconds();
 
   // One shard per connected component, always: the component is the
   // reduction unit (see the class comment), so graph granularity must not
   // depend on the max_shards knob — that knob only packs components into
   // scheduling bins below.
-  watch.Reset();
+  span.emplace("partition", &local_stats.partition_seconds);
   ShardPlan plan = PartitionProblem(problem, /*max_shards=*/0);
   const size_t n_components = plan.shards.size();
   std::vector<size_t> component_weight(n_components);
@@ -215,7 +211,7 @@ Result<LearnerResult> ShardedLearner::Learn(
   }
   std::vector<std::vector<size_t>> bins =
       PackBins(component_weight, runtime_.max_shards);
-  local_stats.partition_seconds = watch.ElapsedSeconds();
+  span.reset();
   local_stats.components = n_components;
   local_stats.bins = bins.size();
 
@@ -228,17 +224,12 @@ Result<LearnerResult> ShardedLearner::Learn(
     return result;
   }
 
-  const size_t requested_threads =
-      runtime_.num_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : runtime_.num_threads;
+  const size_t requested_threads = ResolveThreadCount(runtime_.num_threads);
 
   // ---- per-component setup: build + bind an engine once, label -----------
   // `result.weights` is the one weight vector every engine binds; it is
   // only written between iterations, after all workers joined.
-  watch.Reset();
-  std::optional<ScopedSpan> span;
-  span.emplace("setup");
+  span.emplace("setup", &local_stats.setup_seconds);
   std::vector<std::unique_ptr<ComponentState>> components(n_components);
   RunOnPool(
       n_components, requested_threads,
@@ -265,16 +256,14 @@ Result<LearnerResult> ShardedLearner::Learn(
     local_stats.variables += state->jgraph.graph.variable_count();
     local_stats.factors += state->jgraph.graph.factor_count();
   }
-  span.reset();
-  local_stats.setup_seconds = watch.ElapsedSeconds();
 
   // ---- gradient ascent ----------------------------------------------------
-  watch.Reset();
+  span.emplace("ascent", &local_stats.learn_seconds);
   std::vector<double> gradient(w);
-  Stopwatch iteration_watch;
   for (size_t iter = 0; iter < options_.learner.iterations; ++iter) {
-    iteration_watch.Reset();
-    ScopedSpan iteration_span("iteration");
+    double iteration_seconds = 0.0;
+    std::optional<ScopedSpan> iteration_span(std::in_place, "iteration",
+                                             &iteration_seconds);
     // Expectation passes, bin-parallel. Every write is component-local.
     RunOnPool(
         bins.size(), requested_threads,
@@ -314,7 +303,8 @@ Result<LearnerResult> ShardedLearner::Learn(
     LearnerTrace trace =
         ApplyAscentStep(options_.learner, iter, gradient, log_likelihood,
                         anchor, &result.weights);
-    trace.seconds = iteration_watch.ElapsedSeconds();
+    iteration_span.reset();
+    trace.seconds = iteration_seconds;
     result.trace.push_back(trace);
     JOCL_LOG(kDebug) << "sharded learner iter " << iter << " objective "
                      << trace.objective << " grad max-norm "
@@ -324,7 +314,7 @@ Result<LearnerResult> ShardedLearner::Learn(
       break;
     }
   }
-  local_stats.learn_seconds = watch.ElapsedSeconds();
+  span.reset();
 
   JOCL_LOG(kDebug) << "sharded learner: " << n_components << " components in "
                    << bins.size() << " bins over " << requested_threads

@@ -24,14 +24,17 @@ struct LearnRuntimeOptions {
 };
 
 /// \brief Stage timings + shape facts of one ShardedLearner::Learn call
-/// (consumed by bench_learning_curve and the jocl_learn CLI).
+/// (consumed by bench_learning_curve and the jocl_learn CLI). Each
+/// `*_seconds` field is written only by the closing span it names.
 struct LearnerRunStats {
-  double problem_seconds = 0.0;    ///< BuildProblem (global)
-  double cache_seconds = 0.0;      ///< SignalCache build (global)
-  double partition_seconds = 0.0;  ///< union-find sharding + bin packing
+  double problem_seconds = 0.0;    ///< BuildProblem ("build_problem")
+  double cache_seconds = 0.0;      ///< SignalCache build ("signal_cache")
+  double partition_seconds = 0.0;  ///< sharding + bin packing ("partition")
   double setup_seconds = 0.0;      ///< per-component graph build + engine
-                                   ///< + labeling, wall
+                                   ///< + labeling, wall ("setup")
   double learn_seconds = 0.0;      ///< gradient-ascent loop, wall
+                                   ///< ("ascent"; one "iteration" span per
+                                   ///< LearnerTrace::seconds)
   size_t components = 0;           ///< independent sub-problems
   size_t bins = 0;                 ///< scheduling bins actually used
   size_t labels = 0;               ///< (variable, state) gold labels

@@ -113,7 +113,8 @@ Result<std::vector<double>> LoadWeights(const std::string& path) {
     }
     auto it = index.find(cells[0]);
     if (it == index.end()) {
-      return Status::IOError("unknown weight name '" + cells[0] + "'");
+      return Status::IOError("unknown weight name '" + cells[0] +
+                             "' at line " + std::to_string(line_number));
     }
     // from_chars mirrors to_chars above: locale-independent, and it
     // must consume the whole cell (stod would accept "1.5garbage").
@@ -123,6 +124,12 @@ Result<std::vector<double>> LoadWeights(const std::string& path) {
     const auto [ptr, ec] = std::from_chars(begin, end, value);
     if (ec != std::errc() || ptr != end) {
       return Status::IOError("non-numeric weight at line " +
+                             std::to_string(line_number));
+    }
+    // from_chars also parses "nan" and "inf"; a non-finite weight would
+    // poison every factor potential it touches.
+    if (!std::isfinite(value)) {
+      return Status::IOError("non-finite weight at line " +
                              std::to_string(line_number));
     }
     weights[it->second] = value;

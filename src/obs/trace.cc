@@ -222,12 +222,20 @@ ScopedSpan::ScopedSpan(std::string_view name, std::string args_json) {
   start_ns_ = MonotonicNanos();
 }
 
+ScopedSpan::ScopedSpan(std::string_view name, double* seconds)
+    : ScopedSpan(name, std::string()) {
+  seconds_ = seconds;
+  if (recorder_ == nullptr) start_ns_ = MonotonicNanos();
+}
+
 ScopedSpan::~ScopedSpan() {
+  if (recorder_ == nullptr && seconds_ == nullptr) return;
+  const uint64_t dur_ns = MonotonicNanos() - start_ns_;
+  if (seconds_ != nullptr) *seconds_ += static_cast<double>(dur_ns) * 1e-9;
   if (recorder_ == nullptr) return;
-  uint64_t end_ns = MonotonicNanos();
   obs_internal::SetCurrentParentSeq(parent_seq_);
-  recorder_->AddSpan(name_, obs_internal::CurrentTrack(), start_ns_,
-                     end_ns - start_ns_, seq_, parent_seq_, args_);
+  recorder_->AddSpan(name_, obs_internal::CurrentTrack(), start_ns_, dur_ns,
+                     seq_, parent_seq_, args_);
 }
 
 }  // namespace jocl

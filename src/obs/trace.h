@@ -116,13 +116,19 @@ class TraceTrackScope {
 
 /// \brief RAII span: records [construction, destruction) on the
 /// thread's current track, nested under the innermost open ScopedSpan.
-/// One atomic load when tracing is off.
+/// One atomic load when tracing is off (plus two clock reads for a span
+/// with a seconds sink).
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string_view name);
   /// \p args_json is the body of the span's "args" object, e.g.
   /// `"shard":3,"variables":120` (no outer braces).
   ScopedSpan(std::string_view name, std::string args_json);
+  /// Stage-clock form: on close, adds the span's duration — the same
+  /// `dur_ns` an installed recorder stores — to `*seconds`. This is the
+  /// only clock behind the pipeline's `*_seconds` stats. With no recorder
+  /// installed it reads the monotonic clock twice and records nothing.
+  ScopedSpan(std::string_view name, double* seconds);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -130,6 +136,7 @@ class ScopedSpan {
 
  private:
   TraceRecorder* recorder_ = nullptr;
+  double* seconds_ = nullptr;
   std::string name_;
   std::string args_;
   uint64_t start_ns_ = 0;

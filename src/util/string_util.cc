@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstddef>
+#include <cstdio>
 
 namespace jocl {
 
@@ -100,6 +101,20 @@ bool ParseInt64(std::string_view cell, int64_t* out) {
   const auto [ptr, ec] = std::from_chars(begin, end, value);
   if (ec != std::errc() || ptr != end) return false;
   *out = value;
+  return true;
+}
+
+bool ParseCount(std::string_view flag, std::string_view text, size_t* out,
+                size_t max) {
+  int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < 0 ||
+      static_cast<uint64_t>(value) > max) {
+    std::fprintf(stderr, "invalid %.*s value: %.*s\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  *out = static_cast<size_t>(value);
   return true;
 }
 

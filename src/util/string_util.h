@@ -1,6 +1,7 @@
 #ifndef JOCL_UTIL_STRING_UTIL_H_
 #define JOCL_UTIL_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -40,6 +41,14 @@ std::string ReplaceAll(std::string_view input, std::string_view from,
 /// digits). Returns false on an empty, non-numeric, partially numeric or
 /// out-of-range cell and leaves \p out unchanged; never throws.
 bool ParseInt64(std::string_view cell, int64_t* out);
+
+/// \brief Parses a command-line count: the whole of \p text as a
+/// non-negative base-10 integer no greater than \p max. On failure names
+/// the malformed value on stderr ("invalid <flag> value: <text>"), leaves
+/// \p out unchanged and returns false — the tools then print usage and
+/// exit 2.
+bool ParseCount(std::string_view flag, std::string_view text, size_t* out,
+                size_t max = SIZE_MAX);
 
 }  // namespace jocl
 

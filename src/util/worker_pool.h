@@ -10,6 +10,12 @@
 
 namespace jocl {
 
+/// \brief \p num_threads with 0 resolved to one per hardware thread.
+inline size_t ResolveThreadCount(size_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
 /// \brief Runs `task(i)` for every i in [0, count) on \p num_threads
 /// workers, heaviest first per \p weight_of — the shared work-queue of
 /// the sharded runtime, session and learner.

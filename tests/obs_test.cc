@@ -2,16 +2,21 @@
 // merge under concurrent recorders, Prometheus exposition (golden
 // rendering, family grouping, aggregation with extra labels), and the
 // trace recorder — span nesting, per-track sequence determinism across
-// thread counts, and Chrome trace-event JSON well-formedness.
+// thread counts, Chrome trace-event JSON well-formedness, and the stage
+// clock: every pipeline `*_seconds` stat equals its spans' durations.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/runtime.h"
+#include "core/session.h"
+#include "core/sharded_learner.h"
 #include "core/signals.h"
 #include "data/generator.h"
 #include "obs/metrics.h"
@@ -318,6 +323,30 @@ TEST(TraceRecorderTest, TrackScopesIsolateThreadsAndSortNumerically) {
   }
 }
 
+TEST(TraceRecorderTest, StageClockSpanAddsItsRecordedDuration) {
+  double seconds = 0.25;
+  TraceRecorder recorder;
+  {
+    ScopedTraceSession session(&recorder);
+    ScopedSpan outer("outer", &seconds);
+    ScopedSpan inner("inner");
+  }
+  const std::vector<TraceRecorder::Span> spans = recorder.Spans();
+  ASSERT_EQ(spans.size(), 2u);
+  // Spans() sorts by seq: "outer" reserved 0, "inner" 1 under it.
+  EXPECT_EQ(spans[0].name, "outer");
+  EXPECT_EQ(spans[1].parent_seq, 0);
+  // The sink accumulates: it adds the recorded dur_ns to what was there.
+  EXPECT_NEAR((seconds - 0.25) * 1e9, static_cast<double>(spans[0].dur_ns),
+              1.0);
+
+  // With no recorder the span still times the stage, recording nothing.
+  double untraced = 0.0;
+  { ScopedSpan span("untraced", &untraced); }
+  EXPECT_GE(untraced, 0.0);
+  EXPECT_EQ(recorder.Spans().size(), 2u);
+}
+
 // Minimal JSON well-formedness check: balanced structure, valid string
 // escapes, no trailing garbage. Enough to catch an unescaped quote or a
 // missing comma without a full parser.
@@ -454,6 +483,157 @@ TEST_F(TraceDeterminism, PipelineDumpIsByteIdenticalAcrossRunsAndThreads) {
         "\"build_graph\"", "\"compile\"", "\"infer\"", "\"decode\"",
         "\"shard_run\""}) {
     EXPECT_NE(one_a.find(stage), std::string::npos) << stage;
+  }
+}
+
+// ---------- one stage clock --------------------------------------------------
+
+/// The same scale-0.05 world as TraceDeterminism.
+class StageClock : public TraceDeterminism {
+ protected:
+  /// Asserts that \p seconds equals the summed dur_ns of every span named
+  /// in \p names, within 1 ns per span, and returns how many there were.
+  static size_t ExpectSpanSum(const std::vector<TraceRecorder::Span>& spans,
+                              std::initializer_list<std::string_view> names,
+                              double seconds, const char* field) {
+    uint64_t total_ns = 0;
+    size_t count = 0;
+    for (const TraceRecorder::Span& span : spans) {
+      for (std::string_view name : names) {
+        if (span.name == name) {
+          total_ns += span.dur_ns;
+          ++count;
+        }
+      }
+    }
+    EXPECT_NEAR(seconds * 1e9, static_cast<double>(total_ns),
+                static_cast<double>(count))
+        << field;
+    return count;
+  }
+
+  /// The PipelineStats stages, each against the spans that time it.
+  static void ExpectPipelineStats(const std::vector<TraceRecorder::Span>& spans,
+                                  const PipelineStats& stats) {
+    EXPECT_EQ(ExpectSpanSum(spans, {"build_problem"}, stats.problem_seconds,
+                            "problem_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"signal_cache"}, stats.cache_seconds,
+                            "cache_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"partition"}, stats.partition_seconds,
+                            "partition_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"run_shards"}, stats.shard_seconds,
+                            "shard_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"decode"}, stats.decode_seconds,
+                            "decode_seconds"),
+              1u);
+    // Two graph spans and one infer span per inferred shard.
+    const size_t infer_spans =
+        ExpectSpanSum(spans, {"infer"}, stats.infer_seconds, "infer_seconds");
+    EXPECT_EQ(ExpectSpanSum(spans, {"build_graph", "compile"},
+                            stats.graph_seconds, "graph_seconds"),
+              2 * infer_spans);
+  }
+};
+
+TEST_F(StageClock, StageStatsEqualSpanDurations) {
+  {
+    SCOPED_TRACE("JoclRuntime::Infer");
+    TraceRecorder recorder;
+    RuntimeStats stats;
+    {
+      ScopedTraceSession session(&recorder);
+      RuntimeOptions options;
+      options.num_threads = 2;
+      JoclRuntime runtime({}, options);
+      ASSERT_TRUE(runtime
+                      .Infer(*dataset_, *signals_, dataset_->test_triples, {},
+                             &stats)
+                      .ok());
+    }
+    ExpectPipelineStats(recorder.Spans(), stats);
+    EXPECT_GT(stats.shards, 0u);
+  }
+
+  JoclSession session(dataset_, signals_, {}, SessionOptions{2, 8, 2});
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  const std::vector<size_t> first(stream.begin(),
+                                  stream.begin() + stream.size() / 2);
+  const std::vector<size_t> retired(first.begin(),
+                                    first.begin() + first.size() / 4);
+  std::vector<double> retrained = Jocl::DefaultWeights();
+  retrained[0] *= 1.5;
+  auto traced_batch = [&](const char* label, auto&& mutate) {
+    SCOPED_TRACE(label);
+    TraceRecorder recorder;
+    SessionStats stats;
+    {
+      ScopedTraceSession trace(&recorder);
+      ASSERT_TRUE(mutate(&stats).ok());
+    }
+    ExpectPipelineStats(recorder.Spans(), stats);
+    EXPECT_GT(stats.dirty_shards, 0u);
+  };
+  traced_batch("session add", [&](SessionStats* stats) {
+    return session.AddTriples(first, stats);
+  });
+  traced_batch("session remove", [&](SessionStats* stats) {
+    return session.RemoveTriples(retired, stats);
+  });
+  traced_batch("session UpdateWeights", [&](SessionStats* stats) {
+    Status status = session.UpdateWeights(retrained, stats);
+    EXPECT_TRUE(stats->frontend_reused);
+    return status;
+  });
+
+  {
+    SCOPED_TRACE("ShardedLearner::Learn");
+    JoclOptions options;
+    options.learner.iterations = 3;
+    LearnRuntimeOptions runtime;
+    runtime.num_threads = 2;
+    TraceRecorder recorder;
+    LearnerRunStats stats;
+    Result<LearnerResult> learned = Status::Internal("not run");
+    {
+      ScopedTraceSession trace(&recorder);
+      learned = ShardedLearner(options, runtime)
+                    .Learn(*dataset_, *signals_,
+                           dataset_->validation_triples, {}, &stats);
+    }
+    ASSERT_TRUE(learned.ok()) << learned.status();
+    const std::vector<TraceRecorder::Span> spans = recorder.Spans();
+    EXPECT_EQ(ExpectSpanSum(spans, {"build_problem"}, stats.problem_seconds,
+                            "problem_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"signal_cache"}, stats.cache_seconds,
+                            "cache_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"partition"}, stats.partition_seconds,
+                            "partition_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"setup"}, stats.setup_seconds,
+                            "setup_seconds"),
+              1u);
+    EXPECT_EQ(ExpectSpanSum(spans, {"ascent"}, stats.learn_seconds,
+                            "learn_seconds"),
+              1u);
+    // One "iteration" span per trace entry, in iteration (seq) order.
+    const std::vector<LearnerTrace>& trace = learned.ValueOrDie().trace;
+    size_t iteration = 0;
+    for (const TraceRecorder::Span& span : spans) {
+      if (span.name != "iteration") continue;
+      ASSERT_LT(iteration, trace.size());
+      EXPECT_NEAR(trace[iteration].seconds * 1e9,
+                  static_cast<double>(span.dur_ns), 1.0)
+          << "iteration " << iteration;
+      ++iteration;
+    }
+    EXPECT_EQ(iteration, trace.size());
+    EXPECT_GT(iteration, 0u);
   }
 }
 

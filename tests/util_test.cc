@@ -279,5 +279,24 @@ TEST(StringUtilTest, ReplaceAll) {
   EXPECT_EQ(ReplaceAll("abc", "", "x"), "abc");
 }
 
+TEST(StringUtilTest, ParseCountAcceptsOnlyWholeNonNegativeIntegers) {
+  size_t out = 7;
+  EXPECT_TRUE(ParseCount("--n", "0", &out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(ParseCount("--n", "42", &out));
+  EXPECT_EQ(out, 42u);
+  EXPECT_TRUE(ParseCount("--port", "65535", &out, 65535));
+  EXPECT_EQ(out, 65535u);
+  // atoll would read "abc" as 0 and "-3" as SIZE_MAX; each is rejected
+  // and leaves the output unchanged.
+  for (const char* bad : {"", "abc", "-3", "1.5", "4x", " 4", "+4",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseCount("--n", bad, &out)) << bad;
+    EXPECT_EQ(out, 65535u) << bad;
+  }
+  EXPECT_FALSE(ParseCount("--port", "65536", &out, 65535));
+  EXPECT_EQ(out, 65535u);
+}
+
 }  // namespace
 }  // namespace jocl

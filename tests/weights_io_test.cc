@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <locale>
+#include <random>
+#include <sstream>
 #include <string>
 
 #include "core/feature_config.h"
 #include "core/weights_io.h"
+#include "seeded_mutants.h"
 
 namespace jocl {
 namespace {
@@ -98,6 +103,82 @@ TEST(WeightsIoTest, RejectsUnknownNamesAndGarbage) {
   EXPECT_FALSE(LoadWeights(path).ok());
   std::remove(path.c_str());
   EXPECT_FALSE(LoadWeights("/nonexistent/weights.tsv").ok());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+void WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+}
+
+TEST(WeightsIoTest, RejectsNonFiniteWeights) {
+  // from_chars parses "nan" and "inf"; a saved file with one value edited
+  // to either must fail on the line that carries it.
+  const std::vector<double> weights(WeightLayout::kCount, 1.0);
+  const std::string path = ::testing::TempDir() + "/jocl_nan_weights.tsv";
+  ASSERT_TRUE(SaveWeights(weights, path).ok());
+  const std::string saved = ReadFile(path);
+  const std::string row = WeightLayout::Name(WeightLayout::kBeta5) + "\t1\n";
+  const size_t at = saved.find(row);
+  ASSERT_NE(at, std::string::npos) << saved;
+  const size_t line = 1 + std::count(saved.begin(), saved.begin() + at, '\n');
+  for (const char* value : {"nan", "-nan", "inf", "-inf", "infinity"}) {
+    std::string edited = saved;
+    edited.replace(at + row.size() - 2, 1, value);
+    WriteFile(path, edited);
+    auto loaded = LoadWeights(path);
+    ASSERT_FALSE(loaded.ok()) << value;
+    EXPECT_NE(loaded.status().message().find("line " + std::to_string(line)),
+              std::string::npos)
+        << loaded.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WeightsIoTest, SeededMutantsLoadOrFailWithADescriptiveStatus) {
+  std::vector<double> weights(WeightLayout::kCount);
+  for (size_t k = 0; k < weights.size(); ++k) {
+    weights[k] = 0.5 + 0.125 * static_cast<double>(k);
+  }
+  const std::string path = ::testing::TempDir() + "/jocl_mutant_weights.tsv";
+  ASSERT_TRUE(SaveWeights(weights, path).ok());
+  const std::string original = ReadFile(path);
+  ASSERT_FALSE(original.empty());
+
+  std::mt19937_64 rng(20210);
+  constexpr size_t kPerKind = 200;
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (size_t kind = 0; kind < kMutationKinds; ++kind) {
+    for (size_t m = 0; m < kPerKind; ++m) {
+      WriteFile(path, Mutate(original, kind, &rng));
+      SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                   std::to_string(m));
+      auto result = LoadWeights(path);
+      if (!result.ok()) {
+        ++rejected;
+        // The message names the line or the header at fault.
+        const std::string& message = result.status().message();
+        EXPECT_TRUE(message.find("line") != std::string::npos ||
+                    message.find("header") != std::string::npos)
+            << message;
+        continue;
+      }
+      ++loaded;
+      const std::vector<double>& values = result.ValueOrDie();
+      ASSERT_EQ(values.size(), WeightLayout::kCount);
+      for (double value : values) EXPECT_TRUE(std::isfinite(value));
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
+  std::remove(path.c_str());
 }
 
 TEST(WeightsIoTest, SavedFileCarriesValidatedHeader) {

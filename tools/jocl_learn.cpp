@@ -87,18 +87,6 @@ int Usage() {
   return 2;
 }
 
-// Parses a --threads/--shards/--iterations value: a non-negative integer,
-// or false after naming the malformed value.
-bool ParseCount(const char* flag, const char* text, size_t* out) {
-  int64_t value = 0;
-  if (!ParseInt64(text, &value) || value < 0) {
-    std::fprintf(stderr, "invalid %s value: %s\n", flag, text);
-    return false;
-  }
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;

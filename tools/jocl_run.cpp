@@ -66,18 +66,6 @@ int Usage() {
   return 2;
 }
 
-// Parses a --threads/--shards value: a non-negative integer, or false
-// after naming the malformed value.
-bool ParseCount(const char* flag, const char* text, size_t* out) {
-  int64_t value = 0;
-  if (!ParseInt64(text, &value) || value < 0) {
-    std::fprintf(stderr, "invalid %s value: %s\n", flag, text);
-    return false;
-  }
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
 // Strips --threads/--shards (either "--flag N" or "--flag=N") from argv,
 // returning the remaining positional count, or -1 after naming every
 // malformed value.

@@ -55,6 +55,7 @@
 // /link?surface=S[&kind=..], /stats. See docs/serving.md.
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +75,7 @@
 #include "serve/shard_store.h"
 #include "serve/snapshot_io.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 using namespace jocl;
 
@@ -117,6 +119,18 @@ void PrintCounters(const char* label, const ServeCounters& counters) {
               static_cast<unsigned long long>(counters.writev_bytes));
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: jocl_serve [scale] [--port N] [--workers N]"
+               " [--batches N]\n"
+               "                  [--shards N] [--router]\n"
+               "                  [--snapshot PATH] [--snapshot-out PATH]\n"
+               "                  [--serve-seconds N] [--retrain]\n"
+               "                  [--idle-timeout-ms N] [--no-prerender]\n"
+               "                  [--trace-out PATH]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,13 +157,17 @@ int main(int argc, char** argv) {
       return nullptr;
     };
     if (const char* v = value_of("--port")) {
-      serve_options.port = std::atoi(v);
+      size_t port = 0;
+      if (!ParseCount("--port", v, &port, 65535)) return Usage();
+      serve_options.port = static_cast<int>(port);
     } else if (const char* v = value_of("--workers")) {
-      serve_options.num_workers = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--workers", v, &serve_options.num_workers)) {
+        return Usage();
+      }
     } else if (const char* v = value_of("--batches")) {
-      batches = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--batches", v, &batches)) return Usage();
     } else if (const char* v = value_of("--shards")) {
-      shards = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--shards", v, &shards)) return Usage();
       if (shards == 0) shards = 1;
     } else if (const char* v = value_of("--snapshot")) {
       snapshot_in = v;
@@ -158,9 +176,13 @@ int main(int argc, char** argv) {
     } else if (const char* v = value_of("--trace-out")) {
       trace_out = v;
     } else if (const char* v = value_of("--serve-seconds")) {
-      serve_seconds = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--serve-seconds", v, &serve_seconds)) return Usage();
     } else if (const char* v = value_of("--idle-timeout-ms")) {
-      serve_options.idle_timeout_ms = std::atoi(v);
+      size_t idle_ms = 0;
+      if (!ParseCount("--idle-timeout-ms", v, &idle_ms, INT_MAX)) {
+        return Usage();
+      }
+      serve_options.idle_timeout_ms = static_cast<int>(idle_ms);
     } else if (std::strcmp(argv[i], "--no-prerender") == 0) {
       serve_options.prerender = false;
     } else if (std::strcmp(argv[i], "--router") == 0) {

@@ -44,6 +44,7 @@
 #include "serve/canon_store.h"
 #include "serve/snapshot_io.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 using namespace jocl;
 
@@ -102,6 +103,15 @@ size_t EmitSnapshot(const JoclSession& session, const Dataset& ds,
   return bytes;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: jocl_stream [scale] [--batches N] [--threads N]"
+               " [--frontend-threads N]\n"
+               "                   [--no-remove] [--snapshot-out=PATH]"
+               " [--trace-out=PATH]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,14 +123,17 @@ int main(int argc, char** argv) {
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
-      batches = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseCount("--batches", argv[++i], &batches)) return Usage();
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      session_options.num_threads =
-          static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseCount("--threads", argv[++i], &session_options.num_threads)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--frontend-threads") == 0 &&
                i + 1 < argc) {
-      session_options.frontend_threads =
-          static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseCount("--frontend-threads", argv[++i],
+                      &session_options.frontend_threads)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--no-remove") == 0) {
       do_remove = false;
     } else if (std::strncmp(argv[i], "--snapshot-out=", 15) == 0) {
