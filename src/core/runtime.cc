@@ -53,6 +53,7 @@ void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged) {
   merged->message_updates += shard.message_updates;
   merged->residual_pops += shard.residual_pops;
   merged->sweeps_skipped += shard.sweeps_skipped;
+  merged->log_space_updates += shard.log_space_updates;
 }
 
 void FoldShardRun(const ShardBeliefs& shard, LbpResult* merged,
@@ -65,6 +66,7 @@ void FoldShardRun(const ShardBeliefs& shard, LbpResult* merged,
   stats->message_updates += shard.diagnostics.message_updates;
   stats->residual_pops += shard.diagnostics.residual_pops;
   stats->sweeps_skipped += shard.diagnostics.sweeps_skipped;
+  stats->log_space_updates += shard.diagnostics.log_space_updates;
   stats->unconverged_components += shard.diagnostics.unconverged_components;
 }
 
@@ -84,6 +86,9 @@ void MirrorLbpStats(const PipelineStats& stats, double certificate) {
   static Counter* skipped =
       global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
                         "Converged sweeps the kernel skipped");
+  static Counter* log_space =
+      global.AddCounter("jocl_lbp_log_space_updates_total", "",
+                        "Sum-product updates the range guard ran in log space");
   static Counter* unconverged = global.AddCounter(
       "jocl_lbp_unconverged_components_total", "",
       "LBP components that spent their budget above the tolerance");
@@ -93,6 +98,7 @@ void MirrorLbpStats(const PipelineStats& stats, double certificate) {
   updates->Add(stats.message_updates);
   pops->Add(stats.residual_pops);
   skipped->Add(stats.sweeps_skipped);
+  log_space->Add(stats.log_space_updates);
   unconverged->Add(stats.unconverged_components);
   certificate_gauge->SetDouble(certificate);
 }

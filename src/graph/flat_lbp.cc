@@ -8,6 +8,8 @@
 #include <string>
 #include <thread>
 
+#include "util/worker_pool.h"
+
 namespace jocl {
 
 namespace {
@@ -26,23 +28,6 @@ void NormalizeLog(double* message, size_t n) {
   for (size_t i = 0; i < n; ++i) mx = std::max(mx, message[i]);
   if (mx == kNegInf) return;
   for (size_t i = 0; i < n; ++i) message[i] -= mx;
-}
-
-// One running log-sum-exp accumulation step, branch-for-branch identical
-// to the reference kernel's in-place form: the first touch of a fresh
-// (-inf) cell yields the cavity, ties take the `cell` branch, and both
-// operands are finite otherwise (infeasible assignments are skipped
-// before cavities are formed).
-inline double LseStep(double cell, double cavity) {
-  if (cell == kNegInf) return cavity;
-  if (cavity > cell) return cavity + std::log1p(std::exp(cell - cavity));
-  return cell + std::log1p(std::exp(cavity - cell));
-}
-
-size_t ResolveThreads(size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 // Bucket for a residual r >= tolerance: floor(log2(r / tolerance)),
@@ -144,7 +129,9 @@ void FlatLbpEngine::InitArenas() {
   // storage; Run()'s assign() calls reuse this capacity. Message and
   // belief arenas are lane-padded (tails never read).
   const FactorGraph& g = *graph_;
-  log_potential_.assign(g.total_assignments(), 0.0);
+  potential_.assign(g.total_assignments(), 0.0);
+  log_shift_.assign(g.factor_count(), 0.0);
+  log_range_.assign(g.factor_count(), kNegInf);
   msg_f2v_.assign(g.total_edge_lane_states(), 0.0);
   msg_v2f_.assign(g.total_edge_lane_states(), 0.0);
   belief_.assign(g.total_var_lane_states(), 0.0);
@@ -305,36 +292,65 @@ void FlatLbpEngine::RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch) {
 // ---------------------------------------------------------------------------
 // Factor -> variable kernels.
 //
-// All kernels share the floating-point contract of the original scalar
-// implementation: assignments are visited in row-major order (last scope
-// slot fastest), an assignment is skipped the moment any incoming message
-// is -inf, the feasible total accumulates as `((lp + m0) + m1) + m2`, the
-// per-slot cavity is `total - m_slot`, and each fresh cell accumulates
-// cavities with LseStep (sum-product) or std::max (max-product) in visit
-// order. The specialized kernels below change only *bookkeeping* — no
-// mixed-radix counter, no per-assignment feasibility re-scan, hoisted
-// message-lane pointers — so their outputs are byte-identical.
+// Every kernel visits assignments in row-major order (last scope slot
+// fastest) and skips an assignment the moment any incoming message is -inf.
+//
+// Sum-product (probability space): a slot's cavity term is psi(a) times
+// the other slots' mu = exp(m), multiplied in scope order (`(psi * mu0) *
+// mu2` for slot 1 of a ternary factor), and each fresh cell adds its terms
+// with `+=` in visit order, starting from 0. One log per output state turns
+// the sums back into log-messages.
+//
+// Max-product (log space): the feasible total accumulates as
+// `((lp + m0) + m1) + m2`, the per-slot cavity is `total - m_slot`, and
+// each fresh cell takes std::max of its cavities in visit order.
+//
+// The specialized kernels change only *bookkeeping* — no mixed-radix
+// counter, no per-assignment feasibility re-scan, hoisted lane pointers —
+// so their outputs are byte-identical to the generic ones.
 // ---------------------------------------------------------------------------
 
-template <bool kMaxProduct>
-void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
+void FlatLbpEngine::PreparePotentials() {
+  const FactorGraph& g = *graph_;
+  const size_t nf = g.factor_count();
+  log_shift_.assign(nf, 0.0);
+  log_range_.assign(nf, kNegInf);
+  if (options_.mode == LbpMode::kMaxProduct) return;
+  for (FactorId f = 0; f < nf; ++f) {
+    double* table = potential_.data() + g.assignment_offset(f);
+    const size_t count = g.assignment_offset(f + 1) - g.assignment_offset(f);
+    double hi = kNegInf;
+    double lo = 0.0;  // smallest finite entry relative to hi (<= 0)
+    for (size_t a = 0; a < count; ++a) hi = std::max(hi, table[a]);
+    if (hi == kNegInf) hi = 0.0;  // all-impossible factor: psi = 0
+    for (size_t a = 0; a < count; ++a) {
+      if (table[a] != kNegInf) lo = std::min(lo, table[a] - hi);
+    }
+    // A table whose range reaches below the guard (or holds +inf)
+    // stays in log space: every update of it takes the log-space path.
+    if (!(lo >= kMinLogProduct)) continue;
+    log_shift_[f] = hi;
+    log_range_[f] = lo;
+    for (size_t a = 0; a < count; ++a) table[a] = std::exp(table[a] - hi);
+  }
+}
+
+double FlatLbpEngine::LogPotential(FactorId f, size_t a) const {
+  const double value = potential_[graph_->assignment_offset(f) + a];
+  if (log_range_[f] >= kMinLogProduct) return std::log(value) + log_shift_[f];
+  return value;
+}
+
+template <typename Visit>
+void FlatLbpEngine::ForEachClampedAssignment(FactorId f, Scratch* scratch,
+                                             Visit&& visit) {
   const FactorGraph& g = *graph_;
   const size_t edge_begin = g.scope_offset(f);
-  const size_t edge_end = g.scope_offset(f + 1);
-  const size_t arity = edge_end - edge_begin;
-  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
-
-  // Fresh outgoing accumulators for all slots, contiguous per factor:
-  // slot's states live at edge_lane_offset[e] - lane_base.
-  const size_t lane_base = g.edge_lane_offset(edge_begin);
-  const size_t factor_lanes = g.edge_lane_offset(edge_end) - lane_base;
-  double* fresh = scratch->fresh.data();
-  std::fill(fresh, fresh + factor_lanes, kNegInf);
+  const size_t arity = g.scope_offset(f + 1) - edge_begin;
   size_t* states = scratch->states.data();
   uint8_t* pinned = scratch->pinned.data();
   // Hoist the per-slot cardinality / stride / lane lookups out of the
-  // enumeration (the stride walk used to chase cardinality[scope_var[e]]
-  // and edge offsets on every increment).
+  // enumeration.
   size_t* cards = scratch->cards.data();
   size_t* strides = scratch->strides.data();
   size_t* lanes = scratch->lanes.data();
@@ -365,30 +381,8 @@ void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
     }
   }
 
-  // Enumerate assignments once; for each, distribute the cavity total to
-  // every slot. Row-major decode is done incrementally for speed.
   for (size_t r = 0; r < reduced; ++r) {
-    double total = log_potential[a];
-    bool feasible = true;
-    for (size_t slot = 0; slot < arity; ++slot) {
-      const double m = msg_v2f_[lanes[slot] + states[slot]];
-      if (m == kNegInf) {
-        feasible = false;
-        break;
-      }
-      total += m;
-    }
-    if (feasible) {
-      for (size_t slot = 0; slot < arity; ++slot) {
-        const double cavity = total - msg_v2f_[lanes[slot] + states[slot]];
-        double& cell = fresh[lanes[slot] - lane_base + states[slot]];
-        if (kMaxProduct) {
-          cell = std::max(cell, cavity);
-        } else {
-          cell = LseStep(cell, cavity);
-        }
-      }
-    }
+    visit(a);
     // Increment the mixed-radix counter over free slots (last fastest),
     // keeping the assignment index in sync via the strides.
     for (size_t slot = arity; slot-- > 0;) {
@@ -404,17 +398,212 @@ void FlatLbpEngine::UpdateFactorGeneric(FactorId f, Scratch* scratch) {
   }
 }
 
-template <bool kMaxProduct>
-void FlatLbpEngine::UpdateFactorUnary(FactorId f, Scratch* scratch) {
+bool FlatLbpEngine::PrepareProbabilityInputs(FactorId f, Scratch* scratch) {
+  // Lower bound on the log of every product the update forms: the table's
+  // own range plus each slot's smallest finite input (v->f messages are
+  // normalized to max 0). Cavity terms omit one factor <= 1, so they are
+  // bounded too.
+  double bound = log_range_[f];
+  if (bound < kMinLogProduct) return false;  // a log-space table
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t edge_end = g.scope_offset(f + 1);
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
+  double* mu = scratch->aux.data();
+  for (size_t e = edge_begin; e < edge_end; ++e) {
+    const size_t card = g.cardinality(g.scope_var(e));
+    const double* m =
+        AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e));
+    double* out = mu + (g.edge_lane_offset(e) - lane_base);
+    double smallest = 0.0;
+    for (size_t x = 0; x < card; ++x) {
+      out[x] = std::exp(m[x]);  // exp(-inf) == 0: infeasible states
+      if (m[x] != kNegInf) smallest = std::min(smallest, m[x]);
+    }
+    bound += smallest;
+  }
+  // Above the guard every finite input has mu >= exp(-600) > 0, so mu == 0
+  // exactly when m == -inf and the kernels' skip rule is unchanged.
+  return bound >= kMinLogProduct;
+}
+
+void FlatLbpEngine::UpdateProductGeneric(FactorId f, Scratch* scratch) {
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t edge_end = g.scope_offset(f + 1);
+  const size_t arity = edge_end - edge_begin;
+  const double* psi = potential_.data() + g.assignment_offset(f);
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
+  const size_t factor_lanes = g.edge_lane_offset(edge_end) - lane_base;
+  const double* mu = scratch->aux.data();
+  double* fresh = scratch->fresh.data();
+  std::fill(fresh, fresh + factor_lanes, 0.0);
+  const size_t* states = scratch->states.data();
+  const size_t* lanes = scratch->lanes.data();
+  ForEachClampedAssignment(f, scratch, [&](size_t a) {
+    for (size_t slot = 0; slot < arity; ++slot) {
+      if (mu[lanes[slot] - lane_base + states[slot]] == 0.0) return;
+    }
+    for (size_t slot = 0; slot < arity; ++slot) {
+      double term = psi[a];
+      for (size_t other = 0; other < arity; ++other) {
+        if (other != slot) term *= mu[lanes[other] - lane_base + states[other]];
+      }
+      fresh[lanes[slot] - lane_base + states[slot]] += term;
+    }
+  });
+}
+
+void FlatLbpEngine::UpdateProductUnary(FactorId f, Scratch* scratch) {
+  const FactorGraph& g = *graph_;
+  const size_t card = g.cardinality(g.scope_var(g.scope_offset(f)));
+  const double* psi = potential_.data() + g.assignment_offset(f);
+  const double* mu0 = scratch->aux.data();
+  double* fresh = scratch->fresh.data();
+  // The cavity of a unary factor is psi itself; `0.0 + psi == psi`, so
+  // the single write matches the generic kernel's one accumulation.
+  for (size_t s = 0; s < card; ++s) fresh[s] = mu0[s] == 0.0 ? 0.0 : psi[s];
+}
+
+void FlatLbpEngine::UpdateProductBinary(FactorId f, Scratch* scratch) {
+  const FactorGraph& g = *graph_;
+  const size_t e0 = g.scope_offset(f);
+  const size_t e1 = e0 + 1;
+  const size_t c0 = g.cardinality(g.scope_var(e0));
+  const size_t c1 = g.cardinality(g.scope_var(e1));
+  const double* psi = potential_.data() + g.assignment_offset(f);
+  const size_t lane_base = g.edge_lane_offset(e0);
+  const size_t offset1 = g.edge_lane_offset(e1) - lane_base;
+  const double* mu0 = scratch->aux.data();
+  const double* mu1 = mu0 + offset1;
+  double* fresh0 = scratch->fresh.data();
+  double* fresh1 = fresh0 + offset1;
+  std::fill(fresh0, fresh0 + (g.edge_lane_offset(e1 + 1) - lane_base), 0.0);
+
+  const double* row = psi;
+  for (size_t s0 = 0; s0 < c0; ++s0, row += c1) {
+    const double u0 = mu0[s0];
+    // Row skip == the reference's slot-0 feasibility break: every
+    // assignment in this row is infeasible and adds nothing.
+    if (u0 == 0.0) continue;
+    double acc0 = 0.0;  // fresh0[s0] sum, kept in a register
+    for (size_t s1 = 0; s1 < c1; ++s1) {
+      const double u1 = mu1[s1];
+      if (u1 == 0.0) continue;
+      acc0 += row[s1] * u1;
+      fresh1[s1] += row[s1] * u0;
+    }
+    fresh0[s0] = acc0;
+  }
+}
+
+void FlatLbpEngine::UpdateProductTernary(FactorId f, Scratch* scratch) {
+  const FactorGraph& g = *graph_;
+  const size_t e0 = g.scope_offset(f);
+  const size_t e1 = e0 + 1;
+  const size_t e2 = e0 + 2;
+  const size_t c0 = g.cardinality(g.scope_var(e0));
+  const size_t c1 = g.cardinality(g.scope_var(e1));
+  const size_t c2 = g.cardinality(g.scope_var(e2));
+  const double* psi = potential_.data() + g.assignment_offset(f);
+  const size_t lane_base = g.edge_lane_offset(e0);
+  const size_t offset1 = g.edge_lane_offset(e1) - lane_base;
+  const size_t offset2 = g.edge_lane_offset(e2) - lane_base;
+  const double* mu0 = scratch->aux.data();
+  const double* mu1 = mu0 + offset1;
+  const double* mu2 = mu0 + offset2;
+  double* fresh0 = scratch->fresh.data();
+  double* fresh1 = fresh0 + offset1;
+  double* fresh2 = fresh0 + offset2;
+  std::fill(fresh0, fresh0 + (g.edge_lane_offset(e2 + 1) - lane_base), 0.0);
+
+  for (size_t s0 = 0; s0 < c0; ++s0) {
+    const double u0 = mu0[s0];
+    if (u0 == 0.0) continue;
+    double acc0 = 0.0;  // spans the whole s1 x s2 plane
+    const double* plane = psi + s0 * c1 * c2;
+    for (size_t s1 = 0; s1 < c1; ++s1) {
+      const double u1 = mu1[s1];
+      if (u1 == 0.0) continue;
+      double acc1 = fresh1[s1];  // resumes this cell's sum across s0
+      const double* row = plane + s1 * c2;
+      for (size_t s2 = 0; s2 < c2; ++s2) {
+        const double u2 = mu2[s2];
+        if (u2 == 0.0) continue;
+        const double p = row[s2];
+        acc0 += (p * u1) * u2;
+        acc1 += (p * u0) * u2;
+        fresh2[s2] += (p * u0) * u1;
+      }
+      fresh1[s1] = acc1;
+    }
+    fresh0[s0] = acc0;
+  }
+}
+
+void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, bool sum_product,
+                                          Scratch* scratch) {
+  const FactorGraph& g = *graph_;
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t edge_end = g.scope_offset(f + 1);
+  const size_t arity = edge_end - edge_begin;
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
+  const size_t factor_lanes = g.edge_lane_offset(edge_end) - lane_base;
+  double* fresh = scratch->fresh.data();
+  std::fill(fresh, fresh + factor_lanes, kNegInf);
+  const size_t* states = scratch->states.data();
+  const size_t* lanes = scratch->lanes.data();
+  // The feasible total `((lp + m0) + m1) + ...`, or -inf for an
+  // assignment some incoming message rules out (skipped by both passes).
+  auto total_of = [&](size_t a) {
+    double total = LogPotential(f, a);
+    for (size_t slot = 0; slot < arity; ++slot) {
+      const double m = msg_v2f_[lanes[slot] + states[slot]];
+      if (m == kNegInf) return kNegInf;
+      total += m;
+    }
+    return total;
+  };
+
+  // Max pass: the max-product message, and the sum-product pivot.
+  ForEachClampedAssignment(f, scratch, [&](size_t a) {
+    const double total = total_of(a);
+    if (total == kNegInf) return;
+    for (size_t slot = 0; slot < arity; ++slot) {
+      const double cavity = total - msg_v2f_[lanes[slot] + states[slot]];
+      double& cell = fresh[lanes[slot] - lane_base + states[slot]];
+      cell = std::max(cell, cavity);
+    }
+  });
+  if (!sum_product) return;
+
+  // Sum pass: stable log-sum-exp per cell, `max + log(sum exp(c - max))`.
+  double* sums = scratch->aux.data();
+  std::fill(sums, sums + factor_lanes, 0.0);
+  ForEachClampedAssignment(f, scratch, [&](size_t a) {
+    const double total = total_of(a);
+    if (total == kNegInf) return;
+    for (size_t slot = 0; slot < arity; ++slot) {
+      const size_t cell = lanes[slot] - lane_base + states[slot];
+      const double cavity = total - msg_v2f_[lanes[slot] + states[slot]];
+      sums[cell] += std::exp(cavity - fresh[cell]);
+    }
+  });
+  for (size_t i = 0; i < factor_lanes; ++i) {
+    if (fresh[i] != kNegInf) fresh[i] += std::log(sums[i]);
+  }
+}
+
+void FlatLbpEngine::UpdateMaxUnary(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t e0 = g.scope_offset(f);
   const size_t card = g.cardinality(g.scope_var(e0));
-  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
+  const double* log_potential = potential_.data() + g.assignment_offset(f);
   const double* m0 =
       AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   double* fresh = scratch->fresh.data();
-  // Each cell is touched exactly once: the first LseStep / max on a fresh
-  // -inf cell yields the cavity itself, so no fill pass is needed.
+  // Each cell is touched exactly once: the first max on a fresh -inf cell
+  // yields the cavity itself, so no fill pass is needed.
   for (size_t s = 0; s < card; ++s) {
     const double m = m0[s];
     if (m == kNegInf) {
@@ -426,14 +615,13 @@ void FlatLbpEngine::UpdateFactorUnary(FactorId f, Scratch* scratch) {
   }
 }
 
-template <bool kMaxProduct>
-void FlatLbpEngine::UpdateFactorBinary(FactorId f, Scratch* scratch) {
+void FlatLbpEngine::UpdateMaxBinary(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t e0 = g.scope_offset(f);
   const size_t e1 = e0 + 1;
   const size_t c0 = g.cardinality(g.scope_var(e0));
   const size_t c1 = g.cardinality(g.scope_var(e1));
-  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
+  const double* log_potential = potential_.data() + g.assignment_offset(f);
   const double* m0 =
       AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   const double* m1 =
@@ -455,20 +643,14 @@ void FlatLbpEngine::UpdateFactorBinary(FactorId f, Scratch* scratch) {
       const double m1v = m1[s1];
       if (m1v == kNegInf) continue;
       const double total = (lp_row[s1] + m0v) + m1v;
-      if (kMaxProduct) {
-        acc0 = std::max(acc0, total - m0v);
-        fresh1[s1] = std::max(fresh1[s1], total - m1v);
-      } else {
-        acc0 = LseStep(acc0, total - m0v);
-        fresh1[s1] = LseStep(fresh1[s1], total - m1v);
-      }
+      acc0 = std::max(acc0, total - m0v);
+      fresh1[s1] = std::max(fresh1[s1], total - m1v);
     }
     fresh0[s0] = acc0;
   }
 }
 
-template <bool kMaxProduct>
-void FlatLbpEngine::UpdateFactorTernary(FactorId f, Scratch* scratch) {
+void FlatLbpEngine::UpdateMaxTernary(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t e0 = g.scope_offset(f);
   const size_t e1 = e0 + 1;
@@ -476,7 +658,7 @@ void FlatLbpEngine::UpdateFactorTernary(FactorId f, Scratch* scratch) {
   const size_t c0 = g.cardinality(g.scope_var(e0));
   const size_t c1 = g.cardinality(g.scope_var(e1));
   const size_t c2 = g.cardinality(g.scope_var(e2));
-  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
+  const double* log_potential = potential_.data() + g.assignment_offset(f);
   const double* m0 =
       AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
   const double* m1 =
@@ -504,15 +686,9 @@ void FlatLbpEngine::UpdateFactorTernary(FactorId f, Scratch* scratch) {
         const double m2v = m2[s2];
         if (m2v == kNegInf) continue;
         const double total = ((lp_row[s2] + m0v) + m1v) + m2v;
-        if (kMaxProduct) {
-          acc0 = std::max(acc0, total - m0v);
-          acc1 = std::max(acc1, total - m1v);
-          fresh2[s2] = std::max(fresh2[s2], total - m2v);
-        } else {
-          acc0 = LseStep(acc0, total - m0v);
-          acc1 = LseStep(acc1, total - m1v);
-          fresh2[s2] = LseStep(fresh2[s2], total - m2v);
-        }
+        acc0 = std::max(acc0, total - m0v);
+        acc1 = std::max(acc1, total - m1v);
+        fresh2[s2] = std::max(fresh2[s2], total - m2v);
       }
       fresh1[s1] = acc1;
     }
@@ -552,36 +728,49 @@ void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
   }
 }
 
-void FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
+bool FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
                                          Scratch* scratch) {
-  const size_t arity = graph_->arity(f);
-  const bool max_product = options_.mode == LbpMode::kMaxProduct;
-  if (options_.kernel == LbpKernel::kScalarReference || arity > 3) {
-    if (max_product) {
-      UpdateFactorGeneric<true>(f, scratch);
+  const FactorGraph& g = *graph_;
+  const size_t arity = g.arity(f);
+  const bool generic =
+      options_.kernel == LbpKernel::kScalarReference || arity > 3;
+  bool log_space = false;
+  if (options_.mode == LbpMode::kMaxProduct) {
+    if (generic) {
+      UpdateLogSpaceGeneric(f, /*sum_product=*/false, scratch);
+    } else if (arity == 1) {
+      UpdateMaxUnary(f, scratch);
+    } else if (arity == 2) {
+      UpdateMaxBinary(f, scratch);
     } else {
-      UpdateFactorGeneric<false>(f, scratch);
+      UpdateMaxTernary(f, scratch);
     }
-  } else if (arity == 1) {
-    if (max_product) {
-      UpdateFactorUnary<true>(f, scratch);
-    } else {
-      UpdateFactorUnary<false>(f, scratch);
-    }
-  } else if (arity == 2) {
-    if (max_product) {
-      UpdateFactorBinary<true>(f, scratch);
-    } else {
-      UpdateFactorBinary<false>(f, scratch);
-    }
+  } else if (!PrepareProbabilityInputs(f, scratch)) {
+    UpdateLogSpaceGeneric(f, /*sum_product=*/true, scratch);
+    log_space = true;
   } else {
-    if (max_product) {
-      UpdateFactorTernary<true>(f, scratch);
+    if (generic) {
+      UpdateProductGeneric(f, scratch);
+    } else if (arity == 1) {
+      UpdateProductUnary(f, scratch);
+    } else if (arity == 2) {
+      UpdateProductBinary(f, scratch);
     } else {
-      UpdateFactorTernary<false>(f, scratch);
+      UpdateProductTernary(f, scratch);
+    }
+    // Back to log-messages: one log per output state (log(0) == -inf for
+    // states with no feasible assignment).
+    const size_t edge_begin = g.scope_offset(f);
+    const size_t lane_base = g.edge_lane_offset(edge_begin);
+    double* fresh = scratch->fresh.data();
+    for (size_t e = edge_begin; e < edge_begin + arity; ++e) {
+      double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
+      const size_t card = g.cardinality(g.scope_var(e));
+      for (size_t x = 0; x < card; ++x) fr[x] = std::log(fr[x]);
     }
   }
   FinishFactorUpdate(f, residual, scratch);
+  return log_space;
 }
 
 void FlatLbpEngine::MaterializeComponentMarginals(size_t component) {
@@ -631,7 +820,9 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponent(size_t component,
     for (size_t i = begin; i < end;) {
       const uint32_t group = sched_group_[i];
       for (; i < end && sched_group_[i] == group; ++i) {
-        UpdateFactorMessages(sched_factor_[i], &residual, scratch);
+        if (UpdateFactorMessages(sched_factor_[i], &residual, scratch)) {
+          ++stats.log_space_updates;
+        }
       }
       RefreshComponentVariables(component);
     }
@@ -726,7 +917,9 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 
     scratch->bucket_of[f] = -1;
     scratch->priority[f] = 0.0;
-    UpdateFactorMessages(f, &unused_residual, scratch);
+    if (UpdateFactorMessages(f, &unused_residual, scratch)) {
+      ++stats.log_space_updates;
+    }
     ++stats.message_updates;
     // Propagate: refresh the scope variables now (asynchronous BP) and
     // raise the priority of every factor whose inputs moved.
@@ -769,7 +962,8 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 
 LbpResult FlatLbpEngine::Run() {
   const FactorGraph& g = *graph_;
-  g.ComputeLogPotentials(*weights_, &log_potential_);
+  g.ComputeLogPotentials(*weights_, &potential_);
+  PreparePotentials();
   msg_f2v_.assign(g.total_edge_lane_states(), 0.0);
   msg_v2f_.assign(g.total_edge_lane_states(), 0.0);
   belief_.assign(g.total_var_lane_states(), 0.0);
@@ -778,10 +972,11 @@ LbpResult FlatLbpEngine::Run() {
   const size_t nc = component_count_;
   std::vector<ComponentStats> stats(nc);
   const size_t threads =
-      std::min(std::max<size_t>(1, ResolveThreads(options_.num_threads)), nc);
+      std::min(ResolveThreadCount(options_.num_threads), nc);
   auto make_scratch = [&]() {
     Scratch scratch;
     scratch.fresh.resize(g.max_factor_lane_states());
+    scratch.aux.resize(g.max_factor_lane_states());
     scratch.states.resize(g.max_arity());
     scratch.pinned.resize(g.max_arity());
     scratch.cards.resize(g.max_arity());
@@ -822,6 +1017,7 @@ LbpResult FlatLbpEngine::Run() {
     result.unconverged_components += s.converged ? 0 : 1;
     result.final_residual = std::max(result.final_residual, s.final_residual);
     result.message_updates += s.message_updates;
+    result.log_space_updates += s.log_space_updates;
     result.residual_pops += s.residual_pops;
     result.sweeps_skipped += s.sweeps_skipped;
   }
@@ -849,12 +1045,11 @@ std::vector<double> FlatLbpEngine::FactorBelief(FactorId f) const {
   const size_t arity = g.scope_offset(f + 1) - edge_begin;
   const size_t assignments =
       g.assignment_offset(f + 1) - g.assignment_offset(f);
-  const double* log_potential = log_potential_.data() + g.assignment_offset(f);
 
   std::vector<double> log_belief(assignments);
   std::vector<size_t> states(arity, 0);
   for (size_t a = 0; a < assignments; ++a) {
-    double total = log_potential[a];
+    double total = LogPotential(f, a);
     for (size_t slot = 0; slot < arity; ++slot) {
       total += msg_v2f_[g.edge_lane_offset(edge_begin + slot) + states[slot]];
     }
@@ -898,11 +1093,9 @@ double FlatLbpEngine::LogPartitionEstimate() const {
   double log_z = 0.0;
   for (FactorId f = 0; f < g.factor_count(); ++f) {
     const std::vector<double> belief = FactorBelief(f);
-    const double* log_potential =
-        log_potential_.data() + g.assignment_offset(f);
     for (size_t a = 0; a < belief.size(); ++a) {
       if (belief[a] <= 0.0) continue;
-      log_z += belief[a] * (log_potential[a] - std::log(belief[a]));
+      log_z += belief[a] * (LogPotential(f, a) - std::log(belief[a]));
     }
   }
   for (VariableId v = 0; v < g.variable_count(); ++v) {

@@ -40,14 +40,17 @@ enum class LbpSchedule {
 
 /// \brief Which message-update kernel executes the sweep.
 enum class LbpKernel {
-  /// Default: arity-specialized, SIMD-friendly updates over the padded,
-  /// aligned message lanes. Byte-identical to kScalarReference — every
-  /// cross-message reduction keeps the reference's operation order — just
-  /// faster.
+  /// Default: arity-specialized updates over the padded, aligned message
+  /// lanes — probability-space product-sums for sum-product, log-space
+  /// max/add loops for max-product (FlatLbpEngine's class comment).
+  /// Byte-identical to kScalarReference: each cavity term and each cell's
+  /// accumulation keep the reference's operation order, and the range
+  /// guard and its log-space fallback are shared — it only drops the
+  /// mixed-radix bookkeeping.
   kVectorized,
-  /// The pre-vectorization scalar reference kernel (generic mixed-radix
-  /// assignment enumeration). Kept as the byte-identity oracle for tests
-  /// and the baseline for bench_kernel's speedup guard.
+  /// The scalar reference kernel (generic mixed-radix assignment
+  /// enumeration, same arithmetic). Kept as the byte-identity oracle for
+  /// tests and the baseline for bench_kernel's speedup guard.
   kScalarReference,
 };
 
@@ -115,6 +118,9 @@ struct LbpResult {
   /// under kStaged, budget left over under kResidual. The "iterations
   /// saved" half of the residual certificate.
   size_t sweeps_skipped = 0;
+  /// Sum-product updates the range guard ran in log space instead of
+  /// probability space (FlatLbpEngine; 0 at ordinary weight scales).
+  size_t log_space_updates = 0;
 };
 
 /// \brief Common interface of the inference backends.

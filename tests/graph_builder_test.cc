@@ -308,7 +308,9 @@ TEST_F(GraphBuilderPinTest, CompiledFeaturePoolsArePinned) {
 
 // One-shot inference on the same world is pinned by the hash of its
 // marginal bytes and its exact update count: a change to the graph layout,
-// the clamp reads or the message math moves one of them.
+// the clamp reads or the message math moves one of them. The hash was
+// recorded when sum-product updates moved to probability space; the
+// update count did not move.
 TEST_F(GraphBuilderPinTest, InferMarginalsArePinned) {
   JoclRuntime runtime;
   JoclResult result =
@@ -319,14 +321,15 @@ TEST_F(GraphBuilderPinTest, InferMarginalsArePinned) {
     bytes.append(reinterpret_cast<const char*>(marginal.data()),
                  marginal.size() * sizeof(double));
   }
-  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x57bb5f3f98c61216ull)
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x353c88ae70bfcd06ull)
       << bytes.size() << " bytes";
   EXPECT_EQ(result.diagnostics.message_updates, 5975u);
 }
 
 // Sharded learning on the same world is pinned by its weight bytes. The
 // clamped pass is the only consumer of clamps in the one-shot paths, so
-// this covers the kernels' clamp reads.
+// this covers the kernels' clamp reads. Recorded with the
+// probability-space sum-product kernel.
 TEST_F(GraphBuilderPinTest, LearnedWeightsArePinned) {
   ShardedLearner learner;
   LearnerResult learned =
@@ -335,7 +338,7 @@ TEST_F(GraphBuilderPinTest, LearnedWeightsArePinned) {
   ASSERT_FALSE(learned.weights.empty());
   EXPECT_EQ(Fnv1a64(learned.weights.data(),
                     learned.weights.size() * sizeof(double)),
-            0x6accdca70ab14112ull);
+            0x2c20bfdeffe2bb4aull);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Tests of the LBP kernel rework: the vectorized message kernel must be
-// byte-identical to the scalar reference for every thread/shard count, the
+// Tests of the LBP kernels: the vectorized message kernel must be
+// byte-identical to the scalar reference for every thread/shard count (on
+// the probability-space path and on range-guarded log-space updates alike),
+// large weights must not flush sum-product messages to zero, the
 // residual-priority schedule must report an honest convergence certificate
-// and decode-match the exact schedule in fewer updates, and the new
+// and decode-match the exact schedule in fewer updates, and the
 // Status/Result precondition paths must reject malformed inputs instead of
 // running into undefined behavior.
 #include <gtest/gtest.h>
@@ -10,11 +12,13 @@
 #include <vector>
 
 #include "core/runtime.h"
+#include "core/sharded_learner.h"
 #include "data/generator.h"
 #include "graph/factor_graph.h"
 #include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/inference.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace jocl {
@@ -178,6 +182,50 @@ TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
   EXPECT_EQ(actual.final_residual, expected.final_residual);
 }
 
+// Weights x50 push many sum-product updates past the range guard, so the
+// guarded log-space path runs beside the probability-space one; both
+// kernels must take the same guard decisions and agree bit for bit.
+TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderLargeWeights) {
+  Rng rng(53);
+  const std::vector<double> weights = {50.0};
+  std::vector<FactorGraph> graphs;
+  graphs.push_back(MakeFragmentedGraph(&rng));
+  graphs.push_back(MakeHeadHeavyGraph(&rng, 60));
+  graphs.push_back(MakeHeadHeavyGraph(&rng, 40));
+  for (VariableId v = 0; v < graphs.back().variable_count(); v += 7) {
+    ASSERT_TRUE(graphs.back().Clamp(v, v % graphs.back().cardinality(v)).ok());
+  }
+  size_t guarded = 0;
+  for (const FactorGraph& graph : graphs) {
+    for (double damping : {0.0, 0.3}) {
+      LbpOptions reference;
+      reference.mode = GetParam();
+      reference.damping = damping;
+      reference.kernel = LbpKernel::kScalarReference;
+      const LbpResult expected = RunEngine(graph, weights, reference);
+
+      LbpOptions vectorized = reference;
+      vectorized.num_threads = 4;
+      vectorized.kernel = LbpKernel::kVectorized;
+      const LbpResult actual = RunEngine(graph, weights, vectorized);
+
+      EXPECT_EQ(actual.marginals, expected.marginals) << "damping " << damping;
+      EXPECT_EQ(actual.final_residual, expected.final_residual);
+      EXPECT_EQ(actual.residual_history, expected.residual_history);
+      EXPECT_EQ(actual.message_updates, expected.message_updates);
+      EXPECT_EQ(actual.log_space_updates, expected.log_space_updates);
+      guarded += actual.log_space_updates;
+    }
+  }
+  // Max-product never leaves log space; sum-product must have exercised
+  // the guarded path for the identity above to cover it.
+  if (GetParam() == LbpMode::kMaxProduct) {
+    EXPECT_EQ(guarded, 0u);
+  } else {
+    EXPECT_GT(guarded, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, KernelIdentityTest,
                          ::testing::Values(LbpMode::kSumProduct,
                                            LbpMode::kMaxProduct));
@@ -222,6 +270,106 @@ TEST(KernelRuntimeTest, ShardedRuntimeByteIdenticalAcrossKernels) {
                 expected.diagnostics.final_residual);
     }
   }
+}
+
+// A tree (chains of mixed cardinality joined through a ternary factor) is
+// exact under BP, so at weights large enough to flush probability-space
+// terms to zero the guarded kernel must still match brute-force
+// enumeration, with every marginal finite and none a uniform fallback.
+TEST(LargeWeightTest, SumProductMatchesExactUnderLargeWeights) {
+  Rng rng(59);
+  FactorGraph tree;
+  tree.set_weight_count(1);
+  auto random_table = [&](size_t states) {
+    std::vector<double> table(states);
+    for (double& v : table) v = rng.UniformDouble(-1.0, 1.0);
+    return FixedTable(std::move(table));
+  };
+  const VariableId a = tree.AddVariable(2);
+  const VariableId b = tree.AddVariable(3);
+  const VariableId c = tree.AddVariable(2);
+  tree.AddFactor({a, b, c}, random_table(12)).ValueOrDie();
+  for (VariableId root : {a, b, c}) {
+    VariableId prev = root;
+    for (size_t i = 0; i < 3; ++i) {
+      const VariableId v = tree.AddVariable(2 + (root + i) % 3);
+      tree.AddFactor({prev, v}, random_table(tree.cardinality(prev) *
+                                             tree.cardinality(v)))
+          .ValueOrDie();
+      prev = v;
+    }
+    tree.AddFactor({prev}, random_table(tree.cardinality(prev))).ValueOrDie();
+  }
+
+  for (double scale : {50.0, 200.0, 1000.0}) {
+    const std::vector<double> weights = {scale};
+    ExactEngine exact(&tree, &weights);
+    exact.Run();
+    for (LbpSchedule schedule :
+         {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
+      LbpOptions options;
+      options.schedule = schedule;
+      options.max_iterations = 60;
+      FlatLbpEngine engine(&tree, &weights, options);
+      const LbpResult result = engine.Run();
+      EXPECT_TRUE(result.converged) << "x" << scale;
+      // x50 stays within the probability-space range on this tree; the
+      // larger scales must go through the guard.
+      if (scale > 50.0) {
+        EXPECT_GT(result.log_space_updates, 0u) << "x" << scale;
+      }
+      for (VariableId v = 0; v < tree.variable_count(); ++v) {
+        const std::vector<double>& expected = exact.Marginal(v);
+        const std::vector<double>& actual = result.marginals[v];
+        bool uniform = true;
+        for (size_t x = 0; x < tree.cardinality(v); ++x) {
+          EXPECT_TRUE(std::isfinite(actual[x])) << "x" << scale << " v" << v;
+          EXPECT_NEAR(actual[x], expected[x], 5e-3)
+              << "x" << scale << " v" << v << " state " << x;
+          uniform = uniform && actual[x] == 1.0 / tree.cardinality(v);
+        }
+        EXPECT_FALSE(uniform) << "x" << scale << " v" << v;
+      }
+    }
+  }
+}
+
+// The range guard is silent at learned weights on a generated world and
+// reports its log-space updates, through the runtime stats and the shared
+// metric, once the weights are scaled up.
+TEST(KernelRuntimeTest, LogSpaceUpdatesCountGuardedUpdates) {
+  Dataset dataset =
+      GenerateReVerb45K(/*scale=*/0.15, /*seed=*/11).MoveValueOrDie();
+  SignalOptions signal_options;
+  signal_options.embedding_epochs = 2;
+  SignalBundle signals =
+      BuildSignals(dataset, signal_options).MoveValueOrDie();
+  std::vector<double> weights =
+      ShardedLearner()
+          .Learn(dataset, signals, dataset.validation_triples)
+          .MoveValueOrDie()
+          .weights;
+  Counter* counter = MetricsRegistry::Global().AddCounter(
+      "jocl_lbp_log_space_updates_total", "", "");
+
+  JoclRuntime runtime;
+  RuntimeStats stats;
+  uint64_t before = counter->Value();
+  JoclResult learned =
+      runtime.Infer(dataset, signals, dataset.test_triples, weights, &stats)
+          .MoveValueOrDie();
+  EXPECT_EQ(stats.log_space_updates, 0u);
+  EXPECT_EQ(learned.diagnostics.log_space_updates, 0u);
+  EXPECT_EQ(counter->Value(), before);
+
+  for (double& w : weights) w *= 50.0;
+  before = counter->Value();
+  JoclResult scaled =
+      runtime.Infer(dataset, signals, dataset.test_triples, weights, &stats)
+          .MoveValueOrDie();
+  EXPECT_GT(stats.log_space_updates, 0u);
+  EXPECT_EQ(scaled.diagnostics.log_space_updates, stats.log_space_updates);
+  EXPECT_EQ(counter->Value() - before, stats.log_space_updates);
 }
 
 // ---------- residual schedule ------------------------------------------------
