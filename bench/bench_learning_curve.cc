@@ -19,6 +19,7 @@
 #include "core/problem.h"
 #include "core/sharded_learner.h"
 #include "core/signal_cache.h"
+#include "support/factor_graph_learner.h"
 #include "util/rng.h"
 
 namespace jocl {

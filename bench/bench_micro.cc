@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,8 +154,8 @@ void BM_BuildJoclGraph(benchmark::State& state) {
         BuildJoclGraph(shard.problem, cache, ds.ckb, options.builder);
     LbpOptions lbp = options.inference;
     lbp.factor_schedule = jgraph.schedule;
-    benchmark::DoNotOptimize(CreateInferenceEngine(
-        options.inference_backend, &jgraph.graph, &weights, lbp));
+    benchmark::DoNotOptimize(
+        std::make_unique<FlatLbpEngine>(&jgraph.graph, &weights, lbp));
   }
   state.SetItemsProcessed(state.iterations() * shard.problem.triples.size());
 }

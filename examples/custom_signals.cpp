@@ -90,7 +90,8 @@ int main() {
   // and "ibm"/"big blue" pulled together despite zero string overlap:
   report("IDF + type-agreement signal:", {1.5, 1.5});
 
-  std::printf("Adding a signal = adding factor nodes; weights are learned\n"
-              "with FactorGraphLearner exactly like the built-in ones.\n");
+  std::printf("Adding a signal = adding factor nodes; its shared weight is\n"
+              "learned by the same gradient ascent (paper §3.4) as the\n"
+              "built-in ones.\n");
   return 0;
 }

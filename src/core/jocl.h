@@ -23,9 +23,8 @@ struct JoclOptions {
   /// component where 20 staged sweeps stop short; learning keeps the exact
   /// staged sweeps (`learner.lbp`).
   LbpOptions inference;
-  /// Inference backend for the joint pass: LBP, component-parallel per
-  /// `inference.num_threads` (marginals are identical for every thread
-  /// count); kExact exists for tiny diagnostic problems.
+  /// Unread by the library (the joint pass runs FlatLbpEngine); remains
+  /// only for jbench/main.cc's CreateInferenceEngine call.
   InferenceBackend inference_backend = InferenceBackend::kLbp;
   /// Learning-graph size cap: the validation split is subsampled to at most
   /// this many triples (deterministically) to bound training cost.

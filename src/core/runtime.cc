@@ -121,7 +121,7 @@ ShardBeliefs RunShardInference(const JoclProblem& local,
   // components, schedule and arenas over the flat graph.
   span.emplace("compile", &out.graph_seconds);
   std::unique_ptr<InferenceEngine> engine = CreateInferenceEngine(
-      options.inference_backend, &jgraph.graph, &weights, lbp_options);
+      InferenceBackend::kLbp, &jgraph.graph, &weights, lbp_options);
 
   span.emplace("infer", &out.infer_seconds);
   out.diagnostics = engine->Run();

@@ -242,7 +242,7 @@ Result<LearnerResult> ShardedLearner::Learn(
         LbpOptions lbp_options = options_.learner.lbp;
         lbp_options.factor_schedule = state->jgraph.schedule;
         lbp_options.num_threads = 1;  // parallelism lives across components
-        state->engine = CreateInferenceEngine(options_.learner.backend,
+        state->engine = CreateInferenceEngine(InferenceBackend::kLbp,
                                               &state->jgraph.graph,
                                               &result.weights, lbp_options);
         state->labels = BuildGoldLabels(dataset, state->problem,

@@ -16,8 +16,10 @@ Status SaveEmbeddingsText(const EmbeddingTable& table,
                           const std::string& path);
 
 /// \brief Loads a table saved by SaveEmbeddingsText (or produced by any
-/// word2vec-compatible tool). Fails on malformed headers, inconsistent
-/// dimensions, or unreadable files.
+/// word2vec-compatible tool), row by row. Fails with a Status naming the
+/// header or row on an unreadable file, a malformed header, a dim the file
+/// cannot hold, a row whose value count is not dim, a non-finite value,
+/// or a row count other than the header's.
 Result<EmbeddingTable> LoadEmbeddingsText(const std::string& path);
 
 }  // namespace jocl

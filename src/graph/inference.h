@@ -2,7 +2,6 @@
 #define JOCL_GRAPH_INFERENCE_H_
 
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -123,18 +122,18 @@ struct LbpResult {
   size_t log_space_updates = 0;
 };
 
-/// \brief Common interface of the inference backends.
+/// \brief Common interface of the inference engines.
 ///
 /// One engine instance binds a factor graph and a weight vector; Run()
-/// computes marginals, after which the query methods are valid. All
-/// backends honor clamped variables (delta messages and delta marginals),
-/// which is how the learner's conditioned pass `p(Y | Y^L)` is realized.
+/// computes marginals, after which the query methods are valid. Engines
+/// honor clamped variables (delta messages and delta marginals), which is
+/// how the learner's conditioned pass `p(Y | Y^L)` is realized.
 ///
-/// Backends:
-///  * FlatLbpEngine (graph/flat_lbp.h) — arena-backed loopy BP, sequential
-///    or component-parallel (identical marginals either way);
-///  * ExactEngine (graph/exact.h) — brute-force enumeration for tiny
-///    graphs, the ground truth the tests compare against.
+/// The library ships one engine, FlatLbpEngine (graph/flat_lbp.h):
+/// arena-backed loopy BP, sequential or component-parallel (identical
+/// marginals either way). The interface is how tests substitute the
+/// brute-force ExactEngine (tests/support/exact.h) as ground truth on tiny
+/// graphs.
 class InferenceEngine {
  public:
   virtual ~InferenceEngine() = default;
@@ -145,8 +144,8 @@ class InferenceEngine {
   /// the undefined behavior a malformed binding would produce. Cheap
   /// relative to a Run; callers on untrusted inputs check once before the
   /// first Run (graphs built by core/graph_builder are valid by
-  /// construction). Default: OK.
-  virtual Status Validate() const { return Status::OK(); }
+  /// construction).
+  virtual Status Validate() const = 0;
 
   /// Executes inference; query methods below are valid afterwards.
   virtual LbpResult Run() = 0;
@@ -167,29 +166,23 @@ class InferenceEngine {
   /// honoring clamps). FlatLbpEngine returns the Bethe approximation from
   /// its beliefs (exact on trees); ExactEngine returns the exact value.
   /// The learner's per-iteration objective is
-  /// `log p(Y^L) ≈ logZ_clamped − logZ_free`. Backends without an
-  /// estimate return NaN (the default).
-  virtual double LogPartitionEstimate() const {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
+  /// `log p(Y^L) ≈ logZ_clamped − logZ_free`.
+  virtual double LogPartitionEstimate() const = 0;
 
   /// Per-variable decoding (argmax of marginals / max-marginals).
   virtual std::vector<size_t> Decode() const = 0;
 };
 
-/// \brief Which InferenceEngine implementation to instantiate.
-enum class InferenceBackend {
-  /// FlatLbpEngine. LbpOptions::num_threads picks sequential (1, the
-  /// default) or component-parallel execution; marginals are identical
-  /// either way.
-  kLbp,
-  /// ExactEngine — joint enumeration, tiny graphs only.
-  kExact,
-};
+/// \brief A single value: CreateInferenceEngine always builds FlatLbpEngine.
+/// Remains only for jbench/main.cc's call, which passes
+/// `JoclOptions::inference_backend`; goes once the benchmark drops it.
+enum class InferenceBackend { kLbp };
 
-/// Instantiates an engine over \p graph. \p graph and \p weights must
-/// outlive the engine. The engine reads clamps at Run() time, so one
-/// engine serves every clamped and free pass over an unchanged structure.
+/// Instantiates the FlatLbpEngine over \p graph. \p graph and \p weights
+/// must outlive the engine. LbpOptions::num_threads picks sequential (1,
+/// the default) or component-parallel execution; marginals are identical
+/// either way. The engine reads clamps at Run() time, so one engine
+/// serves every clamped and free pass over an unchanged structure.
 std::unique_ptr<InferenceEngine> CreateInferenceEngine(
     InferenceBackend backend, const FactorGraph* graph,
     const std::vector<double>* weights, LbpOptions options = {});

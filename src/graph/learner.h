@@ -1,7 +1,6 @@
 #ifndef JOCL_GRAPH_LEARNER_H_
 #define JOCL_GRAPH_LEARNER_H_
 
-#include <utility>
 #include <cstddef>
 #include <vector>
 
@@ -22,20 +21,16 @@ struct LearnerOptions {
   double l2 = 0.0;
   /// Stop when the gradient max-norm falls below this.
   double gradient_tolerance = 1e-4;
-  /// Inference settings shared by the clamped and free passes.
+  /// LBP settings shared by the clamped and free passes.
   LbpOptions lbp;
-  /// Which engine approximates the expectations. One engine is bound per
-  /// Learn() call and shared by every pass — clamping labels is not a
-  /// structural change.
-  InferenceBackend backend = InferenceBackend::kLbp;
 };
 
 /// \brief Progress record for one learning iteration.
 struct LearnerTrace {
   size_t iteration = 0;
   /// Estimated objective at this iteration's weights (before the update):
-  /// `log p(Y^L) ≈ logZ_clamped − logZ_free` via the backend's
-  /// LogPartitionEstimate (Bethe under LBP, exact under kExact), minus the
+  /// `log p(Y^L) ≈ logZ_clamped − logZ_free` via the engine's
+  /// LogPartitionEstimate (the Bethe approximation under LBP), minus the
   /// L2 penalty `l2/2 * |w − anchor|^2`. Ascends toward 0 as the clamped
   /// and free distributions' moments match.
   double objective = 0.0;
@@ -52,10 +47,11 @@ struct LearnerResult {
 };
 
 /// \brief One (optionally L2-regularized) gradient-ascent step — the
-/// single definition of the update math shared by `FactorGraphLearner`
-/// and `ShardedLearner`, which are required to agree to float summation
-/// order (tests/learner_runtime_test.cc). \p gradient_base holds
-/// `E[h | Y^L] − E[h]` per weight; \p log_likelihood the iteration's
+/// single definition of the update math, shared by `ShardedLearner` and
+/// the monolithic test oracle `FactorGraphLearner`
+/// (tests/support/factor_graph_learner.h), which are required to agree to
+/// float summation order (tests/learner_runtime_test.cc).
+/// \p gradient_base holds `E[h | Y^L] − E[h]` per weight; \p log_likelihood the iteration's
 /// `logZ_clamped − logZ_free` estimate. Updates \p weights in place and
 /// returns the trace entry (`seconds` is left 0 for the caller to fill;
 /// callers check `gradient_max_norm` against their tolerance).
@@ -64,31 +60,6 @@ LearnerTrace ApplyAscentStep(const LearnerOptions& options, size_t iteration,
                              double log_likelihood,
                              const std::vector<double>& anchor,
                              std::vector<double>* weights);
-
-/// \brief Maximum-likelihood learning of shared factor weights
-/// (paper §3.4, Eq. 5–6).
-///
-/// The gradient of the partially-observed log-likelihood is
-///   dO/dw = E_{p(Y|Y^L)}[h] − E_{p(Y)}[h]
-/// Both expectations are approximated with LBP: the first by clamping the
-/// labeled variables to their observed states, the second with all
-/// variables free. Weights are updated by (optionally L2-regularized)
-/// gradient ascent.
-class FactorGraphLearner {
- public:
-  explicit FactorGraphLearner(LearnerOptions options = {});
-
-  /// Learns weights for \p graph given labels as (variable, state) pairs.
-  /// \p graph is mutated transiently (clamps added/removed) but returned to
-  /// its fully-unclamped state. Initial weights default to zeros when
-  /// \p initial_weights is empty.
-  LearnerResult Learn(FactorGraph* graph,
-                      const std::vector<std::pair<VariableId, size_t>>& labels,
-                      std::vector<double> initial_weights = {}) const;
-
- private:
-  LearnerOptions options_;
-};
 
 }  // namespace jocl
 

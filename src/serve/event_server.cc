@@ -430,7 +430,7 @@ bool EventHttpServer::ServeRequest(EventThread* et, int fd, Conn* conn,
   if (!request.valid) {
     requests_->Add();
     CountStatus(400);
-    SendRendered(et, fd, conn, 400, ErrorBody("malformed request line"), {},
+    SendRendered(et, fd, conn, 400, ErrorBody("malformed request head"), {},
                  kJsonContentType, /*keep_alive=*/false);
     return false;
   }

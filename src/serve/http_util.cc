@@ -1,5 +1,7 @@
 #include "serve/http_util.h"
 
+#include <charconv>
+
 namespace jocl {
 namespace {
 
@@ -209,15 +211,12 @@ RequestHead ParseRequestHead(std::string_view head) {
   const std::string_view length =
       FindHeaderValue(headers, "content-length", &found);
   if (found) {
-    size_t value = 0;
-    for (char c : length) {
-      if (c < '0' || c > '9') {
-        value = 0;
-        break;
-      }
-      value = value * 10 + static_cast<size_t>(c - '0');
-    }
-    out.content_length = value;
+    // An empty, non-digit or overflowing value leaves the body's extent
+    // unknown: the request is malformed, never a zero-length body.
+    const char* const end = length.data() + length.size();
+    const auto [ptr, ec] =
+        std::from_chars(length.data(), end, out.content_length);
+    if (ec != std::errc() || ptr != end) out.valid = false;
   }
   return out;
 }

@@ -60,7 +60,7 @@ QueryScan FindQueryValue(std::string_view query, std::string_view key,
 /// \brief Parsed head of one HTTP/1.1 request (request line + the
 /// headers the server acts on). All views alias the input buffer.
 struct RequestHead {
-  bool valid = false;        ///< request line was well-formed
+  bool valid = false;        ///< request line and Content-Length well-formed
   std::string_view method;
   std::string_view target;   ///< path + optional ?query
   std::string_view version;  ///< e.g. "HTTP/1.1"

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -335,11 +333,6 @@ TEST(DatasetIoTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadTriplesTsv("/nonexistent/path/file.tsv").ok());
 }
 
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
-
 TEST(DatasetIoTest, MalformedGoldLabelsReturnALocatedStatus) {
   const std::string path = ::testing::TempDir() + "/jocl_labels.tsv";
   const std::string good = "s\tp\to\t0\t1\t2\t3\t4\t5\ttest\n";
@@ -370,13 +363,7 @@ TEST(DatasetIoTest, SeededMutantsLoadOrFailWithALocatedStatus) {
   ASSERT_TRUE(result.ok());
   const std::string path = ::testing::TempDir() + "/jocl_mutant.tsv";
   ASSERT_TRUE(SaveTriplesTsv(result.ValueOrDie(), path).ok());
-  std::string original;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    original = bytes.str();
-  }
+  const std::string original = ReadFile(path);
   ASSERT_FALSE(original.empty());
 
   std::mt19937_64 rng(20211);

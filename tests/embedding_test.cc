@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
+#include <sstream>
+#include <string>
 
 #include "embedding/corpus.h"
 #include "embedding/embedding_io.h"
 #include "embedding/embedding_table.h"
 #include "embedding/word2vec.h"
+#include "seeded_mutants.h"
 
 namespace jocl {
 namespace {
@@ -150,6 +154,63 @@ TEST(EmbeddingIoTest, LoadRejectsMissingAndMalformed) {
   fputs("2 3\nword 1.0 2.0\n", f);  // truncated vector
   fclose(f);
   EXPECT_FALSE(LoadEmbeddingsText(path).ok());
+  // A header dim no file of this size can hold is rejected before any
+  // allocation (it used to throw std::bad_alloc), naming the header.
+  WriteFile(path, "1 200000000000\nw 1.0\n");
+  auto huge = LoadEmbeddingsText(path);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("header"), std::string::npos)
+      << huge.status().message();
+  // A row whose value count is not the header's dim names the row.
+  WriteFile(path, "2 2\na 1.0 2.0\nb 1.0 2.0 3.0\n");
+  auto wide = LoadEmbeddingsText(path);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.status().message().find("row 2"), std::string::npos)
+      << wide.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(EmbeddingIoTest, SeededMutantsLoadOrFailWithADescriptiveStatus) {
+  EmbeddingTable table(4);
+  table.Set("alpha", {1.0f, -0.5f, 0.25f, 3.0f});
+  table.Set("beta", {0.0f, 2.0f, -1.0f, 0.125f});
+  table.Set("gamma", {-7.5f, 0.5f, 1e-3f, 42.0f});
+  const std::string path = ::testing::TempDir() + "/jocl_mutant_emb.txt";
+  ASSERT_TRUE(SaveEmbeddingsText(table, path).ok());
+  const std::string original = ReadFile(path);
+  ASSERT_FALSE(original.empty());
+
+  std::mt19937_64 rng(20212);
+  constexpr size_t kPerKind = 200;
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (size_t kind = 0; kind < kMutationKinds; ++kind) {
+    for (size_t m = 0; m < kPerKind; ++m) {
+      const std::string mutant = Mutate(original, kind, &rng);
+      WriteFile(path, mutant);
+      SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                   std::to_string(m));
+      auto result = LoadEmbeddingsText(path);
+      if (!result.ok()) {
+        ++rejected;
+        // The message names the header or the row at fault.
+        const std::string& message = result.status().message();
+        EXPECT_TRUE(message.find("row") != std::string::npos ||
+                    message.find("header") != std::string::npos)
+            << message;
+        continue;
+      }
+      ++loaded;
+      std::istringstream header(mutant);
+      size_t count = 0;
+      size_t dim = 0;
+      ASSERT_TRUE(static_cast<bool>(header >> count >> dim));
+      EXPECT_EQ(result.ValueOrDie().dim(), dim);
+      EXPECT_LE(result.ValueOrDie().size(), count);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
   std::remove(path.c_str());
 }
 

@@ -3,9 +3,10 @@
 #include <cmath>
 
 #include "graph/factor_graph.h"
-#include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/learner.h"
+#include "support/exact.h"
+#include "support/factor_graph_learner.h"
 #include "util/rng.h"
 
 namespace jocl {

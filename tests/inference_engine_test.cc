@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "graph/factor_graph.h"
-#include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/inference.h"
 #include "graph/learner.h"
+#include "support/exact.h"
+#include "support/factor_graph_learner.h"
 #include "util/aligned.h"
 #include "util/rng.h"
 
@@ -307,7 +309,7 @@ TEST(EngineInterfaceTest, LbpBackendsMatchExactOnTree) {
   ASSERT_TRUE(g.Clamp(c, 1).ok());
   std::vector<double> w = {1.4};
 
-  auto exact = CreateInferenceEngine(InferenceBackend::kExact, &g, &w);
+  auto exact = std::make_unique<ExactEngine>(&g, &w);
   LbpResult exact_result = exact->Run();
   EXPECT_TRUE(exact_result.converged);
 
@@ -369,7 +371,7 @@ TEST(EngineInterfaceTest, ExactEngineDecodeIsMap) {
   // P(0,1) and P(1,0) dominate jointly.
   ASSERT_TRUE(g.AddFactor({a, b}, FixedTable({0.0, 2.0, 1.9, 0.0})).ok());
   std::vector<double> w = {1.0};
-  auto engine = CreateInferenceEngine(InferenceBackend::kExact, &g, &w);
+  auto engine = std::make_unique<ExactEngine>(&g, &w);
   engine->Run();
   EXPECT_EQ(engine->Decode(), ExactMap(g, w));
 }
@@ -510,8 +512,7 @@ TEST(LearnerBackendTest, ExactBackendReproducesAnalyticGradientStep) {
   LearnerOptions options;
   options.learning_rate = 0.1;
   options.iterations = 1;
-  options.backend = InferenceBackend::kExact;
-  FactorGraphLearner learner(options);
+  FactorGraphLearner learner(options, &MakeEngine<ExactEngine>);
   LearnerResult result = learner.Learn(&g, {{a, 1}}, w0);
   for (size_t k = 0; k < 2; ++k) {
     const double expected_step =

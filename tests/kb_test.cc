@@ -3,9 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 
 #include "data/dataset.h"
@@ -240,18 +238,6 @@ TEST(KbIoTest, LoadMissingFilesFails) {
 
 constexpr const char* kKbSuffixes[] = {".entities.tsv", ".relations.tsv",
                                        ".facts.tsv", ".anchors.tsv"};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
 
 // Loads a KB from the four given file bodies.
 Result<CuratedKb> LoadKbFrom(const std::string& prefix,

@@ -15,10 +15,10 @@
 #include "core/sharded_learner.h"
 #include "data/generator.h"
 #include "graph/factor_graph.h"
-#include "graph/exact.h"
 #include "graph/flat_lbp.h"
 #include "graph/inference.h"
 #include "obs/metrics.h"
+#include "support/exact.h"
 #include "util/rng.h"
 
 namespace jocl {

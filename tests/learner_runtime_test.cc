@@ -20,6 +20,7 @@
 #include "core/signal_cache.h"
 #include "data/generator.h"
 #include "graph/learner.h"
+#include "support/factor_graph_learner.h"
 
 namespace jocl {
 namespace {

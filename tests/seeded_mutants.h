@@ -1,15 +1,30 @@
 // Seeded byte-level mutants of a serialized file, for tests that a parser
 // rejects damaged input with a Status instead of throwing or reading out of
-// bounds (run them under -DJOCL_SANITIZE=ON to check the latter).
+// bounds (run them under -DJOCL_SANITIZE=ON to check the latter), and the
+// whole-file read/write the tests round-trip them through.
 #ifndef JOCL_TESTS_SEEDED_MUTANTS_H_
 #define JOCL_TESTS_SEEDED_MUTANTS_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 
 namespace jocl {
+
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+inline void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
 
 /// The four mutation kinds: truncate, flip 1-4 bits, splice a range from
 /// elsewhere over another, duplicate a range in place.

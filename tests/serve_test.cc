@@ -34,6 +34,7 @@
 #include "serve/server.h"
 #include "serve/shard_store.h"
 #include "serve/snapshot_io.h"
+#include "seeded_mutants.h"
 
 // ---------- heap-allocation probe (zero-alloc acceptance) --------------------
 //
@@ -778,6 +779,11 @@ TEST_F(ServeWorld, RetrainedWeightsReachReadersWithoutDroppingRequests) {
       }
     }
   });
+  // Swap only once the reader is serving, so requests straddle the swap
+  // (under a loaded host the reader could otherwise start after it).
+  while (served.load() == 0 && failures.load() == 0) {
+    std::this_thread::yield();
+  }
 
   // Retrain stand-in: any new weight vector exercises the same path as a
   // learner-produced one (ShardedLearner needs gold labels this
@@ -828,6 +834,16 @@ TEST(HttpUtilTest, ParseRequestHeadAppliesKeepAliveRules) {
   EXPECT_TRUE(head.valid);
   EXPECT_EQ(head.content_length, 12u);
   EXPECT_FALSE(ParseRequestHead("garbage\r\n\r\n").valid);
+  // A Content-Length that overflows size_t or is not all digits leaves
+  // the body's extent unknown: the head is malformed (answered 400 and
+  // closed), never a zero-length body followed by a pipelined request.
+  for (const char* length : {"18446744073709551616", "12abc", "-1", ""}) {
+    const std::string text =
+        std::string("POST /x HTTP/1.1\r\nContent-Length: ") + length +
+        "\r\n\r\n";
+    head = ParseRequestHead(text);
+    EXPECT_FALSE(head.valid) << "Content-Length: " << length;
+  }
 }
 
 TEST(HttpUtilTest, ZeroAllocDecodersAgreeWithAllocatingParser) {
@@ -902,6 +918,86 @@ TEST(HttpUtilTest, DuplicateQueryKeysKeepFirstMatch) {
   EXPECT_EQ(FindQueryValue("surface=a&surface=b", "surface", &raw),
             QueryScan::kFound);
   EXPECT_EQ(raw, "a");
+}
+
+// Mutated request heads must parse without reading outside the input
+// (the asan job checks that), and on mutated /lookup targets the
+// zero-allocation scanners must agree with the allocating parser, as
+// http_util.h promises.
+TEST(HttpUtilTest, SeededMutantHeadsAndQueriesParseConsistently) {
+  const std::string kHeads[] = {
+      "GET /lookup?surface=University%20of%20Maryland&kind=np HTTP/1.1\r\n"
+      "Host: localhost\r\nConnection: keep-alive\r\n\r\n",
+      "GET /lookup?surface=UMD&kind=rp HTTP/1.0\r\nConnection: close\r\n"
+      "Content-Length: 0\r\n\r\n",
+      "POST /cluster?id=3&kind=np HTTP/1.1\r\ncontent-length: 12\r\n\r\n",
+  };
+  const std::string kTargets[] = {
+      "/lookup?surface=University%20of%20Maryland&kind=np",
+      "/lookup?surface=a+b%2Bc&kind=rp&surface=x",
+      "/lookup?kind=&surface=%41%",
+      "/lookup?%73urface=a&surface=b&k%69nd=rp&kind=np",
+  };
+  std::mt19937_64 rng(20211);
+  size_t valid_heads = 0;
+  size_t found = 0;
+  size_t fallbacks = 0;
+  for (size_t kind = 0; kind < kMutationKinds; ++kind) {
+    for (size_t m = 0; m < 300; ++m) {
+      SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                   std::to_string(m));
+      // An exactly-sized heap copy, so asan flags any over-read.
+      const std::string text = Mutate(kHeads[m % 3], kind, &rng);
+      const std::vector<char> bytes(text.begin(), text.end());
+      const std::string_view head(bytes.data(), bytes.size());
+      const RequestHead parsed = ParseRequestHead(head);
+      if (parsed.valid) {
+        ++valid_heads;
+        for (std::string_view view :
+             {parsed.method, parsed.target, parsed.version}) {
+          EXPECT_GE(view.data(), head.data());
+          EXPECT_LE(view.data() + view.size(), head.data() + head.size());
+        }
+      }
+
+      const std::string target = Mutate(kTargets[m % 4], kind, &rng);
+      const std::string_view query =
+          std::string_view(target).substr(std::min(target.find('?') + 1,
+                                                    target.size()));
+      const QueryParams params = ParseQuery(query);
+      for (std::string_view key : {"surface", "kind"}) {
+        std::string_view raw;
+        const QueryScan scan = FindQueryValue(query, key, &raw);
+        if (scan == QueryScan::kNeedsFallback) {
+          ++fallbacks;
+          continue;
+        }
+        if (scan == QueryScan::kMissing) {
+          EXPECT_EQ(params.Find(key), nullptr) << query;
+          continue;
+        }
+        ++found;
+        ASSERT_NE(params.Find(key), nullptr) << query;
+        const std::string decoded = UrlDecode(raw);
+        EXPECT_EQ(decoded, *params.Find(key)) << query;
+        // At every capacity the scratch decoder either refuses a form that
+        // does not fit or matches UrlDecode within the cap (or aliases).
+        for (size_t cap = 0; cap <= decoded.size(); ++cap) {
+          std::vector<char> scratch(cap);  // exact size: asan flags overruns
+          std::string_view out;
+          if (!UrlDecodeInto(raw, scratch.data(), cap, &out)) {
+            EXPECT_GT(decoded.size(), cap) << raw;
+            continue;
+          }
+          EXPECT_EQ(out, decoded) << raw;
+          EXPECT_TRUE(out.data() == raw.data() || out.size() <= cap) << raw;
+        }
+      }
+    }
+  }
+  EXPECT_GT(valid_heads, 0u);
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(fallbacks, 0u);
 }
 
 // ---------- pre-rendered response cache --------------------------------------

@@ -1,4 +1,4 @@
-#include "graph/exact.h"
+#include "support/exact.h"
 
 #include <cassert>
 #include <cmath>
@@ -19,41 +19,53 @@ size_t AssignmentOf(const FactorGraph& graph, FactorId f,
   return assignment;
 }
 
-}  // namespace
-
-std::vector<size_t> ExactMap(const FactorGraph& graph,
-                             const std::vector<double>& weights) {
+// Calls visit(states, log_score) for every joint assignment — clamped
+// variables held at their state, the free ones advanced as a mixed-radix
+// counter — where log_score is the assignment's unnormalized log
+// probability.
+template <typename Visit>
+void ForEachAssignment(const FactorGraph& graph,
+                       const std::vector<double>& weights, Visit visit) {
   const size_t nv = graph.variable_count();
   std::vector<size_t> states(nv, 0);
+  std::vector<size_t> free_vars;
   for (VariableId v = 0; v < nv; ++v) {
     if (graph.IsClamped(v)) {
       states[v] = static_cast<size_t>(graph.clamped_state(v));
+    } else {
+      free_vars.push_back(v);
     }
   }
-  std::vector<size_t> free_vars;
-  for (VariableId v = 0; v < nv; ++v) {
-    if (!graph.IsClamped(v)) free_vars.push_back(v);
-  }
-  std::vector<size_t> best = states;
-  double best_score = -std::numeric_limits<double>::infinity();
   for (;;) {
     double log_score = 0.0;
     for (FactorId f = 0; f < graph.factor_count(); ++f) {
       log_score +=
           graph.LogPotential(f, AssignmentOf(graph, f, states), weights);
     }
-    if (log_score > best_score) {
-      best_score = log_score;
-      best = states;
-    }
+    visit(states, log_score);
     size_t k = 0;
     for (; k < free_vars.size(); ++k) {
       VariableId v = free_vars[k];
       if (++states[v] < graph.cardinality(v)) break;
       states[v] = 0;
     }
-    if (k == free_vars.size()) break;
+    if (k == free_vars.size()) return;
   }
+}
+
+}  // namespace
+
+std::vector<size_t> ExactMap(const FactorGraph& graph,
+                             const std::vector<double>& weights) {
+  std::vector<size_t> best;
+  double best_score = -std::numeric_limits<double>::infinity();
+  ForEachAssignment(graph, weights,
+                    [&](const std::vector<size_t>& states, double log_score) {
+                      if (best.empty() || log_score > best_score) {
+                        best_score = log_score;
+                        best = states;
+                      }
+                    });
   return best;
 }
 
@@ -68,38 +80,13 @@ ExactResult ExactInference(const FactorGraph& graph,
   result.expected_features.assign(graph.weight_count(), 0.0);
 
   // Enumerate the full joint (respecting clamps).
-  std::vector<size_t> states(nv, 0);
-  for (VariableId v = 0; v < nv; ++v) {
-    if (graph.IsClamped(v)) {
-      states[v] = static_cast<size_t>(graph.clamped_state(v));
-    }
-  }
   std::vector<double> log_scores;
   std::vector<std::vector<size_t>> all_states;
-
-  std::vector<size_t> free_vars;
-  for (VariableId v = 0; v < nv; ++v) {
-    if (!graph.IsClamped(v)) free_vars.push_back(v);
-  }
-
-  for (;;) {
-    double log_score = 0.0;
-    for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      log_score +=
-          graph.LogPotential(f, AssignmentOf(graph, f, states), weights);
-    }
-    log_scores.push_back(log_score);
-    all_states.push_back(states);
-
-    // Advance mixed-radix counter over free variables.
-    size_t k = 0;
-    for (; k < free_vars.size(); ++k) {
-      VariableId v = free_vars[k];
-      if (++states[v] < graph.cardinality(v)) break;
-      states[v] = 0;
-    }
-    if (k == free_vars.size()) break;
-  }
+  ForEachAssignment(graph, weights,
+                    [&](const std::vector<size_t>& states, double log_score) {
+                      log_scores.push_back(log_score);
+                      all_states.push_back(states);
+                    });
 
   result.log_partition = LogSumExp(log_scores);
   for (size_t i = 0; i < log_scores.size(); ++i) {
@@ -154,40 +141,20 @@ std::vector<double> ExactEngine::FactorBelief(FactorId id) const {
   // Exact per-factor belief: marginalize the joint onto the factor's
   // assignments by one more enumeration pass.
   const FactorGraph& graph = *graph_;
-  const size_t nv = graph.variable_count();
   std::vector<double> log_belief(graph.AssignmentCount(id),
                                  -std::numeric_limits<double>::infinity());
-  std::vector<size_t> states(nv, 0);
-  std::vector<size_t> free_vars;
-  for (VariableId v = 0; v < nv; ++v) {
-    if (graph.IsClamped(v)) {
-      states[v] = static_cast<size_t>(graph.clamped_state(v));
-    } else {
-      free_vars.push_back(v);
-    }
-  }
-  for (;;) {
-    double log_score = 0.0;
-    for (FactorId f = 0; f < graph.factor_count(); ++f) {
-      log_score +=
-          graph.LogPotential(f, AssignmentOf(graph, f, states), *weights_);
-    }
-    double& cell = log_belief[AssignmentOf(graph, id, states)];
-    if (cell == -std::numeric_limits<double>::infinity()) {
-      cell = log_score;
-    } else if (log_score > cell) {
-      cell = log_score + std::log1p(std::exp(cell - log_score));
-    } else {
-      cell = cell + std::log1p(std::exp(log_score - cell));
-    }
-    size_t k = 0;
-    for (; k < free_vars.size(); ++k) {
-      VariableId v = free_vars[k];
-      if (++states[v] < graph.cardinality(v)) break;
-      states[v] = 0;
-    }
-    if (k == free_vars.size()) break;
-  }
+  ForEachAssignment(
+      graph, *weights_,
+      [&](const std::vector<size_t>& states, double log_score) {
+        double& cell = log_belief[AssignmentOf(graph, id, states)];
+        if (cell == -std::numeric_limits<double>::infinity()) {
+          cell = log_score;
+        } else if (log_score > cell) {
+          cell = log_score + std::log1p(std::exp(cell - log_score));
+        } else {
+          cell = cell + std::log1p(std::exp(log_score - cell));
+        }
+      });
   const double lse = LogSumExp(log_belief);
   std::vector<double> belief(log_belief.size(), 0.0);
   for (size_t a = 0; a < log_belief.size(); ++a) {

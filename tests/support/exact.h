@@ -1,5 +1,5 @@
-#ifndef JOCL_GRAPH_EXACT_H_
-#define JOCL_GRAPH_EXACT_H_
+#ifndef JOCL_TESTS_SUPPORT_EXACT_H_
+#define JOCL_TESTS_SUPPORT_EXACT_H_
 
 #include <cstddef>
 #include <vector>
@@ -10,8 +10,9 @@ namespace jocl {
 
 /// \brief Exact inference by joint enumeration — O(prod cardinalities).
 ///
-/// Only usable on tiny graphs; exists so tests can verify LBP (exact on
-/// trees, close on small loopy graphs) and the learner's gradients.
+/// Test-support oracle, not part of libjocl. Only usable on tiny graphs;
+/// exists so tests can verify LBP (exact on trees, close on small loopy
+/// graphs) and the learner's gradients.
 struct ExactResult {
   std::vector<std::vector<double>> marginals;
   double log_partition = 0.0;
@@ -69,4 +70,4 @@ class ExactEngine : public InferenceEngine {
 
 }  // namespace jocl
 
-#endif  // JOCL_GRAPH_EXACT_H_
+#endif  // JOCL_TESTS_SUPPORT_EXACT_H_

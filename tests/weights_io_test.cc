@@ -105,18 +105,6 @@ TEST(WeightsIoTest, RejectsUnknownNamesAndGarbage) {
   EXPECT_FALSE(LoadWeights("/nonexistent/weights.tsv").ok());
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
-void WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
 TEST(WeightsIoTest, RejectsNonFiniteWeights) {
   // from_chars parses "nan" and "inf"; a saved file with one value edited
   // to either must fail on the line that carries it.
