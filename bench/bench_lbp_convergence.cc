@@ -6,6 +6,7 @@
 #include "bench/bench_common.h"
 #include "core/graph_builder.h"
 #include "core/problem.h"
+#include "core/signal_cache.h"
 #include "graph/flat_lbp.h"
 
 namespace jocl {
@@ -20,8 +21,9 @@ void Run() {
 
   JoclProblem problem = BuildProblem(pack->dataset(), pack->signals(),
                                      pack->eval_triples());
-  JoclGraph jgraph = BuildJoclGraph(problem, pack->signals(),
-                                    pack->dataset().ckb);
+  SignalCache cache = SignalCache::ForProblem(problem, pack->signals(),
+                                              pack->dataset().ckb);
+  JoclGraph jgraph = BuildJoclGraph(problem, cache, pack->dataset().ckb);
   std::printf("graph: %zu variables, %zu factors\n",
               jgraph.graph.variable_count(), jgraph.graph.factor_count());
 

@@ -87,7 +87,7 @@ int Run() {
   LearnerRunStats reference_stats;
   TablePrinter table({"Threads", "Bins", "Seconds", "Speedup", "Identical"});
   for (const auto& [threads, shards] : configs) {
-    LearnRuntimeOptions runtime;
+    RuntimeOptions runtime;
     runtime.num_threads = threads;
     runtime.max_shards = shards;
     ShardedLearner learner(options, runtime);

@@ -1,6 +1,6 @@
 // End-to-end pipeline bench for the sharded runtime: where the time goes
 // (problem, signal cache, shard execution, decode), what the signal cache
-// saves over the uncached per-query signal path, and how wall clock
+// saves per pair-signal query over the uncached bundle, and how wall clock
 // scales with shard-level worker threads. Emits BENCH_pipeline.json
 // (path: JOCL_BENCH_OUT, default ./BENCH_pipeline.json) for CI tracking.
 #include <cstdio>
@@ -34,15 +34,8 @@ void Run() {
   std::printf("%zu triples, %zu test; signals built in %.2fs\n\n",
               ds.okb.size(), ds.test_triples.size(), signal_s);
 
-  // ---- signal cache vs uncached graph build -------------------------------
-  // The same graph, built twice: signal queries answered from scratch
-  // (tokenize + phrase vectors per pair/candidate/alias) vs from the
-  // per-surface memoized cache.
+  // ---- signal cache + graph build -----------------------------------------
   JoclProblem problem = BuildProblem(ds, sig, ds.test_triples);
-  Stopwatch uncached_watch;
-  JoclGraph uncached = BuildJoclGraph(problem, sig, ds.ckb);
-  double graph_uncached_s = uncached_watch.ElapsedSeconds();
-
   Stopwatch cache_watch;
   SignalCache cache = SignalCache::ForProblem(problem, sig, ds.ckb);
   double cache_build_s = cache_watch.ElapsedSeconds();
@@ -50,18 +43,11 @@ void Run() {
   JoclGraph cached = BuildJoclGraph(problem, cache, ds.ckb);
   double graph_cached_s = cached_watch.ElapsedSeconds();
 
-  double cache_speedup =
-      (cache_build_s + graph_cached_s) > 0.0
-          ? graph_uncached_s / (cache_build_s + graph_cached_s)
-          : 0.0;
   TablePrinter cache_table({"Graph build", "Seconds", "Factors"});
-  cache_table.AddRow({"uncached signals", TablePrinter::Num(graph_uncached_s, 3),
-                      std::to_string(uncached.graph.factor_count())});
   cache_table.AddRow({"cache build", TablePrinter::Num(cache_build_s, 3), ""});
   cache_table.AddRow({"cached signals", TablePrinter::Num(graph_cached_s, 3),
                       std::to_string(cached.graph.factor_count())});
-  std::printf("%s(cache + cached build is %.2fx the uncached build)\n\n",
-              cache_table.Render().c_str(), cache_speedup);
+  std::printf("%s\n", cache_table.Render().c_str());
 
   // ---- isolated pairwise signal sweep -------------------------------------
   // Every blocked pair's signals through both providers: the uncached path
@@ -151,16 +137,13 @@ void Run() {
   std::fprintf(out, "  \"signals_seconds\": %.4f,\n", signal_s);
   std::fprintf(out,
                "  \"signal_cache\": {\n"
-               "    \"uncached_graph_seconds\": %.4f,\n"
                "    \"cache_build_seconds\": %.4f,\n"
                "    \"cached_graph_seconds\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
                "    \"pair_signal_sweep\": {\"pairs\": %zu, "
                "\"uncached_seconds\": %.4f, \"cached_seconds\": %.4f, "
                "\"speedup\": %.3f}\n  },\n",
-               graph_uncached_s, cache_build_s, graph_cached_s,
-               cache_speedup, n_pairs, sweep_uncached_s, sweep_cached_s,
-               sweep_speedup);
+               cache_build_s, graph_cached_s, n_pairs, sweep_uncached_s,
+               sweep_cached_s, sweep_speedup);
   std::fprintf(out, "  \"runs\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const ThreadRun& run = runs[i];

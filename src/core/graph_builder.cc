@@ -53,10 +53,8 @@ double CandidateAgreement(const std::vector<EntityCandidate>& a,
 
 // F5 row of one (predicate surface, candidate relation), computed from
 // scratch over the relation's canonical name and every alias.
-template <typename SignalProvider>
-RelationRow DirectRelationRow(const SignalProvider& signals,
-                              const CuratedKb& ckb, const std::string& surface,
-                              RelationId rid) {
+RelationRow DirectRelationRow(const SignalCache& signals, const CuratedKb& ckb,
+                              const std::string& surface, RelationId rid) {
   const std::vector<std::string>& aliases = ckb.RelationAliases(rid);
   return ComputeRelationRow(
       signals, surface, 1 + aliases.size(),
@@ -65,19 +63,8 @@ RelationRow DirectRelationRow(const SignalProvider& signals,
       });
 }
 
-// Fills \p rows with the F5 row of each candidate of \p surface: computed
-// per call for the uncached provider, read from the memo for the cache
-// (pairs it never registered fall back to the computation).
-void RelationRows(const SignalBundle& signals, const CuratedKb& ckb,
-                  const std::string& surface,
-                  const std::vector<RelationCandidate>& candidates,
-                  std::vector<RelationRow>* rows) {
-  rows->clear();
-  for (const auto& candidate : candidates) {
-    rows->push_back(DirectRelationRow(signals, ckb, surface, candidate.id));
-  }
-}
-
+// Fills \p rows with the F5 row of each candidate of \p surface, read from
+// the memo (pairs the cache never registered fall back to the computation).
 void RelationRows(const SignalCache& signals, const CuratedKb& ckb,
                   const std::string& surface,
                   const std::vector<RelationCandidate>& candidates,
@@ -94,14 +81,11 @@ void RelationRows(const SignalCache& signals, const CuratedKb& ckb,
   }
 }
 
-// The builder body is shared between the uncached (SignalBundle) and
-// cached (SignalCache) providers; both expose the same Emb/Ppdb/Amie/Kbp
-// query shape.
-template <typename SignalProvider>
-JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
-                             const SignalProvider& signals,
-                             const CuratedKb& ckb,
-                             const GraphBuilderOptions& options) {
+}  // namespace
+
+JoclGraph BuildJoclGraph(const JoclProblem& problem,
+                         const SignalCache& signals, const CuratedKb& ckb,
+                         const GraphBuilderOptions& options) {
   JoclGraph out;
   FactorGraph& graph = out.graph;
   graph.set_weight_count(WeightLayout::kCount);
@@ -419,20 +403,6 @@ JoclGraph BuildJoclGraphImpl(const JoclProblem& problem,
   JOCL_LOG(kDebug) << "graph: " << graph.variable_count() << " variables, "
                    << graph.factor_count() << " factors";
   return out;
-}
-
-}  // namespace
-
-JoclGraph BuildJoclGraph(const JoclProblem& problem,
-                         const SignalBundle& signals, const CuratedKb& ckb,
-                         const GraphBuilderOptions& options) {
-  return BuildJoclGraphImpl(problem, signals, ckb, options);
-}
-
-JoclGraph BuildJoclGraph(const JoclProblem& problem,
-                         const SignalCache& signals, const CuratedKb& ckb,
-                         const GraphBuilderOptions& options) {
-  return BuildJoclGraphImpl(problem, signals, ckb, options);
 }
 
 }  // namespace jocl

@@ -97,16 +97,10 @@ struct JoclGraph {
 
 class SignalCache;
 
-/// \brief Materializes the JOCL factor graph for a problem, computing
-/// every signal from scratch (tokenization + phrase vectors per query).
-JoclGraph BuildJoclGraph(const JoclProblem& problem,
-                         const SignalBundle& signals, const CuratedKb& ckb,
-                         const GraphBuilderOptions& options = {});
-
-/// \brief Same graph, but signal queries hit the per-surface memoized
-/// cache (unit-vector dot products, interned PPDB/AMIE/KBP lookups) — the
-/// runtime's hot path. Identical structure; feature values differ from the
-/// uncached overload by float rounding of `Sim_emb` only.
+/// \brief Materializes the JOCL factor graph for a problem. Signal queries
+/// hit the per-surface memoized cache (unit-vector dot products, interned
+/// PPDB/AMIE/KBP lookups, memoized F5 relation rows); build it with
+/// SignalCache::ForProblem over the same problem.
 JoclGraph BuildJoclGraph(const JoclProblem& problem,
                          const SignalCache& signals, const CuratedKb& ckb,
                          const GraphBuilderOptions& options = {});

@@ -55,10 +55,8 @@ Result<std::vector<double>> Jocl::LearnWeights(
   // graph per component through the SignalCache path, and runs
   // the clamped/free passes component-parallel — the learning-side twin of
   // the Infer runtime below (same thread/shard knobs, same determinism).
-  LearnRuntimeOptions learn_runtime;
-  learn_runtime.num_threads = options_.runtime_threads;
-  learn_runtime.max_shards = options_.runtime_shards;
-  ShardedLearner learner(options_, learn_runtime);
+  ShardedLearner learner(options_, RuntimeOptions{options_.runtime_threads,
+                                                  options_.runtime_shards});
   LearnerRunStats learn_stats;
   Result<LearnerResult> learned =
       learner.Learn(dataset, signals, subset, DefaultWeights(), &learn_stats);
@@ -74,10 +72,8 @@ Result<JoclResult> Jocl::Infer(const Dataset& dataset,
                                const SignalBundle& signals,
                                const std::vector<size_t>& triple_subset,
                                std::vector<double> weights) const {
-  RuntimeOptions runtime_options;
-  runtime_options.num_threads = options_.runtime_threads;
-  runtime_options.max_shards = options_.runtime_shards;
-  JoclRuntime runtime(options_, runtime_options);
+  JoclRuntime runtime(options_, RuntimeOptions{options_.runtime_threads,
+                                                options_.runtime_shards});
   return runtime.Infer(dataset, signals, triple_subset, std::move(weights));
 }
 

@@ -11,6 +11,20 @@
 
 namespace jocl {
 
+/// \brief Execution knobs of the sharded runtime and the sharded learner
+/// (orthogonal to the model configuration in JoclOptions; no setting
+/// changes the result).
+struct RuntimeOptions {
+  /// Worker threads running shards (inference) or expectation passes
+  /// (learning): 1 = sequential, 0 = one per hardware thread, n = n
+  /// workers.
+  size_t num_threads = 0;
+  /// Shard count: 0 = one shard per independent sub-problem, 1 = the
+  /// monolithic single-graph run (the learner: everything in one
+  /// sequential work bin), n = components packed into n shards.
+  size_t max_shards = 0;
+};
+
 /// \brief End-to-end configuration of the JOCL pipeline.
 struct JoclOptions {
   ProblemOptions problem;

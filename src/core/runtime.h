@@ -11,17 +11,6 @@
 
 namespace jocl {
 
-/// \brief Execution knobs of the sharded runtime (orthogonal to the model
-/// configuration in JoclOptions; no setting changes the result).
-struct RuntimeOptions {
-  /// Worker threads running shards: 1 = sequential, 0 = one per hardware
-  /// thread, n = n workers.
-  size_t num_threads = 0;
-  /// Shard count: 0 = one shard per independent sub-problem, 1 = the
-  /// monolithic single-graph run, n = components packed into n shards.
-  size_t max_shards = 0;
-};
-
 /// \brief Stage seconds, shape facts and kernel counters shared by one
 /// runtime execution and one session batch. Every `*_seconds` field is
 /// written only by the closing `ScopedSpan` of the stage it names (the

@@ -153,7 +153,7 @@ std::vector<std::pair<VariableId, size_t>> BuildGoldLabels(
   return labels;
 }
 
-ShardedLearner::ShardedLearner(JoclOptions options, LearnRuntimeOptions runtime)
+ShardedLearner::ShardedLearner(JoclOptions options, RuntimeOptions runtime)
     : options_(std::move(options)), runtime_(runtime) {}
 
 Result<LearnerResult> ShardedLearner::Learn(

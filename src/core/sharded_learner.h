@@ -10,19 +10,6 @@
 
 namespace jocl {
 
-/// \brief Execution knobs of the sharded learner (orthogonal to the model
-/// configuration in JoclOptions; no setting changes the result).
-struct LearnRuntimeOptions {
-  /// Worker threads running expectation passes: 1 = sequential, 0 = one
-  /// per hardware thread, n = n workers.
-  size_t num_threads = 0;
-  /// Work-bin count: components are packed into this many scheduling bins
-  /// (descending size onto the lightest bin, deterministically); a bin is
-  /// the unit a worker dequeues. 0 = one bin per independent sub-problem,
-  /// 1 = everything in one bin (sequential regardless of threads).
-  size_t max_shards = 0;
-};
-
 /// \brief Stage timings + shape facts of one ShardedLearner::Learn call
 /// (consumed by bench_learning_curve and the jocl_learn CLI). Each
 /// `*_seconds` field is written only by the closing span it names.
@@ -76,7 +63,7 @@ std::vector<std::pair<VariableId, size_t>> BuildGoldLabels(
 class ShardedLearner {
  public:
   explicit ShardedLearner(JoclOptions options = {},
-                          LearnRuntimeOptions runtime = {});
+                          RuntimeOptions runtime = {});
 
   /// Learns shared factor weights from the gold labels of
   /// \p labeled_triples (dataset triple indices; the dataset must carry
@@ -90,11 +77,11 @@ class ShardedLearner {
                               LearnerRunStats* stats = nullptr) const;
 
   const JoclOptions& options() const { return options_; }
-  const LearnRuntimeOptions& runtime_options() const { return runtime_; }
+  const RuntimeOptions& runtime_options() const { return runtime_; }
 
  private:
   JoclOptions options_;
-  LearnRuntimeOptions runtime_;
+  RuntimeOptions runtime_;
 };
 
 }  // namespace jocl

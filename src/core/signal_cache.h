@@ -30,30 +30,6 @@ struct RelationRow {
   double ppdb = 0.0;
 };
 
-/// Computes a RelationRow from scratch over the relation's names
-/// `name_at(0)` (the canonical name) .. `name_at(count - 1)` (its aliases),
-/// maximizing in that order. The surface's `SimilarityQuery` is built once
-/// per row. `SignalCache::Finalize` memoizes rows through this same
-/// function, so a memoized row is bit-identical to one the graph builder
-/// computes directly.
-template <typename SignalProvider, typename NameAt>
-RelationRow ComputeRelationRow(const SignalProvider& signals,
-                               std::string_view surface, size_t count,
-                               NameAt&& name_at) {
-  SimilarityQuery query(surface);
-  const std::string_view first = name_at(0);
-  RelationRow row{query.Ngram(first), query.Levenshtein(first),
-                  signals.Emb(surface, first), signals.Ppdb(surface, first)};
-  for (size_t k = 1; k < count; ++k) {
-    const std::string_view name = name_at(k);
-    row.ngram = std::max(row.ngram, query.Ngram(name));
-    row.ld = std::max(row.ld, query.Levenshtein(name));
-    row.emb = std::max(row.emb, signals.Emb(surface, name));
-    row.ppdb = std::max(row.ppdb, signals.Ppdb(surface, name));
-  }
-  return row;
-}
-
 /// \brief Which memo families a cache build materializes. Queries against
 /// a family that was not built fall back to the (uncached) bundle, so
 /// disabling a family is always safe — callers that only ever query a
@@ -286,6 +262,30 @@ class SignalCache {
   std::vector<RelationRow> relation_rows_;
   size_t rows_finalized_ = 0;
 };
+
+/// Computes a RelationRow from scratch over the relation's names
+/// `name_at(0)` (the canonical name) .. `name_at(count - 1)` (its aliases),
+/// maximizing in that order. The surface's `SimilarityQuery` is built once
+/// per row. `SignalCache::Finalize` memoizes rows through this same
+/// function, so a memoized row is bit-identical to one the graph builder
+/// computes directly.
+template <typename NameAt>
+RelationRow ComputeRelationRow(const SignalCache& signals,
+                               std::string_view surface, size_t count,
+                               NameAt&& name_at) {
+  SimilarityQuery query(surface);
+  const std::string_view first = name_at(0);
+  RelationRow row{query.Ngram(first), query.Levenshtein(first),
+                  signals.Emb(surface, first), signals.Ppdb(surface, first)};
+  for (size_t k = 1; k < count; ++k) {
+    const std::string_view name = name_at(k);
+    row.ngram = std::max(row.ngram, query.Ngram(name));
+    row.ld = std::max(row.ld, query.Levenshtein(name));
+    row.emb = std::max(row.emb, signals.Emb(surface, name));
+    row.ppdb = std::max(row.ppdb, signals.Ppdb(surface, name));
+  }
+  return row;
+}
 
 }  // namespace jocl
 

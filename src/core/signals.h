@@ -53,12 +53,9 @@ class SignalBundle {
 
   // --- the paper's similarity signals -------------------------------------
 
-  /// `Sim_idf` between two NPs (or RPs via rp variant).
+  /// `Sim_idf` between two NPs (RPs query `rp_idf` directly).
   double NpIdf(std::string_view a, std::string_view b) const {
     return np_idf.Similarity(a, b);
-  }
-  double RpIdf(std::string_view a, std::string_view b) const {
-    return rp_idf.Similarity(a, b);
   }
   /// `Sim_emb`: cosine of averaged word vectors, clamped to [0, 1].
   double Emb(std::string_view a, std::string_view b) const {

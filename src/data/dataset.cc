@@ -2,17 +2,6 @@
 
 namespace jocl {
 
-std::vector<size_t> Dataset::NpMentionsOfTriples(
-    const std::vector<size_t>& triples) {
-  std::vector<size_t> mentions;
-  mentions.reserve(triples.size() * 2);
-  for (size_t t : triples) {
-    mentions.push_back(t * 2);
-    mentions.push_back(t * 2 + 1);
-  }
-  return mentions;
-}
-
 std::vector<size_t> Dataset::GoldNpLabels() const {
   std::vector<size_t> labels(gold_np_group.size());
   for (size_t i = 0; i < labels.size(); ++i) {

@@ -57,10 +57,6 @@ struct Dataset {
                                     : gold_object_entity[triple];
   }
 
-  /// NP-mention indices of the given triples (2 each, in order).
-  static std::vector<size_t> NpMentionsOfTriples(
-      const std::vector<size_t>& triples);
-
   /// Gold NP-group labels as size_t for the clustering metrics; NIL groups
   /// are already distinct ids by construction.
   std::vector<size_t> GoldNpLabels() const;

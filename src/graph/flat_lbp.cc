@@ -295,15 +295,16 @@ void FlatLbpEngine::RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch) {
 // Every kernel visits assignments in row-major order (last scope slot
 // fastest) and skips an assignment the moment any incoming message is -inf.
 //
-// Sum-product (probability space): a slot's cavity term is psi(a) times
-// the other slots' mu = exp(m), multiplied in scope order (`(psi * mu0) *
-// mu2` for slot 1 of a ternary factor), and each fresh cell adds its terms
-// with `+=` in visit order, starting from 0. One log per output state turns
-// the sums back into log-messages.
+// Probability space: a slot's cavity term is psi(a) times the other
+// slots' mu = exp(m), multiplied in scope order (`(psi * mu0) * mu2` for
+// slot 1 of a ternary factor), and each fresh cell adds its terms with
+// `+=` in visit order, starting from 0. One log per output state turns the
+// sums back into log-messages.
 //
-// Max-product (log space): the feasible total accumulates as
-// `((lp + m0) + m1) + m2`, the per-slot cavity is `total - m_slot`, and
-// each fresh cell takes std::max of its cavities in visit order.
+// Guarded fallback (log space, generic kernel only): the feasible total
+// accumulates as `((lp + m0) + m1) + m2`, the per-slot cavity is
+// `total - m_slot`, and a max pass over the cavities pivots a stable
+// log-sum-exp pass.
 //
 // The specialized kernels change only *bookkeeping* — no mixed-radix
 // counter, no per-assignment feasibility re-scan, hoisted lane pointers —
@@ -315,7 +316,6 @@ void FlatLbpEngine::PreparePotentials() {
   const size_t nf = g.factor_count();
   log_shift_.assign(nf, 0.0);
   log_range_.assign(nf, kNegInf);
-  if (options_.mode == LbpMode::kMaxProduct) return;
   for (FactorId f = 0; f < nf; ++f) {
     double* table = potential_.data() + g.assignment_offset(f);
     const size_t count = g.assignment_offset(f + 1) - g.assignment_offset(f);
@@ -541,8 +541,7 @@ void FlatLbpEngine::UpdateProductTernary(FactorId f, Scratch* scratch) {
   }
 }
 
-void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, bool sum_product,
-                                          Scratch* scratch) {
+void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t edge_begin = g.scope_offset(f);
   const size_t edge_end = g.scope_offset(f + 1);
@@ -565,7 +564,7 @@ void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, bool sum_product,
     return total;
   };
 
-  // Max pass: the max-product message, and the sum-product pivot.
+  // Max pass: each cell's pivot for the sum pass.
   ForEachClampedAssignment(f, scratch, [&](size_t a) {
     const double total = total_of(a);
     if (total == kNegInf) return;
@@ -575,7 +574,6 @@ void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, bool sum_product,
       cell = std::max(cell, cavity);
     }
   });
-  if (!sum_product) return;
 
   // Sum pass: stable log-sum-exp per cell, `max + log(sum exp(c - max))`.
   double* sums = scratch->aux.data();
@@ -594,122 +592,18 @@ void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, bool sum_product,
   }
 }
 
-void FlatLbpEngine::UpdateMaxUnary(FactorId f, Scratch* scratch) {
-  const FactorGraph& g = *graph_;
-  const size_t e0 = g.scope_offset(f);
-  const size_t card = g.cardinality(g.scope_var(e0));
-  const double* log_potential = potential_.data() + g.assignment_offset(f);
-  const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
-  double* fresh = scratch->fresh.data();
-  // Each cell is touched exactly once: the first max on a fresh -inf cell
-  // yields the cavity itself, so no fill pass is needed.
-  for (size_t s = 0; s < card; ++s) {
-    const double m = m0[s];
-    if (m == kNegInf) {
-      fresh[s] = kNegInf;
-      continue;
-    }
-    const double total = log_potential[s] + m;
-    fresh[s] = total - m;  // NOT lp[s]: (lp + m) - m must match reference
-  }
-}
-
-void FlatLbpEngine::UpdateMaxBinary(FactorId f, Scratch* scratch) {
-  const FactorGraph& g = *graph_;
-  const size_t e0 = g.scope_offset(f);
-  const size_t e1 = e0 + 1;
-  const size_t c0 = g.cardinality(g.scope_var(e0));
-  const size_t c1 = g.cardinality(g.scope_var(e1));
-  const double* log_potential = potential_.data() + g.assignment_offset(f);
-  const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
-  const double* m1 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e1));
-  const size_t lane_base = g.edge_lane_offset(e0);
-  double* fresh0 = scratch->fresh.data();
-  double* fresh1 = fresh0 + (g.edge_lane_offset(e1) - lane_base);
-  const size_t factor_lanes = g.edge_lane_offset(e1 + 1) - lane_base;
-  std::fill(fresh0, fresh0 + factor_lanes, kNegInf);
-
-  const double* lp_row = log_potential;
-  for (size_t s0 = 0; s0 < c0; ++s0, lp_row += c1) {
-    const double m0v = m0[s0];
-    // Row skip == the reference's slot-0 feasibility break: every
-    // assignment in this row is infeasible and writes nothing.
-    if (m0v == kNegInf) continue;
-    double acc0 = kNegInf;  // fresh0[s0] chain, kept in a register
-    for (size_t s1 = 0; s1 < c1; ++s1) {
-      const double m1v = m1[s1];
-      if (m1v == kNegInf) continue;
-      const double total = (lp_row[s1] + m0v) + m1v;
-      acc0 = std::max(acc0, total - m0v);
-      fresh1[s1] = std::max(fresh1[s1], total - m1v);
-    }
-    fresh0[s0] = acc0;
-  }
-}
-
-void FlatLbpEngine::UpdateMaxTernary(FactorId f, Scratch* scratch) {
-  const FactorGraph& g = *graph_;
-  const size_t e0 = g.scope_offset(f);
-  const size_t e1 = e0 + 1;
-  const size_t e2 = e0 + 2;
-  const size_t c0 = g.cardinality(g.scope_var(e0));
-  const size_t c1 = g.cardinality(g.scope_var(e1));
-  const size_t c2 = g.cardinality(g.scope_var(e2));
-  const double* log_potential = potential_.data() + g.assignment_offset(f);
-  const double* m0 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e0));
-  const double* m1 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e1));
-  const double* m2 =
-      AssumeLaneAligned(msg_v2f_.data() + g.edge_lane_offset(e2));
-  const size_t lane_base = g.edge_lane_offset(e0);
-  double* fresh0 = scratch->fresh.data();
-  double* fresh1 = fresh0 + (g.edge_lane_offset(e1) - lane_base);
-  double* fresh2 = fresh0 + (g.edge_lane_offset(e2) - lane_base);
-  const size_t factor_lanes = g.edge_lane_offset(e2 + 1) - lane_base;
-  std::fill(fresh0, fresh0 + factor_lanes, kNegInf);
-
-  for (size_t s0 = 0; s0 < c0; ++s0) {
-    const double m0v = m0[s0];
-    if (m0v == kNegInf) continue;
-    double acc0 = kNegInf;  // spans the whole s1 x s2 plane
-    const double* lp_plane = log_potential + s0 * c1 * c2;
-    for (size_t s1 = 0; s1 < c1; ++s1) {
-      const double m1v = m1[s1];
-      if (m1v == kNegInf) continue;
-      double acc1 = fresh1[s1];  // resumes this cell's chain across s0
-      const double* lp_row = lp_plane + s1 * c2;
-      for (size_t s2 = 0; s2 < c2; ++s2) {
-        const double m2v = m2[s2];
-        if (m2v == kNegInf) continue;
-        const double total = ((lp_row[s2] + m0v) + m1v) + m2v;
-        acc0 = std::max(acc0, total - m0v);
-        acc1 = std::max(acc1, total - m1v);
-        fresh2[s2] = std::max(fresh2[s2], total - m2v);
-      }
-      fresh1[s1] = acc1;
-    }
-    fresh0[s0] = acc0;
-  }
-}
-
 void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
                                        Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t edge_begin = g.scope_offset(f);
   const size_t edge_end = g.scope_offset(f + 1);
   const size_t lane_base = g.edge_lane_offset(edge_begin);
-  const double damping = options_.damping;
   double* fresh = scratch->fresh.data();
   for (size_t e = edge_begin; e < edge_end; ++e) {
     const size_t card = g.cardinality(g.scope_var(e));
     double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
     // Normalize max pass (a pure lane reduction), then a single fused
-    // subtract + damp + residual pass — one pass fewer than the old
-    // NormalizeLog-then-damp epilogue, with identical operations:
+    // subtract + residual pass — the same operations as NormalizeLog:
     // `x - 0.0 == x` bit-for-bit when the lane is all -inf (NormalizeLog's
     // early-out case).
     double mx = kNegInf;
@@ -717,10 +611,7 @@ void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
     const double shift = (mx == kNegInf) ? 0.0 : mx;
     double* old = AssumeLaneAligned(msg_f2v_.data() + g.edge_lane_offset(e));
     for (size_t x = 0; x < card; ++x) {
-      double updated = fr[x] - shift;
-      if (damping > 0.0 && old[x] != kNegInf && updated != kNegInf) {
-        updated = (1.0 - damping) * updated + damping * old[x];
-      }
+      const double updated = fr[x] - shift;
       const double delta = std::abs(updated - old[x]);
       if (std::isfinite(delta)) *residual = std::max(*residual, delta);
       old[x] = updated;
@@ -734,43 +625,32 @@ bool FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
   const size_t arity = g.arity(f);
   const bool generic =
       options_.kernel == LbpKernel::kScalarReference || arity > 3;
-  bool log_space = false;
-  if (options_.mode == LbpMode::kMaxProduct) {
-    if (generic) {
-      UpdateLogSpaceGeneric(f, /*sum_product=*/false, scratch);
-    } else if (arity == 1) {
-      UpdateMaxUnary(f, scratch);
-    } else if (arity == 2) {
-      UpdateMaxBinary(f, scratch);
-    } else {
-      UpdateMaxTernary(f, scratch);
-    }
-  } else if (!PrepareProbabilityInputs(f, scratch)) {
-    UpdateLogSpaceGeneric(f, /*sum_product=*/true, scratch);
-    log_space = true;
+  if (!PrepareProbabilityInputs(f, scratch)) {
+    UpdateLogSpaceGeneric(f, scratch);
+    FinishFactorUpdate(f, residual, scratch);
+    return true;
+  }
+  if (generic) {
+    UpdateProductGeneric(f, scratch);
+  } else if (arity == 1) {
+    UpdateProductUnary(f, scratch);
+  } else if (arity == 2) {
+    UpdateProductBinary(f, scratch);
   } else {
-    if (generic) {
-      UpdateProductGeneric(f, scratch);
-    } else if (arity == 1) {
-      UpdateProductUnary(f, scratch);
-    } else if (arity == 2) {
-      UpdateProductBinary(f, scratch);
-    } else {
-      UpdateProductTernary(f, scratch);
-    }
-    // Back to log-messages: one log per output state (log(0) == -inf for
-    // states with no feasible assignment).
-    const size_t edge_begin = g.scope_offset(f);
-    const size_t lane_base = g.edge_lane_offset(edge_begin);
-    double* fresh = scratch->fresh.data();
-    for (size_t e = edge_begin; e < edge_begin + arity; ++e) {
-      double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
-      const size_t card = g.cardinality(g.scope_var(e));
-      for (size_t x = 0; x < card; ++x) fr[x] = std::log(fr[x]);
-    }
+    UpdateProductTernary(f, scratch);
+  }
+  // Back to log-messages: one log per output state (log(0) == -inf for
+  // states with no feasible assignment).
+  const size_t edge_begin = g.scope_offset(f);
+  const size_t lane_base = g.edge_lane_offset(edge_begin);
+  double* fresh = scratch->fresh.data();
+  for (size_t e = edge_begin; e < edge_begin + arity; ++e) {
+    double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
+    const size_t card = g.cardinality(g.scope_var(e));
+    for (size_t x = 0; x < card; ++x) fr[x] = std::log(fr[x]);
   }
   FinishFactorUpdate(f, residual, scratch);
-  return log_space;
+  return false;
 }
 
 void FlatLbpEngine::MaterializeComponentMarginals(size_t component) {

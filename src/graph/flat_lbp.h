@@ -22,23 +22,20 @@ namespace jocl {
 /// are fixed within a run, so no message update ever walks a feature
 /// list). There is no per-factor or per-sweep allocation.
 ///
-/// Messages are stored in log space; the factor update runs in the space
-/// its semiring needs:
-///
-///  * **Sum-product** updates run in probability space. Run() rewrites
-///    each factor's table in place as `psi(a) = exp(lp(a) - shift_f)`
-///    with `shift_f = max_a lp(a)`; an update exponentiates each incoming
-///    lane once (`mu = exp(m)`, `-inf -> 0`), accumulates every cavity as
-///    a plain product-sum (`acc0 += (psi * mu1) * mu2`, slots in scope
-///    order, assignments in row-major order) and takes one log per output
-///    state. A range guard keeps this exact: when a lower bound on the
-///    log of every product (`min lp - max lp` plus each slot's smallest
-///    finite input) falls below kMinLogProduct, where small terms would
-///    flush to zero, the update runs through the log-space generic kernel
-///    instead (counted in LbpResult::log_space_updates). A factor whose
-///    own range is below the bound keeps its table in log space.
-///  * **Max-product** updates run in log space over the untouched
-///    log-potential table (no transcendentals to save).
+/// The engine runs sum-product (the paper's marginals, §3.4–3.5; Decode()
+/// takes their argmax). Messages are stored in log space; the factor
+/// update runs in probability space. Run() rewrites each factor's table in
+/// place as `psi(a) = exp(lp(a) - shift_f)` with `shift_f = max_a lp(a)`;
+/// an update exponentiates each incoming lane once (`mu = exp(m)`,
+/// `-inf -> 0`), accumulates every cavity as a plain product-sum
+/// (`acc0 += (psi * mu1) * mu2`, slots in scope order, assignments in
+/// row-major order) and takes one log per output state. A range guard
+/// keeps this exact: when a lower bound on the log of every product
+/// (`min lp - max lp` plus each slot's smallest finite input) falls below
+/// kMinLogProduct, where small terms would flush to zero, the update runs
+/// through the log-space generic kernel instead (counted in
+/// LbpResult::log_space_updates). A factor whose own range is below the
+/// bound keeps its table in log space.
 ///
 /// Two kernels share this layout (LbpOptions::kernel):
 ///
@@ -165,7 +162,7 @@ class FlatLbpEngine : public InferenceEngine {
   ComponentStats RunComponent(size_t component, Scratch* scratch);
   ComponentStats RunComponentResidual(size_t component, Scratch* scratch);
 
-  /// Rewrites the sum-product potential table in probability space and
+  /// Rewrites the potential table in probability space and
   /// records each factor's shift and log range (see the class comment).
   void PreparePotentials();
   /// Absolute log-potential of the factor's \p a-th assignment, whichever
@@ -173,23 +170,19 @@ class FlatLbpEngine : public InferenceEngine {
   double LogPotential(FactorId f, size_t a) const;
 
   /// Dispatches one factor update to the selected kernel and finishes
-  /// with the shared normalize/damp/residual epilogue. Returns true when a
-  /// sum-product update ran in log space (the range guard tripped).
+  /// with the shared normalize/residual epilogue. Returns true when the
+  /// update ran in log space (the range guard tripped).
   bool UpdateFactorMessages(FactorId f, double* residual, Scratch* scratch);
   /// Fills scratch->aux with `exp(m)` of every incoming lane and returns
   /// whether every product of the update stays above kMinLogProduct.
   bool PrepareProbabilityInputs(FactorId f, Scratch* scratch);
-  // Probability-space sum-product kernels: cavity product-sums in fresh.
+  // Probability-space kernels: cavity product-sums in fresh.
   void UpdateProductGeneric(FactorId f, Scratch* scratch);
   void UpdateProductUnary(FactorId f, Scratch* scratch);
   void UpdateProductBinary(FactorId f, Scratch* scratch);
   void UpdateProductTernary(FactorId f, Scratch* scratch);
-  // Log-space kernels: max-product, and the guarded sum-product fallback
-  // (generic only, \p sum_product = true).
-  void UpdateLogSpaceGeneric(FactorId f, bool sum_product, Scratch* scratch);
-  void UpdateMaxUnary(FactorId f, Scratch* scratch);
-  void UpdateMaxBinary(FactorId f, Scratch* scratch);
-  void UpdateMaxTernary(FactorId f, Scratch* scratch);
+  // The guarded log-space fallback: a max pass pivots a log-sum-exp pass.
+  void UpdateLogSpaceGeneric(FactorId f, Scratch* scratch);
   /// Calls `visit(a)` for every assignment of \p f consistent with the
   /// clamps, in row-major order, with scratch->states/lanes describing it.
   template <typename Visit>

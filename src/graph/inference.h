@@ -10,11 +10,6 @@
 
 namespace jocl {
 
-/// \brief Message semiring: sum-product computes marginals (the paper's
-/// inference, §3.4–3.5); max-product computes max-marginals for MAP
-/// decoding.
-enum class LbpMode { kSumProduct, kMaxProduct };
-
 /// \brief Message-update scheduling policy.
 enum class LbpSchedule {
   /// Exact mode (the LbpOptions default and the learner's): staged full
@@ -39,9 +34,8 @@ enum class LbpSchedule {
 
 /// \brief Which message-update kernel executes the sweep.
 enum class LbpKernel {
-  /// Default: arity-specialized updates over the padded, aligned message
-  /// lanes — probability-space product-sums for sum-product, log-space
-  /// max/add loops for max-product (FlatLbpEngine's class comment).
+  /// Default: arity-specialized probability-space product-sums over the
+  /// padded, aligned message lanes (FlatLbpEngine's class comment).
   /// Byte-identical to kScalarReference: each cavity term and each cell's
   /// accumulation keep the reference's operation order, and the range
   /// guard and its log-space fallback are shared — it only drops the
@@ -53,18 +47,16 @@ enum class LbpKernel {
   kScalarReference,
 };
 
-/// \brief Options for a Loopy Belief Propagation run.
+/// \brief Options for a sum-product Loopy Belief Propagation run: the
+/// paper's inference (§3.4–3.5), marginals that Decode() takes the argmax
+/// of. Messages are undamped.
 struct LbpOptions {
-  /// Sum-product (marginals) or max-product (MAP decoding).
-  LbpMode mode = LbpMode::kSumProduct;
   /// Maximum message-passing sweeps per connected component. The paper
   /// reports convergence within twenty iterations (§3.4).
   size_t max_iterations = 20;
   /// A component's sweeps stop early when the max absolute change of any
   /// of its factor->variable log-messages falls below this.
   double tolerance = 1e-4;
-  /// Damping `d`: new = (1-d)*computed + d*old. 0 disables damping.
-  double damping = 0.0;
   /// Optional staged factor schedule: groups of factor ids updated in
   /// order within each sweep (the paper's working procedure, §3.4). Factors
   /// missing from every group are appended as a final group. Empty =
@@ -169,7 +161,8 @@ class InferenceEngine {
   /// `log p(Y^L) ≈ logZ_clamped − logZ_free`.
   virtual double LogPartitionEstimate() const = 0;
 
-  /// Per-variable decoding (argmax of marginals / max-marginals).
+  /// Per-variable decoding: FlatLbpEngine takes each marginal's argmax;
+  /// the test oracle ExactEngine returns the exact joint MAP.
   virtual std::vector<size_t> Decode() const = 0;
 };
 

@@ -7,17 +7,18 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
 #include "serve/http_util.h"
+#include "util/string_util.h"
 
 namespace jocl {
 namespace {
 
 /// Connects a blocking TCP socket to 127.0.0.1:\p port with send and
-/// receive timeouts. Shared by the close-mode and keep-alive clients.
+/// receive timeouts.
 Result<int> ConnectLoopback(int port, int timeout_ms) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -78,19 +79,22 @@ bool ParseStatusLine(std::string_view head, int* status) {
   return true;
 }
 
+/// Parses a whole Content-Length value; false on an empty, non-digit or
+/// overflowing value, which leaves the body's extent unknown.
+bool ParseContentLength(std::string_view text, size_t* length) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *length);
+  return ec == std::errc() && ptr == end;
+}
+
 /// Parses the serving tier's `X-Jocl-Generation` header out of a header
-/// block; -1 when absent or malformed.
+/// block; -1 when absent, malformed, negative or beyond int64.
 int64_t ParseGenerationHeader(std::string_view headers) {
   bool found = false;
   const std::string_view text =
       FindHeaderValue(headers, "x-jocl-generation", &found);
-  if (!found || text.empty() ||
-      text.find_first_not_of("0123456789") != std::string_view::npos) {
-    return -1;
-  }
-  int64_t value = 0;
-  for (char c : text) value = value * 10 + (c - '0');
-  return value;
+  int64_t value = -1;
+  return found && ParseInt64(text, &value) && value >= 0 ? value : -1;
 }
 
 }  // namespace
@@ -116,47 +120,9 @@ std::string UrlEncode(std::string_view value) {
 }
 
 Result<HttpResponse> HttpGet(int port, const std::string& target) {
-  Result<int> connected = ConnectLoopback(port, /*timeout_ms=*/5000);
+  Result<HttpConnection> connected = HttpConnection::Connect(port);
   if (!connected.ok()) return connected.status();
-  const int fd = connected.ValueOrDie();
-  const std::string request = "GET " + target +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  Status sent = SendAll(fd, request);
-  if (!sent.ok()) {
-    ::close(fd);
-    return sent;
-  }
-  std::string raw;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string error = std::strerror(errno);
-      ::close(fd);
-      return Status::IOError("recv() failed: " + error);
-    }
-    if (n == 0) break;
-    raw.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-
-  HttpResponse response;
-  if (!ParseStatusLine(raw, &response.status)) {
-    return Status::IOError("malformed HTTP status line");
-  }
-  const size_t header_end = raw.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    return Status::IOError("HTTP response missing header terminator");
-  }
-  const std::string_view head(raw.data(), header_end);
-  const size_t line_end = head.find("\r\n");
-  if (line_end != std::string_view::npos) {
-    response.generation = ParseGenerationHeader(head.substr(line_end + 2));
-  }
-  response.body = raw.substr(header_end + 4);
-  return response;
+  return connected.ValueOrDie().Get(target);
 }
 
 HttpConnection& HttpConnection::operator=(HttpConnection&& other) noexcept {
@@ -244,15 +210,10 @@ Result<HttpResponse> HttpConnection::Get(const std::string& target) {
   bool found = false;
   const std::string_view length_text =
       FindHeaderValue(headers, "content-length", &found);
-  if (!found || length_text.empty() ||
-      length_text.find_first_not_of("0123456789") != std::string_view::npos) {
-    Close();
-    return Status::IOError(
-        "keep-alive response missing a numeric Content-Length");
-  }
   size_t content_length = 0;
-  for (char c : length_text) {
-    content_length = content_length * 10 + static_cast<size_t>(c - '0');
+  if (!found || !ParseContentLength(length_text, &content_length)) {
+    Close();
+    return Status::IOError("HTTP response missing a valid Content-Length");
   }
   const std::string_view connection =
       FindHeaderValue(headers, "connection", &found);

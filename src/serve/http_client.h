@@ -15,16 +15,16 @@ struct HttpResponse {
   int status = 0;
   std::string body;
   /// Value of the `X-Jocl-Generation` response header; -1 when absent
-  /// (errors rendered without a published store, non-JOCL servers).
+  /// (errors rendered without a published store, non-JOCL servers),
+  /// malformed or beyond int64.
   int64_t generation = -1;
 };
 
-/// \brief Minimal blocking HTTP/1.1 GET against 127.0.0.1:\p port in
-/// `Connection: close` mode — one TCP connection per request, body
-/// framed by EOF. Kept for backward compatibility and as the bench's
-/// pre-keep-alive baseline; for repeated requests prefer
-/// `HttpConnection`. \p target must start with '/'; percent-encode
-/// query values with `UrlEncode` first.
+/// \brief One-shot blocking HTTP/1.1 GET against 127.0.0.1:\p port: a
+/// fresh `HttpConnection` for one `Get`, closed on return — one TCP
+/// connection per request (the bench's connection-per-request baseline).
+/// For repeated requests prefer `HttpConnection`. \p target must start
+/// with '/'; percent-encode query values with `UrlEncode` first.
 Result<HttpResponse> HttpGet(int port, const std::string& target);
 
 /// \brief A persistent (keep-alive) HTTP/1.1 connection to
@@ -53,7 +53,8 @@ class HttpConnection {
 
   /// Issues one GET and reads exactly one Content-Length-framed
   /// response, leaving any pipelined surplus buffered for the next
-  /// call. On any framing or socket error the connection closes and a
+  /// call. On any framing or socket error — a missing, non-numeric or
+  /// overflowing Content-Length included — the connection closes and a
   /// descriptive IOError is returned.
   Result<HttpResponse> Get(const std::string& target);
 

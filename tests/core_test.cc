@@ -8,6 +8,7 @@
 #include "core/graph_builder.h"
 #include "core/jocl.h"
 #include "core/problem.h"
+#include "core/signal_cache.h"
 #include "core/signals.h"
 #include "data/generator.h"
 #include "scratch_problem.h"
@@ -315,7 +316,9 @@ TEST_F(CoreTest, GraphStructureMatchesProblem) {
   for (size_t i = 0; i < subset.size(); ++i) subset[i] = i;
   subset.resize(100);
   JoclProblem problem = BuildProblem(*dataset_, *signals_, subset);
-  JoclGraph jg = BuildJoclGraph(problem, *signals_, dataset_->ckb);
+  SignalCache cache =
+      SignalCache::ForProblem(problem, *signals_, dataset_->ckb);
+  JoclGraph jg = BuildJoclGraph(problem, cache, dataset_->ckb);
   EXPECT_EQ(jg.x_vars.size(), problem.subject_pairs.size());
   EXPECT_EQ(jg.y_vars.size(), problem.predicate_pairs.size());
   EXPECT_EQ(jg.z_vars.size(), problem.object_pairs.size());
@@ -337,16 +340,17 @@ TEST_F(CoreTest, AblationsRemoveFactorFamilies) {
   std::vector<size_t> subset;
   for (size_t i = 0; i < 80; ++i) subset.push_back(i);
   JoclProblem problem = BuildProblem(*dataset_, *signals_, subset);
+  SignalCache cache =
+      SignalCache::ForProblem(problem, *signals_, dataset_->ckb);
 
   GraphBuilderOptions full;
-  JoclGraph jg_full = BuildJoclGraph(problem, *signals_, dataset_->ckb, full);
+  JoclGraph jg_full = BuildJoclGraph(problem, cache, dataset_->ckb, full);
 
   GraphBuilderOptions cano_only;
   cano_only.enable_linking = false;
   cano_only.enable_consistency = false;
   cano_only.enable_fact_inclusion = false;
-  JoclGraph jg_cano =
-      BuildJoclGraph(problem, *signals_, dataset_->ckb, cano_only);
+  JoclGraph jg_cano = BuildJoclGraph(problem, cache, dataset_->ckb, cano_only);
   EXPECT_TRUE(jg_cano.es_vars.empty());
   EXPECT_LT(jg_cano.graph.factor_count(), jg_full.graph.factor_count());
 
@@ -354,14 +358,13 @@ TEST_F(CoreTest, AblationsRemoveFactorFamilies) {
   link_only.enable_canonicalization = false;
   link_only.enable_transitive = false;
   link_only.enable_consistency = false;
-  JoclGraph jg_link =
-      BuildJoclGraph(problem, *signals_, dataset_->ckb, link_only);
+  JoclGraph jg_link = BuildJoclGraph(problem, cache, dataset_->ckb, link_only);
   EXPECT_TRUE(jg_link.x_vars.empty());
   EXPECT_EQ(jg_link.es_vars.size(), problem.triples.size());
 
   GraphBuilderOptions no_cons;
   no_cons.enable_consistency = false;
-  JoclGraph jg_nc = BuildJoclGraph(problem, *signals_, dataset_->ckb, no_cons);
+  JoclGraph jg_nc = BuildJoclGraph(problem, cache, dataset_->ckb, no_cons);
   EXPECT_LT(jg_nc.graph.factor_count(), jg_full.graph.factor_count());
 }
 
@@ -369,9 +372,11 @@ TEST_F(CoreTest, FeatureMaskShrinksFactorFeatures) {
   std::vector<size_t> subset;
   for (size_t i = 0; i < 60; ++i) subset.push_back(i);
   JoclProblem problem = BuildProblem(*dataset_, *signals_, subset);
+  SignalCache cache =
+      SignalCache::ForProblem(problem, *signals_, dataset_->ckb);
   GraphBuilderOptions single;
   single.features = FeatureMask::Single();
-  JoclGraph jg = BuildJoclGraph(problem, *signals_, dataset_->ckb, single);
+  JoclGraph jg = BuildJoclGraph(problem, cache, dataset_->ckb, single);
   // With the single mask, an F1 factor's log-potential must only depend on
   // alpha1.idf: zeroing every other weight must not change it.
   ASSERT_FALSE(jg.x_vars.empty());

@@ -64,6 +64,7 @@ class GraphBuilderFixture : public ::testing::Test {
     ds_.ppdb.AddCluster({"acme corp", "acme"});
     signals_ = BuildSignals(ds_).MoveValueOrDie();
     problem_ = BuildProblem(ds_, signals_, {0, 1});
+    cache_ = SignalCache::ForProblem(problem_, signals_, ds_.ckb);
   }
 
   Dataset ds_;
@@ -72,6 +73,7 @@ class GraphBuilderFixture : public ::testing::Test {
   RelationId rel_ = -1;
   SignalBundle signals_;
   JoclProblem problem_;
+  SignalCache cache_;
 };
 
 TEST_F(GraphBuilderFixture, SubjectPairExistsWithPpdbBlocking) {
@@ -84,7 +86,7 @@ TEST_F(GraphBuilderFixture, SubjectPairExistsWithPpdbBlocking) {
 }
 
 TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
-  JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
+  JoclGraph jg = BuildJoclGraph(problem_, cache_, ds_.ckb);
   ASSERT_EQ(jg.x_vars.size(), 1u);
   // The F1 factor is the first factor attached to x_0, and unary.
   const FactorId f1 = FindFactor(jg.graph, {jg.x_vars[0]});
@@ -97,8 +99,8 @@ TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
   const std::string& a = problem_.subject_surfaces[0];
   const std::string& b = problem_.subject_surfaces[1];
   double idf = problem_.subject_pairs[0].idf;
-  double emb = signals_.Emb(a, b);
-  double ppdb = signals_.Ppdb(a, b);
+  double emb = cache_.Emb(a, b);
+  double ppdb = cache_.Ppdb(a, b);
   std::vector<double> w(WeightLayout::kCount, 0.0);
 
   // Sub-threshold IDF is neutralized to 0.5 (GraphBuilderOptions).
@@ -120,7 +122,7 @@ TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
 }
 
 TEST_F(GraphBuilderFixture, U4RewardsKnownFacts) {
-  JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
+  JoclGraph jg = BuildJoclGraph(problem_, cache_, ds_.ckb);
   // The U4 factor of triple 0 spans its three linking variables.
   const FactorId u4 =
       FindFactor(jg.graph, {jg.es_vars[0], jg.rp_vars[0], jg.eo_vars[0]});
@@ -145,7 +147,7 @@ TEST_F(GraphBuilderFixture, U4RewardsKnownFacts) {
 }
 
 TEST_F(GraphBuilderFixture, U5ConsistencyValues) {
-  JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
+  JoclGraph jg = BuildJoclGraph(problem_, cache_, ds_.ckb);
   // The U5 factor of subject pair 0 spans (es_i, es_j, x) over the
   // pair's representative mentions.
   ASSERT_EQ(jg.x_vars.size(), 1u);
@@ -197,7 +199,8 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
   if (problem.subject_pairs.size() < 3) {
     GTEST_SKIP() << "triangle did not form under blocking";
   }
-  JoclGraph jg = BuildJoclGraph(problem, signals, ds.ckb);
+  SignalCache cache = SignalCache::ForProblem(problem, signals, ds.ckb);
+  JoclGraph jg = BuildJoclGraph(problem, cache, ds.ckb);
   // The first U1 factor is the first factor of the transitive schedule
   // group (canonicalization factors, then triangles): a ternary factor
   // over three subject pair variables.
@@ -227,7 +230,7 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
 }
 
 TEST_F(GraphBuilderFixture, LinkingVariableStatesMatchCandidatesPlusNil) {
-  JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
+  JoclGraph jg = BuildJoclGraph(problem_, cache_, ds_.ckb);
   for (size_t t = 0; t < problem_.triples.size(); ++t) {
     EXPECT_EQ(jg.graph.cardinality(jg.es_vars[t]),
               problem_.subject_candidates[problem_.subject_of[t]].size() + 1);
@@ -238,7 +241,7 @@ TEST_F(GraphBuilderFixture, LinkingVariableStatesMatchCandidatesPlusNil) {
 }
 
 TEST_F(GraphBuilderFixture, ScheduleGroupsFollowPaperOrder) {
-  JoclGraph jg = BuildJoclGraph(problem_, signals_, ds_.ckb);
+  JoclGraph jg = BuildJoclGraph(problem_, cache_, ds_.ckb);
   // Full graph: 5 groups (F-canon, U-trans may be empty, F-link, U4, U-cons).
   ASSERT_GE(jg.schedule.size(), 3u);
   // First group holds canonicalization factors (unary on pair vars).

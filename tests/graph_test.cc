@@ -202,7 +202,6 @@ TEST_P(LoopyAccuracy, CloseToExactOnSmallRandomLoopyGraphs) {
   ExactResult exact = ExactInference(g, w);
   LbpOptions options;
   options.max_iterations = 50;
-  options.damping = 0.3;
   FlatLbpEngine engine(&g, &w, options);
   LbpResult lbp = engine.Run();
   for (size_t i = 0; i < kVars; ++i) {
@@ -349,67 +348,6 @@ TEST(LbpTest, FactorScheduleEquivalentFixedPoint) {
     EXPECT_NEAR(default_result.marginals[v][1], staged_result.marginals[v][1],
                 1e-6);
   }
-}
-
-// Max-product on trees finds the exact MAP assignment.
-class MaxProductExactness : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MaxProductExactness, TreeMapMatchesBruteForce) {
-  Rng rng(GetParam());
-  FactorGraph g;
-  g.set_weight_count(1);
-  constexpr size_t kVars = 6;
-  std::vector<VariableId> vars;
-  std::vector<size_t> cards;
-  for (size_t i = 0; i < kVars; ++i) {
-    size_t card = 2 + rng.UniformUint64(2);
-    cards.push_back(card);
-    vars.push_back(g.AddVariable(card));
-  }
-  for (size_t i = 1; i < kVars; ++i) {
-    size_t parent = rng.UniformUint64(i);
-    std::vector<double> table(cards[parent] * cards[i]);
-    for (double& v : table) v = rng.UniformDouble(-2.0, 2.0);
-    ASSERT_TRUE(
-        g.AddFactor({vars[parent], vars[i]}, FixedTable(table)).ok());
-  }
-  for (size_t i = 0; i < kVars; ++i) {
-    std::vector<double> table(cards[i]);
-    for (double& v : table) v = rng.UniformDouble(-2.0, 2.0);
-    ASSERT_TRUE(g.AddFactor({vars[i]}, FixedTable(table)).ok());
-  }
-  std::vector<double> w = {1.0};
-  std::vector<size_t> exact = ExactMap(g, w);
-  LbpOptions options;
-  options.mode = LbpMode::kMaxProduct;
-  options.max_iterations = 60;
-  FlatLbpEngine engine(&g, &w, options);
-  engine.Run();
-  std::vector<size_t> decoded = engine.Decode();
-  // Random continuous potentials make ties measure-zero, so the decoded
-  // assignment must equal the exact MAP.
-  EXPECT_EQ(decoded, exact) << "seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MaxProductExactness,
-                         ::testing::Values(31, 32, 33, 34, 35, 36));
-
-TEST(LbpTest, MaxProductRespectsClamps) {
-  FactorGraph g;
-  g.set_weight_count(1);
-  VariableId a = g.AddVariable(2);
-  VariableId b = g.AddVariable(2);
-  ASSERT_TRUE(g.AddFactor({a, b}, FixedTable({1.0, 0.0, 0.0, 1.0})).ok());
-  ASSERT_TRUE(g.AddFactor({a}, FixedTable({2.0, 0.0})).ok());  // prefers a=0
-  ASSERT_TRUE(g.Clamp(a, 1).ok());  // but a is observed as 1
-  std::vector<double> w = {1.0};
-  LbpOptions options;
-  options.mode = LbpMode::kMaxProduct;
-  FlatLbpEngine engine(&g, &w, options);
-  engine.Run();
-  std::vector<size_t> decoded = engine.Decode();
-  EXPECT_EQ(decoded[a], 1u);
-  EXPECT_EQ(decoded[b], 1u);  // coupling drags b along
 }
 
 TEST(LbpTest, DecodePicksArgmax) {

@@ -236,7 +236,6 @@ TEST(EngineEquivalenceTest, ParallelMarginalsBitIdenticalWithClampsAndStages) {
   // does): evens, then a few odds; the rest lands in the leftover group.
   LbpOptions options;
   options.max_iterations = 25;
-  options.damping = 0.2;
   options.factor_schedule.resize(2);
   for (size_t i = 0; i < factors.size(); ++i) {
     if (i % 2 == 0) options.factor_schedule[0].push_back(factors[i]);

@@ -124,45 +124,39 @@ LbpResult RunEngine(const FactorGraph& g, const std::vector<double>& w,
 
 // ---------- byte identity: vectorized kernel vs scalar reference ------------
 
-class KernelIdentityTest : public ::testing::TestWithParam<LbpMode> {};
-
-TEST_P(KernelIdentityTest, VectorizedMatchesReferenceBitForBit) {
+TEST(KernelIdentityTest, VectorizedMatchesReferenceBitForBit) {
   Rng rng(17);
   const std::vector<double> weights = {1.0};
   std::vector<FactorGraph> graphs;
   graphs.push_back(MakeFragmentedGraph(&rng));
   graphs.push_back(MakeHeadHeavyGraph(&rng, 60));
   for (const FactorGraph& graph : graphs) {
-    for (double damping : {0.0, 0.3}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        LbpOptions reference;
-        reference.mode = GetParam();
-        reference.damping = damping;
-        reference.num_threads = 1;
-        reference.kernel = LbpKernel::kScalarReference;
-        const LbpResult expected = RunEngine(graph, weights, reference);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      LbpOptions reference;
+      reference.num_threads = 1;
+      reference.kernel = LbpKernel::kScalarReference;
+      const LbpResult expected = RunEngine(graph, weights, reference);
 
-        LbpOptions vectorized = reference;
-        vectorized.num_threads = threads;
-        vectorized.kernel = LbpKernel::kVectorized;
-        const LbpResult actual = RunEngine(graph, weights, vectorized);
+      LbpOptions vectorized = reference;
+      vectorized.num_threads = threads;
+      vectorized.kernel = LbpKernel::kVectorized;
+      const LbpResult actual = RunEngine(graph, weights, vectorized);
 
-        // Exact equality, not tolerance: the vectorized kernel performs
-        // the reference's floating-point operations in the reference's
-        // order, so no bit may differ.
-        EXPECT_EQ(actual.marginals, expected.marginals)
-            << "damping " << damping << ", " << threads << " threads";
-        EXPECT_EQ(actual.iterations, expected.iterations);
-        EXPECT_EQ(actual.converged, expected.converged);
-        EXPECT_EQ(actual.final_residual, expected.final_residual);
-        EXPECT_EQ(actual.residual_history, expected.residual_history);
-        EXPECT_EQ(actual.message_updates, expected.message_updates);
-      }
+      // Exact equality, not tolerance: the vectorized kernel performs the
+      // reference's floating-point operations in the reference's order,
+      // so no bit may differ.
+      EXPECT_EQ(actual.marginals, expected.marginals)
+          << threads << " threads";
+      EXPECT_EQ(actual.iterations, expected.iterations);
+      EXPECT_EQ(actual.converged, expected.converged);
+      EXPECT_EQ(actual.final_residual, expected.final_residual);
+      EXPECT_EQ(actual.residual_history, expected.residual_history);
+      EXPECT_EQ(actual.message_updates, expected.message_updates);
     }
   }
 }
 
-TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
+TEST(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
   Rng rng(29);
   FactorGraph graph = MakeHeadHeavyGraph(&rng, 40);
   // Clamp a spread of variables (the learner's conditioned pass).
@@ -171,7 +165,6 @@ TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
   }
   const std::vector<double> weights = {1.0};
   LbpOptions reference;
-  reference.mode = GetParam();
   reference.kernel = LbpKernel::kScalarReference;
   const LbpResult expected = RunEngine(graph, weights, reference);
   LbpOptions vectorized = reference;
@@ -182,10 +175,10 @@ TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderClamps) {
   EXPECT_EQ(actual.final_residual, expected.final_residual);
 }
 
-// Weights x50 push many sum-product updates past the range guard, so the
-// guarded log-space path runs beside the probability-space one; both
-// kernels must take the same guard decisions and agree bit for bit.
-TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderLargeWeights) {
+// Weights x50 push many updates past the range guard, so the guarded
+// log-space path runs beside the probability-space one; both kernels must
+// take the same guard decisions and agree bit for bit.
+TEST(KernelIdentityTest, VectorizedMatchesReferenceUnderLargeWeights) {
   Rng rng(53);
   const std::vector<double> weights = {50.0};
   std::vector<FactorGraph> graphs;
@@ -197,38 +190,25 @@ TEST_P(KernelIdentityTest, VectorizedMatchesReferenceUnderLargeWeights) {
   }
   size_t guarded = 0;
   for (const FactorGraph& graph : graphs) {
-    for (double damping : {0.0, 0.3}) {
-      LbpOptions reference;
-      reference.mode = GetParam();
-      reference.damping = damping;
-      reference.kernel = LbpKernel::kScalarReference;
-      const LbpResult expected = RunEngine(graph, weights, reference);
+    LbpOptions reference;
+    reference.kernel = LbpKernel::kScalarReference;
+    const LbpResult expected = RunEngine(graph, weights, reference);
 
-      LbpOptions vectorized = reference;
-      vectorized.num_threads = 4;
-      vectorized.kernel = LbpKernel::kVectorized;
-      const LbpResult actual = RunEngine(graph, weights, vectorized);
+    LbpOptions vectorized = reference;
+    vectorized.num_threads = 4;
+    vectorized.kernel = LbpKernel::kVectorized;
+    const LbpResult actual = RunEngine(graph, weights, vectorized);
 
-      EXPECT_EQ(actual.marginals, expected.marginals) << "damping " << damping;
-      EXPECT_EQ(actual.final_residual, expected.final_residual);
-      EXPECT_EQ(actual.residual_history, expected.residual_history);
-      EXPECT_EQ(actual.message_updates, expected.message_updates);
-      EXPECT_EQ(actual.log_space_updates, expected.log_space_updates);
-      guarded += actual.log_space_updates;
-    }
+    EXPECT_EQ(actual.marginals, expected.marginals);
+    EXPECT_EQ(actual.final_residual, expected.final_residual);
+    EXPECT_EQ(actual.residual_history, expected.residual_history);
+    EXPECT_EQ(actual.message_updates, expected.message_updates);
+    EXPECT_EQ(actual.log_space_updates, expected.log_space_updates);
+    guarded += actual.log_space_updates;
   }
-  // Max-product never leaves log space; sum-product must have exercised
-  // the guarded path for the identity above to cover it.
-  if (GetParam() == LbpMode::kMaxProduct) {
-    EXPECT_EQ(guarded, 0u);
-  } else {
-    EXPECT_GT(guarded, 0u);
-  }
+  // The guarded path must have run for the identity above to cover it.
+  EXPECT_GT(guarded, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, KernelIdentityTest,
-                         ::testing::Values(LbpMode::kSumProduct,
-                                           LbpMode::kMaxProduct));
 
 // The full sharded runtime: kernel choice must not change a single output
 // bit for any (shards, threads) configuration on a generated world.

@@ -55,7 +55,7 @@ class LearnerRuntimeTest : public ::testing::Test {
 
   static LearnerResult LearnWith(size_t threads, size_t shards,
                                  LearnerRunStats* stats = nullptr) {
-    LearnRuntimeOptions runtime;
+    RuntimeOptions runtime;
     runtime.num_threads = threads;
     runtime.max_shards = shards;
     ShardedLearner learner(ShortLearning(), runtime);

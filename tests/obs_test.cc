@@ -593,7 +593,7 @@ TEST_F(StageClock, StageStatsEqualSpanDurations) {
     SCOPED_TRACE("ShardedLearner::Learn");
     JoclOptions options;
     options.learner.iterations = 3;
-    LearnRuntimeOptions runtime;
+    RuntimeOptions runtime;
     runtime.num_threads = 2;
     TraceRecorder recorder;
     LearnerRunStats stats;

@@ -1173,6 +1173,87 @@ TEST_F(ServeWorld, KeepAliveConnectionServesManySequentialRequests) {
   server.Stop();
 }
 
+// ---------- client response framing against a canned server -----------------
+
+namespace {
+
+// A loopback listener on an ephemeral port that answers one connection's
+// request head with fixed bytes, then closes the connection.
+class CannedServer {
+ public:
+  explicit CannedServer(std::string response) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t length = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), length) < 0 ||
+        ::listen(listen_fd_, 1) < 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) < 0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, response = std::move(response)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string head;
+      char buffer[1024];
+      while (head.find("\r\n\r\n") == std::string::npos) {
+        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+        if (n <= 0) break;
+        head.append(buffer, static_cast<size_t>(n));
+      }
+      SendRaw(fd, response);
+      ::close(fd);
+    });
+  }
+  ~CannedServer() {
+    // Wakes a pending accept() when no client ever connected.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+    if (thread_.joinable()) thread_.join();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+  }
+
+  int port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = -1;
+  std::thread thread_;
+};
+
+}  // namespace
+
+TEST(HttpClientTest, OverflowingContentLengthIsAnIOError) {
+  // 2^64 + 1: accumulated digit by digit into a size_t it wraps to 1, and
+  // the one-byte body would read as a complete response.
+  CannedServer server(
+      "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551617\r\n\r\nx");
+  ASSERT_GT(server.port(), 0);
+  Result<HttpConnection> connected = HttpConnection::Connect(server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  HttpConnection conn = connected.MoveValueOrDie();
+  Result<HttpResponse> response = conn.Get("/stats");
+  ASSERT_FALSE(response.ok()) << response.ValueOrDie().body;
+  EXPECT_EQ(response.status().code(), StatusCode::kIOError);
+  EXPECT_FALSE(conn.connected());
+}
+
+TEST(HttpClientTest, OverflowingGenerationReadsAsAbsent) {
+  CannedServer server(
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+      "X-Jocl-Generation: 99999999999999999999\r\n\r\n{}");
+  ASSERT_GT(server.port(), 0);
+  Result<HttpResponse> response = HttpGet(server.port(), "/stats");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response.ValueOrDie().status, 200);
+  EXPECT_EQ(response.ValueOrDie().body, "{}");
+  EXPECT_EQ(response.ValueOrDie().generation, -1);
+}
+
 TEST_F(ServeWorld, PipelinedRequestsAreAnsweredInOrder) {
   ServeOptions options;
   options.num_workers = 1;

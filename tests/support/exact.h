@@ -24,17 +24,17 @@ struct ExactResult {
 ExactResult ExactInference(const FactorGraph& graph,
                            const std::vector<double>& weights);
 
-/// \brief Exact MAP assignment by joint enumeration (tiny graphs only).
-/// Respects clamps; deterministic tie-break on the assignment order.
+/// \brief Exact MAP assignment by joint enumeration (tiny graphs only),
+/// the result of ExactEngine::Decode. Respects clamps; deterministic
+/// tie-break on the assignment order.
 std::vector<size_t> ExactMap(const FactorGraph& graph,
                              const std::vector<double>& weights);
 
 /// \brief The exact enumerator behind the InferenceEngine interface.
 ///
 /// Run() computes exact marginals and expected features; Decode() returns
-/// the exact MAP assignment (regardless of LbpOptions::mode — enumeration
-/// needs no message semiring). Drop-in ground truth for any consumer of
-/// the interface, on graphs small enough to enumerate.
+/// the exact MAP assignment (ExactMap). Drop-in ground truth for any
+/// consumer of the interface, on graphs small enough to enumerate.
 class ExactEngine : public InferenceEngine {
  public:
   /// \p graph and \p weights must outlive the engine. Only the

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   std::string weights_out;
   bool session_apply = false;
   JoclOptions options;
-  LearnRuntimeOptions runtime;
+  RuntimeOptions runtime;
   for (int i = 1; i < argc; ++i) {
     auto value_of = [&](const char* flag) -> const char* {
       const size_t flag_len = std::strlen(flag);
