@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // string similarities, CKB candidate generation, one-shot problem
-// construction, IDF scoring, HAC, SGNS training, LBP sweeps and joint
-// graph construction.
+// construction, IDF scoring, HAC, SGNS training, LBP sweeps, joint
+// graph construction and store publication.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/graph_builder.h"
 #include "core/jocl.h"
 #include "core/problem.h"
+#include "core/session.h"
 #include "core/shard.h"
 #include "core/signal_cache.h"
 #include "core/signals.h"
@@ -20,6 +22,8 @@
 #include "data/generator.h"
 #include "embedding/word2vec.h"
 #include "graph/flat_lbp.h"
+#include "serve/canon_store.h"
+#include "serve/response_cache.h"
 #include "text/porter_stemmer.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -398,6 +402,46 @@ void BM_GenerateDataset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateDataset);
+
+// Publication of one session generation: the test split of the
+// scale-0.35 corpus ingested into a JoclSession, then the serving index
+// (BuildCanonStore) and the pre-rendered responses CanonServer::Publish
+// swaps in with it (BuildResponseCache).
+const JoclSession& IngestedSession() {
+  static const JoclSession* const kSession = [] {
+    const Dataset& ds = CandidateCorpus();
+    auto* session = new JoclSession(&ds, &CandidateSignals());
+    if (!session->AddTriples(ds.test_triples).ok()) std::abort();
+    return session;
+  }();
+  return *kSession;
+}
+
+void BM_BuildCanonStore(benchmark::State& state) {
+  const Dataset& ds = CandidateCorpus();
+  const JoclSession& session = IngestedSession();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildCanonStore(
+        session.problem(), session.result(), ds.ckb, session.generation()));
+  }
+  state.SetItemsProcessed(state.iterations() * ds.test_triples.size());
+}
+BENCHMARK(BM_BuildCanonStore)->Unit(benchmark::kMicrosecond);
+
+void BM_BuildResponseCache(benchmark::State& state) {
+  const JoclSession& session = IngestedSession();
+  const CanonStore store =
+      BuildCanonStore(session.problem(), session.result(),
+                      CandidateCorpus().ckb, session.generation());
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const ResponseCache cache = BuildResponseCache(store);
+    bytes = cache.arena_bytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_BuildResponseCache)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace jocl

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/jocl.h"
@@ -181,6 +182,23 @@ struct CanonStore {
   int64_t FindClusterByGlobalId(CanonKind kind, uint64_t global_id) const;
 };
 
+/// \brief Build-time interner into a store's text pool: the first
+/// appearance of a text assigns its string id. Keys are views of the
+/// interned text as the caller holds it, so every interned text must
+/// outlive the interner; the finished store carries no hash map.
+class TextInterner {
+ public:
+  /// Resets \p store's pool to empty.
+  explicit TextInterner(CanonStore* store);
+
+  /// String id of \p text, appending it to the pool on first sight.
+  int64_t Intern(std::string_view text);
+
+ private:
+  CanonStore* store_;
+  std::unordered_map<std::string_view, int64_t> ids_;
+};
+
 /// \brief Builds the immutable serving index over a decoded result.
 ///
 /// \p problem and \p result must describe the same triple set (the
@@ -188,6 +206,10 @@ struct CanonStore {
 /// `JoclSession::result()`, or a fresh `BuildProblem` over the same
 /// subset for one-shot runs). \p ckb resolves link ids to canonical
 /// names. Deterministic: the same inputs produce a byte-identical store.
+///
+/// Cost: one hash per distinct surface text and per link name, then flat
+/// arrays over section surface ids for the mentions; the link vote sorts
+/// the linked mentions by (cluster, link).
 CanonStore BuildCanonStore(const JoclProblem& problem,
                            const JoclResult& result, const CuratedKb& ckb,
                            uint64_t generation = 0);

@@ -6,7 +6,14 @@ namespace jocl {
 
 void AppendJsonString(std::string* out, std::string_view text) {
   out->push_back('"');
-  for (char c : text) {
+  // Bytes that need no escape (everything from 0x20 up but the quote and
+  // the backslash, UTF-8 included) are copied a run at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out->append("\\\"");
@@ -23,17 +30,14 @@ void AppendJsonString(std::string* out, std::string_view text) {
       case '\t':
         out->append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out->append(buf);
+      }
     }
   }
+  out->append(text.data() + run, text.size() - run);
   out->push_back('"');
 }
 

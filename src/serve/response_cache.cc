@@ -1,34 +1,11 @@
 #include "serve/response_cache.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "serve/http_client.h"
 #include "serve/http_util.h"
-#include "serve/server.h"
+#include "serve/render.h"
 
 namespace jocl {
-namespace {
-
-/// The arena entry layout shared with the fallback renderer: status
-/// line + fixed headers + Content-Length + the store's generation,
-/// stopping before the Connection line so the event loop can finish the
-/// head per request.
-void AppendResponseHead(std::string* arena, size_t body_len,
-                        uint64_t generation) {
-  arena->append("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                "Content-Length: ");
-  arena->append(std::to_string(body_len));
-  arena->append("\r\nX-Jocl-Generation: ");
-  arena->append(std::to_string(generation));
-  arena->append("\r\n");
-}
-
-const char* KindQuerySuffix(CanonKind kind) {
-  return kind == CanonKind::kNp ? "&kind=np" : "&kind=rp";
-}
-
-}  // namespace
 
 int64_t ResponseCache::FindSurfaceId(const KindCache& kind,
                                      std::string_view surface) const {
@@ -121,7 +98,6 @@ bool ResponseCache::Find(std::string_view method, std::string_view target,
                 ? &kc.lookup[static_cast<size_t>(id)]
                 : &kc.link[static_cast<size_t>(id)];
   }
-  if (slice->header_len == 0) return false;
   *hit = Materialize(*slice);
   return true;
 }
@@ -130,7 +106,25 @@ ResponseCache BuildResponseCache(const CanonStore& store) {
   ResponseCache cache;
   cache.store_ = &store;
   std::string& arena = cache.arena_;
-  const ServeCounters no_counters;
+  std::string generation_line = "\r\nX-Jocl-Generation: ";
+  AppendDecimal(&generation_line, static_cast<int64_t>(store.generation));
+  generation_line.append("\r\n");
+  std::string body;
+  // Moves `body` into the arena behind the head every hot response
+  // shares: status line, fixed headers, Content-Length and the store's
+  // generation, stopping before the Connection line, which the event
+  // loop adds per request.
+  auto add = [&](ResponseCache::Slice* slice) {
+    slice->offset = arena.size();
+    arena.append("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 "Content-Length: ");
+    AppendDecimal(&arena, static_cast<int64_t>(body.size()));
+    arena.append(generation_line);
+    slice->header_len = static_cast<uint32_t>(arena.size() - slice->offset);
+    arena.append(body);
+    slice->body_len = static_cast<uint32_t>(body.size());
+    body.clear();
+  };
   for (CanonKind kind : {CanonKind::kNp, CanonKind::kRp}) {
     const CanonSection& section = store.section(kind);
     ResponseCache::KindCache& kc =
@@ -144,32 +138,19 @@ ResponseCache BuildResponseCache(const CanonStore& store) {
     kc.link.resize(section.surface_count());
     kc.cluster.resize(section.cluster_count());
 
-    auto render = [&](const std::string& target,
-                      ResponseCache::Slice* slice) {
-      int status = 0;
-      const std::string body =
-          HandleCanonRequest(&store, "GET", target, no_counters, &status);
-      if (status != 200) return;  // leave the slice empty: always a miss
-      slice->offset = arena.size();
-      AppendResponseHead(&arena, body.size(), store.generation);
-      slice->header_len = static_cast<uint32_t>(arena.size() - slice->offset);
-      arena.append(body);
-      slice->body_len = static_cast<uint32_t>(body.size());
-    };
-
+    // Every surface string and cluster object is rendered once here;
+    // the bodies below only copy them.
+    CanonRenderer renderer(store, kind);
+    renderer.RenderFragments();
     for (size_t s = 0; s < section.surface_count(); ++s) {
-      const std::string encoded =
-          UrlEncode(store.SurfaceText(kind, s)) + KindQuerySuffix(kind);
-      render("/lookup?surface=" + encoded, &kc.lookup[s]);
-      render("/link?surface=" + encoded, &kc.link[s]);
+      renderer.AppendLookupBody(&body, s);
+      add(&kc.lookup[s]);
+      renderer.AppendLinkBody(&body, s);
+      add(&kc.link[s]);
     }
     for (size_t c = 0; c < section.cluster_count(); ++c) {
-      // Targets speak global ids, matching what clients (and the
-      // router) actually request against a shard.
-      render("/cluster?id=" +
-                 std::to_string(store.GlobalClusterId(kind, c)) +
-                 KindQuerySuffix(kind),
-             &kc.cluster[c]);
+      renderer.AppendClusterBody(&body, c);
+      add(&kc.cluster[c]);
     }
   }
   return cache;

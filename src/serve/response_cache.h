@@ -33,9 +33,11 @@ struct SvLess {
 /// followed by the body, so answering a request is
 /// parse → binary-search → `writev` — zero JSON work, zero allocation.
 ///
-/// Bodies are produced by the exact same renderer the fallback path
-/// uses (`HandleCanonRequest`), so a cached response is byte-identical
-/// to a freshly rendered one for the same store generation. The cache
+/// Bodies are written by the same renderer the fallback path uses
+/// (`CanonRenderer`, serve/render.h), so a cached response is
+/// byte-identical to a freshly rendered one for the same store
+/// generation. The build renders each surface string and each cluster
+/// object once and copies them into every body that embeds them. The cache
 /// references the store's text pool for its key index; it must not
 /// outlive the store it was built from — `ServingBundle` couples the
 /// two lifetimes and the server swaps the bundle under one RCU pointer
@@ -109,8 +111,10 @@ class ResponseCache {
 };
 
 /// \brief Renders the hot-endpoint responses of \p store into a fresh
-/// cache. Deterministic; cost is proportional to the store's JSON
-/// volume and is paid on the publisher thread, never by readers.
+/// cache. Deterministic. Cost: one escape pass over the store's text,
+/// then a copy per entry; the arena (and so the copy) grows with the sum
+/// of squared cluster sizes, because every member's `/lookup` body embeds
+/// its cluster. Paid on the publisher thread, never by readers.
 ResponseCache BuildResponseCache(const CanonStore& store);
 
 /// \brief One RCU publication unit: the store and the responses

@@ -5,7 +5,7 @@
 
 #include "serve/http_util.h"
 #include "serve/json.h"
-#include "util/ids.h"
+#include "serve/render.h"
 
 namespace jocl {
 namespace {
@@ -27,40 +27,6 @@ bool ParseKind(const QueryParams& query, CanonKind* kind) {
     return true;
   }
   return false;
-}
-
-void AppendLinkJson(std::string* out, const CanonStore& store, CanonKind kind,
-                    size_t cluster) {
-  const int64_t link = store.ClusterLink(kind, cluster);
-  if (link == kNilId) {
-    out->append("null");
-    return;
-  }
-  out->append("{\"id\":");
-  out->append(std::to_string(link));
-  out->append(",\"name\":");
-  AppendJsonString(out, store.ClusterLinkName(kind, cluster));
-  out->append(",\"votes\":");
-  out->append(
-      std::to_string(store.section(kind).cluster_link_votes[cluster]));
-  out->push_back('}');
-}
-
-void AppendClusterJson(std::string* out, const CanonStore& store,
-                       CanonKind kind, size_t cluster) {
-  ConstSpan<uint32_t> members = store.ClusterMembers(kind, cluster);
-  out->append("{\"id\":");
-  out->append(std::to_string(store.GlobalClusterId(kind, cluster)));
-  out->append(",\"size\":");
-  out->append(std::to_string(members.size()));
-  out->append(",\"members\":[");
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (i > 0) out->push_back(',');
-    AppendJsonString(out, store.SurfaceText(kind, members[i]));
-  }
-  out->append("],\"link\":");
-  AppendLinkJson(out, store, kind, cluster);
-  out->push_back('}');
 }
 
 std::string HandleLookup(const CanonStore& store, const QueryParams& query,
@@ -85,33 +51,14 @@ std::string HandleLookup(const CanonStore& store, const QueryParams& query,
     out.append("\"}");
     return out;
   }
-  const size_t s = static_cast<size_t>(id);
   *http_status = 200;
-  std::string out = "{\"surface\":";
-  AppendJsonString(&out, *surface);
-  out.append(",\"kind\":\"");
-  out.append(KindName(kind));
-  out.append("\",\"surface_id\":");
-  out.append(std::to_string(store.GlobalSurfaceId(kind, s)));
-  ConstSpan<uint32_t> clusters = store.ClustersOf(kind, s);
+  std::string out;
+  const CanonRenderer renderer(store, kind);
   if (link_only) {
-    out.append(",\"link\":");
-    if (clusters.empty()) {
-      out.append("null");
-    } else {
-      AppendLinkJson(&out, store, kind, clusters[0]);
-    }
+    renderer.AppendLinkBody(&out, static_cast<size_t>(id));
   } else {
-    out.append(",\"mentions\":");
-    out.append(std::to_string(store.MentionCount(kind, s)));
-    out.append(",\"clusters\":[");
-    for (size_t i = 0; i < clusters.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      AppendClusterJson(&out, store, kind, clusters[i]);
-    }
-    out.push_back(']');
+    renderer.AppendLookupBody(&out, static_cast<size_t>(id));
   }
-  out.push_back('}');
   return out;
 }
 
@@ -138,11 +85,9 @@ std::string HandleCluster(const CanonStore& store, const QueryParams& query,
     return ErrorBody("cluster id out of range");
   }
   *http_status = 200;
-  std::string out = "{\"kind\":\"";
-  out.append(KindName(kind));
-  out.append("\",\"cluster\":");
-  AppendClusterJson(&out, store, kind, static_cast<size_t>(local));
-  out.push_back('}');
+  std::string out;
+  CanonRenderer(store, kind).AppendClusterBody(&out,
+                                               static_cast<size_t>(local));
   return out;
 }
 
@@ -256,6 +201,12 @@ CanonServer::CanonServer(ServeOptions options)
       "jocl_generation", "", "Generation of the served store (-1 before "
                              "the first publish)");
   generation_->Set(-1);
+  render_seconds_ = registry.AddHistogram(
+      "jocl_publish_render_seconds", "",
+      "Time Publish spent pre-rendering the response cache");
+  arena_bytes_ = registry.AddGauge(
+      "jocl_response_arena_bytes", "",
+      "Bytes of pre-rendered responses in the served bundle");
 }
 
 CanonServer::~CanonServer() {
@@ -272,17 +223,21 @@ void CanonServer::Publish(std::shared_ptr<const CanonStore> store) {
     if (options().prerender) {
       // Rendering happens here, on the publisher thread; readers only
       // ever see the finished bundle through the atomic swap below.
+      const uint64_t start_ns = MonotonicNanos();
       fresh->cache = BuildResponseCache(*fresh->store);
+      render_seconds_->Record(MonotonicNanos() - start_ns);
       fresh->has_cache = true;
     }
     bundle = std::move(fresh);
   }
   const bool live = bundle != nullptr;
   const int64_t generation = live ? bundle->store->generation : -1;
+  const size_t arena_bytes = live ? bundle->cache.arena_bytes() : 0;
   std::atomic_store(&bundle_, std::move(bundle));
   publishes_->Add();
   published_->Set(live ? 1 : 0);
   generation_->Set(generation);
+  arena_bytes_->Set(static_cast<int64_t>(arena_bytes));
 }
 
 std::shared_ptr<const CanonStore> CanonServer::store() const {

@@ -19,8 +19,9 @@ namespace jocl {
 /// `/link?surface=...`, `/stats`) against an immutable store and returns
 /// the JSON body. \p store may be null (not published yet — 503 for data
 /// endpoints, zeroed `/stats`). Sets \p http_status to the response
-/// code. Exposed separately so tests can drive routing without sockets
-/// and `BuildResponseCache` can pre-render byte-identical bodies.
+/// code. Exposed separately so tests can drive routing without sockets.
+/// Data bodies come from `CanonRenderer` (serve/render.h), the renderer
+/// `BuildResponseCache` also uses, so cached and rendered bytes agree.
 ///
 /// Surface and cluster ids in responses are always **global** (monolith)
 /// ids — on a shard store they go through the section's global maps —
@@ -62,9 +63,10 @@ class CanonServer : public EventHttpServer {
 
   /// Atomically swaps the served store; when pre-rendering is enabled
   /// the response cache is built here (publisher's cost, never the
-  /// readers') and swapped under the same pointer. Thread-safe against
-  /// concurrent readers and other publishers; null resets to "not
-  /// published".
+  /// readers', recorded in `jocl_publish_render_seconds` and
+  /// `jocl_response_arena_bytes`) and swapped under the same pointer.
+  /// Thread-safe against concurrent readers and other publishers; null
+  /// resets to "not published".
   void Publish(std::shared_ptr<const CanonStore> store);
 
   /// The currently served store (atomic load; may be null).
@@ -87,6 +89,8 @@ class CanonServer : public EventHttpServer {
   Counter* cache_misses_ = nullptr;
   Gauge* published_ = nullptr;
   Gauge* generation_ = nullptr;
+  Histogram* render_seconds_ = nullptr;
+  Gauge* arena_bytes_ = nullptr;
 };
 
 }  // namespace jocl

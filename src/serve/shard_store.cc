@@ -4,36 +4,11 @@
 #include <cstring>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 
 #include "serve/snapshot_io.h"
 
 namespace jocl {
 namespace {
-
-/// Build-time string interner (the BuildCanonStore idiom): first
-/// appearance assigns the id, the finished store carries no hash map.
-class PoolInterner {
- public:
-  explicit PoolInterner(CanonStore* store) : store_(store) {
-    store_->text_offset.assign(1, 0);
-  }
-
-  int64_t Intern(std::string_view text) {
-    auto it = ids_.find(std::string(text));
-    if (it != ids_.end()) return it->second;
-    const int64_t id = static_cast<int64_t>(store_->string_count());
-    store_->text_pool.insert(store_->text_pool.end(), text.begin(),
-                             text.end());
-    store_->text_offset.push_back(store_->text_pool.size());
-    ids_.emplace(std::string(text), id);
-    return id;
-  }
-
- private:
-  CanonStore* store_;
-  std::unordered_map<std::string, int64_t> ids_;
-};
 
 Status MergeError(const std::string& what) {
   return Status::InvalidArgument("shard merge: " + what);
@@ -44,7 +19,7 @@ Status MergeError(const std::string& what) {
 /// ascending monolith-id order so the global maps stay sorted.
 void BuildShardSection(const CanonStore& monolith, CanonKind kind,
                        uint32_t shard, uint32_t num_shards,
-                       PoolInterner* intern, CanonSection* out) {
+                       TextInterner* intern, CanonSection* out) {
   const CanonSection& s = monolith.section(kind);
   const size_t ns = s.surface_count();
   const size_t nc = s.cluster_count();
@@ -123,7 +98,7 @@ void BuildShardSection(const CanonStore& monolith, CanonKind kind,
 /// (surfaces) and first-carrier shards (clusters), laid out in the exact
 /// order BuildCanonStore would have used.
 Status MergeSection(const std::vector<const CanonStore*>& shards,
-                    CanonKind kind, PoolInterner* intern, CanonSection* out) {
+                    CanonKind kind, TextInterner* intern, CanonSection* out) {
   const uint32_t n = static_cast<uint32_t>(shards.size());
   size_t ns = 0;
   size_t nc = 0;
@@ -245,7 +220,7 @@ Result<std::vector<CanonStore>> BuildShardedCanonStores(
     shard.generation = monolith.generation;
     shard.shard_index = k;
     shard.shard_count = num_shards;
-    PoolInterner intern(&shard);
+    TextInterner intern(&shard);
     BuildShardSection(monolith, CanonKind::kNp, k, num_shards, &intern,
                       &shard.np);
     BuildShardSection(monolith, CanonKind::kRp, k, num_shards, &intern,
@@ -285,7 +260,7 @@ Result<CanonStore> MergeShardedCanonStores(
   CanonStore out;
   out.triple_count = shards[0].triple_count;
   out.generation = shards[0].generation;
-  PoolInterner intern(&out);
+  TextInterner intern(&out);
   JOCL_RETURN_NOT_OK(MergeSection(by_index, CanonKind::kNp, &intern, &out.np));
   JOCL_RETURN_NOT_OK(MergeSection(by_index, CanonKind::kRp, &intern, &out.rp));
   JOCL_RETURN_NOT_OK(ValidateCanonStore(out));

@@ -25,6 +25,7 @@
 
 #include "core/runtime.h"
 #include "core/session.h"
+#include "data/generator.h"
 #include "obs/metrics.h"
 #include "serve/canon_store.h"
 #include "serve/http_client.h"
@@ -35,6 +36,7 @@
 #include "serve/shard_store.h"
 #include "serve/snapshot_io.h"
 #include "seeded_mutants.h"
+#include "support/canon_store_reference.h"
 
 // ---------- heap-allocation probe (zero-alloc acceptance) --------------------
 //
@@ -192,6 +194,9 @@ TEST_F(ServeWorld, StoreIsDeterministic) {
   CanonStore rebuilt =
       BuildCanonStore(*problem_, *result_, dataset_->ckb, 7);
   EXPECT_EQ(SerializeSnapshot(rebuilt), SerializeSnapshot(*store_));
+  EXPECT_EQ(SerializeSnapshot(BuildCanonStoreReference(
+                *problem_, *result_, dataset_->ckb, 7)),
+            SerializeSnapshot(*store_));
 }
 
 // ---------- snapshot I/O -----------------------------------------------------
@@ -416,6 +421,22 @@ TEST_F(ServeWorld, LoadRejectsUnsortedSurfaceIndex) {
       << loaded.status();
 }
 
+TEST_F(ServeWorld, LoadRejectsTwoSurfacesWithOneText) {
+  // Two surfaces of one section that share a text keep the index sorted,
+  // but FindSurface reaches only one of them, so the cache (rendered per
+  // surface id) and the renderer (which looks the text up) would answer
+  // differently. The index must be strictly sorted.
+  ASSERT_GE(store_->np.surface_count(), 2u);
+  CanonStore twins = *store_;
+  const std::vector<uint32_t>& order = twins.np.surface_order;
+  twins.np.surface_text[order[1]] = twins.np.surface_text[order[0]];
+  EXPECT_FALSE(ValidateCanonStore(twins).ok());
+  Result<CanonStore> loaded = DeserializeSnapshot(SerializeSnapshot(twins));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("repeats"), std::string::npos)
+      << loaded.status();
+}
+
 TEST_F(ServeWorld, SeededPayloadMutantsFailCleanlyOrServeSafely) {
   const std::string snapshot = SerializeSnapshot(*store_);
   const std::string payload = snapshot.substr(kSnapshotHeaderBytes);
@@ -476,6 +497,12 @@ TEST_F(ServeWorld, SeededPayloadMutantsFailCleanlyOrServeSafely) {
 TEST(JsonTest, EscapesSpecials) {
   EXPECT_EQ(JsonQuote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(JsonQuote(std::string_view("\x01", 1)), "\"\\u0001\"");
+  // Runs that need no escape, UTF-8 included, pass through verbatim
+  // around the escaped bytes.
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("Z\xc3\xbcrich"), "\"Z\xc3\xbcrich\"");
+  EXPECT_EQ(JsonQuote("\tstart\x1f" "mid\r\x7f" "end\\"),
+            "\"\\tstart\\u001fmid\\r\x7f" "end\\\\\"");
 }
 
 TEST(JsonTest, LooksLikeJsonAcceptsAndRejects) {
@@ -623,6 +650,15 @@ TEST_F(ServeWorld, MetricsEndpointExposesPrometheusFamilies) {
   // Store gauges: the published generation is 7 in this world.
   EXPECT_NE(body.find("jocl_generation 7\n"), std::string::npos) << body;
   EXPECT_NE(body.find("jocl_published 1\n"), std::string::npos) << body;
+  // Publication cost: one pre-render timed, and the arena it produced.
+  EXPECT_NE(body.find("jocl_publish_render_seconds_count 1\n"),
+            std::string::npos)
+      << body;
+  const size_t arena_bytes = BuildResponseCache(*store_).arena_bytes();
+  EXPECT_NE(body.find("jocl_response_arena_bytes " +
+                      std::to_string(arena_bytes) + "\n"),
+            std::string::npos)
+      << body;
 
   // /metrics itself lands on the scrape counter, not the data path.
   const ServeCounters counters = server.counters();
@@ -1002,7 +1038,59 @@ TEST(HttpUtilTest, SeededMutantHeadsAndQueriesParseConsistently) {
 
 // ---------- pre-rendered response cache --------------------------------------
 
+/// Every canonical data target of \p store (`/lookup` and `/link` for
+/// each surface, `/cluster` for each cluster, both kinds) must hit the
+/// cache and answer exactly what the renderer answers: the same body,
+/// its Content-Length and the store's generation.
+void ExpectCacheMatchesRendererOnEveryTarget(const CanonStore& store) {
+  const ResponseCache cache = BuildResponseCache(store);
+  const ServeCounters no_counters;
+  const std::string head_tail =
+      "\r\nX-Jocl-Generation: " + std::to_string(store.generation) + "\r\n";
+  char scratch[2048];
+  size_t checked = 0;
+  auto check = [&](const std::string& target) {
+    SCOPED_TRACE(target);
+    ResponseCache::Hit hit;
+    ASSERT_TRUE(cache.Find("GET", target, scratch, sizeof(scratch), &hit));
+    int status = 0;
+    const std::string rendered =
+        HandleCanonRequest(&store, "GET", target, no_counters, &status);
+    ASSERT_EQ(status, 200);
+    EXPECT_EQ(hit.body, rendered);
+    EXPECT_TRUE(LooksLikeJson(hit.body)) << hit.body;
+    EXPECT_EQ(hit.header,
+              "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+              "Content-Length: " +
+                  std::to_string(rendered.size()) + head_tail);
+    ++checked;
+  };
+  for (CanonKind kind : {CanonKind::kNp, CanonKind::kRp}) {
+    const std::string kind_param =
+        kind == CanonKind::kNp ? "&kind=np" : "&kind=rp";
+    const CanonSection& section = store.section(kind);
+    for (size_t s = 0; s < section.surface_count(); ++s) {
+      const std::string surface = UrlEncode(store.SurfaceText(kind, s));
+      check("/lookup?surface=" + surface + kind_param);
+      check("/link?surface=" + surface + kind_param);
+    }
+    for (size_t c = 0; c < section.cluster_count(); ++c) {
+      check("/cluster?id=" + std::to_string(store.GlobalClusterId(kind, c)) +
+            kind_param);
+    }
+  }
+  EXPECT_EQ(checked, cache.entry_count());
+}
+
 TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
+  ExpectCacheMatchesRendererOnEveryTarget(*store_);
+  // Shard stores speak global ids: their entries must match too.
+  Result<std::vector<CanonStore>> shards = BuildShardedCanonStores(*store_, 2);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  for (const CanonStore& shard : shards.ValueOrDie()) {
+    ExpectCacheMatchesRendererOnEveryTarget(shard);
+  }
+
   const ResponseCache cache = BuildResponseCache(*store_);
   ASSERT_FALSE(cache.empty());
   EXPECT_GT(cache.arena_bytes(), 0u);
@@ -1075,6 +1163,167 @@ TEST_F(ServeWorld, CachedHotPathDoesNotAllocate) {
   }
   EXPECT_EQ(g_thread_allocations, allocations_before)
       << "cached hot path allocated on the heap";
+}
+
+TEST_F(ServeWorld, EscapedSplitAndNilClustersRenderIdenticallyFromCache) {
+  // A hand-written store with the cases the generated worlds lack:
+  // surfaces that need JSON escapes (quote, backslash, control byte) and
+  // UTF-8, a surface whose mentions carry two cluster labels, clusters
+  // linked to NIL, and a tied link vote.
+  const CuratedKb& ckb = dataset_->ckb;
+  JoclProblem problem;
+  problem.triples = {0, 1, 2, 3};
+  problem.subject_surfaces = {"say \"hi\"", "back\\slash",
+                              std::string("ctl\x01" "byte"),
+                              "Z\xc3\xbcrich"};
+  problem.predicate_surfaces = {"tab\there", "locate in"};
+  problem.object_surfaces = {"Maryland", "Z\xc3\xbcrich"};
+  problem.subject_of = {0, 1, 2, 3};
+  problem.predicate_of = {0, 1, 1, 0};
+  problem.object_of = {0, 1, 0, 0};
+  const int64_t umd = ckb.FindEntityByName("university of maryland");
+  const int64_t maryland = ckb.FindEntityByName("maryland");
+  JoclResult result;
+  result.triples = problem.triples;
+  // "Maryland" is labelled 1 in triples 0 and 2 but 9 in triple 3.
+  result.np_cluster = {5, 1, 6, 2, 7, 1, 2, 9};
+  result.np_link = {kNilId, maryland, kNilId, kNilId,
+                    umd,    maryland, kNilId, kNilId};
+  result.rp_cluster = {0, 3, 3, 0};
+  result.rp_link = {ckb.FindRelationByName("location.contained_by"), kNilId,
+                    ckb.FindRelationByName("organizations_founded"),
+                    ckb.FindRelationByName("organizations_founded")};
+
+  const CanonStore store =
+      BuildCanonStore(problem, result, ckb, /*generation=*/11);
+  ASSERT_TRUE(ValidateCanonStore(store).ok());
+  EXPECT_EQ(SerializeSnapshot(store),
+            SerializeSnapshot(
+                BuildCanonStoreReference(problem, result, ckb, 11)));
+  const int64_t split = store.FindSurface(CanonKind::kNp, "Maryland");
+  ASSERT_GE(split, 0);
+  EXPECT_EQ(store.ClustersOf(CanonKind::kNp, split).size(), 2u);
+  size_t nil_clusters = 0;
+  for (size_t c = 0; c < store.np.cluster_count(); ++c) {
+    if (store.ClusterLink(CanonKind::kNp, c) == kNilId) ++nil_clusters;
+  }
+  EXPECT_GE(nil_clusters, 2u);
+
+  ExpectCacheMatchesRendererOnEveryTarget(store);
+  Result<std::vector<CanonStore>> shards = BuildShardedCanonStores(store, 2);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  for (const CanonStore& shard : shards.ValueOrDie()) {
+    ExpectCacheMatchesRendererOnEveryTarget(shard);
+  }
+
+  // The escapes reach the wire.
+  int status = 0;
+  const ServeCounters no_counters;
+  EXPECT_NE(HandleCanonRequest(&store, "GET",
+                               "/lookup?surface=" + UrlEncode("say \"hi\""),
+                               no_counters, &status)
+                .find("\"surface\":\"say \\\"hi\\\"\""),
+            std::string::npos);
+  EXPECT_NE(HandleCanonRequest(
+                &store, "GET",
+                "/link?surface=" + UrlEncode(std::string("ctl\x01" "byte")),
+                no_counters, &status)
+                .find("\"ctl\\u0001byte\""),
+            std::string::npos);
+}
+
+// ---------- a generated session's generations --------------------------------
+//
+// A ReVerb45K-like world at scale 0.2 ingested through a JoclSession:
+// prefill, then add and retract batches. Each published generation is
+// built by BuildCanonStore and by the string-keyed reference builder.
+class SessionStores : public ::testing::Test {
+ protected:
+  struct Generation {
+    CanonStore store;
+    CanonStore reference;
+  };
+
+  static void SetUpTestSuite() {
+    dataset_ = new Dataset(GenerateReVerb45K(0.2).MoveValueOrDie());
+    signals_ = new SignalBundle(BuildSignals(*dataset_).MoveValueOrDie());
+    generations_ = new std::vector<Generation>();
+    JoclSession session(dataset_, signals_);
+    session.SetPublishCallback([](const JoclSession& s) {
+      generations_->push_back(
+          {BuildCanonStore(s.problem(), s.result(), dataset_->ckb,
+                           s.generation()),
+           BuildCanonStoreReference(s.problem(), s.result(), dataset_->ckb,
+                                    s.generation())});
+    });
+    const std::vector<size_t>& stream = dataset_->test_triples;
+    auto slice = [&](size_t begin_eighth, size_t end_eighth) {
+      return std::vector<size_t>(
+          stream.begin() + static_cast<std::ptrdiff_t>(
+                               begin_eighth * stream.size() / 8),
+          stream.begin() + static_cast<std::ptrdiff_t>(
+                               end_eighth * stream.size() / 8));
+    };
+    ASSERT_TRUE(session.AddTriples(slice(0, 4)).ok());     // prefill
+    ASSERT_TRUE(session.AddTriples(slice(4, 6)).ok());
+    ASSERT_TRUE(session.RemoveTriples(slice(1, 2)).ok());
+    ASSERT_TRUE(session.AddTriples(slice(6, 8)).ok());
+    ASSERT_TRUE(session.RemoveTriples(slice(5, 7)).ok());
+    ASSERT_EQ(generations_->size(), 5u);
+    ASSERT_GT(generations_->back().store.np.surface_count(), 100u);
+    ASSERT_GT(generations_->back().store.rp.cluster_count(), 10u);
+  }
+
+  static void TearDownTestSuite() {
+    delete generations_;
+    delete signals_;
+    delete dataset_;
+    generations_ = nullptr;
+    signals_ = nullptr;
+    dataset_ = nullptr;
+  }
+
+  static Dataset* dataset_;
+  static SignalBundle* signals_;
+  static std::vector<Generation>* generations_;
+};
+
+Dataset* SessionStores::dataset_ = nullptr;
+SignalBundle* SessionStores::signals_ = nullptr;
+std::vector<SessionStores::Generation>* SessionStores::generations_ = nullptr;
+
+TEST_F(SessionStores, BuilderMatchesStringKeyedOracle) {
+  for (const Generation& g : *generations_) {
+    SCOPED_TRACE("generation " + std::to_string(g.store.generation));
+    ASSERT_TRUE(ValidateCanonStore(g.store).ok());
+    EXPECT_EQ(SerializeSnapshot(g.store), SerializeSnapshot(g.reference));
+    for (uint32_t n : {2u, 3u}) {
+      Result<std::vector<CanonStore>> shards =
+          BuildShardedCanonStores(g.store, n);
+      Result<std::vector<CanonStore>> reference_shards =
+          BuildShardedCanonStores(g.reference, n);
+      ASSERT_TRUE(shards.ok()) << shards.status();
+      ASSERT_TRUE(reference_shards.ok()) << reference_shards.status();
+      for (uint32_t k = 0; k < n; ++k) {
+        EXPECT_EQ(SerializeSnapshot(shards.ValueOrDie()[k]),
+                  SerializeSnapshot(reference_shards.ValueOrDie()[k]))
+            << "shard " << k << "/" << n;
+      }
+    }
+  }
+}
+
+TEST_F(SessionStores, CachedResponsesMatchRendererOnEveryTarget) {
+  for (const Generation& g : *generations_) {
+    SCOPED_TRACE("generation " + std::to_string(g.store.generation));
+    ExpectCacheMatchesRendererOnEveryTarget(g.store);
+  }
+  Result<std::vector<CanonStore>> shards =
+      BuildShardedCanonStores(generations_->back().store, 2);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  for (const CanonStore& shard : shards.ValueOrDie()) {
+    ExpectCacheMatchesRendererOnEveryTarget(shard);
+  }
 }
 
 // ---------- keep-alive over real sockets -------------------------------------
