@@ -1,19 +1,23 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // string similarities, CKB candidate generation, one-shot problem
 // construction, IDF scoring, HAC, SGNS training, LBP sweeps, joint
-// graph construction and store publication.
+// graph construction, the global decode, a steady-state session refresh
+// and store publication.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/hac.h"
+#include "core/decode.h"
 #include "core/graph_builder.h"
 #include "core/jocl.h"
 #include "core/problem.h"
+#include "core/runtime.h"
 #include "core/session.h"
 #include "core/shard.h"
 #include "core/signal_cache.h"
@@ -24,6 +28,8 @@
 #include "graph/flat_lbp.h"
 #include "serve/canon_store.h"
 #include "serve/response_cache.h"
+#include "support/decode_reference.h"
+#include "support/tail_batch.h"
 #include "text/porter_stemmer.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -442,6 +448,49 @@ void BM_BuildResponseCache(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
 }
 BENCHMARK(BM_BuildResponseCache)->Unit(benchmark::kMicrosecond);
+
+// The global decode of the same session generation: clustering with
+// conflict vetoes, §3.5 resolution and label materialization over the
+// whole problem, fed the beliefs the result was decoded from.
+void BM_DecodeJointResult(benchmark::State& state) {
+  const JoclSession& session = IngestedSession();
+  const JoclBeliefs beliefs = BeliefsOfResult(
+      session.problem(), session.result(), session.options());
+  const JointDecodeOptions options = DecodeOptionsOf(session.options());
+  for (auto _ : state) {
+    JoclResult result;
+    DecodeJointResult(session.problem(), beliefs, options, &result);
+    benchmark::DoNotOptimize(result.np_cluster.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          session.problem().triples.size());
+}
+BENCHMARK(BM_DecodeJointResult)->Unit(benchmark::kMicrosecond);
+
+// One steady-state tail write cycle: a 9-triple tail batch added to and
+// retracted from its own scale-0.35 session (the test split minus the
+// batch), on one thread — problem build, partition, the dirty shards'
+// inference and the global decode, twice.
+void BM_SessionTailCycle(benchmark::State& state) {
+  const Dataset& ds = CandidateCorpus();
+  const SignalBundle& signals = CandidateSignals();
+  const std::vector<size_t> tail =
+      ChooseTailBatch(ds, signals, ds.test_triples, 9);
+  std::vector<size_t> prefill;
+  std::set_difference(ds.test_triples.begin(), ds.test_triples.end(),
+                      tail.begin(), tail.end(), std::back_inserter(prefill));
+  SessionOptions session_options;
+  session_options.num_threads = 1;
+  session_options.frontend_threads = 1;
+  JoclSession session(&ds, &signals, {}, session_options);
+  if (!session.AddTriples(prefill).ok()) std::abort();
+  for (auto _ : state) {
+    if (!session.AddTriples(tail).ok()) std::abort();
+    if (!session.RemoveTriples(tail).ok()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_SessionTailCycle)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace jocl

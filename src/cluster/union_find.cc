@@ -1,7 +1,7 @@
 #include "cluster/union_find.h"
 
-#include <unordered_map>
 #include <cstddef>
+#include <utility>
 
 namespace jocl {
 
@@ -35,13 +35,14 @@ bool UnionFind::Union(size_t a, size_t b) {
 bool UnionFind::Connected(size_t a, size_t b) { return Find(a) == Find(b); }
 
 std::vector<size_t> UnionFind::Labels() {
+  constexpr size_t kUnlabeled = static_cast<size_t>(-1);
   std::vector<size_t> labels(parent_.size());
-  std::unordered_map<size_t, size_t> root_to_label;
-  root_to_label.reserve(set_count_);
+  std::vector<size_t> label_of_root(parent_.size(), kUnlabeled);
+  size_t next_label = 0;
   for (size_t i = 0; i < parent_.size(); ++i) {
-    size_t root = Find(i);
-    auto [it, inserted] = root_to_label.emplace(root, root_to_label.size());
-    labels[i] = it->second;
+    size_t& label = label_of_root[Find(i)];
+    if (label == kUnlabeled) label = next_label++;
+    labels[i] = label;
   }
   return labels;
 }

@@ -1,14 +1,17 @@
 #include "core/decode.h"
 
 #include <algorithm>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
 
 #include "cluster/union_find.h"
 #include "core/jocl.h"
-#include "util/worker_pool.h"
 
 namespace jocl {
 namespace {
+
+constexpr size_t kNone = static_cast<size_t>(-1);
 
 // Maps a linking-variable state to a CKB id: state 0 is NIL, state k is
 // candidate k-1.
@@ -18,164 +21,152 @@ int64_t StateToId(const std::vector<Candidate>& candidates, size_t state) {
   return candidates[state - 1].id;
 }
 
-/// Find with path compression over a sparse map-backed forest (the
-/// per-group merge state of the parallel clustering path — group node
-/// sets are small and sparse in the global id space).
-size_t LocalFind(std::unordered_map<size_t, size_t>& parent, size_t x) {
-  auto it = parent.emplace(x, x).first;
-  size_t root = it->second;
-  while (true) {
-    auto next = parent.find(root);
-    if (next->second == root) break;
-    root = next->second;
+/// Link-group sizes of one decode: mentions per linked CKB id. Every
+/// link is kNilId or a CKB id, and CKB ids are dense indices, so the
+/// counts are a flat array over [0, max id].
+void CountLinks(const std::vector<int64_t>& links,
+                std::vector<size_t>* counts) {
+  int64_t max_id = kNilId;
+  for (int64_t id : links) max_id = std::max(max_id, id);
+  counts->assign(static_cast<size_t>(max_id + 1), 0);
+  for (int64_t id : links) {
+    if (id >= 0) ++(*counts)[static_cast<size_t>(id)];
   }
-  while (parent[x] != root) {
-    size_t next = parent[x];
-    parent[x] = root;
-    x = next;
-  }
-  return root;
 }
+
+/// Per-surface mention lists in CSR form: the mentions of surface s are
+/// `triples[offset[s] .. offset[s + 1])`, ascending.
+struct MentionIndex {
+  std::vector<size_t> offset;
+  std::vector<size_t> triples;
+
+  void Build(const std::vector<size_t>& of, size_t n_surfaces) {
+    // Counts land two slots up, so after the prefix sum offset[s + 1] is
+    // surface s's start and the fill cursor; filling leaves it at s's end.
+    offset.assign(n_surfaces + 2, 0);
+    for (size_t s : of) ++offset[s + 2];
+    std::partial_sum(offset.begin(), offset.end(), offset.begin());
+    triples.resize(of.size());
+    for (size_t t = 0; t < of.size(); ++t) triples[offset[of[t] + 1]++] = t;
+  }
+};
 
 }  // namespace
 
 std::vector<size_t> ClusterPairGraph(size_t n,
                                      const std::vector<PairEdge>& edges,
-                                     double threshold, size_t threads) {
-  // Deduplicated edge lookup (max weight wins) + adjacency.
-  std::unordered_map<uint64_t, double> weight_of;
-  auto key_of = [](size_t a, size_t b) {
-    return (static_cast<uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
+                                     double threshold) {
+  // Deduplicate by packed (min, max) key. The sort is stable, so
+  // duplicates fold in input order (max weight wins). Self edges never
+  // join two clusters or cross between them, so they are dropped.
+  struct Edge {
+    uint64_t key;
+    double weight;
   };
+  std::vector<Edge> unique;
+  unique.reserve(edges.size());
   for (const auto& [a, b, weight] : edges) {
-    auto [it, inserted] = weight_of.emplace(key_of(a, b), weight);
-    if (!inserted) it->second = std::max(it->second, weight);
+    if (a == b) continue;
+    unique.push_back(
+        {(static_cast<uint64_t>(std::min(a, b)) << 32) | std::max(a, b),
+         weight});
   }
-  std::vector<std::tuple<double, size_t, size_t>> ordered;
-  ordered.reserve(weight_of.size());
-  for (const auto& [key, weight] : weight_of) {
-    if (weight >= threshold) {
-      ordered.emplace_back(weight, static_cast<size_t>(key >> 32),
-                           static_cast<size_t>(key & 0xffffffff));
+  std::stable_sort(unique.begin(), unique.end(),
+                   [](const Edge& x, const Edge& y) { return x.key < y.key; });
+  size_t m = 0;
+  for (size_t i = 0; i < unique.size(); ++i) {
+    if (m > 0 && unique[m - 1].key == unique[i].key) {
+      unique[m - 1].weight = std::max(unique[m - 1].weight, unique[i].weight);
+    } else {
+      unique[m++] = unique[i];
     }
   }
-  // The sort's full tie-break makes the order deterministic even though
-  // the map iteration above is not.
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& x, const auto& y) {
-              if (std::get<0>(x) != std::get<0>(y)) {
-                return std::get<0>(x) > std::get<0>(y);
-              }
-              if (std::get<1>(x) != std::get<1>(y)) {
-                return std::get<1>(x) < std::get<1>(y);
-              }
-              return std::get<2>(x) < std::get<2>(y);
-            });
+  unique.resize(m);
+  auto lo_of = [](const Edge& e) { return static_cast<size_t>(e.key >> 32); };
+  auto hi_of = [](const Edge& e) {
+    return static_cast<size_t>(e.key & 0xffffffff);
+  };
 
+  // CSR adjacency over every observed edge: the veto reads sub-threshold
+  // edges too.
+  struct Neighbour {
+    size_t node;
+    double weight;
+  };
+  std::vector<size_t> row(n + 2, 0);
+  for (const Edge& e : unique) {
+    ++row[lo_of(e) + 2];
+    ++row[hi_of(e) + 2];
+  }
+  std::partial_sum(row.begin(), row.end(), row.begin());
+  std::vector<Neighbour> adjacency(2 * unique.size());
+  for (const Edge& e : unique) {
+    adjacency[row[lo_of(e) + 1]++] = {hi_of(e), e.weight};
+    adjacency[row[hi_of(e) + 1]++] = {lo_of(e), e.weight};
+  }
+
+  // Merge candidates in decreasing confidence. A stable sort over the
+  // key-sorted edges breaks weight ties on (a, b).
+  unique.erase(std::remove_if(unique.begin(), unique.end(),
+                              [&](const Edge& e) {
+                                return !(e.weight >= threshold);
+                              }),
+               unique.end());
+  std::stable_sort(
+      unique.begin(), unique.end(),
+      [](const Edge& x, const Edge& y) { return x.weight > y.weight; });
+
+  // Cluster members as intrusive lists (head/tail valid at roots). A
+  // merge appends b's cluster to a's, so list order is merge history.
   UnionFind uf(n);
-  if (threads <= 1 || ordered.size() < 2) {
-    // Sequential merge process over the global edge order.
-    std::unordered_map<size_t, std::vector<size_t>> members;
-    auto members_of = [&](size_t root) -> std::vector<size_t>& {
-      auto [it, inserted] = members.emplace(root, std::vector<size_t>{});
-      if (inserted) it->second.push_back(root);
-      return it->second;
-    };
-    for (const auto& [weight, a, b] : ordered) {
-      size_t ra = uf.Find(a);
-      size_t rb = uf.Find(b);
-      if (ra == rb) continue;
-      std::vector<size_t>& ma = members_of(ra);
-      std::vector<size_t>& mb = members_of(rb);
-      // Average the model's beliefs over every OBSERVED cross edge.
-      double sum = 0.0;
-      size_t count = 0;
-      for (size_t x : ma) {
-        for (size_t y : mb) {
-          auto it = weight_of.find(key_of(x, y));
-          if (it != weight_of.end()) {
-            sum += it->second;
-            ++count;
-          }
-        }
-      }
-      if (count > 0 && sum / static_cast<double>(count) < threshold) {
-        continue;  // contradicted merge
-      }
-      uf.Union(ra, rb);
-      size_t new_root = uf.Find(ra);
-      std::vector<size_t> merged = std::move(ma);
-      merged.insert(merged.end(), mb.begin(), mb.end());
-      members.erase(ra);
-      members.erase(rb);
-      members[new_root] = std::move(merged);
+  std::vector<size_t> next(n, kNone);
+  std::vector<size_t> head(n);
+  std::vector<size_t> tail(n);
+  std::iota(head.begin(), head.end(), 0);
+  std::iota(tail.begin(), tail.end(), 0);
+  // Veto scratch: stamp[y] == e marks y as a member of the candidate
+  // merge e's b-side cluster, at list position position[y].
+  std::vector<size_t> stamp(n, kNone);
+  std::vector<size_t> position(n);
+  std::vector<Neighbour> hits;
+  for (size_t e = 0; e < unique.size(); ++e) {
+    const size_t ra = uf.Find(lo_of(unique[e]));
+    const size_t rb = uf.Find(hi_of(unique[e]));
+    if (ra == rb) continue;
+    size_t pos = 0;
+    for (size_t y = head[rb]; y != kNone; y = next[y]) {
+      stamp[y] = e;
+      position[y] = pos++;
     }
-    return uf.Labels();
-  }
-
-  // Parallel path: merges never cross a connected component of the
-  // thresholded edge graph, and the veto only consults weight_of entries
-  // between members of merging clusters (same component), so components
-  // run independently. Each worker replays its component's edges in the
-  // global order against a component-local forest; the accepted unions
-  // are then applied to the shared structure. The partition — and hence
-  // Labels(), which is partition-determined — is byte-identical to the
-  // sequential run.
-  UnionFind pregroup(n);
-  for (const auto& [weight, a, b] : ordered) pregroup.Union(a, b);
-  std::unordered_map<size_t, size_t> group_index;
-  std::vector<std::vector<size_t>> group_edges;
-  for (size_t e = 0; e < ordered.size(); ++e) {
-    size_t root = pregroup.Find(std::get<1>(ordered[e]));
-    auto [it, inserted] = group_index.emplace(root, group_edges.size());
-    if (inserted) group_edges.emplace_back();
-    group_edges[it->second].push_back(e);
-  }
-  std::vector<std::vector<std::pair<size_t, size_t>>> accepted(
-      group_edges.size());
-  RunOnPool(
-      group_edges.size(), threads,
-      [&](size_t g) { return group_edges[g].size(); },
-      [&](size_t g) {
-        std::unordered_map<size_t, size_t> parent;
-        std::unordered_map<size_t, std::vector<size_t>> members;
-        auto members_of = [&](size_t root) -> std::vector<size_t>& {
-          auto [it, inserted] = members.emplace(root, std::vector<size_t>{});
-          if (inserted) it->second.push_back(root);
-          return it->second;
-        };
-        for (size_t e : group_edges[g]) {
-          const auto& [weight, a, b] = ordered[e];
-          size_t ra = LocalFind(parent, a);
-          size_t rb = LocalFind(parent, b);
-          if (ra == rb) continue;
-          std::vector<size_t>& ma = members_of(ra);
-          std::vector<size_t>& mb = members_of(rb);
-          double sum = 0.0;
-          size_t count = 0;
-          for (size_t x : ma) {
-            for (size_t y : mb) {
-              auto it = weight_of.find(key_of(x, y));
-              if (it != weight_of.end()) {
-                sum += it->second;
-                ++count;
-              }
-            }
-          }
-          if (count > 0 && sum / static_cast<double>(count) < threshold) {
-            continue;  // contradicted merge
-          }
-          parent[rb] = ra;
-          accepted[g].emplace_back(a, b);
-          std::vector<size_t> merged = std::move(ma);
-          merged.insert(merged.end(), mb.begin(), mb.end());
-          members.erase(ra);
-          members.erase(rb);
-          members[ra] = std::move(merged);
+    // Average the model's beliefs over every OBSERVED cross edge, summed
+    // x-major in a's list order and, per x, in b's list order.
+    double sum = 0.0;
+    size_t count = 0;
+    for (size_t x = head[ra]; x != kNone; x = next[x]) {
+      hits.clear();
+      for (size_t k = row[x]; k < row[x + 1]; ++k) {
+        const Neighbour& neighbour = adjacency[k];
+        if (stamp[neighbour.node] == e) {
+          hits.push_back({position[neighbour.node], neighbour.weight});
         }
-      });
-  for (const auto& list : accepted) {
-    for (const auto& [a, b] : list) uf.Union(a, b);
+      }
+      std::sort(hits.begin(), hits.end(),
+                [](const Neighbour& p, const Neighbour& q) {
+                  return p.node < q.node;
+                });
+      for (const Neighbour& hit : hits) sum += hit.weight;
+      count += hits.size();
+    }
+    if (count > 0 && sum / static_cast<double>(count) < threshold) {
+      continue;  // contradicted merge
+    }
+    uf.Union(ra, rb);
+    const size_t root = uf.Find(ra);
+    const size_t first = head[ra];
+    const size_t last = tail[rb];
+    next[tail[ra]] = head[rb];
+    head[root] = first;
+    tail[root] = last;
   }
   return uf.Labels();
 }
@@ -185,166 +176,87 @@ void ResolveLinkConflicts(const JoclProblem& problem,
                           const JointDecodeOptions& options,
                           std::vector<int64_t>* np_link,
                           std::vector<int64_t>* rp_link) {
-  const size_t n = problem.triples.size();
+  // Link-group sizes of the initial decode, counted before the first
+  // relabel of each link array; mention lists are built per role on its
+  // first conflict. A decode without conflicts builds neither.
+  std::vector<size_t> entity_counts;
+  std::vector<size_t> relation_counts;
+  MentionIndex mentions[3];
 
-  // Per-mention confidence of the decoded link: resolution must not
-  // overturn links the model itself is sure about.
-  std::vector<double> np_link_confidence(n * 2, 1.0);
-  for (size_t t = 0; t < n; ++t) {
-    np_link_confidence[t * 2] = beliefs.es_marg[t][beliefs.es_state[t]];
-    np_link_confidence[t * 2 + 1] = beliefs.eo_marg[t][beliefs.eo_state[t]];
-  }
-  // Link-group sizes: mentions per linked entity/relation. Snapshots of
-  // the *initial* decode, never updated during resolution (read-only, so
-  // conflict groups can resolve concurrently).
-  std::unordered_map<int64_t, size_t> entity_counts;
-  for (int64_t e : *np_link) {
-    if (e != kNilId) ++entity_counts[e];
-  }
-  std::unordered_map<int64_t, size_t> relation_counts;
-  for (int64_t r : *rp_link) {
-    if (r != kNilId) ++relation_counts[r];
-  }
-  auto count_of = [](const std::unordered_map<int64_t, size_t>& counts,
-                     int64_t id) {
-    auto it = counts.find(id);
-    return it == counts.end() ? size_t{0} : it->second;
+  auto qualifies = [&](const std::vector<size_t>& pair_state,
+                       const std::vector<std::vector<double>>& pair_marg,
+                       size_t p) {
+    return pair_state[p] == 1 &&
+           !(pair_marg[p][1] < options.conflict_confidence);
   };
 
-  // Per-surface mention lists: relabeling a pair's losing group touches
-  // only the mentions of its two surfaces, not the whole triple set.
-  auto mentions_by_surface = [&](const std::vector<size_t>& of,
-                                 size_t n_surfaces) {
-    std::vector<std::vector<size_t>> mentions(n_surfaces);
-    for (size_t t = 0; t < n; ++t) mentions[of[t]].push_back(t);
-    return mentions;
-  };
-  auto subject_mentions =
-      mentions_by_surface(problem.subject_of, problem.subject_surfaces.size());
-  auto object_mentions =
-      mentions_by_surface(problem.object_of, problem.object_surfaces.size());
-  auto predicate_mentions = mentions_by_surface(
-      problem.predicate_of, problem.predicate_surfaces.size());
-
-  // Qualifying pairs grouped by surface connectivity (the conflict
-  // groups). A pair only reads and writes link state of its own group's
-  // surfaces, and the count snapshots above are read-only, so groups are
-  // independent: per-group processing in the original pair order is
-  // byte-identical to the sequential full scan.
-  auto group_pairs = [&](const std::vector<SurfacePair>& pairs,
-                         const std::vector<size_t>& pair_state,
-                         const std::vector<std::vector<double>>& pair_marg,
-                         size_t n_surfaces) {
-    std::vector<std::vector<size_t>> groups;
-    if (pair_marg.size() != pairs.size()) return groups;  // family ablated
-    std::vector<size_t> qualifying;
+  // NP roles: subject mentions sit at even slots of np_link, objects at
+  // odd ones.
+  auto resolve_np_role = [&](size_t offset) {
+    const bool subject = offset == 0;
+    const auto& pairs = subject ? problem.subject_pairs : problem.object_pairs;
+    const auto& pair_state = subject ? beliefs.x_state : beliefs.z_state;
+    const auto& pair_marg = subject ? beliefs.x_marg : beliefs.z_marg;
+    const auto& representative =
+        subject ? problem.subject_rep : problem.object_rep;
+    const auto& of = subject ? problem.subject_of : problem.object_of;
+    const auto& link_marg = subject ? beliefs.es_marg : beliefs.eo_marg;
+    const auto& link_state = subject ? beliefs.es_state : beliefs.eo_state;
+    MentionIndex& index = mentions[offset];
+    if (pair_marg.size() != pairs.size()) return;  // family ablated
     for (size_t p = 0; p < pairs.size(); ++p) {
-      if (pair_state[p] != 1) continue;
-      if (pair_marg[p][1] < options.conflict_confidence) continue;
-      qualifying.push_back(p);
-    }
-    UnionFind uf(n_surfaces);
-    for (size_t p : qualifying) uf.Union(pairs[p].a, pairs[p].b);
-    std::unordered_map<size_t, size_t> index;
-    for (size_t p : qualifying) {
-      size_t root = uf.Find(pairs[p].a);
-      auto [it, inserted] = index.emplace(root, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(p);
-    }
-    return groups;
-  };
-  auto subject_groups =
-      group_pairs(problem.subject_pairs, beliefs.x_state, beliefs.x_marg,
-                  problem.subject_surfaces.size());
-  auto object_groups =
-      group_pairs(problem.object_pairs, beliefs.z_state, beliefs.z_marg,
-                  problem.object_surfaces.size());
-  auto predicate_groups =
-      group_pairs(problem.predicate_pairs, beliefs.y_state, beliefs.y_marg,
-                  problem.predicate_surfaces.size());
-
-  auto resolve_np_group = [&](const std::vector<size_t>& group,
-                              bool subject_role) {
-    const std::vector<SurfacePair>& pairs =
-        subject_role ? problem.subject_pairs : problem.object_pairs;
-    const std::vector<size_t>& representative =
-        subject_role ? problem.subject_rep : problem.object_rep;
-    const std::vector<std::vector<size_t>>& mentions =
-        subject_role ? subject_mentions : object_mentions;
-    const size_t offset = subject_role ? 0 : 1;
-    for (size_t p : group) {
-      size_t mention_a = representative[pairs[p].a] * 2 + offset;
-      size_t mention_b = representative[pairs[p].b] * 2 + offset;
-      int64_t e_a = (*np_link)[mention_a];
-      int64_t e_b = (*np_link)[mention_b];
+      if (!qualifies(pair_state, pair_marg, p)) continue;
+      const int64_t e_a = (*np_link)[representative[pairs[p].a] * 2 + offset];
+      const int64_t e_b = (*np_link)[representative[pairs[p].b] * 2 + offset];
       if (e_a == kNilId || e_b == kNilId || e_a == e_b) continue;
-      int64_t winner = count_of(entity_counts, e_a) >=
-                               count_of(entity_counts, e_b)
-                           ? e_a
-                           : e_b;
-      int64_t loser = winner == e_a ? e_b : e_a;
-      // Both NPs take the label of the larger link group: mentions of
-      // the two surfaces that sit in the losing group move over.
+      if (entity_counts.empty()) CountLinks(*np_link, &entity_counts);
+      if (index.offset.empty()) {
+        index.Build(of, subject ? problem.subject_surfaces.size()
+                                : problem.object_surfaces.size());
+      }
+      const int64_t winner =
+          entity_counts[e_a] >= entity_counts[e_b] ? e_a : e_b;
+      const int64_t loser = winner == e_a ? e_b : e_a;
+      // Both NPs take the label of the larger link group: mentions of the
+      // two surfaces that sit in the losing group move over, unless the
+      // model is surer of their own link than the guard.
       for (size_t surf : {pairs[p].a, pairs[p].b}) {
-        for (size_t t : mentions[surf]) {
-          size_t mention = t * 2 + offset;
-          if ((*np_link)[mention] == loser &&
-              np_link_confidence[mention] < options.overturn_guard) {
-            (*np_link)[mention] = winner;
+        for (size_t k = index.offset[surf]; k < index.offset[surf + 1]; ++k) {
+          const size_t t = index.triples[k];
+          int64_t& link = (*np_link)[t * 2 + offset];
+          if (link == loser &&
+              link_marg[t][link_state[t]] < options.overturn_guard) {
+            link = winner;
           }
         }
       }
     }
   };
-  auto resolve_rp_group = [&](const std::vector<size_t>& group) {
-    for (size_t p : group) {
-      size_t rep_a = problem.predicate_rep[problem.predicate_pairs[p].a];
-      size_t rep_b = problem.predicate_rep[problem.predicate_pairs[p].b];
-      int64_t r_a = (*rp_link)[rep_a];
-      int64_t r_b = (*rp_link)[rep_b];
-      if (r_a == kNilId || r_b == kNilId || r_a == r_b) continue;
-      int64_t winner = count_of(relation_counts, r_a) >=
-                               count_of(relation_counts, r_b)
-                           ? r_a
-                           : r_b;
-      int64_t loser = winner == r_a ? r_b : r_a;
-      for (size_t surf :
-           {problem.predicate_pairs[p].a, problem.predicate_pairs[p].b}) {
-        for (size_t t : predicate_mentions[surf]) {
-          if ((*rp_link)[t] == loser) (*rp_link)[t] = winner;
-        }
+  resolve_np_role(0);
+  resolve_np_role(1);
+
+  const auto& pairs = problem.predicate_pairs;
+  if (beliefs.y_marg.size() != pairs.size()) return;  // family ablated
+  MentionIndex& index = mentions[2];
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (!qualifies(beliefs.y_state, beliefs.y_marg, p)) continue;
+    const int64_t r_a = (*rp_link)[problem.predicate_rep[pairs[p].a]];
+    const int64_t r_b = (*rp_link)[problem.predicate_rep[pairs[p].b]];
+    if (r_a == kNilId || r_b == kNilId || r_a == r_b) continue;
+    if (relation_counts.empty()) CountLinks(*rp_link, &relation_counts);
+    if (index.offset.empty()) {
+      index.Build(problem.predicate_of, problem.predicate_surfaces.size());
+    }
+    const int64_t winner =
+        relation_counts[r_a] >= relation_counts[r_b] ? r_a : r_b;
+    const int64_t loser = winner == r_a ? r_b : r_a;
+    for (size_t surf : {pairs[p].a, pairs[p].b}) {
+      for (size_t k = index.offset[surf]; k < index.offset[surf + 1]; ++k) {
+        int64_t& link = (*rp_link)[index.triples[k]];
+        if (link == loser) link = winner;
       }
     }
-  };
-
-  // One task per (role, conflict group); subject and object roles write
-  // disjoint mention parities, predicates their own array, so every task
-  // touches state no other task reads or writes.
-  struct Task {
-    int role;  // 0 = subject, 1 = object, 2 = predicate
-    const std::vector<size_t>* group;
-  };
-  std::vector<Task> tasks;
-  for (const auto& group : subject_groups) tasks.push_back({0, &group});
-  for (const auto& group : object_groups) tasks.push_back({1, &group});
-  for (const auto& group : predicate_groups) tasks.push_back({2, &group});
-  RunOnPool(
-      tasks.size(), options.threads,
-      [&](size_t i) { return tasks[i].group->size(); },
-      [&](size_t i) {
-        switch (tasks[i].role) {
-          case 0:
-            resolve_np_group(*tasks[i].group, /*subject_role=*/true);
-            break;
-          case 1:
-            resolve_np_group(*tasks[i].group, /*subject_role=*/false);
-            break;
-          default:
-            resolve_rp_group(*tasks[i].group);
-            break;
-        }
-      });
+  }
 }
 
 void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
@@ -353,6 +265,7 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   const size_t n = problem.triples.size();
   const size_t n_subject_surfaces = problem.subject_surfaces.size();
   const size_t n_object_surfaces = problem.object_surfaces.size();
+  const size_t n_predicate_surfaces = problem.predicate_surfaces.size();
 
   // ---- linking decode -----------------------------------------------------
   result->np_link.assign(n * 2, kNilId);
@@ -374,27 +287,27 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   // ---- canonicalization decode --------------------------------------------
   // Node space: subject surfaces then object surfaces; identical strings
   // across the two roles are pre-merged with weight-1 edges.
-  std::vector<size_t> np_labels;
-  std::vector<size_t> rp_labels;
-  UnionFind np_uf(n_subject_surfaces + n_object_surfaces);
-  UnionFind rp_uf(problem.predicate_surfaces.size());
-  std::vector<PairEdge> same_string_edges;
+  std::vector<PairEdge> np_edges;
+  if (options.canonicalization) {
+    np_edges.reserve(n_object_surfaces + problem.subject_pairs.size() +
+                     problem.object_pairs.size());
+  }
   {
-    std::unordered_map<std::string, size_t> by_string;
+    std::unordered_map<std::string_view, size_t> by_string;
+    by_string.reserve(n_subject_surfaces);
     for (size_t s = 0; s < n_subject_surfaces; ++s) {
       by_string.emplace(problem.subject_surfaces[s], s);
     }
     for (size_t o = 0; o < n_object_surfaces; ++o) {
       auto it = by_string.find(problem.object_surfaces[o]);
       if (it != by_string.end()) {
-        same_string_edges.emplace_back(it->second, n_subject_surfaces + o,
-                                       1.0);
-        np_uf.Union(it->second, n_subject_surfaces + o);
+        np_edges.emplace_back(it->second, n_subject_surfaces + o, 1.0);
       }
     }
   }
+  std::vector<size_t> np_labels;
+  std::vector<size_t> rp_labels;
   if (options.canonicalization) {
-    std::vector<PairEdge> np_edges = same_string_edges;
     for (size_t p = 0; p < problem.subject_pairs.size(); ++p) {
       np_edges.emplace_back(problem.subject_pairs[p].a,
                             problem.subject_pairs[p].b, beliefs.x_marg[p][1]);
@@ -405,42 +318,50 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
                             beliefs.z_marg[p][1]);
     }
     np_labels = ClusterPairGraph(n_subject_surfaces + n_object_surfaces,
-                                 np_edges, options.cluster_threshold,
-                                 options.threads);
+                                 np_edges, options.cluster_threshold);
     std::vector<PairEdge> rp_edges;
+    rp_edges.reserve(problem.predicate_pairs.size());
     for (size_t p = 0; p < problem.predicate_pairs.size(); ++p) {
       rp_edges.emplace_back(problem.predicate_pairs[p].a,
                             problem.predicate_pairs[p].b,
                             beliefs.y_marg[p][1]);
     }
-    rp_labels = ClusterPairGraph(problem.predicate_surfaces.size(), rp_edges,
-                                 options.cluster_threshold, options.threads);
-  } else if (options.linking) {
-    // JOCLlink fallback: group by linked entity/relation so the result is
-    // still a complete joint output.
-    std::unordered_map<int64_t, size_t> first_subject;
-    for (size_t t = 0; t < n; ++t) {
-      int64_t e = result->np_link[t * 2];
-      if (e == kNilId) continue;
-      auto [it, inserted] = first_subject.emplace(e, problem.subject_of[t]);
-      if (!inserted) np_uf.Union(it->second, problem.subject_of[t]);
-    }
-    for (size_t t = 0; t < n; ++t) {
-      int64_t e = result->np_link[t * 2 + 1];
-      if (e == kNilId) continue;
-      auto [it, inserted] =
-          first_subject.emplace(e, n_subject_surfaces + problem.object_of[t]);
-      if (!inserted) {
-        np_uf.Union(it->second, n_subject_surfaces + problem.object_of[t]);
+    rp_labels = ClusterPairGraph(n_predicate_surfaces, rp_edges,
+                                 options.cluster_threshold);
+  } else {
+    UnionFind np_uf(n_subject_surfaces + n_object_surfaces);
+    UnionFind rp_uf(n_predicate_surfaces);
+    for (const auto& [a, b, weight] : np_edges) np_uf.Union(a, b);
+    if (options.linking) {
+      // JOCLlink fallback: group by linked entity/relation so the result
+      // is still a complete joint output.
+      std::unordered_map<int64_t, size_t> first_subject;
+      for (size_t t = 0; t < n; ++t) {
+        int64_t e = result->np_link[t * 2];
+        if (e == kNilId) continue;
+        auto [it, inserted] = first_subject.emplace(e, problem.subject_of[t]);
+        if (!inserted) np_uf.Union(it->second, problem.subject_of[t]);
+      }
+      for (size_t t = 0; t < n; ++t) {
+        int64_t e = result->np_link[t * 2 + 1];
+        if (e == kNilId) continue;
+        auto [it, inserted] = first_subject.emplace(
+            e, n_subject_surfaces + problem.object_of[t]);
+        if (!inserted) {
+          np_uf.Union(it->second, n_subject_surfaces + problem.object_of[t]);
+        }
+      }
+      std::unordered_map<int64_t, size_t> first_predicate;
+      for (size_t t = 0; t < n; ++t) {
+        int64_t r = result->rp_link[t];
+        if (r == kNilId) continue;
+        auto [it, inserted] =
+            first_predicate.emplace(r, problem.predicate_of[t]);
+        if (!inserted) rp_uf.Union(it->second, problem.predicate_of[t]);
       }
     }
-    std::unordered_map<int64_t, size_t> first_predicate;
-    for (size_t t = 0; t < n; ++t) {
-      int64_t r = result->rp_link[t];
-      if (r == kNilId) continue;
-      auto [it, inserted] = first_predicate.emplace(r, problem.predicate_of[t]);
-      if (!inserted) rp_uf.Union(it->second, problem.predicate_of[t]);
-    }
+    np_labels = np_uf.Labels();
+    rp_labels = rp_uf.Labels();
   }
 
   // ---- conflict resolution (paper §3.5) -----------------------------------
@@ -450,8 +371,6 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   }
 
   // ---- materialize mention cluster labels ---------------------------------
-  if (np_labels.empty()) np_labels = np_uf.Labels();
-  if (rp_labels.empty()) rp_labels = rp_uf.Labels();
   result->np_cluster.resize(n * 2);
   result->rp_cluster.resize(n);
   for (size_t t = 0; t < n; ++t) {

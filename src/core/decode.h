@@ -32,14 +32,15 @@ using PairEdge = std::tuple<size_t, size_t, double>;
 /// in `[0, k)` for nodes `0..n-1`; the result is deterministic (ties break
 /// on node ids).
 ///
-/// \p threads > 1 fans the merge process out over the connected components
-/// of the *thresholded* edge graph: merges never cross a component and the
-/// veto only consults edges between members of merging clusters, so
-/// components are independent and the labels are byte-identical to the
-/// sequential run for any thread count.
+/// One sequential pass over flat arrays: edges deduplicated by sorting
+/// their packed (min, max) keys, a CSR adjacency over every observed edge
+/// (the veto reads sub-threshold edges too), cluster members as intrusive
+/// linked lists, and a stamped membership array for the veto. The veto
+/// sums cross edges x-major in member-list order, so every
+/// `sum / count < threshold` decision is bit-stable.
 std::vector<size_t> ClusterPairGraph(size_t n,
                                      const std::vector<PairEdge>& edges,
-                                     double threshold, size_t threads = 1);
+                                     double threshold);
 
 /// \brief Inference outputs in the *global problem's* indexing — the
 /// contract between per-shard inference and the global decode.
@@ -74,11 +75,6 @@ struct JointDecodeOptions {
   /// Mentions whose own link confidence reaches this are never overturned
   /// by conflict resolution (the model is surer than the group vote).
   double overturn_guard = 0.85;
-  /// Worker threads for the decode's component-parallel stages
-  /// (clustering and conflict resolution): 1 = sequential. Output is
-  /// byte-identical for any setting — work is partitioned by conflict
-  /// group, and groups touch disjoint state.
-  size_t threads = 1;
 };
 
 /// \brief §3.5 conflict resolution, in isolation: for every decoded
@@ -86,6 +82,11 @@ struct JointDecodeOptions {
 /// the smaller link group move to the larger one — unless their own link
 /// confidence passes the overturn guard. NIL links and agreeing links are
 /// left alone. Mutates \p np_link / \p rp_link in place.
+///
+/// Group sizes are those of the initial decode (counted at the first
+/// conflict), and qualifying pairs are scanned in pair order,
+/// role by role. A pair reads and writes only the mentions of its own two
+/// surfaces, so pairs that share no surface commute.
 void ResolveLinkConflicts(const JoclProblem& problem,
                           const JoclBeliefs& beliefs,
                           const JointDecodeOptions& options,

@@ -292,9 +292,11 @@ void ProblemBuilder::EmitRole(size_t role, const std::vector<size_t>& active,
     }
     of->push_back(state.rank_of[sid]);
   }
-  surfaces->clear();
-  surfaces->reserve(by_rank->size());
-  for (uint32_t sid : *by_rank) surfaces->push_back(SurfaceOf(role, sid));
+  // Element-wise assignment reuses the previous emission's strings.
+  surfaces->resize(by_rank->size());
+  for (size_t r = 0; r < by_rank->size(); ++r) {
+    (*surfaces)[r] = SurfaceOf(role, (*by_rank)[r]);
+  }
 
   // ---- compact dead pair recs, collect missing similarities --------------
   std::vector<size_t> need_sim;
@@ -398,7 +400,6 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
                            const std::vector<size_t>& removed,
                            const std::vector<size_t>& active, size_t threads,
                            JoclProblem* problem, FrontEndDelta* delta) {
-  *problem = JoclProblem();
   *delta = FrontEndDelta();
   delta->added_triples = added;
   delta->removed_triples = removed;
@@ -492,21 +493,17 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
       *consulted = true;
     }
   };
-  problem->subject_candidates.reserve(subject_rank.size());
-  for (uint32_t sid : subject_rank) {
-    count(&np_meta_[sid].consulted);
-    problem->subject_candidates.push_back(np_meta_[sid].candidates);
-  }
-  problem->object_candidates.reserve(object_rank.size());
-  for (uint32_t sid : object_rank) {
-    count(&np_meta_[sid].consulted);
-    problem->object_candidates.push_back(np_meta_[sid].candidates);
-  }
-  problem->predicate_candidates.reserve(predicate_rank.size());
-  for (uint32_t sid : predicate_rank) {
-    count(&rp_meta_[sid].consulted);
-    problem->predicate_candidates.push_back(rp_meta_[sid].candidates);
-  }
+  auto emit_candidates = [&](const std::vector<uint32_t>& by_rank,
+                             auto& meta, auto* candidates) {
+    candidates->resize(by_rank.size());
+    for (size_t r = 0; r < by_rank.size(); ++r) {
+      count(&meta[by_rank[r]].consulted);
+      (*candidates)[r] = meta[by_rank[r]].candidates;
+    }
+  };
+  emit_candidates(subject_rank, np_meta_, &problem->subject_candidates);
+  emit_candidates(object_rank, np_meta_, &problem->object_candidates);
+  emit_candidates(predicate_rank, rp_meta_, &problem->predicate_candidates);
 }
 
 JoclProblem BuildProblem(const Dataset& dataset, const SignalBundle& signals,

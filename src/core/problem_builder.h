@@ -62,8 +62,10 @@ class ProblemBuilder {
   /// Applies one batch. \p added / \p removed are disjoint sorted dataset
   /// triple ids, each < dataset.okb.size(); \p active is the post-update
   /// active set (sorted). Emits the full problem over \p active into
-  /// \p problem and the batch's stable-id delta into \p delta (both
-  /// cleared first). \p threads > 1 fans candidate generation and
+  /// \p problem, overwriting every field in place (a session passes its
+  /// previous problem back in, so strings and candidate lists reuse their
+  /// storage), and the batch's stable-id delta into \p delta (cleared
+  /// first). \p threads > 1 fans candidate generation and
   /// similarity evaluation out on the worker pool; the result is
   /// byte-identical for any thread count.
   void Apply(const std::vector<size_t>& added,

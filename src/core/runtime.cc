@@ -103,6 +103,27 @@ void MirrorLbpStats(const PipelineStats& stats, double certificate) {
   certificate_gauge->SetDouble(certificate);
 }
 
+void MirrorDecodeStats(const JoclResult& result) {
+  MetricsRegistry& global = MetricsRegistry::Global();
+  static Gauge* np_largest = global.AddGauge(
+      "jocl_decode_largest_cluster", "kind=\"np\"",
+      "Mentions in the largest cluster of the latest decode");
+  static Gauge* rp_largest = global.AddGauge(
+      "jocl_decode_largest_cluster", "kind=\"rp\"",
+      "Mentions in the largest cluster of the latest decode");
+  auto largest = [](const std::vector<size_t>& labels) {
+    std::vector<size_t> size;
+    for (size_t label : labels) {
+      if (label >= size.size()) size.resize(label + 1, 0);
+      ++size[label];
+    }
+    return size.empty() ? size_t{0} : *std::max_element(size.begin(),
+                                                        size.end());
+  };
+  np_largest->Set(static_cast<int64_t>(largest(result.np_cluster)));
+  rp_largest->Set(static_cast<int64_t>(largest(result.rp_cluster)));
+}
+
 ShardBeliefs RunShardInference(const JoclProblem& local,
                                const SignalCache& cache, const CuratedKb& ckb,
                                const JoclOptions& options,
@@ -240,12 +261,20 @@ void ScatterShardBeliefs(const ProblemShard& shard, const ShardBeliefs& local,
   }
 }
 
+JointDecodeOptions DecodeOptionsOf(const JoclOptions& options) {
+  JointDecodeOptions decode;
+  decode.canonicalization = options.builder.enable_canonicalization;
+  decode.linking = options.builder.enable_linking;
+  decode.conflict_confidence = options.conflict_confidence;
+  return decode;
+}
+
 JoclResult AssembleJoclResult(const JoclProblem& problem,
                               const JoclBeliefs& beliefs,
                               const JoclOptions& options,
                               std::vector<double> weights,
                               LbpResult diagnostics,
-                              size_t decode_threads) {
+                              size_t /*decode_threads*/) {
   JoclResult result;
   result.weights = std::move(weights);
   result.triples = problem.triples;
@@ -269,12 +298,7 @@ JoclResult AssembleJoclResult(const JoclProblem& problem,
     }
   }
 
-  JointDecodeOptions decode_options;
-  decode_options.canonicalization = options.builder.enable_canonicalization;
-  decode_options.linking = options.builder.enable_linking;
-  decode_options.conflict_confidence = options.conflict_confidence;
-  decode_options.threads = decode_threads == 0 ? 1 : decode_threads;
-  DecodeJointResult(problem, beliefs, decode_options, &result);
+  DecodeJointResult(problem, beliefs, DecodeOptionsOf(options), &result);
   return result;
 }
 
@@ -360,8 +384,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
   }
   JoclResult result = AssembleJoclResult(problem, beliefs, options_,
                                          std::move(weights),
-                                         std::move(diagnostics),
-                                         threads);
+                                         std::move(diagnostics));
   span.reset();
 
   JOCL_LOG(kDebug) << "runtime: " << plan.shards.size() << " shards over "
@@ -369,6 +392,7 @@ Result<JoclResult> JoclRuntime::Infer(const Dataset& dataset,
                    << " variables, " << local_stats.factors << " factors";
   MirrorRuntimeStats(local_stats);
   MirrorLbpStats(local_stats, result.diagnostics.final_residual);
+  MirrorDecodeStats(result);
   if (stats != nullptr) *stats = local_stats;
   return result;
 }

@@ -114,13 +114,22 @@ size_t EngineThreadsPerShard(size_t threads, size_t shards);
 /// the session share.
 void MirrorLbpStats(const PipelineStats& stats, double certificate);
 
+/// \brief Records the shape of a decoded result on the process-wide
+/// registry: `jocl_decode_largest_cluster{kind="np"|"rp"}`, the mention
+/// count of the largest NP / RP cluster. Set by the runtime and the
+/// session after every decode.
+void MirrorDecodeStats(const JoclResult& result);
+
+/// \brief The decode knobs a run under \p options decodes with.
+JointDecodeOptions DecodeOptionsOf(const JoclOptions& options);
+
 /// \brief Assembles the final JoclResult from merged global beliefs:
 /// canonical marginal order (subject/predicate/object pairs, then
 /// es/rp/eo per triple), global decode and §3.5 conflict resolution.
 /// \p diagnostics is the already-merged convergence record (its marginals
-/// field is overwritten here). \p decode_threads > 1 runs the decode's
-/// component-parallel stages on the worker pool — byte-identical output
-/// for any setting.
+/// field is overwritten here). The decode runs sequentially on the calling
+/// thread; \p decode_threads is ignored and stays only for source
+/// compatibility with existing callers.
 JoclResult AssembleJoclResult(const JoclProblem& problem,
                               const JoclBeliefs& beliefs,
                               const JoclOptions& options,

@@ -169,11 +169,12 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                               generation_ > 0 && problem_.triples == active_;
 
   // ---- global problem build (O(Δ) incremental, or reused verbatim) -------
+  // The builder overwrites the previous problem in place, so its strings
+  // and candidate lists keep their storage.
   span.emplace("build_problem", &local_stats.problem_seconds);
-  JoclProblem problem;
+  JoclProblem problem = std::move(problem_);
   FrontEndDelta fdelta;
   if (reuse_frontend) {
-    problem = std::move(problem_);
     local_stats.frontend_reused = true;
   } else {
     builder_.Apply(added, removed, active_, frontend_threads, &problem,
@@ -217,8 +218,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // batch that truncated the pair lists — and a reused problem, which may
   // have been truncated — derives them from the problem's own pairs. The
   // plan is lazy: dirty shards materialize their local problem bodies
-  // below, clean shards never do. The reuse guard and that
-  // materialization are front-end work too: the span covers them.
+  // below, clean shards never do. The plan is refilled in place, so its
+  // index maps keep their storage across batches. The reuse guard and
+  // that materialization are front-end work too: the span covers them.
   span.emplace("partition", &local_stats.partition_seconds);
   const std::vector<size_t>& changed = !added.empty() ? added : removed;
   std::vector<size_t> comp_of_triple;
@@ -229,8 +231,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   } else {
     partitioner_.Components(active_, &comp_of_triple, &comp_weight);
   }
-  ShardPlan plan = MaterializeShardPlan(problem, comp_of_triple, comp_weight,
-                                        /*max_shards=*/0, /*lazy=*/true);
+  ShardPlan& plan = plan_;
+  MaterializeShardPlan(problem, comp_of_triple, comp_weight,
+                       /*max_shards=*/0, /*lazy=*/true, &plan);
   ShardDelta delta =
       ClassifyShardDelta(plan, previous_components_, changed);
   local_stats.shards = plan.shards.size();
@@ -369,19 +372,18 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // rebuild assigns in place (see AssembleJoclResult).
   diagnostics.marginals = std::move(result_.diagnostics.marginals);
   result_ = AssembleJoclResult(problem, beliefs, options_, weights_,
-                               std::move(diagnostics), threads);
+                               std::move(diagnostics));
   span.reset();
 
   // ---- persist state + store upkeep ---------------------------------------
   // Partition snapshot for the next batch's delta classification: clean
-  // shards donate their triple vectors outright (the plan is dead after
-  // this block), only the few dirty shards copy theirs — the bodies move
-  // into the store.
-  previous_components_.clear();
+  // shards swap their triple vectors with the old snapshot's (the plan is
+  // refilled next batch, so both sides keep their storage), only the few
+  // dirty shards copy theirs — the bodies move into the store.
   previous_components_.resize(plan.shards.size());
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     if (reused[s] != nullptr) {
-      previous_components_[s] = std::move(plan.shards[s].problem.triples);
+      previous_components_[s].swap(plan.shards[s].problem.triples);
     }
   }
   for (size_t d = 0; d < dirty.size(); ++d) {
@@ -410,6 +412,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
                    << local_stats.cache_new_phrases << " new phrases";
   MirrorSessionStats(local_stats, generation_);
   MirrorLbpStats(local_stats, result_.diagnostics.final_residual);
+  MirrorDecodeStats(result_);
   if (stats != nullptr) *stats = local_stats;
   if (publish_callback_) {
     ScopedSpan publish_span("publish");

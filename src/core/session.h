@@ -85,10 +85,13 @@ struct SessionStats : PipelineStats {
 /// fingerprint, so the guarantee survives global blocking-cap effects.
 ///
 /// The decode stage stays global: cluster labels are globally dense, so
-/// any "partial" decode would re-densify everything anyway, and decode is
-/// orders of magnitude cheaper than the LBP it sits behind (see
-/// BENCH_incremental.json). The expensive stage — per-shard graph build +
-/// LBP — is what the dirty-shard restriction avoids.
+/// any "partial" decode would re-densify everything anyway. The
+/// dirty-shard restriction makes per-shard graph build + LBP cheap on tail
+/// batches, so there the decode is the largest stage: 0.19 of a 0.50 ms
+/// steady-state 9-triple tail add at scale 0.35 on one thread, against
+/// 0.05 ms for the shards (docs/architecture.md). Head batches stay
+/// LBP-bound. The steady-state refresh recycles the previous batch's
+/// problem, shard plan and belief arrays instead of reallocating them.
 class JoclSession {
  public:
   /// \p dataset and \p signals must outlive the session. \p weights empty
@@ -192,6 +195,9 @@ class JoclSession {
   JoclProblem problem_;  ///< current global problem
   JoclBeliefs beliefs_;  ///< current global beliefs
   JoclResult result_;    ///< current decoded result
+  /// The lazy shard plan, refilled in place every batch (between batches
+  /// it holds stale index maps, and no reader looks at it).
+  ShardPlan plan_;
 
   /// Solved components keyed by their sorted dataset-triple-id list.
   std::map<std::vector<size_t>, SolvedComponent> store_;

@@ -11,6 +11,8 @@
 namespace jocl {
 namespace {
 
+constexpr size_t kNoComponent = static_cast<size_t>(-1);
+
 /// Local surface index of a global surface id within a shard's sorted
 /// surface map (the map is strictly increasing, so binary search replaces
 /// the eager path's g2l hash without changing any value).
@@ -120,6 +122,20 @@ bool PairsMatch(const std::vector<SurfacePair>& pairs,
   return true;
 }
 
+/// Empties a recycled shard. The index vectors keep their storage (the
+/// surface maps are refilled by FillSurfaceMap); the rest of the body is
+/// rebuilt only for the few shards that materialize it.
+void ClearShard(ProblemShard* shard) {
+  std::vector<size_t> triples = std::move(shard->problem.triples);
+  triples.clear();
+  shard->problem = JoclProblem();
+  shard->problem.triples = std::move(triples);
+  for (auto* map : {&shard->triple_map, &shard->subject_pair_map,
+                    &shard->predicate_pair_map, &shard->object_pair_map}) {
+    map->clear();
+  }
+}
+
 }  // namespace
 
 std::vector<size_t> PackWeightedItems(const std::vector<size_t>& weights,
@@ -168,33 +184,35 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
   link_pairs(problem.object_pairs, problem.object_rep);
 
   // Components in first-appearance order over triples.
-  std::unordered_map<size_t, size_t> comp_of_root;
-  comp_of_triple->assign(n_triples, 0);
+  std::vector<size_t> comp_of_root(n_triples, kNoComponent);
+  comp_of_triple->resize(n_triples);
   comp_weight->clear();
   for (size_t t = 0; t < n_triples; ++t) {
-    auto [it, inserted] =
-        comp_of_root.emplace(uf.Find(t), comp_weight->size());
-    if (inserted) comp_weight->push_back(0);
-    (*comp_of_triple)[t] = it->second;
-    ++(*comp_weight)[it->second];
+    size_t& comp = comp_of_root[uf.Find(t)];
+    if (comp == kNoComponent) {
+      comp = comp_weight->size();
+      comp_weight->push_back(0);
+    }
+    (*comp_of_triple)[t] = comp;
+    ++(*comp_weight)[comp];
   }
   return comp_weight->size();
 }
 
-ShardPlan MaterializeShardPlan(const JoclProblem& problem,
-                               const std::vector<size_t>& comp_of_triple,
-                               const std::vector<size_t>& comp_weight,
-                               size_t max_shards, bool lazy) {
+void MaterializeShardPlan(const JoclProblem& problem,
+                          const std::vector<size_t>& comp_of_triple,
+                          const std::vector<size_t>& comp_weight,
+                          size_t max_shards, bool lazy, ShardPlan* plan) {
   const size_t n_triples = problem.triples.size();
   const size_t n_components = comp_weight.size();
 
-  ShardPlan plan;
-  plan.component_count = n_components;
+  plan->component_count = n_components;
   const size_t n_shards =
       (max_shards == 0 || max_shards >= n_components) ? n_components
                                                       : max_shards;
   std::vector<size_t> shard_of_comp = PackWeightedItems(comp_weight, n_shards);
-  plan.shards.resize(n_shards);
+  plan->shards.resize(n_shards);
+  for (ProblemShard& shard : plan->shards) ClearShard(&shard);
 
   // Exact reservations: the steady-state session calls this every batch
   // over thousands of mostly-singleton shards, where growth reallocation
@@ -205,20 +223,20 @@ ShardPlan MaterializeShardPlan(const JoclProblem& problem,
       shard_triples[shard_of_comp[c]] += comp_weight[c];
     }
     for (size_t s = 0; s < n_shards; ++s) {
-      plan.shards[s].triple_map.reserve(shard_triples[s]);
-      plan.shards[s].problem.triples.reserve(shard_triples[s]);
+      plan->shards[s].triple_map.reserve(shard_triples[s]);
+      plan->shards[s].problem.triples.reserve(shard_triples[s]);
     }
   }
 
   std::vector<size_t> shard_of_triple(n_triples);
   for (size_t t = 0; t < n_triples; ++t) {
     shard_of_triple[t] = shard_of_comp[comp_of_triple[t]];
-    ProblemShard& shard = plan.shards[shard_of_triple[t]];
+    ProblemShard& shard = plan->shards[shard_of_triple[t]];
     shard.triple_map.push_back(t);  // ascending by construction
     shard.problem.triples.push_back(problem.triples[t]);
   }
 
-  for (ProblemShard& shard : plan.shards) {
+  for (ProblemShard& shard : plan->shards) {
     FillSurfaceMap(shard.triple_map, problem.subject_of,
                    &shard.subject_surface_map);
     FillSurfaceMap(shard.triple_map, problem.predicate_of,
@@ -229,19 +247,20 @@ ShardPlan MaterializeShardPlan(const JoclProblem& problem,
 
   // Pair maps in one global-order pass per role, so each shard's pair
   // list is a subsequence of the global order.
+  std::vector<size_t> counts(n_shards);
   auto scatter_pair_maps = [&](const std::vector<SurfacePair>& pairs,
                                const std::vector<size_t>& representative,
                                std::vector<size_t> ProblemShard::*pair_map) {
-    std::vector<size_t> counts(n_shards, 0);
+    std::fill(counts.begin(), counts.end(), 0);
     for (const SurfacePair& pair : pairs) {
       ++counts[shard_of_triple[representative[pair.a]]];
     }
     for (size_t s = 0; s < n_shards; ++s) {
-      (plan.shards[s].*pair_map).reserve(counts[s]);
+      (plan->shards[s].*pair_map).reserve(counts[s]);
     }
     for (size_t p = 0; p < pairs.size(); ++p) {
       size_t shard_id = shard_of_triple[representative[pairs[p].a]];
-      (plan.shards[shard_id].*pair_map).push_back(p);
+      (plan->shards[shard_id].*pair_map).push_back(p);
     }
   };
   scatter_pair_maps(problem.subject_pairs, problem.subject_rep,
@@ -252,11 +271,10 @@ ShardPlan MaterializeShardPlan(const JoclProblem& problem,
                     &ProblemShard::object_pair_map);
 
   if (!lazy) {
-    for (ProblemShard& shard : plan.shards) {
+    for (ProblemShard& shard : plan->shards) {
       MaterializeShardProblem(problem, &shard);
     }
   }
-  return plan;
 }
 
 void MaterializeShardProblem(const JoclProblem& problem, ProblemShard* shard) {
@@ -335,8 +353,9 @@ ShardPlan PartitionProblem(const JoclProblem& problem, size_t max_shards) {
   std::vector<size_t> comp_weight;
   const size_t n_components =
       ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
-  ShardPlan plan = MaterializeShardPlan(problem, comp_of_triple, comp_weight,
-                                        max_shards, /*lazy=*/false);
+  ShardPlan plan;
+  MaterializeShardPlan(problem, comp_of_triple, comp_weight, max_shards,
+                       /*lazy=*/false, &plan);
   JOCL_LOG(kDebug) << "partition: " << problem.triples.size()
                    << " triples -> " << n_components << " components in "
                    << plan.shards.size() << " shards";
@@ -501,17 +520,21 @@ void IncrementalPartitioner::Apply(const FrontEndDelta& delta) {
 size_t IncrementalPartitioner::Components(
     const std::vector<size_t>& active_triples,
     std::vector<size_t>* comp_of_triple, std::vector<size_t>* comp_weight) {
-  comp_of_triple->assign(active_triples.size(), 0);
+  comp_of_triple->resize(active_triples.size());
   comp_weight->clear();
-  std::unordered_map<size_t, size_t> comp_of_root;
-  comp_of_root.reserve(active_triples.size());
+  comp_of_root_.resize(parent_.size(), kNoComponent);
   for (size_t t = 0; t < active_triples.size(); ++t) {
-    auto [it, inserted] =
-        comp_of_root.emplace(Find(active_triples[t]), comp_weight->size());
-    if (inserted) comp_weight->push_back(0);
-    (*comp_of_triple)[t] = it->second;
-    ++(*comp_weight)[it->second];
+    size_t& comp = comp_of_root_[Find(active_triples[t])];
+    if (comp == kNoComponent) {
+      comp = comp_weight->size();
+      comp_weight->push_back(0);
+    }
+    (*comp_of_triple)[t] = comp;
+    ++(*comp_weight)[comp];
   }
+  // Find compressed every active triple's path, so its parent is its
+  // root: reset exactly the entries set above.
+  for (size_t t : active_triples) comp_of_root_[parent_[t]] = kNoComponent;
   return comp_weight->size();
 }
 
@@ -529,8 +552,7 @@ ShardDelta ClassifyShardDelta(
     for (size_t t : shard.problem.triples) max_id = std::max(max_id, t);
   }
   for (size_t t : changed_triples) max_id = std::max(max_id, t);
-  constexpr size_t kNoComp = static_cast<size_t>(-1);
-  std::vector<size_t> prev_comp_of(max_id + 1, kNoComp);
+  std::vector<size_t> prev_comp_of(max_id + 1, kNoComponent);
   for (size_t c = 0; c < previous_components.size(); ++c) {
     for (size_t t : previous_components[c]) prev_comp_of[t] = c;
   }
@@ -550,13 +572,14 @@ ShardDelta ClassifyShardDelta(
 
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     const std::vector<size_t>& triples = plan.shards[s].problem.triples;
-    size_t known = 0;                 // triples with a previous home
-    std::vector<size_t> comps_seen;   // distinct previous homes (usually 1)
+    size_t known = 0;            // triples with a previous home
+    size_t home = kNoComponent;  // the first previous home seen
+    bool several = false;        // a second, different previous home seen
     bool touched = false;
     for (size_t t : triples) {
       if (changed[t] != 0) touched = true;
       const size_t prev = prev_comp_of[t];
-      if (prev == kNoComp) {
+      if (prev == kNoComponent) {
         touched = true;  // brand-new triple
         continue;
       }
@@ -566,18 +589,19 @@ ShardDelta ClassifyShardDelta(
         comp_last_shard[prev] = s;
         ++comp_shard_count[prev];
       }
-      if (std::find(comps_seen.begin(), comps_seen.end(), prev) ==
-          comps_seen.end()) {
-        comps_seen.push_back(prev);
+      if (home == kNoComponent) {
+        home = prev;
+      } else if (prev != home) {
+        several = true;
       }
     }
     ShardDeltaState state;
-    if (comps_seen.empty()) {
+    if (home == kNoComponent) {
       state = ShardDeltaState::kNew;
-    } else if (comps_seen.size() > 1) {
+    } else if (several) {
       state = ShardDeltaState::kMerged;
       ++delta.merged;
-    } else if (known < previous_components[comps_seen.front()].size()) {
+    } else if (known < previous_components[home].size()) {
       state = ShardDeltaState::kSplit;
     } else if (touched || known < triples.size()) {
       state = ShardDeltaState::kTouched;

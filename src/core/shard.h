@@ -94,7 +94,7 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
 
 /// \brief The materialization half of `PartitionProblem`: turns component
 /// labels (from `ComputeProblemComponents` or an `IncrementalPartitioner`,
-/// which produce identical labels) into a ShardPlan.
+/// which produce identical labels) into \p plan.
 ///
 /// With \p lazy false the plan is byte-identical to PartitionProblem's.
 /// With \p lazy true only the index maps are filled — `triple_map`,
@@ -105,10 +105,15 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
 /// `MaterializeShardProblem`. Skipping the per-shard string copies for
 /// clean shards is what makes the steady-state partition stage O(active)
 /// integer work instead of a full problem copy.
-ShardPlan MaterializeShardPlan(const JoclProblem& problem,
-                               const std::vector<size_t>& comp_of_triple,
-                               const std::vector<size_t>& comp_weight,
-                               size_t max_shards, bool lazy);
+///
+/// \p plan may hold any previous plan: every field of every recycled
+/// shard is cleared before it is refilled, so the result equals a fresh
+/// plan and only vector capacity carries over. The session keeps one plan
+/// for its lifetime this way.
+void MaterializeShardPlan(const JoclProblem& problem,
+                          const std::vector<size_t>& comp_of_triple,
+                          const std::vector<size_t>& comp_weight,
+                          size_t max_shards, bool lazy, ShardPlan* plan);
 
 /// \brief Completes the local problem body of one lazily materialized
 /// shard (surfaces, per-triple indices, representatives, candidates and
@@ -232,6 +237,9 @@ class IncrementalPartitioner {
   std::vector<size_t> rep_of_;
   /// Per-root member + internal-edge lists (only roots have entries).
   std::unordered_map<size_t, Group> groups_;
+  /// Components' root -> component scratch; every entry is unset
+  /// (SIZE_MAX) between calls.
+  std::vector<size_t> comp_of_root_;
 };
 
 /// \brief Delta mode: how one shard of a new partition relates to the

@@ -38,22 +38,8 @@
 #include "seeded_mutants.h"
 #include "support/canon_store_reference.h"
 
-// ---------- heap-allocation probe (zero-alloc acceptance) --------------------
-//
-// Replacing the global operator new lets tests count allocations on the
-// calling thread only, so the server's own threads never add noise.
-namespace {
-thread_local uint64_t g_thread_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_thread_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Heap-allocation probe for the zero-alloc acceptance tests.
+#include "support/allocation_counter.h"
 
 namespace jocl {
 namespace {

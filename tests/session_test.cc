@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "data/generator.h"
 #include "obs/metrics.h"
 #include "scratch_problem.h"
+#include "support/allocation_counter.h"
+#include "support/tail_batch.h"
 
 namespace jocl {
 namespace {
@@ -536,9 +539,9 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
         ASSERT_EQ(comp_of_triple, scratch_comp_of);
         ASSERT_EQ(comp_weight, scratch_weight);
 
-        ShardPlan incremental = MaterializeShardPlan(
-            problem, comp_of_triple, comp_weight, /*max_shards=*/0,
-            /*lazy=*/false);
+        ShardPlan incremental;
+        MaterializeShardPlan(problem, comp_of_triple, comp_weight,
+                             /*max_shards=*/0, /*lazy=*/false, &incremental);
         ASSERT_TRUE(
             PlansIdentical(incremental, PartitionProblem(scratch, 0)));
       }
@@ -569,6 +572,134 @@ TEST_F(SessionEquivalenceTest, StaleComponentsAreEvicted) {
   SessionStats stats;
   ASSERT_TRUE(session.RemoveTriples(half, &stats).ok());
   EXPECT_EQ(session.cached_components(), stats.shards);
+}
+
+TEST_F(SessionEquivalenceTest, LargestClusterGaugesTrackTheLatestDecode) {
+  // jocl_decode_largest_cluster{kind=...}: mentions in the largest NP / RP
+  // cluster of the latest result, set by the session and the runtime.
+  MetricsRegistry& global = MetricsRegistry::Global();
+  Gauge* np = global.AddGauge("jocl_decode_largest_cluster", "kind=\"np\"",
+                              "");
+  Gauge* rp = global.AddGauge("jocl_decode_largest_cluster", "kind=\"rp\"",
+                              "");
+  auto largest = [](const std::vector<size_t>& labels) {
+    std::vector<int64_t> size(labels.size(), 0);
+    for (size_t label : labels) ++size[label];
+    return *std::max_element(size.begin(), size.end());
+  };
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  JoclSession session(dataset_, signals_);
+  ASSERT_TRUE(session.AddTriples(stream).ok());
+  EXPECT_EQ(np->Value(), largest(session.result().np_cluster));
+  EXPECT_EQ(rp->Value(), largest(session.result().rp_cluster));
+  EXPECT_GT(rp->Value(), 1);
+
+  const std::vector<size_t> half(stream.begin(),
+                                 stream.begin() + stream.size() / 2);
+  const JoclResult result =
+      JoclRuntime().Infer(*dataset_, *signals_, half).MoveValueOrDie();
+  EXPECT_EQ(np->Value(), largest(result.np_cluster));
+  EXPECT_EQ(rp->Value(), largest(result.rp_cluster));
+}
+
+TEST_F(SessionEquivalenceTest, ShrinkingAndRegrowingShardCountsStayExact) {
+  // The session refills its shard plan and problem in place, batch after
+  // batch. Shrink the active set (fewer shards, shorter surface and pair
+  // lists), regrow it, and shrink it differently: every state must still
+  // equal a one-shot Infer, so no recycled field can leak.
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  std::vector<size_t> thirds[3];
+  for (size_t i = 0; i < stream.size(); ++i) thirds[i % 3].push_back(stream[i]);
+  auto one_shot = [&](const std::vector<size_t>& triples) {
+    return JoclRuntime().Infer(*dataset_, *signals_, triples).MoveValueOrDie();
+  };
+  JoclSession session(dataset_, signals_);
+  SessionStats full_stats, shrunk_stats, regrown_stats;
+  ASSERT_TRUE(session.AddTriples(stream, &full_stats).ok());
+  ASSERT_TRUE(session.RemoveTriples(thirds[0], &shrunk_stats).ok());
+  ASSERT_TRUE(session.RemoveTriples(thirds[1], &shrunk_stats).ok());
+  EXPECT_LT(shrunk_stats.shards, full_stats.shards);
+  ExpectByteIdentical(session.result(), one_shot(session.active_triples()));
+  ASSERT_TRUE(session.AddTriples(thirds[0], &regrown_stats).ok());
+  ASSERT_TRUE(session.AddTriples(thirds[1], &regrown_stats).ok());
+  EXPECT_EQ(regrown_stats.shards, full_stats.shards);
+  ExpectByteIdentical(
+      session.result(),
+      *oneshot_[static_cast<size_t>(JoclOptions().inference.schedule)]);
+  ASSERT_TRUE(session.RemoveTriples(thirds[2]).ok());
+  ExpectByteIdentical(session.result(), one_shot(session.active_triples()));
+}
+
+TEST_F(SessionEquivalenceTest, InPlacePlanEqualsAFreshPlan) {
+  // A plan recycled from another problem's eager plan (bodies filled) must
+  // equal a fresh plan, lazy and eager.
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  const std::vector<size_t> half(stream.begin(),
+                                 stream.begin() + stream.size() / 2);
+  const JoclProblem small = BuildProblem(*dataset_, *signals_, half);
+  const JoclProblem full = BuildProblem(*dataset_, *signals_, stream);
+  std::vector<size_t> comp_of_triple, comp_weight;
+  ComputeProblemComponents(full, &comp_of_triple, &comp_weight);
+  for (bool lazy : {true, false}) {
+    for (size_t max_shards : {size_t{0}, size_t{3}}) {
+      SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") + ", max_shards " +
+                   std::to_string(max_shards));
+      ShardPlan recycled = PartitionProblem(small, /*max_shards=*/0);
+      MaterializeShardPlan(full, comp_of_triple, comp_weight, max_shards,
+                           lazy, &recycled);
+      ShardPlan fresh;
+      MaterializeShardPlan(full, comp_of_triple, comp_weight, max_shards,
+                           lazy, &fresh);
+      EXPECT_TRUE(PlansIdentical(recycled, fresh));
+    }
+  }
+}
+
+// ---------- allocation budget of a steady-state tail refresh -----------------
+//
+// One 9-triple tail add and its retract on a scale-0.35 session, after
+// two warm-up cycles. Everything runs on this thread (one thread for the
+// shards and the front end), where the replaced operator new counts.
+// Before the decode went flat and the front end started recycling its
+// storage (hash-map decode, a fresh plan and problem every batch,
+// map-based partition labels), this cycle made 21,422 allocations; now it
+// makes about 800. The budget is a quarter of the old count.
+TEST(SessionAllocationTest, SteadyStateTailCycleStaysUnderBudget) {
+  constexpr uint64_t kBudget = 21422 / 4;
+  const Dataset dataset =
+      GenerateReVerb45K(/*scale=*/0.35, /*seed=*/7).MoveValueOrDie();
+  SignalOptions signal_options;
+  signal_options.embedding_epochs = 2;
+  const SignalBundle signals =
+      BuildSignals(dataset, signal_options).MoveValueOrDie();
+  const std::vector<size_t> tail =
+      ChooseTailBatch(dataset, signals, dataset.test_triples, 9);
+  ASSERT_EQ(tail.size(), 9u);
+  std::vector<size_t> prefill;
+  std::set_difference(dataset.test_triples.begin(),
+                      dataset.test_triples.end(), tail.begin(), tail.end(),
+                      std::back_inserter(prefill));
+
+  SessionOptions session_options;
+  session_options.num_threads = 1;
+  session_options.frontend_threads = 1;
+  JoclSession session(&dataset, &signals, {}, session_options);
+  ASSERT_TRUE(session.AddTriples(prefill).ok());
+  for (int warm_up = 0; warm_up < 2; ++warm_up) {
+    ASSERT_TRUE(session.AddTriples(tail).ok());
+    ASSERT_TRUE(session.RemoveTriples(tail).ok());
+  }
+  const uint64_t before = g_thread_allocations;
+  SessionStats add_stats, retract_stats;
+  ASSERT_TRUE(session.AddTriples(tail, &add_stats).ok());
+  ASSERT_TRUE(session.RemoveTriples(tail, &retract_stats).ok());
+  const uint64_t allocations = g_thread_allocations - before;
+  // A tail batch re-infers only the components it touches.
+  EXPECT_LE(add_stats.dirty_shards, tail.size());
+  EXPECT_LE(retract_stats.dirty_shards, tail.size());
+  EXPECT_LE(allocations, kBudget)
+      << "a steady-state tail add + retract made " << allocations
+      << " heap allocations";
 }
 
 }  // namespace
