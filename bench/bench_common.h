@@ -1,8 +1,11 @@
 #ifndef JOCL_BENCH_BENCH_COMMON_H_
 #define JOCL_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +24,9 @@ namespace bench {
 /// Scale/seed knobs shared by every bench binary.
 /// JOCL_BENCH_SCALE multiplies the generated workload size (default 1.0 =
 /// ~3000 triples ReVerb45K-like, ~2300 NYTimes2018-like; 15.0 reproduces
-/// the papers' full 45K scale). JOCL_BENCH_SEED switches the world.
+/// the papers' full 45K scale). JOCL_BENCH_SEED switches the world. A value
+/// that is not a finite scale > 0 or an unsigned seed, parsed whole, stops
+/// the bench with exit status 2.
 struct BenchEnv {
   double scale = 1.0;
   uint64_t seed = 42;
@@ -29,13 +34,32 @@ struct BenchEnv {
   static BenchEnv FromEnv() {
     BenchEnv env;
     if (const char* s = std::getenv("JOCL_BENCH_SCALE")) {
-      env.scale = std::atof(s);
-      if (env.scale <= 0.0) env.scale = 1.0;
+      if (!ParseWhole(s, &env.scale) || !std::isfinite(env.scale) ||
+          env.scale <= 0.0) {
+        Reject("JOCL_BENCH_SCALE", s, "a finite number > 0");
+      }
     }
     if (const char* s = std::getenv("JOCL_BENCH_SEED")) {
-      env.seed = static_cast<uint64_t>(std::atoll(s));
+      if (!ParseWhole(s, &env.seed)) {
+        Reject("JOCL_BENCH_SEED", s, "an unsigned integer");
+      }
     }
     return env;
+  }
+
+ private:
+  template <typename T>
+  static bool ParseWhole(const char* s, T* value) {
+    const char* end = s + std::strlen(s);
+    auto [ptr, ec] = std::from_chars(s, end, *value);
+    return ec == std::errc() && ptr == end;
+  }
+
+  [[noreturn]] static void Reject(const char* name, const char* value,
+                                  const char* expected) {
+    std::fprintf(stderr, "%s must be %s, got \"%s\"\n", name, expected,
+                 value);
+    std::exit(2);
   }
 };
 
