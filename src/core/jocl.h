@@ -30,7 +30,9 @@ struct JoclOptions {
   ProblemOptions problem;
   GraphBuilderOptions builder;
   /// Weight learning (paper §3.4): gradient ascent at lr 0.05 with
-  /// LBP-approximated expectations.
+  /// LBP-approximated expectations. `ShardedLearner` runs each
+  /// component's engine on one thread, whatever `learner.lbp.num_threads`
+  /// says: its parallelism lives across components (`RuntimeOptions`).
   LearnerOptions learner;
   /// Inference-time LBP (paper: converges within 20 sweeps). Runs the
   /// certified residual schedule, which meets the tolerance on the head
@@ -62,7 +64,6 @@ struct JoclOptions {
     learner.iterations = 15;
     learner.l2 = 0.08;             // stay close to the uniform prior
     learner.lbp.max_iterations = 8;
-    learner.lbp.num_threads = 0;   // component-parallel, auto-sized
     inference.max_iterations = 20;
     inference.schedule = LbpSchedule::kResidual;
     inference.num_threads = 0;

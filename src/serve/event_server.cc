@@ -79,35 +79,16 @@ EventHttpServer::EventHttpServer(ServeOptions options)
       "Connections closed by the idle/slow-loris sweep");
   writev_bytes_ = registry_.AddCounter("jocl_writev_bytes_total", "",
                                        "Response bytes written");
-  static constexpr std::string_view kEndpointLabels[kNumEndpoints] = {
+  static constexpr std::string_view kEndpointLabels[kNumCanonEndpoints] = {
       "endpoint=\"/lookup\"",  "endpoint=\"/link\"",
       "endpoint=\"/cluster\"", "endpoint=\"/stats\"",
       "endpoint=\"/metrics\"", "endpoint=\"other\"",
   };
-  for (size_t e = 0; e < kNumEndpoints; ++e) {
+  for (size_t e = 0; e < kNumCanonEndpoints; ++e) {
     latency_[e] = registry_.AddHistogram(
         "jocl_request_latency_seconds", kEndpointLabels[e],
         "Server-side request latency, request parse to last byte queued");
   }
-}
-
-EventHttpServer::Endpoint EventHttpServer::ClassifyTarget(
-    std::string_view target) {
-  std::string_view path = target;
-  const size_t qmark = target.find('?');
-  if (qmark != std::string_view::npos) path = target.substr(0, qmark);
-  if (path == "/lookup") return Endpoint::kLookup;
-  if (path == "/link") return Endpoint::kLink;
-  if (path == "/cluster") return Endpoint::kCluster;
-  if (path == "/stats") return Endpoint::kStats;
-  if (path == "/metrics") return Endpoint::kMetrics;
-  return Endpoint::kOther;
-}
-
-void EventHttpServer::FillMetricsReply(HttpReply* reply) const {
-  reply->status = 200;
-  reply->body = registry_.RenderPrometheus();
-  reply->content_type.assign(kPrometheusContentType);
 }
 
 EventHttpServer::~EventHttpServer() { Stop(); }
@@ -436,8 +417,11 @@ bool EventHttpServer::ServeRequest(EventThread* et, int fd, Conn* conn,
   }
   // Scrapes are counted apart from data-path requests so monitoring
   // traffic never skews QPS-facing numbers.
-  const Endpoint endpoint = ClassifyTarget(request.target);
-  if (endpoint == Endpoint::kStats || endpoint == Endpoint::kMetrics) {
+  const CanonTarget target =
+      ParseCanonTarget(request.method, request.target, &et->decode_buffer);
+  const CanonEndpoint endpoint = target.endpoint;
+  if (endpoint == CanonEndpoint::kStats ||
+      endpoint == CanonEndpoint::kMetrics) {
     scrapes_->Add();
   } else {
     requests_->Add();
@@ -451,7 +435,7 @@ bool EventHttpServer::ServeRequest(EventThread* et, int fd, Conn* conn,
   }
 
   HttpReply reply;
-  HandleRequest(request, et->context.get(), &reply);
+  HandleRequest(request, target, et->context.get(), &reply);
   if (!reply.cached_header.empty()) {
     CountStatus(200);
     SendCached(et, fd, conn, reply.cached_header, reply.cached_body,

@@ -39,7 +39,7 @@ struct ServeOptions {
   /// connection is closed.
   size_t max_request_bytes = 16 * 1024;
   /// Pre-render hot-endpoint responses on every Publish (the
-  /// parse → binary-search → writev path). Disable to serve through
+  /// parse → resolve → writev path). Disable to serve through
   /// the allocating renderer only — bench_serve measures the gap.
   bool prerender = true;
   /// Record per-endpoint request-latency histograms (request parse to
@@ -146,34 +146,21 @@ class EventHttpServer {
   }
 
   /// Answers one parsed request. Runs on the owning event thread;
-  /// \p context is that thread's `MakeThreadContext()` result (null by
-  /// default). Protocol-level errors (malformed head, oversize, 408)
-  /// never reach this.
+  /// \p target is the request target parsed once by the loop (its
+  /// decoded surface lives until this returns), \p context that
+  /// thread's `MakeThreadContext()` result (null by default).
+  /// Protocol-level errors (malformed head, oversize, 408) never reach
+  /// this.
   virtual void HandleRequest(const RequestHead& request,
+                             const CanonTarget& target,
                              ThreadContext* context, HttpReply* reply) = 0;
 
   const ServeOptions& options() const { return options_; }
-
-  /// Request targets bucketed for per-endpoint latency histograms and
-  /// the scrape/data-path request split.
-  enum class Endpoint {
-    kLookup = 0,
-    kLink,
-    kCluster,
-    kStats,
-    kMetrics,
-    kOther,
-  };
-  static constexpr size_t kNumEndpoints = 6;
-  static Endpoint ClassifyTarget(std::string_view target);
 
   /// The server-scoped registry `/metrics` renders. Subclasses register
   /// their own families here at construction time.
   MetricsRegistry& metrics_registry() { return registry_; }
   const MetricsRegistry& metrics_registry() const { return registry_; }
-
-  /// Fills \p reply with this server's Prometheus exposition.
-  void FillMetricsReply(HttpReply* reply) const;
 
  private:
   /// Per-connection state machine.
@@ -194,6 +181,9 @@ class EventHttpServer {
     int wake_fd = -1;  ///< eventfd; Stop() writes to break epoll_wait
     std::unordered_map<int, Conn> conns;
     std::unique_ptr<ThreadContext> context;
+    /// Escaped surfaces decode here (`ParseCanonTarget`); its capacity
+    /// is kept from request to request.
+    std::string decode_buffer;
     std::thread thread;
   };
 
@@ -247,7 +237,7 @@ class EventHttpServer {
   Counter* connections_reused_ = nullptr;
   Counter* connections_timed_out_ = nullptr;
   Counter* writev_bytes_ = nullptr;
-  Histogram* latency_[kNumEndpoints] = {nullptr};
+  Histogram* latency_[kNumCanonEndpoints] = {nullptr};
 };
 
 }  // namespace jocl

@@ -12,6 +12,31 @@ int HexValue(char c) {
   return -1;
 }
 
+/// Decodes the query-string byte at text[*i] — '+' is a space, a valid
+/// `%XY` escape its byte, anything else itself — and moves *i past it.
+char DecodeNext(std::string_view text, size_t* i) {
+  const char c = text[(*i)++];
+  if (c == '+') return ' ';
+  if (c == '%' && *i + 1 < text.size()) {
+    const int high = HexValue(text[*i]);
+    const int low = HexValue(text[*i + 1]);
+    if (high >= 0 && low >= 0) {
+      *i += 2;
+      return static_cast<char>(high * 16 + low);
+    }
+  }
+  return c;
+}
+
+/// True when \p text percent-decodes to exactly \p want.
+bool DecodedEquals(std::string_view text, std::string_view want) {
+  size_t n = 0;
+  for (size_t i = 0; i < text.size();) {
+    if (n == want.size() || DecodeNext(text, &i) != want[n++]) return false;
+  }
+  return n == want.size();
+}
+
 char ToLower(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
@@ -60,99 +85,107 @@ const char* HttpStatusText(int code) {
   }
 }
 
-std::string UrlDecode(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '+') {
-      out.push_back(' ');
-    } else if (text[i] == '%' && i + 2 < text.size() &&
-               HexValue(text[i + 1]) >= 0 && HexValue(text[i + 2]) >= 0) {
-      out.push_back(static_cast<char>(HexValue(text[i + 1]) * 16 +
-                                      HexValue(text[i + 2])));
-      i += 2;
-    } else {
-      out.push_back(text[i]);
-    }
+CanonTarget ParseCanonTarget(std::string_view method,
+                             std::string_view target,
+                             std::string* decode_buffer) {
+  CanonTarget out;
+  const size_t qmark = target.find('?');
+  out.path = target.substr(0, qmark);
+  if (out.path == "/lookup") {
+    out.endpoint = CanonEndpoint::kLookup;
+  } else if (out.path == "/link") {
+    out.endpoint = CanonEndpoint::kLink;
+  } else if (out.path == "/cluster") {
+    out.endpoint = CanonEndpoint::kCluster;
+  } else if (out.path == "/stats") {
+    out.endpoint = CanonEndpoint::kStats;
+  } else if (out.path == "/metrics") {
+    out.endpoint = CanonEndpoint::kMetrics;
   }
-  return out;
-}
+  if (method != "GET") {
+    out.error_status = 405;
+    out.error = "method not allowed (GET only)";
+    return out;
+  }
+  if (out.endpoint > CanonEndpoint::kCluster) return out;
 
-bool UrlDecodeInto(std::string_view text, char* scratch, size_t cap,
-                   std::string_view* out) {
-  // Fast path: nothing to decode — alias the input.
-  if (text.find('%') == std::string_view::npos &&
-      text.find('+') == std::string_view::npos) {
-    *out = text;
-    return true;
-  }
-  size_t n = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (n >= cap) return false;
-    if (text[i] == '+') {
-      scratch[n++] = ' ';
-    } else if (text[i] == '%' && i + 2 < text.size() &&
-               HexValue(text[i + 1]) >= 0 && HexValue(text[i + 2]) >= 0) {
-      scratch[n++] = static_cast<char>(HexValue(text[i + 1]) * 16 +
-                                       HexValue(text[i + 2]));
-      i += 2;
-    } else {
-      scratch[n++] = text[i];
-    }
-  }
-  *out = std::string_view(scratch, n);
-  return true;
-}
-
-QueryParams ParseQuery(std::string_view query) {
-  QueryParams out;
+  // First occurrence of each key, values still encoded.
+  const std::string_view query =
+      qmark == std::string_view::npos ? std::string_view()
+                                      : target.substr(qmark + 1);
+  std::string_view kind, surface, id;
+  bool has_kind = false, has_id = false;
   size_t start = 0;
   while (start <= query.size()) {
     size_t end = query.find('&', start);
     if (end == std::string_view::npos) end = query.size();
-    std::string_view pair = query.substr(start, end - start);
+    const std::string_view pair = query.substr(start, end - start);
     if (!pair.empty()) {
       const size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        out.params.emplace_back(UrlDecode(pair), "");
-      } else {
-        out.params.emplace_back(UrlDecode(pair.substr(0, eq)),
-                                UrlDecode(pair.substr(eq + 1)));
+      const std::string_view key = pair.substr(0, eq);
+      const std::string_view value =
+          eq == std::string_view::npos ? std::string_view()
+                                       : pair.substr(eq + 1);
+      if (!has_kind && DecodedEquals(key, "kind")) {
+        has_kind = true;
+        kind = value;
+      } else if (!out.has_surface && DecodedEquals(key, "surface")) {
+        out.has_surface = true;
+        surface = value;
+      } else if (!has_id && DecodedEquals(key, "id")) {
+        has_id = true;
+        id = value;
       }
     }
     if (end == query.size()) break;
     start = end + 1;
   }
-  return out;
-}
 
-QueryScan FindQueryValue(std::string_view query, std::string_view key,
-                         std::string_view* raw_value) {
-  size_t start = 0;
-  while (start <= query.size()) {
-    size_t end = query.find('&', start);
-    if (end == std::string_view::npos) end = query.size();
-    std::string_view pair = query.substr(start, end - start);
-    if (!pair.empty()) {
-      const size_t eq = pair.find('=');
-      const std::string_view raw_key =
-          eq == std::string_view::npos ? pair : pair.substr(0, eq);
-      // An escaped key could decode to `key`; only the allocating parser
-      // can tell — bail out so both paths always agree.
-      if (raw_key.find('%') != std::string_view::npos ||
-          raw_key.find('+') != std::string_view::npos) {
-        return QueryScan::kNeedsFallback;
+  if (out.has_surface) {
+    if (surface.find('%') == std::string_view::npos &&
+        surface.find('+') == std::string_view::npos) {
+      out.surface = surface;
+    } else {
+      decode_buffer->resize(surface.size());  // decoding never lengthens
+      size_t n = 0;
+      for (size_t i = 0; i < surface.size();) {
+        (*decode_buffer)[n++] = DecodeNext(surface, &i);
       }
-      if (raw_key == key) {
-        *raw_value =
-            eq == std::string_view::npos ? std::string_view() : pair.substr(eq + 1);
-        return QueryScan::kFound;
-      }
+      decode_buffer->resize(n);
+      out.surface = *decode_buffer;
     }
-    if (end == query.size()) break;
-    start = end + 1;
   }
-  return QueryScan::kMissing;
+  if (has_kind) {
+    if (DecodedEquals(kind, "rp")) {
+      out.kind = CanonKind::kRp;
+    } else if (!DecodedEquals(kind, "np")) {
+      out.error_status = 400;
+      out.error = "unknown kind (expected np or rp)";
+      return out;
+    }
+  }
+  if (out.endpoint == CanonEndpoint::kCluster) {
+    bool numeric = has_id && !id.empty();
+    for (size_t i = 0; i < id.size();) {
+      const char c = DecodeNext(id, &i);
+      if (c < '0' || c > '9') {
+        numeric = false;
+        break;
+      }
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      out.cluster_id = out.cluster_id > (UINT64_MAX - digit) / 10
+                           ? UINT64_MAX
+                           : out.cluster_id * 10 + digit;
+    }
+    if (!numeric) {
+      out.error_status = 400;
+      out.error = "missing or non-numeric parameter 'id'";
+    }
+  } else if (!out.has_surface) {
+    out.error_status = 400;
+    out.error = "missing required parameter 'surface'";
+  }
+  return out;
 }
 
 std::string_view FindHeaderValue(std::string_view headers,

@@ -2,10 +2,11 @@
 #define JOCL_SERVE_HTTP_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
+
+#include "serve/canon_store.h"
 
 namespace jocl {
 
@@ -13,49 +14,54 @@ namespace jocl {
 /// emits.
 const char* HttpStatusText(int code);
 
-/// \brief Percent-decodes a query-string component ('+' becomes space;
-/// malformed escapes pass through verbatim). Allocating — the fallback
-/// (non-cached) request path.
-std::string UrlDecode(std::string_view text);
+/// \brief The endpoints the serving tier answers, in the order of the
+/// event loop's per-endpoint latency histograms.
+enum class CanonEndpoint : uint32_t {
+  kLookup = 0,
+  kLink,
+  kCluster,
+  kStats,
+  kMetrics,
+  kOther,
+};
+constexpr size_t kNumCanonEndpoints = 6;
 
-/// \brief Percent-decodes \p text into \p scratch without allocating.
+/// \brief One request target, parsed once for every reader of it: the
+/// event loop's histogram bucket and scrape/data split, `CanonServer`'s
+/// resolve step, `HandleCanonRequest` and the router's shard choice.
 ///
-/// When \p text contains no escapes the returned view aliases \p text
-/// and \p scratch is untouched. Returns false when the decoded form
-/// would not fit \p cap bytes — callers fall back to the allocating
-/// path. The hot-path half of the pre-rendered response cache.
-bool UrlDecodeInto(std::string_view text, char* scratch, size_t cap,
-                   std::string_view* out);
+/// Query keys are percent-decoded before they are compared
+/// (`%73urface=` is `surface=`; '+' is a space; malformed escapes stay
+/// verbatim) and the first occurrence of a key wins.
+struct CanonTarget {
+  CanonEndpoint endpoint = CanonEndpoint::kOther;
+  std::string_view path;  ///< the target up to '?', undecoded
+  CanonKind kind = CanonKind::kNp;  ///< `kind=np|rp`; np when absent
+  /// Whether a `surface` key is present, and its decoded value, also
+  /// behind a bad `kind` (the router still picks the owner shard). The
+  /// value aliases the target when it has no escapes, the caller's
+  /// decode buffer otherwise.
+  bool has_surface = false;
+  std::string_view surface;
+  /// `/cluster`: the decoded `id`, saturated at UINT64_MAX.
+  uint64_t cluster_id = 0;
+  /// 405 (any method but GET) or 400 (a bad `kind`, a missing
+  /// `surface`, a missing or non-numeric `id`); 0 otherwise.
+  int error_status = 0;
+  std::string_view error;  ///< the message of `error_status`
 
-/// \brief Decoded `key=value` pairs of a query string (allocating;
-/// fallback request path).
-struct QueryParams {
-  std::vector<std::pair<std::string, std::string>> params;
-
-  const std::string* Find(std::string_view key) const {
-    for (const auto& [k, v] : params) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+  /// A well-formed `/lookup`, `/link` or `/cluster` request.
+  bool is_data() const {
+    return error_status == 0 && endpoint <= CanonEndpoint::kCluster;
   }
 };
 
-QueryParams ParseQuery(std::string_view query);
-
-/// \brief Outcome of the zero-allocation query scan.
-enum class QueryScan {
-  kFound,          ///< key present; *raw_value holds its (undecoded) value
-  kMissing,        ///< key absent from the query string
-  kNeedsFallback,  ///< a key is percent-encoded; only full decoding can
-                   ///< resolve the query — use ParseQuery instead
-};
-
-/// \brief Finds the first occurrence of \p key in \p query without
-/// allocating. Mirrors ParseQuery's first-match-wins semantics; any
-/// percent/plus escape inside a *key* forces kNeedsFallback so the fast
-/// and slow paths can never disagree.
-QueryScan FindQueryValue(std::string_view query, std::string_view key,
-                         std::string_view* raw_value);
+/// \brief Parses \p target (path + optional `?query`) of a \p method
+/// request without allocating: an escaped surface decodes into
+/// \p decode_buffer, whose capacity is reused from call to call.
+CanonTarget ParseCanonTarget(std::string_view method,
+                             std::string_view target,
+                             std::string* decode_buffer);
 
 /// \brief Parsed head of one HTTP/1.1 request (request line + the
 /// headers the server acts on). All views alias the input buffer.

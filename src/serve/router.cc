@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "serve/http_util.h"
 #include "serve/json.h"
 #include "serve/shard_store.h"
 
@@ -190,31 +189,25 @@ void CanonRouter::AggregatedMetrics(RouterContext* ctx, HttpReply* reply) {
 }
 
 void CanonRouter::HandleRequest(const RequestHead& request,
+                                const CanonTarget& target,
                                 ThreadContext* context, HttpReply* reply) {
   RouterContext* ctx = static_cast<RouterContext*>(context);
-  if (request.method != "GET") {
+  if (target.error_status == 405) {
     reply->status = 405;
-    reply->body = ErrorBody("method not allowed (GET only)");
+    reply->body = ErrorBody(target.error);
     return;
   }
-  std::string_view path = request.target;
-  std::string_view query_text;
-  const size_t qmark = request.target.find('?');
-  if (qmark != std::string_view::npos) {
-    path = std::string_view(request.target).substr(0, qmark);
-    query_text = std::string_view(request.target).substr(qmark + 1);
-  }
-  if (path == "/stats") {
+  if (target.endpoint == CanonEndpoint::kStats) {
     reply->status = 200;
     reply->body = StatsJson();
     return;
   }
-  if (path == "/metrics") {
+  if (target.endpoint == CanonEndpoint::kMetrics) {
     AggregatedMetrics(ctx, reply);
     return;
   }
-  const std::string target(request.target);
-  if (path == "/cluster") {
+  const std::string raw_target(request.target);
+  if (target.endpoint == CanonEndpoint::kCluster) {
     // Broadcast: the owner of any member carries the cluster, so the
     // first non-404 answer is authoritative; ids nobody carries 404
     // with the monolith's exact body on every shard. Each relayed body
@@ -224,7 +217,7 @@ void CanonRouter::HandleRequest(const RequestHead& request,
     bool any_down = false;
     for (size_t k = 0; k < shards_.size(); ++k) {
       HttpResponse response;
-      if (!Forward(ctx, k, target, &response)) {
+      if (!Forward(ctx, k, raw_target, &response)) {
         any_down = true;
         continue;
       }
@@ -243,24 +236,24 @@ void CanonRouter::HandleRequest(const RequestHead& request,
     Relay(std::move(last), reply);
     return;
   }
-  if (path != "/lookup" && path != "/link") {
+  if (target.endpoint == CanonEndpoint::kOther) {
     reply->status = 404;
     reply->body = "{\"error\":\"unknown endpoint\",\"path\":";
-    AppendJsonString(&reply->body, path);
+    AppendJsonString(&reply->body, target.path);
     reply->body.push_back('}');
     return;
   }
-  const QueryParams query = ParseQuery(query_text);
-  const std::string* surface = query.Find("surface");
-  if (surface == nullptr) {
-    reply->status = 400;
-    reply->body = ErrorBody("missing required parameter 'surface'");
+  // Without a surface there is no shard to choose: answer the parse's
+  // own 400, the one every shard would give.
+  if (!target.has_surface) {
+    reply->status = target.error_status;
+    reply->body = ErrorBody(target.error);
     return;
   }
   const uint32_t shard =
-      ShardOfSurface(*surface, static_cast<uint32_t>(shards_.size()));
+      ShardOfSurface(target.surface, static_cast<uint32_t>(shards_.size()));
   HttpResponse response;
-  if (!Forward(ctx, shard, target, &response)) {
+  if (!Forward(ctx, shard, raw_target, &response)) {
     reply->status = 503;
     reply->body =
         ErrorBody("shard " + std::to_string(shard) + " unavailable");

@@ -61,8 +61,8 @@ class CanonRouter : public EventHttpServer {
 
  protected:
   std::unique_ptr<ThreadContext> MakeThreadContext() override;
-  void HandleRequest(const RequestHead& request, ThreadContext* context,
-                     HttpReply* reply) override;
+  void HandleRequest(const RequestHead& request, const CanonTarget& target,
+                     ThreadContext* context, HttpReply* reply) override;
 
  private:
   /// Health and telemetry of one backend, shared across event threads.

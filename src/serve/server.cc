@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "serve/http_util.h"
@@ -14,80 +13,16 @@ const char* KindName(CanonKind kind) {
   return kind == CanonKind::kNp ? "np" : "rp";
 }
 
-/// Parses the `kind` parameter; defaults to NP. Returns false on an
-/// unknown value.
-bool ParseKind(const QueryParams& query, CanonKind* kind) {
-  const std::string* value = query.Find("kind");
-  if (value == nullptr || *value == "np") {
-    *kind = CanonKind::kNp;
-    return true;
-  }
-  if (*value == "rp") {
-    *kind = CanonKind::kRp;
-    return true;
-  }
-  return false;
-}
-
-std::string HandleLookup(const CanonStore& store, const QueryParams& query,
-                         bool link_only, int* http_status) {
-  CanonKind kind = CanonKind::kNp;
-  if (!ParseKind(query, &kind)) {
-    *http_status = 400;
-    return ErrorBody("unknown kind (expected np or rp)");
-  }
-  const std::string* surface = query.Find("surface");
-  if (surface == nullptr) {
-    *http_status = 400;
-    return ErrorBody("missing required parameter 'surface'");
-  }
-  const int64_t id = store.FindSurface(kind, *surface);
-  if (id < 0) {
-    *http_status = 404;
-    std::string out = "{\"error\":\"surface not found\",\"surface\":";
-    AppendJsonString(&out, *surface);
-    out.append(",\"kind\":\"");
-    out.append(KindName(kind));
-    out.append("\"}");
-    return out;
-  }
-  *http_status = 200;
-  std::string out;
-  const CanonRenderer renderer(store, kind);
-  if (link_only) {
-    renderer.AppendLinkBody(&out, static_cast<size_t>(id));
-  } else {
-    renderer.AppendLookupBody(&out, static_cast<size_t>(id));
-  }
-  return out;
-}
-
-std::string HandleCluster(const CanonStore& store, const QueryParams& query,
-                          int* http_status) {
-  CanonKind kind = CanonKind::kNp;
-  if (!ParseKind(query, &kind)) {
-    *http_status = 400;
-    return ErrorBody("unknown kind (expected np or rp)");
-  }
-  const std::string* id_text = query.Find("id");
-  if (id_text == nullptr || id_text->empty() ||
-      id_text->find_first_not_of("0123456789") != std::string::npos) {
-    *http_status = 400;
-    return ErrorBody("missing or non-numeric parameter 'id'");
-  }
-  const uint64_t id = std::strtoull(id_text->c_str(), nullptr, 10);
-  // The id is a global (monolith) id; on a shard the global map takes it
-  // to the local slot, and ids the shard does not carry 404 exactly like
-  // an out-of-range id on the monolith.
-  const int64_t local = store.FindClusterByGlobalId(kind, id);
-  if (local < 0) {
-    *http_status = 404;
+/// The 404 body of a data target the store does not carry.
+std::string NotFoundBody(const CanonTarget& target) {
+  if (target.endpoint == CanonEndpoint::kCluster) {
     return ErrorBody("cluster id out of range");
   }
-  *http_status = 200;
-  std::string out;
-  CanonRenderer(store, kind).AppendClusterBody(&out,
-                                               static_cast<size_t>(local));
+  std::string out = "{\"error\":\"surface not found\",\"surface\":";
+  AppendJsonString(&out, target.surface);
+  out.append(",\"kind\":\"");
+  out.append(KindName(target.kind));
+  out.append("\"}");
   return out;
 }
 
@@ -148,31 +83,23 @@ std::string HandleStats(const CanonStore* store,
   return out;
 }
 
-}  // namespace
-
-std::string HandleCanonRequest(const CanonStore* store,
-                               std::string_view method,
-                               std::string_view target,
-                               const ServeCounters& counters,
-                               int* http_status) {
-  if (method != "GET") {
+/// Answers a parsed request from its resolved \p local id (-1 when
+/// unresolved): every error, `/stats`, and the rendered data bodies.
+std::string RenderCanonResponse(const CanonStore* store,
+                                const CanonTarget& target, int64_t local,
+                                const ServeCounters& counters,
+                                int* http_status) {
+  if (target.error_status == 405) {
     *http_status = 405;
-    return ErrorBody("method not allowed (GET only)");
+    return ErrorBody(target.error);
   }
-  std::string_view path = target;
-  std::string_view query_text;
-  const size_t qmark = target.find('?');
-  if (qmark != std::string_view::npos) {
-    path = target.substr(0, qmark);
-    query_text = target.substr(qmark + 1);
-  }
-  if (path == "/stats") {
+  if (target.endpoint == CanonEndpoint::kStats) {
     return HandleStats(store, counters, http_status);
   }
-  if (path != "/lookup" && path != "/cluster" && path != "/link") {
+  if (target.endpoint > CanonEndpoint::kCluster) {
     *http_status = 404;
     std::string out = "{\"error\":\"unknown endpoint\",\"path\":";
-    AppendJsonString(&out, path);
+    AppendJsonString(&out, target.path);
     out.push_back('}');
     return out;
   }
@@ -180,10 +107,55 @@ std::string HandleCanonRequest(const CanonStore* store,
     *http_status = 503;
     return ErrorBody("no store published yet");
   }
-  const QueryParams query = ParseQuery(query_text);
-  if (path == "/cluster") return HandleCluster(*store, query, http_status);
-  return HandleLookup(*store, query, /*link_only=*/path == "/link",
-                      http_status);
+  if (target.error_status != 0) {
+    *http_status = target.error_status;
+    return ErrorBody(target.error);
+  }
+  if (local < 0) {
+    *http_status = 404;
+    return NotFoundBody(target);
+  }
+  *http_status = 200;
+  std::string out;
+  const CanonRenderer renderer(*store, target.kind);
+  const size_t id = static_cast<size_t>(local);
+  switch (target.endpoint) {
+    case CanonEndpoint::kLookup:
+      renderer.AppendLookupBody(&out, id);
+      break;
+    case CanonEndpoint::kLink:
+      renderer.AppendLinkBody(&out, id);
+      break;
+    default:
+      renderer.AppendClusterBody(&out, id);
+      break;
+  }
+  return out;
+}
+
+}  // namespace
+
+int64_t ResolveCanonTarget(const CanonStore& store,
+                           const CanonTarget& target) {
+  // Cluster targets carry global (monolith) ids; on a shard the global
+  // map takes them to the local slot, and ids the shard does not carry
+  // resolve to -1 exactly like an out-of-range id on the monolith.
+  return target.endpoint == CanonEndpoint::kCluster
+             ? store.FindClusterByGlobalId(target.kind, target.cluster_id)
+             : store.FindSurface(target.kind, target.surface);
+}
+
+std::string HandleCanonRequest(const CanonStore* store,
+                               std::string_view method,
+                               std::string_view target,
+                               const ServeCounters& counters,
+                               int* http_status) {
+  std::string decode_buffer;
+  const CanonTarget parsed = ParseCanonTarget(method, target, &decode_buffer);
+  const int64_t local = store != nullptr && parsed.is_data()
+                            ? ResolveCanonTarget(*store, parsed)
+                            : -1;
+  return RenderCanonResponse(store, parsed, local, counters, http_status);
 }
 
 CanonServer::CanonServer(ServeOptions options)
@@ -254,17 +226,18 @@ ServeCounters CanonServer::counters() const {
   return counters;
 }
 
-void CanonServer::HandleRequest(const RequestHead& request,
+void CanonServer::HandleRequest(const RequestHead& /*request*/,
+                                const CanonTarget& target,
                                 ThreadContext* /*context*/,
                                 HttpReply* reply) {
-  // /metrics is routed before the cache probe: a scrape must never
+  // /metrics is routed before the resolve step: a scrape must never
   // count as a cache miss (it is not data-path traffic). The server's
   // own registry is followed by the process-global one so a jocl_serve
   // deployment (ingestion + serving in one process) exposes the
   // pipeline mirrors too; the family names are disjoint by
   // construction, so plain concatenation is valid exposition.
-  if (ClassifyTarget(request.target) == Endpoint::kMetrics &&
-      request.method == "GET") {
+  if (target.endpoint == CanonEndpoint::kMetrics &&
+      target.error_status == 0) {
     reply->status = 200;
     reply->body = metrics_registry().RenderPrometheus();
     reply->body += MetricsRegistry::Global().RenderPrometheus();
@@ -275,11 +248,14 @@ void CanonServer::HandleRequest(const RequestHead& request,
   // store generation always come from the same publication.
   const std::shared_ptr<const ServingBundle> bundle =
       std::atomic_load(&bundle_);
-  if (bundle != nullptr && bundle->has_cache) {
-    char scratch[2048];
-    ResponseCache::Hit hit;
-    if (bundle->cache.Find(request.method, request.target, scratch,
-                           sizeof(scratch), &hit)) {
+  const CanonStore* store = bundle == nullptr ? nullptr : bundle->store.get();
+  // Resolve once; the arena and the renderer both answer from the id.
+  int64_t local = -1;
+  if (store != nullptr && target.is_data()) {
+    local = ResolveCanonTarget(*store, target);
+    if (local >= 0 && bundle->has_cache) {
+      const ResponseCache::Hit hit = bundle->cache.At(
+          target.kind, target.endpoint, static_cast<size_t>(local));
       cache_hits_->Add();
       reply->cached_header = hit.header;
       reply->cached_body = hit.body;
@@ -288,9 +264,8 @@ void CanonServer::HandleRequest(const RequestHead& request,
     }
   }
   cache_misses_->Add();
-  const CanonStore* store = bundle == nullptr ? nullptr : bundle->store.get();
-  reply->body = HandleCanonRequest(store, request.method, request.target,
-                                   counters(), &reply->status);
+  reply->body =
+      RenderCanonResponse(store, target, local, counters(), &reply->status);
   if (store != nullptr) {
     reply->extra_headers =
         "X-Jocl-Generation: " + std::to_string(store->generation) + "\r\n";

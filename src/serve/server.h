@@ -33,6 +33,13 @@ std::string HandleCanonRequest(const CanonStore* store,
                                const ServeCounters& counters,
                                int* http_status);
 
+/// \brief The one resolve step of a data request (`target.is_data()`):
+/// the store-local surface id of a `/lookup` or `/link` target, or the
+/// local cluster id of a `/cluster` target's global id; -1 when \p store
+/// does not carry it. Both the arena (`ResponseCache::At`) and the
+/// renderer answer from this id.
+int64_t ResolveCanonTarget(const CanonStore& store, const CanonTarget& target);
+
 /// \brief The single-store serving front end: an `EventHttpServer`
 /// over an RCU-swapped (store + pre-rendered cache) bundle.
 ///
@@ -43,8 +50,8 @@ std::string HandleCanonRequest(const CanonStore* store,
 /// publication** (read-copy-update), and because body arena and store
 /// travel together a reader can never pair a cached body with a
 /// mismatched generation. The steady-state hot path is
-/// parse → binary-search → `writev` of precomputed header + body —
-/// zero allocation, zero JSON work.
+/// parse → resolve → `writev` of precomputed header + body — zero
+/// allocation, zero JSON work.
 ///
 /// Every response rendered from a published store carries an
 /// `X-Jocl-Generation` header — the router and the distributed tests
@@ -75,8 +82,8 @@ class CanonServer : public EventHttpServer {
   ServeCounters counters() const override;
 
  protected:
-  void HandleRequest(const RequestHead& request, ThreadContext* context,
-                     HttpReply* reply) override;
+  void HandleRequest(const RequestHead& request, const CanonTarget& target,
+                     ThreadContext* context, HttpReply* reply) override;
 
  private:
   /// Accessed only through std::atomic_load / std::atomic_store.

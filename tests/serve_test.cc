@@ -37,6 +37,7 @@
 #include "serve/snapshot_io.h"
 #include "seeded_mutants.h"
 #include "support/canon_store_reference.h"
+#include "support/query_reference.h"
 
 // Heap-allocation probe for the zero-alloc acceptance tests.
 #include "support/allocation_counter.h"
@@ -868,42 +869,81 @@ TEST(HttpUtilTest, ParseRequestHeadAppliesKeepAliveRules) {
   }
 }
 
-TEST(HttpUtilTest, ZeroAllocDecodersAgreeWithAllocatingParser) {
-  char scratch[16];
-  std::string_view out;
-  const std::string_view plain = "abc";
-  ASSERT_TRUE(UrlDecodeInto(plain, scratch, sizeof(scratch), &out));
-  EXPECT_EQ(out, "abc");
-  EXPECT_EQ(out.data(), plain.data());  // no escapes: aliases the input
-  ASSERT_TRUE(UrlDecodeInto("a%20b+c", scratch, sizeof(scratch), &out));
-  EXPECT_EQ(out, "a b c");
-  EXPECT_EQ(out, UrlDecode("a%20b+c"));
-  // Decoded form longer than the scratch capacity: refuse, don't clip.
-  EXPECT_FALSE(UrlDecodeInto("0123456789abcdef%20", scratch, 16, &out));
-
-  std::string_view raw;
-  EXPECT_EQ(FindQueryValue("surface=UMD&kind=np", "kind", &raw),
-            QueryScan::kFound);
-  EXPECT_EQ(raw, "np");
-  EXPECT_EQ(FindQueryValue("surface=UMD", "kind", &raw), QueryScan::kMissing);
-  // An escaped key can only be resolved by full decoding — the scanner
-  // must hand over rather than guess.
-  EXPECT_EQ(FindQueryValue("%73urface=UMD", "surface", &raw),
-            QueryScan::kNeedsFallback);
-  // First-match-wins, mirroring QueryParams::Find.
-  EXPECT_EQ(FindQueryValue("kind=np&kind=rp", "kind", &raw),
-            QueryScan::kFound);
-  EXPECT_EQ(raw, "np");
+TEST(HttpUtilTest, CanonTargetParserDecodesKeysAndValuesOnce) {
+  std::string buffer;
+  const std::string plain = "/lookup?surface=abc&kind=rp";
+  CanonTarget t = ParseCanonTarget("GET", plain, &buffer);
+  EXPECT_TRUE(t.is_data());
+  EXPECT_EQ(t.endpoint, CanonEndpoint::kLookup);
+  EXPECT_EQ(t.kind, CanonKind::kRp);
+  EXPECT_EQ(t.surface, "abc");
+  // No escapes: the surface aliases the target, the buffer is untouched.
+  EXPECT_EQ(t.surface.data(), plain.data() + plain.find("abc"));
+  EXPECT_TRUE(buffer.empty());
+  t = ParseCanonTarget("GET", "/link?surface=a%20b+c", &buffer);
+  EXPECT_EQ(t.endpoint, CanonEndpoint::kLink);
+  EXPECT_EQ(t.surface, "a b c");
+  EXPECT_EQ(t.surface.data(), buffer.data());
+  // Keys decode before they are compared.
+  t = ParseCanonTarget("GET", "/lookup?%73urface=UMD&k%69nd=np", &buffer);
+  EXPECT_TRUE(t.is_data());
+  EXPECT_EQ(t.surface, "UMD");
+  t = ParseCanonTarget("GET", "/cluster?%69d=%31%32&kind=rp", &buffer);
+  EXPECT_TRUE(t.is_data());
+  EXPECT_EQ(t.cluster_id, 12u);
+  EXPECT_EQ(t.kind, CanonKind::kRp);
+  // An id past uint64 saturates (strtoull's rule): it resolves nowhere.
+  t = ParseCanonTarget("GET", "/cluster?id=99999999999999999999999", &buffer);
+  EXPECT_TRUE(t.is_data());
+  EXPECT_EQ(t.cluster_id, UINT64_MAX);
+  // Scrapes and unknown paths carry no parameters and no error.
+  EXPECT_EQ(ParseCanonTarget("GET", "/stats?kind=zz", &buffer).endpoint,
+            CanonEndpoint::kStats);
+  EXPECT_EQ(ParseCanonTarget("GET", "/metrics", &buffer).endpoint,
+            CanonEndpoint::kMetrics);
+  t = ParseCanonTarget("GET", "/lookupx?surface=a", &buffer);
+  EXPECT_EQ(t.endpoint, CanonEndpoint::kOther);
+  EXPECT_EQ(t.path, "/lookupx");
+  EXPECT_EQ(t.error_status, 0);
+  // The errors, in the renderer's order: method, then kind, then the
+  // endpoint's own parameter. A surface still routes past a bad kind.
+  EXPECT_EQ(ParseCanonTarget("POST", "/stats", &buffer).error_status, 405);
+  t = ParseCanonTarget("GET", "/lookup?kind=zz&surface=a%20b", &buffer);
+  EXPECT_EQ(t.error_status, 400);
+  EXPECT_EQ(t.error, "unknown kind (expected np or rp)");
+  EXPECT_TRUE(t.has_surface);
+  EXPECT_EQ(t.surface, "a b");
+  t = ParseCanonTarget("GET", "/lookup?kind=np", &buffer);
+  EXPECT_EQ(t.error_status, 400);
+  EXPECT_FALSE(t.has_surface);
+  EXPECT_EQ(t.error, "missing required parameter 'surface'");
+  for (const char* id : {"/cluster", "/cluster?id=", "/cluster?id=1a",
+                         "/cluster?id=%2B1"}) {
+    t = ParseCanonTarget("GET", id, &buffer);
+    EXPECT_EQ(t.error_status, 400) << id;
+    EXPECT_EQ(t.error, "missing or non-numeric parameter 'id'") << id;
+  }
 }
 
-TEST(HttpUtilTest, TruncatedPercentEscapesPassThroughVerbatim) {
-  // Malformed escapes must neither crash nor eat adjacent bytes, and
-  // both decoders must agree on every case.
-  struct Case {
+// Mutated request heads and /lookup, /link and /cluster targets must
+// parse without reading outside the input (the asan job checks that),
+// and every mutated target must parse exactly as the allocating oracle
+// (tests/support/query_reference.h) reads it.
+TEST(HttpUtilTest, SeededMutantHeadsAndQueriesParseConsistently) {
+  const std::string kHeads[] = {
+      "GET /lookup?surface=University%20of%20Maryland&kind=np HTTP/1.1\r\n"
+      "Host: localhost\r\nConnection: keep-alive\r\n\r\n",
+      "GET /lookup?surface=UMD&kind=rp HTTP/1.0\r\nConnection: close\r\n"
+      "Content-Length: 0\r\n\r\n",
+      "POST /cluster?id=3&kind=np HTTP/1.1\r\ncontent-length: 12\r\n\r\n",
+  };
+  // Malformed escapes neither crash nor eat adjacent bytes: each value
+  // decodes to its `want`, and then seeds mutants like the rest.
+  struct Escape {
     std::string_view in;
     std::string_view want;
   };
-  const Case kCases[] = {
+  const Escape kEscapes[] = {
       {"abc%", "abc%"},      // bare percent at the end
       {"abc%4", "abc%4"},    // one hex digit, then EOF
       {"abc%zz", "abc%zz"},  // non-hex continuation
@@ -913,62 +953,96 @@ TEST(HttpUtilTest, TruncatedPercentEscapesPassThroughVerbatim) {
       {"%41%", "A%"},
       {"%ff", "\xff"},       // lowercase hex
   };
-  char scratch[32];
-  for (const Case& c : kCases) {
-    EXPECT_EQ(UrlDecode(c.in), c.want) << c.in;
-    std::string_view out;
-    ASSERT_TRUE(UrlDecodeInto(c.in, scratch, sizeof(scratch), &out)) << c.in;
-    EXPECT_EQ(out, c.want) << c.in;
-  }
-}
-
-TEST(HttpUtilTest, DuplicateQueryKeysKeepFirstMatch) {
-  const QueryParams params =
-      ParseQuery("kind=np&kind=rp&surface=a&surface=b&empty=&empty=x");
-  ASSERT_NE(params.Find("kind"), nullptr);
-  EXPECT_EQ(*params.Find("kind"), "np");
-  ASSERT_NE(params.Find("surface"), nullptr);
-  EXPECT_EQ(*params.Find("surface"), "a");
-  ASSERT_NE(params.Find("empty"), nullptr);
-  EXPECT_EQ(*params.Find("empty"), "");
-  // An escaped first key still wins after decoding.
-  const QueryParams escaped = ParseQuery("%6Bind=np&kind=rp");
-  ASSERT_NE(escaped.Find("kind"), nullptr);
-  EXPECT_EQ(*escaped.Find("kind"), "np");
-  // The zero-alloc scanner mirrors the semantics on raw keys.
-  std::string_view raw;
-  EXPECT_EQ(FindQueryValue("surface=a&surface=b", "surface", &raw),
-            QueryScan::kFound);
-  EXPECT_EQ(raw, "a");
-}
-
-// Mutated request heads must parse without reading outside the input
-// (the asan job checks that), and on mutated /lookup targets the
-// zero-allocation scanners must agree with the allocating parser, as
-// http_util.h promises.
-TEST(HttpUtilTest, SeededMutantHeadsAndQueriesParseConsistently) {
-  const std::string kHeads[] = {
-      "GET /lookup?surface=University%20of%20Maryland&kind=np HTTP/1.1\r\n"
-      "Host: localhost\r\nConnection: keep-alive\r\n\r\n",
-      "GET /lookup?surface=UMD&kind=rp HTTP/1.0\r\nConnection: close\r\n"
-      "Content-Length: 0\r\n\r\n",
-      "POST /cluster?id=3&kind=np HTTP/1.1\r\ncontent-length: 12\r\n\r\n",
-  };
-  const std::string kTargets[] = {
+  std::vector<std::string> targets = {
       "/lookup?surface=University%20of%20Maryland&kind=np",
-      "/lookup?surface=a+b%2Bc&kind=rp&surface=x",
+      "/link?surface=a+b%2Bc&kind=rp&surface=x",
       "/lookup?kind=&surface=%41%",
       "/lookup?%73urface=a&surface=b&k%69nd=rp&kind=np",
+      // Duplicate keys: the first wins, decoded or not.
+      "/lookup?kind=np&kind=rp&surface=a&surface=b&empty=&empty=x",
+      "/link?%6Bind=rp&kind=np&surface",
+      "/cluster?id=%33&%69d=4&kind=rp&kind=zz",
+      "/cluster?kind=np&id=18446744073709551616",
   };
+  std::string buffer;
+  for (const Escape& e : kEscapes) {
+    const std::string target = "/lookup?surface=" + std::string(e.in);
+    EXPECT_EQ(ParseCanonTarget("GET", target, &buffer).surface, e.want)
+        << target;
+    targets.push_back(target);
+  }
+
+  // What ParseCanonTarget must answer, read off the oracle's pairs.
+  auto check = [&](std::string_view method, std::string_view target) {
+    SCOPED_TRACE(std::string(method) + " " + std::string(target));
+    const CanonTarget t = ParseCanonTarget(method, target, &buffer);
+    const size_t qmark = target.find('?');
+    const std::string_view path = target.substr(0, qmark);
+    EXPECT_EQ(t.path, path);
+    const CanonEndpoint endpoint =
+        path == "/lookup"    ? CanonEndpoint::kLookup
+        : path == "/link"    ? CanonEndpoint::kLink
+        : path == "/cluster" ? CanonEndpoint::kCluster
+        : path == "/stats"   ? CanonEndpoint::kStats
+        : path == "/metrics" ? CanonEndpoint::kMetrics
+                             : CanonEndpoint::kOther;
+    EXPECT_EQ(t.endpoint, endpoint);
+    if (method != "GET") {
+      EXPECT_EQ(t.error_status, 405);
+      return;
+    }
+    if (endpoint > CanonEndpoint::kCluster) {
+      EXPECT_EQ(t.error_status, 0);
+      return;
+    }
+    const QueryParams params = ParseQuery(
+        qmark == std::string_view::npos ? "" : target.substr(qmark + 1));
+    const std::string* surface = params.Find("surface");
+    ASSERT_EQ(t.has_surface, surface != nullptr);
+    if (surface != nullptr) {
+      EXPECT_EQ(t.surface, *surface);
+      // The view lies in the target or in the decode buffer.
+      const bool in_target = t.surface.data() >= target.data() &&
+                             t.surface.data() + t.surface.size() <=
+                                 target.data() + target.size();
+      const bool in_buffer = t.surface.data() == buffer.data() &&
+                             t.surface.size() == buffer.size();
+      EXPECT_TRUE(t.surface.empty() || in_target || in_buffer);
+    }
+    const std::string* kind = params.Find("kind");
+    if (kind != nullptr && *kind != "np" && *kind != "rp") {
+      EXPECT_EQ(t.error_status, 400);
+      EXPECT_EQ(t.error, "unknown kind (expected np or rp)");
+      return;
+    }
+    EXPECT_EQ(t.kind, kind != nullptr && *kind == "rp" ? CanonKind::kRp
+                                                       : CanonKind::kNp);
+    if (endpoint == CanonEndpoint::kCluster) {
+      const std::string* id = params.Find("id");
+      if (id == nullptr || id->empty() ||
+          id->find_first_not_of("0123456789") != std::string::npos) {
+        EXPECT_EQ(t.error_status, 400);
+        return;
+      }
+      EXPECT_EQ(t.cluster_id, std::strtoull(id->c_str(), nullptr, 10));
+    } else if (surface == nullptr) {
+      EXPECT_EQ(t.error_status, 400);
+      return;
+    }
+    EXPECT_TRUE(t.is_data());
+  };
+
   std::mt19937_64 rng(20211);
   size_t valid_heads = 0;
-  size_t found = 0;
-  size_t fallbacks = 0;
+  size_t data = 0;
+  size_t decoded = 0;
+  size_t refused = 0;
+  for (const std::string& target : targets) check("GET", target);
   for (size_t kind = 0; kind < kMutationKinds; ++kind) {
     for (size_t m = 0; m < 300; ++m) {
       SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
                    std::to_string(m));
-      // An exactly-sized heap copy, so asan flags any over-read.
+      // Exactly-sized heap copies, so asan flags any over-read.
       const std::string text = Mutate(kHeads[m % 3], kind, &rng);
       const std::vector<char> bytes(text.begin(), text.end());
       const std::string_view head(bytes.data(), bytes.size());
@@ -980,49 +1054,45 @@ TEST(HttpUtilTest, SeededMutantHeadsAndQueriesParseConsistently) {
           EXPECT_GE(view.data(), head.data());
           EXPECT_LE(view.data() + view.size(), head.data() + head.size());
         }
+        check(parsed.method, parsed.target);
       }
 
-      const std::string target = Mutate(kTargets[m % 4], kind, &rng);
-      const std::string_view query =
-          std::string_view(target).substr(std::min(target.find('?') + 1,
-                                                    target.size()));
-      const QueryParams params = ParseQuery(query);
-      for (std::string_view key : {"surface", "kind"}) {
-        std::string_view raw;
-        const QueryScan scan = FindQueryValue(query, key, &raw);
-        if (scan == QueryScan::kNeedsFallback) {
-          ++fallbacks;
-          continue;
-        }
-        if (scan == QueryScan::kMissing) {
-          EXPECT_EQ(params.Find(key), nullptr) << query;
-          continue;
-        }
-        ++found;
-        ASSERT_NE(params.Find(key), nullptr) << query;
-        const std::string decoded = UrlDecode(raw);
-        EXPECT_EQ(decoded, *params.Find(key)) << query;
-        // At every capacity the scratch decoder either refuses a form that
-        // does not fit or matches UrlDecode within the cap (or aliases).
-        for (size_t cap = 0; cap <= decoded.size(); ++cap) {
-          std::vector<char> scratch(cap);  // exact size: asan flags overruns
-          std::string_view out;
-          if (!UrlDecodeInto(raw, scratch.data(), cap, &out)) {
-            EXPECT_GT(decoded.size(), cap) << raw;
-            continue;
-          }
-          EXPECT_EQ(out, decoded) << raw;
-          EXPECT_TRUE(out.data() == raw.data() || out.size() <= cap) << raw;
-        }
+      const std::string mutant =
+          Mutate(targets[m % targets.size()], kind, &rng);
+      const std::vector<char> target_bytes(mutant.begin(), mutant.end());
+      const std::string_view target(target_bytes.data(),
+                                    target_bytes.size());
+      check("GET", target);
+      const CanonTarget t = ParseCanonTarget("GET", target, &buffer);
+      if (t.is_data()) ++data;
+      if (t.error_status != 0) ++refused;
+      if (t.has_surface && !t.surface.empty() &&
+          t.surface.data() == buffer.data()) {
+        ++decoded;
       }
     }
   }
   EXPECT_GT(valid_heads, 0u);
-  EXPECT_GT(found, 0u);
-  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(data, 0u);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 // ---------- pre-rendered response cache --------------------------------------
+
+/// The cached hot path without sockets, as `CanonServer` runs it: parse
+/// the target once, resolve it against \p store, answer from the arena.
+/// False when the request is not an arena hit.
+bool FindCached(const ResponseCache& cache, const CanonStore& store,
+                std::string_view method, std::string_view target,
+                std::string* decode_buffer, ResponseCache::Hit* hit) {
+  const CanonTarget parsed = ParseCanonTarget(method, target, decode_buffer);
+  if (!parsed.is_data()) return false;
+  const int64_t local = ResolveCanonTarget(store, parsed);
+  if (local < 0) return false;
+  *hit = cache.At(parsed.kind, parsed.endpoint, static_cast<size_t>(local));
+  return true;
+}
 
 /// Every canonical data target of \p store (`/lookup` and `/link` for
 /// each surface, `/cluster` for each cluster, both kinds) must hit the
@@ -1033,12 +1103,12 @@ void ExpectCacheMatchesRendererOnEveryTarget(const CanonStore& store) {
   const ServeCounters no_counters;
   const std::string head_tail =
       "\r\nX-Jocl-Generation: " + std::to_string(store.generation) + "\r\n";
-  char scratch[2048];
+  std::string buffer;
   size_t checked = 0;
   auto check = [&](const std::string& target) {
     SCOPED_TRACE(target);
     ResponseCache::Hit hit;
-    ASSERT_TRUE(cache.Find("GET", target, scratch, sizeof(scratch), &hit));
+    ASSERT_TRUE(FindCached(cache, store, "GET", target, &buffer, &hit));
     int status = 0;
     const std::string rendered =
         HandleCanonRequest(&store, "GET", target, no_counters, &status);
@@ -1081,7 +1151,7 @@ TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
   ASSERT_FALSE(cache.empty());
   EXPECT_GT(cache.arena_bytes(), 0u);
   const ServeCounters no_counters;
-  char scratch[2048];
+  std::string buffer;
   const std::vector<std::string> hot_targets = {
       "/lookup?surface=UMD",
       "/lookup?surface=University%20of%20Maryland&kind=np",
@@ -1091,7 +1161,7 @@ TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
   };
   for (const std::string& target : hot_targets) {
     ResponseCache::Hit hit;
-    ASSERT_TRUE(cache.Find("GET", target, scratch, sizeof(scratch), &hit))
+    ASSERT_TRUE(FindCached(cache, *store_, "GET", target, &buffer, &hit))
         << target;
     int status = 0;
     const std::string rendered =
@@ -1104,20 +1174,21 @@ TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
         << hit.header;
   }
   // Everything else is a miss and falls back to the renderer: /stats,
-  // unknown surfaces, malformed parameters, escaped keys, bad methods.
+  // unknown surfaces, malformed parameters, bad methods.
   ResponseCache::Hit hit;
-  EXPECT_FALSE(cache.Find("GET", "/stats", scratch, sizeof(scratch), &hit));
+  EXPECT_FALSE(FindCached(cache, *store_, "GET", "/stats", &buffer, &hit));
   EXPECT_FALSE(
-      cache.Find("GET", "/lookup?surface=zzz", scratch, sizeof(scratch), &hit));
-  EXPECT_FALSE(cache.Find("GET", "/lookup", scratch, sizeof(scratch), &hit));
+      FindCached(cache, *store_, "GET", "/lookup?surface=zzz", &buffer, &hit));
+  EXPECT_FALSE(FindCached(cache, *store_, "GET", "/lookup", &buffer, &hit));
   EXPECT_FALSE(
-      cache.Find("GET", "/cluster?id=99999", scratch, sizeof(scratch), &hit));
+      FindCached(cache, *store_, "GET", "/cluster?id=99999", &buffer, &hit));
   EXPECT_FALSE(
-      cache.Find("GET", "/cluster?id=abc", scratch, sizeof(scratch), &hit));
-  EXPECT_FALSE(cache.Find("POST", "/lookup?surface=UMD", scratch,
-                          sizeof(scratch), &hit));
-  EXPECT_FALSE(cache.Find("GET", "/lookup?%73urface=UMD", scratch,
-                          sizeof(scratch), &hit));
+      FindCached(cache, *store_, "GET", "/cluster?id=abc", &buffer, &hit));
+  EXPECT_FALSE(FindCached(cache, *store_, "POST", "/lookup?surface=UMD",
+                          &buffer, &hit));
+  // An escaped key decodes before it is compared: a hit.
+  EXPECT_TRUE(FindCached(cache, *store_, "GET", "/lookup?%73urface=UMD",
+                         &buffer, &hit));
 }
 
 TEST_F(ServeWorld, CachedHotPathDoesNotAllocate) {
@@ -1126,26 +1197,54 @@ TEST_F(ServeWorld, CachedHotPathDoesNotAllocate) {
       "GET /lookup?surface=University%20of%20Maryland HTTP/1.1\r\n"
       "Host: 127.0.0.1\r\nConnection: keep-alive\r\n\r\n";
   const std::string cluster_target = "/cluster?id=0";
-  char scratch[2048];
+  const std::string escaped_keys =
+      "/lookup?%73urface=University%20of%20Maryland&k%69nd=np";
+  // A one-triple store whose subject decodes to more than 2048 bytes.
+  std::string long_surface;
+  while (long_surface.size() <= 2048) long_surface += "University of Maryland ";
+  JoclProblem problem;
+  problem.triples = {0};
+  problem.subject_surfaces = {long_surface};
+  problem.predicate_surfaces = {"locate in"};
+  problem.object_surfaces = {"Maryland"};
+  problem.subject_of = {0};
+  problem.predicate_of = {0};
+  problem.object_of = {0};
+  JoclResult result;
+  result.triples = problem.triples;
+  result.np_cluster = {0, 1};
+  result.np_link = {kNilId, dataset_->ckb.FindEntityByName("maryland")};
+  result.rp_cluster = {0};
+  result.rp_link = {kNilId};
+  const CanonStore long_store = BuildCanonStore(problem, result, dataset_->ckb);
+  const ResponseCache long_cache = BuildResponseCache(long_store);
+  const std::string long_target = "/lookup?surface=" + UrlEncode(long_surface);
+
+  std::string buffer;  // the event thread's decode buffer
   ResponseCache::Hit hit;
   // Warm-up, and prove these are hits at all.
   RequestHead head = ParseRequestHead(raw_head);
   ASSERT_TRUE(head.valid);
   ASSERT_TRUE(
-      cache.Find(head.method, head.target, scratch, sizeof(scratch), &hit));
+      FindCached(cache, *store_, head.method, head.target, &buffer, &hit));
+  ASSERT_TRUE(FindCached(cache, *store_, "GET", cluster_target, &buffer, &hit));
+  ASSERT_TRUE(FindCached(cache, *store_, "GET", escaped_keys, &buffer, &hit));
   ASSERT_TRUE(
-      cache.Find("GET", cluster_target, scratch, sizeof(scratch), &hit));
+      FindCached(long_cache, long_store, "GET", long_target, &buffer, &hit));
+  EXPECT_NE(hit.body.find("University of Maryland University"),
+            std::string_view::npos);
 
-  // The steady-state serving path: parse head -> binary-search the
-  // cache (with a percent-escape decoded into stack scratch) -> hand
-  // the arena views to writev. Zero heap allocations, counted by the
+  // The steady-state serving path: parse head -> parse the target once
+  // (escapes decoded into the reused buffer) -> resolve -> hand the
+  // arena views to writev. Zero heap allocations, counted by the
   // replaced global operator new on this thread.
   const uint64_t allocations_before = g_thread_allocations;
   for (int i = 0; i < 1000; ++i) {
     const RequestHead request = ParseRequestHead(raw_head);
-    cache.Find(request.method, request.target, scratch, sizeof(scratch),
-               &hit);
-    cache.Find("GET", cluster_target, scratch, sizeof(scratch), &hit);
+    FindCached(cache, *store_, request.method, request.target, &buffer, &hit);
+    FindCached(cache, *store_, "GET", cluster_target, &buffer, &hit);
+    FindCached(cache, *store_, "GET", escaped_keys, &buffer, &hit);
+    FindCached(long_cache, long_store, "GET", long_target, &buffer, &hit);
   }
   EXPECT_EQ(g_thread_allocations, allocations_before)
       << "cached hot path allocated on the heap";
