@@ -356,7 +356,7 @@ int Run() {
                  "\"incremental_seconds\": %.4f, "
                  "\"speedup_vs_full\": %.2f, "
                  "\"dirty_shards\": %zu, \"clean_shards\": %zu, "
-                 "\"total_shards\": %zu, \"merged_shards\": %zu, "
+                 "\"total_shards\": %zu, "
                  "\"problem_seconds\": %.4f, \"cache_seconds\": %.4f, "
                  "\"partition_seconds\": %.4f, \"shard_seconds\": %.4f, "
                  "\"graph_seconds\": %.4f, \"infer_seconds\": %.4f, "
@@ -365,7 +365,7 @@ int Run() {
                  run.kind, run.fraction, run.batch_triples,
                  run.incremental_seconds, run.speedup, run.stats.dirty_shards,
                  run.stats.clean_shards, run.stats.shards,
-                 run.stats.merged_shards, run.stats.problem_seconds,
+                 run.stats.problem_seconds,
                  run.stats.cache_seconds, run.stats.partition_seconds,
                  run.stats.shard_seconds, run.stats.graph_seconds,
                  run.stats.infer_seconds, run.stats.decode_seconds,

@@ -13,6 +13,12 @@
 namespace jocl {
 namespace {
 
+/// A cached component unused for more than this many consecutive batches
+/// is evicted. Retention matters: a removal that splits a shard often
+/// restores components solved *before* the merge, and retaining them
+/// makes the split free.
+constexpr size_t kStaleRetention = 8;
+
 /// Mirrors a finished batch's session-only families onto the
 /// process-wide registry; the LBP families it shares with the runtime go
 /// through MirrorLbpStats.
@@ -211,18 +217,18 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   }
   local_stats.cache_new_phrases = cache_.size() - phrases_before;
 
-  // ---- partition + delta classification -----------------------------------
+  // ---- partition ------------------------------------------------------------
   // One shard per connected component: dirtiness is per-component, and
   // packing would only coarsen reuse. The persistent union-find labels
   // components in O(Δ·α). It tracks the untruncated admitted pairs, so a
   // batch that truncated the pair lists — and a reused problem, which may
   // have been truncated — derives them from the problem's own pairs. The
-  // plan is lazy: dirty shards materialize their local problem bodies
-  // below, clean shards never do. The plan is refilled in place, so its
-  // index maps keep their storage across batches. The reuse guard and
-  // that materialization are front-end work too: the span covers them.
+  // plan holds index maps only: dirty shards materialize their local
+  // problem bodies below, clean shards never do. The plan is refilled in
+  // place, so its index maps keep their storage across batches. The reuse
+  // guard and that materialization are front-end work too: the span
+  // covers them.
   span.emplace("partition", &local_stats.partition_seconds);
-  const std::vector<size_t>& changed = !added.empty() ? added : removed;
   std::vector<size_t> comp_of_triple;
   std::vector<size_t> comp_weight;
   if (!reuse_frontend) partitioner_.Apply(fdelta);
@@ -233,33 +239,32 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   }
   ShardPlan& plan = plan_;
   MaterializeShardPlan(problem, comp_of_triple, comp_weight,
-                       /*max_shards=*/0, /*lazy=*/true, &plan);
-  ShardDelta delta =
-      ClassifyShardDelta(plan, previous_components_, changed);
+                       /*max_shards=*/0, &plan);
   local_stats.shards = plan.shards.size();
-  local_stats.merged_shards = delta.merged;
-  local_stats.split_components = delta.split;
 
   ++generation_;
 
   // ---- reuse resolution ----------------------------------------------------
-  // The store decides, not the delta classification: a shard whose triple
-  // set matches *any* cached component (e.g. one restored by a removal
-  // that undid an earlier merge) is reusable, provided its local problem
-  // is structurally identical — the byte-exactness guard.
+  // The store decides: a shard whose triple set matches *any* cached
+  // component (e.g. one restored by a removal that undid an earlier merge)
+  // is reusable, provided its local problem is structurally identical —
+  // the byte-exactness guard.
 
   // Provably-clean skip: on a non-truncating batch the front-end delta
   // announces every emission change (surface rep moves, pair
   // admissions/removals, candidate-blocked flips), and relative surface
-  // ranks only move when a rep does. So a shard whose triple membership
-  // is unchanged (kClean) and whose triples host no mention of any event
-  // surface is byte-identical to its cached body by construction — the
-  // structural compare would walk its strings for nothing. Everything
-  // else still pays the full guard.
+  // ranks only move when a rep does. A store entry stamped by the previous
+  // generation was a component of the previous partition (every shard
+  // either reuses its entry or stores a fresh one, and both stamp), and no
+  // batch triple can sit inside it: added triples were not active then,
+  // removed ones are not in this plan. So a shard that hits such an entry
+  // has unchanged triple membership, and if its triples host no mention of
+  // any event surface it is byte-identical to its cached body by
+  // construction — the structural compare would walk its strings for
+  // nothing. Everything else still pays the full guard.
   std::vector<uint8_t> event_touched;
-  const bool can_skip_clean = !reuse_frontend && !fdelta.overflow &&
-                              !prev_overflow_ &&
-                              plan.shards.size() == plan.component_count;
+  const bool can_skip_clean =
+      !reuse_frontend && !fdelta.overflow && !prev_overflow_;
   if (can_skip_clean) {
     event_touched.assign(plan.shards.size(), 0);
     auto touch_sid = [&](size_t role, uint32_t sid) {
@@ -296,14 +301,13 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   std::vector<size_t> dirty;
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     auto it = store_.find(plan.shards[s].problem.triples);
-    const bool provably_clean = can_skip_clean &&
-                                delta.states[s] == ShardDeltaState::kClean &&
-                                !event_touched[s];
-    // Lazy shards have no local problem body yet: compare the cached body
+    // Plan shards have no local problem body yet: compare the cached body
     // against the projection the shard *would* materialize instead.
     bool match = it != store_.end() &&
-                 (provably_clean || ShardMatchesCached(problem, plan.shards[s],
-                                                       it->second.problem));
+                 ((can_skip_clean && it->second.last_used + 1 == generation_ &&
+                   !event_touched[s]) ||
+                  ShardMatchesCached(problem, plan.shards[s],
+                                     it->second.problem));
     if (match) {
       reused[s] = &it->second;
       it->second.last_used = generation_;
@@ -376,19 +380,9 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   span.reset();
 
   // ---- persist state + store upkeep ---------------------------------------
-  // Partition snapshot for the next batch's delta classification: clean
-  // shards swap their triple vectors with the old snapshot's (the plan is
-  // refilled next batch, so both sides keep their storage), only the few
-  // dirty shards copy theirs — the bodies move into the store.
-  previous_components_.resize(plan.shards.size());
-  for (size_t s = 0; s < plan.shards.size(); ++s) {
-    if (reused[s] != nullptr) {
-      previous_components_[s].swap(plan.shards[s].problem.triples);
-    }
-  }
+  // The dirty shards' bodies move into the store.
   for (size_t d = 0; d < dirty.size(); ++d) {
     ProblemShard& shard = plan.shards[dirty[d]];
-    previous_components_[dirty[d]] = shard.problem.triples;
     std::vector<size_t> key = shard.problem.triples;
     SolvedComponent& entry = store_[std::move(key)];
     entry.problem = std::move(shard.problem);
@@ -396,7 +390,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     entry.last_used = generation_;
   }
   for (auto it = store_.begin(); it != store_.end();) {
-    if (generation_ - it->second.last_used > session_.stale_retention) {
+    if (generation_ - it->second.last_used > kStaleRetention) {
       it = store_.erase(it);
     } else {
       ++it;
@@ -407,9 +401,8 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
 
   JOCL_LOG(kDebug) << "session: generation " << generation_ << ", "
                    << local_stats.dirty_shards << "/" << local_stats.shards
-                   << " dirty shards (" << delta.merged << " merged, "
-                   << delta.split << " split), "
-                   << local_stats.cache_new_phrases << " new phrases";
+                   << " dirty shards, " << local_stats.cache_new_phrases
+                   << " new phrases";
   MirrorSessionStats(local_stats, generation_);
   MirrorLbpStats(local_stats, result_.diagnostics.final_residual);
   MirrorDecodeStats(result_);

@@ -17,11 +17,6 @@ struct SessionOptions {
   /// Worker threads running dirty shards: 1 = sequential, 0 = one per
   /// hardware thread. Purely an execution choice.
   size_t num_threads = 0;
-  /// A cached component unused for this many consecutive batches is
-  /// evicted. Retention matters: a removal that splits a shard often
-  /// restores components solved *before* the merge, and retaining them
-  /// makes the split free.
-  size_t stale_retention = 8;
   /// Worker threads for the front-end's parallel stages (candidate
   /// generation, similarity evaluation, dirty-shard materialization):
   /// 1 = sequential, 0 = one per hardware thread. Results are
@@ -31,8 +26,8 @@ struct SessionOptions {
 
 /// \brief Per-batch report of one AddTriples / RemoveTriples /
 /// UpdateWeights call. The PipelineStats stages read as in the runtime,
-/// except that `partition_seconds` also covers delta classification, the
-/// reuse guard and dirty-shard materialization, and the shape and kernel
+/// except that `partition_seconds` also covers the reuse guard and
+/// dirty-shard materialization, and the shape and kernel
 /// fields cover *dirty* shards only (clean shards spend no kernel work —
 /// their beliefs come from the store).
 struct SessionStats : PipelineStats {
@@ -40,8 +35,6 @@ struct SessionStats : PipelineStats {
   size_t removed = 0;              ///< triples actually removed
   size_t dirty_shards = 0;         ///< shards re-inferred this batch
   size_t clean_shards = 0;         ///< shards served from cached beliefs
-  size_t merged_shards = 0;        ///< shards built from >= 2 old components
-  size_t split_components = 0;     ///< old components split by the batch
   size_t cache_new_phrases = 0;    ///< phrases newly ingested by the cache
   /// Candidate lookups this batch: every active surface is consulted once
   /// per role, a hit when the session generated its candidates in an
@@ -152,7 +145,8 @@ class JoclSession {
   const std::vector<size_t>& active_triples() const { return active_; }
 
   /// Solved components currently cached (includes stale ones retained for
-  /// split-reuse).
+  /// split-reuse; an entry unused for more than 8 consecutive batches is
+  /// evicted).
   size_t cached_components() const { return store_.size(); }
 
   const JoclOptions& options() const { return options_; }
@@ -165,7 +159,10 @@ class JoclSession {
   struct SolvedComponent {
     JoclProblem problem;
     ShardBeliefs beliefs;
-    size_t last_used = 0;  ///< generation stamp for stale eviction
+    /// The last generation whose partition held this component: stale
+    /// eviction, and the provably-clean skip (stamped last batch = the
+    /// shard's membership is unchanged).
+    size_t last_used = 0;
   };
 
   /// Delta rebuild + delta partition + dirty-shard inference + global
@@ -195,14 +192,13 @@ class JoclSession {
   JoclProblem problem_;  ///< current global problem
   JoclBeliefs beliefs_;  ///< current global beliefs
   JoclResult result_;    ///< current decoded result
-  /// The lazy shard plan, refilled in place every batch (between batches
-  /// it holds stale index maps, and no reader looks at it).
+  /// The shard plan (index maps, plus the bodies of dirty shards), refilled
+  /// in place every batch (between batches it holds stale index maps, and
+  /// no reader looks at it).
   ShardPlan plan_;
 
   /// Solved components keyed by their sorted dataset-triple-id list.
   std::map<std::vector<size_t>, SolvedComponent> store_;
-  /// The previous partition's component triple sets (delta baseline).
-  std::vector<std::vector<size_t>> previous_components_;
   size_t generation_ = 0;
   std::function<void(const JoclSession&)> publish_callback_;
 };

@@ -202,7 +202,7 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
 void MaterializeShardPlan(const JoclProblem& problem,
                           const std::vector<size_t>& comp_of_triple,
                           const std::vector<size_t>& comp_weight,
-                          size_t max_shards, bool lazy, ShardPlan* plan) {
+                          size_t max_shards, ShardPlan* plan) {
   const size_t n_triples = problem.triples.size();
   const size_t n_components = comp_weight.size();
 
@@ -269,12 +269,6 @@ void MaterializeShardPlan(const JoclProblem& problem,
                     &ProblemShard::predicate_pair_map);
   scatter_pair_maps(problem.object_pairs, problem.object_rep,
                     &ProblemShard::object_pair_map);
-
-  if (!lazy) {
-    for (ProblemShard& shard : plan->shards) {
-      MaterializeShardProblem(problem, &shard);
-    }
-  }
 }
 
 void MaterializeShardProblem(const JoclProblem& problem, ProblemShard* shard) {
@@ -355,7 +349,10 @@ ShardPlan PartitionProblem(const JoclProblem& problem, size_t max_shards) {
       ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
   ShardPlan plan;
   MaterializeShardPlan(problem, comp_of_triple, comp_weight, max_shards,
-                       /*lazy=*/false, &plan);
+                       &plan);
+  for (ProblemShard& shard : plan.shards) {
+    MaterializeShardProblem(problem, &shard);
+  }
   JOCL_LOG(kDebug) << "partition: " << problem.triples.size()
                    << " triples -> " << n_components << " components in "
                    << plan.shards.size() << " shards";
@@ -536,91 +533,6 @@ size_t IncrementalPartitioner::Components(
   // root: reset exactly the entries set above.
   for (size_t t : active_triples) comp_of_root_[parent_[t]] = kNoComponent;
   return comp_weight->size();
-}
-
-ShardDelta ClassifyShardDelta(
-    const ShardPlan& plan,
-    const std::vector<std::vector<size_t>>& previous_components,
-    const std::vector<size_t>& changed_triples) {
-  // Dataset triple ids are small dense integers, so flat arrays beat hash
-  // maps here: this runs on every batch and sits on the partition clock.
-  size_t max_id = 0;
-  for (const auto& comp : previous_components) {
-    for (size_t t : comp) max_id = std::max(max_id, t);
-  }
-  for (const auto& shard : plan.shards) {
-    for (size_t t : shard.problem.triples) max_id = std::max(max_id, t);
-  }
-  for (size_t t : changed_triples) max_id = std::max(max_id, t);
-  std::vector<size_t> prev_comp_of(max_id + 1, kNoComponent);
-  for (size_t c = 0; c < previous_components.size(); ++c) {
-    for (size_t t : previous_components[c]) prev_comp_of[t] = c;
-  }
-  std::vector<uint8_t> changed(max_id + 1, 0);
-  for (size_t t : changed_triples) {
-    if (t <= max_id) changed[t] = 1;
-  }
-
-  ShardDelta delta;
-  delta.states.resize(plan.shards.size());
-  // Per previous component: how many of its triples survive into the new
-  // plan, and how many distinct shards they landed in.
-  std::vector<size_t> comp_survivors(previous_components.size(), 0);
-  std::vector<size_t> comp_last_shard(previous_components.size(),
-                                      static_cast<size_t>(-1));
-  std::vector<size_t> comp_shard_count(previous_components.size(), 0);
-
-  for (size_t s = 0; s < plan.shards.size(); ++s) {
-    const std::vector<size_t>& triples = plan.shards[s].problem.triples;
-    size_t known = 0;            // triples with a previous home
-    size_t home = kNoComponent;  // the first previous home seen
-    bool several = false;        // a second, different previous home seen
-    bool touched = false;
-    for (size_t t : triples) {
-      if (changed[t] != 0) touched = true;
-      const size_t prev = prev_comp_of[t];
-      if (prev == kNoComponent) {
-        touched = true;  // brand-new triple
-        continue;
-      }
-      ++known;
-      ++comp_survivors[prev];
-      if (comp_last_shard[prev] != s) {
-        comp_last_shard[prev] = s;
-        ++comp_shard_count[prev];
-      }
-      if (home == kNoComponent) {
-        home = prev;
-      } else if (prev != home) {
-        several = true;
-      }
-    }
-    ShardDeltaState state;
-    if (home == kNoComponent) {
-      state = ShardDeltaState::kNew;
-    } else if (several) {
-      state = ShardDeltaState::kMerged;
-      ++delta.merged;
-    } else if (known < previous_components[home].size()) {
-      state = ShardDeltaState::kSplit;
-    } else if (touched || known < triples.size()) {
-      state = ShardDeltaState::kTouched;
-    } else {
-      state = ShardDeltaState::kClean;
-    }
-    if (state != ShardDeltaState::kClean) ++delta.dirty;
-    delta.states[s] = state;
-  }
-  for (size_t c = 0; c < previous_components.size(); ++c) {
-    // A component split when its survivors span several shards, or when a
-    // removal took some of its triples while the rest stayed together.
-    if (comp_shard_count[c] >= 2 ||
-        (comp_survivors[c] > 0 &&
-         comp_survivors[c] < previous_components[c].size())) {
-      ++delta.split;
-    }
-  }
-  return delta;
 }
 
 }  // namespace jocl

@@ -96,15 +96,13 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
 /// labels (from `ComputeProblemComponents` or an `IncrementalPartitioner`,
 /// which produce identical labels) into \p plan.
 ///
-/// With \p lazy false the plan is byte-identical to PartitionProblem's.
-/// With \p lazy true only the index maps are filled — `triple_map`,
-/// `problem.triples`, the per-role `*_surface_map` / `*_pair_map` —
-/// which is all that `ClassifyShardDelta`, `ScatterShardBeliefs` and
-/// `ShardMatchesCached` read; the local problem bodies of the (few)
-/// shards that actually need them are completed on demand with
-/// `MaterializeShardProblem`. Skipping the per-shard string copies for
-/// clean shards is what makes the steady-state partition stage O(active)
-/// integer work instead of a full problem copy.
+/// Only the index maps are filled — `triple_map`, `problem.triples`, the
+/// per-role `*_surface_map` / `*_pair_map` — which is all that
+/// `ScatterShardBeliefs` and `ShardMatchesCached` read; the local problem
+/// bodies of the (few) shards that actually need them are completed on
+/// demand with `MaterializeShardProblem`. Skipping the per-shard string
+/// copies for clean shards is what makes the steady-state partition stage
+/// O(active) integer work instead of a full problem copy.
 ///
 /// \p plan may hold any previous plan: every field of every recycled
 /// shard is cleared before it is refilled, so the result equals a fresh
@@ -113,13 +111,12 @@ size_t ComputeProblemComponents(const JoclProblem& problem,
 void MaterializeShardPlan(const JoclProblem& problem,
                           const std::vector<size_t>& comp_of_triple,
                           const std::vector<size_t>& comp_weight,
-                          size_t max_shards, bool lazy, ShardPlan* plan);
+                          size_t max_shards, ShardPlan* plan);
 
-/// \brief Completes the local problem body of one lazily materialized
-/// shard (surfaces, per-triple indices, representatives, candidates and
-/// re-indexed pairs), byte-identical to the eager path. Idempotent on an
-/// already-complete shard only in the trivial sense — call it exactly
-/// once per lazy shard.
+/// \brief Completes the local problem body of one shard filled by
+/// `MaterializeShardPlan` (surfaces, per-triple indices, representatives,
+/// candidates and re-indexed pairs), byte-identical to PartitionProblem's
+/// shard. Call it exactly once per shard.
 void MaterializeShardProblem(const JoclProblem& problem, ProblemShard* shard);
 
 /// \brief Structural equality of a cached local problem against the
@@ -241,56 +238,6 @@ class IncrementalPartitioner {
   /// (SIZE_MAX) between calls.
   std::vector<size_t> comp_of_root_;
 };
-
-/// \brief Delta mode: how one shard of a new partition relates to the
-/// previous partition's components (the session's dirtiness signal).
-enum class ShardDeltaState {
-  /// Same triple set as exactly one previous component, and no triple of
-  /// the mutation batch inside — a candidate for belief reuse.
-  kClean,
-  /// Contains a triple of the mutation batch but maps onto (at most) one
-  /// previous component otherwise.
-  kTouched,
-  /// Assembled from several previous components: a batch triple (or a
-  /// cap-induced pair change) bridged formerly independent sub-problems.
-  kMerged,
-  /// A strict fragment of one previous component: a removal (or pair
-  /// change) disconnected it.
-  kSplit,
-  /// Every triple is new — no overlap with any previous component.
-  kNew,
-};
-
-/// \brief Per-shard classification of a new partition against a previous
-/// one, plus the aggregate merge/split counts the session reports.
-struct ShardDelta {
-  /// One state per shard of the new plan, aligned with `plan.shards`.
-  std::vector<ShardDeltaState> states;
-  /// Shards whose state is not kClean.
-  size_t dirty = 0;
-  /// Shards assembled from >= 2 previous components.
-  size_t merged = 0;
-  /// Previous components whose surviving triples now span >= 2 shards (or
-  /// that lost triples to a removal while the rest stayed together).
-  size_t split = 0;
-};
-
-/// \brief Classifies every shard of \p plan against the previous
-/// partition, given as the previous components' sorted dataset-triple-id
-/// lists, using the same union-find connectivity that built the plan.
-///
-/// \p changed_triples are the dataset triple ids of the mutation batch
-/// (added triples; removed ids are naturally absent from the new plan and
-/// surface as kSplit / kTouched fragments of their former components).
-/// The classification is structural only: a kClean verdict means the
-/// shard covers exactly one previous component's triples, which makes
-/// reuse *plausible* — the session still verifies the local problems are
-/// equal before reusing beliefs, because global blocking caps can change
-/// a component's pairs without changing its triple set.
-ShardDelta ClassifyShardDelta(
-    const ShardPlan& plan,
-    const std::vector<std::vector<size_t>>& previous_components,
-    const std::vector<size_t>& changed_triples);
 
 }  // namespace jocl
 

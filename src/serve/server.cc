@@ -264,8 +264,13 @@ void CanonServer::HandleRequest(const RequestHead& /*request*/,
     }
   }
   cache_misses_->Add();
+  // Only /stats reads the counter snapshot, and taking one merges every
+  // thread-sharded counter cell.
+  const ServeCounters snapshot = target.endpoint == CanonEndpoint::kStats
+                                     ? counters()
+                                     : ServeCounters();
   reply->body =
-      RenderCanonResponse(store, target, local, counters(), &reply->status);
+      RenderCanonResponse(store, target, local, snapshot, &reply->status);
   if (store != nullptr) {
     reply->extra_headers =
         "X-Jocl-Generation: " + std::to_string(store->generation) + "\r\n";

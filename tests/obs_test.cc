@@ -558,7 +558,7 @@ TEST_F(StageClock, StageStatsEqualSpanDurations) {
     EXPECT_GT(stats.shards, 0u);
   }
 
-  JoclSession session(dataset_, signals_, {}, SessionOptions{2, 8, 2});
+  JoclSession session(dataset_, signals_, {}, SessionOptions{2, 2});
   const std::vector<size_t>& stream = dataset_->test_triples;
   const std::vector<size_t> first(stream.begin(),
                                   stream.begin() + stream.size() / 2);

@@ -115,8 +115,9 @@ TEST_F(SessionDeltaTest, BridgeBatchMergesTwoShardsAndLeavesTheThirdClean) {
   EXPECT_EQ(stats.shards, 2u);
   EXPECT_EQ(stats.dirty_shards, 1u);
   EXPECT_EQ(stats.clean_shards, 1u);
-  EXPECT_EQ(stats.merged_shards, 1u);
-  EXPECT_EQ(stats.split_components, 0u);
+  // The merged shard is a new store entry; the pre-merge {t0,t1} and {t2}
+  // stay cached beside it.
+  EXPECT_EQ(session.cached_components(), 4u);
   ExpectByteIdentical(session.result(), OneShot({0, 1, 2, 3, 4}));
 }
 
@@ -129,7 +130,8 @@ TEST_F(SessionDeltaTest, BatchTouchingOneShardDirtiesOnlyThatShard) {
   EXPECT_EQ(stats.shards, 3u);
   EXPECT_EQ(stats.dirty_shards, 1u);
   EXPECT_EQ(stats.clean_shards, 2u);
-  EXPECT_EQ(stats.merged_shards, 0u);
+  // {t3,t5} is the only new store entry.
+  EXPECT_EQ(session.cached_components(), 4u);
   ExpectByteIdentical(session.result(), OneShot({0, 1, 2, 3, 5}));
 }
 
@@ -145,8 +147,17 @@ TEST_F(SessionDeltaTest, RemovalSplitsTheMergedShardAndRestoresFromStore) {
   EXPECT_EQ(stats.shards, 3u);
   EXPECT_EQ(stats.dirty_shards, 0u);
   EXPECT_EQ(stats.clean_shards, 3u);
-  EXPECT_EQ(stats.split_components, 1u);
+  EXPECT_EQ(session.cached_components(), 4u);  // the restore stored nothing
   ExpectByteIdentical(session.result(), OneShot({0, 1, 2, 3}));
+
+  // Re-adding t4 restores the merged shard: its entry was not used by the
+  // previous batch, so it passes the full structural guard, not the
+  // provably-clean skip.
+  ASSERT_TRUE(session.AddTriples({4}, &stats).ok());
+  EXPECT_EQ(stats.shards, 2u);
+  EXPECT_EQ(stats.dirty_shards, 0u);
+  EXPECT_EQ(stats.clean_shards, 2u);
+  ExpectByteIdentical(session.result(), OneShot({0, 1, 2, 3, 4}));
 }
 
 TEST_F(SessionDeltaTest, EmptyAndRedundantBatchesAreNoOps) {
@@ -226,6 +237,14 @@ TEST_F(SessionDeltaTest, OutOfRangeIndexIsRejected) {
                                            << s;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Completes every shard body of a plan from MaterializeShardPlan, as
+/// PartitionProblem does.
+void MaterializeShardProblems(const JoclProblem& problem, ShardPlan* plan) {
+  for (ProblemShard& shard : plan->shards) {
+    MaterializeShardProblem(problem, &shard);
+  }
 }
 
 // ---------- adversarial sequences × front-end threads ------------------------
@@ -541,7 +560,8 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
 
         ShardPlan incremental;
         MaterializeShardPlan(problem, comp_of_triple, comp_weight,
-                             /*max_shards=*/0, /*lazy=*/false, &incremental);
+                             /*max_shards=*/0, &incremental);
+        MaterializeShardProblems(problem, &incremental);
         ASSERT_TRUE(
             PlansIdentical(incremental, PartitionProblem(scratch, 0)));
       }
@@ -554,24 +574,56 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
 }
 
 TEST_F(SessionEquivalenceTest, StaleComponentsAreEvicted) {
+  // A session that ingested the first half A, then the second half B, and
+  // then retired A serves B alone. Refreshes over B never use a component
+  // that holds a triple of A. After more than 8 of them none may still be
+  // cached: the store must equal that of a session that never saw A, and
+  // re-adding A must cost both sessions the same. After fewer, the whole
+  // A ∪ B partition is still cached and re-adding A re-infers nothing.
   const std::vector<size_t>& stream = dataset_->test_triples;
-  SessionOptions session_options;
-  session_options.stale_retention = 0;  // evict as soon as a shard is unused
-  JoclSession session(dataset_, signals_, {}, session_options);
-  std::vector<size_t> half(stream.begin(),
-                           stream.begin() + stream.size() / 2);
-  ASSERT_TRUE(session.AddTriples(half).ok());
-  size_t cached_after_first = session.cached_components();
-  EXPECT_GT(cached_after_first, 0u);
-  // With retention 0 every cached entry must belong to the live partition.
-  ASSERT_TRUE(
-      session
-          .AddTriples(std::vector<size_t>(stream.begin() + stream.size() / 2,
-                                          stream.end()))
-          .ok());
-  SessionStats stats;
-  ASSERT_TRUE(session.RemoveTriples(half, &stats).ok());
-  EXPECT_EQ(session.cached_components(), stats.shards);
+  const std::vector<size_t> a(stream.begin(),
+                              stream.begin() + stream.size() / 2);
+  const std::vector<size_t> b(stream.begin() + stream.size() / 2,
+                              stream.end());
+  const JoclResult& oneshot =
+      *oneshot_[static_cast<size_t>(JoclOptions().inference.schedule)];
+  // Retires and restores one triple of B, \p refreshes times (an even
+  // count ends with B whole).
+  auto churn_b = [&](JoclSession* session, size_t refreshes) {
+    for (size_t i = 0; i < refreshes; ++i) {
+      Status status = i % 2 == 0 ? session->RemoveTriples({b.back()})
+                                 : session->AddTriples({b.back()});
+      ASSERT_TRUE(status.ok());
+    }
+  };
+  for (size_t refreshes : {size_t{4}, size_t{10}}) {
+    SCOPED_TRACE(std::to_string(refreshes) + " refreshes over B");
+    JoclSession saw_a(dataset_, signals_);
+    ASSERT_TRUE(saw_a.AddTriples(a).ok());
+    ASSERT_TRUE(saw_a.AddTriples(b).ok());
+    ASSERT_TRUE(saw_a.RemoveTriples(a).ok());
+    churn_b(&saw_a, refreshes);
+    JoclSession never_a(dataset_, signals_);
+    ASSERT_TRUE(never_a.AddTriples(b).ok());
+    churn_b(&never_a, refreshes);
+
+    const size_t saw_cached = saw_a.cached_components();
+    const size_t never_cached = never_a.cached_components();
+    SessionStats saw_stats, never_stats;
+    ASSERT_TRUE(saw_a.AddTriples(a, &saw_stats).ok());
+    ASSERT_TRUE(never_a.AddTriples(a, &never_stats).ok());
+    ExpectByteIdentical(saw_a.result(), oneshot);
+    ExpectByteIdentical(never_a.result(), oneshot);
+    EXPECT_GT(never_stats.dirty_shards, 0u);
+    if (refreshes > 8) {
+      EXPECT_EQ(saw_cached, never_cached);
+      EXPECT_EQ(saw_stats.dirty_shards, never_stats.dirty_shards);
+      EXPECT_EQ(saw_stats.clean_shards, never_stats.clean_shards);
+    } else {
+      EXPECT_GT(saw_cached, never_cached);
+      EXPECT_EQ(saw_stats.dirty_shards, 0u);
+    }
+  }
 }
 
 TEST_F(SessionEquivalenceTest, LargestClusterGaugesTrackTheLatestDecode) {
@@ -631,8 +683,9 @@ TEST_F(SessionEquivalenceTest, ShrinkingAndRegrowingShardCountsStayExact) {
 }
 
 TEST_F(SessionEquivalenceTest, InPlacePlanEqualsAFreshPlan) {
-  // A plan recycled from another problem's eager plan (bodies filled) must
-  // equal a fresh plan, lazy and eager.
+  // A plan recycled from another problem's complete plan (bodies filled)
+  // must equal a fresh plan, index maps only and with every body
+  // materialized.
   const std::vector<size_t>& stream = dataset_->test_triples;
   const std::vector<size_t> half(stream.begin(),
                                  stream.begin() + stream.size() / 2);
@@ -640,16 +693,20 @@ TEST_F(SessionEquivalenceTest, InPlacePlanEqualsAFreshPlan) {
   const JoclProblem full = BuildProblem(*dataset_, *signals_, stream);
   std::vector<size_t> comp_of_triple, comp_weight;
   ComputeProblemComponents(full, &comp_of_triple, &comp_weight);
-  for (bool lazy : {true, false}) {
+  for (bool bodies : {false, true}) {
     for (size_t max_shards : {size_t{0}, size_t{3}}) {
-      SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") + ", max_shards " +
-                   std::to_string(max_shards));
+      SCOPED_TRACE(std::string(bodies ? "bodies" : "index maps") +
+                   ", max_shards " + std::to_string(max_shards));
       ShardPlan recycled = PartitionProblem(small, /*max_shards=*/0);
       MaterializeShardPlan(full, comp_of_triple, comp_weight, max_shards,
-                           lazy, &recycled);
+                           &recycled);
       ShardPlan fresh;
       MaterializeShardPlan(full, comp_of_triple, comp_weight, max_shards,
-                           lazy, &fresh);
+                           &fresh);
+      if (bodies) {
+        MaterializeShardProblems(full, &recycled);
+        MaterializeShardProblems(full, &fresh);
+      }
       EXPECT_TRUE(PlansIdentical(recycled, fresh));
     }
   }

@@ -63,11 +63,11 @@ void PrintBatch(size_t index, const char* verb, size_t batch_size,
                 size_t snapshot_bytes) {
   std::printf(
       "  batch %2zu: %s %4zu triples in %6.3fs  "
-      "(%zu/%zu shards dirty, %zu merged, %zu split, %zu new phrases, "
+      "(%zu/%zu shards dirty, %zu new phrases, "
       "problem cache %zu hit/%zu miss)",
       index, verb, batch_size, seconds, stats.dirty_shards, stats.shards,
-      stats.merged_shards, stats.split_components, stats.cache_new_phrases,
-      stats.problem_cache_hits, stats.problem_cache_misses);
+      stats.cache_new_phrases, stats.problem_cache_hits,
+      stats.problem_cache_misses);
   std::printf("  %zu msg updates, %zu unconverged", stats.message_updates,
               stats.unconverged_components);
   if (snapshot_bytes > 0) {
