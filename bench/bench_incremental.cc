@@ -10,8 +10,7 @@
 //     rebuild, and every K-batch replay must be byte-identical to the
 //     one-shot result;
 //   * the head-component worst case must reach >= 2.5x vs a full
-//     rebuild under the residual schedule (byte-identical to the
-//     residual one-shot);
+//     rebuild (byte-identical to the one-shot result);
 //   * at scale >= 1 the longtail front-end (problem build + partition)
 //     must stay <= 25% of the batch wall.
 #include <algorithm>
@@ -152,13 +151,9 @@ int Run() {
   const std::vector<size_t>& stream = ds.test_triples;
   std::printf("%zu triples, %zu streamed\n\n", ds.okb.size(), stream.size());
 
-  // ---- full-rebuild baselines (best of 2, to shed cold-cache noise) -------
-  // The staged side is pinned explicitly (the inference default is the
-  // residual schedule), so every "staged" label and JSON key measures
-  // the staged sweep: the full rebuild, the batch table and the replays.
-  JoclOptions staged_options;
-  staged_options.inference.schedule = LbpSchedule::kStaged;
-  JoclRuntime runtime(staged_options);
+  // ---- full-rebuild baseline (best of 2, to shed cold-cache noise) --------
+  const JoclOptions options;
+  JoclRuntime runtime(options);
   double full_seconds = 0.0;
   JoclResult oneshot;
   for (int rep = 0; rep < 2; ++rep) {
@@ -167,25 +162,7 @@ int Run() {
     double seconds = watch.ElapsedSeconds();
     if (rep == 0 || seconds < full_seconds) full_seconds = seconds;
   }
-  // The residual-schedule baseline for the head-component bar: both sides
-  // of that ratio run kResidual, so the comparison stays apples-to-apples.
-  JoclOptions residual_options;
-  residual_options.inference.schedule = LbpSchedule::kResidual;
-  JoclRuntime residual_runtime(residual_options);
-  double full_residual_seconds = 0.0;
-  JoclResult oneshot_residual;
-  for (int rep = 0; rep < 2; ++rep) {
-    Stopwatch watch;
-    oneshot_residual =
-        residual_runtime.Infer(ds, sig, stream).MoveValueOrDie();
-    double seconds = watch.ElapsedSeconds();
-    if (rep == 0 || seconds < full_residual_seconds) {
-      full_residual_seconds = seconds;
-    }
-  }
-  std::printf("full rebuild (one-shot runtime): %.3fs staged, "
-              "%.3fs residual\n\n",
-              full_seconds, full_residual_seconds);
+  std::printf("full rebuild (one-shot runtime): %.3fs\n\n", full_seconds);
 
   // ---- batch composition --------------------------------------------------
   // Incremental cost is proportional to the *dirty region*, not the batch
@@ -235,7 +212,7 @@ int Run() {
     run.fraction = fraction;
     run.batch_triples = batch.size();
     run.incremental_seconds =
-        MeasureBatch(ds, sig, stream, batch, staged_options, oneshot, reps,
+        MeasureBatch(ds, sig, stream, batch, options, oneshot, reps,
                      &run.stats, &failures);
     run.speedup = run.incremental_seconds > 0.0
                       ? full_seconds / run.incremental_seconds
@@ -248,10 +225,10 @@ int Run() {
     batch_runs.push_back(run);
   };
   // The longtail batch runs in single-digit milliseconds, where scheduler
-  // noise rivals the measurement — best-of-3 for it, single-shot for the
-  // hundred-millisecond batches.
+  // noise rivals the measurement — best-of-3 for it, best-of-2 for the
+  // gated head batch, single-shot for the mixed batches.
   measure("longtail 1%", 0.01, /*reps=*/3, take_tail(longtail_pool, one_pct));
-  measure("head 1%", 0.01, /*reps=*/1, take_tail(head_pool, one_pct));
+  measure("head 1%", 0.01, /*reps=*/2, take_tail(head_pool, one_pct));
   measure("mixed 5%", 0.05, /*reps=*/1, take_tail(stream, 5 * one_pct));
   measure("mixed 10%", 0.10, /*reps=*/1, take_tail(stream, 10 * one_pct));
   std::printf("%s\n", table.Render().c_str());
@@ -275,44 +252,25 @@ int Run() {
   const double longtail_frontend_ms = FrontendSeconds(longtail.stats) * 1e3;
   const double longtail_decode_ms = longtail.stats.decode_seconds * 1e3;
   std::printf("longtail 1%% front-end (problem + partition): %.3f ms = "
-              "%.1f%% of batch wall; decode %.3f ms\n",
+              "%.1f%% of batch wall; decode %.3f ms\n\n",
               longtail_frontend_ms, frontend_share * 100.0,
               longtail_decode_ms);
 
-  // ---- head batch under the residual schedule -----------------------------
-  // The head batch re-infers the largest component exactly — the price of
-  // byte-identical restart semantics. The staged number above is that
-  // honest worst case; the residual schedule converges the head component
-  // early (against its own residual one-shot baseline, so the identity
-  // check still holds bit for bit).
-  SessionStats head_residual_stats;
-  double head_residual_seconds = MeasureBatch(
-      ds, sig, stream, take_tail(head_pool, one_pct), residual_options,
-      oneshot_residual, /*reps=*/2, &head_residual_stats, &failures);
-  double head_residual_speedup = head_residual_seconds > 0.0
-                                     ? full_residual_seconds /
-                                           head_residual_seconds
-                                     : 0.0;
-  std::printf("head 1%% residual schedule: %.3fs (%.1fx vs %.3fs residual "
-              "full rebuild; staged: %.1fx)\n\n",
-              head_residual_seconds, head_residual_speedup,
-              full_residual_seconds, head.speedup);
-
   // ---- acceptance gates ---------------------------------------------------
   bool gate_5x = longtail.speedup >= 5.0;
-  bool gate_head_residual = head_residual_speedup >= 2.5;
+  bool gate_head = head.speedup >= 2.5;
   bool gate_frontend_share = frontend_share <= 0.25;
   bool enforce_frontend_share = env.scale >= 1.0;
   std::printf("acceptance (longtail 1%% >= 5x vs full): %s\n",
               gate_5x ? "PASS" : "FAIL");
-  std::printf("acceptance (head 1%% residual >= 2.5x vs full): %s\n",
-              gate_head_residual ? "PASS" : "FAIL");
+  std::printf("acceptance (head 1%% >= 2.5x vs full): %s\n",
+              gate_head ? "PASS" : "FAIL");
   std::printf("acceptance (longtail front-end <= 25%% of batch wall): %s%s\n",
               gate_frontend_share ? "PASS" : "FAIL",
               enforce_frontend_share ? "" : " (recorded only; scale < 1)");
   std::printf("\n");
   if (!gate_5x) ++failures;
-  if (!gate_head_residual) ++failures;
+  if (!gate_head) ++failures;
   if (enforce_frontend_share && !gate_frontend_share) ++failures;
 
   // ---- K-batch replay: equivalence + totals -------------------------------
@@ -322,7 +280,7 @@ int Run() {
   std::vector<ReplayRun> replays;
   for (size_t k : {1u, 4u, 16u}) {
     ReplayRun cold = Replay(ds, sig, stream, k, /*with_removal=*/true,
-                            staged_options, oneshot);
+                            options, oneshot);
     std::printf("replay K=%-2zu cold+removal: total %.3fs (max batch %.3fs), "
                 "byte-identical: %s\n",
                 k, cold.total_seconds, cold.max_batch_seconds,
@@ -345,8 +303,6 @@ int Run() {
   std::fprintf(out, "  \"triples\": %zu,\n  \"streamed_triples\": %zu,\n",
                ds.okb.size(), stream.size());
   std::fprintf(out, "  \"full_rebuild_seconds\": %.4f,\n", full_seconds);
-  std::fprintf(out, "  \"full_rebuild_residual_seconds\": %.4f,\n",
-               full_residual_seconds);
   std::fprintf(out, "  \"batches\": [\n");
   for (size_t i = 0; i < batch_runs.size(); ++i) {
     const BatchRun& run = batch_runs[i];
@@ -373,9 +329,6 @@ int Run() {
                  i + 1 < batch_runs.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"head_residual\": {\"seconds\": %.4f, "
-               "\"speedup_vs_full\": %.2f},\n",
-               head_residual_seconds, head_residual_speedup);
   std::fprintf(out, "  \"replays\": [\n");
   for (size_t i = 0; i < replays.size(); ++i) {
     const ReplayRun& run = replays[i];
@@ -398,12 +351,12 @@ int Run() {
   std::fprintf(out, "  \"longtail_speedup_vs_full\": %.2f,\n",
                longtail.speedup);
   std::fprintf(out, "  \"head_residual_speedup_vs_full\": %.2f,\n",
-               head_residual_speedup);
+               head.speedup);
   std::fprintf(out, "  \"longtail_frontend_share\": %.4f,\n", frontend_share);
   std::fprintf(out, "  \"acceptance_1pct_speedup_ge_5x\": %s,\n",
                gate_5x ? "true" : "false");
   std::fprintf(out, "  \"acceptance_head_residual_ge_2_5x\": %s,\n",
-               gate_head_residual ? "true" : "false");
+               gate_head ? "true" : "false");
   std::fprintf(out, "  \"acceptance_frontend_share_le_25pct\": %s\n",
                gate_frontend_share ? "true" : "false");
   std::fprintf(out, "}\n");

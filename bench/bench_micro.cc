@@ -348,26 +348,19 @@ BENCHMARK(BM_LbpKernelHeadHeavy)
     ->Args({800, 0})
     ->Args({800, 1});
 
-void BM_LbpScheduleHeadHeavy(benchmark::State& state) {
-  // Arg0: head variables; Arg1: 0 = staged sweeps, 1 = residual-priority
-  // queue. Residual runs to its convergence certificate within the same
-  // sweep budget.
+void BM_LbpResidualHeadHeavy(benchmark::State& state) {
+  // Arg: head variables. The residual schedule runs to its convergence
+  // certificate within a 30-sweep budget.
   FactorGraph g = MakeHeadHeavy(static_cast<size_t>(state.range(0)));
   std::vector<double> weights = {1.0};
   for (auto _ : state) {
     LbpOptions options;
     options.max_iterations = 30;
-    options.schedule = state.range(1) == 0 ? LbpSchedule::kStaged
-                                           : LbpSchedule::kResidual;
     FlatLbpEngine engine(&g, &weights, options);
     benchmark::DoNotOptimize(engine.Run());
   }
 }
-BENCHMARK(BM_LbpScheduleHeadHeavy)
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({800, 0})
-    ->Args({800, 1});
+BENCHMARK(BM_LbpResidualHeadHeavy)->Arg(200)->Arg(800);
 
 void BM_LbpComponentParallel(benchmark::State& state) {
   // Fragmented workload (many disjoint grids — the shape of JOCL's joint

@@ -30,14 +30,15 @@ struct JoclOptions {
   ProblemOptions problem;
   GraphBuilderOptions builder;
   /// Weight learning (paper §3.4): gradient ascent at lr 0.05 with
-  /// LBP-approximated expectations. `ShardedLearner` runs each
-  /// component's engine on one thread, whatever `learner.lbp.num_threads`
-  /// says: its parallelism lives across components (`RuntimeOptions`).
+  /// LBP-approximated expectations. Each clamped and free pass runs the
+  /// residual schedule on a budget of 8 sweeps' worth of updates per
+  /// component (`learner.lbp`). `ShardedLearner` runs each component's
+  /// engine on one thread, whatever `learner.lbp.num_threads` says: its
+  /// parallelism lives across components (`RuntimeOptions`).
   LearnerOptions learner;
-  /// Inference-time LBP (paper: converges within 20 sweeps). Runs the
-  /// certified residual schedule, which meets the tolerance on the head
-  /// component where 20 staged sweeps stop short; learning keeps the exact
-  /// staged sweeps (`learner.lbp`).
+  /// Inference-time LBP (paper: converges within 20 sweeps). The same
+  /// residual schedule on a 20-sweep budget, which certifies convergence
+  /// on the head component too (LbpResult::final_residual).
   LbpOptions inference;
   /// Unread by the library (the joint pass runs FlatLbpEngine); remains
   /// only for jbench/main.cc's CreateInferenceEngine call.
@@ -65,7 +66,6 @@ struct JoclOptions {
     learner.l2 = 0.08;             // stay close to the uniform prior
     learner.lbp.max_iterations = 8;
     inference.max_iterations = 20;
-    inference.schedule = LbpSchedule::kResidual;
     inference.num_threads = 0;
   }
 

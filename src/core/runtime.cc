@@ -41,13 +41,6 @@ void MergeShardDiagnostics(const LbpResult& shard, LbpResult* merged) {
   merged->unconverged_components += shard.unconverged_components;
   merged->final_residual =
       std::max(merged->final_residual, shard.final_residual);
-  if (shard.residual_history.size() > merged->residual_history.size()) {
-    merged->residual_history.resize(shard.residual_history.size(), 0.0);
-  }
-  for (size_t i = 0; i < shard.residual_history.size(); ++i) {
-    merged->residual_history[i] =
-        std::max(merged->residual_history[i], shard.residual_history[i]);
-  }
   // Kernel counters are totals, not maxima: shards partition the factor
   // set, so the merged run's work is the sum of the shard runs' work.
   merged->message_updates += shard.message_updates;
@@ -85,7 +78,7 @@ void MirrorLbpStats(const PipelineStats& stats, double certificate) {
                         "Residual-schedule priority pops");
   static Counter* skipped =
       global.AddCounter("jocl_lbp_sweeps_skipped_total", "",
-                        "Converged sweeps the kernel skipped");
+                        "Sweeps' worth of LBP update budget left unspent");
   static Counter* log_space =
       global.AddCounter("jocl_lbp_log_space_updates_total", "",
                         "Sum-product updates the range guard ran in log space");

@@ -36,7 +36,7 @@ struct PipelineStats {
   size_t factors = 0;
   // ---- LBP kernel counters, summed across inferred shards ---------------
   size_t message_updates = 0;  ///< factor message updates executed
-  size_t residual_pops = 0;    ///< residual-queue pops (kResidual only)
+  size_t residual_pops = 0;    ///< residual-queue pops
   size_t sweeps_skipped = 0;   ///< sweeps' worth of updates not spent
   size_t log_space_updates = 0;  ///< range-guarded sum-product updates
   size_t unconverged_components = 0;  ///< components stopped on the budget

@@ -251,17 +251,22 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
   // the byte-exactness guard.
 
   // Provably-clean skip: on a non-truncating batch the front-end delta
-  // announces every emission change (surface rep moves, pair
+  // announces every emission change (surface rep moves and revivals, pair
   // admissions/removals, candidate-blocked flips), and relative surface
-  // ranks only move when a rep does. A store entry stamped by the previous
-  // generation was a component of the previous partition (every shard
-  // either reuses its entry or stores a fresh one, and both stamp), and no
-  // batch triple can sit inside it: added triples were not active then,
-  // removed ones are not in this plan. So a shard that hits such an entry
-  // has unchanged triple membership, and if its triples host no mention of
-  // any event surface it is byte-identical to its cached body by
-  // construction — the structural compare would walk its strings for
-  // nothing. Everything else still pays the full guard.
+  // ranks only move when a rep does. A shard that hits a store entry and
+  // whose triples host no mention of any event surface is byte-identical
+  // to the entry's body, however old the entry is:
+  //  * a one-triple shard has no pairs, and its surfaces and candidates
+  //    are functions of the triple alone;
+  //  * a larger shard is held together by pairs between representative
+  //    mentions. Had its triple set not been a component of the previous
+  //    partition, this batch would have added, removed or re-anchored a
+  //    pair that joins or bounds it — an event naming a surface with a
+  //    mention inside the shard. So it was one, and the previous batch
+  //    reused or stored its entry (verified by the guard, or by this
+  //    argument, since the last truncating batch).
+  // The structural compare would walk its strings for nothing.
+  // Everything else still pays the full guard.
   std::vector<uint8_t> event_touched;
   const bool can_skip_clean =
       !reuse_frontend && !fdelta.overflow && !prev_overflow_;
@@ -303,11 +308,12 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
     auto it = store_.find(plan.shards[s].problem.triples);
     // Plan shards have no local problem body yet: compare the cached body
     // against the projection the shard *would* materialize instead.
-    bool match = it != store_.end() &&
-                 ((can_skip_clean && it->second.last_used + 1 == generation_ &&
-                   !event_touched[s]) ||
-                  ShardMatchesCached(problem, plan.shards[s],
-                                     it->second.problem));
+    const bool skip =
+        it != store_.end() && can_skip_clean && !event_touched[s];
+    bool match = skip || (it != store_.end() &&
+                          ShardMatchesCached(problem, plan.shards[s],
+                                             it->second.problem));
+    local_stats.skipped_guards += skip ? 1 : 0;
     if (match) {
       reused[s] = &it->second;
       it->second.last_used = generation_;

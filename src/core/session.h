@@ -35,6 +35,9 @@ struct SessionStats : PipelineStats {
   size_t removed = 0;              ///< triples actually removed
   size_t dirty_shards = 0;         ///< shards re-inferred this batch
   size_t clean_shards = 0;         ///< shards served from cached beliefs
+  /// Clean shards reused by the provably-clean skip, without the
+  /// structural compare (the rest of clean_shards passed the compare).
+  size_t skipped_guards = 0;
   size_t cache_new_phrases = 0;    ///< phrases newly ingested by the cache
   /// Candidate lookups this batch: every active surface is consulted once
   /// per role, a hit when the session generated its candidates in an
@@ -159,9 +162,8 @@ class JoclSession {
   struct SolvedComponent {
     JoclProblem problem;
     ShardBeliefs beliefs;
-    /// The last generation whose partition held this component: stale
-    /// eviction, and the provably-clean skip (stamped last batch = the
-    /// shard's membership is unchanged).
+    /// The last generation whose partition held this component (stale
+    /// eviction).
     size_t last_used = 0;
   };
 

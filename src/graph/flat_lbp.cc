@@ -146,27 +146,22 @@ void FlatLbpEngine::BuildSchedule(
     const std::vector<size_t>& component_of_var) {
   const FactorGraph& g = *graph_;
   const size_t nf = g.factor_count();
-  const size_t groups = options_.factor_schedule.size();
 
-  // Emit (factor, group) in schedule order — caller groups first, then the
-  // leftover factors as a final group — and counting-sort by component.
-  // The sort is stable, so each component sees its factors in the same
-  // group-by-group order the old global engine used.
-  std::vector<uint32_t> order_factor;
-  std::vector<uint32_t> order_group;
+  // Emit factors in seed order — the caller's groups flattened, then the
+  // leftover factors — and counting-sort by component. The sort is
+  // stable, so each component sees its factors in that order.
+  std::vector<uint32_t> order;
   std::vector<uint8_t> scheduled(nf, 0);
-  for (size_t group = 0; group < groups; ++group) {
-    for (FactorId f : options_.factor_schedule[group]) {
+  for (const std::vector<FactorId>& group : options_.factor_schedule) {
+    for (FactorId f : group) {
       if (f >= nf || g.arity(f) == 0) continue;
-      order_factor.push_back(static_cast<uint32_t>(f));
-      order_group.push_back(static_cast<uint32_t>(group));
+      order.push_back(static_cast<uint32_t>(f));
       scheduled[f] = 1;
     }
   }
   for (FactorId f = 0; f < nf; ++f) {
     if (scheduled[f] || g.arity(f) == 0) continue;
-    order_factor.push_back(static_cast<uint32_t>(f));
-    order_group.push_back(static_cast<uint32_t>(groups));
+    order.push_back(static_cast<uint32_t>(f));
   }
 
   const size_t nc = component_count_;
@@ -174,16 +169,11 @@ void FlatLbpEngine::BuildSchedule(
   auto component_of_factor = [&](uint32_t f) {
     return component_of_var[g.scope_var(g.scope_offset(f))];
   };
-  for (uint32_t f : order_factor) ++sched_offset_[component_of_factor(f) + 1];
+  for (uint32_t f : order) ++sched_offset_[component_of_factor(f) + 1];
   for (size_t k = 0; k < nc; ++k) sched_offset_[k + 1] += sched_offset_[k];
-  sched_factor_.resize(order_factor.size());
-  sched_group_.resize(order_factor.size());
+  sched_factor_.resize(order.size());
   std::vector<size_t> cursor(sched_offset_.begin(), sched_offset_.end() - 1);
-  for (size_t i = 0; i < order_factor.size(); ++i) {
-    const size_t pos = cursor[component_of_factor(order_factor[i])]++;
-    sched_factor_[pos] = order_factor[i];
-    sched_group_[pos] = order_group[i];
-  }
+  for (uint32_t f : order) sched_factor_[cursor[component_of_factor(f)]++] = f;
 }
 
 void FlatLbpEngine::RefreshVariable(uint32_t v) {
@@ -592,8 +582,7 @@ void FlatLbpEngine::UpdateLogSpaceGeneric(FactorId f, Scratch* scratch) {
   }
 }
 
-void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
-                                       Scratch* scratch) {
+void FlatLbpEngine::FinishFactorUpdate(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t edge_begin = g.scope_offset(f);
   const size_t edge_end = g.scope_offset(f + 1);
@@ -602,32 +591,25 @@ void FlatLbpEngine::FinishFactorUpdate(FactorId f, double* residual,
   for (size_t e = edge_begin; e < edge_end; ++e) {
     const size_t card = g.cardinality(g.scope_var(e));
     double* fr = fresh + (g.edge_lane_offset(e) - lane_base);
-    // Normalize max pass (a pure lane reduction), then a single fused
-    // subtract + residual pass — the same operations as NormalizeLog:
-    // `x - 0.0 == x` bit-for-bit when the lane is all -inf (NormalizeLog's
-    // early-out case).
+    // Normalize max pass (a pure lane reduction), then the subtract —
+    // the same operations as NormalizeLog: `x - 0.0 == x` bit-for-bit
+    // when the lane is all -inf (NormalizeLog's early-out case).
     double mx = kNegInf;
     for (size_t x = 0; x < card; ++x) mx = std::max(mx, fr[x]);
     const double shift = (mx == kNegInf) ? 0.0 : mx;
-    double* old = AssumeLaneAligned(msg_f2v_.data() + g.edge_lane_offset(e));
-    for (size_t x = 0; x < card; ++x) {
-      const double updated = fr[x] - shift;
-      const double delta = std::abs(updated - old[x]);
-      if (std::isfinite(delta)) *residual = std::max(*residual, delta);
-      old[x] = updated;
-    }
+    double* out = AssumeLaneAligned(msg_f2v_.data() + g.edge_lane_offset(e));
+    for (size_t x = 0; x < card; ++x) out[x] = fr[x] - shift;
   }
 }
 
-bool FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
-                                         Scratch* scratch) {
+bool FlatLbpEngine::UpdateFactorMessages(FactorId f, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   const size_t arity = g.arity(f);
   const bool generic =
       options_.kernel == LbpKernel::kScalarReference || arity > 3;
   if (!PrepareProbabilityInputs(f, scratch)) {
     UpdateLogSpaceGeneric(f, scratch);
-    FinishFactorUpdate(f, residual, scratch);
+    FinishFactorUpdate(f, scratch);
     return true;
   }
   if (generic) {
@@ -649,7 +631,7 @@ bool FlatLbpEngine::UpdateFactorMessages(FactorId f, double* residual,
     const size_t card = g.cardinality(g.scope_var(e));
     for (size_t x = 0; x < card; ++x) fr[x] = std::log(fr[x]);
   }
-  FinishFactorUpdate(f, residual, scratch);
+  FinishFactorUpdate(f, scratch);
   return false;
 }
 
@@ -680,48 +662,6 @@ void FlatLbpEngine::MaterializeComponentMarginals(size_t component) {
 
 FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponent(size_t component,
                                                           Scratch* scratch) {
-  if (options_.schedule == LbpSchedule::kResidual) {
-    return RunComponentResidual(component, scratch);
-  }
-  ComponentStats stats;
-  RefreshComponentVariables(component);
-  const size_t begin = sched_offset_[component];
-  const size_t end = sched_offset_[component + 1];
-  if (begin == end) {
-    // No factors: beliefs (uniform or clamped delta) are already final.
-    stats.converged = true;
-    MaterializeComponentMarginals(component);
-    return stats;
-  }
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    double residual = 0.0;
-    // Paper §3.4: factor->variable updates proceed group by group, with
-    // variable->factor messages refreshed between groups.
-    for (size_t i = begin; i < end;) {
-      const uint32_t group = sched_group_[i];
-      for (; i < end && sched_group_[i] == group; ++i) {
-        if (UpdateFactorMessages(sched_factor_[i], &residual, scratch)) {
-          ++stats.log_space_updates;
-        }
-      }
-      RefreshComponentVariables(component);
-    }
-    stats.message_updates += end - begin;
-    stats.iterations = iter + 1;
-    stats.final_residual = residual;
-    stats.residuals.push_back(residual);
-    if (residual < options_.tolerance) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.sweeps_skipped = options_.max_iterations - stats.iterations;
-  MaterializeComponentMarginals(component);
-  return stats;
-}
-
-FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
-    size_t component, Scratch* scratch) {
   const FactorGraph& g = *graph_;
   ComponentStats stats;
   RefreshComponentVariables(component);
@@ -729,6 +669,7 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
   const size_t end = sched_offset_[component + 1];
   const size_t nf = end - begin;
   if (nf == 0) {
+    // No factors: beliefs (uniform or clamped delta) are already final.
     stats.converged = true;
     MaterializeComponentMarginals(component);
     return stats;
@@ -755,9 +696,9 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
     scratch->bucket_of[f] = -1;
   }
 
-  // Seed every factor at +inf priority, in schedule order — the first
-  // "sweep's worth" of pops replays the staged schedule before residuals
-  // take over.
+  // Seed every factor at +inf priority, in seed order — the first
+  // "sweep's worth" of pops replays the paper's staged order (§3.4)
+  // before residuals take over.
   for (size_t i = begin; i < end; ++i) {
     BumpFactorPriority(sched_factor_[i],
                        std::numeric_limits<double>::infinity(), scratch);
@@ -765,7 +706,6 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 
   const size_t budget = options_.max_iterations * nf;
   int top = kResidualBuckets - 1;
-  double unused_residual = 0.0;
   while (stats.message_updates < budget) {
     // Pop the highest-residual factor: scan buckets downward, FIFO within
     // a bucket, skipping stale entries (a factor re-queued at a higher
@@ -797,7 +737,7 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
 
     scratch->bucket_of[f] = -1;
     scratch->priority[f] = 0.0;
-    if (UpdateFactorMessages(f, &unused_residual, scratch)) {
+    if (UpdateFactorMessages(f, scratch)) {
       ++stats.log_space_updates;
     }
     ++stats.message_updates;
@@ -834,7 +774,6 @@ FlatLbpEngine::ComponentStats FlatLbpEngine::RunComponentResidual(
   stats.final_residual = certificate;
   stats.converged = certificate < options_.tolerance;
   stats.iterations = (stats.message_updates + nf - 1) / nf;
-  stats.residuals.push_back(certificate);
   stats.sweeps_skipped = (budget - stats.message_updates) / nf;
   MaterializeComponentMarginals(component);
   return stats;
@@ -900,13 +839,6 @@ LbpResult FlatLbpEngine::Run() {
     result.log_space_updates += s.log_space_updates;
     result.residual_pops += s.residual_pops;
     result.sweeps_skipped += s.sweeps_skipped;
-  }
-  result.residual_history.resize(result.iterations, 0.0);
-  for (const ComponentStats& s : stats) {
-    for (size_t i = 0; i < s.residuals.size(); ++i) {
-      result.residual_history[i] =
-          std::max(result.residual_history[i], s.residuals[i]);
-    }
   }
 
   // Materialize nested marginals from the flat arena.

@@ -60,13 +60,12 @@ namespace jocl {
 /// `options.num_threads > 1` distributes components across a thread pool
 /// and produces bit-for-bit identical marginals.
 ///
-/// Per component, LbpOptions::schedule selects between the exact staged
-/// sweep (factor->variable updates group by group with variable->factor
-/// messages refreshed between groups — the paper's §3.4 procedure) and
-/// the residual-priority schedule (kResidual): a bucketed priority
-/// queue keyed by how much each factor's inputs moved since its last
-/// update, highest residual first, with an update budget of
-/// `max_iterations * component factor count`. Residual runs report their
+/// Each component runs the residual-priority schedule: a bucketed
+/// priority queue keyed by how much each factor's inputs moved since its
+/// last update, highest residual first, seeded with every factor in
+/// LbpOptions::factor_schedule order (so the first sweep's worth of pops
+/// is the paper's §3.4 staged order), with an update budget of
+/// `max_iterations * component factor count`. Runs report their
 /// convergence certificate through LbpResult (final_residual = max
 /// residual at stop, sweeps_skipped = unspent budget in sweeps).
 class FlatLbpEngine : public InferenceEngine {
@@ -125,7 +124,6 @@ class FlatLbpEngine : public InferenceEngine {
     size_t iterations = 0;
     bool converged = false;
     double final_residual = 0.0;
-    std::vector<double> residuals;
     size_t message_updates = 0;
     size_t log_space_updates = 0;
     size_t residual_pops = 0;
@@ -146,7 +144,7 @@ class FlatLbpEngine : public InferenceEngine {
     std::vector<size_t> strides;   // max_arity hoisted assignment strides
     std::vector<size_t> lanes;     // max_arity hoisted lane offsets
     AlignedVector<double> lane;    // one padded lane (residual deltas)
-    // ---- residual-schedule state (sized on first kResidual component) --
+    // ---- residual-queue state (sized on the first component run) ------
     std::vector<double> priority;  // [nf] pending residual per factor
     std::vector<int32_t> bucket_of;  // [nf] queued bucket, -1 = not queued
     std::vector<uint32_t> stamp;   // [nf] push generation (stale detection)
@@ -160,7 +158,6 @@ class FlatLbpEngine : public InferenceEngine {
   void BuildSchedule(const std::vector<size_t>& component_of_var);
   void InitArenas();
   ComponentStats RunComponent(size_t component, Scratch* scratch);
-  ComponentStats RunComponentResidual(size_t component, Scratch* scratch);
 
   /// Rewrites the potential table in probability space and
   /// records each factor's shift and log range (see the class comment).
@@ -170,9 +167,9 @@ class FlatLbpEngine : public InferenceEngine {
   double LogPotential(FactorId f, size_t a) const;
 
   /// Dispatches one factor update to the selected kernel and finishes
-  /// with the shared normalize/residual epilogue. Returns true when the
-  /// update ran in log space (the range guard tripped).
-  bool UpdateFactorMessages(FactorId f, double* residual, Scratch* scratch);
+  /// with the shared normalize epilogue. Returns true when the update ran
+  /// in log space (the range guard tripped).
+  bool UpdateFactorMessages(FactorId f, Scratch* scratch);
   /// Fills scratch->aux with `exp(m)` of every incoming lane and returns
   /// whether every product of the update stays above kMinLogProduct.
   bool PrepareProbabilityInputs(FactorId f, Scratch* scratch);
@@ -187,15 +184,15 @@ class FlatLbpEngine : public InferenceEngine {
   /// clamps, in row-major order, with scratch->states/lanes describing it.
   template <typename Visit>
   void ForEachClampedAssignment(FactorId f, Scratch* scratch, Visit&& visit);
-  void FinishFactorUpdate(FactorId f, double* residual, Scratch* scratch);
+  void FinishFactorUpdate(FactorId f, Scratch* scratch);
 
   /// Recomputes variable \p v's belief sums and outgoing v->f cavity
   /// messages from the current f->v messages (normalized, clamp-aware).
   void RefreshVariable(uint32_t v);
   void RefreshComponentVariables(size_t component);
-  /// Residual-schedule variant: same message math as RefreshVariable, but
-  /// measures each outgoing message's change and raises the receiving
-  /// factor's queue priority accordingly.
+  /// Same message math as RefreshVariable, but measures each outgoing
+  /// message's change and raises the receiving factor's queue priority
+  /// accordingly.
   void RefreshVariableTrackDeltas(uint32_t v, Scratch* scratch);
   void BumpFactorPriority(uint32_t f, double delta, Scratch* scratch);
 
@@ -216,11 +213,10 @@ class FlatLbpEngine : public InferenceEngine {
   std::vector<size_t> comp_var_offset_;   // [nc + 1]
   std::vector<uint32_t> comp_vars_;       // [nv], grouped by component
 
-  // Schedule flattened per component: factors of component c occupy
-  // sched_factor_[sched_offset_[c] .. sched_offset_[c+1]), ordered by
-  // schedule group then occurrence; sched_group_ marks group boundaries.
+  // Seed order flattened per component: factors of component c occupy
+  // sched_factor_[sched_offset_[c] .. sched_offset_[c+1]), in
+  // factor_schedule order then insertion order.
   std::vector<uint32_t> sched_factor_;
-  std::vector<uint32_t> sched_group_;
   std::vector<size_t> sched_offset_;
 
   // Flat arenas. Message and belief arenas (log space) use the graph's

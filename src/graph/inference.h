@@ -10,28 +10,6 @@
 
 namespace jocl {
 
-/// \brief Message-update scheduling policy.
-enum class LbpSchedule {
-  /// Exact mode (the LbpOptions default and the learner's): staged full
-  /// sweeps — every factor updated each sweep, group by group.
-  /// Deterministic fixed-point iteration; the byte-identity contract
-  /// across threads/shards holds here.
-  kStaged,
-  /// Approximate mode (residual belief propagation, Elidan et al.; the
-  /// JoclOptions inference default):
-  /// a bucketed priority queue orders factors by message residual and the
-  /// highest-residual factor is updated first, stopping when every
-  /// residual falls below tolerance or the update budget (max_iterations
-  /// sweeps' worth of factor updates) is spent. Converges in far fewer
-  /// updates on skewed graphs (the head-component shape), is still
-  /// deterministic for every thread/shard count, but follows a different
-  /// update order than kStaged — marginals agree within tolerance, not
-  /// byte-for-byte. The run reports a convergence certificate
-  /// (LbpResult::final_residual at stop + update counters) so the
-  /// exact/approximate contract stays explicit.
-  kResidual,
-};
-
 /// \brief Which message-update kernel executes the sweep.
 enum class LbpKernel {
   /// Default: arity-specialized probability-space product-sums over the
@@ -50,29 +28,34 @@ enum class LbpKernel {
 /// \brief Options for a sum-product Loopy Belief Propagation run: the
 /// paper's inference (§3.4–3.5), marginals that Decode() takes the argmax
 /// of. Messages are undamped.
+///
+/// Every run uses the residual schedule (residual belief propagation,
+/// Elidan et al.): a bucketed priority queue orders factors by how much
+/// their inputs moved since their last update, highest first, and a
+/// component stops when every pending residual is below `tolerance` or
+/// its update budget (`max_iterations` sweeps' worth of factor updates)
+/// is spent. The run is deterministic for every thread and shard count
+/// and reports its convergence certificate (LbpResult::final_residual).
 struct LbpOptions {
-  /// Maximum message-passing sweeps per connected component. The paper
-  /// reports convergence within twenty iterations (§3.4).
+  /// Update budget per connected component, in sweeps' worth of factor
+  /// updates. The paper reports convergence within twenty iterations
+  /// (§3.4).
   size_t max_iterations = 20;
-  /// A component's sweeps stop early when the max absolute change of any
-  /// of its factor->variable log-messages falls below this.
+  /// A component stops once every pending factor residual (the largest
+  /// change its next update could make to a factor->variable
+  /// log-message) is below this.
   double tolerance = 1e-4;
-  /// Optional staged factor schedule: groups of factor ids updated in
-  /// order within each sweep (the paper's working procedure, §3.4). Factors
-  /// missing from every group are appended as a final group. Empty =
-  /// single group in insertion order. Engines restrict the schedule to
-  /// each connected component, which leaves the message math unchanged
-  /// (messages never cross components).
+  /// Optional seed order: groups of factor ids, flattened in order, that
+  /// the residual queue pops first (the paper's staged working procedure,
+  /// §3.4, as the first sweep's worth of updates). Factors missing from
+  /// every group follow in insertion order. Engines restrict the order to
+  /// each connected component (messages never cross components).
   std::vector<std::vector<FactorId>> factor_schedule;
   /// Worker threads for component-parallel execution: 1 = sequential,
   /// 0 = one per hardware thread, n = n workers. Components are
   /// independent sub-problems over disjoint arena slices, so marginals
   /// are bit-for-bit identical for every thread count.
   size_t num_threads = 1;
-  /// Update scheduling: exact staged sweeps (default) or the approximate
-  /// residual-priority schedule (JoclOptions' inference default). See
-  /// LbpSchedule.
-  LbpSchedule schedule = LbpSchedule::kStaged;
   /// Message-update kernel. kVectorized is byte-identical to
   /// kScalarReference; the reference exists as the identity oracle.
   LbpKernel kernel = LbpKernel::kVectorized;
@@ -82,7 +65,8 @@ struct LbpOptions {
 struct LbpResult {
   /// Per-variable marginal distribution (clamped variables get a delta).
   std::vector<std::vector<double>> marginals;
-  /// Max sweeps executed by any connected component.
+  /// Max sweeps' worth of factor updates spent by any connected component
+  /// (its updates over its factor count, rounded up).
   size_t iterations = 0;
   /// True when every component met the tolerance before max_iterations.
   bool converged = false;
@@ -90,24 +74,19 @@ struct LbpResult {
   /// tolerance (0 exactly when `converged`). Summed across components and
   /// shards.
   size_t unconverged_components = 0;
-  /// Max message residual across components after their final sweep. For
-  /// LbpSchedule::kResidual this is the convergence certificate: an upper
-  /// bound on how much any factor's next message update could still move,
-  /// measured at the moment the run stopped.
+  /// The convergence certificate: the largest residual still pending in
+  /// any component when the run stopped, an upper bound on how much any
+  /// factor's next message update could still move.
   double final_residual = 0.0;
-  /// Per-sweep max residual across components still running that sweep
-  /// (for convergence diagnostics).
-  std::vector<double> residual_history;
 
   // ---- kernel counters (summed across components/shards) ----
   /// Factor message updates executed (one per UpdateFactorMessages call;
   /// each recomputes all of the factor's outgoing messages).
   size_t message_updates = 0;
-  /// Residual-priority queue pops (kResidual only; includes stale pops).
+  /// Residual-priority queue pops (includes stale pops).
   size_t residual_pops = 0;
-  /// Full sweeps' worth of factor updates *not* spent: early convergence
-  /// under kStaged, budget left over under kResidual. The "iterations
-  /// saved" half of the residual certificate.
+  /// Full sweeps' worth of factor updates *not* spent: the budget left
+  /// over, the "iterations saved" half of the residual certificate.
   size_t sweeps_skipped = 0;
   /// Sum-product updates the range guard ran in log space instead of
   /// probability space (FlatLbpEngine; 0 at ordinary weight scales).

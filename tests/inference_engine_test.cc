@@ -258,7 +258,7 @@ TEST(EngineEquivalenceTest, ParallelMarginalsBitIdenticalWithClampsAndStages) {
     EXPECT_EQ(par_engine.component_count(), seq_engine.component_count());
     EXPECT_EQ(par.iterations, seq.iterations);
     EXPECT_EQ(par.converged, seq.converged);
-    EXPECT_EQ(par.residual_history, seq.residual_history);
+    EXPECT_EQ(par.final_residual, seq.final_residual);
     EXPECT_EQ(par_engine.Decode(), seq_engine.Decode());
   }
 

@@ -261,117 +261,102 @@ TEST_F(RuntimeTest, SignalCacheFallsBackForUnknownPhrases) {
 
 // ---------- the acceptance bar: byte-identical results -----------------------
 
-// The byte-identity cases run under both LBP schedules: kResidual is the
-// inference default, kStaged the exact procedure the learner runs.
 TEST_F(RuntimeTest, ShardedRuntimeIsByteIdenticalToMonolithic) {
-  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-    SCOPED_TRACE(schedule == LbpSchedule::kStaged ? "staged" : "residual");
-    JoclOptions options;
-    options.inference.schedule = schedule;
-    RuntimeOptions monolithic;
-    monolithic.max_shards = 1;
-    monolithic.num_threads = 1;
-    JoclRuntime reference(options, monolithic);
-    JoclResult expected =
-        reference.Infer(*dataset_, *signals_, dataset_->test_triples)
+  JoclOptions options;
+  RuntimeOptions monolithic;
+  monolithic.max_shards = 1;
+  monolithic.num_threads = 1;
+  JoclRuntime reference(options, monolithic);
+  JoclResult expected =
+      reference.Infer(*dataset_, *signals_, dataset_->test_triples)
+          .MoveValueOrDie();
+
+  struct Config {
+    size_t shards;
+    size_t threads;
+  };
+  // {1, 4} drives the leftover-parallelism path: one shard, so the four
+  // requested threads move inside the engine (component-parallel LBP).
+  for (Config config :
+       {Config{0, 1}, Config{0, 4}, Config{3, 2}, Config{1, 4}}) {
+    RuntimeOptions runtime_options;
+    runtime_options.max_shards = config.shards;
+    runtime_options.num_threads = config.threads;
+    JoclRuntime runtime(options, runtime_options);
+    RuntimeStats stats;
+    JoclResult result =
+        runtime
+            .Infer(*dataset_, *signals_, dataset_->test_triples, {}, &stats)
             .MoveValueOrDie();
-
-    struct Config {
-      size_t shards;
-      size_t threads;
-    };
-    // {1, 4} drives the leftover-parallelism path: one shard, so the four
-    // requested threads move inside the engine (component-parallel LBP).
-    for (Config config :
-         {Config{0, 1}, Config{0, 4}, Config{3, 2}, Config{1, 4}}) {
-      RuntimeOptions runtime_options;
-      runtime_options.max_shards = config.shards;
-      runtime_options.num_threads = config.threads;
-      JoclRuntime runtime(options, runtime_options);
-      RuntimeStats stats;
-      JoclResult result =
-          runtime
-              .Infer(*dataset_, *signals_, dataset_->test_triples, {}, &stats)
-              .MoveValueOrDie();
-      if (config.shards == 0) {
-        EXPECT_GT(stats.shards, 1u);
-      }
-
-      // Exact equality, not tolerance: shard graphs are the monolithic
-      // graph's connected components and decode runs globally, so no bit
-      // may differ.
-      EXPECT_EQ(result.np_cluster, expected.np_cluster)
-          << config.shards << " shards, " << config.threads << " threads";
-      EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
-      EXPECT_EQ(result.np_link, expected.np_link);
-      EXPECT_EQ(result.rp_link, expected.rp_link);
-      EXPECT_EQ(result.triples, expected.triples);
-      EXPECT_EQ(result.weights, expected.weights);
-      EXPECT_EQ(result.diagnostics.iterations, expected.diagnostics.iterations);
-      EXPECT_EQ(result.diagnostics.converged, expected.diagnostics.converged);
-      EXPECT_EQ(result.diagnostics.unconverged_components,
-                expected.diagnostics.unconverged_components);
-      EXPECT_EQ(result.diagnostics.final_residual,
-                expected.diagnostics.final_residual);
-      EXPECT_EQ(result.diagnostics.residual_history,
-                expected.diagnostics.residual_history);
-      EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
+    if (config.shards == 0) {
+      EXPECT_GT(stats.shards, 1u);
     }
+
+    // Exact equality, not tolerance: shard graphs are the monolithic
+    // graph's connected components and decode runs globally, so no bit
+    // may differ.
+    EXPECT_EQ(result.np_cluster, expected.np_cluster)
+        << config.shards << " shards, " << config.threads << " threads";
+    EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
+    EXPECT_EQ(result.np_link, expected.np_link);
+    EXPECT_EQ(result.rp_link, expected.rp_link);
+    EXPECT_EQ(result.triples, expected.triples);
+    EXPECT_EQ(result.weights, expected.weights);
+    EXPECT_EQ(result.diagnostics.iterations, expected.diagnostics.iterations);
+    EXPECT_EQ(result.diagnostics.converged, expected.diagnostics.converged);
+    EXPECT_EQ(result.diagnostics.unconverged_components,
+              expected.diagnostics.unconverged_components);
+    EXPECT_EQ(result.diagnostics.final_residual,
+              expected.diagnostics.final_residual);
+    EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
   }
 }
 
 TEST_F(RuntimeTest, InferWrapperMatchesRuntime) {
-  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-    SCOPED_TRACE(schedule == LbpSchedule::kStaged ? "staged" : "residual");
-    JoclOptions options;
-    options.inference.schedule = schedule;
-    options.runtime_threads = 2;
-    options.runtime_shards = 0;
-    Jocl jocl(options);
-    JoclResult via_wrapper =
-        jocl.Infer(*dataset_, *signals_, dataset_->test_triples)
-            .MoveValueOrDie();
-    RuntimeOptions runtime_options;
-    runtime_options.num_threads = 2;
-    JoclRuntime runtime(options, runtime_options);
-    JoclResult direct =
-        runtime.Infer(*dataset_, *signals_, dataset_->test_triples)
-            .MoveValueOrDie();
-    EXPECT_EQ(via_wrapper.np_cluster, direct.np_cluster);
-    EXPECT_EQ(via_wrapper.np_link, direct.np_link);
-    EXPECT_EQ(via_wrapper.rp_cluster, direct.rp_cluster);
-    EXPECT_EQ(via_wrapper.rp_link, direct.rp_link);
-    EXPECT_EQ(via_wrapper.diagnostics.marginals, direct.diagnostics.marginals);
-  }
+  JoclOptions options;
+  options.runtime_threads = 2;
+  options.runtime_shards = 0;
+  Jocl jocl(options);
+  JoclResult via_wrapper =
+      jocl.Infer(*dataset_, *signals_, dataset_->test_triples)
+          .MoveValueOrDie();
+  RuntimeOptions runtime_options;
+  runtime_options.num_threads = 2;
+  JoclRuntime runtime(options, runtime_options);
+  JoclResult direct =
+      runtime.Infer(*dataset_, *signals_, dataset_->test_triples)
+          .MoveValueOrDie();
+  EXPECT_EQ(via_wrapper.np_cluster, direct.np_cluster);
+  EXPECT_EQ(via_wrapper.np_link, direct.np_link);
+  EXPECT_EQ(via_wrapper.rp_cluster, direct.rp_cluster);
+  EXPECT_EQ(via_wrapper.rp_link, direct.rp_link);
+  EXPECT_EQ(via_wrapper.diagnostics.marginals, direct.diagnostics.marginals);
 }
 
 TEST_F(RuntimeTest, AblationsAreShardInvariantToo) {
   // The JOCLlink fallback decode and the canonicalization-only path also
   // go through the sharded runtime; they must be execution-invariant.
-  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-    for (JoclOptions options :
-         {JoclOptions::CanonicalizationOnly(), JoclOptions::LinkingOnly()}) {
-      options.inference.schedule = schedule;
-      RuntimeOptions monolithic;
-      monolithic.max_shards = 1;
-      monolithic.num_threads = 1;
-      JoclResult expected =
-          JoclRuntime(options, monolithic)
-              .Infer(*dataset_, *signals_, dataset_->test_triples)
-              .MoveValueOrDie();
-      RuntimeOptions sharded;
-      sharded.max_shards = 0;
-      sharded.num_threads = 4;
-      JoclResult result =
-          JoclRuntime(options, sharded)
-              .Infer(*dataset_, *signals_, dataset_->test_triples)
-              .MoveValueOrDie();
-      EXPECT_EQ(result.np_cluster, expected.np_cluster);
-      EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
-      EXPECT_EQ(result.np_link, expected.np_link);
-      EXPECT_EQ(result.rp_link, expected.rp_link);
-      EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
-    }
+  for (const JoclOptions& options :
+       {JoclOptions::CanonicalizationOnly(), JoclOptions::LinkingOnly()}) {
+    RuntimeOptions monolithic;
+    monolithic.max_shards = 1;
+    monolithic.num_threads = 1;
+    JoclResult expected =
+        JoclRuntime(options, monolithic)
+            .Infer(*dataset_, *signals_, dataset_->test_triples)
+            .MoveValueOrDie();
+    RuntimeOptions sharded;
+    sharded.max_shards = 0;
+    sharded.num_threads = 4;
+    JoclResult result =
+        JoclRuntime(options, sharded)
+            .Infer(*dataset_, *signals_, dataset_->test_triples)
+            .MoveValueOrDie();
+    EXPECT_EQ(result.np_cluster, expected.np_cluster);
+    EXPECT_EQ(result.rp_cluster, expected.rp_cluster);
+    EXPECT_EQ(result.np_link, expected.np_link);
+    EXPECT_EQ(result.rp_link, expected.rp_link);
+    EXPECT_EQ(result.diagnostics.marginals, expected.diagnostics.marginals);
   }
 }
 

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/problem_builder.h"
@@ -37,20 +40,7 @@ void ExpectByteIdentical(const JoclResult& a, const JoclResult& b) {
   EXPECT_EQ(a.diagnostics.unconverged_components,
             b.diagnostics.unconverged_components);
   EXPECT_EQ(a.diagnostics.final_residual, b.diagnostics.final_residual);
-  EXPECT_EQ(a.diagnostics.residual_history, b.diagnostics.residual_history);
   EXPECT_EQ(a.diagnostics.marginals, b.diagnostics.marginals);
-}
-
-/// The byte-identity cases run under both LBP schedules: kResidual is the
-/// inference default, kStaged the exact procedure the learner runs.
-JoclOptions WithSchedule(LbpSchedule schedule) {
-  JoclOptions options;
-  options.inference.schedule = schedule;
-  return options;
-}
-
-const char* ScheduleName(LbpSchedule schedule) {
-  return schedule == LbpSchedule::kStaged ? "staged" : "residual";
 }
 
 // ---------- handcrafted delta-partition world --------------------------------
@@ -252,8 +242,8 @@ void MaterializeShardProblems(const JoclProblem& problem, ShardPlan* plan) {
 // Each step mutates the session (adds, then removals) and asserts the
 // session's problem is byte-identical to the from-scratch reference over
 // the active set, and its result byte-identical to one-shot inference —
-// for a sequential and a parallel front-end alike, under both schedules,
-// with and without a pair cap that truncates.
+// for a sequential and a parallel front-end alike, with and without a
+// pair cap that truncates.
 // The sequences target the delta front-end's hard cases: a merge
 // immediately undone, the active set emptied and rebuilt, and the same
 // surfaces entering and leaving across consecutive batches.
@@ -265,17 +255,14 @@ struct ChurnStep {
 class SessionAdversarialTest : public SessionDeltaTest {
  protected:
   void RunSequence(const std::vector<ChurnStep>& steps) {
-    for (LbpSchedule schedule :
-         {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-      for (size_t threads : {1u, 4u}) {
-        // This world never reaches the default pair cap. A cap of one pair
-        // per role truncates whenever two subject pairs are active, so the
-        // sequences move in and out of the session's overflow path.
-        for (size_t cap : {ProblemOptions().max_pairs_per_role, size_t{1}}) {
-          JoclOptions options = WithSchedule(schedule);
-          options.problem.max_pairs_per_role = cap;
-          RunSequence(steps, options, threads);
-        }
+    for (size_t threads : {1u, 4u}) {
+      // This world never reaches the default pair cap. A cap of one pair
+      // per role truncates whenever two subject pairs are active, so the
+      // sequences move in and out of the session's overflow path.
+      for (size_t cap : {ProblemOptions().max_pairs_per_role, size_t{1}}) {
+        JoclOptions options;
+        options.problem.max_pairs_per_role = cap;
+        RunSequence(steps, options, threads);
       }
     }
   }
@@ -287,8 +274,7 @@ class SessionAdversarialTest : public SessionDeltaTest {
     JoclSession session(dataset_, signals_, options, session_options);
     std::vector<size_t> active;
     for (size_t i = 0; i < steps.size(); ++i) {
-      SCOPED_TRACE(std::string(ScheduleName(options.inference.schedule)) +
-                   " threads=" + std::to_string(threads) + " cap=" +
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " cap=" +
                    std::to_string(options.problem.max_pairs_per_role) +
                    " step=" + std::to_string(i));
       if (!steps[i].add.empty()) {
@@ -344,6 +330,187 @@ TEST_F(SessionAdversarialTest, InterleavedChurnOfTheSameSurfaces) {
                {{0, 1}, {}}});
 }
 
+// ---------- the reuse rule, exhaustively on a small world --------------------
+//
+// A clean shard is reused either through the provably-clean skip (no
+// structural compare) or through the structural guard. Every sequence of
+// four batches from a fixed menu — a removal that splits, a bridge add
+// and its removal, an add that drops a pair inside a component, a removal
+// that moves surface representatives, re-adding what the last batch
+// removed, a weight swap, and an aging run of ten refreshes that evicts
+// whatever the run leaves unused past the retention window —
+// starts from the same prefilled session, and after every refresh the
+// session must be byte-identical to a one-shot Infer over its active set.
+// The counters show the walk drives both reuse paths, evicts entries, and
+// takes the skip on entries the previous generation did not stamp: the
+// skip needs no stamp, by the argument at the skip in session.cc.
+class SessionReuseRuleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dataset_ = new Dataset();
+    dataset_->name = "session-reuse-world";
+    OpenKb& okb = dataset_->okb;
+    // Components are wired by pairs of token-permuted surfaces; the test
+    // caps blocking buckets at two surfaces. {t0, t1} is joined by a
+    // subject and a predicate pair; t4 bridges it to {t2}; t5 joins {t3}.
+    // Retiring t0 moves "lives in" to t2, which re-anchors the predicate
+    // pair. t6 repeats surfaces of t3, t0 and t2, so it is a one-triple
+    // component that adds no surface. t7's "barack h obama" overfills
+    // both buckets of t0/t1's subject pair, which drops that pair but
+    // keeps t0 and t1 joined: the same triples with a different body.
+    for (const auto& [s, p, o] :
+         std::vector<std::tuple<const char*, const char*, const char*>>{
+             {"barack obama", "lives in", "washington dc"},
+             {"obama barack", "in lives", "white house"},
+             {"angela merkel", "lives in", "berlin city"},
+             {"tim cook", "works at", "apple inc"},
+             {"merkel angela", "visited", "dc washington"},
+             {"cook tim", "works at", "cupertino hq"},
+             {"tim cook", "lives in", "berlin city"},
+             {"barack h obama", "founded", "cupertino hq"}}) {
+      ASSERT_TRUE(okb.AddTriple(s, p, o).ok());
+    }
+    signals_ = new SignalBundle(BuildSignals(*dataset_).MoveValueOrDie());
+  }
+  static void TearDownTestSuite() {
+    delete signals_;
+    delete dataset_;
+  }
+
+  static Dataset* dataset_;
+  static SignalBundle* signals_;
+};
+
+Dataset* SessionReuseRuleTest::dataset_ = nullptr;
+SignalBundle* SessionReuseRuleTest::signals_ = nullptr;
+
+TEST_F(SessionReuseRuleTest, EveryShortSequenceMatchesOneShot) {
+  enum Op { kSplit, kBridge, kUnbridge, kGrow, kMoveRep, kReAdd, kSwap, kAge };
+  const char* kOpNames[] = {"split",  "bridge", "unbridge", "grow",
+                            "moverep", "readd", "swap",     "age"};
+  constexpr size_t kOps = 8;
+  constexpr size_t kDepth = 4;
+
+  JoclOptions options;
+  options.problem.max_block_size = 2;
+  RuntimeOptions one_thread;
+  one_thread.num_threads = 1;
+  SessionOptions session_options;
+  session_options.num_threads = 1;
+  session_options.frontend_threads = 1;
+  const std::vector<double> weights[2] = {
+      Jocl::DefaultWeights(), [] {
+        std::vector<double> w = Jocl::DefaultWeights();
+        for (double& x : w) x *= 1.5;
+        return w;
+      }()};
+  // One-shot results, memoized by (weight set, active set).
+  std::map<std::pair<size_t, std::vector<size_t>>, JoclResult> oneshot;
+  auto expected = [&](size_t weight_set, const std::vector<size_t>& active)
+      -> const JoclResult& {
+    auto key = std::make_pair(weight_set, active);
+    auto it = oneshot.find(key);
+    if (it == oneshot.end()) {
+      JoclResult result = JoclRuntime(options, one_thread)
+                              .Infer(*dataset_, *signals_, active,
+                                     weights[weight_set])
+                              .MoveValueOrDie();
+      it = oneshot.emplace(std::move(key), std::move(result)).first;
+    }
+    return it->second;
+  };
+  // The connected components of the session's current problem, as sets of
+  // dataset triple ids: a store entry is stamped by a generation exactly
+  // when its triple set is one of that generation's components.
+  auto components = [](const JoclSession& session) {
+    std::set<std::vector<size_t>> out;
+    if (session.active_triples().empty()) return out;
+    for (const ProblemShard& shard :
+         PartitionProblem(session.problem(), 0).shards) {
+      out.insert(shard.problem.triples);
+    }
+    return out;
+  };
+
+  size_t refreshes = 0, skips = 0, guarded = 0, stale_skips = 0;
+  size_t evictions = 0;
+  std::vector<size_t> sequence(kDepth, 0);
+  for (size_t code = 0; code < 4096 && !HasFailure(); ++code) {
+    // Sequence number `code`, in base kOps (4096 = kOps ^ kDepth).
+    std::string trace;
+    for (size_t i = 0, c = code; i < kDepth; ++i, c /= kOps) {
+      sequence[i] = c % kOps;
+      trace += std::string(i ? " " : "") + kOpNames[sequence[i]];
+    }
+    SCOPED_TRACE(trace);
+    JoclSession session(dataset_, signals_, options, session_options);
+    ASSERT_TRUE(session.AddTriples({0, 1, 2, 3}).ok());
+    size_t weight_set = 0;
+    std::vector<size_t> last_removed;
+    std::set<std::vector<size_t>> previous = components(session);
+    auto check = [&]() {
+      ++refreshes;
+      if (session.active_triples().empty()) return;
+      ExpectByteIdentical(session.result(),
+                          expected(weight_set, session.active_triples()));
+    };
+    // Applies one batch and, when it refreshed, counts how each clean
+    // shard was reused and checks the result.
+    auto batch = [&](bool add, const std::vector<size_t>& triples) {
+      const size_t generation = session.generation();
+      const size_t cached = session.cached_components();
+      SessionStats stats;
+      ASSERT_TRUE((add ? session.AddTriples(triples, &stats)
+                       : session.RemoveTriples(triples, &stats))
+                      .ok());
+      if (session.generation() == generation) return;
+      if (!add) last_removed = triples;
+      if (session.cached_components() < cached) ++evictions;
+      const std::set<std::vector<size_t>> current = components(session);
+      size_t stamped = 0;
+      for (const auto& component : current) stamped += previous.count(component);
+      skips += stats.skipped_guards;
+      guarded += stats.clean_shards - stats.skipped_guards;
+      if (stats.skipped_guards > stamped) ++stale_skips;
+      previous = current;
+      check();
+    };
+    for (size_t i = 0; i < kDepth && !HasFailure(); ++i) {
+      switch (sequence[i]) {
+        case kSplit: batch(false, {1, 6}); break;
+        case kBridge: batch(true, {4}); break;
+        case kUnbridge: batch(false, {4}); break;
+        case kGrow: batch(true, {5, 6, 7}); break;
+        case kMoveRep: batch(false, {0}); break;
+        case kReAdd: batch(true, last_removed); break;
+        case kSwap: {
+          weight_set ^= 1;
+          const size_t generation = session.generation();
+          ASSERT_TRUE(session.UpdateWeights(weights[weight_set]).ok());
+          if (session.generation() != generation) check();
+          break;
+        }
+        case kAge: {
+          // Ten refreshes churning the highest active triple, which ends
+          // where it started and outlasts the retention window.
+          if (session.active_triples().empty()) break;
+          const size_t churned = session.active_triples().back();
+          for (size_t r = 0; r < 10; ++r) batch(r % 2 == 1, {churned});
+          break;
+        }
+      }
+    }
+  }
+  std::printf("%zu refreshes: %zu skipped guards (%zu batches skipped on "
+              "entries the previous generation did not stamp), %zu guarded "
+              "reuses, %zu evicting refreshes\n",
+              refreshes, skips, stale_skips, guarded, evictions);
+  EXPECT_GT(skips, 0u);
+  EXPECT_GT(stale_skips, 0u);
+  EXPECT_GT(guarded, 0u);
+  EXPECT_GT(evictions, 0u);
+}
+
 // ---------- generated world: the acceptance bar ------------------------------
 
 class SessionEquivalenceTest : public ::testing::Test {
@@ -355,91 +522,79 @@ class SessionEquivalenceTest : public ::testing::Test {
     signal_options.embedding_epochs = 2;
     signals_ = new SignalBundle(
         BuildSignals(*dataset_, signal_options).MoveValueOrDie());
-    for (LbpSchedule schedule :
-         {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-      oneshot_[static_cast<size_t>(schedule)] = new JoclResult(
-          JoclRuntime(WithSchedule(schedule))
-              .Infer(*dataset_, *signals_, dataset_->test_triples)
-              .MoveValueOrDie());
-    }
+    oneshot_ = new JoclResult(
+        JoclRuntime()
+            .Infer(*dataset_, *signals_, dataset_->test_triples)
+            .MoveValueOrDie());
   }
   static void TearDownTestSuite() {
-    for (JoclResult* result : oneshot_) delete result;
+    delete oneshot_;
     delete signals_;
     delete dataset_;
   }
 
   static Dataset* dataset_;
   static SignalBundle* signals_;
-  /// One-shot results over the test split, indexed by LbpSchedule.
-  static JoclResult* oneshot_[2];
+  /// The one-shot result over the test split.
+  static JoclResult* oneshot_;
 };
 
 Dataset* SessionEquivalenceTest::dataset_ = nullptr;
 SignalBundle* SessionEquivalenceTest::signals_ = nullptr;
-JoclResult* SessionEquivalenceTest::oneshot_[2] = {nullptr, nullptr};
+JoclResult* SessionEquivalenceTest::oneshot_ = nullptr;
 
 TEST_F(SessionEquivalenceTest, ColdRestartEquivalenceAcrossBatchCounts) {
   const std::vector<size_t>& stream = dataset_->test_triples;
-  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-    SCOPED_TRACE(ScheduleName(schedule));
-    const JoclResult& oneshot = *oneshot_[static_cast<size_t>(schedule)];
-    for (size_t k : {1u, 4u, 16u}) {
-      JoclSession session(dataset_, signals_, WithSchedule(schedule));
-      for (size_t b = 0; b < k; ++b) {
-        size_t begin = b * stream.size() / k;
-        size_t end = (b + 1) * stream.size() / k;
-        ASSERT_TRUE(session
-                        .AddTriples(std::vector<size_t>(
-                            stream.begin() + begin, stream.begin() + end))
-                        .ok());
-      }
-      // Exact equality, not tolerance: the problem rebuild is
-      // deterministic in the active set, per-component beliefs are pure
-      // functions of the local problem, and the decode is global — no bit
-      // may differ.
-      SCOPED_TRACE("K=" + std::to_string(k));
-      ExpectByteIdentical(session.result(), oneshot);
-    }
-  }
-}
-
-TEST_F(SessionEquivalenceTest, RemovalReachesTheSameStateAsNeverIngesting) {
-  const std::vector<size_t>& stream = dataset_->test_triples;
-  for (LbpSchedule schedule : {LbpSchedule::kStaged, LbpSchedule::kResidual}) {
-    SCOPED_TRACE(ScheduleName(schedule));
-    // Ingest everything in 4 batches, then retire the second quarter; the
-    // session must land exactly where a one-shot run over the remaining
-    // triples lands.
-    JoclSession session(dataset_, signals_, WithSchedule(schedule));
-    for (size_t b = 0; b < 4; ++b) {
-      size_t begin = b * stream.size() / 4;
-      size_t end = (b + 1) * stream.size() / 4;
+  for (size_t k : {1u, 4u, 16u}) {
+    JoclSession session(dataset_, signals_);
+    for (size_t b = 0; b < k; ++b) {
+      size_t begin = b * stream.size() / k;
+      size_t end = (b + 1) * stream.size() / k;
       ASSERT_TRUE(session
                       .AddTriples(std::vector<size_t>(stream.begin() + begin,
                                                       stream.begin() + end))
                       .ok());
     }
-    std::vector<size_t> removed(stream.begin() + stream.size() / 4,
-                                stream.begin() + stream.size() / 2);
-    SessionStats stats;
-    ASSERT_TRUE(session.RemoveTriples(removed, &stats).ok());
-    EXPECT_EQ(stats.removed, removed.size());
-
-    std::vector<size_t> remaining;
-    for (size_t t : stream) {
-      if (t < removed.front() || t > removed.back()) remaining.push_back(t);
-    }
-    JoclResult expected = JoclRuntime(WithSchedule(schedule))
-                              .Infer(*dataset_, *signals_, remaining)
-                              .MoveValueOrDie();
-    ExpectByteIdentical(session.result(), expected);
+    // Exact equality, not tolerance: the problem rebuild is deterministic
+    // in the active set, per-component beliefs are pure functions of the
+    // local problem, and the decode is global — no bit may differ.
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExpectByteIdentical(session.result(), *oneshot_);
   }
 }
 
+TEST_F(SessionEquivalenceTest, RemovalReachesTheSameStateAsNeverIngesting) {
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  // Ingest everything in 4 batches, then retire the second quarter; the
+  // session must land exactly where a one-shot run over the remaining
+  // triples lands.
+  JoclSession session(dataset_, signals_);
+  for (size_t b = 0; b < 4; ++b) {
+    size_t begin = b * stream.size() / 4;
+    size_t end = (b + 1) * stream.size() / 4;
+    ASSERT_TRUE(session
+                    .AddTriples(std::vector<size_t>(stream.begin() + begin,
+                                                    stream.begin() + end))
+                    .ok());
+  }
+  std::vector<size_t> removed(stream.begin() + stream.size() / 4,
+                              stream.begin() + stream.size() / 2);
+  SessionStats stats;
+  ASSERT_TRUE(session.RemoveTriples(removed, &stats).ok());
+  EXPECT_EQ(stats.removed, removed.size());
+
+  std::vector<size_t> remaining;
+  for (size_t t : stream) {
+    if (t < removed.front() || t > removed.back()) remaining.push_back(t);
+  }
+  JoclResult expected =
+      JoclRuntime().Infer(*dataset_, *signals_, remaining).MoveValueOrDie();
+  ExpectByteIdentical(session.result(), expected);
+}
+
 TEST_F(SessionEquivalenceTest, UnconvergedComponentsAreAPerBatchSignal) {
-  // One staged sweep leaves components above the tolerance: the batch
-  // reports them and bumps the shared counter. The residual default
+  // A one-sweep budget leaves components above the tolerance: the batch
+  // reports them and bumps the shared counter. The default budget
   // converges every component and leaves the counter alone. The
   // certificate gauge tracks the latest result either way.
   MetricsRegistry& global = MetricsRegistry::Global();
@@ -448,7 +603,7 @@ TEST_F(SessionEquivalenceTest, UnconvergedComponentsAreAPerBatchSignal) {
   Gauge* certificate = global.AddGauge("jocl_lbp_certificate", "", "");
   const std::vector<size_t>& stream = dataset_->test_triples;
 
-  JoclOptions one_sweep = WithSchedule(LbpSchedule::kStaged);
+  JoclOptions one_sweep;
   one_sweep.inference.max_iterations = 1;
   JoclSession starved(dataset_, signals_, one_sweep);
   SessionStats stats;
@@ -585,8 +740,7 @@ TEST_F(SessionEquivalenceTest, StaleComponentsAreEvicted) {
                               stream.begin() + stream.size() / 2);
   const std::vector<size_t> b(stream.begin() + stream.size() / 2,
                               stream.end());
-  const JoclResult& oneshot =
-      *oneshot_[static_cast<size_t>(JoclOptions().inference.schedule)];
+  const JoclResult& oneshot = *oneshot_;
   // Retires and restores one triple of B, \p refreshes times (an even
   // count ends with B whole).
   auto churn_b = [&](JoclSession* session, size_t refreshes) {
@@ -675,9 +829,7 @@ TEST_F(SessionEquivalenceTest, ShrinkingAndRegrowingShardCountsStayExact) {
   ASSERT_TRUE(session.AddTriples(thirds[0], &regrown_stats).ok());
   ASSERT_TRUE(session.AddTriples(thirds[1], &regrown_stats).ok());
   EXPECT_EQ(regrown_stats.shards, full_stats.shards);
-  ExpectByteIdentical(
-      session.result(),
-      *oneshot_[static_cast<size_t>(JoclOptions().inference.schedule)]);
+  ExpectByteIdentical(session.result(), *oneshot_);
   ASSERT_TRUE(session.RemoveTriples(thirds[2]).ok());
   ExpectByteIdentical(session.result(), one_shot(session.active_triples()));
 }

@@ -133,7 +133,6 @@ LbpResult ExactEngine::Run() {
   result.iterations = 1;
   result.converged = true;
   result.final_residual = 0.0;
-  result.residual_history = {0.0};
   return result;
 }
 

@@ -15,19 +15,19 @@
 // Both are pure execution knobs: the result is byte-identical for every
 // setting (see core/runtime.h).
 //
-// Kernel flags (demo mode):
-//   --schedule staged|residual   LBP message schedule (default residual:
-//                                it stops on a convergence certificate,
-//                                not a fixed sweep count; staged runs the
-//                                paper's exact full sweeps)
-//   --kernel vectorized|scalar   message-update kernel (byte-identical;
-//                                scalar is the reference baseline)
-// An unknown value for either prints usage and exits 2.
+// Kernel flag (demo mode):
+//   --kernel vectorized|scalar   message-update kernel of learning and
+//                                inference (byte-identical; scalar is the
+//                                reference baseline)
+// An unknown value prints usage and exits 2.
 //
 // Tracing (demo and weights modes):
 //   --trace-out PATH   dump the pipeline's spans as Chrome trace-event
 //                      JSON (open in chrome://tracing or Perfetto);
 //                      byte-identical across runs modulo timestamps
+//
+// In demo and weights modes any other argument that starts with "--"
+// prints usage and exits 2.
 //
 // The TSV format is documented in data/dataset_io.h. Real deployments
 // would load their own triples with LoadTriplesTsv and construct a
@@ -59,8 +59,7 @@ int Usage() {
                "usage:\n"
                "  jocl_run generate <reverb|nytimes> <scale> <out.tsv>\n"
                "  jocl_run demo [scale] [--threads N] [--shards N]\n"
-               "               [--schedule residual|staged]"
-               " [--kernel vectorized|scalar]"
+               "               [--kernel vectorized|scalar]"
                " [--trace-out PATH]\n"
                "  jocl_run weights <out.tsv> [scale] [--trace-out PATH]\n");
   return 2;
@@ -94,53 +93,30 @@ int ParseRuntimeFlags(int argc, char** argv, RuntimeOptions* runtime) {
   return malformed ? -1 : kept;
 }
 
-// Strips --schedule/--kernel (either "--flag VALUE" or "--flag=VALUE")
-// from argv, returning the remaining positional count, or -1 after
-// naming every unknown value.
-int ParseKernelFlags(int argc, char** argv, LbpOptions* lbp) {
+// Strips --kernel (either "--kernel VALUE" or "--kernel=VALUE") from
+// argv, returning the remaining positional count, or -1 after naming an
+// unknown value.
+int ParseKernelFlag(int argc, char** argv, LbpKernel* kernel) {
   int kept = 0;
   bool unknown = false;
   for (int i = 0; i < argc; ++i) {
-    auto value_of = [&](const char* flag, const char** out) {
-      size_t len = std::strlen(flag);
-      if (std::strncmp(argv[i], flag, len) != 0) return false;
-      if (argv[i][len] == '=') {
-        *out = argv[i] + len + 1;
-        return true;
-      }
-      if (argv[i][len] == '\0' && i + 1 < argc) {
-        *out = argv[++i];
-        return true;
-      }
-      return false;
-    };
     const char* value = nullptr;
-    if (value_of("--schedule", &value)) {
-      if (std::strcmp(value, "residual") == 0) {
-        lbp->schedule = LbpSchedule::kResidual;
-        continue;
-      }
-      if (std::strcmp(value, "staged") == 0) {
-        lbp->schedule = LbpSchedule::kStaged;
-        continue;
-      }
-      std::fprintf(stderr, "unknown --schedule value: %s\n", value);
-      unknown = true;
-      continue;
-    } else if (value_of("--kernel", &value)) {
-      if (std::strcmp(value, "scalar") == 0) {
-        lbp->kernel = LbpKernel::kScalarReference;
-        continue;
-      }
-      if (std::strcmp(value, "vectorized") == 0) {
-        lbp->kernel = LbpKernel::kVectorized;
-        continue;
-      }
-      std::fprintf(stderr, "unknown --kernel value: %s\n", value);
-      unknown = true;
+    if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
+      value = argv[i] + 9;
+    } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      argv[kept++] = argv[i];
       continue;
     }
-    argv[kept++] = argv[i];
+    if (std::strcmp(value, "scalar") == 0) {
+      *kernel = LbpKernel::kScalarReference;
+    } else if (std::strcmp(value, "vectorized") == 0) {
+      *kernel = LbpKernel::kVectorized;
+    } else {
+      std::fprintf(stderr, "unknown --kernel value: %s\n", value);
+      unknown = true;
+    }
   }
   return unknown ? -1 : kept;
 }
@@ -162,6 +138,18 @@ int ParseTraceFlag(int argc, char** argv, std::string* path) {
     argv[kept++] = argv[i];
   }
   return kept;
+}
+
+// Names the first argument left after flag parsing that looks like a
+// flag (a misspelled or unsupported one); returns whether there was one.
+bool HasUnknownFlag(int argc, char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return true;
+    }
+  }
+  return false;
 }
 
 // Uninstalls the session (no span may still be open), then writes the
@@ -205,10 +193,12 @@ int RunDemo(int argc, char** argv) {
   argc = ParseRuntimeFlags(argc, argv, &runtime_options);
   if (argc < 0) return Usage();
   JoclOptions jocl_options;
-  argc = ParseKernelFlags(argc, argv, &jocl_options.inference);
+  argc = ParseKernelFlag(argc, argv, &jocl_options.inference.kernel);
   if (argc < 0) return Usage();
+  jocl_options.learner.lbp.kernel = jocl_options.inference.kernel;
   std::string trace_path;
   argc = ParseTraceFlag(argc, argv, &trace_path);
+  if (HasUnknownFlag(argc, argv)) return Usage();
   TraceRecorder recorder;
   std::optional<ScopedTraceSession> trace;
   if (!trace_path.empty()) trace.emplace(&recorder);
@@ -242,15 +232,10 @@ int RunDemo(int argc, char** argv) {
       stats.components, stats.shards, stats.problem_seconds,
       stats.cache_seconds, stats.partition_seconds, stats.shard_seconds,
       stats.graph_seconds, stats.infer_seconds, stats.decode_seconds);
-  std::printf("  kernel          %zu message updates", stats.message_updates);
-  if (jocl_options.inference.schedule == LbpSchedule::kResidual) {
-    std::printf(", %zu residual pops, %zu sweeps' budget unspent",
-                stats.residual_pops, stats.sweeps_skipped);
-  } else if (stats.sweeps_skipped > 0) {
-    std::printf(", %zu sweeps saved by early convergence",
-                stats.sweeps_skipped);
-  }
-  std::printf("\n");
+  std::printf("  kernel          %zu message updates, %zu residual pops, "
+              "%zu sweeps' budget unspent\n",
+              stats.message_updates, stats.residual_pops,
+              stats.sweeps_skipped);
 
   // The evaluation/report stage is the demo's "publish": what a
   // deployment does with the finished result.
@@ -285,7 +270,7 @@ int RunDemo(int argc, char** argv) {
 int RunWeights(int argc, char** argv) {
   std::string trace_path;
   argc = ParseTraceFlag(argc, argv, &trace_path);
-  if (argc < 3) return Usage();
+  if (argc < 3 || HasUnknownFlag(argc, argv)) return Usage();
   TraceRecorder recorder;
   std::optional<ScopedTraceSession> trace;
   if (!trace_path.empty()) trace.emplace(&recorder);
