@@ -124,7 +124,10 @@ void Table1(const BenchEnv& env, const std::vector<World>& worlds,
         {"IDF Token Overlap", IdfTokenOverlapCanonicalize(ds, sig, eval)});
     rows.push_back(
         {"Attribute Overlap", AttributeOverlapCanonicalize(ds, eval)});
-    rows.push_back({"CESI", CesiCanonicalize(ds, sig, eval)});
+    rows.push_back(
+        {"CESI", CesiCanonicalize(ds, sig,
+                                  TrainTripleEmbeddings(ds).MoveValueOrDie(),
+                                  eval)});
     rows.push_back({"SIST", SistCanonicalize(ds, sig, eval)});
     rows.push_back({"JOCL", world.jocl->np_cluster});
     std::vector<double> average_f1 =
@@ -175,11 +178,11 @@ void Table3(const BenchEnv& env, const std::vector<World>& worlds,
     auto acc = [&](const std::vector<int64_t>& links) {
       return LinkingAccuracySubset(links, gold, linkable);
     };
-    accuracy.push_back({acc(FalconLink(ds, sig, eval)),
-                        acc(EarlLink(ds, sig, eval)),
+    accuracy.push_back({acc(FalconLink(ds, eval)),
+                        acc(EarlLink(ds, eval)),
                         acc(SpotlightLink(ds, sig, eval)),
-                        acc(TagMeLink(ds, sig, eval)),
-                        acc(KbpearlLink(ds, sig, eval)),
+                        acc(TagMeLink(ds, eval)),
+                        acc(KbpearlLink(ds, eval)),
                         acc(world.jocl->np_link)});
     for (size_t r = 0; r < accuracy.back().size(); ++r) {
       report->Score(std::string("table3.") + world.key + "." +
@@ -222,10 +225,10 @@ void Figure3(const BenchEnv& env, const World& reverb, Report* report) {
     return LinkingAccuracySubset(links, gold, linkable);
   };
   const std::vector<double> accuracy = {
-      acc(FalconRelationLink(ds, sig, eval)),
-      acc(EarlRelationLink(ds, sig, eval)),
-      acc(KbpearlRelationLink(ds, sig, eval)),
-      acc(RematchRelationLink(ds, sig, eval)),
+      acc(FalconRelationLink(ds, eval)),
+      acc(EarlRelationLink(ds, eval)),
+      acc(KbpearlRelationLink(ds, eval)),
+      acc(RematchRelationLink(ds, eval)),
       acc(reverb.jocl->rp_link),
   };
 

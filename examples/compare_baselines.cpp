@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
   add_np("Text Similarity", TextSimilarityCanonicalize(ds, eval));
   add_np("IDF Token Overlap", IdfTokenOverlapCanonicalize(ds, sig, eval));
   add_np("Attribute Overlap", AttributeOverlapCanonicalize(ds, eval));
-  add_np("CESI", CesiCanonicalize(ds, sig, eval));
+  add_np("CESI",
+         CesiCanonicalize(ds, sig, TrainTripleEmbeddings(ds).MoveValueOrDie(),
+                          eval));
   add_np("SIST", SistCanonicalize(ds, sig, eval));
   add_np("JOCL", joint.np_cluster);
   std::printf("%s\n", np_table.Render().c_str());
@@ -72,11 +74,11 @@ int main(int argc, char** argv) {
   auto add_el = [&](const char* name, const std::vector<int64_t>& links) {
     el_table.AddRow({name, TablePrinter::Num(LinkingAccuracy(links, gold_e))});
   };
-  add_el("Falcon", FalconLink(ds, sig, eval));
-  add_el("EARL", EarlLink(ds, sig, eval));
+  add_el("Falcon", FalconLink(ds, eval));
+  add_el("EARL", EarlLink(ds, eval));
   add_el("Spotlight", SpotlightLink(ds, sig, eval));
-  add_el("TagMe", TagMeLink(ds, sig, eval));
-  add_el("KBPearl", KbpearlLink(ds, sig, eval));
+  add_el("TagMe", TagMeLink(ds, eval));
+  add_el("KBPearl", KbpearlLink(ds, eval));
   add_el("JOCL", joint.np_link);
   std::printf("%s\n", el_table.Render().c_str());
 
@@ -84,10 +86,10 @@ int main(int argc, char** argv) {
   auto add_rl = [&](const char* name, const std::vector<int64_t>& links) {
     rl_table.AddRow({name, TablePrinter::Num(LinkingAccuracy(links, gold_r))});
   };
-  add_rl("Falcon", FalconRelationLink(ds, sig, eval));
-  add_rl("EARL", EarlRelationLink(ds, sig, eval));
-  add_rl("KBPearl", KbpearlRelationLink(ds, sig, eval));
-  add_rl("Rematch", RematchRelationLink(ds, sig, eval));
+  add_rl("Falcon", FalconRelationLink(ds, eval));
+  add_rl("EARL", EarlRelationLink(ds, eval));
+  add_rl("KBPearl", KbpearlRelationLink(ds, eval));
+  add_rl("Rematch", RematchRelationLink(ds, eval));
   add_rl("JOCL", joint.rp_link);
   std::printf("%s\n", rl_table.Render().c_str());
   return 0;

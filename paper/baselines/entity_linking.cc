@@ -43,11 +43,7 @@ std::vector<int64_t> SpotlightLink(const Dataset& dataset,
       name_ids[s].push_back(sig.Add(dataset.ckb.entity(candidate.id).name));
     }
   }
-  SignalCacheFamilies families;  // Spotlight only scores Sim_emb
-  families.ppdb = false;
-  families.amie = false;
-  families.kbp = false;
-  sig.Finalize(signals, families);
+  sig.Finalize(signals);
   std::vector<int64_t> surface_link(cache.view.surfaces.size(), kNilId);
   for (size_t s = 0; s < cache.view.surfaces.size(); ++s) {
     double best_score = confidence;
@@ -69,10 +65,8 @@ std::vector<int64_t> SpotlightLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> TagMeLink(const Dataset& dataset,
-                               const SignalBundle& signals,
                                const std::vector<size_t>& subset,
                                double epsilon, int64_t min_spot_count) {
-  (void)signals;
   CandidateCache cache(dataset, subset);
   // Spot filter + commonness pruning: only frequent anchor surfaces are
   // "spots"; candidates below ε of the spot's anchor mass are discarded. A
@@ -127,10 +121,8 @@ std::vector<int64_t> TagMeLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> FalconLink(const Dataset& dataset,
-                                const SignalBundle& signals,
                                 const std::vector<size_t>& subset,
                                 double min_similarity) {
-  (void)signals;
   CandidateCache cache(dataset, subset);
   std::vector<int64_t> surface_link(cache.view.surfaces.size(), kNilId);
   for (size_t s = 0; s < cache.view.surfaces.size(); ++s) {
@@ -159,9 +151,7 @@ std::vector<int64_t> FalconLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> EarlLink(const Dataset& dataset,
-                              const SignalBundle& signals,
                               const std::vector<size_t>& subset) {
-  (void)signals;
   // EARL generates candidates by label search (no Wikipedia-anchor
   // statistics), then solves a GTSP over the triple: the (subject, object)
   // candidate pair with the highest connection density through the
@@ -221,7 +211,6 @@ std::vector<int64_t> EarlLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> KbpearlLink(const Dataset& dataset,
-                                 const SignalBundle& signals,
                                  const std::vector<size_t>& subset) {
   CandidateCache cache(dataset, subset);
   std::vector<int64_t> links(cache.view.mention_surface.size(), kNilId);
@@ -261,7 +250,6 @@ std::vector<int64_t> KbpearlLink(const Dataset& dataset,
       links[local * 2 + 1] = best_o;
     }
   }
-  (void)signals;
   return links;
 }
 

@@ -28,7 +28,6 @@ std::vector<int64_t> SpotlightLink(const Dataset& dataset,
 /// agreement vote. Spot pruning + ε are what make TagMe precise on short
 /// text but low-recall on OIE triples (paper Table 3: 0.316 on ReVerb45K).
 std::vector<int64_t> TagMeLink(const Dataset& dataset,
-                               const SignalBundle& signals,
                                const std::vector<size_t>& subset,
                                double epsilon = 0.8,
                                int64_t min_spot_count = 500);
@@ -37,7 +36,6 @@ std::vector<int64_t> TagMeLink(const Dataset& dataset,
 /// normalized surface against the extended alias KG wins; otherwise the
 /// n-gram-closest candidate above a tight threshold.
 std::vector<int64_t> FalconLink(const Dataset& dataset,
-                                const SignalBundle& signals,
                                 const std::vector<size_t>& subset,
                                 double min_similarity = 0.8);
 
@@ -45,14 +43,12 @@ std::vector<int64_t> FalconLink(const Dataset& dataset,
 /// mentions, solved greedily over connection density (facts between the
 /// chosen subject/object candidates).
 std::vector<int64_t> EarlLink(const Dataset& dataset,
-                              const SignalBundle& signals,
                               const std::vector<size_t>& subset);
 
 /// \brief KBPearl-style: joint triple-level assignment maximizing
 /// popularity + surface similarity + fact inclusion over the candidate
 /// cross product.
 std::vector<int64_t> KbpearlLink(const Dataset& dataset,
-                                 const SignalBundle& signals,
                                  const std::vector<size_t>& subset);
 
 }  // namespace jocl

@@ -6,6 +6,8 @@
 #include "cluster/hac.h"
 #include "cluster/union_find.h"
 #include "core/signal_cache.h"
+#include "embedding/corpus.h"
+#include "embedding/word2vec.h"
 #include "text/morph_normalizer.h"
 #include "text/similarity.h"
 
@@ -121,20 +123,25 @@ std::vector<size_t> AttributeOverlapCanonicalize(
       });
 }
 
+Result<EmbeddingTable> TrainTripleEmbeddings(const Dataset& dataset,
+                                             const SignalOptions& options) {
+  return Word2Vec(EmbeddingOptions(options))
+      .Train(BuildTripleCorpus(dataset.okb));
+}
+
 std::vector<size_t> CesiCanonicalize(const Dataset& dataset,
                                      const SignalBundle& signals,
+                                     const EmbeddingTable& triple_embeddings,
                                      const std::vector<size_t>& subset,
                                      double threshold) {
   NpSurfaceView view = BuildNpSurfaceView(dataset, subset);
-  // HAC evaluates O(n^2) pairs; the cache reduces each to a dot product
+  // CESI's own signals: the triple-only word vectors and PPDB. HAC
+  // evaluates O(n^2) pairs; the cache reduces each to a dot product
   // (surface ids are positional: view.surfaces is distinct).
-  SignalCacheFamilies families;
-  families.embeddings = false;
-  families.triple_embeddings = true;
-  families.amie = false;
-  families.kbp = false;
-  SignalCache cache =
-      SignalCache::ForPhrases(view.surfaces, signals, families);
+  SignalBundle cesi;
+  cesi.embeddings = triple_embeddings;
+  cesi.ppdb = signals.ppdb;
+  SignalCache cache = SignalCache::ForPhrases(view.surfaces, cesi);
   return HacOverSurfaceIds(
       view, threshold, Linkage::kAverage, [&](size_t i, size_t j) {
         // PPDB is a hard side-information short-circuit in CESI's
@@ -142,7 +149,7 @@ std::vector<size_t> CesiCanonicalize(const Dataset& dataset,
         // overlap. CESI's embeddings are trained on the OKB triples only —
         // it has no access to the source text (that is SIST's edge).
         if (cache.Ppdb(i, j) > 0.5) return 1.0;
-        return 0.6 * cache.TripleEmb(i, j) +
+        return 0.6 * cache.Emb(i, j) +
                0.4 * signals.np_idf.Similarity(view.surfaces[i],
                                                view.surfaces[j]);
       });
@@ -165,11 +172,7 @@ std::vector<size_t> SistCanonicalize(const Dataset& dataset,
       top_confidence[s] = candidates.front().popularity;
     }
   }
-  SignalCacheFamilies families;
-  families.amie = false;
-  families.kbp = false;
-  SignalCache cache =
-      SignalCache::ForPhrases(view.surfaces, signals, families);
+  SignalCache cache = SignalCache::ForPhrases(view.surfaces, signals);
   return HacOverSurfaceIds(
       view, threshold, Linkage::kAverage, [&](size_t ia, size_t ib) {
         if (cache.Ppdb(ia, ib) > 0.5) return 1.0;

@@ -7,6 +7,8 @@
 #include "baselines/np_common.h"
 #include "core/signals.h"
 #include "data/dataset.h"
+#include "embedding/embedding_table.h"
+#include "util/result.h"
 
 namespace jocl {
 
@@ -44,11 +46,18 @@ std::vector<size_t> AttributeOverlapCanonicalize(
     const Dataset& dataset, const std::vector<size_t>& subset,
     double threshold = 0.35);
 
+/// \brief The word vectors CESI learns: word2vec over the OKB triples
+/// only — what a system without access to the source text can learn —
+/// with the options `BuildSignals` derives from \p options.
+Result<EmbeddingTable> TrainTripleEmbeddings(const Dataset& dataset,
+                                             const SignalOptions& options = {});
+
 /// \brief CESI-style (Vashishth et al. 2018): HAC over learned phrase
-/// embeddings blended with side information (PPDB short-circuit, IDF
-/// token overlap).
+/// embeddings (\p triple_embeddings, from `TrainTripleEmbeddings`) blended
+/// with side information (PPDB short-circuit, IDF token overlap).
 std::vector<size_t> CesiCanonicalize(const Dataset& dataset,
                                      const SignalBundle& signals,
+                                     const EmbeddingTable& triple_embeddings,
                                      const std::vector<size_t>& subset,
                                      double threshold = 0.64);
 

@@ -16,10 +16,8 @@ constexpr size_t kEntityFanout = 4;
 }  // namespace
 
 std::vector<int64_t> FalconRelationLink(const Dataset& dataset,
-                                        const SignalBundle& signals,
                                         const std::vector<size_t>& subset,
                                         double min_similarity) {
-  (void)signals;
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
   MorphNormalizer normalizer;
   std::vector<int64_t> surface_link(view.surfaces.size(), kNilId);
@@ -48,9 +46,7 @@ std::vector<int64_t> FalconRelationLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> EarlRelationLink(const Dataset& dataset,
-                                      const SignalBundle& signals,
                                       const std::vector<size_t>& subset) {
-  (void)signals;
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
   std::vector<int64_t> links(view.mention_surface.size(), kNilId);
   for (size_t local = 0; local < view.triples.size(); ++local) {
@@ -78,9 +74,7 @@ std::vector<int64_t> EarlRelationLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> KbpearlRelationLink(const Dataset& dataset,
-                                         const SignalBundle& signals,
                                          const std::vector<size_t>& subset) {
-  (void)signals;
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
   std::vector<int64_t> links(view.mention_surface.size(), kNilId);
   for (size_t local = 0; local < view.triples.size(); ++local) {
@@ -109,10 +103,8 @@ std::vector<int64_t> KbpearlRelationLink(const Dataset& dataset,
 }
 
 std::vector<int64_t> RematchRelationLink(const Dataset& dataset,
-                                         const SignalBundle& signals,
                                          const std::vector<size_t>& subset,
                                          double min_similarity) {
-  (void)signals;
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
   std::vector<int64_t> surface_link(view.surfaces.size(), kNilId);
   for (size_t s = 0; s < view.surfaces.size(); ++s) {

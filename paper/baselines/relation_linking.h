@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/signals.h"
 #include "data/dataset.h"
 
 namespace jocl {
@@ -16,26 +15,22 @@ namespace jocl {
 /// \brief Falcon-style relation linking: morphology-normalized token match
 /// against relation names/aliases, n-gram fallback.
 std::vector<int64_t> FalconRelationLink(const Dataset& dataset,
-                                        const SignalBundle& signals,
                                         const std::vector<size_t>& subset,
                                         double min_similarity = 0.55);
 
 /// \brief EARL-style relation linking: candidates re-ranked by how well the
 /// relation connects the top entity candidates of the triple's NPs.
 std::vector<int64_t> EarlRelationLink(const Dataset& dataset,
-                                      const SignalBundle& signals,
                                       const std::vector<size_t>& subset);
 
 /// \brief KBPearl-style relation linking: the relation chosen by the joint
 /// triple assignment (fact inclusion first, surface similarity second).
 std::vector<int64_t> KbpearlRelationLink(const Dataset& dataset,
-                                         const SignalBundle& signals,
                                          const std::vector<size_t>& subset);
 
 /// \brief Rematch-style: pure surface matching of the RP against relation
 /// names and aliases with n-gram + Levenshtein blend.
 std::vector<int64_t> RematchRelationLink(const Dataset& dataset,
-                                         const SignalBundle& signals,
                                          const std::vector<size_t>& subset,
                                          double min_similarity = 0.35);
 

@@ -16,12 +16,7 @@ std::vector<size_t> AmieCanonicalize(const Dataset& dataset,
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
   // The cache morph-normalizes each RP once; the O(n^2) loop then skips
   // re-normalization entirely (surface ids are positional).
-  SignalCacheFamilies families;
-  families.embeddings = false;
-  families.ppdb = false;
-  families.kbp = false;
-  SignalCache cache =
-      SignalCache::ForPhrases(view.surfaces, signals, families);
+  SignalCache cache = SignalCache::ForPhrases(view.surfaces, signals);
   UnionFind uf(view.surfaces.size());
   for (size_t i = 0; i < view.surfaces.size(); ++i) {
     for (size_t j = i + 1; j < view.surfaces.size(); ++j) {
@@ -78,10 +73,7 @@ std::vector<size_t> SistRpCanonicalize(const Dataset& dataset,
                                        const std::vector<size_t>& subset,
                                        double threshold) {
   RpSurfaceView view = BuildRpSurfaceView(dataset, subset);
-  SignalCacheFamilies families;
-  families.amie = false;
-  SignalCache cache =
-      SignalCache::ForPhrases(view.surfaces, signals, families);
+  SignalCache cache = SignalCache::ForPhrases(view.surfaces, signals);
   HacOptions options;
   options.threshold = threshold;
   options.linkage = Linkage::kAverage;

@@ -15,127 +15,87 @@ size_t SignalCache::Add(std::string_view phrase) {
   return id;
 }
 
-void SignalCache::BuildArena(const EmbeddingTable& table, size_t from,
-                             std::vector<float>* unit,
-                             std::vector<uint8_t>* has, size_t* dim) const {
-  *dim = table.dim();
-  unit->resize(phrases_.size() * *dim, 0.0f);
-  has->resize(phrases_.size(), 0);
-  for (size_t i = from; i < phrases_.size(); ++i) {
-    std::vector<float> v = table.PhraseVector(phrases_[i]);
+void SignalCache::Finalize(const SignalBundle& signals) {
+  bundle_ = &signals;
+  const size_t n = phrases_.size();
+  const size_t from = finalized_;
+
+  // Embeddings: one unit-normalized phrase vector per row.
+  dim_ = signals.embeddings.dim();
+  unit_.resize(n * dim_, 0.0f);
+  has_vec_.resize(n, 0);
+  for (size_t i = from; i < n; ++i) {
+    std::vector<float> v = signals.embeddings.PhraseVector(phrases_[i]);
     double norm = 0.0;
     for (float x : v) norm += static_cast<double>(x) * x;
     if (norm <= 0.0) continue;  // no known token: neutral fallback
     norm = std::sqrt(norm);
-    float* row = unit->data() + i * *dim;
-    for (size_t d = 0; d < *dim; ++d) {
+    float* row = unit_.data() + i * dim_;
+    for (size_t d = 0; d < dim_; ++d) {
       row[d] = static_cast<float>(v[d] / norm);
     }
-    (*has)[i] = 1;
-  }
-}
-
-void SignalCache::Finalize(const SignalBundle& signals,
-                           const SignalCacheFamilies& families) {
-  // Toggling a memo family invalidates the append-only invariant (old
-  // rows would be missing the newly enabled memo); rebuild from scratch.
-  if (finalized_ > 0 &&
-      (families.embeddings != families_.embeddings ||
-       families.triple_embeddings != families_.triple_embeddings ||
-       families.ppdb != families_.ppdb || families.amie != families_.amie ||
-       families.kbp != families_.kbp)) {
-    finalized_ = 0;
-    unit_.clear();
-    has_vec_.clear();
-    triple_unit_.clear();
-    has_triple_vec_.clear();
-    ppdb_rep_.clear();
-    ppdb_rep_ids_.clear();
-    amie_norm_id_.clear();
-    amie_evidence_.clear();
-    amie_equivalent_.clear();
-    amie_norm_ids_.clear();
-    kbp_class_.clear();
-    rows_finalized_ = 0;
-  }
-  bundle_ = &signals;
-  families_ = families;
-  const size_t n = phrases_.size();
-  const size_t from = finalized_;
-
-  if (families.embeddings) {
-    BuildArena(signals.embeddings, from, &unit_, &has_vec_, &dim_);
-  }
-  if (families.triple_embeddings) {
-    BuildArena(signals.triple_embeddings, from, &triple_unit_,
-               &has_triple_vec_, &triple_dim_);
+    has_vec_[i] = 1;
   }
 
   // PPDB representatives, interned (the persistent map keeps ids stable
   // across appends; only equality of ids is ever observed).
-  if (families.ppdb) {
-    ppdb_rep_.resize(n, -1);
-    if (signals.ppdb != nullptr) {
-      for (size_t i = from; i < n; ++i) {
-        auto rep = signals.ppdb->Representative(phrases_[i]);
-        if (!rep.has_value()) continue;
-        auto [it, inserted] =
-            ppdb_rep_ids_.emplace(std::move(*rep),
-                                  static_cast<int32_t>(ppdb_rep_ids_.size()));
-        ppdb_rep_[i] = it->second;
-      }
+  ppdb_rep_.resize(n, -1);
+  if (signals.ppdb != nullptr) {
+    for (size_t i = from; i < n; ++i) {
+      auto rep = signals.ppdb->Representative(phrases_[i]);
+      if (!rep.has_value()) continue;
+      auto [it, inserted] =
+          ppdb_rep_ids_.emplace(std::move(*rep),
+                                static_cast<int32_t>(ppdb_rep_ids_.size()));
+      ppdb_rep_[i] = it->second;
     }
   }
 
   // AMIE: interned normalized forms, evidence flags, and the miner's
   // bidirectional equivalences mapped onto norm-id pairs so the pair
   // query never touches a string again.
-  if (families.amie) {
-    amie_norm_id_.resize(n, -1);
-    amie_evidence_.resize(n, 0);
-    const size_t norm_ids_before = amie_norm_ids_.size();
-    for (size_t i = from; i < n; ++i) {
-      std::string norm = signals.amie.NormalizedForm(phrases_[i]);
-      bool evidence = signals.amie.HasEvidenceNormalized(norm);
-      auto [it, inserted] =
-          amie_norm_ids_.emplace(std::move(norm),
-                                 static_cast<int32_t>(amie_norm_ids_.size()));
-      amie_norm_id_[i] = it->second;
-      amie_evidence_[i] = evidence ? 1 : 0;
-    }
-    // rules() holds every accepted unidirectional rule; a bidirectional
-    // presence is exactly the miner's equivalence relation. New norm ids
-    // can complete rules whose other side was already interned, so the
-    // (static) rule set is re-scanned whenever the id space grew.
-    if (amie_norm_ids_.size() > norm_ids_before || from == 0) {
-      amie_equivalent_.clear();
-      std::unordered_set<uint64_t> directed;
-      for (const AmieRule& rule : signals.amie.rules()) {
-        auto a = amie_norm_ids_.find(rule.antecedent);
-        auto b = amie_norm_ids_.find(rule.consequent);
-        if (a == amie_norm_ids_.end() || b == amie_norm_ids_.end()) continue;
-        uint64_t forward = (static_cast<uint64_t>(
-                                static_cast<uint32_t>(a->second))
-                            << 32) |
-                           static_cast<uint32_t>(b->second);
-        uint64_t backward = (static_cast<uint64_t>(
-                                 static_cast<uint32_t>(b->second))
-                             << 32) |
-                            static_cast<uint32_t>(a->second);
-        directed.insert(forward);
-        if (directed.count(backward) > 0) {
-          amie_equivalent_.insert(PairKey(a->second, b->second));
-        }
+  amie_norm_id_.resize(n, -1);
+  amie_evidence_.resize(n, 0);
+  const size_t norm_ids_before = amie_norm_ids_.size();
+  for (size_t i = from; i < n; ++i) {
+    std::string norm = signals.amie.NormalizedForm(phrases_[i]);
+    bool evidence = signals.amie.HasEvidenceNormalized(norm);
+    auto [it, inserted] =
+        amie_norm_ids_.emplace(std::move(norm),
+                               static_cast<int32_t>(amie_norm_ids_.size()));
+    amie_norm_id_[i] = it->second;
+    amie_evidence_[i] = evidence ? 1 : 0;
+  }
+  // rules() holds every accepted unidirectional rule; a bidirectional
+  // presence is exactly the miner's equivalence relation. New norm ids
+  // can complete rules whose other side was already interned, so the
+  // (static) rule set is re-scanned whenever the id space grew.
+  if (amie_norm_ids_.size() > norm_ids_before || from == 0) {
+    amie_equivalent_.clear();
+    std::unordered_set<uint64_t> directed;
+    for (const AmieRule& rule : signals.amie.rules()) {
+      auto a = amie_norm_ids_.find(rule.antecedent);
+      auto b = amie_norm_ids_.find(rule.consequent);
+      if (a == amie_norm_ids_.end() || b == amie_norm_ids_.end()) continue;
+      uint64_t forward = (static_cast<uint64_t>(
+                              static_cast<uint32_t>(a->second))
+                          << 32) |
+                         static_cast<uint32_t>(b->second);
+      uint64_t backward = (static_cast<uint64_t>(
+                               static_cast<uint32_t>(b->second))
+                           << 32) |
+                          static_cast<uint32_t>(a->second);
+      directed.insert(forward);
+      if (directed.count(backward) > 0) {
+        amie_equivalent_.insert(PairKey(a->second, b->second));
       }
     }
   }
 
   // KBP classifications.
-  if (families.kbp) {
-    kbp_class_.resize(n, kNilId);
-    for (size_t i = from; i < n; ++i) {
-      kbp_class_[i] = signals.kbp.Classify(phrases_[i]);
-    }
+  kbp_class_.resize(n, kNilId);
+  for (size_t i = from; i < n; ++i) {
+    kbp_class_[i] = signals.kbp.Classify(phrases_[i]);
   }
 
   // F5 relation rows for the pairs registered since the last call. Every
@@ -152,12 +112,10 @@ void SignalCache::Finalize(const SignalBundle& signals,
 
   finalized_ = n;
   JOCL_LOG(kDebug) << "signal cache: " << n << " phrases (" << (n - from)
-                   << " new), emb dim " << dim_
-                   << (families.triple_embeddings ? " (+triple arena)" : "");
+                   << " new), emb dim " << dim_;
 }
 
 double SignalCache::Amie(size_t a, size_t b) const {
-  if (!families_.amie) return bundle_->Amie(phrases_[a], phrases_[b]);
   // Mirrors SignalBundle::Amie: rule-or-same-norm-form wins, then the
   // absence-is-neutral gate on mining evidence.
   if (amie_norm_id_[a] == amie_norm_id_[b]) return 1.0;
@@ -174,15 +132,6 @@ double SignalCache::Emb(std::string_view a, std::string_view b) const {
   size_t ib = IdOf(b);
   if (ia == kUnknown || ib == kUnknown) return bundle_->Emb(a, b);
   return Emb(ia, ib);
-}
-
-double SignalCache::TripleEmb(std::string_view a, std::string_view b) const {
-  size_t ia = IdOf(a);
-  size_t ib = IdOf(b);
-  if (ia == kUnknown || ib == kUnknown || triple_dim_ == 0) {
-    return bundle_->TripleEmb(a, b);
-  }
-  return TripleEmb(ia, ib);
 }
 
 double SignalCache::Ppdb(std::string_view a, std::string_view b) const {
@@ -259,11 +208,10 @@ SignalCache SignalCache::ForProblem(const JoclProblem& problem,
 }
 
 SignalCache SignalCache::ForPhrases(const std::vector<std::string>& phrases,
-                                    const SignalBundle& signals,
-                                    const SignalCacheFamilies& families) {
+                                    const SignalBundle& signals) {
   SignalCache cache;
   for (const auto& phrase : phrases) cache.Add(phrase);
-  cache.Finalize(signals, families);
+  cache.Finalize(signals);
   return cache;
 }
 

@@ -30,18 +30,6 @@ struct RelationRow {
   double ppdb = 0.0;
 };
 
-/// \brief Which memo families a cache build materializes. Queries against
-/// a family that was not built fall back to the (uncached) bundle, so
-/// disabling a family is always safe — callers that only ever query a
-/// subset (the baselines) skip the dead per-phrase work.
-struct SignalCacheFamilies {
-  bool embeddings = true;
-  bool triple_embeddings = false;
-  bool ppdb = true;
-  bool amie = true;
-  bool kbp = true;
-};
-
 /// \brief Per-surface memoization of every pairwise signal of §3.1–3.2,
 /// built once per problem from its distinct surfaces.
 ///
@@ -89,13 +77,11 @@ class SignalCache {
                                 const SignalBundle& signals,
                                 const CuratedKb& ckb);
 
-  /// Builds the cache over an explicit phrase list (the baselines' surface
-  /// views). Distinct phrases receive sequential ids 0..n-1 in input
-  /// order, so callers can address the cache by position. \p families
-  /// selects which memos to materialize.
+  /// Builds the cache over an explicit phrase list. Distinct phrases
+  /// receive sequential ids 0..n-1 in input order, so callers can address
+  /// the cache by position.
   static SignalCache ForPhrases(const std::vector<std::string>& phrases,
-                                const SignalBundle& signals,
-                                const SignalCacheFamilies& families = {});
+                                const SignalBundle& signals);
 
   /// Registers a phrase and returns its id (idempotent). Must be followed
   /// by Finalize() before any signal query.
@@ -112,17 +98,15 @@ class SignalCache {
   /// every (predicate surface, candidate relation) pair. Idempotent.
   void RegisterProblem(const JoclProblem& problem, const CuratedKb& ckb);
 
-  /// Computes the selected per-phrase memos and the pending relation rows.
+  /// Computes every per-phrase memo and the pending relation rows.
   /// **Append-only**: repeated calls only process phrases and relation
   /// pairs registered since the previous Finalize —
   /// existing arenas and interned ids are extended, never rebuilt — so a
   /// streaming session pays per batch only for its new surfaces. Query
   /// answers are identical to a fresh build over the same phrase set
   /// (memos are per-phrase and intern ids are only ever compared for
-  /// equality). Changing \p families after the first call triggers one
-  /// full rebuild.
-  void Finalize(const SignalBundle& signals,
-                const SignalCacheFamilies& families = {});
+  /// equality).
+  void Finalize(const SignalBundle& signals);
 
   /// Number of phrases covered by the last Finalize().
   size_t finalized_size() const { return finalized_; }
@@ -149,27 +133,15 @@ class SignalCache {
   }
 
   // --- id-based pair signals (both ids must be valid) ---------------------
-  // Queries against a family that was not built fall back to the bundle.
 
   /// `Sim_emb` as a dot product of unit phrase vectors, clamped to [0, 1];
   /// 0.5 when either phrase has no known token.
   double Emb(size_t a, size_t b) const {
-    if (!families_.embeddings) return bundle_->Emb(phrases_[a], phrases_[b]);
     if (!has_vec_[a] || !has_vec_[b]) return 0.5;
     return Dot(unit_.data() + a * dim_, unit_.data() + b * dim_, dim_);
   }
-  /// `Sim_emb` over the triple-only vectors.
-  double TripleEmb(size_t a, size_t b) const {
-    if (!families_.triple_embeddings) {
-      return bundle_->TripleEmb(phrases_[a], phrases_[b]);
-    }
-    if (!has_triple_vec_[a] || !has_triple_vec_[b]) return 0.5;
-    return Dot(triple_unit_.data() + a * triple_dim_,
-               triple_unit_.data() + b * triple_dim_, triple_dim_);
-  }
   /// `Sim_PPDB` with absence-is-neutral semantics.
   double Ppdb(size_t a, size_t b) const {
-    if (!families_.ppdb) return bundle_->Ppdb(phrases_[a], phrases_[b]);
     if (ppdb_rep_[a] < 0 || ppdb_rep_[b] < 0) return 0.5;
     return ppdb_rep_[a] == ppdb_rep_[b] ? 1.0 : 0.0;
   }
@@ -177,7 +149,6 @@ class SignalCache {
   double Amie(size_t a, size_t b) const;
   /// `Sim_KBP` with absence-is-neutral semantics.
   double Kbp(size_t a, size_t b) const {
-    if (!families_.kbp) return bundle_->Kbp(phrases_[a], phrases_[b]);
     if (kbp_class_[a] == kNilId || kbp_class_[b] == kNilId) return 0.5;
     return kbp_class_[a] == kbp_class_[b] ? 1.0 : 0.0;
   }
@@ -186,7 +157,6 @@ class SignalCache {
   // Unregistered phrases fall back to the (uncached) bundle.
 
   double Emb(std::string_view a, std::string_view b) const;
-  double TripleEmb(std::string_view a, std::string_view b) const;
   double Ppdb(std::string_view a, std::string_view b) const;
   double Amie(std::string_view a, std::string_view b) const;
   double Kbp(std::string_view a, std::string_view b) const;
@@ -209,14 +179,8 @@ class SignalCache {
     uint32_t hi = static_cast<uint32_t>(a < b ? b : a);
     return (static_cast<uint64_t>(lo) << 32) | hi;
   }
-  // Extends \p unit / \p has with unit-normalized phrase vectors for
-  // phrases [\p from, size()) of \p table.
-  void BuildArena(const EmbeddingTable& table, size_t from,
-                  std::vector<float>* unit, std::vector<uint8_t>* has,
-                  size_t* dim) const;
 
   const SignalBundle* bundle_ = nullptr;
-  SignalCacheFamilies families_;
   /// Phrases covered by the last Finalize(); the next call starts here.
   size_t finalized_ = 0;
 
@@ -225,13 +189,10 @@ class SignalCache {
   std::deque<std::string> phrases_;
   std::unordered_map<std::string_view, size_t> index_;
 
-  // Embedding arenas: one unit-normalized row per phrase.
+  // Embedding arena: one unit-normalized row per phrase.
   size_t dim_ = 0;
   std::vector<float> unit_;
   std::vector<uint8_t> has_vec_;
-  size_t triple_dim_ = 0;
-  std::vector<float> triple_unit_;
-  std::vector<uint8_t> has_triple_vec_;
 
   // PPDB representative ids (-1 = outside PPDB's coverage). The intern
   // map persists so append-only finalizes assign consistent ids.

@@ -1,10 +1,17 @@
 #include "core/signals.h"
 
 #include "embedding/corpus.h"
-#include "embedding/word2vec.h"
 #include "util/logging.h"
 
 namespace jocl {
+
+Word2VecOptions EmbeddingOptions(const SignalOptions& options) {
+  Word2VecOptions w2v;
+  w2v.dim = options.embedding_dim;
+  w2v.epochs = options.embedding_epochs;
+  w2v.seed = options.seed;
+  return w2v;
+}
 
 Result<SignalBundle> BuildSignals(const Dataset& dataset,
                                   const SignalOptions& options) {
@@ -18,21 +25,12 @@ Result<SignalBundle> BuildSignals(const Dataset& dataset,
     bundle.rp_idf.AddPhrase(triple.predicate);
   }
 
-  // Embeddings. The full table sees triples + the synthetic source text;
-  // the triple-only table is what source-text-blind systems can learn.
+  // Embeddings over triples + the synthetic source text.
   std::vector<std::vector<std::string>> corpus =
       BuildTripleCorpus(dataset.okb);
-  Word2VecOptions w2v;
-  w2v.dim = options.embedding_dim;
-  w2v.epochs = options.embedding_epochs;
-  w2v.seed = options.seed;
-  Word2Vec trainer(w2v);
-  Result<EmbeddingTable> triple_only = trainer.Train(corpus);
-  if (!triple_only.ok()) return triple_only.status();
-  bundle.triple_embeddings = triple_only.MoveValueOrDie();
-
   AppendSentences(dataset.aux_sentences, &corpus);
-  Result<EmbeddingTable> trained = trainer.Train(corpus);
+  Result<EmbeddingTable> trained =
+      Word2Vec(EmbeddingOptions(options)).Train(corpus);
   if (!trained.ok()) return trained.status();
   bundle.embeddings = trained.MoveValueOrDie();
 

@@ -8,6 +8,7 @@
 
 #include "data/dataset.h"
 #include "embedding/embedding_table.h"
+#include "embedding/word2vec.h"
 #include "sideinfo/amie_miner.h"
 #include "sideinfo/kbp_mapper.h"
 #include "text/similarity.h"
@@ -26,8 +27,13 @@ struct SignalOptions {
   uint64_t seed = 42;
 };
 
+/// \brief The word2vec hyper-parameters `BuildSignals` trains with: one
+/// derivation, so every table trained from \p options (the paper
+/// baselines' too) uses the same dimension, epochs and seed.
+Word2VecOptions EmbeddingOptions(const SignalOptions& options);
+
 /// \brief Everything the signal feature functions of §3.1–3.2 need,
-/// precomputed once per data set and shared by JOCL and the baselines.
+/// precomputed once per data set.
 ///
 /// No gold test labels flow in here: embeddings and AMIE are unsupervised
 /// over the raw triples, PPDB comes from the (noisy) resource shipped with
@@ -41,9 +47,6 @@ class SignalBundle {
   /// Word embeddings trained on triples + synthetic source sentences
   /// (stands in for the paper's fastText Common-Crawl vectors).
   EmbeddingTable embeddings{0};
-  /// Word embeddings trained on the OKB triples ONLY — what a system
-  /// without access to the source text (CESI) can learn.
-  EmbeddingTable triple_embeddings{0};
   /// PPDB-style paraphrase clusters (borrowed from the data set).
   const ParaphraseStore* ppdb = nullptr;
   /// Mined Horn rules between RPs.
@@ -60,10 +63,6 @@ class SignalBundle {
   /// `Sim_emb`: cosine of averaged word vectors, clamped to [0, 1].
   double Emb(std::string_view a, std::string_view b) const {
     return embeddings.PhraseSimilarity(a, b);
-  }
-  /// `Sim_emb` over the triple-only vectors (used by the CESI baseline).
-  double TripleEmb(std::string_view a, std::string_view b) const {
-    return triple_embeddings.PhraseSimilarity(a, b);
   }
   /// `Sim_PPDB` with absence-is-neutral semantics: 1 when both phrases
   /// share a cluster representative, 0 when BOTH are known to PPDB but

@@ -10,6 +10,7 @@
 #include "data/generator.h"
 #include "eval/clustering_metrics.h"
 #include "eval/linking_metrics.h"
+#include "serve/snapshot_io.h"
 
 namespace jocl {
 namespace {
@@ -28,10 +29,13 @@ class BaselinesTest : public ::testing::Test {
     signal_options.embedding_epochs = 2;
     signals_ = new SignalBundle(
         BuildSignals(*dataset_, signal_options).MoveValueOrDie());
+    triple_embeddings_ = new EmbeddingTable(
+        TrainTripleEmbeddings(*dataset_, signal_options).MoveValueOrDie());
     subset_ = new std::vector<size_t>(dataset_->test_triples);
   }
   static void TearDownTestSuite() {
     delete subset_;
+    delete triple_embeddings_;
     delete signals_;
     delete dataset_;
   }
@@ -47,11 +51,13 @@ class BaselinesTest : public ::testing::Test {
 
   static Dataset* dataset_;
   static SignalBundle* signals_;
+  static EmbeddingTable* triple_embeddings_;
   static std::vector<size_t>* subset_;
 };
 
 Dataset* BaselinesTest::dataset_ = nullptr;
 SignalBundle* BaselinesTest::signals_ = nullptr;
+EmbeddingTable* BaselinesTest::triple_embeddings_ = nullptr;
 std::vector<size_t>* BaselinesTest::subset_ = nullptr;
 
 // ---------- surface views -----------------------------------------------------
@@ -89,7 +95,10 @@ TEST_F(BaselinesTest, AllNpBaselinesProduceAlignedLabels) {
             expected);
   EXPECT_EQ(AttributeOverlapCanonicalize(*dataset_, *subset_).size(),
             expected);
-  EXPECT_EQ(CesiCanonicalize(*dataset_, *signals_, *subset_).size(), expected);
+  EXPECT_EQ(
+      CesiCanonicalize(*dataset_, *signals_, *triple_embeddings_, *subset_)
+          .size(),
+      expected);
   EXPECT_EQ(SistCanonicalize(*dataset_, *signals_, *subset_).size(), expected);
 }
 
@@ -113,8 +122,10 @@ TEST_F(BaselinesTest, BetterBaselinesBeatMorphNorm) {
   double morph =
       EvaluateClustering(MorphNormCanonicalize(*dataset_, *subset_), gold)
           .average_f1;
-  double cesi = EvaluateClustering(
-                    CesiCanonicalize(*dataset_, *signals_, *subset_), gold)
+  double cesi = EvaluateClustering(CesiCanonicalize(*dataset_, *signals_,
+                                                    *triple_embeddings_,
+                                                    *subset_),
+                                   gold)
                     .average_f1;
   double sist = EvaluateClustering(
                     SistCanonicalize(*dataset_, *signals_, *subset_), gold)
@@ -154,10 +165,10 @@ TEST_F(BaselinesTest, AmieHasLowCoverageAsInPaper) {
 TEST_F(BaselinesTest, EntityLinkersProduceAlignedLinks) {
   const size_t expected = subset_->size() * 2;
   EXPECT_EQ(SpotlightLink(*dataset_, *signals_, *subset_).size(), expected);
-  EXPECT_EQ(TagMeLink(*dataset_, *signals_, *subset_).size(), expected);
-  EXPECT_EQ(FalconLink(*dataset_, *signals_, *subset_).size(), expected);
-  EXPECT_EQ(EarlLink(*dataset_, *signals_, *subset_).size(), expected);
-  EXPECT_EQ(KbpearlLink(*dataset_, *signals_, *subset_).size(), expected);
+  EXPECT_EQ(TagMeLink(*dataset_, *subset_).size(), expected);
+  EXPECT_EQ(FalconLink(*dataset_, *subset_).size(), expected);
+  EXPECT_EQ(EarlLink(*dataset_, *subset_).size(), expected);
+  EXPECT_EQ(KbpearlLink(*dataset_, *subset_).size(), expected);
 }
 
 TEST_F(BaselinesTest, SpotlightBeatsRandomGuessing) {
@@ -192,9 +203,7 @@ TEST(TagMeBehaviorTest, PrunesLowCommonnessCandidates) {
   ASSERT_TRUE(ds.ckb.AddAnchor("place", a, 10).ok());
   ASSERT_TRUE(ds.ckb.AddAnchor("place", b, 10).ok());
   ASSERT_TRUE(ds.okb.AddTriple("place", "r", "place").ok());
-  SignalBundle signals;
-  signals.ppdb = &ds.ppdb;
-  auto links = TagMeLink(ds, signals, {0});
+  auto links = TagMeLink(ds, {0});
   EXPECT_EQ(links[0], kNilId);
 }
 
@@ -204,9 +213,7 @@ TEST(FalconBehaviorTest, ExactNameMatchWins) {
   ds.ckb.AddEntity("university of virginia");
   ASSERT_TRUE(
       ds.okb.AddTriple("University of Maryland", "r", "x y z").ok());
-  SignalBundle signals;
-  signals.ppdb = &ds.ppdb;
-  auto links = FalconLink(ds, signals, {0});
+  auto links = FalconLink(ds, {0});
   EXPECT_EQ(links[0], umd);
   EXPECT_EQ(links[1], kNilId);  // "x y z" matches nothing
 }
@@ -269,7 +276,7 @@ TEST(CesiBehaviorTest, PpdbShortCircuitMergesTokenDisjointAliases) {
   ds.ppdb.AddCluster({"international business machines", "big blue"});
   SignalBundle sig;
   sig.ppdb = &ds.ppdb;
-  auto labels = CesiCanonicalize(ds, sig, {0, 1});
+  auto labels = CesiCanonicalize(ds, sig, EmbeddingTable(0), {0, 1});
   EXPECT_EQ(labels[0], labels[2]);
 }
 
@@ -286,9 +293,7 @@ TEST(EarlBehaviorTest, RelationSpecificDensityDisambiguates) {
   ASSERT_TRUE(ds.ckb.AddRelationAlias(located, "located in").ok());
   ASSERT_TRUE(ds.ckb.AddFact(a, located, il).ok());
   (void)b;
-  SignalBundle sig;
-  sig.ppdb = &ds.ppdb;
-  auto links = EarlLink(ds, sig, {0, 1});
+  auto links = EarlLink(ds, {0, 1});
   EXPECT_EQ(links[0], a);
   EXPECT_EQ(links[1], il);
 }
@@ -299,9 +304,7 @@ TEST(KbpearlBehaviorTest, AbstainsWithoutEvidence) {
   Dataset ds = TwoTripleDataset("zzz qqq", "rrr sss", "www vvv",
                                 "zzz qqq", "rrr sss", "www vvv");
   ds.ckb.AddEntity("totally unrelated");
-  SignalBundle sig;
-  sig.ppdb = &ds.ppdb;
-  auto links = KbpearlLink(ds, sig, {0, 1});
+  auto links = KbpearlLink(ds, {0, 1});
   for (int64_t link : links) EXPECT_EQ(link, kNilId);
 }
 
@@ -311,9 +314,7 @@ TEST(FalconRelationBehaviorTest, MorphNormalizedAliasMatchWins) {
   RelationId founded = ds.ckb.AddRelation("founder_company");
   ASSERT_TRUE(ds.ckb.AddRelationAlias(founded, "founded by").ok());
   ds.ckb.AddRelation("owner_company");
-  SignalBundle sig;
-  sig.ppdb = &ds.ppdb;
-  auto links = FalconRelationLink(ds, sig, {0, 1});
+  auto links = FalconRelationLink(ds, {0, 1});
   // "was founded by" morph-normalizes to the alias "founded by".
   EXPECT_EQ(links[0], founded);
   EXPECT_EQ(links[1], founded);
@@ -346,14 +347,10 @@ TEST(PattyBehaviorTest, SharedArgumentPairsMerge) {
 // ---------- relation linking baselines ----------------------------------------------------
 
 TEST_F(BaselinesTest, RelationLinkersProduceAlignedLinks) {
-  EXPECT_EQ(FalconRelationLink(*dataset_, *signals_, *subset_).size(),
-            subset_->size());
-  EXPECT_EQ(EarlRelationLink(*dataset_, *signals_, *subset_).size(),
-            subset_->size());
-  EXPECT_EQ(KbpearlRelationLink(*dataset_, *signals_, *subset_).size(),
-            subset_->size());
-  EXPECT_EQ(RematchRelationLink(*dataset_, *signals_, *subset_).size(),
-            subset_->size());
+  EXPECT_EQ(FalconRelationLink(*dataset_, *subset_).size(), subset_->size());
+  EXPECT_EQ(EarlRelationLink(*dataset_, *subset_).size(), subset_->size());
+  EXPECT_EQ(KbpearlRelationLink(*dataset_, *subset_).size(), subset_->size());
+  EXPECT_EQ(RematchRelationLink(*dataset_, *subset_).size(), subset_->size());
 }
 
 TEST(RematchBehaviorTest, SurfaceMatchFindsAliasedRelation) {
@@ -362,10 +359,69 @@ TEST(RematchBehaviorTest, SurfaceMatchFindsAliasedRelation) {
   ASSERT_TRUE(ds.ckb.AddRelationAlias(member, "be a member of").ok());
   ds.ckb.AddRelation("owner_company");
   ASSERT_TRUE(ds.okb.AddTriple("x", "be a member of", "y").ok());
-  SignalBundle signals;
-  signals.ppdb = &ds.ppdb;
-  auto links = RematchRelationLink(ds, signals, {0});
+  auto links = RematchRelationLink(ds, {0});
   EXPECT_EQ(links[0], member);
+}
+
+// ---------- pinned outputs ------------------------------------------------------------
+
+// Every baseline's output on the fixture world, pinned by hash: the labels
+// of each NP and RP canonicalizer and the links of each entity and relation
+// linker, one row per baseline. Any moved label or link fails its row. The
+// constants were recorded while the baselines still lived in libjocl, each
+// cache build materialized only the signal families its baseline read, and
+// BuildSignals trained CESI's triple-only table.
+TEST_F(BaselinesTest, BaselineLabelsArePinned) {
+  auto hash = [](const auto& values) {
+    std::vector<int64_t> words(values.begin(), values.end());
+    return Fnv1a64(words.data(), words.size() * sizeof(int64_t));
+  };
+  const Dataset& ds = *dataset_;
+  const SignalBundle& sig = *signals_;
+  const std::vector<size_t>& eval = *subset_;
+  struct Row {
+    const char* baseline;
+    uint64_t hash;
+    uint64_t pinned;
+  };
+  const Row rows[] = {
+      {"MorphNorm", hash(MorphNormCanonicalize(ds, eval)),
+       0x0bd6e87604fa0936ull},
+      {"WikidataIntegrator", hash(WikidataIntegratorCanonicalize(ds, eval)),
+       0x40fc34cf750c51f8ull},
+      {"TextSimilarity", hash(TextSimilarityCanonicalize(ds, eval)),
+       0x23c5b75bce25c873ull},
+      {"IdfTokenOverlap", hash(IdfTokenOverlapCanonicalize(ds, sig, eval)),
+       0xf6e34586ba49cdecull},
+      {"AttributeOverlap", hash(AttributeOverlapCanonicalize(ds, eval)),
+       0x765e6237af6facceull},
+      {"Cesi",
+       hash(CesiCanonicalize(ds, sig, *triple_embeddings_, eval)),
+       0xd5ac90ee343417c3ull},
+      {"Sist", hash(SistCanonicalize(ds, sig, eval)), 0x77d924638be2f86cull},
+      {"Amie", hash(AmieCanonicalize(ds, sig, eval)), 0x4a9a2b7687494482ull},
+      {"Patty", hash(PattyCanonicalize(ds, eval)), 0x11a66b23aab08196ull},
+      {"SistRp", hash(SistRpCanonicalize(ds, sig, eval)),
+       0x7abe4c208a7eef34ull},
+      {"Spotlight", hash(SpotlightLink(ds, sig, eval)),
+       0x5a93837c474cb6f3ull},
+      {"TagMe", hash(TagMeLink(ds, eval)), 0x2ebf875fe8073d27ull},
+      {"Falcon", hash(FalconLink(ds, eval)), 0x04f8996d40bd037bull},
+      {"Earl", hash(EarlLink(ds, eval)), 0x7c2db078e46963c8ull},
+      {"Kbpearl", hash(KbpearlLink(ds, eval)), 0xedcbcb71ade9a09full},
+      {"FalconRelation", hash(FalconRelationLink(ds, eval)),
+       0xb66889b5ded843f7ull},
+      {"EarlRelation", hash(EarlRelationLink(ds, eval)),
+       0x765d826fb24595e7ull},
+      {"KbpearlRelation", hash(KbpearlRelationLink(ds, eval)),
+       0x7bcc1d8a09d82ef3ull},
+      {"RematchRelation", hash(RematchRelationLink(ds, eval)),
+       0x9c25e0346e06d965ull},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.hash, row.pinned)
+        << row.baseline << ": 0x" << std::hex << row.hash;
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST_F(IntegrationTest, JoclLinkingBeatsPopularityOnly) {
   double spotlight_acc = LinkingAccuracy(
       SpotlightLink(*dataset_, *signals_, dataset_->test_triples), gold);
   double tagme_acc = LinkingAccuracy(
-      TagMeLink(*dataset_, *signals_, dataset_->test_triples), gold);
+      TagMeLink(*dataset_, dataset_->test_triples), gold);
   EXPECT_GT(jocl_acc, 0.4);
   EXPECT_GE(jocl_acc, spotlight_acc - 0.02);  // at least on par
   EXPECT_GT(jocl_acc, tagme_acc);

@@ -10,6 +10,12 @@
 #   longtail_speedup_vs_full        higher is better
 #   head_residual_speedup_vs_full   higher is better
 #   longtail_frontend_share         lower is better
+#   longtail_frontend_ms            lower is better
+#   longtail_decode_ms              lower is better
+#
+# The two absolute per-stage times are checked beside the ratios because
+# a ratio's denominator (the full rebuild) can shrink and hide a slower
+# stage.
 #
 # No jq in the CI image: the JSON is written by bench_incremental with one
 # top-level scalar per line, so grep/awk extraction is reliable.
@@ -70,6 +76,8 @@ check() {
 check longtail_speedup_vs_full higher
 check head_residual_speedup_vs_full higher
 check longtail_frontend_share lower
+check longtail_frontend_ms lower
+check longtail_decode_ms lower
 
 if [ "$REGRESSIONS" -gt 0 ]; then
   echo "check_bench_trend: $REGRESSIONS gated metric(s) regressed >20% vs baseline"

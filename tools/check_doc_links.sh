@@ -10,7 +10,7 @@ for doc in docs/*.md README.md src/data/README.md; do
   # Candidate references: tokens rooted at a known top-level directory.
   # The boundary group rejects larger paths like /usr/src/googletest; the
   # sed strips that leading boundary character back off.
-  refs=$(grep -oE '(^|[^/A-Za-z0-9_.-])(src|tools|bench|tests|examples|docs)/[A-Za-z0-9_.{},*/-]*[A-Za-z0-9_*}]' "$doc" \
+  refs=$(grep -oE '(^|[^/A-Za-z0-9_.-])(src|paper|tools|bench|tests|examples|docs)/[A-Za-z0-9_.{},*/-]*[A-Za-z0-9_*}]' "$doc" \
          | sed -E 's#^[^A-Za-z]+##' | sort -u)
   for ref in $refs; do
     case "$ref" in
