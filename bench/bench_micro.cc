@@ -443,16 +443,16 @@ void BM_BuildResponseCache(benchmark::State& state) {
 BENCHMARK(BM_BuildResponseCache)->Unit(benchmark::kMicrosecond);
 
 // The global decode of the same session generation: clustering with
-// conflict vetoes, §3.5 resolution and label materialization over the
-// whole problem, fed the beliefs the result was decoded from.
+// merge vetoes, argmax links and label materialization over the whole
+// problem, fed the beliefs the result was decoded from.
 void BM_DecodeJointResult(benchmark::State& state) {
   const JoclSession& session = IngestedSession();
   const JoclBeliefs beliefs = BeliefsOfResult(
       session.problem(), session.result(), session.options());
-  const JointDecodeOptions options = DecodeOptionsOf(session.options());
   for (auto _ : state) {
     JoclResult result;
-    DecodeJointResult(session.problem(), beliefs, options, &result);
+    DecodeJointResult(session.problem(), beliefs, session.options().builder,
+                      &result);
     benchmark::DoNotOptimize(result.np_cluster.data());
   }
   state.SetItemsProcessed(state.iterations() *

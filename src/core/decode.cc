@@ -13,6 +13,10 @@ namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
+// Same-meaning belief a pair edge needs to propose a cluster merge: the
+// pair variable's own argmax.
+constexpr double kClusterThreshold = 0.5;
+
 // Maps a linking-variable state to a CKB id: state 0 is NIL, state k is
 // candidate k-1.
 template <typename Candidate>
@@ -20,36 +24,6 @@ int64_t StateToId(const std::vector<Candidate>& candidates, size_t state) {
   if (state == 0 || state > candidates.size()) return kNilId;
   return candidates[state - 1].id;
 }
-
-/// Link-group sizes of one decode: mentions per linked CKB id. Every
-/// link is kNilId or a CKB id, and CKB ids are dense indices, so the
-/// counts are a flat array over [0, max id].
-void CountLinks(const std::vector<int64_t>& links,
-                std::vector<size_t>* counts) {
-  int64_t max_id = kNilId;
-  for (int64_t id : links) max_id = std::max(max_id, id);
-  counts->assign(static_cast<size_t>(max_id + 1), 0);
-  for (int64_t id : links) {
-    if (id >= 0) ++(*counts)[static_cast<size_t>(id)];
-  }
-}
-
-/// Per-surface mention lists in CSR form: the mentions of surface s are
-/// `triples[offset[s] .. offset[s + 1])`, ascending.
-struct MentionIndex {
-  std::vector<size_t> offset;
-  std::vector<size_t> triples;
-
-  void Build(const std::vector<size_t>& of, size_t n_surfaces) {
-    // Counts land two slots up, so after the prefix sum offset[s + 1] is
-    // surface s's start and the fill cursor; filling leaves it at s's end.
-    offset.assign(n_surfaces + 2, 0);
-    for (size_t s : of) ++offset[s + 2];
-    std::partial_sum(offset.begin(), offset.end(), offset.begin());
-    triples.resize(of.size());
-    for (size_t t = 0; t < of.size(); ++t) triples[offset[of[t] + 1]++] = t;
-  }
-};
 
 }  // namespace
 
@@ -171,96 +145,8 @@ std::vector<size_t> ClusterPairGraph(size_t n,
   return uf.Labels();
 }
 
-void ResolveLinkConflicts(const JoclProblem& problem,
-                          const JoclBeliefs& beliefs,
-                          const JointDecodeOptions& options,
-                          std::vector<int64_t>* np_link,
-                          std::vector<int64_t>* rp_link) {
-  // Link-group sizes of the initial decode, counted before the first
-  // relabel of each link array; mention lists are built per role on its
-  // first conflict. A decode without conflicts builds neither.
-  std::vector<size_t> entity_counts;
-  std::vector<size_t> relation_counts;
-  MentionIndex mentions[3];
-
-  auto qualifies = [&](const std::vector<size_t>& pair_state,
-                       const std::vector<std::vector<double>>& pair_marg,
-                       size_t p) {
-    return pair_state[p] == 1 &&
-           !(pair_marg[p][1] < options.conflict_confidence);
-  };
-
-  // NP roles: subject mentions sit at even slots of np_link, objects at
-  // odd ones.
-  auto resolve_np_role = [&](size_t offset) {
-    const bool subject = offset == 0;
-    const auto& pairs = subject ? problem.subject_pairs : problem.object_pairs;
-    const auto& pair_state = subject ? beliefs.x_state : beliefs.z_state;
-    const auto& pair_marg = subject ? beliefs.x_marg : beliefs.z_marg;
-    const auto& representative =
-        subject ? problem.subject_rep : problem.object_rep;
-    const auto& of = subject ? problem.subject_of : problem.object_of;
-    const auto& link_marg = subject ? beliefs.es_marg : beliefs.eo_marg;
-    const auto& link_state = subject ? beliefs.es_state : beliefs.eo_state;
-    MentionIndex& index = mentions[offset];
-    if (pair_marg.size() != pairs.size()) return;  // family ablated
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (!qualifies(pair_state, pair_marg, p)) continue;
-      const int64_t e_a = (*np_link)[representative[pairs[p].a] * 2 + offset];
-      const int64_t e_b = (*np_link)[representative[pairs[p].b] * 2 + offset];
-      if (e_a == kNilId || e_b == kNilId || e_a == e_b) continue;
-      if (entity_counts.empty()) CountLinks(*np_link, &entity_counts);
-      if (index.offset.empty()) {
-        index.Build(of, subject ? problem.subject_surfaces.size()
-                                : problem.object_surfaces.size());
-      }
-      const int64_t winner =
-          entity_counts[e_a] >= entity_counts[e_b] ? e_a : e_b;
-      const int64_t loser = winner == e_a ? e_b : e_a;
-      // Both NPs take the label of the larger link group: mentions of the
-      // two surfaces that sit in the losing group move over, unless the
-      // model is surer of their own link than the guard.
-      for (size_t surf : {pairs[p].a, pairs[p].b}) {
-        for (size_t k = index.offset[surf]; k < index.offset[surf + 1]; ++k) {
-          const size_t t = index.triples[k];
-          int64_t& link = (*np_link)[t * 2 + offset];
-          if (link == loser &&
-              link_marg[t][link_state[t]] < options.overturn_guard) {
-            link = winner;
-          }
-        }
-      }
-    }
-  };
-  resolve_np_role(0);
-  resolve_np_role(1);
-
-  const auto& pairs = problem.predicate_pairs;
-  if (beliefs.y_marg.size() != pairs.size()) return;  // family ablated
-  MentionIndex& index = mentions[2];
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (!qualifies(beliefs.y_state, beliefs.y_marg, p)) continue;
-    const int64_t r_a = (*rp_link)[problem.predicate_rep[pairs[p].a]];
-    const int64_t r_b = (*rp_link)[problem.predicate_rep[pairs[p].b]];
-    if (r_a == kNilId || r_b == kNilId || r_a == r_b) continue;
-    if (relation_counts.empty()) CountLinks(*rp_link, &relation_counts);
-    if (index.offset.empty()) {
-      index.Build(problem.predicate_of, problem.predicate_surfaces.size());
-    }
-    const int64_t winner =
-        relation_counts[r_a] >= relation_counts[r_b] ? r_a : r_b;
-    const int64_t loser = winner == r_a ? r_b : r_a;
-    for (size_t surf : {pairs[p].a, pairs[p].b}) {
-      for (size_t k = index.offset[surf]; k < index.offset[surf + 1]; ++k) {
-        int64_t& link = (*rp_link)[index.triples[k]];
-        if (link == loser) link = winner;
-      }
-    }
-  }
-}
-
 void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
-                       const JointDecodeOptions& options,
+                       const GraphBuilderOptions& builder,
                        JoclResult* result) {
   const size_t n = problem.triples.size();
   const size_t n_subject_surfaces = problem.subject_surfaces.size();
@@ -270,7 +156,7 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   // ---- linking decode -----------------------------------------------------
   result->np_link.assign(n * 2, kNilId);
   result->rp_link.assign(n, kNilId);
-  if (options.linking) {
+  if (builder.enable_linking) {
     for (size_t t = 0; t < n; ++t) {
       result->np_link[t * 2] =
           StateToId(problem.subject_candidates[problem.subject_of[t]],
@@ -288,7 +174,7 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   // Node space: subject surfaces then object surfaces; identical strings
   // across the two roles are pre-merged with weight-1 edges.
   std::vector<PairEdge> np_edges;
-  if (options.canonicalization) {
+  if (builder.enable_canonicalization) {
     np_edges.reserve(n_object_surfaces + problem.subject_pairs.size() +
                      problem.object_pairs.size());
   }
@@ -307,7 +193,7 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
   }
   std::vector<size_t> np_labels;
   std::vector<size_t> rp_labels;
-  if (options.canonicalization) {
+  if (builder.enable_canonicalization) {
     for (size_t p = 0; p < problem.subject_pairs.size(); ++p) {
       np_edges.emplace_back(problem.subject_pairs[p].a,
                             problem.subject_pairs[p].b, beliefs.x_marg[p][1]);
@@ -318,7 +204,7 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
                             beliefs.z_marg[p][1]);
     }
     np_labels = ClusterPairGraph(n_subject_surfaces + n_object_surfaces,
-                                 np_edges, options.cluster_threshold);
+                                 np_edges, kClusterThreshold);
     std::vector<PairEdge> rp_edges;
     rp_edges.reserve(problem.predicate_pairs.size());
     for (size_t p = 0; p < problem.predicate_pairs.size(); ++p) {
@@ -327,12 +213,12 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
                             beliefs.y_marg[p][1]);
     }
     rp_labels = ClusterPairGraph(n_predicate_surfaces, rp_edges,
-                                 options.cluster_threshold);
+                                 kClusterThreshold);
   } else {
     UnionFind np_uf(n_subject_surfaces + n_object_surfaces);
     UnionFind rp_uf(n_predicate_surfaces);
     for (const auto& [a, b, weight] : np_edges) np_uf.Union(a, b);
-    if (options.linking) {
+    if (builder.enable_linking) {
       // JOCLlink fallback: group by linked entity/relation so the result
       // is still a complete joint output.
       std::unordered_map<int64_t, size_t> first_subject;
@@ -362,12 +248,6 @@ void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
     }
     np_labels = np_uf.Labels();
     rp_labels = rp_uf.Labels();
-  }
-
-  // ---- conflict resolution (paper §3.5) -----------------------------------
-  if (options.canonicalization && options.linking) {
-    ResolveLinkConflicts(problem, beliefs, options, &result->np_link,
-                         &result->rp_link);
   }
 
   // ---- materialize mention cluster labels ---------------------------------

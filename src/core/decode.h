@@ -2,7 +2,6 @@
 #define JOCL_CORE_DECODE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -10,14 +9,14 @@
 
 namespace jocl {
 
+struct GraphBuilderOptions;
 struct JoclResult;
 
 /// \brief A weighted undirected edge of the pair graph: two node ids plus
 /// the model's same-meaning belief (marginal of `x = 1`).
 using PairEdge = std::tuple<size_t, size_t, double>;
 
-/// \brief Clusters a sparse pair graph of LBP marginals with conflict
-/// vetoes (§3.5 applied at decode time).
+/// \brief Clusters a sparse pair graph of LBP marginals with merge vetoes.
 ///
 /// Plain transitive closure over `x = 1` edges lets a handful of
 /// confident-but-wrong edges chain everything into one giant cluster.
@@ -62,44 +61,21 @@ struct JoclBeliefs {
   std::vector<size_t> es_state, rp_state, eo_state;
 };
 
-/// \brief Knobs of the global decode + §3.5 conflict resolution.
-struct JointDecodeOptions {
-  /// Mirror of GraphBuilderOptions::enable_canonicalization / _linking for
-  /// the graph the beliefs came from.
-  bool canonicalization = true;
-  bool linking = true;
-  /// Same-meaning belief needed for a cluster merge edge.
-  double cluster_threshold = 0.5;
-  /// §3.5 only fires for pairs whose same-meaning marginal reaches this.
-  double conflict_confidence = 0.75;
-  /// Mentions whose own link confidence reaches this are never overturned
-  /// by conflict resolution (the model is surer than the group vote).
-  double overturn_guard = 0.85;
-};
-
-/// \brief §3.5 conflict resolution, in isolation: for every decoded
-/// same-meaning pair (confident enough per \p options), mentions linked to
-/// the smaller link group move to the larger one — unless their own link
-/// confidence passes the overturn guard. NIL links and agreeing links are
-/// left alone. Mutates \p np_link / \p rp_link in place.
+/// \brief The full global decode: each mention keeps the argmax link of
+/// its own linking variable, canonicalization clusters the pair-marginal
+/// graph (with the JOCLlink group-by-entity fallback when \p builder
+/// ablates canonicalization), and cluster labels are materialized per
+/// mention. \p builder is the configuration of the graph the beliefs came
+/// from: only its enable_canonicalization / enable_linking are read. Fills
+/// np_cluster / rp_cluster / np_link / rp_link of \p result (diagnostics,
+/// triples and weights are the caller's).
 ///
-/// Group sizes are those of the initial decode (counted at the first
-/// conflict), and qualifying pairs are scanned in pair order,
-/// role by role. A pair reads and writes only the mentions of its own two
-/// surfaces, so pairs that share no surface commute.
-void ResolveLinkConflicts(const JoclProblem& problem,
-                          const JoclBeliefs& beliefs,
-                          const JointDecodeOptions& options,
-                          std::vector<int64_t>* np_link,
-                          std::vector<int64_t>* rp_link);
-
-/// \brief The full global decode: linking decode, canonicalization
-/// clustering over the pair-marginal graph (with the JOCLlink
-/// group-by-entity fallback), conflict resolution, and mention-label
-/// materialization. Fills np_cluster / rp_cluster / np_link / rp_link of
-/// \p result (diagnostics, triples and weights are the caller's).
+/// The paper's §3.5 group vote (mentions of a same-meaning pair move to
+/// the larger link group) is not applied: it lowered test-split linking
+/// accuracy on every measured seed (docs/benchmarks.md), and the joint
+/// graph's consistency factors already couple clusters and links.
 void DecodeJointResult(const JoclProblem& problem, const JoclBeliefs& beliefs,
-                       const JointDecodeOptions& options, JoclResult* result);
+                       const GraphBuilderOptions& builder, JoclResult* result);
 
 }  // namespace jocl
 

@@ -46,10 +46,6 @@ struct JoclOptions {
   /// Learning-graph size cap: the validation split is subsampled to at most
   /// this many triples (deterministically) to bound training cost.
   size_t max_learning_triples = 300;
-  /// Conflict resolution (§3.5) only fires for pairs whose same-meaning
-  /// marginal is at least this confident; at 0.5 it reduces to the paper's
-  /// bare argmax rule, higher values resolve only confident conflicts.
-  double conflict_confidence = 0.75;
   /// Shard-level worker threads of the end-to-end runtime (0 = one per
   /// hardware thread, 1 = sequential). Purely an execution choice: the
   /// runtime's output is byte-identical for every setting.
@@ -102,8 +98,8 @@ struct JoclResult {
 
 /// \brief The JOCL pipeline (paper §3): build the joint factor graph over
 /// an OKB + CKB, learn shared weights on the labeled validation split, run
-/// LBP (residual schedule), decode marginals, and resolve
-/// canonicalization/linking conflicts.
+/// LBP (residual schedule), and decode marginals: pair-graph clusters and
+/// each mention's own argmax link.
 ///
 /// Infer() is a thin wrapper over the sharded `JoclRuntime`
 /// (core/runtime.h): the problem is partitioned into independent

@@ -104,6 +104,12 @@ void MirrorDecodeStats(const JoclResult& result) {
   static Gauge* rp_largest = global.AddGauge(
       "jocl_decode_largest_cluster", "kind=\"rp\"",
       "Mentions in the largest cluster of the latest decode");
+  static Gauge* np_nil = global.AddGauge(
+      "jocl_decode_nil_link_ratio", "kind=\"np\"",
+      "Share of mentions the latest decode linked to NIL");
+  static Gauge* rp_nil = global.AddGauge(
+      "jocl_decode_nil_link_ratio", "kind=\"rp\"",
+      "Share of mentions the latest decode linked to NIL");
   auto largest = [](const std::vector<size_t>& labels) {
     std::vector<size_t> size;
     for (size_t label : labels) {
@@ -113,8 +119,15 @@ void MirrorDecodeStats(const JoclResult& result) {
     return size.empty() ? size_t{0} : *std::max_element(size.begin(),
                                                         size.end());
   };
+  auto nil_ratio = [](const std::vector<int64_t>& links) {
+    if (links.empty()) return 0.0;
+    const auto nil = std::count(links.begin(), links.end(), kNilId);
+    return static_cast<double>(nil) / static_cast<double>(links.size());
+  };
   np_largest->Set(static_cast<int64_t>(largest(result.np_cluster)));
   rp_largest->Set(static_cast<int64_t>(largest(result.rp_cluster)));
+  np_nil->SetDouble(nil_ratio(result.np_link));
+  rp_nil->SetDouble(nil_ratio(result.rp_link));
 }
 
 ShardBeliefs RunShardInference(const JoclProblem& local,
@@ -254,14 +267,6 @@ void ScatterShardBeliefs(const ProblemShard& shard, const ShardBeliefs& local,
   }
 }
 
-JointDecodeOptions DecodeOptionsOf(const JoclOptions& options) {
-  JointDecodeOptions decode;
-  decode.canonicalization = options.builder.enable_canonicalization;
-  decode.linking = options.builder.enable_linking;
-  decode.conflict_confidence = options.conflict_confidence;
-  return decode;
-}
-
 JoclResult AssembleJoclResult(const JoclProblem& problem,
                               const JoclBeliefs& beliefs,
                               const JoclOptions& options,
@@ -291,7 +296,7 @@ JoclResult AssembleJoclResult(const JoclProblem& problem,
     }
   }
 
-  DecodeJointResult(problem, beliefs, DecodeOptionsOf(options), &result);
+  DecodeJointResult(problem, beliefs, options.builder, &result);
   return result;
 }
 

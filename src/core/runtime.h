@@ -30,7 +30,7 @@ struct PipelineStats {
   /// Engine Run + belief extraction summed across inferred shards
   /// ("infer"; same accumulated-over-workers caveat).
   double infer_seconds = 0.0;
-  double decode_seconds = 0.0;  ///< global decode + conflict resolution
+  double decode_seconds = 0.0;  ///< global decode ("decode")
   size_t shards = 0;            ///< shards in the partition
   size_t variables = 0;         ///< across inferred shard graphs
   size_t factors = 0;
@@ -116,16 +116,15 @@ void MirrorLbpStats(const PipelineStats& stats, double certificate);
 
 /// \brief Records the shape of a decoded result on the process-wide
 /// registry: `jocl_decode_largest_cluster{kind="np"|"rp"}`, the mention
-/// count of the largest NP / RP cluster. Set by the runtime and the
-/// session after every decode.
+/// count of the largest NP / RP cluster, and
+/// `jocl_decode_nil_link_ratio{kind="np"|"rp"}`, the share of NP / RP
+/// mentions linked to NIL (0 for an empty result). Set by the runtime and
+/// the session after every decode.
 void MirrorDecodeStats(const JoclResult& result);
-
-/// \brief The decode knobs a run under \p options decodes with.
-JointDecodeOptions DecodeOptionsOf(const JoclOptions& options);
 
 /// \brief Assembles the final JoclResult from merged global beliefs:
 /// canonical marginal order (subject/predicate/object pairs, then
-/// es/rp/eo per triple), global decode and §3.5 conflict resolution.
+/// es/rp/eo per triple) and the global decode (`DecodeJointResult`).
 /// \p diagnostics is the already-merged convergence record (its marginals
 /// field is overwritten here). The decode runs sequentially on the calling
 /// thread; \p decode_threads is ignored and stays only for source
@@ -144,7 +143,7 @@ JoclResult AssembleJoclResult(const JoclProblem& problem,
 /// labels and links.
 ///
 /// Shard graphs are exactly the connected components of the monolithic
-/// factor graph and the decode/§3.5 steps run globally over merged
+/// factor graph and the decode runs globally over merged
 /// beliefs, so the result is byte-identical for every (num_threads,
 /// max_shards) combination — including the monolithic max_shards = 1.
 /// `Jocl::Infer` is a thin wrapper over this class; `JoclSession`

@@ -145,120 +145,56 @@ TEST_P(ClusterPairGraphProperty, NeverCoarserThanTransitiveClosure) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterPairGraphProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// ---------- §3.5 conflict resolution -----------------------------------------
+// ---------- links: each mention keeps its own argmax --------------------------
 
-// A minimal three-triple problem: subject surfaces {a, b, c} (one mention
-// each), distinct predicates and objects, no object/predicate pairs unless
-// a test adds them. Subject pair (a, b) is the conflict under test.
-class ConflictResolutionTest : public ::testing::Test {
- protected:
-  static constexpr int64_t kE1 = 10;
-  static constexpr int64_t kE2 = 20;
-  static constexpr int64_t kR1 = 100;
-  static constexpr int64_t kR2 = 200;
+// A three-triple problem: subject surfaces {a, b, c} and predicate
+// surfaces {p, q, r}, one mention each, objects unlinked. Subject pair
+// (a, b) and predicate pair (p, q) are decoded same-meaning with belief
+// 0.9; a and c link to e1, b to e2, p and r to r1, q to r2, each with
+// confidence 0.8. The decode clusters both pairs and leaves every link
+// where its own linking variable put it: a head-count vote over the link
+// groups (the paper's §3.5) would move b to e1 and q to r1.
+TEST(DecodeLinkTest, SameMeaningPairsKeepTheirOwnLinks) {
+  constexpr int64_t kE1 = 10;
+  constexpr int64_t kE2 = 20;
+  constexpr int64_t kR1 = 100;
+  constexpr int64_t kR2 = 200;
+  JoclProblem problem;
+  problem.triples = {0, 1, 2};
+  problem.subject_surfaces = {"a", "b", "c"};
+  problem.predicate_surfaces = {"p", "q", "r"};
+  problem.object_surfaces = {"x", "y", "z"};
+  problem.subject_of = {0, 1, 2};
+  problem.predicate_of = {0, 1, 2};
+  problem.object_of = {0, 1, 2};
+  problem.subject_rep = {0, 1, 2};
+  problem.predicate_rep = {0, 1, 2};
+  problem.object_rep = {0, 1, 2};
+  problem.subject_pairs = {SurfacePair{0, 1, 0.8}};
+  problem.predicate_pairs = {SurfacePair{0, 1, 0.8}};
+  problem.subject_candidates = {{{kE1, 0.9}}, {{kE2, 0.9}}, {{kE1, 0.9}}};
+  problem.predicate_candidates = {{{kR1, 0.9}}, {{kR2, 0.9}}, {{kR1, 0.9}}};
+  problem.object_candidates.assign(3, {});
 
-  void SetUp() override {
-    problem_.triples = {0, 1, 2};
-    problem_.subject_surfaces = {"a", "b", "c"};
-    problem_.predicate_surfaces = {"p", "q", "r"};
-    problem_.object_surfaces = {"x", "y", "z"};
-    problem_.subject_of = {0, 1, 2};
-    problem_.predicate_of = {0, 1, 2};
-    problem_.object_of = {0, 1, 2};
-    problem_.subject_rep = {0, 1, 2};
-    problem_.predicate_rep = {0, 1, 2};
-    problem_.object_rep = {0, 1, 2};
-    problem_.subject_pairs = {SurfacePair{0, 1, 0.8}};
-    problem_.subject_candidates = {{{kE1, 0.9}}, {{kE2, 0.9}}, {{kE1, 0.9}}};
-    problem_.predicate_candidates.assign(3, {});
-    problem_.object_candidates.assign(3, {});
+  JoclBeliefs beliefs;
+  beliefs.x_state = {1};
+  beliefs.x_marg = {{0.1, 0.9}};
+  beliefs.y_state = {1};
+  beliefs.y_marg = {{0.1, 0.9}};
+  beliefs.es_state = {1, 1, 1};
+  beliefs.es_marg = {{0.2, 0.8}, {0.2, 0.8}, {0.2, 0.8}};
+  beliefs.rp_state = {1, 1, 1};
+  beliefs.rp_marg = {{0.2, 0.8}, {0.2, 0.8}, {0.2, 0.8}};
+  beliefs.eo_state = {0, 0, 0};
+  beliefs.eo_marg = {{1.0}, {1.0}, {1.0}};
 
-    // Pair (a, b) decoded same-meaning with belief 0.9.
-    beliefs_.x_state = {1};
-    beliefs_.x_marg = {{0.1, 0.9}};
-    beliefs_.y_state = {};
-    beliefs_.y_marg = {};
-    beliefs_.z_state = {};
-    beliefs_.z_marg = {};
-    // Subjects decoded to their single candidate with confidence 0.8
-    // (overturnable); objects and predicates decoded NIL.
-    beliefs_.es_state = {1, 1, 1};
-    beliefs_.es_marg = {{0.2, 0.8}, {0.2, 0.8}, {0.2, 0.8}};
-    beliefs_.rp_state = {0, 0, 0};
-    beliefs_.rp_marg = {{1.0}, {1.0}, {1.0}};
-    beliefs_.eo_state = {0, 0, 0};
-    beliefs_.eo_marg = {{1.0}, {1.0}, {1.0}};
-
-    // Decoded links: a -> e1, b -> e2, c -> e1 (e1's group is larger).
-    np_link_ = {kE1, kNilId, kE2, kNilId, kE1, kNilId};
-    rp_link_ = {kNilId, kNilId, kNilId};
-  }
-
-  JoclProblem problem_;
-  JoclBeliefs beliefs_;
-  JointDecodeOptions options_;
-  std::vector<int64_t> np_link_;
-  std::vector<int64_t> rp_link_;
-};
-
-TEST_F(ConflictResolutionTest, LoserMentionsMoveToLargerLinkGroup) {
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  // b sat in the smaller group (e2: 1 mention vs e1: 2) and was only 0.8
-  // confident -> overturned to e1.
-  EXPECT_EQ(np_link_[2], kE1);
-  // The winners stay put.
-  EXPECT_EQ(np_link_[0], kE1);
-  EXPECT_EQ(np_link_[4], kE1);
-}
-
-TEST_F(ConflictResolutionTest, ConfidentLinksSurviveTheOverturnGuard) {
-  beliefs_.es_marg[1] = {0.1, 0.9};  // b's own link is 0.9 >= 0.85
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[2], kE2);
-
-  // Lowering the guard makes the same mention overturnable again.
-  beliefs_.es_marg[1] = {0.1, 0.9};
-  options_.overturn_guard = 0.95;
-  np_link_ = {kE1, kNilId, kE2, kNilId, kE1, kNilId};
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[2], kE1);
-}
-
-TEST_F(ConflictResolutionTest, UnconfidentPairsDoNotFire) {
-  beliefs_.x_marg[0] = {0.3, 0.7};  // below conflict_confidence 0.75
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[2], kE2);
-
-  beliefs_.x_state[0] = 0;  // decoded different-meaning: never fires
-  beliefs_.x_marg[0] = {0.1, 0.9};
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[2], kE2);
-}
-
-TEST_F(ConflictResolutionTest, NilLinksAreNeverResolved) {
-  np_link_[2] = kNilId;  // b unlinked: nothing to resolve against
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[0], kE1);
-  EXPECT_EQ(np_link_[2], kNilId);
-  EXPECT_EQ(np_link_[4], kE1);
-}
-
-TEST_F(ConflictResolutionTest, AgreeingLinksAreLeftAlone) {
-  np_link_[2] = kE1;  // no conflict on the pair
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(np_link_[0], kE1);
-  EXPECT_EQ(np_link_[2], kE1);
-}
-
-TEST_F(ConflictResolutionTest, RelationConflictsUseGroupSizeToo) {
-  problem_.predicate_pairs = {SurfacePair{0, 1, 0.8}};
-  beliefs_.y_state = {1};
-  beliefs_.y_marg = {{0.05, 0.95}};
-  rp_link_ = {kR1, kR2, kR1};  // r1's group (2) beats r2's (1)
-  ResolveLinkConflicts(problem_, beliefs_, options_, &np_link_, &rp_link_);
-  EXPECT_EQ(rp_link_[1], kR1);
-  EXPECT_EQ(rp_link_[0], kR1);
-  EXPECT_EQ(rp_link_[2], kR1);
+  JoclResult result;
+  DecodeJointResult(problem, beliefs, GraphBuilderOptions{}, &result);
+  EXPECT_EQ(result.np_cluster[0], result.np_cluster[2]);  // a ~ b
+  EXPECT_EQ(result.rp_cluster[0], result.rp_cluster[1]);  // p ~ q
+  EXPECT_EQ(result.np_link,
+            (std::vector<int64_t>{kE1, kNilId, kE2, kNilId, kE1, kNilId}));
+  EXPECT_EQ(result.rp_link, (std::vector<int64_t>{kR1, kR2, kR1}));
 }
 
 // ---------- oracle: the flat decode equals the hash-map reference ------------
@@ -304,7 +240,7 @@ TEST(DecodeOracleTest, ClusterPairGraphMatchesReferenceOnRandomGraphs) {
 
 // A random problem in BuildProblem's shape: surfaces in first-appearance
 // order with first-mention representatives, sorted (a < b) pairs, small
-// shared candidate pools (so links collide and conflict), a few string
+// shared candidate pools (so links of paired surfaces collide), a few string
 // collisions across the subject and object roles, and beliefs whose
 // states are the first argmax of marginals drawn from few values.
 struct RandomDecodeInput {
@@ -409,16 +345,12 @@ void ExpectDecodesEqual(const JoclResult& got, const JoclResult& want) {
 
 TEST(DecodeOracleTest, DecodeMatchesReferenceOnRandomProblems) {
   Rng rng(77);
-  const double kConfidences[] = {0.0, 0.5, 0.75, 0.9};
-  const double kGuards[] = {0.5, 0.85, 1.1};
   for (int trial = 0; trial < 1500; ++trial) {
     RandomDecodeInput input = RandomProblem(rng);
-    JointDecodeOptions options;
-    options.conflict_confidence = kConfidences[trial % 4];
-    options.overturn_guard = kGuards[(trial / 4) % 3];
+    GraphBuilderOptions builder;
     switch (trial % 5) {
       case 3:  // canonicalization ablated: JOCLlink fallback
-        options.canonicalization = false;
+        builder.enable_canonicalization = false;
         input.beliefs.x_marg.clear();
         input.beliefs.x_state.clear();
         input.beliefs.y_marg.clear();
@@ -427,7 +359,7 @@ TEST(DecodeOracleTest, DecodeMatchesReferenceOnRandomProblems) {
         input.beliefs.z_state.clear();
         break;
       case 4:  // linking ablated: every link NIL
-        options.linking = false;
+        builder.enable_linking = false;
         input.beliefs.es_marg.clear();
         input.beliefs.es_state.clear();
         input.beliefs.rp_marg.clear();
@@ -439,32 +371,11 @@ TEST(DecodeOracleTest, DecodeMatchesReferenceOnRandomProblems) {
         break;
     }
     JoclResult got, want;
-    DecodeJointResult(input.problem, input.beliefs, options, &got);
-    DecodeJointResultReference(input.problem, input.beliefs, options, &want);
+    DecodeJointResult(input.problem, input.beliefs, builder, &got);
+    DecodeJointResultReference(input.problem, input.beliefs, builder, &want);
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectDecodesEqual(got, want);
     if (::testing::Test::HasFailure()) return;
-
-    if (options.canonicalization && options.linking) {
-      // Resolution alone, from links with NILs sprinkled in.
-      std::vector<int64_t> np_link(input.problem.triples.size() * 2);
-      std::vector<int64_t> rp_link(input.problem.triples.size());
-      for (int64_t& link : np_link) {
-        link = rng.Bernoulli(0.2) ? kNilId
-                                  : static_cast<int64_t>(rng.UniformUint64(5));
-      }
-      for (int64_t& link : rp_link) {
-        link = rng.Bernoulli(0.2) ? kNilId
-                                  : static_cast<int64_t>(rng.UniformUint64(4));
-      }
-      std::vector<int64_t> np_want = np_link, rp_want = rp_link;
-      ResolveLinkConflicts(input.problem, input.beliefs, options, &np_link,
-                           &rp_link);
-      ResolveLinkConflictsReference(input.problem, input.beliefs, options,
-                                    &np_want, &rp_want);
-      ASSERT_EQ(np_link, np_want);
-      ASSERT_EQ(rp_link, rp_want);
-    }
   }
 }
 
@@ -491,8 +402,7 @@ class DecodeOracleWorldTest : public ::testing::Test {
                                      const JoclOptions& options) {
     const JoclBeliefs beliefs = BeliefsOfResult(problem, result, options);
     JoclResult want;
-    DecodeJointResultReference(problem, beliefs, DecodeOptionsOf(options),
-                               &want);
+    DecodeJointResultReference(problem, beliefs, options.builder, &want);
     ExpectDecodesEqual(result, want);
   }
 

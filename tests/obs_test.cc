@@ -637,5 +637,44 @@ TEST_F(StageClock, StageStatsEqualSpanDurations) {
   }
 }
 
+// ---------- decode gauges ----------------------------------------------------
+
+/// The same scale-0.05 world as TraceDeterminism.
+class DecodeGauges : public TraceDeterminism {};
+
+TEST_F(DecodeGauges, NilLinkRatioTracksTheLatestDecode) {
+  // jocl_decode_nil_link_ratio{kind=...}: the share of NP / RP mentions
+  // the latest result links to NIL, set by the runtime and the session.
+  MetricsRegistry& global = MetricsRegistry::Global();
+  Gauge* np = global.AddGauge("jocl_decode_nil_link_ratio", "kind=\"np\"", "");
+  Gauge* rp = global.AddGauge("jocl_decode_nil_link_ratio", "kind=\"rp\"", "");
+  auto nil_ratio = [](const std::vector<int64_t>& links) {
+    size_t nil = 0;
+    for (int64_t link : links) nil += link == kNilId ? 1 : 0;
+    return static_cast<double>(nil) / static_cast<double>(links.size());
+  };
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  const JoclResult result =
+      JoclRuntime().Infer(*dataset_, *signals_, stream).MoveValueOrDie();
+  EXPECT_EQ(np->DoubleValue(), nil_ratio(result.np_link));
+  EXPECT_EQ(rp->DoubleValue(), nil_ratio(result.rp_link));
+  EXPECT_GT(np->DoubleValue(), 0.0);
+  EXPECT_LT(np->DoubleValue(), 1.0);
+
+  const std::vector<size_t> half(stream.begin(),
+                                 stream.begin() + stream.size() / 2);
+  JoclSession session(dataset_, signals_);
+  ASSERT_TRUE(session.AddTriples(half).ok());
+  EXPECT_EQ(np->DoubleValue(), nil_ratio(session.result().np_link));
+  EXPECT_EQ(rp->DoubleValue(), nil_ratio(session.result().rp_link));
+
+  // With linking ablated every mention is NIL.
+  ASSERT_TRUE(JoclRuntime(JoclOptions::CanonicalizationOnly())
+                  .Infer(*dataset_, *signals_, half)
+                  .ok());
+  EXPECT_EQ(np->DoubleValue(), 1.0);
+  EXPECT_EQ(rp->DoubleValue(), 1.0);
+}
+
 }  // namespace
 }  // namespace jocl

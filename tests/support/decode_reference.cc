@@ -6,10 +6,12 @@
 #include <unordered_map>
 
 #include "cluster/union_find.h"
-#include "util/worker_pool.h"
 
 namespace jocl {
 namespace {
+
+// The decode's merge threshold on same-meaning beliefs.
+constexpr double kClusterThreshold = 0.5;
 
 // Maps a linking-variable state to a CKB id: state 0 is NIL, state k is
 // candidate k-1.
@@ -92,170 +94,9 @@ std::vector<size_t> ClusterPairGraphReference(
   return uf.Labels();
 }
 
-void ResolveLinkConflictsReference(const JoclProblem& problem,
-                                   const JoclBeliefs& beliefs,
-                                   const JointDecodeOptions& options,
-                                   std::vector<int64_t>* np_link,
-                                   std::vector<int64_t>* rp_link) {
-  const size_t n = problem.triples.size();
-
-  // Per-mention confidence of the decoded link: resolution must not
-  // overturn links the model itself is sure about.
-  std::vector<double> np_link_confidence(n * 2, 1.0);
-  for (size_t t = 0; t < n; ++t) {
-    np_link_confidence[t * 2] = beliefs.es_marg[t][beliefs.es_state[t]];
-    np_link_confidence[t * 2 + 1] = beliefs.eo_marg[t][beliefs.eo_state[t]];
-  }
-  // Link-group sizes: mentions per linked entity/relation. Snapshots of
-  // the *initial* decode, never updated during resolution.
-  std::unordered_map<int64_t, size_t> entity_counts;
-  for (int64_t e : *np_link) {
-    if (e != kNilId) ++entity_counts[e];
-  }
-  std::unordered_map<int64_t, size_t> relation_counts;
-  for (int64_t r : *rp_link) {
-    if (r != kNilId) ++relation_counts[r];
-  }
-  auto count_of = [](const std::unordered_map<int64_t, size_t>& counts,
-                     int64_t id) {
-    auto it = counts.find(id);
-    return it == counts.end() ? size_t{0} : it->second;
-  };
-
-  // Per-surface mention lists: relabeling a pair's losing group touches
-  // only the mentions of its two surfaces, not the whole triple set.
-  auto mentions_by_surface = [&](const std::vector<size_t>& of,
-                                 size_t n_surfaces) {
-    std::vector<std::vector<size_t>> mentions(n_surfaces);
-    for (size_t t = 0; t < n; ++t) mentions[of[t]].push_back(t);
-    return mentions;
-  };
-  auto subject_mentions =
-      mentions_by_surface(problem.subject_of, problem.subject_surfaces.size());
-  auto object_mentions =
-      mentions_by_surface(problem.object_of, problem.object_surfaces.size());
-  auto predicate_mentions = mentions_by_surface(
-      problem.predicate_of, problem.predicate_surfaces.size());
-
-  // Qualifying pairs grouped by surface connectivity (the conflict
-  // groups), each group in the original pair order.
-  auto group_pairs = [&](const std::vector<SurfacePair>& pairs,
-                         const std::vector<size_t>& pair_state,
-                         const std::vector<std::vector<double>>& pair_marg,
-                         size_t n_surfaces) {
-    std::vector<std::vector<size_t>> groups;
-    if (pair_marg.size() != pairs.size()) return groups;  // family ablated
-    std::vector<size_t> qualifying;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (pair_state[p] != 1) continue;
-      if (pair_marg[p][1] < options.conflict_confidence) continue;
-      qualifying.push_back(p);
-    }
-    UnionFind uf(n_surfaces);
-    for (size_t p : qualifying) uf.Union(pairs[p].a, pairs[p].b);
-    std::unordered_map<size_t, size_t> index;
-    for (size_t p : qualifying) {
-      size_t root = uf.Find(pairs[p].a);
-      auto [it, inserted] = index.emplace(root, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(p);
-    }
-    return groups;
-  };
-  auto subject_groups =
-      group_pairs(problem.subject_pairs, beliefs.x_state, beliefs.x_marg,
-                  problem.subject_surfaces.size());
-  auto object_groups =
-      group_pairs(problem.object_pairs, beliefs.z_state, beliefs.z_marg,
-                  problem.object_surfaces.size());
-  auto predicate_groups =
-      group_pairs(problem.predicate_pairs, beliefs.y_state, beliefs.y_marg,
-                  problem.predicate_surfaces.size());
-
-  auto resolve_np_group = [&](const std::vector<size_t>& group,
-                              bool subject_role) {
-    const std::vector<SurfacePair>& pairs =
-        subject_role ? problem.subject_pairs : problem.object_pairs;
-    const std::vector<size_t>& representative =
-        subject_role ? problem.subject_rep : problem.object_rep;
-    const std::vector<std::vector<size_t>>& mentions =
-        subject_role ? subject_mentions : object_mentions;
-    const size_t offset = subject_role ? 0 : 1;
-    for (size_t p : group) {
-      size_t mention_a = representative[pairs[p].a] * 2 + offset;
-      size_t mention_b = representative[pairs[p].b] * 2 + offset;
-      int64_t e_a = (*np_link)[mention_a];
-      int64_t e_b = (*np_link)[mention_b];
-      if (e_a == kNilId || e_b == kNilId || e_a == e_b) continue;
-      int64_t winner = count_of(entity_counts, e_a) >=
-                               count_of(entity_counts, e_b)
-                           ? e_a
-                           : e_b;
-      int64_t loser = winner == e_a ? e_b : e_a;
-      // Both NPs take the label of the larger link group: mentions of
-      // the two surfaces that sit in the losing group move over.
-      for (size_t surf : {pairs[p].a, pairs[p].b}) {
-        for (size_t t : mentions[surf]) {
-          size_t mention = t * 2 + offset;
-          if ((*np_link)[mention] == loser &&
-              np_link_confidence[mention] < options.overturn_guard) {
-            (*np_link)[mention] = winner;
-          }
-        }
-      }
-    }
-  };
-  auto resolve_rp_group = [&](const std::vector<size_t>& group) {
-    for (size_t p : group) {
-      size_t rep_a = problem.predicate_rep[problem.predicate_pairs[p].a];
-      size_t rep_b = problem.predicate_rep[problem.predicate_pairs[p].b];
-      int64_t r_a = (*rp_link)[rep_a];
-      int64_t r_b = (*rp_link)[rep_b];
-      if (r_a == kNilId || r_b == kNilId || r_a == r_b) continue;
-      int64_t winner = count_of(relation_counts, r_a) >=
-                               count_of(relation_counts, r_b)
-                           ? r_a
-                           : r_b;
-      int64_t loser = winner == r_a ? r_b : r_a;
-      for (size_t surf :
-           {problem.predicate_pairs[p].a, problem.predicate_pairs[p].b}) {
-        for (size_t t : predicate_mentions[surf]) {
-          if ((*rp_link)[t] == loser) (*rp_link)[t] = winner;
-        }
-      }
-    }
-  };
-
-  // One task per (role, conflict group), run heaviest group first.
-  struct Task {
-    int role;  // 0 = subject, 1 = object, 2 = predicate
-    const std::vector<size_t>* group;
-  };
-  std::vector<Task> tasks;
-  for (const auto& group : subject_groups) tasks.push_back({0, &group});
-  for (const auto& group : object_groups) tasks.push_back({1, &group});
-  for (const auto& group : predicate_groups) tasks.push_back({2, &group});
-  RunOnPool(
-      tasks.size(), /*num_threads=*/1,
-      [&](size_t i) { return tasks[i].group->size(); },
-      [&](size_t i) {
-        switch (tasks[i].role) {
-          case 0:
-            resolve_np_group(*tasks[i].group, /*subject_role=*/true);
-            break;
-          case 1:
-            resolve_np_group(*tasks[i].group, /*subject_role=*/false);
-            break;
-          default:
-            resolve_rp_group(*tasks[i].group);
-            break;
-        }
-      });
-}
-
 void DecodeJointResultReference(const JoclProblem& problem,
                                 const JoclBeliefs& beliefs,
-                                const JointDecodeOptions& options,
+                                const GraphBuilderOptions& builder,
                                 JoclResult* result) {
   const size_t n = problem.triples.size();
   const size_t n_subject_surfaces = problem.subject_surfaces.size();
@@ -264,7 +105,7 @@ void DecodeJointResultReference(const JoclProblem& problem,
   // ---- linking decode -----------------------------------------------------
   result->np_link.assign(n * 2, kNilId);
   result->rp_link.assign(n, kNilId);
-  if (options.linking) {
+  if (builder.enable_linking) {
     for (size_t t = 0; t < n; ++t) {
       result->np_link[t * 2] =
           StateToId(problem.subject_candidates[problem.subject_of[t]],
@@ -300,7 +141,7 @@ void DecodeJointResultReference(const JoclProblem& problem,
       }
     }
   }
-  if (options.canonicalization) {
+  if (builder.enable_canonicalization) {
     std::vector<PairEdge> np_edges = same_string_edges;
     for (size_t p = 0; p < problem.subject_pairs.size(); ++p) {
       np_edges.emplace_back(problem.subject_pairs[p].a,
@@ -313,7 +154,7 @@ void DecodeJointResultReference(const JoclProblem& problem,
     }
     np_labels = ClusterPairGraphReference(
         n_subject_surfaces + n_object_surfaces, np_edges,
-        options.cluster_threshold);
+        kClusterThreshold);
     std::vector<PairEdge> rp_edges;
     for (size_t p = 0; p < problem.predicate_pairs.size(); ++p) {
       rp_edges.emplace_back(problem.predicate_pairs[p].a,
@@ -321,8 +162,8 @@ void DecodeJointResultReference(const JoclProblem& problem,
                             beliefs.y_marg[p][1]);
     }
     rp_labels = ClusterPairGraphReference(problem.predicate_surfaces.size(),
-                                          rp_edges, options.cluster_threshold);
-  } else if (options.linking) {
+                                          rp_edges, kClusterThreshold);
+  } else if (builder.enable_linking) {
     // JOCLlink fallback: group by linked entity/relation.
     std::unordered_map<int64_t, size_t> first_subject;
     for (size_t t = 0; t < n; ++t) {
@@ -347,12 +188,6 @@ void DecodeJointResultReference(const JoclProblem& problem,
       auto [it, inserted] = first_predicate.emplace(r, problem.predicate_of[t]);
       if (!inserted) rp_uf.Union(it->second, problem.predicate_of[t]);
     }
-  }
-
-  // ---- conflict resolution (paper §3.5) -----------------------------------
-  if (options.canonicalization && options.linking) {
-    ResolveLinkConflictsReference(problem, beliefs, options, &result->np_link,
-                                  &result->rp_link);
   }
 
   // ---- materialize mention cluster labels ---------------------------------

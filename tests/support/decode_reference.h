@@ -20,21 +20,11 @@ namespace jocl {
 std::vector<size_t> ClusterPairGraphReference(
     size_t n, const std::vector<PairEdge>& edges, double threshold);
 
-/// \brief The grouped `ResolveLinkConflicts`: qualifying pairs are grouped
-/// by surface connectivity and resolved group by group (heaviest group
-/// first), with hash-map link counts and per-surface mention vectors
-/// built up front. The oracle for `ResolveLinkConflicts`.
-void ResolveLinkConflictsReference(const JoclProblem& problem,
-                                   const JoclBeliefs& beliefs,
-                                   const JointDecodeOptions& options,
-                                   std::vector<int64_t>* np_link,
-                                   std::vector<int64_t>* rp_link);
-
-/// \brief `DecodeJointResult` over the two references above and a
+/// \brief `DecodeJointResult` over `ClusterPairGraphReference` and a
 /// string-keyed same-surface map. The oracle for `DecodeJointResult`.
 void DecodeJointResultReference(const JoclProblem& problem,
                                 const JoclBeliefs& beliefs,
-                                const JointDecodeOptions& options,
+                                const GraphBuilderOptions& builder,
                                 JoclResult* result);
 
 /// \brief The decode inputs of a finished result: splits its canonical
