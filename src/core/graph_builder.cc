@@ -28,10 +28,10 @@ FeatureTable PairFeatureTable(
 
 // Triangle score (paper §3.1.5): all-ones satisfies transitivity (high),
 // exactly two ones violates it (low), anything else is neutral (mid).
-double TransitiveScore(size_t ones, const GraphBuilderOptions& options) {
-  if (ones == 3) return options.transitive_high;
-  if (ones == 2) return options.transitive_low;
-  return options.transitive_mid;
+double TransitiveScore(size_t ones) {
+  if (ones == 3) return kTransitiveHigh;
+  if (ones == 2) return kTransitiveLow;
+  return kTransitiveMid;
 }
 
 // Candidate-agreement signal (the f_cand extension feature): soft overlap
@@ -113,8 +113,7 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
             const std::string& pb = surfaces[pair.b];
             std::vector<std::pair<WeightId, double>> feats;
             if (mask.np_idf) {
-              double idf = pair.idf >= options.idf_neutral_below ? pair.idf
-                                                                 : 0.5;
+              double idf = pair.idf >= kIdfNeutralBelow ? pair.idf : 0.5;
               feats.emplace_back(alpha_base + 0, idf);
             }
             if (mask.np_emb) {
@@ -175,11 +174,11 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
         size_t ones = static_cast<size_t>((a & 1) != 0) +
                       static_cast<size_t>((a & 2) != 0) +
                       static_cast<size_t>((a & 4) != 0);
-        values[a] = TransitiveScore(ones, options);
+        values[a] = TransitiveScore(ones);
       }
       size_t emitted = 0;
       for (size_t p = 0; p < pairs.size(); ++p) {
-        if (emitted >= options.max_transitive_per_role) break;
+        if (emitted >= kMaxTransitivePerRole) break;
         size_t i = pairs[p].a;
         size_t j = pairs[p].b;
         auto adj_it = adjacency.find(j);
@@ -195,7 +194,7 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
                              FeatureTable::Uniform(beta, values))
                   .ValueOrDie();
           group_u_trans.push_back(f);
-          if (++emitted >= options.max_transitive_per_role) break;
+          if (++emitted >= kMaxTransitivePerRole) break;
         }
       }
     };
@@ -218,9 +217,9 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
           auto add = [&](size_t state, size_t offset, double value) {
             table.Add(state, alpha_base + offset, value);
           };
-          if (mask.link_pop) add(0, 0, options.nil_score);
-          if (mask.link_emb) add(0, 1, options.nil_score);
-          if (mask.link_ppdb) add(0, 2, options.nil_score);
+          if (mask.link_pop) add(0, 0, kNilScore);
+          if (mask.link_emb) add(0, 1, kNilScore);
+          if (mask.link_ppdb) add(0, 2, kNilScore);
           for (size_t c = 0; c < candidates.size(); ++c) {
             const std::string& name =
                 ckb.entity(candidates[c].id).name;
@@ -240,10 +239,10 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
           auto add = [&](size_t state, size_t offset, double value) {
             table.Add(state, base + offset, value);
           };
-          if (mask.rel_ngram) add(0, 0, options.relation_nil_score);
-          if (mask.rel_ld) add(0, 1, options.relation_nil_score);
-          if (mask.rel_emb) add(0, 2, options.relation_nil_score);
-          if (mask.rel_ppdb) add(0, 3, options.relation_nil_score);
+          if (mask.rel_ngram) add(0, 0, kRelationNilScore);
+          if (mask.rel_ld) add(0, 1, kRelationNilScore);
+          if (mask.rel_emb) add(0, 2, kRelationNilScore);
+          if (mask.rel_ppdb) add(0, 3, kRelationNilScore);
           RelationRows(signals, ckb, surface, candidates, &rows);
           for (size_t c = 0; c < candidates.size(); ++c) {
             if (mask.rel_ngram) add(c + 1, 0, rows[c].ngram);
@@ -299,13 +298,13 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
         size_t cs = s_cands.size() + 1;
         size_t cp = p_cands.size() + 1;
         size_t co = o_cands.size() + 1;
-        std::vector<double> values(cs * cp * co, options.fact_low);
+        std::vector<double> values(cs * cp * co, kFactLow);
         for (size_t a = 1; a < cs; ++a) {
           for (size_t b = 1; b < cp; ++b) {
             for (size_t c = 1; c < co; ++c) {
               if (ckb.HasFact(s_cands[a - 1].id, p_cands[b - 1].id,
                               o_cands[c - 1].id)) {
-                values[(a * cp + b) * co + c] = options.fact_high;
+                values[(a * cp + b) * co + c] = kFactHigh;
               }
             }
           }
@@ -334,12 +333,11 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
             WeightId beta) {
           for (size_t p = 0; p < pairs.size(); ++p) {
             // Candidate-blocked pairs exist *because* they share a
-            // candidate; their consistency factors are skipped or
-            // dampened to avoid rewarding that agreement circularly.
+            // candidate; their consistency factors are dampened to avoid
+            // rewarding that agreement circularly.
             double swing = 1.0;
             if (pairs[p].candidate_blocked) {
-              if (!options.consistency_on_candidate_pairs) continue;
-              swing = options.consistency_candidate_damping;
+              swing = kConsistencyCandidateDamping;
             }
             size_t rep_a = representative[pairs[p].a];
             size_t rep_b = representative[pairs[p].b];
@@ -359,19 +357,20 @@ JoclGraph BuildJoclGraph(const JoclProblem& problem,
                 double diff_score;
                 if (id_a == kNilId && id_b == kNilId) {
                   // Two NILs say nothing about co-reference.
-                  same_score = options.consistency_neutral;
-                  diff_score = options.consistency_neutral;
+                  same_score = kConsistencyNeutral;
+                  diff_score = kConsistencyNeutral;
                 } else if (id_a == id_b) {
-                  same_score = options.consistency_high;
-                  diff_score = options.consistency_low;
+                  same_score = kConsistencyHigh;
+                  diff_score = kConsistencyLow;
                 } else {
-                  same_score = options.consistency_low;
-                  diff_score = options.consistency_high;
+                  same_score = kConsistencyLow;
+                  diff_score = kConsistencyHigh;
                 }
                 // Dampen the swing for candidate-blocked pairs.
-                double neutral = options.consistency_neutral;
-                diff_score = neutral + (diff_score - neutral) * swing;
-                same_score = neutral + (same_score - neutral) * swing;
+                diff_score = kConsistencyNeutral +
+                             (diff_score - kConsistencyNeutral) * swing;
+                same_score = kConsistencyNeutral +
+                             (same_score - kConsistencyNeutral) * swing;
                 values[(a * cb + b) * 2 + 0] = diff_score;  // x = 0
                 values[(a * cb + b) * 2 + 1] = same_score;  // x = 1
               }

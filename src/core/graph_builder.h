@@ -22,53 +22,56 @@ struct GraphBuilderOptions {
   bool enable_fact_inclusion = true;
   /// Emit U5..U7 consistency factors (Table 4 removes these).
   bool enable_consistency = true;
-  /// Attach consistency factors to candidate-blocked pairs too. Those
-  /// pairs exist because the surfaces share a candidate, so a full-swing
-  /// consistency factor would reward that agreement circularly; with the
-  /// agreement evidence also flowing through f_cand, these factors get a
-  /// dampened swing (see consistency_candidate_damping).
-  bool consistency_on_candidate_pairs = true;
-  /// Swing multiplier for consistency factors on candidate-blocked pairs:
-  /// scores are pulled toward neutral by this factor (0 = fully neutral,
-  /// 1 = the paper's full 0.7/0.3 swing).
-  double consistency_candidate_damping = 0.5;
   /// Which feature functions feed F1..F6 (Table 5 variants).
   FeatureMask features = FeatureMask::All();
-
-  /// IDF similarities below this feed F1/F2/F3 as a neutral 0.5 instead of
-  /// their raw value. The paper's pair variables all sit at IDF >= 0.5, so
-  /// its f_idf never argues *against* a merge; our side-info-blocked pairs
-  /// (acronyms, nicknames) would otherwise be vetoed by the one signal
-  /// that is structurally blind to them. Safe only because predicate
-  /// blocking excludes self-confirming buckets (see
-  /// ProblemBuilder::ActivateSurface).
-  double idf_neutral_below = 0.5;
-
-  /// Heuristic factor scores (paper §3.1.5, §3.2.5, §3.3).
-  double transitive_high = 0.9;
-  double transitive_mid = 0.5;
-  double transitive_low = 0.1;
-  double fact_high = 0.9;
-  double fact_low = 0.1;
-  double consistency_high = 0.7;
-  double consistency_low = 0.3;
-  /// Score when both linking variables of a consistency factor are NIL:
-  /// neither evidence for nor against co-reference.
-  double consistency_neutral = 0.5;
-
-  /// Feature value assigned to the NIL state of entity linking variables
-  /// (acts as the prior the candidates must beat).
-  double nil_score = 0.35;
-  /// NIL prior for relation linking variables. Lower than the entity one:
-  /// relation candidate scores are surface similarities that rarely exceed
-  /// ~0.5 even for correct readings, so an equal prior would over-predict
-  /// NIL.
-  double relation_nil_score = 0.22;
-
-  /// Cap on transitive factors per role (triangles are selected
-  /// deterministically by pair order).
-  size_t max_transitive_per_role = 60000;
 };
+
+// ---- fixed factor scores of the graph (paper §3.1.5, §3.2.5, §3.3) ------
+
+/// Consistency factors attach to candidate-blocked pairs too. Those pairs
+/// exist because the surfaces share a candidate, so a full-swing factor
+/// would reward that agreement circularly; with the agreement evidence
+/// also flowing through f_cand, their swing is pulled toward neutral by
+/// this factor (0 = fully neutral, 1 = the paper's full 0.7/0.3 swing).
+inline constexpr double kConsistencyCandidateDamping = 0.5;
+
+/// IDF similarities below this feed F1/F2/F3 as a neutral 0.5 instead of
+/// their raw value. The paper's pair variables all sit at IDF >= 0.5, so
+/// its f_idf never argues *against* a merge; our side-info-blocked pairs
+/// (acronyms, nicknames) would otherwise be vetoed by the one signal that
+/// is structurally blind to them. Safe only because predicate blocking
+/// excludes self-confirming buckets (see ProblemBuilder::ActivateSurface).
+inline constexpr double kIdfNeutralBelow = 0.5;
+
+/// Transitive triangle scores: all three pairs same (high), exactly two
+/// (low, a violation), otherwise neutral (mid).
+inline constexpr double kTransitiveHigh = 0.9;
+inline constexpr double kTransitiveMid = 0.5;
+inline constexpr double kTransitiveLow = 0.1;
+/// U4 scores of a (subject, relation, object) link triple that is / is
+/// not a CKB fact.
+inline constexpr double kFactHigh = 0.9;
+inline constexpr double kFactLow = 0.1;
+/// U5..U7 scores when the pair's link agreement matches / contradicts its
+/// same-meaning state.
+inline constexpr double kConsistencyHigh = 0.7;
+inline constexpr double kConsistencyLow = 0.3;
+/// Score when both linking variables of a consistency factor are NIL:
+/// neither evidence for nor against co-reference.
+inline constexpr double kConsistencyNeutral = 0.5;
+
+/// Feature value assigned to the NIL state of entity linking variables
+/// (acts as the prior the candidates must beat).
+inline constexpr double kNilScore = 0.35;
+/// NIL prior for relation linking variables. Lower than the entity one:
+/// relation candidate scores are surface similarities that rarely exceed
+/// ~0.5 even for correct readings, so an equal prior would over-predict
+/// NIL.
+inline constexpr double kRelationNilScore = 0.22;
+
+/// Cap on transitive factors per role (triangles are selected
+/// deterministically by pair order).
+inline constexpr size_t kMaxTransitivePerRole = 60000;
 
 /// \brief The built factor graph plus the variable bookkeeping needed for
 /// labeling (learning) and decoding (inference).

@@ -54,9 +54,9 @@ Result<std::vector<double>> Jocl::LearnWeights(
   // The sharded learner partitions the labeled problem, builds one
   // graph per component through the SignalCache path, and runs
   // the clamped/free passes component-parallel — the learning-side twin of
-  // the Infer runtime below (same thread/shard knobs, same determinism).
+  // the Infer runtime below (same thread knob, same determinism).
   ShardedLearner learner(options_, RuntimeOptions{options_.runtime_threads,
-                                                  options_.runtime_shards});
+                                                  /*max_shards=*/0});
   LearnerRunStats learn_stats;
   Result<LearnerResult> learned =
       learner.Learn(dataset, signals, subset, DefaultWeights(), &learn_stats);
@@ -73,7 +73,7 @@ Result<JoclResult> Jocl::Infer(const Dataset& dataset,
                                const std::vector<size_t>& triple_subset,
                                std::vector<double> weights) const {
   JoclRuntime runtime(options_, RuntimeOptions{options_.runtime_threads,
-                                                options_.runtime_shards});
+                                                /*max_shards=*/0});
   return runtime.Infer(dataset, signals, triple_subset, std::move(weights));
 }
 

@@ -50,10 +50,6 @@ struct JoclOptions {
   /// hardware thread, 1 = sequential). Purely an execution choice: the
   /// runtime's output is byte-identical for every setting.
   size_t runtime_threads = 0;
-  /// Shard count of the runtime: 0 = one shard per independent
-  /// sub-problem, 1 = the monolithic single-graph run, n = sub-problems
-  /// packed into n shards. Also purely an execution choice.
-  size_t runtime_shards = 0;
   uint64_t seed = 17;
 
   JoclOptions() {
@@ -116,9 +112,9 @@ class Jocl {
   /// Learns weights from `dataset.validation_triples` (paper protocol:
   /// the 20%-of-entities ReVerb45K split) on the sharded learning runtime
   /// (`ShardedLearner`, core/sharded_learner.h) — component-parallel
-  /// expectation passes under `runtime_threads` / `runtime_shards`, with
-  /// byte-identical weights for every setting. Returns DefaultWeights()
-  /// when the data set has no validation split.
+  /// expectation passes on `runtime_threads` workers, with byte-identical
+  /// weights for every thread count. Returns DefaultWeights() when the
+  /// data set has no validation split.
   Result<std::vector<double>> LearnWeights(const Dataset& dataset,
                                            const SignalBundle& signals) const;
 

@@ -10,6 +10,9 @@
 namespace jocl {
 namespace {
 
+/// Representative of a surface with no active mention.
+constexpr size_t kNoRep = static_cast<size_t>(-1);
+
 uint64_t PackPair(uint32_t lo, uint32_t hi) {
   return (static_cast<uint64_t>(lo) << 32) | hi;
 }
@@ -356,9 +359,8 @@ void ProblemBuilder::EmitRole(size_t role, const std::vector<size_t>& active,
     } else if (admitted && blocked != rec.blocked_prev) {
       // Still admitted but the candidate-blocked tag flipped (a shared
       // bucket crossed the size cap): the emitted SurfacePair changed, so
-      // announce it. The redundant edge re-add is a no-op for the
-      // partitioner's connectivity; it exists so the session's
-      // provably-clean shard skip sees the affected component as touched.
+      // announce it, so the session's provably-clean shard skip sees the
+      // affected component as touched.
       delta->pair_events[role].added.push_back(PackPair(rec.lo, rec.hi));
     }
     if (admitted) {
@@ -385,8 +387,7 @@ void ProblemBuilder::EmitRole(size_t role, const std::vector<size_t>& active,
               });
     pairs->resize(options_.max_pairs_per_role);
     // Which pairs survive the cap depends on global similarity rank, so
-    // the pair events above no longer describe the surviving set; the
-    // caller must fall back to scratch connectivity this batch.
+    // the pair events above no longer describe the surviving set.
     delta->overflow = true;
   }
   std::sort(pairs->begin(), pairs->end(),
@@ -401,8 +402,6 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
                            const std::vector<size_t>& active, size_t threads,
                            JoclProblem* problem, FrontEndDelta* delta) {
   *delta = FrontEndDelta();
-  delta->added_triples = added;
-  delta->removed_triples = removed;
   if (threads == 0) threads = 1;
 
   // Surface-event baseline: representative (min active mention) of every
@@ -410,8 +409,7 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
   std::unordered_map<uint32_t, size_t> old_rep[3];
   auto touch = [&](size_t role, uint32_t sid) {
     const auto& mentions = roles_[role].mentions[sid];
-    old_rep[role].emplace(
-        sid, mentions.empty() ? FrontEndDelta::kRetired : mentions.front());
+    old_rep[role].emplace(sid, mentions.empty() ? kNoRep : mentions.front());
   };
 
   // ---- removals -----------------------------------------------------------
@@ -459,10 +457,9 @@ void ProblemBuilder::Apply(const std::vector<size_t>& added,
     std::sort(touched.begin(), touched.end());
     for (uint32_t sid : touched) {
       const auto& mentions = roles_[role].mentions[sid];
-      size_t now =
-          mentions.empty() ? FrontEndDelta::kRetired : mentions.front();
+      size_t now = mentions.empty() ? kNoRep : mentions.front();
       if (now != old_rep[role][sid]) {
-        delta->surface_events[role].push_back({sid, now});
+        delta->surface_events[role].push_back(sid);
       }
     }
   }

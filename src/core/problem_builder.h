@@ -11,9 +11,34 @@
 #include <vector>
 
 #include "core/problem.h"
-#include "core/shard.h"
 
 namespace jocl {
+
+/// \brief One batch's emission changes in *stable* identifiers — the
+/// problem builder's persistent per-role surface ids — which the session's
+/// provably-clean shard skip maps to the components they can touch. Roles
+/// are indexed 0 = subject, 1 = predicate, 2 = object.
+struct FrontEndDelta {
+  /// True when `max_pairs_per_role` truncated an admitted pair set. The
+  /// emitted problem is still exact, but which pairs survive the cap
+  /// depends on global similarity rank, so the pair events below (which
+  /// always describe the *untruncated* admitted set) do not announce every
+  /// emission change, and the session must not skip its reuse guard.
+  bool overflow = false;
+
+  /// Surfaces whose representative (first active mention) changed this
+  /// batch, entering and leaving the active set included; ascending.
+  std::array<std::vector<uint32_t>, 3> surface_events;
+
+  /// Admitted-pair transitions, packed as (lo_sid << 32) | hi_sid. A pair
+  /// that stays admitted but flips its candidate-blocked tag is announced
+  /// as added again.
+  struct PairEvents {
+    std::vector<uint64_t> added;
+    std::vector<uint64_t> removed;
+  };
+  std::array<PairEvents, 3> pair_events;
+};
 
 /// \brief The problem front end: maintains the mention, blocking-bucket
 /// and pair-variable state of the active triple set across ingestion
@@ -47,8 +72,8 @@ namespace jocl {
 ///    orders over unique keys, so emission order is irrelevant.
 ///
 /// The builder also emits the batch's `FrontEndDelta` (stable surface
-/// ids + admitted-pair transitions) for the `IncrementalPartitioner`,
-/// and counts candidate lookups: every emission consults each active
+/// ids + admitted-pair transitions) for the session's reuse skip, and
+/// counts candidate lookups: every emission consults each active
 /// surface once per role, and a consultation is a miss the first time
 /// the builder ever consults that surface and a hit every later time.
 /// Counting happens on the calling thread only, so the parallel

@@ -78,8 +78,7 @@ JoclSession::JoclSession(const Dataset* dataset, const SignalBundle* signals,
       options_(std::move(options)),
       session_(session),
       weights_(std::move(weights)),
-      builder_(dataset, signals, options_.problem),
-      partitioner_(dataset->okb.size()) {
+      builder_(dataset, signals, options_.problem) {
   if (weights_.empty()) weights_ = Jocl::DefaultWeights();
 }
 
@@ -219,24 +218,16 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
 
   // ---- partition ------------------------------------------------------------
   // One shard per connected component: dirtiness is per-component, and
-  // packing would only coarsen reuse. The persistent union-find labels
-  // components in O(Δ·α). It tracks the untruncated admitted pairs, so a
-  // batch that truncated the pair lists — and a reused problem, which may
-  // have been truncated — derives them from the problem's own pairs. The
-  // plan holds index maps only: dirty shards materialize their local
-  // problem bodies below, clean shards never do. The plan is refilled in
-  // place, so its index maps keep their storage across batches. The reuse
-  // guard and that materialization are front-end work too: the span
-  // covers them.
+  // packing would only coarsen reuse. The labels come from the problem's
+  // own pairs, exactly as in the runtime and the learner. The plan holds
+  // index maps only: dirty shards materialize their local problem bodies
+  // below, clean shards never do. The plan is refilled in place, so its
+  // index maps keep their storage across batches. The reuse guard and
+  // that materialization are front-end work too: the span covers them.
   span.emplace("partition", &local_stats.partition_seconds);
   std::vector<size_t> comp_of_triple;
   std::vector<size_t> comp_weight;
-  if (!reuse_frontend) partitioner_.Apply(fdelta);
-  if (reuse_frontend || fdelta.overflow) {
-    ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
-  } else {
-    partitioner_.Components(active_, &comp_of_triple, &comp_weight);
-  }
+  ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
   ShardPlan& plan = plan_;
   MaterializeShardPlan(problem, comp_of_triple, comp_weight,
                        /*max_shards=*/0, &plan);
@@ -282,9 +273,7 @@ Status JoclSession::Refresh(const std::vector<size_t>& added,
       }
     };
     for (size_t role = 0; role < 3; ++role) {
-      for (const auto& event : fdelta.surface_events[role]) {
-        touch_sid(role, event.sid);
-      }
+      for (uint32_t sid : fdelta.surface_events[role]) touch_sid(role, sid);
       for (uint64_t packed : fdelta.pair_events[role].added) {
         touch_sid(role, static_cast<uint32_t>(packed >> 32));
         touch_sid(role, static_cast<uint32_t>(packed));

@@ -50,7 +50,7 @@ struct SessionStats : PipelineStats {
   size_t problem_cache_misses = 0;
   /// True when the batch skipped the front-end entirely because the
   /// active set was unchanged (UpdateWeights re-inference): the persisted
-  /// problem and partition were reused verbatim.
+  /// problem was reused verbatim.
   bool frontend_reused = false;
 };
 
@@ -59,10 +59,12 @@ struct SessionStats : PipelineStats {
 /// traffic; open KBs grow by ingestion batches).
 ///
 /// A session holds the active triple set, an append-only `SignalCache`,
-/// a persistent `ProblemBuilder` + `IncrementalPartitioner` pair, and the
-/// solved beliefs of every connected component it has inferred.
-/// `AddTriples` / `RemoveTriples` update the active set, patch the global
-/// problem and its partition by the batch's delta, and re-run inference
+/// a persistent `ProblemBuilder`, and the solved beliefs of every
+/// connected component it has inferred. `AddTriples` / `RemoveTriples`
+/// update the active set, patch the global problem by the batch's delta,
+/// label its components with `ComputeProblemComponents` (the runtime's
+/// partition, so session and one-shot shards agree by construction), and
+/// re-run inference
 /// **only over dirty shards** — components whose triple set or local
 /// problem changed. Clean components are served from the store; a batch
 /// that merges two components dirties just the merged shard, and a
@@ -167,8 +169,7 @@ class JoclSession {
     size_t last_used = 0;
   };
 
-  /// Delta rebuild + delta partition + dirty-shard inference + global
-  /// decode. \p added / \p removed are the batch's disjoint sorted triple
+  /// Delta rebuild + partition + dirty-shard inference + global decode. \p added / \p removed are the batch's disjoint sorted triple
   /// ids (both empty = weights-only refresh over the unchanged set).
   Status Refresh(const std::vector<size_t>& added,
                  const std::vector<size_t>& removed, SessionStats* stats);
@@ -182,9 +183,8 @@ class JoclSession {
   std::vector<size_t> active_;  ///< sorted, deduplicated
   SignalCache cache_;           ///< append-only, spans all batches
 
-  /// The O(Δ) front-end pair, fed the batch deltas.
+  /// The O(Δ) problem front end, fed the batch deltas.
   ProblemBuilder builder_;
-  IncrementalPartitioner partitioner_;
   /// Whether the previous non-reuse batch truncated the pair lists. A
   /// truncating batch stores shard bodies cut by a *global* similarity
   /// rank, so the provably-clean skip must stand down until one full

@@ -1,9 +1,8 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cluster/union_find.h"
 #include "util/logging.h"
@@ -357,182 +356,6 @@ ShardPlan PartitionProblem(const JoclProblem& problem, size_t max_shards) {
                    << " triples -> " << n_components << " components in "
                    << plan.shards.size() << " shards";
   return plan;
-}
-
-// ---- IncrementalPartitioner -------------------------------------------------
-
-namespace {
-
-uint64_t EdgeKey(size_t u, size_t v) {
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  return (lo << 32) | hi;
-}
-
-}  // namespace
-
-IncrementalPartitioner::IncrementalPartitioner(size_t dataset_triples)
-    : base_(dataset_triples) {}
-
-void IncrementalPartitioner::EnsureNode(size_t node) {
-  if (node < parent_.size()) return;
-  size_t old = parent_.size();
-  parent_.resize(node + 1);
-  for (size_t i = old; i <= node; ++i) parent_[i] = i;
-  active_.resize(node + 1, 0);
-  rep_of_.resize(node + 1, FrontEndDelta::kRetired);
-}
-
-size_t IncrementalPartitioner::Find(size_t node) {
-  size_t root = node;
-  while (parent_[root] != root) root = parent_[root];
-  while (parent_[node] != root) {
-    size_t next = parent_[node];
-    parent_[node] = root;
-    node = next;
-  }
-  return root;
-}
-
-void IncrementalPartitioner::Activate(size_t node) {
-  EnsureNode(node);
-  if (active_[node]) return;
-  active_[node] = 1;
-  parent_[node] = node;
-  Group& group = groups_[node];
-  group.members.assign(1, node);
-  group.edges.clear();
-}
-
-void IncrementalPartitioner::AddEdge(size_t u, size_t v) {
-  size_t ru = Find(u);
-  size_t rv = Find(v);
-  if (ru == rv) {
-    groups_[ru].edges.emplace_back(u, v);
-    return;
-  }
-  Group& gu = groups_[ru];
-  Group& gv = groups_[rv];
-  // Small-to-large: the lighter component's lists fold into the heavier's.
-  size_t big = gu.members.size() >= gv.members.size() ? ru : rv;
-  size_t small = big == ru ? rv : ru;
-  Group& gb = groups_[big];
-  Group& gs = groups_[small];
-  parent_[small] = big;
-  gb.members.insert(gb.members.end(), gs.members.begin(), gs.members.end());
-  gb.edges.insert(gb.edges.end(), gs.edges.begin(), gs.edges.end());
-  gb.edges.emplace_back(u, v);
-  groups_.erase(small);
-}
-
-void IncrementalPartitioner::Apply(const FrontEndDelta& delta) {
-  // ---- phase 1: collect retired edges and nodes ---------------------------
-  std::unordered_set<uint64_t> dead_edges;
-  std::vector<size_t> deactivate;
-  for (size_t role = 0; role < 3; ++role) {
-    for (const auto& event : delta.surface_events[role]) {
-      size_t node = NodeOf(role, event.sid);
-      if (node < parent_.size() && active_[node] &&
-          rep_of_[node] != FrontEndDelta::kRetired &&
-          rep_of_[node] != event.rep) {
-        dead_edges.insert(EdgeKey(node, rep_of_[node]));
-      }
-      if (event.rep == FrontEndDelta::kRetired && node < parent_.size() &&
-          active_[node]) {
-        deactivate.push_back(node);
-      }
-    }
-    for (uint64_t key : delta.pair_events[role].removed) {
-      size_t a = NodeOf(role, static_cast<uint32_t>(key >> 32));
-      size_t b = NodeOf(role, static_cast<uint32_t>(key & 0xffffffff));
-      dead_edges.insert(EdgeKey(a, b));
-    }
-  }
-  for (size_t t : delta.removed_triples) {
-    if (t < parent_.size() && active_[t]) deactivate.push_back(t);
-  }
-
-  // ---- phase 2: dissolve + rebuild the affected components ----------------
-  if (!dead_edges.empty() || !deactivate.empty()) {
-    std::unordered_set<size_t> roots;
-    for (uint64_t key : dead_edges) {
-      size_t u = static_cast<size_t>(key >> 32);
-      size_t v = static_cast<size_t>(key & 0xffffffff);
-      if (u < parent_.size() && active_[u]) roots.insert(Find(u));
-      if (v < parent_.size() && active_[v]) roots.insert(Find(v));
-    }
-    for (size_t node : deactivate) roots.insert(Find(node));
-
-    std::vector<size_t> members;
-    std::vector<std::pair<size_t, size_t>> edges;
-    for (size_t root : roots) {
-      auto it = groups_.find(root);
-      if (it == groups_.end()) continue;
-      members.insert(members.end(), it->second.members.begin(),
-                     it->second.members.end());
-      edges.insert(edges.end(), it->second.edges.begin(),
-                   it->second.edges.end());
-      groups_.erase(it);
-    }
-    for (size_t node : deactivate) active_[node] = 0;
-    for (size_t node : members) {
-      if (!active_[node]) continue;
-      parent_[node] = node;
-      Group& group = groups_[node];
-      group.members.assign(1, node);
-      group.edges.clear();
-    }
-    for (const auto& [u, v] : edges) {
-      if (!active_[u] || !active_[v]) continue;
-      if (dead_edges.count(EdgeKey(u, v)) > 0) continue;
-      AddEdge(u, v);
-    }
-  }
-
-  // ---- phase 3: additions -------------------------------------------------
-  for (size_t t : delta.added_triples) {
-    EnsureNode(t);
-    Activate(t);
-  }
-  for (size_t role = 0; role < 3; ++role) {
-    for (const auto& event : delta.surface_events[role]) {
-      size_t node = NodeOf(role, event.sid);
-      EnsureNode(node);
-      if (event.rep == FrontEndDelta::kRetired) {
-        rep_of_[node] = FrontEndDelta::kRetired;
-        continue;
-      }
-      Activate(node);
-      rep_of_[node] = event.rep;
-      AddEdge(node, event.rep);
-    }
-    for (uint64_t key : delta.pair_events[role].added) {
-      size_t a = NodeOf(role, static_cast<uint32_t>(key >> 32));
-      size_t b = NodeOf(role, static_cast<uint32_t>(key & 0xffffffff));
-      AddEdge(a, b);
-    }
-  }
-}
-
-size_t IncrementalPartitioner::Components(
-    const std::vector<size_t>& active_triples,
-    std::vector<size_t>* comp_of_triple, std::vector<size_t>* comp_weight) {
-  comp_of_triple->resize(active_triples.size());
-  comp_weight->clear();
-  comp_of_root_.resize(parent_.size(), kNoComponent);
-  for (size_t t = 0; t < active_triples.size(); ++t) {
-    size_t& comp = comp_of_root_[Find(active_triples[t])];
-    if (comp == kNoComponent) {
-      comp = comp_weight->size();
-      comp_weight->push_back(0);
-    }
-    (*comp_of_triple)[t] = comp;
-    ++(*comp_weight)[comp];
-  }
-  // Find compressed every active triple's path, so its parent is its
-  // root: reset exactly the entries set above.
-  for (size_t t : active_triples) comp_of_root_[parent_[t]] = kNoComponent;
-  return comp_weight->size();
 }
 
 }  // namespace jocl

@@ -1,10 +1,7 @@
 #ifndef JOCL_CORE_SHARD_H_
 #define JOCL_CORE_SHARD_H_
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/problem.h"
@@ -87,14 +84,15 @@ ShardPlan PartitionProblem(const JoclProblem& problem, size_t max_shards);
 /// triple of \p problem with its connected component (ids in
 /// first-appearance order over `problem.triples`) and returns the
 /// component count. \p comp_weight receives the triple count per
-/// component. The labeling is exactly the one PartitionProblem shards by.
+/// component. The labeling is exactly the one PartitionProblem shards by,
+/// and the one production labeling: the runtime, the sharded learner and
+/// every session batch call it on the problem they infer over.
 size_t ComputeProblemComponents(const JoclProblem& problem,
                                 std::vector<size_t>* comp_of_triple,
                                 std::vector<size_t>* comp_weight);
 
-/// \brief The materialization half of `PartitionProblem`: turns component
-/// labels (from `ComputeProblemComponents` or an `IncrementalPartitioner`,
-/// which produce identical labels) into \p plan.
+/// \brief The materialization half of `PartitionProblem`: turns the
+/// component labels of `ComputeProblemComponents` into \p plan.
 ///
 /// Only the index maps are filled — `triple_map`, `problem.triples`, the
 /// per-role `*_surface_map` / `*_pair_map` — which is all that
@@ -127,117 +125,6 @@ void MaterializeShardProblem(const JoclProblem& problem, ProblemShard* shard);
 /// candidate-blocked tag, candidate lists).
 bool ShardMatchesCached(const JoclProblem& problem, const ProblemShard& shard,
                         const JoclProblem& cached);
-
-/// \brief One batch's front-end changes in *stable* identifiers — dataset
-/// triple ids and the problem builder's persistent per-role surface ids —
-/// the currency between the incremental problem builder and the
-/// incremental partitioner. Roles are indexed 0 = subject, 1 = predicate,
-/// 2 = object.
-struct FrontEndDelta {
-  static constexpr size_t kRetired = static_cast<size_t>(-1);
-
-  /// True when `max_pairs_per_role` truncated an admitted pair set: the
-  /// emitted problem is still exact, but which pairs survive the cap
-  /// depends on global similarity rank, so the pair deltas below (which
-  /// always describe the *untruncated* admitted set) don't match the
-  /// emitted problem and the caller must label this batch's components
-  /// with scratch connectivity (`ComputeProblemComponents`).
-  bool overflow = false;
-
-  std::vector<size_t> added_triples;    ///< dataset ids, ascending
-  std::vector<size_t> removed_triples;  ///< dataset ids, ascending
-
-  /// A surface whose activation state or representative changed this
-  /// batch: `rep` is the new representative mention's dataset triple id,
-  /// or `kRetired` when the surface left the active set.
-  struct SurfaceEvent {
-    uint32_t sid = 0;
-    size_t rep = 0;
-  };
-  std::array<std::vector<SurfaceEvent>, 3> surface_events;
-
-  /// Admitted-pair transitions, packed as (lo_sid << 32) | hi_sid.
-  struct PairEvents {
-    std::vector<uint64_t> added;
-    std::vector<uint64_t> removed;
-  };
-  std::array<PairEvents, 3> pair_events;
-
-  bool empty() const {
-    if (!added_triples.empty() || !removed_triples.empty()) return false;
-    for (const auto& events : surface_events) {
-      if (!events.empty()) return false;
-    }
-    for (const auto& events : pair_events) {
-      if (!events.added.empty() || !events.removed.empty()) return false;
-    }
-    return true;
-  }
-};
-
-/// \brief Persistent union-find over the active triple set: the session's
-/// O(Δ·α) partition front-end.
-///
-/// Nodes are dataset triples plus one node per active (role, surface).
-/// Edges mirror the factor graph's connectivity exactly as
-/// `PartitionProblem` sees it: each admitted pair links its two surface
-/// nodes, and each surface node links to its *representative* mention's
-/// triple — so two triples share a component iff a chain of pairs
-/// connects their representative surfaces, the same relation the scratch
-/// union-find computes (non-representative mentions stay independent).
-///
-/// `Apply` extends the structure in O(batch · α) for additions; removals
-/// dissolve only the components that lost a triple, surface or pair and
-/// rebuild them from their surviving edges (per-component member and
-/// edge lists are kept small-to-large, so a removal pays for the
-/// affected components, never the world). `Components` then labels the
-/// active triples identically to `ComputeProblemComponents` over the
-/// equivalent scratch problem (property-tested in tests/session_test.cc).
-class IncrementalPartitioner {
- public:
-  /// \p dataset_triples fixes the triple node space ahead of the surface
-  /// nodes (`Dataset::okb.size()`).
-  explicit IncrementalPartitioner(size_t dataset_triples);
-
-  /// Applies one batch's stable-id delta. Pair deltas always describe the
-  /// untruncated admitted set, so Apply stays valid across overflow
-  /// batches and self-heals when truncation stops — `delta.overflow` only
-  /// means the caller must label *this* batch's components with
-  /// `ComputeProblemComponents` instead of `Components`.
-  void Apply(const FrontEndDelta& delta);
-
-  /// Component labels for \p active_triples (ascending dataset ids), in
-  /// first-appearance order; returns the component count and fills
-  /// per-component triple counts. Mutating only through path compression.
-  size_t Components(const std::vector<size_t>& active_triples,
-                    std::vector<size_t>* comp_of_triple,
-                    std::vector<size_t>* comp_weight);
-
- private:
-  struct Group {
-    std::vector<size_t> members;
-    std::vector<std::pair<size_t, size_t>> edges;
-  };
-
-  size_t NodeOf(size_t role, uint32_t sid) const {
-    return base_ + static_cast<size_t>(sid) * 3 + role;
-  }
-  void EnsureNode(size_t node);
-  size_t Find(size_t node);
-  void Activate(size_t node);
-  void AddEdge(size_t u, size_t v);
-
-  size_t base_;  ///< surface nodes start here (== dataset triple count)
-  std::vector<size_t> parent_;
-  std::vector<uint8_t> active_;
-  /// Surface node -> its representative's triple node (kRetired = none).
-  std::vector<size_t> rep_of_;
-  /// Per-root member + internal-edge lists (only roots have entries).
-  std::unordered_map<size_t, Group> groups_;
-  /// Components' root -> component scratch; every entry is unset
-  /// (SIZE_MAX) between calls.
-  std::vector<size_t> comp_of_root_;
-};
 
 }  // namespace jocl
 

@@ -309,7 +309,7 @@ Result<LearnerResult> ShardedLearner::Learn(
     JOCL_LOG(kDebug) << "sharded learner iter " << iter << " objective "
                      << trace.objective << " grad max-norm "
                      << trace.gradient_max_norm;
-    if (trace.gradient_max_norm < options_.learner.gradient_tolerance) {
+    if (trace.gradient_max_norm < kGradientTolerance) {
       result.converged = true;
       break;
     }

@@ -7,7 +7,6 @@ namespace jocl {
 
 Word2VecOptions EmbeddingOptions(const SignalOptions& options) {
   Word2VecOptions w2v;
-  w2v.dim = options.embedding_dim;
   w2v.epochs = options.embedding_epochs;
   w2v.seed = options.seed;
   return w2v;
@@ -38,11 +37,8 @@ Result<SignalBundle> BuildSignals(const Dataset& dataset,
   // resource; our generator ships a noisy equivalent).
   bundle.ppdb = &dataset.ppdb;
 
-  // AMIE over morph-normalized triples.
-  AmieOptions amie_options;
-  amie_options.min_support = options.amie_min_support;
-  amie_options.min_confidence = options.amie_min_confidence;
-  bundle.amie = AmieMiner(amie_options);
+  // AMIE over morph-normalized triples, at AmieOptions' paper-style
+  // support/confidence thresholds.
   bundle.amie.Mine(dataset.okb);
 
   // KBP mapper: labeled RP -> relation pairs from the validation split.

@@ -18,12 +18,9 @@ namespace jocl {
 
 /// \brief Options controlling signal construction.
 struct SignalOptions {
-  /// Word2vec hyper-parameters for the embedding signal.
-  size_t embedding_dim = 48;
+  /// Word2vec epochs for the embedding signal (the dimension is
+  /// Word2VecOptions' default).
   size_t embedding_epochs = 5;
-  /// AMIE thresholds (paper-style support/confidence mining).
-  size_t amie_min_support = 2;
-  double amie_min_confidence = 0.5;
   uint64_t seed = 42;
 };
 

@@ -19,8 +19,6 @@ struct LearnerOptions {
   /// prior that every signal is somewhat informative, and a small labeled
   /// split should adjust — not erase — that prior.
   double l2 = 0.0;
-  /// Stop when the gradient max-norm falls below this.
-  double gradient_tolerance = 1e-4;
   /// LBP settings shared by the clamped and free passes.
   LbpOptions lbp;
 };
@@ -46,6 +44,10 @@ struct LearnerResult {
   bool converged = false;
 };
 
+/// \brief Learning stops once an iteration's gradient max-norm falls below
+/// this (`ShardedLearner` and the test oracle `FactorGraphLearner` alike).
+inline constexpr double kGradientTolerance = 1e-4;
+
 /// \brief One (optionally L2-regularized) gradient-ascent step — the
 /// single definition of the update math, shared by `ShardedLearner` and
 /// the monolithic test oracle `FactorGraphLearner`
@@ -54,7 +56,7 @@ struct LearnerResult {
 /// \p gradient_base holds `E[h | Y^L] − E[h]` per weight; \p log_likelihood the iteration's
 /// `logZ_clamped − logZ_free` estimate. Updates \p weights in place and
 /// returns the trace entry (`seconds` is left 0 for the caller to fill;
-/// callers check `gradient_max_norm` against their tolerance).
+/// callers check `gradient_max_norm` against kGradientTolerance).
 LearnerTrace ApplyAscentStep(const LearnerOptions& options, size_t iteration,
                              const std::vector<double>& gradient_base,
                              double log_likelihood,

@@ -103,9 +103,8 @@ TEST_F(GraphBuilderFixture, F1TableEncodesSimAndOneMinusSim) {
   double ppdb = cache_.Ppdb(a, b);
   std::vector<double> w(WeightLayout::kCount, 0.0);
 
-  // Sub-threshold IDF is neutralized to 0.5 (GraphBuilderOptions).
-  GraphBuilderOptions defaults;
-  double expected_idf = idf >= defaults.idf_neutral_below ? idf : 0.5;
+  // Sub-threshold IDF is neutralized to 0.5 (kIdfNeutralBelow).
+  double expected_idf = idf >= kIdfNeutralBelow ? idf : 0.5;
   w[WeightLayout::kAlpha1 + 0] = 1.0;  // f_idf
   EXPECT_NEAR(log_potential(1, w), expected_idf, 1e-12);
   EXPECT_NEAR(log_potential(0, w), 1.0 - expected_idf, 1e-12);
@@ -131,17 +130,16 @@ TEST_F(GraphBuilderFixture, U4RewardsKnownFacts) {
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta4] = 1.0;
   // NIL states (assignment 0) must carry the low score.
-  GraphBuilderOptions defaults;
-  EXPECT_NEAR(jg.graph.LogPotential(u4, 0, w), defaults.fact_low, 1e-12);
+  EXPECT_NEAR(jg.graph.LogPotential(u4, 0, w), kFactLow, 1e-12);
   // Some assignment must carry the high score (the known fact
   // <acme, owner_company, bolt>), and none may be outside {low, high}.
   bool found_high = false;
   const size_t assignments = jg.graph.AssignmentCount(u4);
   for (size_t a = 0; a < assignments; ++a) {
     double value = jg.graph.LogPotential(u4, a, w);
-    EXPECT_TRUE(std::abs(value - defaults.fact_low) < 1e-12 ||
-                std::abs(value - defaults.fact_high) < 1e-12);
-    if (std::abs(value - defaults.fact_high) < 1e-12) found_high = true;
+    EXPECT_TRUE(std::abs(value - kFactLow) < 1e-12 ||
+                std::abs(value - kFactHigh) < 1e-12);
+    if (std::abs(value - kFactHigh) < 1e-12) found_high = true;
   }
   EXPECT_TRUE(found_high);
 }
@@ -159,25 +157,22 @@ TEST_F(GraphBuilderFixture, U5ConsistencyValues) {
 
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta5] = 1.0;
-  GraphBuilderOptions defaults;
   // Assignment 0 = (NIL, NIL, x=0): two NILs are neutral evidence.
-  EXPECT_NEAR(jg.graph.LogPotential(u5, 0, w), defaults.consistency_neutral,
-              1e-12);
+  EXPECT_NEAR(jg.graph.LogPotential(u5, 0, w), kConsistencyNeutral, 1e-12);
   // Assignment 1 = (NIL, NIL, x=1): still neutral.
-  EXPECT_NEAR(jg.graph.LogPotential(u5, 1, w), defaults.consistency_neutral,
-              1e-12);
+  EXPECT_NEAR(jg.graph.LogPotential(u5, 1, w), kConsistencyNeutral, 1e-12);
   // Every cell is one of {low, neutral, high}.
   const size_t assignments = jg.graph.AssignmentCount(u5);
   bool found_high = false;
   bool found_low = false;
   for (size_t a = 0; a < assignments; ++a) {
     double value = jg.graph.LogPotential(u5, a, w);
-    bool ok = std::abs(value - defaults.consistency_low) < 1e-12 ||
-              std::abs(value - defaults.consistency_neutral) < 1e-12 ||
-              std::abs(value - defaults.consistency_high) < 1e-12;
+    bool ok = std::abs(value - kConsistencyLow) < 1e-12 ||
+              std::abs(value - kConsistencyNeutral) < 1e-12 ||
+              std::abs(value - kConsistencyHigh) < 1e-12;
     EXPECT_TRUE(ok) << "assignment " << a << " value " << value;
-    found_high |= std::abs(value - defaults.consistency_high) < 1e-12;
-    found_low |= std::abs(value - defaults.consistency_low) < 1e-12;
+    found_high |= std::abs(value - kConsistencyHigh) < 1e-12;
+    found_low |= std::abs(value - kConsistencyLow) < 1e-12;
   }
   EXPECT_TRUE(found_high);
   EXPECT_TRUE(found_low);
@@ -215,15 +210,14 @@ TEST_F(GraphBuilderFixture, TransitiveTableScoresByOnesCount) {
   }
   std::vector<double> w(WeightLayout::kCount, 0.0);
   w[WeightLayout::kBeta1] = 1.0;
-  GraphBuilderOptions defaults;
   // 8 assignments over 3 binary vars; score depends only on #ones.
   for (size_t a = 0; a < 8; ++a) {
     size_t ones = static_cast<size_t>((a & 1) != 0) +
                   static_cast<size_t>((a & 2) != 0) +
                   static_cast<size_t>((a & 4) != 0);
-    double expected = ones == 3   ? defaults.transitive_high
-                      : ones == 2 ? defaults.transitive_low
-                                  : defaults.transitive_mid;
+    double expected = ones == 3   ? kTransitiveHigh
+                      : ones == 2 ? kTransitiveLow
+                                  : kTransitiveMid;
     EXPECT_NEAR(jg.graph.LogPotential(u1, a, w), expected, 1e-12)
         << "assignment " << a;
   }

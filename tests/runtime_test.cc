@@ -315,7 +315,6 @@ TEST_F(RuntimeTest, ShardedRuntimeIsByteIdenticalToMonolithic) {
 TEST_F(RuntimeTest, InferWrapperMatchesRuntime) {
   JoclOptions options;
   options.runtime_threads = 2;
-  options.runtime_shards = 0;
   Jocl jocl(options);
   JoclResult via_wrapper =
       jocl.Infer(*dataset_, *signals_, dataset_->test_triples)

@@ -629,16 +629,15 @@ TEST_F(SessionEquivalenceTest, UnconvergedComponentsAreAPerBatchSignal) {
 }
 
 TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
-  // Property test of the O(Δ) front-end pair against the from-scratch
+  // Property test of the O(Δ) problem front end against the from-scratch
   // reference on a generated world: over a seeded random add/remove walk,
   // after every batch the memoized ProblemBuilder must emit the same
-  // problem as BuildScratchProblem, the persistent union-find must label
-  // the same components, and the materialized plan must be byte-identical
-  // to PartitionProblem — for a sequential and a parallel front-end alike.
-  // The walk admits at most ~160 pairs per role, far below the default
-  // cap. A cap of 10 truncates every batch; a cap of 150 truncates only
-  // the batches where the object role peaks, so the walk crosses it in
-  // both directions and the union-find must stay exact through overflow.
+  // problem as BuildScratchProblem, and the plan materialized from its
+  // component labels must be byte-identical to PartitionProblem — for a
+  // sequential and a parallel front end alike. The walk admits at most
+  // ~160 pairs per role, far below the default cap. A cap of 10 truncates
+  // every batch; a cap of 150 truncates only the batches where the object
+  // role peaks, so the walk crosses it in both directions.
   const std::vector<size_t>& stream = dataset_->test_triples;
   for (size_t cap : {ProblemOptions().max_pairs_per_role, size_t{10},
                      size_t{150}}) {
@@ -648,7 +647,6 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
       ProblemOptions options = JoclOptions().problem;
       options.max_pairs_per_role = cap;
       ProblemBuilder builder(dataset_, signals_, options);
-      IncrementalPartitioner partitioner(dataset_->okb.size());
       std::vector<uint8_t> in_active(dataset_->okb.size(), 0);
       std::vector<size_t> active;
       std::mt19937 rng(17);
@@ -694,25 +692,9 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
 
         ++compared_steps;
         if (delta.overflow) ++overflow_steps;
-        partitioner.Apply(delta);
         std::vector<size_t> comp_of_triple;
         std::vector<size_t> comp_weight;
-        size_t components;
-        if (delta.overflow) {
-          components =
-              ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
-        } else {
-          components =
-              partitioner.Components(active, &comp_of_triple, &comp_weight);
-        }
-        std::vector<size_t> scratch_comp_of;
-        std::vector<size_t> scratch_weight;
-        ASSERT_EQ(components,
-                  ComputeProblemComponents(scratch, &scratch_comp_of,
-                                           &scratch_weight));
-        ASSERT_EQ(comp_of_triple, scratch_comp_of);
-        ASSERT_EQ(comp_weight, scratch_weight);
-
+        ComputeProblemComponents(problem, &comp_of_triple, &comp_weight);
         ShardPlan incremental;
         MaterializeShardPlan(problem, comp_of_triple, comp_weight,
                              /*max_shards=*/0, &incremental);
@@ -724,6 +706,103 @@ TEST_F(SessionEquivalenceTest, IncrementalFrontEndMatchesScratchUnderChurn) {
         EXPECT_GT(overflow_steps, 0u);
         EXPECT_LT(overflow_steps, compared_steps);
       }
+    }
+  }
+}
+
+TEST_F(SessionEquivalenceTest, SeededRandomWalkMatchesOneShotAtEveryStep) {
+  // A long seeded walk of adds, retracts, re-adds of the last retract and
+  // small tail adds, with one weight swap midway. After every step the
+  // session must be byte-identical to a one-shot Infer over its active
+  // set under its current weights. With a pair cap of 150 the walk moves
+  // in and out of the truncating (overflow) path, so the provably-clean
+  // skip stands down and resumes; the counters show that it runs both
+  // reuse paths and crosses overflow in both directions.
+  const std::vector<size_t>& stream = dataset_->test_triples;
+  const ProblemOptions uncapped = JoclOptions().problem;
+  std::vector<double> swapped = Jocl::DefaultWeights();
+  for (double& w : swapped) w *= 1.5;
+  constexpr size_t kSteps = 30;
+  constexpr size_t kSwapStep = 15;
+  for (size_t cap : {uncapped.max_pairs_per_role, size_t{150}}) {
+    SCOPED_TRACE("cap=" + std::to_string(cap));
+    JoclOptions options;
+    options.problem.max_pairs_per_role = cap;
+    JoclSession session(dataset_, signals_, options);
+    std::mt19937 rng(5);
+    std::vector<uint8_t> in_active(dataset_->okb.size(), 0);
+    std::vector<size_t> last_removed;
+    size_t skips = 0, guarded = 0, overflow_steps = 0;
+    size_t entered_overflow = 0, left_overflow = 0;
+    bool was_overflow = false;
+    for (size_t step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step=" + std::to_string(step));
+      SessionStats stats;
+      const size_t active_before = session.active_triples().size();
+      // Stream triples drawn at random, keeping those whose activity
+      // matches \p active_wanted.
+      auto draw = [&](size_t count, bool active_wanted) {
+        std::vector<size_t> batch;
+        for (size_t i = 0; i < count; ++i) {
+          const size_t t = stream[rng() % stream.size()];
+          if (static_cast<bool>(in_active[t]) == active_wanted) {
+            batch.push_back(t);
+          }
+        }
+        return batch;
+      };
+      enum Op { kAdd, kRetract, kReAdd, kTailAdd, kSwap };
+      const Op op = step == kSwapStep ? kSwap : static_cast<Op>(rng() % 4);
+      std::vector<size_t> batch;
+      bool add = true;
+      switch (op) {
+        case kAdd: batch = draw(1 + rng() % (stream.size() / 3), false); break;
+        case kRetract:
+          batch = draw(1 + rng() % (active_before / 2 + 1), true);
+          add = false;
+          break;
+        case kReAdd: batch = last_removed; break;
+        case kTailAdd: batch = draw(9, false); break;
+        case kSwap: ASSERT_TRUE(session.UpdateWeights(swapped, &stats).ok());
+      }
+      if (op != kSwap) {
+        ASSERT_TRUE((add ? session.AddTriples(batch, &stats)
+                         : session.RemoveTriples(batch, &stats))
+                        .ok());
+        for (size_t t : batch) in_active[t] = add ? 1 : 0;
+        if (!add) last_removed = batch;
+      }
+      const std::vector<size_t>& active = session.active_triples();
+      if (active.empty()) continue;
+      skips += stats.skipped_guards;
+      guarded += stats.clean_shards - stats.skipped_guards;
+      // The batch truncated iff some role admits more pairs than the cap.
+      const JoclProblem full =
+          BuildProblem(*dataset_, *signals_, active, uncapped);
+      const bool overflow =
+          std::max({full.subject_pairs.size(), full.predicate_pairs.size(),
+                    full.object_pairs.size()}) > cap;
+      overflow_steps += overflow ? 1 : 0;
+      entered_overflow += overflow && !was_overflow ? 1 : 0;
+      left_overflow += !overflow && was_overflow ? 1 : 0;
+      was_overflow = overflow;
+      ExpectByteIdentical(
+          session.result(),
+          JoclRuntime(options)
+              .Infer(*dataset_, *signals_, active, session.weights())
+              .MoveValueOrDie());
+    }
+    std::printf("cap %zu: %zu skipped guards, %zu guarded reuses, %zu "
+                "overflow steps (entered %zu, left %zu times)\n",
+                cap, skips, guarded, overflow_steps, entered_overflow,
+                left_overflow);
+    EXPECT_GT(skips, 0u);
+    EXPECT_GT(guarded, 0u);
+    if (cap == 150) {
+      EXPECT_GT(entered_overflow, 0u);
+      EXPECT_GT(left_overflow, 0u);
+    } else {
+      EXPECT_EQ(overflow_steps, 0u);
     }
   }
 }

@@ -66,7 +66,7 @@ LearnerResult FactorGraphLearner::Learn(
     JOCL_LOG(kDebug) << "learner iter " << iter << " objective "
                      << trace.objective << " grad max-norm "
                      << trace.gradient_max_norm;
-    if (trace.gradient_max_norm < options_.gradient_tolerance) {
+    if (trace.gradient_max_norm < kGradientTolerance) {
       result.converged = true;
       break;
     }
